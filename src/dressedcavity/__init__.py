@@ -29,7 +29,6 @@ from .coupling import (
 from .dynamics import (
     AmplitudeTrace,
     FreeSpaceParams,
-    QuadratureConfig,
     amplitude_discrete,
     amplitude_free_space,
     amplitude_row,
@@ -48,7 +47,6 @@ from .errors import (
     DomainError,
     InvariantViolation,
     NormalizationFailure,
-    QuadratureFailure,
     RegimeViolation,
     SimulationError,
 )

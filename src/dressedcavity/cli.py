@@ -137,22 +137,17 @@ def _survival_closed_form(cfg: RunConfig, params) -> np.ndarray:
     return dynamics.free_space_trace(p, cfg.time_grid()).values
 
 
-def _survival_discrete(cfg: RunConfig, params) -> np.ndarray:
-    spec = solve_eigenfrequencies(params)
-    tm = coupling.build_matrix(spec)
+def _transform(params) -> coupling.TransformMatrix:
+    """The exact route's one secular solve and dense transform for an atom."""
+    tm = coupling.build_matrix(solve_eigenfrequencies(params))
     if tm.tail_deficit[0] > 1e-6:
         print(f"warning: atom-row tail deficit {tm.tail_deficit[0]:.2e}; "
               "consider a larger n_modes", file=sys.stderr)
+    return tm
+
+
+def _survival_discrete(cfg: RunConfig, tm: coupling.TransformMatrix) -> np.ndarray:
     return dynamics.amplitude_trace(tm, "atom", "atom", cfg.time_grid()).values
-
-
-def _survival_values(cfg: RunConfig, params, regime: str) -> tuple[np.ndarray, str]:
-    if regime == "free-space":
-        return _survival_closed_form(cfg, params), "free-space-closed-form"
-    if regime == "small":
-        return (dynamics.small_cavity_amplitude(params, cfg.time_grid(), cfg.k_max),
-                "small-cavity-series")
-    return _survival_discrete(cfg, params), "discrete-sum"
 
 
 def _continuum_row_norm(params) -> float:
@@ -162,11 +157,11 @@ def _continuum_row_norm(params) -> float:
     return 4.0 * params.g / np.pi * val
 
 
-def _pair_rows(cfg: RunConfig, times, f_aa, f_bb, entropies):
-    """Rows in the bipartite CSV schema, re-asserting invariants per row."""
+def _write_pair(cfg: RunConfig, path: Path, f_aa, f_bb, entropies) -> np.ndarray:
+    """Write the bipartite CSV, re-asserting invariants per row; returns its D column."""
     spec = cfg.superposition()
     rows = []
-    for i, t in enumerate(times):
+    for i, t in enumerate(cfg.time_grid()):
         m = bipartite.reduced_pair_matrix(f_aa[i], f_bb[i], spec, t)
         d = bipartite.impurity(m)
         tr = m.p_ground + m.p_b_excited + m.p_a_excited + m.p_both
@@ -174,10 +169,8 @@ def _pair_rows(cfg: RunConfig, times, f_aa, f_bb, entropies):
             raise InvariantViolation(f"trace {tr} at t={t}")
         rows.append((t, m.p_ground, m.p_b_excited, m.p_a_excited,
                      m.coherence.real, m.coherence.imag, d, entropies[i]))
-    return rows
-
-
-_PAIR_HEADER = ["t", "rho00", "rho0101", "rho1010", "re_coh", "im_coh", "D", "E"]
+    write_csv(path, ["t", "rho00", "rho0101", "rho1010", "re_coh", "im_coh", "D", "E"], rows)
+    return np.array([r[6] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -264,49 +257,32 @@ def cmd_amplitude(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _impurity_pair(cfg: RunConfig, regime: str):
-    params_a = cfg.atom_params(which="a")
-    f_aa, method = _survival_values(cfg, params_a, regime)
-    if cfg.identical:
-        f_bb = f_aa
-    else:
-        f_bb, _ = _survival_values(cfg, cfg.atom_params(which="b"), regime)
-    return params_a, f_aa, f_bb, method
-
-
 def cmd_impurity(cfg: RunConfig) -> int:
     times = cfg.time_grid()
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    curves = []
+    params = cfg.atom_params(which="a")
+    params_b = cfg.atom_params(which="b")
     # reference figure: small cavity via the exact discrete route, plus free space
-    for regime, fname in (("exact", "impurity_small_cavity.csv"),
-                          ("free-space", "impurity_free_space.csv")):
-        params, f_aa, f_bb, method = _impurity_pair(cfg, regime)
-        if regime == "free-space":
-            e_const = _entropy_constant_free_space(cfg, params)
-            entropies = np.full(times.shape, e_const)
-        else:
-            entropies = _entropy_trace_exact(cfg, params)
-        rows = _pair_rows(cfg, times, f_aa, f_bb, entropies)
-        path = out / fname
-        write_csv(path, _PAIR_HEADER, rows)
-        written.append(path)
-        curves.append((regime, times, np.array([r[6] for r in rows])))
+    small_path, free_path = out / "impurity_small_cavity.csv", out / "impurity_free_space.csv"
+    tm = _transform(params)
+    f_aa = _survival_discrete(cfg, tm)
+    f_bb = f_aa if cfg.identical else _survival_discrete(cfg, _transform(params_b))
+    d_small = _write_pair(cfg, small_path, f_aa, f_bb, _entropy_trace_exact(cfg, tm))
+    f_aa = _survival_closed_form(cfg, params)
+    f_bb = f_aa if cfg.identical else _survival_closed_form(cfg, params_b)
+    d_free = _write_pair(cfg, free_path, f_aa, f_bb,
+                         np.full(times.shape, _entropy_constant_free_space(cfg, params)))
     if cfg.svg:
         svg = svgplot.line_plot(
-            [("small cavity", curves[0][1], curves[0][2], True),
-             ("free space", curves[1][1], curves[1][2], False)],
+            [("small cavity", times, d_small, True), ("free space", times, d_free, False)],
             title="Degree of impurity", xlabel="t", ylabel="D")
         (out / "impurity.svg").write_text(svg)
-    print("wrote " + " and ".join(str(p) for p in written))
+    print(f"wrote {small_path} and {free_path}")
     return EXIT_OK
 
 
-def _entropy_trace_exact(cfg: RunConfig, params) -> np.ndarray:
-    spec = solve_eigenfrequencies(params)
-    tm = coupling.build_matrix(spec)
+def _entropy_trace_exact(cfg: RunConfig, tm: coupling.TransformMatrix) -> np.ndarray:
     rows = dynamics.amplitude_row(tm, "atom", cfg.time_grid())
     sup = cfg.superposition()
     out = np.empty(rows.shape[0])
@@ -336,11 +312,11 @@ def cmd_entropy(cfg: RunConfig) -> int:
     else:
         # "small" and "exact" both use the exact discrete pipeline here: the
         # entropy needs the full amplitude row, not the series approximation
-        f_aa, _ = _survival_values(cfg, params, "exact")
-        entropies = _entropy_trace_exact(cfg, params)
-    rows = _pair_rows(cfg, times, f_aa, f_aa, entropies)
+        tm = _transform(params)
+        f_aa = _survival_discrete(cfg, tm)
+        entropies = _entropy_trace_exact(cfg, tm)
     path = out / "entropy.csv"
-    write_csv(path, _PAIR_HEADER, rows)
+    _write_pair(cfg, path, f_aa, f_aa, entropies)
     analytic = bipartite.entanglement_entropy(cfg.xi)
     deviation = float(np.max(np.abs(entropies - analytic)))
     print(f"wrote {path}")
@@ -358,11 +334,8 @@ def cmd_entropy(cfg: RunConfig) -> int:
 
 def cmd_matrix_dump(cfg: RunConfig) -> int:
     params = cfg.atom_params()
-    spec = solve_eigenfrequencies(params)
-    tm = coupling.build_matrix(spec)
-    if tm.tail_deficit[0] > 1e-6:
-        print(f"warning: atom-row tail deficit {tm.tail_deficit[0]:.2e}; "
-              "consider a larger n_modes", file=sys.stderr)
+    tm = _transform(params)
+    spec = tm.spectrum
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     header = ["r", "Omega_r", "t_atom_r"] + [f"t_{k}_r" for k in range(1, params.n_modes + 1)]

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DivisionHazard, DomainError, NormalizationFailure, RegimeViolation
 from .spectrum import (
+    DELTA_THRESHOLD,
     DressedAtomParams,
     ModeSpectrum,
     truncated_mode_sum,
@@ -156,7 +157,7 @@ def atom_weights(spectrum: ModeSpectrum, method: str = "auto") -> np.ndarray:
 
 
 def approx_small_cavity_elements(params: DressedAtomParams, k_max: int,
-                                 *, delta_threshold: float = 0.2) -> np.ndarray:
+                                 *, delta_threshold: float = DELTA_THRESHOLD) -> np.ndarray:
     """First-order squared elements of the atom-dominated normal mode.
 
     Returns ``[ (t_0^0)^2, (t_1^0)^2, ..., (t_k_max^0)^2 ]`` with

@@ -12,8 +12,9 @@ analytic companions cover the limiting cavity sizes:
 
       f_00(t) = exp(-g t) [cos(kappa t) - (g/kappa) sin(kappa t)] + i G(t)
 
-  where G is the semi-infinite oscillatory integral evaluated by
-  :func:`imag_survival_integral`;
+  where G, a semi-infinite oscillatory integral over the continuum weight,
+  has a closed form in the complex exponential integral E1 at the weight's
+  four poles (see :func:`free_space_trace`);
 
 * small cavity (delta = g R / pi c << 1): a rapidly converging series with
   inverse-square weights, plus its closed-form lower bound.
@@ -24,18 +25,16 @@ atom is still excited at t.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.special import exp1
 
 from .coupling import TransformMatrix, atom_weights
-from .errors import InvariantViolation, QuadratureFailure, RegimeViolation
-from .spectrum import DressedAtomParams, ModeSpectrum
+from .errors import InvariantViolation, RegimeViolation
+from .spectrum import DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum
 
 __all__ = [
-    "QuadratureConfig",
     "FreeSpaceParams",
     "AmplitudeTrace",
     "amplitude_discrete",
@@ -55,20 +54,6 @@ __all__ = [
 
 _ABS_BOUND = 1.0 + 1e-9
 _T0_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances for the semi-infinite oscillatory integral.
-
-    The integrand is integrated adaptively up to ``omega_bar +
-    tail_start_bands * g`` (resonance head) and half-period by half-period
-    beyond, with the alternating series accelerated by repeated averaging.
-    """
-
-    abs_tol: float = 1e-8
-    max_half_periods: int = 10_000
-    tail_start_bands: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -210,125 +195,69 @@ def spectral_weight(x, omega_bar: float, g: float):
     return x * x / ((x * x - omega_bar**2) ** 2 + 4.0 * g * g * x * x)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# Below this |z| the product exp(z) E1(z) is formed from its two factors;
+# beyond it they overflow and underflow (from |Re z| ~ 700 on) and the
+# continued fraction takes over, converging to rounding in _CF_TERMS terms.
+_CF_MIN_ABS = 500.0
+_CF_TERMS = 20
 
 
-def _half_period_integral(f, a: float, b: float) -> float:
-    mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-    return rad * float(np.sum(_GL_WEIGHTS * f(mid + rad * _GL_NODES)))
+def _exp_e1(z: np.ndarray) -> np.ndarray:
+    """exp(z) E1(z) on the principal branch, elementwise over a complex array.
 
-
-def _euler_accelerated_sum(term, abs_tol: float, max_terms: int) -> float:
-    # van Wijngaarden repeated averaging of an alternating series
-    wksp = np.empty(max_terms)
-    total = 0.0
-    order = 0
-    small = 0
-    for j in range(max_terms):
-        tj = term(j)
-        if j == 0:
-            order = 1
-            wksp[0] = tj
-            total = 0.5 * tj
-            inc = total
-        else:
-            tmp = wksp[0]
-            wksp[0] = tj
-            for k in range(1, order):
-                dum = wksp[k]
-                wksp[k] = 0.5 * (wksp[k - 1] + tmp)
-                tmp = dum
-            wksp[order] = 0.5 * (wksp[order - 1] + tmp)
-            if abs(wksp[order]) <= abs(wksp[order - 1]):
-                inc = 0.5 * wksp[order]
-                total += inc
-                order += 1
-            else:
-                inc = wksp[order]
-                total += inc
-        small = small + 1 if abs(inc) < abs_tol else 0
-        if small >= 2 and j >= 5:
-            return total
-    raise QuadratureFailure(
-        f"oscillatory tail not converged after {max_terms} half-periods"
-    )
-
-
-def imag_survival_integral(t: float, omega_bar: float, g: float,
-                           quad_cfg: QuadratureConfig = QuadratureConfig()) -> float:
-    """-(4g/pi) * integral_0^inf spectral_weight(x) sin(x t) dx.
-
-    Head: adaptive sine-weighted quadrature up to the resonance band edge
-    omega_bar + tail_start_bands * g, with extra split points at omega_bar
-    and at the lower band edge so a narrow resonance (small g) sits on
-    panel boundaries.  Tail: one Gauss panel per half-period of sin(x t),
-    summed with repeated-averaging acceleration of the alternating series.
-    Returns 0 exactly at t = 0.
+    Large |z| uses the even part of the continued fraction DLMF 6.9.1,
+    1/(z+1 - 1/(z+3 - 4/(z+5 - 9/(z+7 - ...)))).
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0.0:
-        return 0.0
-
-    def h(x):
-        return spectral_weight(x, omega_bar, g)
-
-    prefactor = 4.0 * g / np.pi
-    tol = quad_cfg.abs_tol
-    band = quad_cfg.tail_start_bands * g
-    split2 = omega_bar + band
-    cuts = sorted({0.0, max(0.0, omega_bar - band), omega_bar, split2})
-    acc = 0.0
-    err_total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if b <= a:
-                continue
-            val, err = quad(h, a, b, weight="sin", wvar=t,
-                            epsabs=tol / (8.0 * prefactor), epsrel=1e-12, limit=400)
-            acc += val
-            err_total += err
-        # bridge up to the first sine zero past the resonance band
-        j0 = int(np.ceil(split2 * t / np.pi))
-        x0 = j0 * np.pi / t
-        if x0 > split2:
-            val, err = quad(h, split2, x0, weight="sin", wvar=t,
-                            epsabs=tol / (8.0 * prefactor), epsrel=1e-12, limit=200)
-            acc += val
-            err_total += err
-    if prefactor * err_total > 4.0 * tol:
-        raise QuadratureFailure(
-            f"head quadrature error {prefactor * err_total:.2e} exceeds "
-            f"{4.0 * tol:.1e} at t={t:.6g}"
-        )
-
-    period = np.pi / t
-
-    def tail_term(j: int) -> float:
-        a = x0 + j * period
-        return _half_period_integral(lambda x: h(x) * np.sin(x * t), a, a + period)
-
-    acc += _euler_accelerated_sum(tail_term, tol / 4.0, quad_cfg.max_half_periods)
-    return -prefactor * acc
+    out = np.empty_like(z)
+    near = np.abs(z) < _CF_MIN_ABS
+    out[near] = np.exp(z[near]) * exp1(z[near])
+    far = z[~near]
+    acc = np.zeros_like(far)
+    for k in range(_CF_TERMS, 0, -1):
+        acc = k * k / (far + (2 * k + 1) - acc)
+    out[~near] = 1.0 / (far + 1.0 - acc)
+    return out
 
 
-def amplitude_free_space(p: FreeSpaceParams, t: float,
-                         quad_cfg: QuadratureConfig = QuadratureConfig()) -> complex:
-    """Survival amplitude in the infinite-cavity limit (weak coupling)."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    kappa = p.kappa
-    real = np.exp(-p.g * t) * (np.cos(kappa * t) - (p.g / kappa) * np.sin(kappa * t))
-    return complex(real, imag_survival_integral(t, p.omega_bar, p.g, quad_cfg))
+def free_space_trace(p: FreeSpaceParams, times) -> AmplitudeTrace:
+    """Survival amplitude in the infinite-cavity limit (weak coupling), in closed form.
 
+    The real part is exp(-g t) [cos(kappa t) - (g/kappa) sin(kappa t)].  The
+    imaginary part, -(4g/pi) integral_0^inf spectral_weight(x) sin(x t) dx,
+    follows from partial fractions of the weight over its four poles
+    p_j = +-kappa +- i g:
 
-def free_space_trace(p: FreeSpaceParams, times,
-                     quad_cfg: QuadratureConfig = QuadratureConfig()) -> AmplitudeTrace:
+        f(t) = (4g/pi) sum_j A_j exp(-i p_j t) [E1(-i p_j t) - 2 pi i [p_j = kappa - i g]],
+        A_j  = p_j^2 / prod_{m != j} (p_j - p_m),
+
+    where the 2 pi i term continues E1 across its cut for the fourth-quadrant
+    pole (DLMF 6.2, https://dlmf.nist.gov/6.2).  f(0) = 1 exactly.
+    """
     times = np.asarray(times, dtype=float)
-    values = np.array([amplitude_free_space(p, t, quad_cfg) for t in times])
-    return AmplitudeTrace(times=times, values=values, mu="atom", nu="atom",
+    if np.any(times < 0):
+        raise ValueError("times must be >= 0")
+    g, kappa = p.g, p.kappa
+    poles = np.array([kappa - 1j * g, -kappa - 1j * g, kappa + 1j * g, -kappa + 1j * g])
+    residues = poles**2 / (poles[:, None] - poles[None, :] + np.eye(4)).prod(axis=1)
+    later = times > 0
+    z = -1j * np.outer(times[later], poles)
+    terms = _exp_e1(z)
+    terms[:, 0] -= 2j * np.pi * np.exp(z[:, 0])
+    imag = np.zeros(times.shape)
+    imag[later] = (4.0 * g / np.pi) * (terms @ residues).imag
+    real = np.exp(-g * times) * (np.cos(kappa * times) - (g / kappa) * np.sin(kappa * times))
+    return AmplitudeTrace(times=times, values=real + 1j * imag, mu="atom", nu="atom",
                           method="free-space-closed-form")
+
+
+def amplitude_free_space(p: FreeSpaceParams, t: float) -> complex:
+    """Survival amplitude in the infinite-cavity limit at one time."""
+    return complex(free_space_trace(p, [t]).values[0])
+
+
+def imag_survival_integral(t: float, omega_bar: float, g: float) -> float:
+    """-(4g/pi) * integral_0^inf spectral_weight(x) sin(x t) dx, for omega_bar > g."""
+    return amplitude_free_space(FreeSpaceParams(omega_bar, g), t).imag
 
 
 def survival_sq_large_time(t: float, omega_bar: float, g: float) -> float:
@@ -337,9 +266,14 @@ def survival_sq_large_time(t: float, omega_bar: float, g: float) -> float:
     exp(-2 g t) [cos(omega_bar t) - (g/omega_bar) sin(omega_bar t)]^2
       + 64 g^2 / (omega_bar^8 t^6)
 
-    The power-law term is the quoted closed-form floor; the measured tail of
-    |amplitude_free_space|^2 sits a factor pi^2 below it (the sine integral
-    decays as 8g/(pi omega_bar^4 t^3)), so treat this as an upper envelope.
+    The power-law term is the quoted closed-form floor, and it is a factor
+    pi^2 too large, so treat this as an upper envelope.  In the closed form
+    of :func:`free_space_trace` the residue term carries all of exp(-g t),
+    and the asymptotic series exp(z) E1(z) ~ 1/z - 1/z^2 + 2/z^3 - ... of
+    the four E1 terms gives the tail of the imaginary part: the 1/z and
+    1/z^2 orders cancel because the weight and its slope vanish at x = 0,
+    and the 2/z^3 order leaves 8g/(pi omega_bar^4 t^3).  |f_00|^2 therefore
+    decays as 64 g^2 / (pi^2 omega_bar^8 t^6).
     """
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -352,7 +286,7 @@ def survival_sq_large_time(t: float, omega_bar: float, g: float) -> float:
 # ---------------------------------------------------------------------------
 
 def small_cavity_amplitude(params: DressedAtomParams, times, k_max: int = 10_000,
-                           *, delta_threshold: float = 0.2) -> np.ndarray:
+                           *, delta_threshold: float = DELTA_THRESHOLD) -> np.ndarray:
     """First-order survival amplitude for delta << 1.
 
     Uses the approximate mode weights (t_0^0)^2 = (1 + 2 pi delta/3)^-1 and
@@ -400,7 +334,8 @@ def small_cavity_trace(params: DressedAtomParams, times,
                           method="small-cavity-series")
 
 
-def survival_sq_lower_bound(delta: float, *, delta_threshold: float = 0.2) -> float:
+def survival_sq_lower_bound(delta: float, *,
+                            delta_threshold: float = DELTA_THRESHOLD) -> float:
     """Worst-case survival probability: every series cosine set to -1.
 
     (1 + 2 pi delta/3)^-2 (1 - 4 pi delta/3 - 4 pi^2 delta^2/9); positive

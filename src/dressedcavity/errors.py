@@ -33,9 +33,5 @@ class NormalizationFailure(SimulationError):
     """A transformation column failed its unit-norm check."""
 
 
-class QuadratureFailure(SimulationError):
-    """A semi-infinite oscillatory integral did not converge."""
-
-
 class InvariantViolation(SimulationError):
     """A computed state violated a structural invariant (trace, unitarity)."""

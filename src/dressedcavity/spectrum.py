@@ -224,20 +224,30 @@ def _direct_sum(lam, wk2, power):
     return out.reshape(lam.shape) if lam.ndim else out[0]
 
 
-def truncated_mode_sum(lam, params: DressedAtomParams, method: str = "auto"):
-    """sum_{k=1..N} 1/(omega_k^2 - lam) for scalar or array lam [time^2]."""
+def _mode_sum(lam, params: DressedAtomParams, method: str, power: int):
     n, dw = params.n_modes, params.delta_omega
     if method == "direct" or (method == "auto" and n <= _DIRECT_SUM_LIMIT):
-        return _direct_sum(lam, field_frequencies(params) ** 2, 1)
-    return _mode_sum_closed(lam, n, dw)
+        return _direct_sum(lam, field_frequencies(params) ** 2, power)
+    closed = _mode_sum_closed if power == 1 else _mode_sum_sq_closed
+    # the closed form has spurious poles above omega_N: sum directly there
+    lam = np.asarray(lam, dtype=float)
+    above = lam > (n * dw) ** 2
+    if not np.any(above):
+        return closed(lam, n, dw)
+    out = np.empty(lam.shape)
+    out[~above] = closed(lam[~above], n, dw)
+    out[above] = _direct_sum(lam[above], field_frequencies(params) ** 2, power)
+    return out[()]
+
+
+def truncated_mode_sum(lam, params: DressedAtomParams, method: str = "auto"):
+    """sum_{k=1..N} 1/(omega_k^2 - lam) for scalar or array lam [time^2]."""
+    return _mode_sum(lam, params, method, 1)
 
 
 def truncated_mode_sum_sq(lam, params: DressedAtomParams, method: str = "auto"):
     """sum_{k=1..N} 1/(omega_k^2 - lam)^2 for scalar or array lam."""
-    n, dw = params.n_modes, params.delta_omega
-    if method == "direct" or (method == "auto" and n <= _DIRECT_SUM_LIMIT):
-        return _direct_sum(lam, field_frequencies(params) ** 2, 2)
-    return _mode_sum_sq_closed(lam, n, dw)
+    return _mode_sum(lam, params, method, 2)
 
 
 def secular_residual(omega, params: DressedAtomParams, method: str = "auto"):
@@ -411,14 +421,9 @@ def solve_eigenfrequencies(params: DressedAtomParams, *,
 
     lam = roots**2
     meth = "closed" if use_closed else "direct"
-    resid = np.abs(secular_residual(roots[:n], params, meth))
-    slope = 1.0 + params.eta_sq * lam[:n] * truncated_mode_sum_sq(lam[:n], params, meth)
-    # the top root can sit far above omega_N where the closed form is unsafe
-    resid_top = abs(f_top(roots[n]))
-    slope_top = 1.0 + params.eta_sq * lam[n] * float(
-        np.sum(1.0 / (wk2_top - lam[n]) ** 2))
-    newton_rel = np.concatenate((resid / (slope * lam[:n]),
-                                 [resid_top / (slope_top * lam[n])]))
+    resid = np.abs(secular_residual(roots, params, meth))
+    slope = 1.0 + params.eta_sq * lam * truncated_mode_sum_sq(lam, params, meth)
+    newton_rel = resid / (slope * lam)
     if np.any(newton_rel > residual_tol):
         bad = int(np.argmax(newton_rel))
         raise ConvergenceFailure(

@@ -130,6 +130,16 @@ class TestAtomWeights:
         closed = atom_weights(spec, "closed")
         assert closed == pytest.approx(direct, rel=1e-10)
 
+    @pytest.mark.parametrize("n, g, delta", [(3000, 0.01, 1000.0),
+                                             (20_000, 0.05, 1000.0),
+                                             (5218, 0.060, 810.0)])
+    def test_weights_sum_to_one_with_top_root_far_above_omega_n(self, n, g, delta):
+        # the top root lies above omega_N, where the cotangent/digamma form
+        # of the mode sums has spurious poles
+        spec = solve_eigenfrequencies(DressedAtomParams.from_delta(1.0, g, delta, n_modes=n))
+        assert spec.bigomegas[-1] > spec.omegas[-1]
+        assert abs(float(np.sum(atom_weights(spec))) - 1.0) <= 1e-12
+
 
 class TestSmallCavityElements:
     def test_frozen_values(self):

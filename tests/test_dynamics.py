@@ -6,8 +6,6 @@ from dressedcavity import (
     DressedAtomParams,
     FreeSpaceParams,
     InvariantViolation,
-    QuadratureConfig,
-    QuadratureFailure,
     RegimeViolation,
     amplitude_discrete,
     amplitude_free_space,
@@ -116,10 +114,14 @@ class TestImagSurvivalIntegral:
         assert abs(imag_survival_integral(t, OMEGA_BAR, G)) == pytest.approx(
             8.0 * G / (np.pi * OMEGA_BAR**4 * t**3), rel=0.05)
 
-    def test_tail_iteration_cap(self):
-        cfg = QuadratureConfig(max_half_periods=3)
-        with pytest.raises(QuadratureFailure):
-            imag_survival_integral(0.5, OMEGA_BAR, G, cfg)
+    @pytest.mark.parametrize("g, t", [(0.9, 800.0), (0.5, 1500.0)])
+    def test_large_gt_follows_power_law_tail(self, g, t):
+        # exp(+-g t) and E1 overflow and underflow past g t ~ 700; the tail
+        # is the 2/z^3 order of the E1 asymptotic series
+        got = imag_survival_integral(t, OMEGA_BAR, g)
+        tail = 8.0 * g / (np.pi * OMEGA_BAR**4 * t**3)
+        assert np.isfinite(got)
+        assert got == pytest.approx(tail, rel=1e-3)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
@@ -153,6 +155,18 @@ class TestFreeSpace:
         for t in (0.5, 2.0, 5.0):
             ref = free_space_survival_brute(t, OMEGA_BAR, G)
             assert amplitude_free_space(p, t) == pytest.approx(ref, abs=2e-6)
+
+    @pytest.mark.parametrize("g", [0.02, 0.9])
+    def test_against_brute_force_at_coupling_edges(self, g):
+        p = FreeSpaceParams(OMEGA_BAR, g)
+        for t in (0.5, 5.0):
+            ref = free_space_survival_brute(t, OMEGA_BAR, g)
+            assert amplitude_free_space(p, t) == pytest.approx(ref, abs=2e-6)
+
+    def test_continuous_at_t0(self):
+        p = FreeSpaceParams(OMEGA_BAR, G)
+        assert amplitude_free_space(p, 0.0) == 1.0 + 0j
+        assert abs(amplitude_free_space(p, 1e-12) - 1.0) <= 1e-9
 
     def test_trace_method_tag(self):
         p = FreeSpaceParams(OMEGA_BAR, G)
