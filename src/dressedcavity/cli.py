@@ -196,8 +196,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     write_csv(out / "spectrum_curves.csv", ["Omega", "x", "cot_lhs", "rhs_line"],
               curve_rows)
 
+    resid = secular_residual(spec.bigomegas, params)
     root_rows = [
-        (r, om, params.radius * om / params.c, float(secular_residual(om, params)))
+        (r, om, params.radius * om / params.c, float(resid[r]))
         for r, om in enumerate(spec.bigomegas)
     ]
     write_csv(out / "spectrum_roots.csv", ["r", "Omega_r", "x_r", "residual"],

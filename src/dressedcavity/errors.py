@@ -6,10 +6,13 @@ class SimulationError(Exception):
 
 
 class ConvergenceFailure(SimulationError):
-    """An iterative solver hit its iteration cap without converging.
+    """A root finder or iterative solver did not converge.
 
-    ``interval_index`` identifies the offending root bracket (or sweep)
-    when the failure is localized.
+    The secular solver raises it when a bracket shows no sign change, the
+    bisection uses up its step budget, LAPACK ``dlasd4`` returns a nonzero
+    ``info``, or a root fails the Newton check; ``interval_index`` is then
+    the root index r (0..N).  The Jacobi oracle raises it, without an
+    index, when its sweeps or its eigenpair residual fall short.
     """
 
     def __init__(self, message, interval_index=None):

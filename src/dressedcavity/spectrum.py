@@ -27,11 +27,11 @@ are immutable and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import digamma, polygamma, zeta
+from scipy.linalg.lapack import dlasd4
+from scipy.special import digamma, polygamma
 
 from .errors import ConvergenceFailure, InvariantViolation, RegimeViolation
 
@@ -48,9 +48,14 @@ __all__ = [
     "truncated_mode_sum_sq",
 ]
 
-# Above this mode count the O(1) cotangent/digamma closed form replaces the
-# direct O(N) mode sum in the solver.
+# Up to this mode count dlasd4 solves the inner roots and mode sums are
+# direct, O(N) per point; above it the O(1) cotangent/digamma closed form
+# and the vectorised bisection take over.
 _DIRECT_SUM_LIMIT = 2048
+
+# Step budget of the vectorised bisection: each step halves every bracket,
+# and about 55 steps take one mode spacing to 4 ulps of the root.
+_BISECT_STEPS = 200
 
 # Default regime gate for the small-cavity expansion (delta << 1).
 DELTA_THRESHOLD = 0.2
@@ -175,25 +180,10 @@ def field_frequencies(params: DressedAtomParams) -> np.ndarray:
 # minus the digamma tail sum_{k>N} 1/(k^2 - u^2) = [psi(N+1+u)-psi(N+1-u)]/(2u),
 # which is O(1) per point and agrees with the direct sum to ~1e-13.
 
-def _series_small_u(u_sq: np.ndarray, terms: int = 8) -> np.ndarray:
-    # sum_k 1/(k^2-u^2) = zeta(2) + zeta(4) u^2 + ... for |u| << 1
-    acc = np.zeros_like(u_sq)
-    for m in range(terms, 0, -1):
-        acc = (acc + zeta(2 * m)) * u_sq if m > 1 else acc + zeta(2)
-    return acc
-
-
 def _mode_sum_closed(lam, n, dw):
-    lam = np.asarray(lam, dtype=float)
     u = np.sqrt(lam) / dw
-    u_sq = u * u
-    small = u < 1e-4
     with np.errstate(divide="ignore", invalid="ignore"):
-        full = np.where(
-            small,
-            _series_small_u(u_sq),
-            0.5 / u_sq - np.pi / (2.0 * u * np.tan(np.pi * u)),
-        )
+        full = 0.5 / (u * u) - np.pi / (2.0 * u * np.tan(np.pi * u))
     tail = (digamma(n + 1 + u) - digamma(n + 1 - u)) / (2.0 * u)
     return (full - tail) / dw**2
 
@@ -229,14 +219,16 @@ def _mode_sum(lam, params: DressedAtomParams, method: str, power: int):
     if method == "direct" or (method == "auto" and n <= _DIRECT_SUM_LIMIT):
         return _direct_sum(lam, field_frequencies(params) ** 2, power)
     closed = _mode_sum_closed if power == 1 else _mode_sum_sq_closed
-    # the closed form has spurious poles above omega_N: sum directly there
+    # The closed form cancels below omega_1 and has spurious poles above
+    # omega_N.  Sum directly there: all N terms share one sign, so the direct
+    # sum is accurate.
     lam = np.asarray(lam, dtype=float)
-    above = lam > (n * dw) ** 2
-    if not np.any(above):
+    outside = (lam < dw**2) | (lam > (n * dw) ** 2)
+    if not np.any(outside):
         return closed(lam, n, dw)
     out = np.empty(lam.shape)
-    out[~above] = closed(lam[~above], n, dw)
-    out[above] = _direct_sum(lam[above], field_frequencies(params) ** 2, power)
+    out[~outside] = closed(lam[~outside], n, dw)
+    out[outside] = _direct_sum(lam[outside], field_frequencies(params) ** 2, power)
     return out[()]
 
 
@@ -298,48 +290,19 @@ def _upper_bound(params: DressedAtomParams) -> float:
     return max(atom_row, mode_rows) + 1.0
 
 
-def _bracket_root(f: Callable[[float], float], lo_omega: float, hi_omega: float,
-                  dw: float, index: int, max_iter: int) -> float:
-    """Find the sign change inside (lo_omega, hi_omega) and refine with Brent.
+def _bisect_brackets(f, lo: np.ndarray, hi: np.ndarray, dw: float) -> np.ndarray:
+    """Bisect every bracket (lo, hi) at once; ``f`` must accept frequency arrays.
 
-    The residual diverges to +inf at the lower asymptote and -inf at the
-    upper one, so an offset pair that fails to straddle the root has simply
-    overshot it; the offset shrinks geometrically until the signs differ.
+    F diverges to +inf at the lower asymptote and -inf at the upper one, so
+    an offset pair that fails to straddle the root has simply overshot it;
+    the offset shrinks geometrically until the signs differ.  Bracket r
+    starts at omega_r = r dw (omega_0 = 0), so ``lo`` names the root a
+    failure reports.
     """
-    eps = 1e-9 * dw
-    width = hi_omega - lo_omega
-    while True:
-        a = lo_omega + eps
-        b = hi_omega - eps
-        if a < b:
-            fa = f(a)
-            fb = f(b)
-            if fa > 0.0 and fb < 0.0:
-                break
-            if fa == 0.0:
-                return a
-            if fb == 0.0:
-                return b
-        eps *= 0.1
-        if eps < 1e-18 * width or eps < 8.0 * np.finfo(float).eps * hi_omega:
-            raise ConvergenceFailure(
-                f"no sign change found in bracket {index} "
-                f"({lo_omega:.6g}, {hi_omega:.6g})",
-                interval_index=index,
-            )
-    try:
-        return brentq(f, a, b, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
-                      maxiter=max_iter)
-    except RuntimeError as exc:
-        raise ConvergenceFailure(
-            f"root refinement failed in bracket {index}: {exc}",
-            interval_index=index,
-        ) from exc
+    def fail(bad: np.ndarray, what: str):
+        r = int(round(lo[int(np.argmax(bad))] / dw))
+        raise ConvergenceFailure(f"{what} in bracket {r}", interval_index=r)
 
-
-def _solve_brackets_vectorized(f, lo: np.ndarray, hi: np.ndarray, dw: float,
-                               max_iter: int) -> np.ndarray:
-    """Bisect every bracket at once; ``f`` must accept frequency arrays."""
     eps = np.full(lo.shape, 1e-9 * dw)
     floor = 8.0 * np.finfo(float).eps * hi
     for _ in range(64):
@@ -350,74 +313,65 @@ def _solve_brackets_vectorized(f, lo: np.ndarray, hi: np.ndarray, dw: float,
             break
         eps = np.where(ok, eps, 0.1 * eps)
         if np.any(~ok & (eps < floor)):
-            bad = int(np.argmax(~ok & (eps < floor)))
-            raise ConvergenceFailure(
-                f"no sign change found in bracket {bad}", interval_index=bad)
+            fail(~ok & (eps < floor), "no sign change found")
     else:
-        bad = int(np.argmax(~ok))
-        raise ConvergenceFailure(
-            f"no sign change found in bracket {bad}", interval_index=bad)
-    for _ in range(max(max_iter, 64)):
+        fail(~ok, "no sign change found")
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (a + b)
         below = f(mid) < 0.0
         b = np.where(below, mid, b)
         a = np.where(below, a, mid)
-        if np.all(b - a <= 4.0 * np.finfo(float).eps * b):
-            break
-    return 0.5 * (a + b)
+        wide = b - a > 4.0 * np.finfo(float).eps * b
+        if not wide.any():
+            return 0.5 * (a + b)
+    fail(wide, f"bisection not converged after {_BISECT_STEPS} steps")
 
 
 def solve_eigenfrequencies(params: DressedAtomParams, *,
                            residual_tol: float = 1e-10,
-                           max_iter: int = 200,
                            method: str = "auto") -> ModeSpectrum:
     """Solve the secular equation for all N+1 normal frequencies.
 
     Each root is bracketed between consecutive bare-mode asymptotes
     (the lowest in (0, omega_1), the highest between omega_N and a
-    Gershgorin bound).  Small truncations refine each bracket with
-    Brent's method on the direct mode sum; large ones bisect every
-    bracket simultaneously on the cotangent/digamma closed form.  After
-    refinement the relative Newton correction |F/F'| / Omega^2 must fall
-    below ``residual_tol`` at every root, otherwise
-    :class:`ConvergenceFailure` is raised naming the offending bracket.
+    Gershgorin bound).  The two outer roots are bisected on the direct
+    mode sum.  For N <= 2048 the N-1 inner roots come from LAPACK
+    ``dlasd4`` (R.-C. Li, LAWN 89), which solves F(lam)/(-lam) =
+    1 + omega_bar^2/(0 - lam) + eta^2 sum_k 1/(omega_k^2 - lam) = 0;
+    above that they are bisected all at once on the cotangent/digamma
+    closed form.  After refinement the relative Newton correction
+    |F/F'| / Omega^2 must fall below ``residual_tol`` at every root.
+    Any failure raises :class:`ConvergenceFailure` naming the root.
     """
     n, dw = params.n_modes, params.delta_omega
     wk = field_frequencies(params)
     use_closed = method == "closed" or (method == "auto" and n > _DIRECT_SUM_LIMIT)
 
-    # The top bracket may contain spurious cotangent/digamma pole pairs of
-    # the closed form beyond omega_N; always use the direct sum there.
-    wk2_top = wk * wk
-
-    def f_top(om: float) -> float:
-        lam = om * om
-        return float(params.omega_bar**2 - lam
-                     - params.eta_sq * lam * np.sum(1.0 / (wk2_top - lam)))
+    def secular(mode_sum):
+        def f(om):
+            lam = om * om
+            return params.omega_bar**2 - lam - params.eta_sq * lam * mode_sum(lam)
+        return f
 
     roots = np.empty(n + 1)
-    if use_closed:
-        def f_vec(om: np.ndarray) -> np.ndarray:
-            lam = om * om
-            return (params.omega_bar**2 - lam
-                    - params.eta_sq * lam * _mode_sum_closed(lam, n, dw))
-
-        lo = np.concatenate(([0.0], wk[:-1]))
-        roots[:n] = _solve_brackets_vectorized(f_vec, lo, wk, dw, max_iter)
-    else:
-        wk2 = wk * wk
-
-        def f_mid(om: float) -> float:
-            lam = om * om
-            return float(params.omega_bar**2 - lam
-                         - params.eta_sq * lam * np.sum(1.0 / (wk2 - lam)))
-
-        lo = 0.0
-        for i in range(n):
-            roots[i] = _bracket_root(f_mid, lo, wk[i], dw, i, max_iter)
-            lo = wk[i]
+    # The closed form cancels below omega_1 and has spurious poles above
+    # omega_N, and dlasd4's N-scaled stopping test loses ulps on the
+    # atom-like top root: the outer brackets always use the direct sum.
     top = np.sqrt(_upper_bound(params))
-    roots[n] = _bracket_root(f_top, wk[-1], top, dw, n, max_iter)
+    roots[[0, n]] = _bisect_brackets(secular(partial(_direct_sum, wk2=wk * wk, power=1)),
+                                     np.array([0.0, wk[-1]]), np.array([wk[0], top]), dw)
+    if use_closed:
+        roots[1:n] = _bisect_brackets(secular(partial(_mode_sum_closed, n=n, dw=dw)),
+                                      wk[:-1], wk[1:], dw)
+    else:
+        rho = params.omega_bar**2 + n * params.eta_sq
+        d = np.concatenate(([0.0], wk))
+        z = np.sqrt(np.concatenate(([params.omega_bar**2], np.full(n, params.eta_sq))) / rho)
+        for r in range(1, n):
+            _, roots[r], _, info = dlasd4(r, d, z, rho)
+            if info != 0:
+                raise ConvergenceFailure(f"dlasd4 returned info={info} for root {r}",
+                                         interval_index=r)
 
     lam = roots**2
     meth = "closed" if use_closed else "direct"

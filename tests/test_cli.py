@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dressedcavity import secular_residual
 from dressedcavity.cli import (
     EXIT_INVARIANT,
     EXIT_NUMERICAL,
@@ -89,6 +90,15 @@ class TestSpectrumCommand:
         assert len(roots) == 8  # header + 7 roots
         svg = (tmp_path / "spectrum.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    def test_residual_column_matches_scalar_residual(self, tmp_path):
+        # the column comes from one vectorised call; on the closed route too,
+        # each entry must equal the scalar residual of its root exactly
+        rc = run("spectrum", "--n-modes", "3000", "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        params = RunConfig(n_modes=3000).atom_params()
+        rows = np.loadtxt(tmp_path / "spectrum_roots.csv", delimiter=",", skiprows=1)
+        assert rows[:, 3].tolist() == [float(secular_residual(om, params)) for om in rows[:, 1]]
 
     def test_small_cavity_roots_hug_asymptotes(self, tmp_path):
         # for delta << 1 every intersection beyond the lowest sits close to

@@ -21,6 +21,10 @@ T00_SQ_APPROX = 0.8268292804508458
 T1_SQ_APPROX = 0.1052751736614937
 T2_SQ_APPROX = 0.026318793415373427
 
+# atom weight of the lowest root at omega_bar=0.1, g=10, delta=1e-3, N=3000
+# (40-digit mpmath at the exact root of the float64 parameters)
+W0_FROZEN = 0.9979104047910538937889807
+
 
 class TestAtomElement:
     def test_collapses_at_atom_frequency(self, fig_params):
@@ -139,6 +143,13 @@ class TestAtomWeights:
         spec = solve_eigenfrequencies(DressedAtomParams.from_delta(1.0, g, delta, n_modes=n))
         assert spec.bigomegas[-1] > spec.omegas[-1]
         assert abs(float(np.sum(atom_weights(spec))) - 1.0) <= 1e-12
+
+    def test_lowest_root_weight_far_below_omega_1(self):
+        # Omega_0 / omega_1 ~ 1e-5: the cotangent/digamma mode sums cancel there
+        spec = solve_eigenfrequencies(DressedAtomParams.from_delta(0.1, 10.0, 1e-3, n_modes=3000))
+        w = atom_weights(spec)
+        assert abs(w[0] - W0_FROZEN) <= 1e-13
+        assert abs(float(np.sum(w)) - 1.0) <= 1e-12
 
 
 class TestSmallCavityElements:

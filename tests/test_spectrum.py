@@ -11,12 +11,18 @@ from dressedcavity import (
     secular_residual,
     solve_eigenfrequencies,
 )
+from dressedcavity import spectrum
 from dressedcavity.spectrum import truncated_mode_sum, truncated_mode_sum_sq
 
 # frozen first-order values at delta=0.1, g=0.5, omega_bar=1 (direct evaluation)
 OM0_APPROX = 0.8952802448803402
 OM1_APPROX = 5.3183098861837905
 OM2_APPROX = 10.159154943091895
+
+# outer roots at omega_bar=1, g=0.01, delta=100, N=2048 (40-digit mpmath roots
+# of the secular equation with the float64 parameters); the top root lies far
+# above omega_N = 0.2048
+OUTER_ROOTS_FROZEN = (9.999993633802215751631611e-05, 1.001321588626786555067333)
 
 
 class TestParams:
@@ -106,10 +112,18 @@ class TestSolve:
         assert s2_closed == pytest.approx(s2_direct, rel=1e-11)
 
     def test_closed_form_solver_matches_direct_solver(self):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=150)
-        direct = solve_eigenfrequencies(p, method="direct").bigomegas
-        closed = solve_eigenfrequencies(p, method="closed").bigomegas
-        assert closed == pytest.approx(direct, rel=1e-12)
+        # 2048 is the largest N the automatic choice sends to dlasd4
+        for n in (150, 2048):
+            p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=n)
+            direct = solve_eigenfrequencies(p, method="direct").bigomegas
+            closed = solve_eigenfrequencies(p, method="closed").bigomegas
+            assert closed == pytest.approx(direct, rel=1e-12)
+
+    def test_outer_roots_match_high_precision_reference(self):
+        p = DressedAtomParams.from_delta(1.0, 0.01, 100.0, n_modes=2048)
+        roots = solve_eigenfrequencies(p).bigomegas[[0, -1]]
+        ref = np.array(OUTER_ROOTS_FROZEN)
+        assert np.all(np.abs(roots - ref) <= 4 * np.spacing(ref))
 
     def test_interlacing_at_ten_thousand_modes(self):
         # ModeSpectrum construction enforces the full bracket structure
@@ -117,10 +131,27 @@ class TestSolve:
         spec = solve_eigenfrequencies(p)
         assert spec.bigomegas.size == 10_001
 
-    def test_convergence_failure_reports_interval(self, fig_params):
+    def test_convergence_failure_reports_interval(self, fig_params, monkeypatch):
+        lapack_dlasd4 = spectrum.dlasd4
+
+        def dlasd4_failing_at_root_7(i, d, z, rho):
+            delta, sigma, work, info = lapack_dlasd4(i, d, z, rho)
+            return delta, sigma, work, 1 if i == 7 else info
+
+        monkeypatch.setattr(spectrum, "dlasd4", dlasd4_failing_at_root_7)
         with pytest.raises(ConvergenceFailure) as err:
-            solve_eigenfrequencies(fig_params, max_iter=2)
-        assert err.value.interval_index is not None
+            solve_eigenfrequencies(fig_params)
+        assert err.value.interval_index == 7
+
+    def test_bisection_step_budget_reports_root(self, monkeypatch):
+        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=3000)
+        wk = field_frequencies(p)
+        monkeypatch.setattr(spectrum, "_BISECT_STEPS", 3)
+        with pytest.raises(ConvergenceFailure) as err:
+            # brackets (omega_5, omega_6) .. (omega_9, omega_10) hold roots 5..9
+            spectrum._bisect_brackets(lambda om: secular_residual(om, p, "closed"),
+                                      wk[4:9], wk[5:10], p.delta_omega)
+        assert err.value.interval_index == 5
 
 
 class TestSmallCavityApprox:
