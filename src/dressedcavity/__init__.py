@@ -24,7 +24,6 @@ from .coupling import (
     atom_weights,
     approx_small_cavity_elements,
     build_matrix,
-    field_element,
 )
 from .dynamics import (
     AmplitudeTrace,

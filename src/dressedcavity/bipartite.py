@@ -203,11 +203,10 @@ def single_atom_reduced(f_row, spec: SuperpositionSpec, t: float) -> SingleAtomR
     return SingleAtomReducedMatrix(time=float(t), xi=spec.xi, amplitude_row=f_row)
 
 
-def von_neumann_entropy(m: SingleAtomReducedMatrix, *,
-                        eig_cutoff: float = _EIG_CUTOFF) -> float:
+def von_neumann_entropy(m: SingleAtomReducedMatrix) -> float:
     """-sum alpha ln alpha over the nonzero eigenvalues (0 ln 0 := 0)."""
     total = 0.0
     for a in m.nonzero_eigenvalues():
-        if a > eig_cutoff:
+        if a > _EIG_CUTOFF:
             total -= a * np.log(a)
     return float(total)

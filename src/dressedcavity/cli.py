@@ -24,7 +24,7 @@ from scipy.integrate import quad as _quad
 from . import bipartite, coupling, dynamics, oracle, svgplot
 from .errors import InvariantViolation, SimulationError
 from .spectrum import DressedAtomParams, solve_eigenfrequencies, cotangent_curves, \
-    secular_residual
+    newton_correction
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -196,12 +196,12 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     write_csv(out / "spectrum_curves.csv", ["Omega", "x", "cot_lhs", "rhs_line"],
               curve_rows)
 
-    resid = secular_residual(spec.bigomegas, params)
+    newton_rel = newton_correction(spec.bigomegas, params)
     root_rows = [
-        (r, om, params.radius * om / params.c, float(resid[r]))
+        (r, om, params.radius * om / params.c, float(newton_rel[r]))
         for r, om in enumerate(spec.bigomegas)
     ]
-    write_csv(out / "spectrum_roots.csv", ["r", "Omega_r", "x_r", "residual"],
+    write_csv(out / "spectrum_roots.csv", ["r", "Omega_r", "x_r", "newton_rel"],
               root_rows)
 
     if cfg.svg:
@@ -229,8 +229,7 @@ def cmd_amplitude(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.regime == "exact":
-        spec = solve_eigenfrequencies(params)
-        tm = coupling.build_matrix(spec)
+        tm = _transform(params)
         mu = cfg.mu if cfg.mu == "atom" else int(cfg.mu)
         nu = cfg.nu if cfg.nu == "atom" else int(cfg.nu)
         trace = dynamics.amplitude_trace(tm, mu, nu, times)

@@ -34,7 +34,6 @@ from .spectrum import (
 __all__ = [
     "TransformMatrix",
     "atom_element",
-    "field_element",
     "build_matrix",
     "atom_weights",
     "approx_small_cavity_elements",
@@ -102,18 +101,7 @@ def atom_element(omega_r: float, params: DressedAtomParams) -> float:
     return params.eta * omega_r / np.sqrt(radicand)
 
 
-def field_element(omega_k: float, omega_r: float, t_atom_r: float,
-                  params: DressedAtomParams) -> float:
-    """Field-mode component t_k^r from the atom component of the same column."""
-    gap = omega_k**2 - omega_r**2
-    if abs(gap) < 1e-12 * omega_k**2:
-        raise DivisionHazard(
-            f"normal frequency {omega_r:.9g} collided with bare mode {omega_k:.9g}"
-        )
-    return params.eta * omega_k / gap * t_atom_r
-
-
-def build_matrix(spectrum: ModeSpectrum, *, mode_cap: int = MATRIX_MODE_CAP) -> TransformMatrix:
+def build_matrix(spectrum: ModeSpectrum) -> TransformMatrix:
     """Assemble and normalize the full (N+1) x (N+1) transformation.
 
     Columns are built from the eigenvector ratio and normalized explicitly,
@@ -122,9 +110,9 @@ def build_matrix(spectrum: ModeSpectrum, *, mode_cap: int = MATRIX_MODE_CAP) -> 
     """
     params = spectrum.params
     n = params.n_modes
-    if n > mode_cap:
+    if n > MATRIX_MODE_CAP:
         raise ValueError(
-            f"n_modes={n} exceeds the dense-matrix cap {mode_cap}; "
+            f"n_modes={n} exceeds the dense-matrix cap {MATRIX_MODE_CAP}; "
             "use atom_weights() for large truncations"
         )
     wk = spectrum.omegas
@@ -156,24 +144,20 @@ def atom_weights(spectrum: ModeSpectrum, method: str = "auto") -> np.ndarray:
     return 1.0 / (1.0 + params.eta_sq * (s + lam * s2))
 
 
-def approx_small_cavity_elements(params: DressedAtomParams, k_max: int,
-                                 *, delta_threshold: float = DELTA_THRESHOLD) -> np.ndarray:
+def approx_small_cavity_elements(params: DressedAtomParams, k_max: int) -> np.ndarray:
     """First-order squared elements of the atom-dominated normal mode.
 
     Returns ``[ (t_0^0)^2, (t_1^0)^2, ..., (t_k_max^0)^2 ]`` with
     (t_0^0)^2 = (1 + 2 pi delta / 3)^-1 and
     (t_k^0)^2 = (4/k^2)(delta/pi) (t_0^0)^2.
     """
-    if params.delta >= delta_threshold:
+    if params.delta >= DELTA_THRESHOLD:
         raise RegimeViolation(
-            f"small-cavity elements need delta < {delta_threshold}, "
+            f"small-cavity elements need delta < {DELTA_THRESHOLD}, "
             f"got delta = {params.delta:.4g}"
         )
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     atom_sq = 1.0 / (1.0 + 2.0 * np.pi * params.delta / 3.0)
     k = np.arange(1, k_max + 1)
-    out = np.empty(k_max + 1)
-    out[0] = atom_sq
-    out[1:] = (4.0 / k**2) * (params.delta / np.pi) * atom_sq
-    return out
+    return np.concatenate(([atom_sq], (4.0 / k**2) * (params.delta / np.pi) * atom_sq))

@@ -5,8 +5,11 @@ t = 0 is found on oscillator nu at time t is
 
     f_mu_nu(t) = sum_r t_mu^r t_nu^r exp(-i Omega_r t),
 
-an exact finite sum over normal modes ("discrete-sum" route).  Two
-analytic companions cover the limiting cavity sizes:
+an exact finite sum over normal modes ("discrete-sum" route).  It and the
+small-cavity series share one kernel, ``_phase_sum``, for sum_r w_r
+exp(-i Omega_r t); it sums blocks of at most 2^22 phases (64 MB), so memory
+does not grow with the mode count.  Two analytic companions cover the
+limiting cavity sizes:
 
 * free space (R -> infinity, weak coupling kappa^2 = omega_bar^2 - g^2 > 0):
 
@@ -16,8 +19,9 @@ analytic companions cover the limiting cavity sizes:
   has a closed form in the complex exponential integral E1 at the weight's
   four poles (see :func:`free_space_trace`);
 
-* small cavity (delta = g R / pi c << 1): a rapidly converging series with
-  inverse-square weights, plus its closed-form lower bound.
+* small cavity (delta = g R / pi c << 1): the spectral sum over the
+  first-order frequencies, with inverse-square weights, plus its
+  closed-form lower bound.
 
 "Survival" throughout means mu = nu = atom: the initially excited dressed
 atom is still excited at t.
@@ -30,9 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import exp1
 
-from .coupling import TransformMatrix, atom_weights
+from .coupling import TransformMatrix, approx_small_cavity_elements, atom_weights
 from .errors import InvariantViolation, RegimeViolation
-from .spectrum import DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum
+from .spectrum import DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum, first_order_frequencies
 
 __all__ = [
     "FreeSpaceParams",
@@ -54,6 +58,9 @@ __all__ = [
 
 _ABS_BOUND = 1.0 + 1e-9
 _T0_TOL = 1e-9
+
+# Phases (times x modes) that _phase_sum holds at once: 64 MB of complex.
+_BLOCK_ELEMENTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -126,14 +133,29 @@ def _row_index(label, n_modes: int) -> int:
 # Discrete-sum route
 # ---------------------------------------------------------------------------
 
+def _phase_sum(times, omegas: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_r weights[r] exp(-i omegas[r] t) at every t; shape (T,) + weights.shape[1:].
+
+    The sum runs over blocks of modes, each holding at most _BLOCK_ELEMENTS
+    phases, so memory stays bounded however many modes there are.
+    """
+    times = np.ravel(times)
+    step = max(1, _BLOCK_ELEMENTS // max(times.size, 1))
+    blocks = (np.exp(-1j * np.outer(times, omegas[s:s + step])) @ weights[s:s + step]
+              for s in range(0, omegas.size, step))
+    total = next(blocks)
+    for part in blocks:
+        total += part
+    return total
+
+
 def amplitude_discrete(tm: TransformMatrix, mu, nu, t: float) -> complex:
     """Exact amplitude f_mu_nu(t) summed over the N+1 normal modes."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     n = tm.spectrum.params.n_modes
     i, j = _row_index(mu, n), _row_index(nu, n)
-    phases = np.exp(-1j * tm.bigomegas * t)
-    return complex(np.sum(tm.t[i, :] * tm.t[j, :] * phases))
+    return complex(_phase_sum(t, tm.bigomegas, tm.t[i, :] * tm.t[j, :])[0])
 
 
 def amplitude_trace(tm: TransformMatrix, mu, nu, times) -> AmplitudeTrace:
@@ -143,8 +165,7 @@ def amplitude_trace(tm: TransformMatrix, mu, nu, times) -> AmplitudeTrace:
         raise ValueError("times must be >= 0")
     n = tm.spectrum.params.n_modes
     i, j = _row_index(mu, n), _row_index(nu, n)
-    w = tm.t[i, :] * tm.t[j, :]
-    values = np.exp(-1j * np.outer(times, tm.bigomegas)) @ w
+    values = _phase_sum(times, tm.bigomegas, tm.t[i, :] * tm.t[j, :])
     return AmplitudeTrace(times=times, values=values, mu=mu, nu=nu,
                           method="discrete-sum")
 
@@ -155,15 +176,12 @@ def amplitude_row(tm: TransformMatrix, mu, times) -> np.ndarray:
     Column 0 is nu = atom, column k is field mode k.  Row norms are the
     unitarity sums sum_nu |f_mu_nu|^2.
     """
-    times = np.asarray(times, dtype=float)
-    n = tm.spectrum.params.n_modes
-    i = _row_index(mu, n)
-    phased = np.exp(-1j * np.outer(times, tm.bigomegas)) * tm.t[i, :]
-    return phased @ tm.t.T
+    i = _row_index(mu, tm.spectrum.params.n_modes)
+    return _phase_sum(times, tm.bigomegas, tm.t[i][:, None] * tm.t.T)
 
 
-def survival_trace(spectrum: ModeSpectrum, times, weights: np.ndarray | None = None,
-                   *, chunk: int = 512) -> AmplitudeTrace:
+def survival_trace(spectrum: ModeSpectrum, times,
+                   weights: np.ndarray | None = None) -> AmplitudeTrace:
     """Atom survival amplitude directly from spectral weights.
 
     Avoids the dense transformation matrix, so it stays usable at very
@@ -172,13 +190,8 @@ def survival_trace(spectrum: ModeSpectrum, times, weights: np.ndarray | None = N
     if weights is None:
         weights = atom_weights(spectrum)
     times = np.asarray(times, dtype=float)
-    om = spectrum.bigomegas
-    values = np.empty(times.shape, dtype=complex)
-    for s in range(0, times.size, chunk):
-        e = min(s + chunk, times.size)
-        values[s:e] = np.exp(-1j * np.outer(times[s:e], om)) @ weights
-    return AmplitudeTrace(times=times, values=values, mu="atom", nu="atom",
-                          method="discrete-sum")
+    return AmplitudeTrace(times=times, values=_phase_sum(times, spectrum.bigomegas, weights),
+                          mu="atom", nu="atom", method="discrete-sum")
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +253,7 @@ def free_space_trace(p: FreeSpaceParams, times) -> AmplitudeTrace:
     poles = np.array([kappa - 1j * g, -kappa - 1j * g, kappa + 1j * g, -kappa + 1j * g])
     residues = poles**2 / (poles[:, None] - poles[None, :] + np.eye(4)).prod(axis=1)
     later = times > 0
-    z = -1j * np.outer(times[later], poles)
+    z = -1j * (times[later, None] * poles)
     terms = _exp_e1(z)
     terms[:, 0] -= 2j * np.pi * np.exp(z[:, 0])
     imag = np.zeros(times.shape)
@@ -285,36 +298,17 @@ def survival_sq_large_time(t: float, omega_bar: float, g: float) -> float:
 # Small-cavity series
 # ---------------------------------------------------------------------------
 
-def small_cavity_amplitude(params: DressedAtomParams, times, k_max: int = 10_000,
-                           *, delta_threshold: float = DELTA_THRESHOLD) -> np.ndarray:
+def small_cavity_amplitude(params: DressedAtomParams, times, k_max: int = 10_000) -> np.ndarray:
     """First-order survival amplitude for delta << 1.
 
-    Uses the approximate mode weights (t_0^0)^2 = (1 + 2 pi delta/3)^-1 and
-    (t_0^k)^2 = (4 delta / pi k^2) (t_0^0)^2 with the first-order
-    frequencies; squaring reproduces the cosine double series with
-    1/k^2 l^2 weights term by term.
+    The spectral sum over :func:`~.spectrum.first_order_frequencies` with
+    the weights of :func:`~.coupling.approx_small_cavity_elements`,
+    (t_0^0)^2 = (1 + 2 pi delta/3)^-1 and (t_0^k)^2 = (4 delta / pi k^2) (t_0^0)^2;
+    squaring reproduces the cosine double series with 1/k^2 l^2 weights
+    term by term.
     """
-    if params.delta >= delta_threshold:
-        raise RegimeViolation(
-            f"small-cavity series needs delta < {delta_threshold}, "
-            f"got delta = {params.delta:.4g}"
-        )
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    d = params.delta
-    atom_sq = 1.0 / (1.0 + 2.0 * np.pi * d / 3.0)
-    k = np.arange(1, k_max + 1)
-    om0 = params.omega_bar * (1.0 - np.pi * d / 3.0)
-    omk = (params.g / d) * (k + 2.0 * d / (np.pi * k))
-    wk = (4.0 * d / np.pi) * atom_sq / k**2
-    out = atom_sq * np.exp(-1j * om0 * times)
-    # chunk the k sum so huge k_max never allocates len(times) x k_max at once
-    step = max(1, int(4_000_000 / max(times.size, 1)))
-    for s in range(0, k_max, step):
-        e = min(s + step, k_max)
-        out = out + np.exp(-1j * np.outer(times, omk[s:e])) @ wk[s:e]
-    return out
+    weights = approx_small_cavity_elements(params, k_max)
+    return _phase_sum(times, first_order_frequencies(params, k_max), weights)
 
 
 def survival_sq_small_cavity(t: float, params: DressedAtomParams,
@@ -334,24 +328,26 @@ def small_cavity_trace(params: DressedAtomParams, times,
                           method="small-cavity-series")
 
 
-def survival_sq_lower_bound(delta: float, *,
-                            delta_threshold: float = DELTA_THRESHOLD) -> float:
+def survival_sq_lower_bound(delta: float) -> float:
     """Worst-case survival probability: every series cosine set to -1.
 
     (1 + 2 pi delta/3)^-2 (1 - 4 pi delta/3 - 4 pi^2 delta^2/9); positive
     for small delta, which is why a small enough cavity never lets the
     excitation fully decay.
     """
-    if delta < 0 or delta >= delta_threshold:
+    if delta < 0 or delta >= DELTA_THRESHOLD:
         raise RegimeViolation(
-            f"lower bound needs 0 <= delta < {delta_threshold}, got {delta}"
+            f"lower bound needs 0 <= delta < {DELTA_THRESHOLD}, got {delta}"
         )
     x = 2.0 * np.pi * delta / 3.0
     return float((1.0 - 2.0 * x - x * x) / (1.0 + x) ** 2)
 
 
 def series_tail_bound(params: DressedAtomParams, k_max: int) -> float:
-    """Bound on the |survival|^2 error from truncating the series at k_max."""
-    atom_sq = 1.0 / (1.0 + 2.0 * np.pi * params.delta / 3.0)
-    dropped = (4.0 * params.delta / np.pi) * atom_sq / k_max
+    """Bound on the |survival|^2 error from truncating the series at k_max.
+
+    The dropped weight sum_{k > k_max} (t_0^k)^2 is below k_max (t_0^k_max)^2,
+    because sum_{k > K} 1/k^2 < 1/K.
+    """
+    dropped = k_max * approx_small_cavity_elements(params, k_max)[-1]
     return 2.0 * dropped + dropped**2

@@ -34,6 +34,8 @@ __all__ = [
     "CheckRow",
 ]
 
+_RESIDUAL_TOL = 1e-10  # on max |B v - v lam|, relative to max |lam|
+
 
 @dataclass(frozen=True)
 class QuadraticForm:
@@ -147,10 +149,9 @@ class OracleDecomposition:
         return np.sqrt(self.eigenvalues)
 
 
-def diagonalize(form: QuadraticForm, *, max_sweeps: int = 100,
-                residual_tol: float = 1e-10) -> OracleDecomposition:
+def diagonalize(form: QuadraticForm) -> OracleDecomposition:
     """Full symmetric eigensolve with residual and sign-convention fixes."""
-    lam, v = jacobi_eigh(form.matrix, max_sweeps=max_sweeps)
+    lam, v = jacobi_eigh(form.matrix)
     if np.any(lam <= 0):
         raise InvariantViolation(
             "non-positive eigenvalue: inputs left the harmonic branch"
@@ -164,9 +165,9 @@ def diagonalize(form: QuadraticForm, *, max_sweeps: int = 100,
             v[:, r] = -v[:, r]
     scale = np.max(np.abs(lam))
     resid = np.max(np.abs(form.matrix @ v - v * lam))
-    if resid > residual_tol * scale:
+    if resid > _RESIDUAL_TOL * scale:
         raise ConvergenceFailure(
-            f"eigenpair residual {resid:.3e} exceeds {residual_tol:.1e} * |B|"
+            f"eigenpair residual {resid:.3e} exceeds {_RESIDUAL_TOL:.1e} * |B|"
         )
     return OracleDecomposition(form=form, eigenvalues=lam, vectors=v)
 

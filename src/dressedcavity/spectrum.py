@@ -42,7 +42,9 @@ __all__ = [
     "secular_residual",
     "cotangent_curves",
     "cotangent_residual",
+    "newton_correction",
     "solve_eigenfrequencies",
+    "first_order_frequencies",
     "approx_small_cavity_spectrum",
     "truncated_mode_sum",
     "truncated_mode_sum_sq",
@@ -57,8 +59,11 @@ _DIRECT_SUM_LIMIT = 2048
 # and about 55 steps take one mode spacing to 4 ulps of the root.
 _BISECT_STEPS = 200
 
-# Default regime gate for the small-cavity expansion (delta << 1).
+# Regime gate for the small-cavity expansion (delta << 1).
 DELTA_THRESHOLD = 0.2
+
+# Bound on the relative Newton correction |F/F'| / Omega^2 at every root.
+_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -253,6 +258,17 @@ def secular_residual(omega, params: DressedAtomParams, method: str = "auto"):
     return params.omega_bar**2 - lam - params.eta_sq * lam * s
 
 
+def newton_correction(omega, params: DressedAtomParams, method: str = "auto"):
+    """Relative Newton correction |F/F'| / Omega^2, with |F'| taken as 1 + eta^2 lam S2.
+
+    Unlike F, it stays meaningful at a root that hugs its asymptote, where
+    the root's last ulp sets F.
+    """
+    lam = np.asarray(omega, dtype=float) ** 2
+    slope = 1.0 + params.eta_sq * lam * truncated_mode_sum_sq(lam, params, method)
+    return np.abs(secular_residual(omega, params, method)) / (slope * lam)
+
+
 def cotangent_curves(omega, params: DressedAtomParams):
     """Both sides of the infinite-cavity eigenfrequency condition.
 
@@ -328,7 +344,6 @@ def _bisect_brackets(f, lo: np.ndarray, hi: np.ndarray, dw: float) -> np.ndarray
 
 
 def solve_eigenfrequencies(params: DressedAtomParams, *,
-                           residual_tol: float = 1e-10,
                            method: str = "auto") -> ModeSpectrum:
     """Solve the secular equation for all N+1 normal frequencies.
 
@@ -340,7 +355,7 @@ def solve_eigenfrequencies(params: DressedAtomParams, *,
     1 + omega_bar^2/(0 - lam) + eta^2 sum_k 1/(omega_k^2 - lam) = 0;
     above that they are bisected all at once on the cotangent/digamma
     closed form.  After refinement the relative Newton correction
-    |F/F'| / Omega^2 must fall below ``residual_tol`` at every root.
+    (:func:`newton_correction`) must fall below 1e-10 at every root.
     Any failure raises :class:`ConvergenceFailure` naming the root.
     """
     n, dw = params.n_modes, params.delta_omega
@@ -373,35 +388,35 @@ def solve_eigenfrequencies(params: DressedAtomParams, *,
                 raise ConvergenceFailure(f"dlasd4 returned info={info} for root {r}",
                                          interval_index=r)
 
-    lam = roots**2
-    meth = "closed" if use_closed else "direct"
-    resid = np.abs(secular_residual(roots, params, meth))
-    slope = 1.0 + params.eta_sq * lam * truncated_mode_sum_sq(lam, params, meth)
-    newton_rel = resid / (slope * lam)
-    if np.any(newton_rel > residual_tol):
+    newton_rel = newton_correction(roots, params, "closed" if use_closed else "direct")
+    if np.any(newton_rel > _RESIDUAL_TOL):
         bad = int(np.argmax(newton_rel))
         raise ConvergenceFailure(
-            f"root {bad} residual {newton_rel[bad]:.3e} exceeds {residual_tol:.1e}",
+            f"root {bad} residual {newton_rel[bad]:.3e} exceeds {_RESIDUAL_TOL:.1e}",
             interval_index=bad,
         )
     return ModeSpectrum(params=params, omegas=wk, bigomegas=roots, method="exact-roots")
 
 
-def approx_small_cavity_spectrum(params: DressedAtomParams, *,
-                                 delta_threshold: float = DELTA_THRESHOLD) -> ModeSpectrum:
-    """First-order small-cavity normal frequencies (delta << 1).
+def first_order_frequencies(params: DressedAtomParams, k_max: int) -> np.ndarray:
+    """First-order small-cavity normal frequencies Omega_0 .. Omega_k_max.
 
     Omega_0 = omega_bar (1 - pi delta / 3)
     Omega_k = (g/delta) (k + 2 delta / (pi k)),  k >= 1
     """
-    if params.delta >= delta_threshold:
+    d = params.delta
+    k = np.arange(1, k_max + 1)
+    return np.concatenate(([params.omega_bar * (1.0 - np.pi * d / 3.0)],
+                           (params.g / d) * (k + 2.0 * d / (np.pi * k))))
+
+
+def approx_small_cavity_spectrum(params: DressedAtomParams) -> ModeSpectrum:
+    """:func:`first_order_frequencies` for all N+1 modes, for delta < DELTA_THRESHOLD."""
+    if params.delta >= DELTA_THRESHOLD:
         raise RegimeViolation(
-            f"small-cavity expansion needs delta < {delta_threshold}, "
+            f"small-cavity expansion needs delta < {DELTA_THRESHOLD}, "
             f"got delta = {params.delta:.4g}"
         )
-    k = np.arange(1, params.n_modes + 1)
-    bigomegas = np.empty(params.n_modes + 1)
-    bigomegas[0] = params.omega_bar * (1.0 - np.pi * params.delta / 3.0)
-    bigomegas[1:] = (params.g / params.delta) * (k + 2.0 * params.delta / (np.pi * k))
     return ModeSpectrum(params=params, omegas=field_frequencies(params),
-                        bigomegas=bigomegas, method="small-cavity-approx")
+                        bigomegas=first_order_frequencies(params, params.n_modes),
+                        method="small-cavity-approx")

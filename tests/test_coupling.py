@@ -11,9 +11,10 @@ from dressedcavity import (
     atom_weights,
     build_form,
     build_matrix,
-    field_element,
     solve_eigenfrequencies,
 )
+from dressedcavity import coupling
+from dressedcavity.spectrum import ModeSpectrum, field_frequencies
 from oracles import eig_sym_2x2
 
 # frozen first-order element values at delta=0.1 (direct evaluation)
@@ -60,18 +61,29 @@ class TestAtomElement:
 
 
 class TestFieldElement:
-    def test_low_frequency_limit(self, fig_params):
-        p = fig_params
-        got = field_element(5.0, 1e-9, 0.7, p)
-        assert got == pytest.approx(p.eta * 0.7 / 5.0, rel=1e-6)
+    """Field rows t_k^r = eta omega_k / (omega_k^2 - Omega_r^2) t_atom^r of build_matrix."""
 
-    def test_sign_flips_above_asymptote(self, fig_params):
-        assert field_element(5.0, 4.0, 0.5, fig_params) > 0
-        assert field_element(5.0, 6.0, 0.5, fig_params) < 0
+    def test_low_frequency_limit(self):
+        # Omega_0 ~ 1e-3 far below omega_1 = 500: t_k^0 / t_atom^0 -> eta / omega_k
+        p = DressedAtomParams.from_delta(omega_bar=1e-3, g=0.5, delta=1e-3, n_modes=8)
+        tm = build_matrix(solve_eigenfrequencies(p))
+        got = tm.t[1:, 0] / tm.t[0, 0]
+        assert got == pytest.approx(p.eta / field_frequencies(p), rel=1e-6)
 
-    def test_division_hazard(self, fig_params):
+    def test_sign_flips_above_asymptote(self, fig_spectrum, fig_matrix):
+        below = fig_spectrum.bigomegas[None, :] < fig_spectrum.omegas[:, None]
+        assert np.all(fig_matrix.t[1:, :][below] > 0)
+        assert np.all(fig_matrix.t[1:, :][~below] < 0)
+
+    def test_division_hazard(self):
+        # root 2 within 1e-13 relative above its asymptote omega_2
+        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=4)
+        wk = field_frequencies(p)
+        roots = np.concatenate(([0.5 * wk[0]], 0.5 * (wk[:-1] + wk[1:]), [wk[-1] + 1.0]))
+        roots[2] = wk[1] * (1 + 1e-13)
+        spec = ModeSpectrum(params=p, omegas=wk, bigomegas=roots, method="exact-roots")
         with pytest.raises(DivisionHazard):
-            field_element(5.0, 5.0 * (1 + 1e-14), 0.5, fig_params)
+            build_matrix(spec)
 
     def test_first_order_value(self, fig_spectrum, fig_matrix):
         got = fig_matrix.t[1, 0] ** 2
@@ -115,11 +127,12 @@ class TestBuildMatrix:
         scale = fig_spectrum.omegas[-1] ** 2
         assert np.max(np.abs(recon - b)) < 1e-6 * scale
 
-    def test_mode_cap(self):
+    def test_mode_cap(self, monkeypatch):
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=6)
         spec = solve_eigenfrequencies(p)
+        monkeypatch.setattr(coupling, "MATRIX_MODE_CAP", 5)
         with pytest.raises(ValueError):
-            build_matrix(spec, mode_cap=5)
+            build_matrix(spec)
 
 
 class TestAtomWeights:

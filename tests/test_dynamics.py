@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from dressedcavity import (
     amplitude_free_space,
     amplitude_row,
     amplitude_trace,
+    atom_weights,
     free_space_trace,
     imag_survival_integral,
     small_cavity_amplitude,
@@ -19,7 +22,7 @@ from dressedcavity import (
     survival_sq_small_cavity,
     survival_trace,
 )
-from dressedcavity import solve_eigenfrequencies
+from dressedcavity import dynamics, solve_eigenfrequencies
 from dressedcavity.dynamics import series_tail_bound, small_cavity_trace
 from oracles import brute_force_imag_integral, free_space_survival_brute
 
@@ -71,6 +74,32 @@ class TestDiscreteSum:
         light = survival_trace(fig_spectrum, times)
         heavy = amplitude_trace(fig_matrix, "atom", "atom", times)
         assert light.values == pytest.approx(heavy.values, abs=1e-10)
+
+    def test_survival_trace_memory_bounded_at_large_n(self):
+        # 201 times x 100001 modes would be a 322 MB complex phase array in
+        # one piece; the sum over blocks of modes must peak far below that
+        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=100_000)
+        spec = solve_eigenfrequencies(p)
+        w = atom_weights(spec)
+        times = np.linspace(0.0, 20.0, 201)
+        tracemalloc.start()
+        try:
+            tr = survival_trace(spec, times, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 2**20
+        # f(0) = sum of the weights, summed here across five mode blocks
+        assert abs(tr.values[0] - np.sum(w)) <= 1e-12
+
+    def test_mode_blocks_do_not_change_sums(self, fig_spectrum, fig_matrix, monkeypatch):
+        times = np.linspace(0.0, 12.0, 7)
+        whole = [amplitude_row(fig_matrix, 3, times), survival_trace(fig_spectrum, times).values]
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 50)  # 7 modes a block, 29 blocks
+        blocked = [amplitude_row(fig_matrix, 3, times), survival_trace(fig_spectrum, times).values]
+        for a, b in zip(whole, blocked):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 201 * np.finfo(float).eps
 
     def test_rejects_bad_labels_and_times(self, fig_matrix):
         with pytest.raises(ValueError):
@@ -244,6 +273,20 @@ class TestSmallCavitySeries:
             series = np.abs(small_cavity_amplitude(fig_params, times, 5_000)) ** 2
             disc = np.abs(amplitude_trace(fig_matrix, "atom", "atom", times).values) ** 2
             assert np.max(np.abs(series - disc)) < tol
+
+    def test_matches_term_by_term_sum(self, fig_params):
+        # the series summed one mode at a time; 2001 times split the kernel's
+        # sum over the 5001 modes into three blocks
+        p, k_max = fig_params, 5000
+        times = np.linspace(0.0, 25.0, 2001)
+        d = p.delta
+        atom = 1.0 / (1.0 + 2.0 * np.pi * d / 3.0)
+        ref = atom * np.exp(-1j * p.omega_bar * (1.0 - np.pi * d / 3.0) * times)
+        for k in range(1, k_max + 1):
+            omega_k = (p.g / d) * (k + 2.0 * d / (np.pi * k))
+            ref += (4.0 * d / (np.pi * k * k)) * atom * np.exp(-1j * omega_k * times)
+        got = small_cavity_amplitude(p, times, k_max)
+        assert np.max(np.abs(got - ref)) <= 2 * k_max * np.finfo(float).eps
 
     def test_method_tag(self, fig_params):
         tr = small_cavity_trace(fig_params, np.linspace(0, 3, 7), 500)
