@@ -146,10 +146,6 @@ def _transform(params) -> coupling.TransformMatrix:
     return tm
 
 
-def _survival_discrete(cfg: RunConfig, tm: coupling.TransformMatrix) -> np.ndarray:
-    return dynamics.amplitude_trace(tm, "atom", "atom", cfg.time_grid()).values
-
-
 def _continuum_row_norm(params) -> float:
     """Unitarity weight of the continuum spectrum, (4g/pi) integral of h."""
     val, _ = _quad(lambda x: dynamics.spectral_weight(x, params.omega_bar, params.g),
@@ -232,9 +228,12 @@ def cmd_amplitude(cfg: RunConfig) -> int:
         tm = _transform(params)
         mu = cfg.mu if cfg.mu == "atom" else int(cfg.mu)
         nu = cfg.nu if cfg.nu == "atom" else int(cfg.nu)
-        trace = dynamics.amplitude_trace(tm, mu, nu, times)
+        row = dynamics.amplitude_row(tm, mu, times)
+        trace = dynamics.AmplitudeTrace(
+            times=times, values=row[:, dynamics._row_index(nu, params.n_modes)],
+            mu=mu, nu=nu, method="discrete-sum")
         # unitarity re-assertion on the emitted row label
-        norms = np.sum(np.abs(dynamics.amplitude_row(tm, mu, times)) ** 2, axis=1)
+        norms = np.sum(np.abs(row) ** 2, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-6:
             raise InvariantViolation(
                 f"unitarity defect {np.max(np.abs(norms - 1.0)):.3e}"
@@ -265,10 +264,10 @@ def cmd_impurity(cfg: RunConfig) -> int:
     params_b = cfg.atom_params(which="b")
     # reference figure: small cavity via the exact discrete route, plus free space
     small_path, free_path = out / "impurity_small_cavity.csv", out / "impurity_free_space.csv"
-    tm = _transform(params)
-    f_aa = _survival_discrete(cfg, tm)
-    f_bb = f_aa if cfg.identical else _survival_discrete(cfg, _transform(params_b))
-    d_small = _write_pair(cfg, small_path, f_aa, f_bb, _entropy_trace_exact(cfg, tm))
+    f_aa, entropies = _exact_atom(cfg, _transform(params))
+    f_bb = f_aa if cfg.identical else dynamics.amplitude_trace(
+        _transform(params_b), "atom", "atom", times).values
+    d_small = _write_pair(cfg, small_path, f_aa, f_bb, entropies)
     f_aa = _survival_closed_form(cfg, params)
     f_bb = f_aa if cfg.identical else _survival_closed_form(cfg, params_b)
     d_free = _write_pair(cfg, free_path, f_aa, f_bb,
@@ -282,14 +281,18 @@ def cmd_impurity(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _entropy_trace_exact(cfg: RunConfig, tm: coupling.TransformMatrix) -> np.ndarray:
-    rows = dynamics.amplitude_row(tm, "atom", cfg.time_grid())
+def _exact_atom(cfg: RunConfig, tm: coupling.TransformMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Survival amplitude f_aa and single-atom entropy at every time, from one amplitude row."""
+    times = cfg.time_grid()
+    rows = dynamics.amplitude_row(tm, "atom", times)
+    f_aa = dynamics.AmplitudeTrace(times=times, values=rows[:, 0], mu="atom", nu="atom",
+                                   method="discrete-sum").values
     sup = cfg.superposition()
-    out = np.empty(rows.shape[0])
-    for i, t in enumerate(cfg.time_grid()):
+    entropies = np.empty(rows.shape[0])
+    for i, t in enumerate(times):
         reduced = bipartite.single_atom_reduced(rows[i], sup, t)
-        out[i] = bipartite.von_neumann_entropy(reduced)
-    return out
+        entropies[i] = bipartite.von_neumann_entropy(reduced)
+    return f_aa, entropies
 
 
 def _entropy_constant_free_space(cfg: RunConfig, params) -> float:
@@ -312,9 +315,7 @@ def cmd_entropy(cfg: RunConfig) -> int:
     else:
         # "small" and "exact" both use the exact discrete pipeline here: the
         # entropy needs the full amplitude row, not the series approximation
-        tm = _transform(params)
-        f_aa = _survival_discrete(cfg, tm)
-        entropies = _entropy_trace_exact(cfg, tm)
+        f_aa, entropies = _exact_atom(cfg, _transform(params))
     path = out / "entropy.csv"
     _write_pair(cfg, path, f_aa, f_aa, entropies)
     analytic = bipartite.entanglement_entropy(cfg.xi)

@@ -7,9 +7,13 @@ t = 0 is found on oscillator nu at time t is
 
 an exact finite sum over normal modes ("discrete-sum" route).  It and the
 small-cavity series share one kernel, ``_phase_sum``, for sum_r w_r
-exp(-i Omega_r t); it sums blocks of at most 2^22 phases (64 MB), so memory
-does not grow with the mode count.  Two analytic companions cover the
-limiting cavity sizes:
+exp(-i Omega_r t).  On a uniform grid of T times it writes t_j =
+coarse[j // b] + fine[j % b] with b = floor(sqrt(T)), so each mode needs
+about 2 sqrt(T) complex exponentials, whose products give all T phases; a
+grid the split does not rebuild to a few ulps (non-uniform, a scalar,
+T < 4) takes b = 1, the plain sum.  It sums blocks of at most 2^22 phases
+(64 MB), so memory does not grow with the mode count.  Two analytic
+companions cover the limiting cavity sizes:
 
 * free space (R -> infinity, weak coupling kappa^2 = omega_bar^2 - g^2 > 0):
 
@@ -29,6 +33,7 @@ atom is still excited at t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +66,10 @@ _T0_TOL = 1e-9
 
 # Phases (times x modes) that _phase_sum holds at once: 64 MB of complex.
 _BLOCK_ELEMENTS = 2**22
+
+# A coarse x fine split of the time grid must rebuild each time to this many
+# multiples of eps max|t|, the size of the rounding already in Omega t.
+_SPLIT_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -133,15 +142,45 @@ def _row_index(label, n_modes: int) -> int:
 # Discrete-sum route
 # ---------------------------------------------------------------------------
 
+def _grid_split(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coarse, fine) with times[j] = coarse[j // b] + fine[j % b], where b = fine.size.
+
+    On a uniform grid of T >= 4 times, b = floor(sqrt(T)), coarse = times[::b]
+    and fine = times[:b] - times[0].  The split is kept only if it rebuilds
+    every time to a few ulps of max|t|; otherwise (a non-uniform grid, a
+    scalar, T < 4) b = 1, coarse = times and fine = [0].
+    """
+    b = math.isqrt(times.size)
+    if b >= 2:
+        coarse, fine = times[::b], times[:b] - times[0]
+        rebuilt = (coarse[:, None] + fine).ravel()[:times.size]
+        tol = _SPLIT_ULPS * np.finfo(float).eps * np.max(np.abs(times))
+        if np.max(np.abs(rebuilt - times)) <= tol:
+            return coarse, fine
+    return times, np.zeros(1)
+
+
 def _phase_sum(times, omegas: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_r weights[r] exp(-i omegas[r] t) at every t; shape (T,) + weights.shape[1:].
 
-    The sum runs over blocks of modes, each holding at most _BLOCK_ELEMENTS
-    phases, so memory stays bounded however many modes there are.
+    With times split by :func:`_grid_split`, exp(-i Omega t_j) is the product
+    exp(-i Omega coarse[j // b]) exp(-i Omega fine[j % b]), so a block of
+    modes takes T/b + b complex exponentials instead of T: about 2 sqrt(T)
+    on a uniform grid.  When b = 1 the fine factor is exactly 1 and this is
+    the plain sum.  The sum runs over blocks of modes, each holding at most
+    _BLOCK_ELEMENTS phases, so memory stays bounded however many modes there
+    are.
     """
     times = np.ravel(times)
-    step = max(1, _BLOCK_ELEMENTS // max(times.size, 1))
-    blocks = (np.exp(-1j * np.outer(times, omegas[s:s + step])) @ weights[s:s + step]
+    coarse, fine = _grid_split(times)
+    rows = coarse.size * fine.size
+    step = max(1, _BLOCK_ELEMENTS // max(rows, 1))
+
+    def phases(om: np.ndarray) -> np.ndarray:
+        table = np.exp(-1j * np.outer(coarse, om))[:, None, :] * np.exp(-1j * np.outer(fine, om))
+        return table.reshape(rows, om.size)[:times.size]
+
+    blocks = (phases(omegas[s:s + step]) @ weights[s:s + step]
               for s in range(0, omegas.size, step))
     total = next(blocks)
     for part in blocks:

@@ -259,14 +259,18 @@ def secular_residual(omega, params: DressedAtomParams, method: str = "auto"):
 
 
 def newton_correction(omega, params: DressedAtomParams, method: str = "auto"):
-    """Relative Newton correction |F/F'| / Omega^2, with |F'| taken as 1 + eta^2 lam S2.
+    """Relative Newton correction |F/F'| / Omega^2, with |F'| = 1 + eta^2 (S + lam S2).
 
-    Unlike F, it stays meaningful at a root that hugs its asymptote, where
-    the root's last ulp sets F.
+    dF/dlam = -(1 + eta^2 (S + lam S2)), and at a root 1/|F'| is its atom
+    weight (t_atom^r)^2 (:func:`~.coupling.atom_weights`).  Unlike F, the
+    correction stays meaningful at a root that hugs its asymptote, where the
+    root's last ulp sets F.
     """
     lam = np.asarray(omega, dtype=float) ** 2
-    slope = 1.0 + params.eta_sq * lam * truncated_mode_sum_sq(lam, params, method)
-    return np.abs(secular_residual(omega, params, method)) / (slope * lam)
+    s = truncated_mode_sum(lam, params, method)
+    residual = params.omega_bar**2 - lam - params.eta_sq * lam * s
+    slope = 1.0 + params.eta_sq * (s + lam * truncated_mode_sum_sq(lam, params, method))
+    return np.abs(residual) / (slope * lam)
 
 
 def cotangent_curves(omega, params: DressedAtomParams):

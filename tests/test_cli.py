@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dressedcavity import coupling
-from dressedcavity.spectrum import newton_correction
+from dressedcavity import coupling, dynamics
+from dressedcavity.spectrum import newton_correction, solve_eigenfrequencies
 from dressedcavity.cli import (
     EXIT_INVARIANT,
     EXIT_NUMERICAL,
@@ -151,6 +151,16 @@ class TestAmplitudeCommand:
                  "--steps", "5", "--n-modes", "24", "--out", str(tmp_path))
         assert rc == EXIT_OK
 
+    def test_exact_regime_emits_the_nu_column(self, tmp_path):
+        rc = run("amplitude", "--regime", "exact", "--mu", "2", "--nu", "3",
+                 "--steps", "9", "--n-modes", "16", "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        t, re_f, im_f = np.loadtxt(tmp_path / "amplitude.csv", delimiter=",", skiprows=1,
+                                   usecols=(0, 1, 2)).T
+        tm = coupling.build_matrix(solve_eigenfrequencies(RunConfig(n_modes=16).atom_params()))
+        ref = dynamics.amplitude_trace(tm, 2, 3, t).values
+        assert np.max(np.abs(re_f + 1j * im_f - ref)) <= 1e-14
+
 
 class TestImpurityCommand:
     def test_reference_figure_defaults(self, tmp_path):
@@ -197,6 +207,24 @@ class TestEntropyCommand:
         assert rc == EXIT_OK
         lines = (tmp_path / "entropy.csv").read_text().splitlines()
         assert float(lines[1].split(",")[-1]) == pytest.approx(np.log(2), abs=1e-8)
+
+
+@pytest.mark.parametrize("argv", [
+    ("impurity",),
+    ("entropy", "--regime", "exact"),
+    ("amplitude", "--regime", "exact", "--mu", "2", "--nu", "3"),
+])
+def test_one_phase_sum_per_atom(tmp_path, monkeypatch, argv):
+    # the emitted amplitude is a column of the row the command sums anyway
+    kernel, calls = dynamics._phase_sum, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(dynamics, "_phase_sum", counted)
+    assert run(*argv, "--steps", "9", "--n-modes", "16", "--out", str(tmp_path)) == EXIT_OK
+    assert len(calls) == 1
 
 
 class TestMatrixDumpCommand:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,29 @@ REAL_PART_AT_PI_OVER_KAPPA = -0.16303353482158048
 BOUND_01 = 0.36729331802172704
 BOUND_005 = 0.6387992442088389
 
+# survival amplitude sum_r w_r exp(-i Omega_r t) at omega_bar=1, g=0.5 on the
+# grid linspace(0, 25, 501), at grid indices 37, 250 and 499 (40-digit mpmath:
+# each float64 root refined by three Newton steps on the secular equation
+# with the float64 parameters, its weight 1/(1 + eta^2 (S + lam S2)), the
+# float64 grid times); keyed by (delta, N)
+SURVIVAL_FROZEN = {
+    (0.1, 200): {
+        37: (-0.161666906736281848933586, -0.7805809656894608119592846),
+        250: (0.2117068794534268252906345, 0.7673453902272270484043608),
+        499: (-0.5544279027399617955223469, 0.4747505639416122185636876),
+    },
+    (1e-3, 4096): {
+        37: (-0.2739380368881022650789313, -0.9608705036609159914649273),
+        250: (0.993979472154561027444877, 0.07839110769124999018773126),
+        499: (0.9757507992823425108469287, 0.2083042906935459157749682),
+    },
+    (1e3, 4096): {
+        37: (-0.5853129725117271527671727, -0.2745416322403509254190377),
+        250: (0.1335139681399597993079749, -0.07050119774727168267471021),
+        499: (0.02569787666827124996227338, -0.1387162633517133146123647),
+    },
+}
+
 
 class TestDiscreteSum:
     def test_identity_at_t0(self, fig_matrix):
@@ -89,7 +113,7 @@ class TestDiscreteSum:
         finally:
             tracemalloc.stop()
         assert peak <= 256 * 2**20
-        # f(0) = sum of the weights, summed here across five mode blocks
+        # f(0) = sum of the weights, summed here across six mode blocks
         assert abs(tr.values[0] - np.sum(w)) <= 1e-12
 
     def test_mode_blocks_do_not_change_sums(self, fig_spectrum, fig_matrix, monkeypatch):
@@ -100,6 +124,20 @@ class TestDiscreteSum:
         for a, b in zip(whole, blocked):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 201 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("delta, n_modes", [
+        (0.1, 200),
+        (1e3, 4096),
+        pytest.param(1e-3, 4096, marks=pytest.mark.xfail(strict=True, reason=(
+            "the weights of roots that hug their asymptotes lose digits to the "
+            "cancellation in omega_k^2 - Omega^2; sum(w) - 1 = -1.9e-14 is already "
+            "the error at t = 0, and the trace is 4.9e-14 off"))),
+    ])
+    def test_survival_matches_high_precision_reference(self, delta, n_modes):
+        p = DressedAtomParams.from_delta(OMEGA_BAR, G, delta, n_modes=n_modes)
+        values = survival_trace(solve_eigenfrequencies(p), np.linspace(0.0, 25.0, 501)).values
+        for j, (re, im) in SURVIVAL_FROZEN[delta, n_modes].items():
+            assert abs(values[j] - complex(re, im)) <= 1e-14
 
     def test_rejects_bad_labels_and_times(self, fig_matrix):
         with pytest.raises(ValueError):
@@ -115,6 +153,55 @@ class TestDiscreteSum:
         with pytest.raises(InvariantViolation):
             AmplitudeTrace(times=np.array([0.0]), values=np.array([0.5 + 0j]),
                            mu="atom", nu="atom", method="discrete-sum")
+
+
+def _phase_sum_by_mode(times, omegas, weights):
+    # one mode at a time, each phase from its exact time
+    out = np.zeros((times.size,) + weights.shape[1:], dtype=complex)
+    for om, w in zip(omegas, weights):
+        out += np.multiply.outer(np.exp(-1j * om * times), w)
+    return out
+
+
+class TestPhaseSum:
+    """The coarse x fine split of the time grid against a mode-by-mode sum."""
+
+    @staticmethod
+    def _assert_matches_mode_loop(times, omegas, weights):
+        # each phase may move by a few ulps of Omega max|t| (the rounding of
+        # Omega t itself), so the bound is set by sum_r |w_r| (1 + Omega_r max|t|)
+        got = dynamics._phase_sum(times, omegas, weights)
+        ref = _phase_sum_by_mode(times, omegas, weights)
+        scale = (1.0 + omegas * np.max(np.abs(times))) @ np.abs(weights)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 17, 201, 501])
+    def test_uniform_grids(self, fig_spectrum, fig_matrix, steps):
+        times = np.linspace(0.0, 25.0, steps)
+        assert dynamics._grid_split(times)[1].size == math.isqrt(steps)
+        for weights in (atom_weights(fig_spectrum), fig_matrix.t[3][:, None] * fig_matrix.t.T):
+            self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, weights)
+
+    def test_grid_starting_after_zero(self, fig_spectrum):
+        times = np.linspace(3.7, 41.2, 101)
+        coarse, fine = dynamics._grid_split(times)
+        assert fine.size == 10 and fine[0] == 0.0 and coarse[0] == times[0]
+        self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, atom_weights(fig_spectrum))
+
+    def test_non_uniform_grid_is_the_plain_sum(self, fig_spectrum):
+        times = np.linspace(0.0, 5.0, 101) ** 2
+        coarse, fine = dynamics._grid_split(times)
+        assert fine.tolist() == [0.0] and coarse is times
+        w = atom_weights(fig_spectrum)
+        plain = np.exp(-1j * np.outer(times, fig_spectrum.bigomegas)) @ w
+        assert np.array_equal(dynamics._phase_sum(times, fig_spectrum.bigomegas, w), plain)
+
+    def test_small_block_budget(self, fig_spectrum, monkeypatch):
+        # 17 times split into 5 coarse x 4 fine = 20 rows: 2 modes a block, 101 blocks
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 50)
+        times = np.linspace(0.0, 25.0, 17)
+        self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, atom_weights(fig_spectrum))
 
 
 class TestImagSurvivalIntegral:

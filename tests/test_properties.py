@@ -1,7 +1,8 @@
 """Property-based checks of the structural invariants.
 
 Parameter ranges span both cavity regimes (delta from 0.02 to 20) and keep
-mode counts small enough that every example solves in milliseconds.
+mode counts small enough that every example solves in milliseconds; the
+weight-sum property alone covers the full domain, N up to 8192.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from dressedcavity import (
     DressedAtomParams,
     SuperpositionSpec,
     amplitude_row,
+    atom_weights,
     build_matrix,
     entanglement_entropy,
     impurity,
@@ -32,6 +34,10 @@ weights = st.floats(0.02, 0.98)
 phases = st.floats(0.0, 2.0 * np.pi)
 unit_amplitudes = st.complex_numbers(max_magnitude=1.0, allow_infinity=False,
                                      allow_nan=False)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0**e)
 
 
 def _solve(omega_bar, g, delta, n):
@@ -55,6 +61,15 @@ def test_normal_mode_product_identity(omega_bar, g, delta, n):
     lhs = 2.0 * np.sum(np.log(spec.bigomegas))
     rhs = 2.0 * np.log(omega_bar) + 2.0 * np.sum(np.log(spec.omegas))
     assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_log_uniform(0.1, 10.0), _log_uniform(0.01, 10.0), _log_uniform(1e-3, 1e3),
+       st.integers(1, 8192))
+def test_atom_weights_sum_to_one(omega_bar, g, delta, n):
+    # N runs across the 2048 crossover between the dlasd4 and closed routes
+    _, spec = _solve(omega_bar, g, delta, n)
+    assert abs(np.sum(atom_weights(spec)) - 1.0) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)

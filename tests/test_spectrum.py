@@ -12,7 +12,7 @@ from dressedcavity import (
     solve_eigenfrequencies,
 )
 from dressedcavity import spectrum
-from dressedcavity.spectrum import truncated_mode_sum, truncated_mode_sum_sq
+from dressedcavity.spectrum import newton_correction, truncated_mode_sum, truncated_mode_sum_sq
 
 # frozen first-order values at delta=0.1, g=0.5, omega_bar=1 (direct evaluation)
 OM0_APPROX = 0.8952802448803402
@@ -89,6 +89,18 @@ class TestSolve:
         resid = np.abs(secular_residual(spec.bigomegas, p))
         slope = 1.0 + p.eta_sq * lam * truncated_mode_sum_sq(lam, p)
         assert np.all(resid / (slope * lam) < 1e-10)
+
+    def test_newton_slope_is_the_secular_derivative(self, fig_params, fig_spectrum):
+        # newton_correction = |F| / (|F'| lam); a little above root 5, where F
+        # is far from rounding, it yields the slope to compare with a central
+        # difference of F in lam
+        lam = (fig_spectrum.bigomegas[5] * (1.0 + 1e-3)) ** 2
+        h = 1e-7 * lam
+        central = (secular_residual(np.sqrt(lam + h), fig_params)
+                   - secular_residual(np.sqrt(lam - h), fig_params)) / (2.0 * h)
+        slope = abs(secular_residual(np.sqrt(lam), fig_params)) / (
+            newton_correction(np.sqrt(lam), fig_params) * lam)
+        assert slope == pytest.approx(-central, rel=1e-6)
 
     def test_cotangent_residual_shrinks_with_mode_count(self):
         # the truncated secular roots approach the infinite-cavity condition
