@@ -22,6 +22,9 @@ Tracing out atom B instead gives a single-atom reduced matrix of rank two
 with eigenvalues {1 - xi, xi * sum_nu |f_A_nu|^2} = {1 - xi, xi}; the von
 Neumann entropy built from them is therefore constant in time for any
 cavity size, which is the invariant this module exists to expose.
+
+Every function takes one time or arrays over a grid of times, and checks
+every invariant at every time; a failure names the first time it happened.
 """
 
 from __future__ import annotations
@@ -70,72 +73,92 @@ def entanglement_entropy(xi: float) -> float:
     return float(-(1.0 - xi) * np.log(1.0 - xi) - xi * np.log(xi))
 
 
+def _require(bad, t, error, template: str, *values) -> None:
+    """Raise ``error``, ``template`` filled with ``values``, at the first bad time."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        k = hits[0]
+        at = [np.broadcast_to(v, np.shape(bad)).flat[k] for v in (t, *values)]
+        raise error(template.format(*at[1:]) + f" at t={at[0]}")
+
+
 @dataclass(frozen=True)
 class ReducedAtomPairMatrix:
-    """Field-traced pair state at one instant.
+    """Field-traced pair state at each time of a grid.
 
-    ``coherence`` is the <1_A 0_B| rho |0_A 1_B> entry; its conjugate and
-    the (fixed, zero) |11> population complete the matrix.
+    Every field is a scalar, for one time, or an array over the times in
+    ``time``.  ``coherence`` is the <1_A 0_B| rho |0_A 1_B> entry; its
+    conjugate and the (fixed, zero) |11> population complete the matrix.
     """
 
-    time: float
-    p_ground: float
-    p_b_excited: float
-    p_a_excited: float
-    coherence: complex
-    p_both: float = 0.0
+    time: np.ndarray
+    p_ground: np.ndarray
+    p_b_excited: np.ndarray
+    p_a_excited: np.ndarray
+    coherence: np.ndarray
+    p_both: np.ndarray = 0.0
 
     def __post_init__(self):
-        diag = (self.p_ground, self.p_b_excited, self.p_a_excited, self.p_both)
-        for name, v in zip(("p_ground", "p_b_excited", "p_a_excited", "p_both"), diag):
-            if not -_TRACE_TOL <= v <= 1.0 + _TRACE_TOL:
-                raise InvariantViolation(f"{name} = {v:.12g} outside [0, 1]")
-        tr = sum(diag)
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise InvariantViolation(f"trace {tr:.12f} deviates from 1")
+        for name in ("p_ground", "p_b_excited", "p_a_excited", "p_both"):
+            v = np.asarray(getattr(self, name))
+            _require(~((-_TRACE_TOL <= v) & (v <= 1.0 + _TRACE_TOL)), self.time,
+                     InvariantViolation, name + " = {:.12g} outside [0, 1]", v)
+        tr = self.p_ground + self.p_b_excited + self.p_a_excited + self.p_both
+        _require(abs(tr - 1.0) > _TRACE_TOL, self.time, InvariantViolation,
+                 "trace {:.12f} deviates from 1", tr)
         # positive semidefiniteness of the single-excitation coherence block
-        det = self.p_a_excited * self.p_b_excited - abs(self.coherence) ** 2
-        if det < -_PSD_TOL:
-            raise InvariantViolation(f"coherence block determinant {det:.3e} < 0")
+        det = self.p_a_excited * self.p_b_excited - np.abs(self.coherence) ** 2
+        _require(det < -_PSD_TOL, self.time, InvariantViolation,
+                 "coherence block determinant {:.3e} < 0", det)
 
     def as_matrix(self) -> np.ndarray:
-        """Dense 4x4 matrix in the basis (|00>, |01>, |10>, |11>)."""
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0] = self.p_ground
-        m[1, 1] = self.p_b_excited
-        m[2, 2] = self.p_a_excited
-        m[3, 3] = self.p_both
-        m[2, 1] = self.coherence
-        m[1, 2] = np.conj(self.coherence)
+        """Dense (..., 4, 4) matrices in the basis (|00>, |01>, |10>, |11>)."""
+        m = np.zeros(np.shape(self.coherence) + (4, 4), dtype=complex)
+        for i, p in enumerate((self.p_ground, self.p_b_excited, self.p_a_excited, self.p_both)):
+            m[..., i, i] = p
+        m[..., 2, 1] = self.coherence
+        m[..., 1, 2] = np.conj(self.coherence)
         return m
 
-    def purity(self) -> float:
-        """Tr rho^2 straight from the matrix entries."""
+    def purity(self):
+        """Tr rho^2 straight from the matrix entries, at each time."""
         m = self.as_matrix()
-        return float(np.real(np.trace(m @ m)))
+        return np.einsum("...ij,...ji->...", m, m).real[()]
 
 
-def reduced_pair_matrix(f_aa: complex, f_bb: complex, spec: SuperpositionSpec,
-                        t: float) -> ReducedAtomPairMatrix:
-    """Assemble the pair reduced matrix from the two survival amplitudes."""
-    if abs(f_aa) > 1.0 + _TRACE_TOL or abs(f_bb) > 1.0 + _TRACE_TOL:
-        raise DomainError(
-            f"survival amplitudes must satisfy |f| <= 1, got "
-            f"|f_aa|={abs(f_aa):.12f}, |f_bb|={abs(f_bb):.12f}"
-        )
+def reduced_pair_matrix(f_aa, f_bb, spec: SuperpositionSpec, t) -> ReducedAtomPairMatrix:
+    """Assemble the pair reduced matrix from the two survival amplitudes.
+
+    ``f_aa``, ``f_bb`` and ``t`` are values at one time or arrays over a grid.
+    """
+    f_aa, f_bb = np.asarray(f_aa, dtype=complex), np.asarray(f_bb, dtype=complex)
+    # |f| by hypot and |f|^2 by one multiply: one time and a grid give the
+    # same bits (numpy's array abs of a complex may differ in the last ulp)
+    abs_a = np.hypot(f_aa.real, f_aa.imag)
+    abs_b = np.hypot(f_bb.real, f_bb.imag)
+    _require((abs_a > 1.0 + _TRACE_TOL) | (abs_b > 1.0 + _TRACE_TOL), t, DomainError,
+             "survival amplitudes must satisfy |f| <= 1, got "
+             "|f_aa|={:.12f}, |f_bb|={:.12f}", abs_a, abs_b)
     xi = spec.xi
-    pa = xi * abs(f_aa) ** 2
-    pb = (1.0 - xi) * abs(f_bb) ** 2
+    pa = xi * (abs_a * abs_a)
+    pb = (1.0 - xi) * (abs_b * abs_b)
     pg = 1.0 - pa - pb
-    if pg < -_TRACE_TOL:
-        raise DomainError(f"ground population {pg:.3e} < 0: non-physical amplitudes")
-    coh = np.sqrt(xi * (1.0 - xi)) * np.exp(1j * spec.phi) * np.conj(f_aa) * f_bb
-    return ReducedAtomPairMatrix(time=float(t), p_ground=pg, p_b_excited=pb,
-                                 p_a_excited=pa, coherence=complex(coh))
+    _require(pg < -_TRACE_TOL, t, DomainError,
+             "ground population {:.3e} < 0: non-physical amplitudes", pg)
+    # c conj(f_aa) f_bb as two scalar-order complex products in real
+    # arithmetic; numpy's array complex multiply may fuse and round otherwise
+    c = np.sqrt(xi * (1.0 - xi)) * np.exp(1j * spec.phi)
+    re = c.real * f_aa.real + c.imag * f_aa.imag
+    im = c.imag * f_aa.real - c.real * f_aa.imag
+    coh = np.empty(np.broadcast_shapes(f_aa.shape, f_bb.shape), dtype=complex)
+    coh.real = re * f_bb.real - im * f_bb.imag
+    coh.imag = re * f_bb.imag + im * f_bb.real
+    return ReducedAtomPairMatrix(time=np.asarray(t, dtype=float)[()], p_ground=pg,
+                                 p_b_excited=pb, p_a_excited=pa, coherence=coh[()])
 
 
-def impurity(m: ReducedAtomPairMatrix) -> float:
-    """Degree of impurity D = 1 - Tr rho^2.
+def impurity(m: ReducedAtomPairMatrix):
+    """Degree of impurity D = 1 - Tr rho^2, at each time.
 
     Evaluated both from the matrix entries and from the closed form
     2 w (1 - w), w = rho_10,10 + rho_01,01; the two must agree to 1e-9.
@@ -143,10 +166,8 @@ def impurity(m: ReducedAtomPairMatrix) -> float:
     w = m.p_a_excited + m.p_b_excited
     d_closed = 2.0 * w * (1.0 - w)
     d_matrix = 1.0 - m.purity()
-    if abs(d_closed - d_matrix) > 1e-9:
-        raise InvariantViolation(
-            f"impurity mismatch: closed form {d_closed:.15f} vs matrix {d_matrix:.15f}"
-        )
+    _require(abs(d_closed - d_matrix) > 1e-9, m.time, InvariantViolation,
+             "impurity mismatch: closed form {:.15f} vs matrix {:.15f}", d_closed, d_matrix)
     return d_closed
 
 
@@ -162,51 +183,43 @@ def impurity_identical(f00: complex, spec: SuperpositionSpec) -> float:
 class SingleAtomReducedMatrix:
     """Pair state traced over atom B: rank two on top of the ground sector.
 
-    ``amplitude_row`` holds f_A_nu(t) over nu = (atom, field modes); its
-    squared norm is the conserved excitation weight that makes the nonzero
-    eigenvalues {1 - xi, xi} time independent.
+    ``amplitude_row`` holds f_A_nu(t) over nu = (atom, field modes): one
+    row of length N+1 at one time, or a (T, N+1) block with a row per time
+    of ``time``.  Its squared norm is the conserved excitation weight that
+    makes the nonzero eigenvalues {1 - xi, xi} time independent.
     """
 
-    time: float
+    time: np.ndarray
     xi: float
     amplitude_row: np.ndarray
-    row_norm_sq: float = field(init=False)
+    row_norm_sq: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        row = np.asarray(self.amplitude_row, dtype=complex)
+        # a read-only view: the caller's array keeps its own flags
+        row = np.asarray(self.amplitude_row, dtype=complex).view()
         row.setflags(write=False)
         object.__setattr__(self, "amplitude_row", row)
-        s = float(np.sum(np.abs(row) ** 2))
+        s = np.sum(np.abs(row) ** 2, axis=-1)
         object.__setattr__(self, "row_norm_sq", s)
         if not 0.0 < self.xi < 1.0:
             raise ValueError(f"xi must lie strictly inside (0, 1), got {self.xi}")
-        if abs(s - 1.0) > _ROW_NORM_TOL:
-            raise InvariantViolation(
-                f"amplitude row norm {s:.9f} deviates from 1 beyond {_ROW_NORM_TOL}"
-            )
+        _require(abs(s - 1.0) > _ROW_NORM_TOL, self.time, InvariantViolation,
+                 "amplitude row norm {:.9f} deviates from 1 beyond " + str(_ROW_NORM_TOL), s)
 
-    def nonzero_eigenvalues(self) -> tuple[float, float]:
+    def nonzero_eigenvalues(self) -> tuple:
         return 1.0 - self.xi, self.xi * self.row_norm_sq
 
-    def dense_matrix(self) -> np.ndarray:
-        """(N+2) x (N+2) matrix: ground sector plus xi * f f^dagger block."""
-        row = self.amplitude_row
-        n = row.size
-        m = np.zeros((n + 1, n + 1), dtype=complex)
-        m[0, 0] = 1.0 - self.xi
-        m[1:, 1:] = self.xi * np.outer(row, np.conj(row))
-        return m
+
+def single_atom_reduced(f_row, spec: SuperpositionSpec, t) -> SingleAtomReducedMatrix:
+    """Reduced state of atom A from its amplitude row at time t, or from a
+    (T, N+1) block of rows at the T times in ``t``."""
+    return SingleAtomReducedMatrix(time=np.asarray(t, dtype=float)[()], xi=spec.xi,
+                                   amplitude_row=f_row)
 
 
-def single_atom_reduced(f_row, spec: SuperpositionSpec, t: float) -> SingleAtomReducedMatrix:
-    """Reduced state of atom A from its amplitude row at time t."""
-    return SingleAtomReducedMatrix(time=float(t), xi=spec.xi, amplitude_row=f_row)
-
-
-def von_neumann_entropy(m: SingleAtomReducedMatrix) -> float:
-    """-sum alpha ln alpha over the nonzero eigenvalues (0 ln 0 := 0)."""
+def von_neumann_entropy(m: SingleAtomReducedMatrix):
+    """-sum alpha ln alpha over the nonzero eigenvalues (0 ln 0 := 0), at each time."""
     total = 0.0
     for a in m.nonzero_eigenvalues():
-        if a > _EIG_CUTOFF:
-            total -= a * np.log(a)
-    return float(total)
+        total = total - np.where(a > _EIG_CUTOFF, a * np.log(a), 0.0)
+    return total

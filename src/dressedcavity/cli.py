@@ -117,15 +117,24 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+# Values formatted per printf call: bounds the template and tuple of a block.
+_CSV_BLOCK = 1 << 16
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str], table) -> None:
+    """Write ``header``, then the rows of the 2-D ``table`` through one printf
+    row template: ``%s`` for a column of strings, else ``%.17g``, which prints
+    exactly what ``format(float(x), '.17g')`` does (ints, -0.0, nan, inf and
+    subnormals included).
+    """
+    table = np.asarray(table)
+    line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in table[:1].ravel()) + "\n"
+    step = max(1, _CSV_BLOCK // len(header))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+        for i in range(0, len(table), step):
+            block = table[i:i + step]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +163,18 @@ def _continuum_row_norm(params) -> float:
 
 
 def _write_pair(cfg: RunConfig, path: Path, f_aa, f_bb, entropies) -> np.ndarray:
-    """Write the bipartite CSV, re-asserting invariants per row; returns its D column."""
-    spec = cfg.superposition()
-    rows = []
-    for i, t in enumerate(cfg.time_grid()):
-        m = bipartite.reduced_pair_matrix(f_aa[i], f_bb[i], spec, t)
-        d = bipartite.impurity(m)
-        tr = m.p_ground + m.p_b_excited + m.p_a_excited + m.p_both
-        if abs(tr - 1.0) > 1e-9:
-            raise InvariantViolation(f"trace {tr} at t={t}")
-        rows.append((t, m.p_ground, m.p_b_excited, m.p_a_excited,
-                     m.coherence.real, m.coherence.imag, d, entropies[i]))
-    write_csv(path, ["t", "rho00", "rho0101", "rho1010", "re_coh", "im_coh", "D", "E"], rows)
-    return np.array([r[6] for r in rows])
+    """Write the bipartite CSV, re-asserting invariants at every time; returns its D column."""
+    times = cfg.time_grid()
+    m = bipartite.reduced_pair_matrix(f_aa, f_bb, cfg.superposition(), times)
+    d = bipartite.impurity(m)
+    tr = m.p_ground + m.p_b_excited + m.p_a_excited + m.p_both
+    bad = np.flatnonzero(abs(tr - 1.0) > 1e-9)
+    if bad.size:
+        raise InvariantViolation(f"trace {tr[bad[0]]} at t={times[bad[0]]}")
+    write_csv(path, ["t", "rho00", "rho0101", "rho1010", "re_coh", "im_coh", "D", "E"],
+              np.column_stack([times, m.p_ground, m.p_b_excited, m.p_a_excited,
+                               m.coherence.real, m.coherence.imag, d, entropies]))
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -182,31 +190,21 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     # cotangent curve and its straight companion, sampled between asymptotes
     n_plot = min(params.n_modes, 8)
     dw = params.delta_omega
-    curve_rows = []
-    for k in range(n_plot + 1):
-        lo = k * dw + 0.02 * dw
-        hi = (k + 1) * dw - 0.02 * dw
-        for om in np.linspace(lo, hi, 80):
-            lhs, rhs = cotangent_curves(om, params)
-            curve_rows.append((om, params.radius * om / params.c, float(lhs), float(rhs)))
+    k = np.arange(n_plot + 1)
+    oms = np.linspace(k * dw + 0.02 * dw, (k + 1) * dw - 0.02 * dw, 80, axis=-1).ravel()
+    lhs, rhs = cotangent_curves(oms, params)
     write_csv(out / "spectrum_curves.csv", ["Omega", "x", "cot_lhs", "rhs_line"],
-              curve_rows)
+              np.column_stack([oms, params.radius * oms / params.c, lhs, rhs]))
 
-    newton_rel = newton_correction(spec.bigomegas, params)
-    root_rows = [
-        (r, om, params.radius * om / params.c, float(newton_rel[r]))
-        for r, om in enumerate(spec.bigomegas)
-    ]
+    roots = spec.bigomegas
     write_csv(out / "spectrum_roots.csv", ["r", "Omega_r", "x_r", "newton_rel"],
-              root_rows)
+              np.column_stack([np.arange(roots.size), roots, params.radius * roots / params.c,
+                               newton_correction(roots, params)]))
 
     if cfg.svg:
-        oms = np.array([r[0] for r in curve_rows])
-        lhs = np.array([r[2] for r in curve_rows])
-        rhs = np.array([r[3] for r in curve_rows])
         clip = float(np.percentile(np.abs(rhs), 95)) * 2 + 10
-        marks = [(om, float(cotangent_curves(om, params)[0]))
-                 for om in spec.bigomegas[: n_plot + 1]]
+        marked = roots[: n_plot + 1]
+        marks = list(zip(marked, cotangent_curves(marked, params)[0]))
         svg = svgplot.line_plot(
             [("cot(R Omega / c)", oms, lhs, False),
              ("frequency condition", oms, rhs, True)],
@@ -243,10 +241,12 @@ def cmd_amplitude(cfg: RunConfig) -> int:
         trace = dynamics.free_space_trace(p, times)
     else:
         trace = dynamics.small_cavity_trace(params, times, cfg.k_max)
-    rows = [(t, v.real, v.imag, abs(v) ** 2, trace.method)
-            for t, v in zip(trace.times, trace.values)]
+    v = trace.values
+    abs_v = np.hypot(v.real, v.imag)  # scalar abs: numpy's array abs may differ by an ulp
+    method = np.full(v.size, trace.method, dtype=object)
     path = out / "amplitude.csv"
-    write_csv(path, ["t", "re_f", "im_f", "abs2_f", "method"], rows)
+    write_csv(path, ["t", "re_f", "im_f", "abs2_f", "method"],
+              np.column_stack([trace.times, v.real, v.imag, abs_v * abs_v, method]))
     if cfg.svg:
         svg = svgplot.line_plot(
             [("|f|^2", trace.times, np.abs(trace.values) ** 2, False)],
@@ -287,12 +287,8 @@ def _exact_atom(cfg: RunConfig, tm: coupling.TransformMatrix) -> tuple[np.ndarra
     rows = dynamics.amplitude_row(tm, "atom", times)
     f_aa = dynamics.AmplitudeTrace(times=times, values=rows[:, 0], mu="atom", nu="atom",
                                    method="discrete-sum").values
-    sup = cfg.superposition()
-    entropies = np.empty(rows.shape[0])
-    for i, t in enumerate(times):
-        reduced = bipartite.single_atom_reduced(rows[i], sup, t)
-        entropies[i] = bipartite.von_neumann_entropy(reduced)
-    return f_aa, entropies
+    reduced = bipartite.single_atom_reduced(rows, cfg.superposition(), times)
+    return f_aa, bipartite.von_neumann_entropy(reduced)
 
 
 def _entropy_constant_free_space(cfg: RunConfig, params) -> float:
@@ -321,7 +317,7 @@ def cmd_entropy(cfg: RunConfig) -> int:
     analytic = bipartite.entanglement_entropy(cfg.xi)
     deviation = float(np.max(np.abs(entropies - analytic)))
     print(f"wrote {path}")
-    print(f"entropy_analytic={_fmt(analytic)} max_deviation={deviation:.3e}")
+    print(f"entropy_analytic={analytic:.17g} max_deviation={deviation:.3e}")
     if cfg.svg:
         svg = svgplot.line_plot([("E(t)", times, entropies, False)],
                                 title=f"Entanglement entropy, xi={cfg.xi:g}",
@@ -336,16 +332,12 @@ def cmd_entropy(cfg: RunConfig) -> int:
 def cmd_matrix_dump(cfg: RunConfig) -> int:
     params = cfg.atom_params()
     tm = _transform(params)
-    spec = tm.spectrum
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     header = ["r", "Omega_r", "t_atom_r"] + [f"t_{k}_r" for k in range(1, params.n_modes + 1)]
-    rows = [
-        (r, spec.bigomegas[r], *tm.t[:, r])
-        for r in range(params.n_modes + 1)
-    ]
     path = out / "transform_matrix.csv"
-    write_csv(path, header, rows)
+    write_csv(path, header,
+              np.column_stack([np.arange(params.n_modes + 1), tm.bigomegas, tm.t.T]))
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -61,6 +61,16 @@ def eig_sym_2x2(a, b, d):
     return lam, np.column_stack(vecs)
 
 
+def single_atom_dense_matrix(row, xi):
+    """(N+2) x (N+2) reduced matrix of atom A from its amplitude row:
+    ground population 1 - xi plus the xi f f^dagger block."""
+    n = row.size
+    m = np.zeros((n + 1, n + 1), dtype=complex)
+    m[0, 0] = 1.0 - xi
+    m[1:, 1:] = xi * np.outer(row, np.conj(row))
+    return m
+
+
 def free_space_survival_brute(t, omega_bar, g, x_max=400.0, n_points=8_000_001):
     """Full complex survival amplitude from the continuum integral."""
     x = np.linspace(0.0, x_max, n_points)

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from dressedcavity import (
     DomainError,
     InvariantViolation,
+    ReducedAtomPairMatrix,
     SuperpositionSpec,
     amplitude_row,
     entanglement_entropy,
@@ -13,6 +16,7 @@ from dressedcavity import (
     single_atom_reduced,
     von_neumann_entropy,
 )
+from oracles import single_atom_dense_matrix
 
 # sqrt(0.21) * 0.6 * 0.8 (direct evaluation)
 COHERENCE_EXAMPLE = 0.2199636333578803
@@ -132,7 +136,8 @@ class TestSingleAtomReduced:
         # independent dense Hermitian eigensolve on a truncated copy
         row = amplitude_row(fig_matrix, "atom", np.array([5.1]))[0]
         r = single_atom_reduced(row, SuperpositionSpec(0.4), 5.1)
-        eigs = np.sort(np.linalg.eigvalsh(r.dense_matrix()))[::-1]
+        dense = single_atom_dense_matrix(r.amplitude_row, r.xi)
+        eigs = np.sort(np.linalg.eigvalsh(dense))[::-1]
         assert eigs[0] == pytest.approx(0.6, abs=1e-9)
         assert eigs[1] == pytest.approx(0.4, abs=1e-6)
         assert np.max(np.abs(eigs[2:])) < 1e-12
@@ -171,3 +176,98 @@ class TestEntropy:
         vals = {von_neumann_entropy(single_atom_reduced(row, SuperpositionSpec(0.6, phi), 4.4))
                 for phi in (0.0, np.pi / 2, np.pi, 5.0)}
         assert len(vals) == 1
+
+
+# A seeded grid of 501 times, and the one time at which a defect is injected.
+GRID = np.linspace(0.0, 25.0, 501)
+K = 317
+
+
+def _unit_amplitudes(seed, n=GRID.size):
+    """n seeded complex amplitudes with |f| <= 1."""
+    rng = np.random.default_rng(seed)
+    return np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
+
+
+def _unit_rows(seed, n=GRID.size, width=12):
+    """n seeded complex amplitude rows of unit norm."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, width)) + 1j * rng.normal(size=(n, width))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _names(k):
+    return re.escape(f"at t={GRID[k]}")
+
+
+class TestTimeGrid:
+    """Arrays over a time grid give, at each time, exactly one call at that time."""
+
+    @pytest.mark.parametrize("identical, xi, phi", [
+        (True, 0.5, 0.0), (True, 0.3, 1.0), (False, 0.5, 0.0), (False, 0.37, 2.4),
+    ])
+    def test_pair_matrix_and_impurity_equal_scalar_calls(self, identical, xi, phi):
+        f_aa = _unit_amplitudes(1)
+        f_bb = f_aa if identical else _unit_amplitudes(2)
+        spec = SuperpositionSpec(xi, phi)
+        m = reduced_pair_matrix(f_aa, f_bb, spec, GRID)
+        scalar = [reduced_pair_matrix(a, b, spec, t) for a, b, t in zip(f_aa, f_bb, GRID)]
+        for name in ("time", "p_ground", "p_b_excited", "p_a_excited", "coherence"):
+            assert np.array_equal(getattr(m, name), [getattr(s, name) for s in scalar])
+        assert np.array_equal(m.as_matrix(), [s.as_matrix() for s in scalar])
+        assert np.array_equal(impurity(m), [impurity(s) for s in scalar])
+        # the coherence is the complex product taken one time at a time
+        c = np.sqrt(xi * (1.0 - xi)) * np.exp(1j * spec.phi)
+        assert np.array_equal(m.coherence, [c * np.conj(a) * b for a, b in zip(f_aa, f_bb)])
+
+    def test_identical_atoms_at_zero_phase_have_real_coherence(self):
+        # at xi = 1/2, c = 1/2 scales exactly, so both products round alike
+        f = _unit_amplitudes(3)
+        m = reduced_pair_matrix(f, f, SuperpositionSpec(0.5, 0.0), GRID)
+        assert np.all(m.coherence.imag == 0.0)
+
+    def test_entropy_of_a_row_block_equals_row_by_row(self):
+        rows = _unit_rows(4)
+        spec = SuperpositionSpec(0.3, 0.9)
+        block = single_atom_reduced(rows, spec, GRID)
+        single = [single_atom_reduced(r, spec, t) for r, t in zip(rows, GRID)]
+        assert np.array_equal(block.row_norm_sq, [s.row_norm_sq for s in single])
+        assert np.array_equal(von_neumann_entropy(block),
+                              [von_neumann_entropy(s) for s in single])
+
+    def test_row_block_leaves_the_caller_array_writable(self):
+        rows = _unit_rows(5, n=3)
+        single_atom_reduced(rows, SuperpositionSpec(0.5), GRID[:3])
+        assert rows.flags.writeable
+
+
+class TestTimeGridInvariants:
+    """A defect at one time of a grid raises, naming that time."""
+
+    def test_oversized_amplitude(self):
+        f = _unit_amplitudes(6)
+        f[K] = 1.2
+        with pytest.raises(DomainError, match=_names(K)):
+            reduced_pair_matrix(_unit_amplitudes(7), f, SuperpositionSpec(0.4), GRID)
+
+    def test_trace_defect(self):
+        m = reduced_pair_matrix(_unit_amplitudes(8), _unit_amplitudes(9),
+                                SuperpositionSpec(0.4, 1.0), GRID)
+        p_both = np.zeros(GRID.size)
+        p_both[K] = 1e-7
+        with pytest.raises(InvariantViolation, match=_names(K)):
+            ReducedAtomPairMatrix(time=m.time, p_ground=m.p_ground,
+                                  p_b_excited=m.p_b_excited, p_a_excited=m.p_a_excited,
+                                  coherence=m.coherence, p_both=p_both)
+
+    def test_row_norm_defect(self):
+        rows = _unit_rows(10)
+        rows[K] *= 1.01
+        with pytest.raises(InvariantViolation, match=_names(K)):
+            single_atom_reduced(rows, SuperpositionSpec(0.5), GRID)
+
+    def test_scalar_inputs_still_raise(self):
+        with pytest.raises(DomainError, match="at t=2.0"):
+            reduced_pair_matrix(0.5, 1.2j, SuperpositionSpec(0.5), 2.0)
+        with pytest.raises(InvariantViolation, match="at t=3.0"):
+            single_atom_reduced(np.array([0.5, 0.5j]), SuperpositionSpec(0.5), 3.0)

@@ -1,9 +1,10 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from dressedcavity import coupling, dynamics
+from dressedcavity import bipartite, coupling, dynamics
 from dressedcavity.spectrum import newton_correction, solve_eigenfrequencies
 from dressedcavity.cli import (
     EXIT_INVARIANT,
@@ -13,6 +14,7 @@ from dressedcavity.cli import (
     RunConfig,
     main,
     parse_config_file,
+    write_csv,
 )
 
 
@@ -225,6 +227,55 @@ def test_one_phase_sum_per_atom(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(dynamics, "_phase_sum", counted)
     assert run(*argv, "--steps", "9", "--n-modes", "16", "--out", str(tmp_path)) == EXIT_OK
     assert len(calls) == 1
+
+
+def test_pair_writer_names_the_time_of_a_trace_defect(tmp_path, monkeypatch, capsys):
+    # a trace defect that slips past the matrix's own check, at one time of
+    # the grid, still stops the writer, which names that time
+    times, k = RunConfig(steps=11).time_grid(), 7
+    build = bipartite.reduced_pair_matrix
+
+    def defective(*args):
+        m = build(*args)
+        p_both = np.zeros(times.size)
+        p_both[k] = 1e-7
+        object.__setattr__(m, "p_both", p_both)
+        return m
+
+    monkeypatch.setattr(bipartite, "reduced_pair_matrix", defective)
+    rc = run("impurity", "--steps", "11", "--n-modes", "16", "--out", str(tmp_path))
+    assert rc == EXIT_INVARIANT
+    assert re.search(r"trace \S+ " + re.escape(f"at t={times[k]}"), capsys.readouterr().err)
+
+
+class TestWriteCsv:
+    """One printf template per file prints what format(float(v), '.17g') prints."""
+
+    @staticmethod
+    def _reference(header, rows):
+        lines = [",".join(header)]
+        lines += [",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row)
+                  for row in rows]
+        return "\n".join(lines) + "\n"
+
+    def test_numeric_table(self, tmp_path):
+        special = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, -1e-310,
+                            0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0, -7.0])
+        rng = np.random.default_rng(11)
+        # more rows than one printf block holds
+        n = 30_000
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        values[: special.size] = special
+        table = np.column_stack([np.arange(n), values, values[::-1]])
+        write_csv(tmp_path / "t.csv", ["i", "a", "b"], table)
+        assert (tmp_path / "t.csv").read_text() == self._reference(["i", "a", "b"], table)
+
+    def test_integer_and_string_columns(self, tmp_path):
+        rows = [(0, -0.0, "discrete-sum"), (1, float("nan"), "discrete-sum"),
+                (2, 5e-324, "x"), (3, float("-inf"), "x")]
+        table = np.array(rows, dtype=object)
+        write_csv(tmp_path / "t.csv", ["r", "v", "method"], table)
+        assert (tmp_path / "t.csv").read_text() == self._reference(["r", "v", "method"], rows)
 
 
 class TestMatrixDumpCommand:
