@@ -14,6 +14,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -370,29 +371,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; all subcommands share one flag set."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", help="flat key=value config file")
+    flags.add_argument("--omega-bar", type=float, dest="omega_bar")
+    flags.add_argument("--g", type=float)
+    flags.add_argument("--delta", type=float)
+    flags.add_argument("--radius", type=float)
+    flags.add_argument("--c", type=float)
+    flags.add_argument("--n-modes", type=int, dest="n_modes")
+    flags.add_argument("--xi", type=float)
+    flags.add_argument("--phi", type=float)
+    flags.add_argument("--regime", choices=_REGIMES)
+    flags.add_argument("--t-max", type=float, dest="t_max")
+    flags.add_argument("--steps", type=int)
+    flags.add_argument("--k-max", type=int, dest="k_max")
+    flags.add_argument("--mu")
+    flags.add_argument("--nu")
+    flags.add_argument("--out")
+    flags.add_argument("--svg", action="store_true", default=None)
     parser = _Parser(prog="dressed-cavity",
                      description="Dressed atoms in a reflecting spherical cavity")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--omega-bar", type=float, dest="omega_bar")
-        p.add_argument("--g", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--radius", type=float)
-        p.add_argument("--c", type=float)
-        p.add_argument("--n-modes", type=int, dest="n_modes")
-        p.add_argument("--xi", type=float)
-        p.add_argument("--phi", type=float)
-        p.add_argument("--regime", choices=_REGIMES)
-        p.add_argument("--t-max", type=float, dest="t_max")
-        p.add_argument("--steps", type=int)
-        p.add_argument("--k-max", type=int, dest="k_max")
-        p.add_argument("--mu")
-        p.add_argument("--nu")
-        p.add_argument("--out")
-        p.add_argument("--svg", action="store_true", default=None)
+        sub.add_parser(name, parents=[flags])
     return parser
 
 
@@ -404,12 +408,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if "radius" in file_vals and "delta" not in file_vals:
             cfg = replace(cfg, delta=None)
         cfg = replace(cfg, **file_vals)
-    overrides = {
-        name: getattr(args, name)
-        for name in ("omega_bar", "g", "delta", "radius", "c", "n_modes", "xi", "phi",
-                     "regime", "t_max", "steps", "k_max", "mu", "nu", "out", "svg")
-        if getattr(args, name, None) is not None
-    }
+    # every flag the parser defines but --config is a RunConfig field; unset ones are None
+    overrides = {name: value for name, value in vars(args).items()
+                 if name not in ("command", "config") and value is not None}
     if "radius" in overrides and "delta" not in overrides:
         cfg = replace(cfg, delta=None)
     cfg = replace(cfg, **overrides)

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivisionHazard, DomainError, NormalizationFailure, RegimeViolation
-from .spectrum import (
-    DELTA_THRESHOLD,
-    DressedAtomParams,
-    ModeSpectrum,
-    truncated_mode_sum,
-    truncated_mode_sum_sq,
-)
+from .spectrum import DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum, _slope
 
 __all__ = [
     "TransformMatrix",
@@ -106,7 +100,9 @@ def build_matrix(spectrum: ModeSpectrum) -> TransformMatrix:
 
     Columns are built from the eigenvector ratio and normalized explicitly,
     which keeps every column unit length and the rows orthonormal to the
-    accuracy of the supplied roots.
+    accuracy of the supplied roots.  Each gap omega_k^2 - Omega_r^2 is
+    formed from the root's offsets as ((k - m_r) - s_r)(k + m_r + s_r) dw^2,
+    so it keeps its digits where the root hugs omega_k.
     """
     params = spectrum.params
     n = params.n_modes
@@ -115,14 +111,16 @@ def build_matrix(spectrum: ModeSpectrum) -> TransformMatrix:
             f"n_modes={n} exceeds the dense-matrix cap {MATRIX_MODE_CAP}; "
             "use atom_weights() for large truncations"
         )
-    wk = spectrum.omegas
-    lam = spectrum.bigomegas**2
-    gap = wk[:, None] ** 2 - lam[None, :]
-    if np.any(np.abs(gap) < 1e-12 * wk[:, None] ** 2):
+    k = np.arange(1.0, n + 1)[:, None]
+    m, s = spectrum.asymptotes, spectrum.offsets
+    gap = k - m  # (omega_k^2 - Omega_r^2) / dw^2, in place
+    gap -= s
+    gap *= k + (m + s)
+    if np.any(np.abs(gap) < 1e-12 * k**2):
         raise DivisionHazard("a normal frequency collided with a bare-mode asymptote")
     raw = np.empty((n + 1, n + 1))
     raw[0, :] = 1.0
-    raw[1:, :] = params.eta * wk[:, None] / gap
+    raw[1:, :] = (params.eta / params.delta_omega) * k / gap
     norms = np.sqrt(np.sum(raw * raw, axis=0))
     if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
         raise NormalizationFailure("non-finite column encountered during assembly")
@@ -131,17 +129,14 @@ def build_matrix(spectrum: ModeSpectrum) -> TransformMatrix:
     return TransformMatrix(spectrum=spectrum, t=t, tail_deficit=tail)
 
 
-def atom_weights(spectrum: ModeSpectrum, method: str = "auto") -> np.ndarray:
+def atom_weights(spectrum: ModeSpectrum) -> np.ndarray:
     """(t_atom^r)^2 for every normal mode, without dense storage.
 
-    Uses sum_k omega_k^2/(omega_k^2 - lam)^2 = S(lam) + lam S2(lam) so the
-    weights stay O(1) per root even for very large truncations.
+    Uses sum_k omega_k^2/(omega_k^2 - lam)^2 = S(lam) + lam S2(lam), from
+    the roots' offsets, so the weights stay O(1) per root even for very
+    large truncations.
     """
-    params = spectrum.params
-    lam = spectrum.bigomegas**2
-    s = truncated_mode_sum(lam, params, method)
-    s2 = truncated_mode_sum_sq(lam, params, method)
-    return 1.0 / (1.0 + params.eta_sq * (s + lam * s2))
+    return 1.0 / _slope(spectrum.asymptotes, spectrum.offsets, spectrum.params)
 
 
 def approx_small_cavity_elements(params: DressedAtomParams, k_max: int) -> np.ndarray:

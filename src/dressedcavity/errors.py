@@ -8,9 +8,8 @@ class SimulationError(Exception):
 class ConvergenceFailure(SimulationError):
     """A root finder or iterative solver did not converge.
 
-    The secular solver raises it when a bracket shows no sign change, the
-    bisection uses up its step budget, LAPACK ``dlasd4`` returns a nonzero
-    ``info``, or a root fails the Newton check; ``interval_index`` is then
+    The secular solver raises it when the bisection uses up its step
+    budget or a root fails the Newton check; ``interval_index`` is then
     the root index r (0..N).  The Jacobi oracle raises it, without an
     index, when its sweeps or its eigenpair residual fall short.
     """

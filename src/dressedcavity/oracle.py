@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, InvariantViolation
-from .spectrum import DressedAtomParams, ModeSpectrum, field_frequencies
+from .spectrum import DressedAtomParams, field_frequencies
 
 __all__ = [
     "QuadraticForm",
@@ -29,7 +29,6 @@ __all__ = [
     "jacobi_eigh",
     "diagonalize",
     "oracle_amplitude",
-    "oracle_mode_spectrum",
     "run_cross_checks",
     "CheckRow",
 ]
@@ -184,13 +183,6 @@ def oracle_amplitude(decomp: OracleDecomposition, mu, nu, t: float) -> complex:
         raise ValueError(f"bad row labels {mu!r}, {nu!r}")
     phases = np.exp(-1j * decomp.omegas * t)
     return complex(np.sum(decomp.vectors[i, :] * decomp.vectors[j, :] * phases))
-
-
-def oracle_mode_spectrum(decomp: OracleDecomposition) -> ModeSpectrum:
-    """Package the oracle frequencies as a ModeSpectrum tagged "oracle"."""
-    params = decomp.form.params
-    return ModeSpectrum(params=params, omegas=field_frequencies(params),
-                        bigomegas=decomp.omegas, method="oracle")
 
 
 @dataclass(frozen=True)

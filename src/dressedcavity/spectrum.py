@@ -11,8 +11,10 @@ the secular equation
     omega_bar^2 - Omega^2 = eta^2 Omega^2 sum_{k=1..N} 1/(omega_k^2 - Omega^2),
 
 one root below the first bare frequency, one between each pair of
-consecutive bare frequencies, and one above the last.  In the
-infinite-mode limit the sum telescopes into a cotangent:
+consecutive bare frequencies, and one above the last.  Each root is
+solved for, and carried as, its signed offset from the nearer bare
+frequency, so a root that hugs its asymptote keeps every digit of its gap.
+In the infinite-mode limit the sum telescopes into a cotangent:
 
     cot(R Omega / c) = Omega/(2 g) + (c/(R Omega)) (1 - R omega_bar^2/(2 g c)),
 
@@ -27,10 +29,8 @@ are immutable and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dlasd4
 from scipy.special import digamma, polygamma
 
 from .errors import ConvergenceFailure, InvariantViolation, RegimeViolation
@@ -50,13 +50,11 @@ __all__ = [
     "truncated_mode_sum_sq",
 ]
 
-# Up to this mode count dlasd4 solves the inner roots and mode sums are
-# direct, O(N) per point; above it the O(1) cotangent/digamma closed form
-# and the vectorised bisection take over.
-_DIRECT_SUM_LIMIT = 2048
-
-# Step budget of the vectorised bisection: each step halves every bracket,
-# and about 55 steps take one mode spacing to 4 ulps of the root.
+# Step budget of the offset solve (:func:`_bisect`).  Steps are offset
+# halvings: a bisected root takes up to about 80 of them to bring the
+# domain's smallest offsets (s ~ 6e-9 at delta = 1e-3, N = 1e5) to 2 ulps
+# of s, and at most twice that where inverted splits alternate with
+# midpoints; an inner root whose inverted splits contract needs 4-15.
 _BISECT_STEPS = 200
 
 # Regime gate for the small-cavity expansion (delta << 1).
@@ -123,39 +121,38 @@ class DressedAtomParams:
         return 4.0 * self.g * self.delta_omega / np.pi
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class ModeSpectrum:
     """The N bare field frequencies plus the N+1 normal frequencies.
 
-    ``method`` records provenance: "exact-roots" (secular-equation solve),
-    "small-cavity-approx" (first order in delta) or "oracle" (matrix
-    diagonalization).
+    Root r is carried as the index m_r of its nearer bare frequency
+    (``asymptotes``; omega_0 = 0 for root 0, omega_N for the top root) and
+    its signed offset s_r from it in units of dw (``offsets``), which keeps
+    every digit of a gap omega_m - Omega_r that the float Omega_r loses.
+    ``omegas`` and ``bigomegas`` = (m_r + s_r) dw are derived from them.
+
+    ``method`` records provenance: "exact-roots" (secular-equation solve)
+    or "small-cavity-approx" (first order in delta).
     """
 
     params: DressedAtomParams
-    omegas: np.ndarray
-    bigomegas: np.ndarray
+    asymptotes: np.ndarray
+    offsets: np.ndarray
     method: str
+    omegas: np.ndarray = field(init=False)
+    bigomegas: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "omegas", _readonly(self.omegas))
-        object.__setattr__(self, "bigomegas", _readonly(self.bigomegas))
-        om, bo = self.omegas, self.bigomegas
+        m = np.asarray(self.asymptotes, dtype=np.int64)
+        s = np.asarray(self.offsets, dtype=float)
         n = self.params.n_modes
-        if om.shape != (n,) or bo.shape != (n + 1,):
+        if m.shape != (n + 1,) or s.shape != (n + 1,):
             raise InvariantViolation(
-                f"expected {n} bare and {n + 1} normal frequencies, "
-                f"got {om.shape} and {bo.shape}"
-            )
-        ladder = self.params.delta_omega * np.arange(1, n + 1)
-        if not np.allclose(om, ladder, rtol=1e-12, atol=0.0):
-            raise InvariantViolation("bare frequencies must be k pi c / R")
+                f"expected {n + 1} asymptotes and offsets, got {m.shape} and {s.shape}")
+        om, bo = field_frequencies(self.params), _omega(m, s, self.params)[0]
+        for name, value in (("asymptotes", m), ("offsets", s), ("omegas", om), ("bigomegas", bo)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         if not np.all(bo > 0):
             raise InvariantViolation("normal frequencies must all be positive")
         if np.any(np.diff(bo) <= 0):
@@ -180,85 +177,106 @@ def field_frequencies(params: DressedAtomParams) -> np.ndarray:
 # S(lam)  = sum_{k=1..N} 1/(omega_k^2 - lam)
 # S2(lam) = sum_{k=1..N} 1/(omega_k^2 - lam)^2 = dS/dlam
 #
-# evaluated either directly (exact, O(N)) or through the closed form
+# at Omega = (m + s) dw = u dw, m the nearer bare frequency's index and s
+# the signed offset from it.  Inside (omega_1, omega_N) they come from the
+# O(1) closed form
 #   sum_{k>=1} 1/(k^2 - u^2) = 1/(2u^2) - (pi/2u) cot(pi u)
 # minus the digamma tail sum_{k>N} 1/(k^2 - u^2) = [psi(N+1+u)-psi(N+1-u)]/(2u),
-# which is O(1) per point and agrees with the direct sum to ~1e-13.
+# where cot(pi u) = cot(pi s) keeps the digits of a small offset that u
+# loses.  Outside, the closed form cancels (below omega_1) or has spurious
+# poles (above omega_N), and the N terms, all of one sign, are summed over
+# the factored gaps omega_k^2 - Omega^2 = ((k - m) - s)(k + u) dw^2.
 
-def _mode_sum_closed(lam, n, dw):
-    u = np.sqrt(lam) / dw
-    with np.errstate(divide="ignore", invalid="ignore"):
-        full = 0.5 / (u * u) - np.pi / (2.0 * u * np.tan(np.pi * u))
-    tail = (digamma(n + 1 + u) - digamma(n + 1 - u)) / (2.0 * u)
-    return (full - tail) / dw**2
-
-
-def _mode_sum_sq_closed(lam, n, dw):
-    lam = np.asarray(lam, dtype=float)
-    u = np.sqrt(lam) / dw
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cot = 1.0 / np.tan(np.pi * u)
-    dsig = (
-        -1.0 / u**3
-        + (np.pi / (2.0 * u * u)) * cot
-        + (np.pi**2 / (2.0 * u)) * (1.0 + cot * cot)
-        + (digamma(n + 1 + u) - digamma(n + 1 - u)) / (2.0 * u * u)
-        - (polygamma(1, n + 1 + u) + polygamma(1, n + 1 - u)) / (2.0 * u)
-    )
-    return dsig / (2.0 * dw**4 * u)
+def _closed_sum(m, s, n, power):
+    c = np.pi / np.tan(np.pi * s)  # pi cot(pi u) = pi cot(pi s)
+    u = m + s
+    p = c + digamma(n + 1 + u) - digamma((n + 1 - m) - s)
+    if power == 1:
+        return (0.5 / u - 0.5 * p) / u
+    dp = c * c + np.pi**2 - polygamma(1, n + 1 + u) - polygamma(1, (n + 1 - m) - s)
+    return ((0.5 * p - 1.0 / u) / u + 0.5 * dp) / (2.0 * u * u)
 
 
-def _direct_sum(lam, wk2, power):
-    lam = np.asarray(lam, dtype=float)
-    flat = np.atleast_1d(lam).ravel()
-    out = np.empty(flat.shape)
-    step = max(1, 2**24 // wk2.size)  # keep the broadcast under ~128 MB
-    for s in range(0, flat.size, step):
-        e = min(s + step, flat.size)
-        out[s:e] = np.sum(1.0 / (wk2 - flat[s:e, None]) ** power, axis=-1)
-    return out.reshape(lam.shape) if lam.ndim else out[0]
+def _direct_sum(m, s, n, power):
+    k = np.arange(1.0, n + 1)
+    out = np.empty(m.shape)
+    block = max(1, 2**15 // n)  # points at a time: keeps the work array in cache
+    for i in range(0, m.size, block):
+        mi, si = m[i:i + block, None], s[i:i + block, None]
+        gap = k - mi
+        gap -= si
+        gap *= k + (mi + si)
+        inv = np.reciprocal(gap, out=gap)
+        out[i:i + block] = (inv if power == 1 else inv * inv).sum(axis=-1)
+    return out
 
 
-def _mode_sum(lam, params: DressedAtomParams, method: str, power: int):
-    n, dw = params.n_modes, params.delta_omega
-    if method == "direct" or (method == "auto" and n <= _DIRECT_SUM_LIMIT):
-        return _direct_sum(lam, field_frequencies(params) ** 2, power)
-    closed = _mode_sum_closed if power == 1 else _mode_sum_sq_closed
-    # The closed form cancels below omega_1 and has spurious poles above
-    # omega_N.  Sum directly there: all N terms share one sign, so the direct
-    # sum is accurate.
-    lam = np.asarray(lam, dtype=float)
-    outside = (lam < dw**2) | (lam > (n * dw) ** 2)
-    if not np.any(outside):
-        return closed(lam, n, dw)
-    out = np.empty(lam.shape)
-    out[~outside] = closed(lam[~outside], n, dw)
-    out[outside] = _direct_sum(lam[outside], field_frequencies(params) ** 2, power)
-    return out[()]
+def _mode_sum(m, s, params: DressedAtomParams, power: int):
+    """S (power 1) or S2 (power 2) at Omega = (m + s) dw."""
+    n = params.n_modes
+    u = m + s
+    inside = (u >= 1.0) & (u <= n)
+    if inside.all():
+        out = _closed_sum(m, s, n, power)
+    else:
+        out = np.empty(u.shape)
+        out[~inside] = _direct_sum(m[~inside], s[~inside], n, power)
+        if inside.any():
+            out[inside] = _closed_sum(m[inside], s[inside], n, power)
+    return out[()] / params.delta_omega ** (2 * power)
 
 
-def truncated_mode_sum(lam, params: DressedAtomParams, method: str = "auto"):
+def _offsets(omega, params: DressedAtomParams):
+    """(m, s) of frequencies given as floats: the nearest bare-frequency index and the offset."""
+    u = np.asarray(omega, dtype=float) / params.delta_omega
+    m = np.rint(u)
+    return m, u - m
+
+
+def _omega(m, s, params: DressedAtomParams):
+    """(Omega, omega_bar - Omega) at Omega = (m + s) dw, each rounded once:
+    dw is split into a 36-bit head and its tail (Veltkamp), so m * head is
+    exact for m < 2^17, and the detuning keeps its digits near omega_bar."""
+    dw = params.delta_omega
+    head = 131073.0 * dw
+    head -= head - dw
+    rest = m * (dw - head) + s * dw
+    return m * head + rest, (params.omega_bar - m * head) - rest
+
+
+def _secular(m, s, params: DressedAtomParams):
+    """F(lam) = omega_bar^2 - lam - eta^2 lam S(lam) at Omega = (m + s) dw."""
+    om, detuning = _omega(m, s, params)
+    return detuning * (params.omega_bar + om) - params.eta_sq * om * om * _mode_sum(m, s, params, 1)
+
+
+def _slope(m, s, params: DressedAtomParams):
+    """|dF/dlam| = 1 + eta^2 (S + lam S2) = 1 + eta^2 sum_k omega_k^2/(omega_k^2 - lam)^2
+    at Omega = (m + s) dw; at a root it is 1/(t_atom^r)^2."""
+    om = _omega(m, s, params)[0]
+    return 1.0 + params.eta_sq * (_mode_sum(m, s, params, 1) + om * om * _mode_sum(m, s, params, 2))
+
+
+def truncated_mode_sum(lam, params: DressedAtomParams):
     """sum_{k=1..N} 1/(omega_k^2 - lam) for scalar or array lam [time^2]."""
-    return _mode_sum(lam, params, method, 1)
+    return _mode_sum(*_offsets(np.sqrt(lam), params), params, 1)
 
 
-def truncated_mode_sum_sq(lam, params: DressedAtomParams, method: str = "auto"):
+def truncated_mode_sum_sq(lam, params: DressedAtomParams):
     """sum_{k=1..N} 1/(omega_k^2 - lam)^2 for scalar or array lam."""
-    return _mode_sum(lam, params, method, 2)
+    return _mode_sum(*_offsets(np.sqrt(lam), params), params, 2)
 
 
-def secular_residual(omega, params: DressedAtomParams, method: str = "auto"):
+def secular_residual(omega, params: DressedAtomParams):
     """Defining-equation residual F(Omega^2) at frequency omega.
 
     F(lam) = omega_bar^2 - lam - eta^2 lam S(lam); F is strictly decreasing
     in lam between consecutive asymptotes, so each bracket holds one root.
     """
-    lam = np.asarray(omega, dtype=float) ** 2
-    s = truncated_mode_sum(lam, params, method)
-    return params.omega_bar**2 - lam - params.eta_sq * lam * s
+    return _secular(*_offsets(omega, params), params)
 
 
-def newton_correction(omega, params: DressedAtomParams, method: str = "auto"):
+def newton_correction(omega, params: DressedAtomParams):
     """Relative Newton correction |F/F'| / Omega^2, with |F'| = 1 + eta^2 (S + lam S2).
 
     dF/dlam = -(1 + eta^2 (S + lam S2)), and at a root 1/|F'| is its atom
@@ -266,11 +284,9 @@ def newton_correction(omega, params: DressedAtomParams, method: str = "auto"):
     correction stays meaningful at a root that hugs its asymptote, where the
     root's last ulp sets F.
     """
-    lam = np.asarray(omega, dtype=float) ** 2
-    s = truncated_mode_sum(lam, params, method)
-    residual = params.omega_bar**2 - lam - params.eta_sq * lam * s
-    slope = 1.0 + params.eta_sq * (s + lam * truncated_mode_sum_sq(lam, params, method))
-    return np.abs(residual) / (slope * lam)
+    m, s = _offsets(omega, params)
+    om = _omega(m, s, params)[0]
+    return np.abs(_secular(m, s, params)) / (_slope(m, s, params) * om * om)
 
 
 def cotangent_curves(omega, params: DressedAtomParams):
@@ -310,96 +326,81 @@ def _upper_bound(params: DressedAtomParams) -> float:
     return max(atom_row, mode_rows) + 1.0
 
 
-def _bisect_brackets(f, lo: np.ndarray, hi: np.ndarray, dw: float) -> np.ndarray:
-    """Bisect every bracket (lo, hi) at once; ``f`` must accept frequency arrays.
+def _bisect(params: DressedAtomParams, roots, m, a, b) -> np.ndarray:
+    """Offsets of ``roots`` from asymptotes ``m``, found all at once in
+    brackets (a, b) with F(a) > 0 > F(b); a failure names a root left over.
 
-    F diverges to +inf at the lower asymptote and -inf at the upper one, so
-    an offset pair that fails to straddle the root has simply overshot it;
-    the offset shrinks geometrically until the signs differ.  Bracket r
-    starts at omega_r = r dw (omega_0 = 0), so ``lo`` names the root a
-    failure reports.
+    Each step evaluates F at one split per root and keeps the part of the
+    bracket with the sign change.  Where the closed form holds,
+    F = (eta^2 u / 2)(pi cot(pi s) - H(u)) with H smooth, and the split is
+    the offset where pi cot(pi s) meets H as it stood at the last split,
+    while that lies in the bracket and moves at most half as far as the
+    step before; otherwise, and for the outer roots, it is the midpoint.
+    There dH/du > -3.1 (the digamma tail rises by less than psi'(1) +
+    psi'(3) < 2.1 per unit of u, the rest falls by at most 1), so that map
+    has slope below 1/3 and the root lies within one step of any split: a
+    root is done once its split moves by at most 2 ulps of the offset.
     """
-    def fail(bad: np.ndarray, what: str):
-        r = int(round(lo[int(np.argmax(bad))] / dw))
-        raise ConvergenceFailure(f"{what} in bracket {r}", interval_index=r)
-
-    eps = np.full(lo.shape, 1e-9 * dw)
-    floor = 8.0 * np.finfo(float).eps * hi
-    for _ in range(64):
-        a = lo + eps
-        b = hi - eps
-        ok = (a < b) & (f(a) > 0.0) & (f(b) < 0.0)
-        if ok.all():
-            break
-        eps = np.where(ok, eps, 0.1 * eps)
-        if np.any(~ok & (eps < floor)):
-            fail(~ok & (eps < floor), "no sign change found")
-    else:
-        fail(~ok, "no sign change found")
+    tol = 2.0 * np.finfo(float).eps
+    # the inverted split needs the closed form: every bracket in [omega_1, omega_N]
+    guided = bool(np.all((m + a >= 1.0) & (m + b <= params.n_modes)))
+    s = np.empty(a.shape)
+    live = np.arange(a.size)
+    x = 0.5 * (a + b)
+    step = np.full(a.shape, np.inf)
     for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (a + b)
-        below = f(mid) < 0.0
-        b = np.where(below, mid, b)
-        a = np.where(below, a, mid)
-        wide = b - a > 4.0 * np.finfo(float).eps * b
-        if not wide.any():
-            return 0.5 * (a + b)
-    fail(wide, f"bisection not converged after {_BISECT_STEPS} steps")
+        f = _secular(m, x, params)
+        np.copyto(a, x, where=f > 0.0)
+        np.copyto(b, x, where=f < 0.0)
+        split = 0.5 * (a + b)
+        if guided:
+            h = np.pi / np.tan(np.pi * x) - 2.0 * f / (params.eta_sq * (m + x))
+            g = np.arctan(np.pi / h) / np.pi
+            np.copyto(split, g, where=(a <= g) & (g <= b) & (np.abs(g - x) <= 0.5 * step))
+        step = np.abs(split - x)
+        done = step <= tol * np.abs(split)
+        if done.any():
+            s[live[done]] = split[done]
+            live, m, a, b, split, step = (v[~done] for v in (live, m, a, b, split, step))
+        if not live.size:
+            return s
+        x = split
+    r = int(roots[live[0]])
+    raise ConvergenceFailure(f"root {r} not converged after {_BISECT_STEPS} steps",
+                             interval_index=r)
 
 
-def solve_eigenfrequencies(params: DressedAtomParams, *,
-                           method: str = "auto") -> ModeSpectrum:
+def solve_eigenfrequencies(params: DressedAtomParams) -> ModeSpectrum:
     """Solve the secular equation for all N+1 normal frequencies.
 
-    Each root is bracketed between consecutive bare-mode asymptotes
-    (the lowest in (0, omega_1), the highest between omega_N and a
-    Gershgorin bound).  The two outer roots are bisected on the direct
-    mode sum.  For N <= 2048 the N-1 inner roots come from LAPACK
-    ``dlasd4`` (R.-C. Li, LAWN 89), which solves F(lam)/(-lam) =
-    1 + omega_bar^2/(0 - lam) + eta^2 sum_k 1/(omega_k^2 - lam) = 0;
-    above that they are bisected all at once on the cotangent/digamma
-    closed form.  After refinement the relative Newton correction
-    (:func:`newton_correction`) must fall below 1e-10 at every root.
-    Any failure raises :class:`ConvergenceFailure` naming the root.
+    Root r lies between omega_r and omega_r+1 (omega_0 = 0; the top root
+    between omega_N and a Gershgorin bound) and is solved for as its offset
+    from the nearer end: F < 0 at the bracket midpoint puts it in (0, 1/2]
+    dw above omega_r, otherwise in [-1/2, 0) dw below omega_r+1.  The N-1
+    inner roots are found together on the cotangent/digamma closed form, the
+    two outer roots bisected together on the direct sum (:func:`_bisect`).
+    Every root must then pass the 1e-10 Newton check (:func:`newton_correction`);
+    any failure raises :class:`ConvergenceFailure` naming the root.
     """
     n, dw = params.n_modes, params.delta_omega
-    wk = field_frequencies(params)
-    use_closed = method == "closed" or (method == "auto" and n > _DIRECT_SUM_LIMIT)
+    lower = np.arange(float(n))
+    below = _secular(lower, np.full(n, 0.5), params) < 0.0
+    m = np.append(np.where(below, lower, lower + 1), n)
+    a = np.append(np.where(below, 0.0, -0.5), 0.0)
+    b = np.append(np.where(below, 0.5, 0.0), np.sqrt(_upper_bound(params)) / dw - n)
+    s = np.empty(n + 1)
+    inner, outer = np.arange(1, n), np.array([0, n])
+    s[inner] = _bisect(params, inner, m[inner], a[inner], b[inner])
+    s[outer] = _bisect(params, outer, m[outer], a[outer], b[outer])
 
-    def secular(mode_sum):
-        def f(om):
-            lam = om * om
-            return params.omega_bar**2 - lam - params.eta_sq * lam * mode_sum(lam)
-        return f
-
-    roots = np.empty(n + 1)
-    # The closed form cancels below omega_1 and has spurious poles above
-    # omega_N, and dlasd4's N-scaled stopping test loses ulps on the
-    # atom-like top root: the outer brackets always use the direct sum.
-    top = np.sqrt(_upper_bound(params))
-    roots[[0, n]] = _bisect_brackets(secular(partial(_direct_sum, wk2=wk * wk, power=1)),
-                                     np.array([0.0, wk[-1]]), np.array([wk[0], top]), dw)
-    if use_closed:
-        roots[1:n] = _bisect_brackets(secular(partial(_mode_sum_closed, n=n, dw=dw)),
-                                      wk[:-1], wk[1:], dw)
-    else:
-        rho = params.omega_bar**2 + n * params.eta_sq
-        d = np.concatenate(([0.0], wk))
-        z = np.sqrt(np.concatenate(([params.omega_bar**2], np.full(n, params.eta_sq))) / rho)
-        for r in range(1, n):
-            _, roots[r], _, info = dlasd4(r, d, z, rho)
-            if info != 0:
-                raise ConvergenceFailure(f"dlasd4 returned info={info} for root {r}",
-                                         interval_index=r)
-
-    newton_rel = newton_correction(roots, params, "closed" if use_closed else "direct")
+    newton_rel = newton_correction(_omega(m, s, params)[0], params)
     if np.any(newton_rel > _RESIDUAL_TOL):
         bad = int(np.argmax(newton_rel))
         raise ConvergenceFailure(
             f"root {bad} residual {newton_rel[bad]:.3e} exceeds {_RESIDUAL_TOL:.1e}",
             interval_index=bad,
         )
-    return ModeSpectrum(params=params, omegas=wk, bigomegas=roots, method="exact-roots")
+    return ModeSpectrum(params=params, asymptotes=m, offsets=s, method="exact-roots")
 
 
 def first_order_frequencies(params: DressedAtomParams, k_max: int) -> np.ndarray:
@@ -415,12 +416,15 @@ def first_order_frequencies(params: DressedAtomParams, k_max: int) -> np.ndarray
 
 
 def approx_small_cavity_spectrum(params: DressedAtomParams) -> ModeSpectrum:
-    """:func:`first_order_frequencies` for all N+1 modes, for delta < DELTA_THRESHOLD."""
+    """:func:`first_order_frequencies` for all N+1 modes, for delta < DELTA_THRESHOLD:
+    root k >= 1 sits 2 delta / (pi k) dw above omega_k."""
     if params.delta >= DELTA_THRESHOLD:
         raise RegimeViolation(
             f"small-cavity expansion needs delta < {DELTA_THRESHOLD}, "
             f"got delta = {params.delta:.4g}"
         )
-    return ModeSpectrum(params=params, omegas=field_frequencies(params),
-                        bigomegas=first_order_frequencies(params, params.n_modes),
+    n, d = params.n_modes, params.delta
+    root0 = first_order_frequencies(params, 0)[0] / params.delta_omega
+    return ModeSpectrum(params=params, asymptotes=np.arange(n + 1),
+                        offsets=np.append(root0, 2.0 * d / (np.pi * np.arange(1, n + 1))),
                         method="small-cavity-approx")

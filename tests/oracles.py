@@ -1,14 +1,16 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here deliberately avoids the package's own evaluation paths:
-plain trapezoid grids, closed-form 2x2 eigenpairs, direct formula
-evaluation.  Expected constants in the test modules were produced by these
-functions and are frozen alongside the tolerances they were computed at.
+plain trapezoid grids, closed-form 2x2 eigenpairs, LAPACK's secular
+solver, direct formula evaluation.  Expected constants in the test modules
+were produced by these functions and are frozen alongside the tolerances
+they were computed at.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dlasd4
 
 
 def lorentzian_weight(x, omega_bar, g):
@@ -59,6 +61,28 @@ def eig_sym_2x2(a, b, d):
             v = -v
         vecs.append(v)
     return lam, np.column_stack(vecs)
+
+
+def dlasd4_inner_roots(omega_bar, eta_sq, wk):
+    """Inner secular roots Omega_1 .. Omega_{N-1} from LAPACK ``dlasd4``.
+
+    R.-C. Li, *Solving secular equations stably and efficiently*, LAPACK
+    Working Note 89 (1993).  F(lam) / (-lam) = 1 + omega_bar^2/(0 - lam)
+    + eta^2 sum_k 1/(omega_k^2 - lam) is the singular-value secular
+    equation with poles d = (0, omega_1 .. omega_N) and rho = omega_bar^2 +
+    N eta^2, so the roots come from a solver that shares no code with the
+    package.  One call per root, O(N) each: meant for N up to a few thousand.
+    """
+    n = wk.size
+    rho = omega_bar**2 + n * eta_sq
+    d = np.concatenate(([0.0], wk))
+    z = np.sqrt(np.concatenate(([omega_bar**2], np.full(n, eta_sq))) / rho)
+    roots = np.empty(n - 1)
+    for r in range(1, n):
+        _, roots[r - 1], _, info = dlasd4(r, d, z, rho)
+        if info != 0:
+            raise RuntimeError(f"dlasd4 returned info={info} for root {r}")
+    return roots
 
 
 def single_atom_dense_matrix(row, xi):

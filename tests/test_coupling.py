@@ -26,6 +26,16 @@ T2_SQ_APPROX = 0.026318793415373427
 # (40-digit mpmath at the exact root of the float64 parameters)
 W0_FROZEN = 0.9979104047910538937889807
 
+# eigenvector ratio t_k^N / t_atom^N of the top root at omega_bar=1, g=0.5,
+# delta=1.2e-3, N=94 (40-digit mpmath at the exact root, float64 dw, eta and
+# eta^2, omega_k = k dw), keyed by k
+TOP_COLUMN_RATIO_FROZEN = {
+    1: -0.000004424243824806823598120624,
+    47: -0.0002772212194314452744331572,
+    93: -0.01943942773208443963808683,
+    94: -2404.704399609044415709321,
+}
+
 
 class TestAtomElement:
     def test_collapses_at_atom_frequency(self, fig_params):
@@ -78,12 +88,21 @@ class TestFieldElement:
     def test_division_hazard(self):
         # root 2 within 1e-13 relative above its asymptote omega_2
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=4)
-        wk = field_frequencies(p)
-        roots = np.concatenate(([0.5 * wk[0]], 0.5 * (wk[:-1] + wk[1:]), [wk[-1] + 1.0]))
-        roots[2] = wk[1] * (1 + 1e-13)
-        spec = ModeSpectrum(params=p, omegas=wk, bigomegas=roots, method="exact-roots")
+        offsets = np.array([0.5, 0.5, 2e-13, 0.5, 0.2])
+        spec = ModeSpectrum(params=p, asymptotes=[0, 1, 2, 3, 4], offsets=offsets,
+                            method="exact-roots")
         with pytest.raises(DivisionHazard):
             build_matrix(spec)
+
+    def test_top_column_matches_high_precision_ratio(self):
+        # the top root sits 8.1e-6 dw above omega_N; each element of its
+        # column is eta omega_k / (omega_k^2 - Omega_N^2) times the atom element
+        p = DressedAtomParams.from_delta(1.0, 0.5, 1.2e-3, n_modes=94)
+        tm = build_matrix(solve_eigenfrequencies(p))
+        k = np.array(list(TOP_COLUMN_RATIO_FROZEN))
+        ratio = tm.t[k, -1] / tm.t[0, -1]
+        ref = np.array(list(TOP_COLUMN_RATIO_FROZEN.values()))
+        assert np.max(np.abs(ratio / ref - 1.0)) <= 1e-13
 
     def test_first_order_value(self, fig_spectrum, fig_matrix):
         got = fig_matrix.t[1, 0] ** 2
@@ -143,9 +162,11 @@ class TestAtomWeights:
     def test_closed_form_path(self):
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=300)
         spec = solve_eigenfrequencies(p)
-        direct = atom_weights(spec, "direct")
-        closed = atom_weights(spec, "closed")
-        assert closed == pytest.approx(direct, rel=1e-10)
+        k = np.arange(1, 301)[:, None]
+        m, s = spec.asymptotes, spec.offsets
+        gap = ((k - m) - s) * ((k + m) + s)  # (omega_k^2 - Omega_r^2) / dw^2
+        direct = 1.0 / (1.0 + p.eta_sq / p.delta_omega**2 * np.sum(k**2 / gap**2, axis=0))
+        assert atom_weights(spec) == pytest.approx(direct, rel=1e-10)
 
     @pytest.mark.parametrize("n, g, delta", [(3000, 0.01, 1000.0),
                                              (20_000, 0.05, 1000.0),

@@ -128,10 +128,7 @@ class TestDiscreteSum:
     @pytest.mark.parametrize("delta, n_modes", [
         (0.1, 200),
         (1e3, 4096),
-        pytest.param(1e-3, 4096, marks=pytest.mark.xfail(strict=True, reason=(
-            "the weights of roots that hug their asymptotes lose digits to the "
-            "cancellation in omega_k^2 - Omega^2; sum(w) - 1 = -1.9e-14 is already "
-            "the error at t = 0, and the trace is 4.9e-14 off"))),
+        (1e-3, 4096),
     ])
     def test_survival_matches_high_precision_reference(self, delta, n_modes):
         p = DressedAtomParams.from_delta(OMEGA_BAR, G, delta, n_modes=n_modes)

@@ -13,6 +13,7 @@ from dressedcavity import (
 )
 from dressedcavity import spectrum
 from dressedcavity.spectrum import newton_correction, truncated_mode_sum, truncated_mode_sum_sq
+from oracles import dlasd4_inner_roots
 
 # frozen first-order values at delta=0.1, g=0.5, omega_bar=1 (direct evaluation)
 OM0_APPROX = 0.8952802448803402
@@ -23,6 +24,25 @@ OM2_APPROX = 10.159154943091895
 # of the secular equation with the float64 parameters); the top root lies far
 # above omega_N = 0.2048
 OUTER_ROOTS_FROZEN = (9.999993633802215751631611e-05, 1.001321588626786555067333)
+
+# inner roots at omega_bar=5.566964054792819, g=0.10780328649942257,
+# delta=3.4813356203742436, N=589 (40-digit mpmath roots of the secular
+# equation with the float64 dw, eta^2 and omega_bar^2 and omega_k = k dw),
+# keyed by root index; LAPACK dlasd4 puts root 180 5.2 ulps off
+INNER_ROOTS_FROZEN = {
+    1: 0.06192789481475333676507794,
+    2: 0.0928918412442378560333899,
+    3: 0.123855786499579827213501,
+    10: 0.3406033372887912552654331,
+    50: 1.579151937521780724932665,
+    100: 3.127261027463212212513579,
+    180: 5.589304853881028595093362,
+    300: 9.290182763959314524550695,
+    450: 13.93491562378594042589735,
+    516: 15.97864610632854269120239,
+    587: 18.17721616168693894347587,
+    588: 18.20818223762620883567789,
+}
 
 
 class TestParams:
@@ -114,22 +134,37 @@ class TestSolve:
         assert res[1600] < 1e-4
 
     def test_closed_form_evaluator_matches_direct(self):
+        # lam below omega_1, inside (omega_1, omega_N) and above omega_N
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.3, n_modes=120)
-        lam = np.array([0.37, 3.1, 26.0, 311.7, 4001.0])
-        s_direct = truncated_mode_sum(lam, p, "direct")
-        s_closed = truncated_mode_sum(lam, p, "closed")
-        assert s_closed == pytest.approx(s_direct, rel=1e-11)
-        s2_direct = truncated_mode_sum_sq(lam, p, "direct")
-        s2_closed = truncated_mode_sum_sq(lam, p, "closed")
-        assert s2_closed == pytest.approx(s2_direct, rel=1e-11)
+        lam = np.array([0.37, 3.1, 26.0, 311.7, 4001.0, 52000.0])
+        gaps = field_frequencies(p)[None, :] ** 2 - lam[:, None]
+        assert truncated_mode_sum(lam, p) == pytest.approx(np.sum(1.0 / gaps, axis=1), rel=1e-11)
+        assert truncated_mode_sum_sq(lam, p) == pytest.approx(
+            np.sum(1.0 / gaps**2, axis=1), rel=1e-11)
 
     def test_closed_form_solver_matches_direct_solver(self):
-        # 2048 is the largest N the automatic choice sends to dlasd4
         for n in (150, 2048):
             p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=n)
-            direct = solve_eigenfrequencies(p, method="direct").bigomegas
-            closed = solve_eigenfrequencies(p, method="closed").bigomegas
-            assert closed == pytest.approx(direct, rel=1e-12)
+            roots = solve_eigenfrequencies(p).bigomegas[1:-1]
+            lapack = dlasd4_inner_roots(p.omega_bar, p.eta_sq, field_frequencies(p))
+            assert roots == pytest.approx(lapack, rel=1e-12)
+
+    def test_inner_roots_match_high_precision_reference(self):
+        p = DressedAtomParams.from_delta(5.566964054792819, 0.10780328649942257,
+                                         3.4813356203742436, n_modes=589)
+        roots = solve_eigenfrequencies(p).bigomegas
+        idx = np.array(list(INNER_ROOTS_FROZEN))
+        ref = np.array(list(INNER_ROOTS_FROZEN.values()))
+        assert np.all(np.abs(roots[idx] - ref) <= 2 * np.spacing(ref))
+
+    def test_offsets_carry_the_roots(self, fig_spectrum):
+        # Omega_r = (m_r + s_r) dw, m_r the nearer bare frequency (0 for root 0
+        # here, N for the top root)
+        m, s = fig_spectrum.asymptotes, fig_spectrum.offsets
+        bo = fig_spectrum.bigomegas
+        assert m[0] == 0 and m[-1] == fig_spectrum.params.n_modes
+        assert np.all(np.abs(s[:-1]) <= 0.5)
+        assert np.all(np.abs(bo - (m + s) * fig_spectrum.params.delta_omega) <= 2 * np.spacing(bo))
 
     def test_outer_roots_match_high_precision_reference(self):
         p = DressedAtomParams.from_delta(1.0, 0.01, 100.0, n_modes=2048)
@@ -144,25 +179,23 @@ class TestSolve:
         assert spec.bigomegas.size == 10_001
 
     def test_convergence_failure_reports_interval(self, fig_params, monkeypatch):
-        lapack_dlasd4 = spectrum.dlasd4
+        def correction_failing_at_root_7(omega, params):
+            rel = newton_correction(omega, params)
+            rel[7] = 1.0
+            return rel
 
-        def dlasd4_failing_at_root_7(i, d, z, rho):
-            delta, sigma, work, info = lapack_dlasd4(i, d, z, rho)
-            return delta, sigma, work, 1 if i == 7 else info
-
-        monkeypatch.setattr(spectrum, "dlasd4", dlasd4_failing_at_root_7)
+        monkeypatch.setattr(spectrum, "newton_correction", correction_failing_at_root_7)
         with pytest.raises(ConvergenceFailure) as err:
             solve_eigenfrequencies(fig_params)
         assert err.value.interval_index == 7
 
     def test_bisection_step_budget_reports_root(self, monkeypatch):
+        # roots 5..9 sit in the lower halves of their gaps, offsets (0, 1/2)
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=3000)
-        wk = field_frequencies(p)
-        monkeypatch.setattr(spectrum, "_BISECT_STEPS", 3)
+        roots = np.arange(5, 10)
+        monkeypatch.setattr(spectrum, "_BISECT_STEPS", 1)
         with pytest.raises(ConvergenceFailure) as err:
-            # brackets (omega_5, omega_6) .. (omega_9, omega_10) hold roots 5..9
-            spectrum._bisect_brackets(lambda om: secular_residual(om, p, "closed"),
-                                      wk[4:9], wk[5:10], p.delta_omega)
+            spectrum._bisect(p, roots, roots.astype(float), np.zeros(5), np.full(5, 0.5))
         assert err.value.interval_index == 5
 
 
