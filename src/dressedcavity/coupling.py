@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivisionHazard, DomainError, NormalizationFailure, RegimeViolation
-from .spectrum import DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum, _slope
+from .spectrum import DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum
 
 __all__ = [
     "TransformMatrix",
@@ -132,11 +132,12 @@ def build_matrix(spectrum: ModeSpectrum) -> TransformMatrix:
 def atom_weights(spectrum: ModeSpectrum) -> np.ndarray:
     """(t_atom^r)^2 for every normal mode, without dense storage.
 
-    Uses sum_k omega_k^2/(omega_k^2 - lam)^2 = S(lam) + lam S2(lam), from
-    the roots' offsets, so the weights stay O(1) per root even for very
-    large truncations.
+    A writable copy of ``spectrum.weights``, which the spectrum derives once
+    from the roots' offsets as 1 / (1 + eta^2 (S + lam S2)), with
+    S + lam S2 = sum_k omega_k^2/(omega_k^2 - lam)^2: O(1) per root even
+    for very large truncations.
     """
-    return 1.0 / _slope(spectrum.asymptotes, spectrum.offsets, spectrum.params)
+    return spectrum.weights.copy()
 
 
 def approx_small_cavity_elements(params: DressedAtomParams, k_max: int) -> np.ndarray:

@@ -9,11 +9,13 @@ an exact finite sum over normal modes ("discrete-sum" route).  It and the
 small-cavity series share one kernel, ``_phase_sum``, for sum_r w_r
 exp(-i Omega_r t).  On a uniform grid of T times it writes t_j =
 coarse[j // b] + fine[j % b] with b = floor(sqrt(T)), so each mode needs
-about 2 sqrt(T) complex exponentials, whose products give all T phases; a
-grid the split does not rebuild to a few ulps (non-uniform, a scalar,
-T < 4) takes b = 1, the plain sum.  It sums blocks of at most 2^22 phases
-(64 MB), so memory does not grow with the mode count.  Two analytic
-companions cover the limiting cavity sizes:
+about 2 sqrt(T) complex exponentials; a grid the split does not rebuild to
+a few ulps (non-uniform, a scalar, T < 4) takes b = 1, the plain sum.
+Vector weights contract the coarse and fine exponentials as one matrix
+product per block of modes; matrix weights multiply the table of all T
+phases.  No block holds more than 2^22 phases (64 MB), so memory does not
+grow with the mode count.  Two analytic companions cover the limiting
+cavity sizes:
 
 * free space (R -> infinity, weak coupling kappa^2 = omega_bar^2 - g^2 > 0):
 
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import exp1
 
-from .coupling import TransformMatrix, approx_small_cavity_elements, atom_weights
+from .coupling import TransformMatrix, approx_small_cavity_elements
 from .errors import InvariantViolation, RegimeViolation
 from .spectrum import DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum, first_order_frequencies
 
@@ -64,7 +66,7 @@ __all__ = [
 _ABS_BOUND = 1.0 + 1e-9
 _T0_TOL = 1e-9
 
-# Phases (times x modes) that _phase_sum holds at once: 64 MB of complex.
+# Phases (times x modes) in one block of _phase_sum's table: 64 MB of complex.
 _BLOCK_ELEMENTS = 2**22
 
 # A coarse x fine split of the time grid must rebuild each time to this many
@@ -164,11 +166,16 @@ def _phase_sum(times, omegas: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_r weights[r] exp(-i omegas[r] t) at every t; shape (T,) + weights.shape[1:].
 
     With times split by :func:`_grid_split`, exp(-i Omega t_j) is the product
-    exp(-i Omega coarse[j // b]) exp(-i Omega fine[j % b]), so a block of
-    modes takes T/b + b complex exponentials instead of T: about 2 sqrt(T)
-    on a uniform grid.  When b = 1 the fine factor is exactly 1 and this is
-    the plain sum.  The sum runs over blocks of modes, each holding at most
-    _BLOCK_ELEMENTS phases, so memory stays bounded however many modes there
+    of C[j // b] = exp(-i Omega coarse[j // b]) and F[j % b] = exp(-i Omega
+    fine[j % b]), so a block of modes takes T/b + b complex exponentials
+    instead of T: about 2 sqrt(T) on a uniform grid.  Vector weights fold
+    into the fine factor, f(t_{ib+r}) = sum_m C[i, m] (w_m F[r, m]), one
+    (T/b x B) . (B x b) complex product per block of B modes; matrix weights
+    (one row of amplitudes per time) form the T x B table of phases and
+    multiply it by the block of weights.  When b = 1 the fine factor is
+    exactly 1 and either route is the plain sum.  Blocks hold at most
+    _BLOCK_ELEMENTS phases of that table (the vector route holds T/b + b
+    per mode of them), so memory stays bounded however many modes there
     are.
     """
     times = np.ravel(times)
@@ -176,15 +183,18 @@ def _phase_sum(times, omegas: np.ndarray, weights: np.ndarray) -> np.ndarray:
     rows = coarse.size * fine.size
     step = max(1, _BLOCK_ELEMENTS // max(rows, 1))
 
-    def phases(om: np.ndarray) -> np.ndarray:
-        table = np.exp(-1j * np.outer(coarse, om))[:, None, :] * np.exp(-1j * np.outer(fine, om))
-        return table.reshape(rows, om.size)[:times.size]
+    def part(om: np.ndarray, w: np.ndarray) -> np.ndarray:
+        c, f = np.exp(-1j * np.outer(coarse, om)), np.exp(-1j * np.outer(fine, om))
+        if w.ndim == 1:
+            f *= w
+            return (c @ f.T).ravel()[:times.size]
+        return (c[:, None, :] * f).reshape(rows, om.size)[:times.size] @ w
 
-    blocks = (phases(omegas[s:s + step]) @ weights[s:s + step]
+    blocks = (part(omegas[s:s + step], weights[s:s + step])
               for s in range(0, omegas.size, step))
     total = next(blocks)
-    for part in blocks:
-        total += part
+    for block in blocks:
+        total += block
     return total
 
 
@@ -224,10 +234,10 @@ def survival_trace(spectrum: ModeSpectrum, times,
     """Atom survival amplitude directly from spectral weights.
 
     Avoids the dense transformation matrix, so it stays usable at very
-    large mode counts (the weights default to :func:`atom_weights`).
+    large mode counts (the weights default to ``spectrum.weights``).
     """
     if weights is None:
-        weights = atom_weights(spectrum)
+        weights = spectrum.weights
     times = np.asarray(times, dtype=float)
     return AmplitudeTrace(times=times, values=_phase_sum(times, spectrum.bigomegas, weights),
                           mu="atom", nu="atom", method="discrete-sum")

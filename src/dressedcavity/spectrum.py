@@ -46,8 +46,6 @@ __all__ = [
     "solve_eigenfrequencies",
     "first_order_frequencies",
     "approx_small_cavity_spectrum",
-    "truncated_mode_sum",
-    "truncated_mode_sum_sq",
 ]
 
 # Step budget of the offset solve (:func:`_bisect`).  Steps are offset
@@ -129,7 +127,9 @@ class ModeSpectrum:
     (``asymptotes``; omega_0 = 0 for root 0, omega_N for the top root) and
     its signed offset s_r from it in units of dw (``offsets``), which keeps
     every digit of a gap omega_m - Omega_r that the float Omega_r loses.
-    ``omegas`` and ``bigomegas`` = (m_r + s_r) dw are derived from them.
+    ``omegas``, ``bigomegas`` = (m_r + s_r) dw and the atom weights
+    ``weights`` = (t_atom^r)^2 = 1 / (1 + eta^2 (S + lam S2)) are derived
+    from them once, the weights through :func:`_slope`.
 
     ``method`` records provenance: "exact-roots" (secular-equation solve)
     or "small-cavity-approx" (first order in delta).
@@ -141,6 +141,7 @@ class ModeSpectrum:
     method: str
     omegas: np.ndarray = field(init=False)
     bigomegas: np.ndarray = field(init=False)
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.asymptotes, dtype=np.int64)
@@ -150,9 +151,6 @@ class ModeSpectrum:
             raise InvariantViolation(
                 f"expected {n + 1} asymptotes and offsets, got {m.shape} and {s.shape}")
         om, bo = field_frequencies(self.params), _omega(m, s, self.params)[0]
-        for name, value in (("asymptotes", m), ("offsets", s), ("omegas", om), ("bigomegas", bo)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
         if not np.all(bo > 0):
             raise InvariantViolation("normal frequencies must all be positive")
         if np.any(np.diff(bo) <= 0):
@@ -163,6 +161,11 @@ class ModeSpectrum:
             raise InvariantViolation("lowest normal frequency must lie below omega_1")
         if np.any(bo[1:] <= om) or np.any(bo[1:-1] >= om[1:]):
             raise InvariantViolation("normal frequencies must interlace the bare modes")
+        w = 1.0 / _slope(m, s, self.params)
+        for name, value in (("asymptotes", m), ("offsets", s), ("omegas", om),
+                            ("bigomegas", bo), ("weights", w)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 def field_frequencies(params: DressedAtomParams) -> np.ndarray:
@@ -257,16 +260,6 @@ def _slope(m, s, params: DressedAtomParams):
     return 1.0 + params.eta_sq * (_mode_sum(m, s, params, 1) + om * om * _mode_sum(m, s, params, 2))
 
 
-def truncated_mode_sum(lam, params: DressedAtomParams):
-    """sum_{k=1..N} 1/(omega_k^2 - lam) for scalar or array lam [time^2]."""
-    return _mode_sum(*_offsets(np.sqrt(lam), params), params, 1)
-
-
-def truncated_mode_sum_sq(lam, params: DressedAtomParams):
-    """sum_{k=1..N} 1/(omega_k^2 - lam)^2 for scalar or array lam."""
-    return _mode_sum(*_offsets(np.sqrt(lam), params), params, 2)
-
-
 def secular_residual(omega, params: DressedAtomParams):
     """Defining-equation residual F(Omega^2) at frequency omega.
 
@@ -280,7 +273,7 @@ def newton_correction(omega, params: DressedAtomParams):
     """Relative Newton correction |F/F'| / Omega^2, with |F'| = 1 + eta^2 (S + lam S2).
 
     dF/dlam = -(1 + eta^2 (S + lam S2)), and at a root 1/|F'| is its atom
-    weight (t_atom^r)^2 (:func:`~.coupling.atom_weights`).  Unlike F, the
+    weight (t_atom^r)^2 (:attr:`ModeSpectrum.weights`).  Unlike F, the
     correction stays meaningful at a root that hugs its asymptote, where the
     root's last ulp sets F.
     """
@@ -379,8 +372,10 @@ def solve_eigenfrequencies(params: DressedAtomParams) -> ModeSpectrum:
     dw above omega_r, otherwise in [-1/2, 0) dw below omega_r+1.  The N-1
     inner roots are found together on the cotangent/digamma closed form, the
     two outer roots bisected together on the direct sum (:func:`_bisect`).
-    Every root must then pass the 1e-10 Newton check (:func:`newton_correction`);
-    any failure raises :class:`ConvergenceFailure` naming the root.
+    Every root must then pass the 1e-10 Newton check |F| w_r / Omega_r^2,
+    with F at the carried offsets and w_r = 1/|F'| the spectrum's atom
+    weight, so the slope is evaluated once per root; any failure raises
+    :class:`ConvergenceFailure` naming the root.
     """
     n, dw = params.n_modes, params.delta_omega
     lower = np.arange(float(n))
@@ -393,14 +388,15 @@ def solve_eigenfrequencies(params: DressedAtomParams) -> ModeSpectrum:
     s[inner] = _bisect(params, inner, m[inner], a[inner], b[inner])
     s[outer] = _bisect(params, outer, m[outer], a[outer], b[outer])
 
-    newton_rel = newton_correction(_omega(m, s, params)[0], params)
+    spec = ModeSpectrum(params=params, asymptotes=m, offsets=s, method="exact-roots")
+    newton_rel = np.abs(_secular(m, s, params)) * spec.weights / spec.bigomegas**2
     if np.any(newton_rel > _RESIDUAL_TOL):
         bad = int(np.argmax(newton_rel))
         raise ConvergenceFailure(
             f"root {bad} residual {newton_rel[bad]:.3e} exceeds {_RESIDUAL_TOL:.1e}",
             interval_index=bad,
         )
-    return ModeSpectrum(params=params, asymptotes=m, offsets=s, method="exact-roots")
+    return spec
 
 
 def first_order_frequencies(params: DressedAtomParams, k_max: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,9 @@ from dressedcavity import (
     build_form,
     build_matrix,
     solve_eigenfrequencies,
+    survival_trace,
 )
-from dressedcavity import coupling
+from dressedcavity import coupling, spectrum
 from dressedcavity.spectrum import ModeSpectrum, field_frequencies
 from oracles import eig_sym_2x2
 
@@ -184,6 +187,30 @@ class TestAtomWeights:
         w = atom_weights(spec)
         assert abs(w[0] - W0_FROZEN) <= 1e-13
         assert abs(float(np.sum(w)) - 1.0) <= 1e-12
+
+    def test_weights_are_the_spectrum_weights(self, fig_spectrum):
+        w = atom_weights(fig_spectrum)
+        assert np.array_equal(w, fig_spectrum.weights)
+        assert w.flags.writeable and not fig_spectrum.weights.flags.writeable
+
+    def test_one_slope_evaluation_per_root(self):
+        # the solver's Newton check and atom_weights both read the weights the
+        # spectrum derives once; calls are counted by code object, so a call
+        # through any module's binding of spectrum._slope is seen
+        code, sizes = spectrum._slope.__code__, []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                sizes.append(frame.f_locals["s"].size)
+
+        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=64)
+        sys.setprofile(count)
+        try:
+            spec = solve_eigenfrequencies(p)
+            survival_trace(spec, np.linspace(0.0, 5.0, 9), atom_weights(spec))
+        finally:
+            sys.setprofile(None)
+        assert sizes == [65]
 
 
 class TestSmallCavityElements:

@@ -101,7 +101,9 @@ class TestDiscreteSum:
 
     def test_survival_trace_memory_bounded_at_large_n(self):
         # 201 times x 100001 modes would be a 322 MB complex phase array in
-        # one piece; the sum over blocks of modes must peak far below that
+        # one piece; the sum over blocks of modes must peak far below that.
+        # The 201 times split into 15 coarse x 14 fine, so a block takes
+        # 2^22 // 210 = 19972 modes and holds 29 exponentials per mode.
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=100_000)
         spec = solve_eigenfrequencies(p)
         w = atom_weights(spec)
@@ -119,7 +121,7 @@ class TestDiscreteSum:
     def test_mode_blocks_do_not_change_sums(self, fig_spectrum, fig_matrix, monkeypatch):
         times = np.linspace(0.0, 12.0, 7)
         whole = [amplitude_row(fig_matrix, 3, times), survival_trace(fig_spectrum, times).values]
-        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 50)  # 7 modes a block, 29 blocks
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 50)  # 4 x 2 split: 6 modes a block
         blocked = [amplitude_row(fig_matrix, 3, times), survival_trace(fig_spectrum, times).values]
         for a, b in zip(whole, blocked):
             assert a.shape == b.shape
@@ -193,6 +195,21 @@ class TestPhaseSum:
         w = atom_weights(fig_spectrum)
         plain = np.exp(-1j * np.outer(times, fig_spectrum.bigomegas)) @ w
         assert np.array_equal(dynamics._phase_sum(times, fig_spectrum.bigomegas, w), plain)
+
+    @pytest.mark.parametrize("budget", [dynamics._BLOCK_ELEMENTS, 50])
+    @pytest.mark.parametrize("steps", [4, 17, 201])
+    def test_vector_route_matches_table_route(self, fig_spectrum, monkeypatch, steps, budget):
+        # 1-D weights contract coarse and fine exponentials as a matrix
+        # product; the same weights as one column take the table of phases.
+        # A budget of 50 puts 12, 2 and 1 modes in a block.
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
+        times = np.linspace(0.0, 25.0, steps)
+        om, w = fig_spectrum.bigomegas, atom_weights(fig_spectrum)
+        got = dynamics._phase_sum(times, om, w)
+        ref = dynamics._phase_sum(times, om, w[:, None])[:, 0]
+        scale = (1.0 + om * np.max(np.abs(times))) @ np.abs(w)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps * scale)
 
     def test_small_block_budget(self, fig_spectrum, monkeypatch):
         # 17 times split into 5 coarse x 4 fine = 20 rows: 2 modes a block, 101 blocks

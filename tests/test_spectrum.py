@@ -12,7 +12,7 @@ from dressedcavity import (
     solve_eigenfrequencies,
 )
 from dressedcavity import spectrum
-from dressedcavity.spectrum import newton_correction, truncated_mode_sum, truncated_mode_sum_sq
+from dressedcavity.spectrum import newton_correction
 from oracles import dlasd4_inner_roots
 
 # frozen first-order values at delta=0.1, g=0.5, omega_bar=1 (direct evaluation)
@@ -107,7 +107,8 @@ class TestSolve:
         spec = solve_eigenfrequencies(p)
         lam = spec.bigomegas**2
         resid = np.abs(secular_residual(spec.bigomegas, p))
-        slope = 1.0 + p.eta_sq * lam * truncated_mode_sum_sq(lam, p)
+        gaps = field_frequencies(p)[None, :] ** 2 - lam[:, None]
+        slope = 1.0 + p.eta_sq * lam * np.sum(1.0 / gaps**2, axis=1)
         assert np.all(resid / (slope * lam) < 1e-10)
 
     def test_newton_slope_is_the_secular_derivative(self, fig_params, fig_spectrum):
@@ -138,8 +139,10 @@ class TestSolve:
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.3, n_modes=120)
         lam = np.array([0.37, 3.1, 26.0, 311.7, 4001.0, 52000.0])
         gaps = field_frequencies(p)[None, :] ** 2 - lam[:, None]
-        assert truncated_mode_sum(lam, p) == pytest.approx(np.sum(1.0 / gaps, axis=1), rel=1e-11)
-        assert truncated_mode_sum_sq(lam, p) == pytest.approx(
+        m, s = spectrum._offsets(np.sqrt(lam), p)
+        assert spectrum._mode_sum(m, s, p, 1) == pytest.approx(
+            np.sum(1.0 / gaps, axis=1), rel=1e-11)
+        assert spectrum._mode_sum(m, s, p, 2) == pytest.approx(
             np.sum(1.0 / gaps**2, axis=1), rel=1e-11)
 
     def test_closed_form_solver_matches_direct_solver(self):
@@ -179,12 +182,16 @@ class TestSolve:
         assert spec.bigomegas.size == 10_001
 
     def test_convergence_failure_reports_interval(self, fig_params, monkeypatch):
-        def correction_failing_at_root_7(omega, params):
-            rel = newton_correction(omega, params)
-            rel[7] = 1.0
-            return rel
+        # the bisection hands back root 7 off by 1e-6 dw, still inside its
+        # bracket: a relative Newton correction near 3e-7, far above 1e-10
+        bisect = spectrum._bisect
 
-        monkeypatch.setattr(spectrum, "newton_correction", correction_failing_at_root_7)
+        def bisect_missing_root_7(params, roots, m, a, b):
+            s = bisect(params, roots, m, a, b)
+            s[roots == 7] += 1e-6
+            return s
+
+        monkeypatch.setattr(spectrum, "_bisect", bisect_missing_root_7)
         with pytest.raises(ConvergenceFailure) as err:
             solve_eigenfrequencies(fig_params)
         assert err.value.interval_index == 7
