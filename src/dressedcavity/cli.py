@@ -24,8 +24,7 @@ from scipy.integrate import quad as _quad
 
 from . import bipartite, coupling, dynamics, oracle, svgplot
 from .errors import InvariantViolation, SimulationError
-from .spectrum import DressedAtomParams, solve_eigenfrequencies, cotangent_curves, \
-    newton_correction
+from .spectrum import DressedAtomParams, solve_eigenfrequencies, cotangent_curves
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -147,15 +146,6 @@ def _survival_closed_form(cfg: RunConfig, params) -> np.ndarray:
     return dynamics.free_space_trace(p, cfg.time_grid()).values
 
 
-def _transform(params) -> coupling.TransformMatrix:
-    """The exact route's one secular solve and dense transform for an atom."""
-    tm = coupling.build_matrix(solve_eigenfrequencies(params))
-    if tm.tail_deficit[0] > 1e-6:
-        print(f"warning: atom-row tail deficit {tm.tail_deficit[0]:.2e}; "
-              "consider a larger n_modes", file=sys.stderr)
-    return tm
-
-
 def _continuum_row_norm(params) -> float:
     """Unitarity weight of the continuum spectrum, (4g/pi) integral of h."""
     val, _ = _quad(lambda x: dynamics.spectral_weight(x, params.omega_bar, params.g),
@@ -200,7 +190,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     roots = spec.bigomegas
     write_csv(out / "spectrum_roots.csv", ["r", "Omega_r", "x_r", "newton_rel"],
               np.column_stack([np.arange(roots.size), roots, params.radius * roots / params.c,
-                               newton_correction(roots, params)]))
+                               spec.newton_rel]))
 
     if cfg.svg:
         clip = float(np.percentile(np.abs(rhs), 95)) * 2 + 10
@@ -224,7 +214,7 @@ def cmd_amplitude(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.regime == "exact":
-        tm = _transform(params)
+        tm = coupling.build_matrix(solve_eigenfrequencies(params))
         mu = cfg.mu if cfg.mu == "atom" else int(cfg.mu)
         nu = cfg.nu if cfg.nu == "atom" else int(cfg.nu)
         row = dynamics.amplitude_row(tm, mu, times)
@@ -265,9 +255,9 @@ def cmd_impurity(cfg: RunConfig) -> int:
     params_b = cfg.atom_params(which="b")
     # reference figure: small cavity via the exact discrete route, plus free space
     small_path, free_path = out / "impurity_small_cavity.csv", out / "impurity_free_space.csv"
-    f_aa, entropies = _exact_atom(cfg, _transform(params))
+    f_aa, entropies = _exact_atom(cfg, params)
     f_bb = f_aa if cfg.identical else dynamics.amplitude_trace(
-        _transform(params_b), "atom", "atom", times).values
+        coupling.build_matrix(solve_eigenfrequencies(params_b)), "atom", "atom", times).values
     d_small = _write_pair(cfg, small_path, f_aa, f_bb, entropies)
     f_aa = _survival_closed_form(cfg, params)
     f_bb = f_aa if cfg.identical else _survival_closed_form(cfg, params_b)
@@ -282,10 +272,12 @@ def cmd_impurity(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _exact_atom(cfg: RunConfig, tm: coupling.TransformMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Survival amplitude f_aa and single-atom entropy at every time, from one amplitude row."""
+def _exact_atom(cfg: RunConfig, params) -> tuple[np.ndarray, np.ndarray]:
+    """Survival amplitude f_aa and single-atom entropy at every time, from one amplitude
+    row of the exact route's dense transform."""
     times = cfg.time_grid()
-    rows = dynamics.amplitude_row(tm, "atom", times)
+    rows = dynamics.amplitude_row(coupling.build_matrix(solve_eigenfrequencies(params)),
+                                  "atom", times)
     f_aa = dynamics.AmplitudeTrace(times=times, values=rows[:, 0], mu="atom", nu="atom",
                                    method="discrete-sum").values
     reduced = bipartite.single_atom_reduced(rows, cfg.superposition(), times)
@@ -312,7 +304,7 @@ def cmd_entropy(cfg: RunConfig) -> int:
     else:
         # "small" and "exact" both use the exact discrete pipeline here: the
         # entropy needs the full amplitude row, not the series approximation
-        f_aa, entropies = _exact_atom(cfg, _transform(params))
+        f_aa, entropies = _exact_atom(cfg, params)
     path = out / "entropy.csv"
     _write_pair(cfg, path, f_aa, f_aa, entropies)
     analytic = bipartite.entanglement_entropy(cfg.xi)
@@ -332,7 +324,7 @@ def cmd_entropy(cfg: RunConfig) -> int:
 
 def cmd_matrix_dump(cfg: RunConfig) -> int:
     params = cfg.atom_params()
-    tm = _transform(params)
+    tm = coupling.build_matrix(solve_eigenfrequencies(params))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     header = ["r", "Omega_r", "t_atom_r"] + [f"t_{k}_r" for k in range(1, params.n_modes + 1)]

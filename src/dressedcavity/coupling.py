@@ -14,6 +14,10 @@ with the sign convention t_atom^r > 0.  The closed-form atom element
 
 is the infinite-mode limit of that normalization; at finite truncation it
 deviates from the explicitly normalized element by O(1/N).
+
+A :class:`TransformMatrix` checks unit columns, t_atom^r > 0 and t t^T = 1
+to 1e-6 on construction; the Gram check bounds each row's deficit
+1 - sum_r t[mu, r]^2.
 """
 
 from __future__ import annotations
@@ -42,24 +46,15 @@ _ROW_ORTHO_TOL = 1e-6
 
 @dataclass(frozen=True)
 class TransformMatrix:
-    """Dense orthogonal matrix t[mu, r] plus per-row closure diagnostics.
-
-    ``tail_deficit[mu] = 1 - sum_r t[mu, r]^2`` measures how much of each
-    bare oscillator's weight the retained normal modes fail to carry; for a
-    self-consistent truncation it is at rounding level.
-    """
+    """Dense orthogonal matrix t[mu, r], checked for closure on construction."""
 
     spectrum: ModeSpectrum
     t: np.ndarray
-    tail_deficit: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         t.setflags(write=False)
         object.__setattr__(self, "t", t)
-        td = np.asarray(self.tail_deficit, dtype=float)
-        td.setflags(write=False)
-        object.__setattr__(self, "tail_deficit", td)
         n1 = self.spectrum.params.n_modes + 1
         if t.shape != (n1, n1):
             raise NormalizationFailure(f"matrix must be {n1}x{n1}, got {t.shape}")
@@ -124,9 +119,7 @@ def build_matrix(spectrum: ModeSpectrum) -> TransformMatrix:
     norms = np.sqrt(np.sum(raw * raw, axis=0))
     if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
         raise NormalizationFailure("non-finite column encountered during assembly")
-    t = raw / norms
-    tail = 1.0 - np.sum(t * t, axis=1)
-    return TransformMatrix(spectrum=spectrum, t=t, tail_deficit=tail)
+    return TransformMatrix(spectrum=spectrum, t=raw / norms)
 
 
 def atom_weights(spectrum: ModeSpectrum) -> np.ndarray:

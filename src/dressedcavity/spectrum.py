@@ -42,7 +42,6 @@ __all__ = [
     "secular_residual",
     "cotangent_curves",
     "cotangent_residual",
-    "newton_correction",
     "solve_eigenfrequencies",
     "first_order_frequencies",
     "approx_small_cavity_spectrum",
@@ -79,7 +78,6 @@ class DressedAtomParams:
     delta_omega : mode spacing pi c / R [1/time]
     eta         : coupling amplitude sqrt(4 g delta_omega / pi) [1/time]
     delta       : g R / (pi c), coupling-to-spacing ratio [dimensionless]
-    kappa_sq    : omega_bar^2 - g^2 [1/time^2] (weak-coupling shift)
     """
 
     omega_bar: float
@@ -90,7 +88,6 @@ class DressedAtomParams:
     delta_omega: float = field(init=False)
     eta: float = field(init=False)
     delta: float = field(init=False)
-    kappa_sq: float = field(init=False)
 
     def __post_init__(self):
         if not (self.omega_bar > 0 and self.g > 0 and self.radius > 0 and self.c > 0):
@@ -104,7 +101,6 @@ class DressedAtomParams:
         object.__setattr__(self, "delta_omega", np.pi * self.c / self.radius)
         object.__setattr__(self, "eta", np.sqrt(4.0 * self.g * self.delta_omega / np.pi))
         object.__setattr__(self, "delta", self.g * self.radius / (np.pi * self.c))
-        object.__setattr__(self, "kappa_sq", self.omega_bar**2 - self.g**2)
 
     @classmethod
     def from_delta(cls, omega_bar, g, delta, c=1.0, n_modes=200):
@@ -127,9 +123,11 @@ class ModeSpectrum:
     (``asymptotes``; omega_0 = 0 for root 0, omega_N for the top root) and
     its signed offset s_r from it in units of dw (``offsets``), which keeps
     every digit of a gap omega_m - Omega_r that the float Omega_r loses.
-    ``omegas``, ``bigomegas`` = (m_r + s_r) dw and the atom weights
-    ``weights`` = (t_atom^r)^2 = 1 / (1 + eta^2 (S + lam S2)) are derived
-    from them once, the weights through :func:`_slope`.
+    Derived from them once: ``omegas``, ``bigomegas`` = (m_r + s_r) dw, the
+    atom weights ``weights`` = (t_atom^r)^2 = 1 / |F'| = 1 / (1 + eta^2
+    (S + lam S2)) through :func:`_slope`, and ``newton_rel`` = |F| w_r /
+    Omega_r^2, each root's relative Newton correction with F at the carried
+    offsets, which unlike F stays meaningful where the root hugs its asymptote.
 
     ``method`` records provenance: "exact-roots" (secular-equation solve)
     or "small-cavity-approx" (first order in delta).
@@ -142,6 +140,7 @@ class ModeSpectrum:
     omegas: np.ndarray = field(init=False)
     bigomegas: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
+    newton_rel: np.ndarray = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.asymptotes, dtype=np.int64)
@@ -162,8 +161,9 @@ class ModeSpectrum:
         if np.any(bo[1:] <= om) or np.any(bo[1:-1] >= om[1:]):
             raise InvariantViolation("normal frequencies must interlace the bare modes")
         w = 1.0 / _slope(m, s, self.params)
+        newton_rel = np.abs(_secular(m, s, self.params)) * w / bo**2
         for name, value in (("asymptotes", m), ("offsets", s), ("omegas", om),
-                            ("bigomegas", bo), ("weights", w)):
+                            ("bigomegas", bo), ("weights", w), ("newton_rel", newton_rel)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -269,19 +269,6 @@ def secular_residual(omega, params: DressedAtomParams):
     return _secular(*_offsets(omega, params), params)
 
 
-def newton_correction(omega, params: DressedAtomParams):
-    """Relative Newton correction |F/F'| / Omega^2, with |F'| = 1 + eta^2 (S + lam S2).
-
-    dF/dlam = -(1 + eta^2 (S + lam S2)), and at a root 1/|F'| is its atom
-    weight (t_atom^r)^2 (:attr:`ModeSpectrum.weights`).  Unlike F, the
-    correction stays meaningful at a root that hugs its asymptote, where the
-    root's last ulp sets F.
-    """
-    m, s = _offsets(omega, params)
-    om = _omega(m, s, params)[0]
-    return np.abs(_secular(m, s, params)) / (_slope(m, s, params) * om * om)
-
-
 def cotangent_curves(omega, params: DressedAtomParams):
     """Both sides of the infinite-cavity eigenfrequency condition.
 
@@ -319,24 +306,25 @@ def _upper_bound(params: DressedAtomParams) -> float:
     return max(atom_row, mode_rows) + 1.0
 
 
-def _bisect(params: DressedAtomParams, roots, m, a, b) -> np.ndarray:
-    """Offsets of ``roots`` from asymptotes ``m``, found all at once in
+def _bisect(params: DressedAtomParams, m, a, b) -> np.ndarray:
+    """Offsets of all N+1 roots from asymptotes ``m``, found in one pass in
     brackets (a, b) with F(a) > 0 > F(b); a failure names a root left over.
 
-    Each step evaluates F at one split per root and keeps the part of the
-    bracket with the sign change.  Where the closed form holds,
+    Each step evaluates F at one split per live root and keeps the part of
+    the bracket with the sign change.  Where the bracket lies in
+    [omega_1, omega_N] (every inner root), the closed form holds,
     F = (eta^2 u / 2)(pi cot(pi s) - H(u)) with H smooth, and the split is
     the offset where pi cot(pi s) meets H as it stood at the last split,
     while that lies in the bracket and moves at most half as far as the
-    step before; otherwise, and for the outer roots, it is the midpoint.
+    step before; otherwise, and for the two outer roots, it is the midpoint.
     There dH/du > -3.1 (the digamma tail rises by less than psi'(1) +
     psi'(3) < 2.1 per unit of u, the rest falls by at most 1), so that map
     has slope below 1/3 and the root lies within one step of any split: a
     root is done once its split moves by at most 2 ulps of the offset.
     """
     tol = 2.0 * np.finfo(float).eps
-    # the inverted split needs the closed form: every bracket in [omega_1, omega_N]
-    guided = bool(np.all((m + a >= 1.0) & (m + b <= params.n_modes)))
+    # the inverted split needs the closed form: a bracket in [omega_1, omega_N]
+    guided = (m + a >= 1.0) & (m + b <= params.n_modes)
     s = np.empty(a.shape)
     live = np.arange(a.size)
     x = 0.5 * (a + b)
@@ -346,19 +334,21 @@ def _bisect(params: DressedAtomParams, roots, m, a, b) -> np.ndarray:
         np.copyto(a, x, where=f > 0.0)
         np.copyto(b, x, where=f < 0.0)
         split = 0.5 * (a + b)
-        if guided:
+        if guided.any():
             h = np.pi / np.tan(np.pi * x) - 2.0 * f / (params.eta_sq * (m + x))
             g = np.arctan(np.pi / h) / np.pi
-            np.copyto(split, g, where=(a <= g) & (g <= b) & (np.abs(g - x) <= 0.5 * step))
+            np.copyto(split, g, where=guided & (a <= g) & (g <= b)
+                      & (np.abs(g - x) <= 0.5 * step))
         step = np.abs(split - x)
         done = step <= tol * np.abs(split)
         if done.any():
             s[live[done]] = split[done]
-            live, m, a, b, split, step = (v[~done] for v in (live, m, a, b, split, step))
+            live, m, a, b, split, step, guided = (
+                v[~done] for v in (live, m, a, b, split, step, guided))
         if not live.size:
             return s
         x = split
-    r = int(roots[live[0]])
+    r = int(live[0])
     raise ConvergenceFailure(f"root {r} not converged after {_BISECT_STEPS} steps",
                              interval_index=r)
 
@@ -369,12 +359,11 @@ def solve_eigenfrequencies(params: DressedAtomParams) -> ModeSpectrum:
     Root r lies between omega_r and omega_r+1 (omega_0 = 0; the top root
     between omega_N and a Gershgorin bound) and is solved for as its offset
     from the nearer end: F < 0 at the bracket midpoint puts it in (0, 1/2]
-    dw above omega_r, otherwise in [-1/2, 0) dw below omega_r+1.  The N-1
-    inner roots are found together on the cotangent/digamma closed form, the
-    two outer roots bisected together on the direct sum (:func:`_bisect`).
-    Every root must then pass the 1e-10 Newton check |F| w_r / Omega_r^2,
-    with F at the carried offsets and w_r = 1/|F'| the spectrum's atom
-    weight, so the slope is evaluated once per root; any failure raises
+    dw above omega_r, otherwise in [-1/2, 0) dw below omega_r+1.  All N+1
+    roots are found in one pass of :func:`_bisect`: the N-1 inner roots on
+    the cotangent/digamma closed form, the two outer roots bisected on the
+    direct sum.  Every root must then pass the 1e-10 check on the
+    spectrum's :attr:`ModeSpectrum.newton_rel`; a failure raises
     :class:`ConvergenceFailure` naming the root.
     """
     n, dw = params.n_modes, params.delta_omega
@@ -383,17 +372,12 @@ def solve_eigenfrequencies(params: DressedAtomParams) -> ModeSpectrum:
     m = np.append(np.where(below, lower, lower + 1), n)
     a = np.append(np.where(below, 0.0, -0.5), 0.0)
     b = np.append(np.where(below, 0.5, 0.0), np.sqrt(_upper_bound(params)) / dw - n)
-    s = np.empty(n + 1)
-    inner, outer = np.arange(1, n), np.array([0, n])
-    s[inner] = _bisect(params, inner, m[inner], a[inner], b[inner])
-    s[outer] = _bisect(params, outer, m[outer], a[outer], b[outer])
-
-    spec = ModeSpectrum(params=params, asymptotes=m, offsets=s, method="exact-roots")
-    newton_rel = np.abs(_secular(m, s, params)) * spec.weights / spec.bigomegas**2
-    if np.any(newton_rel > _RESIDUAL_TOL):
-        bad = int(np.argmax(newton_rel))
+    spec = ModeSpectrum(params=params, asymptotes=m, offsets=_bisect(params, m, a, b),
+                        method="exact-roots")
+    bad = int(np.argmax(spec.newton_rel))
+    if spec.newton_rel[bad] > _RESIDUAL_TOL:
         raise ConvergenceFailure(
-            f"root {bad} residual {newton_rel[bad]:.3e} exceeds {_RESIDUAL_TOL:.1e}",
+            f"root {bad} residual {spec.newton_rel[bad]:.3e} exceeds {_RESIDUAL_TOL:.1e}",
             interval_index=bad,
         )
     return spec

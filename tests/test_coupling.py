@@ -128,7 +128,7 @@ class TestBuildMatrix:
 
     def test_atom_row_closure(self, fig_matrix):
         assert abs(np.sum(fig_matrix.t[0, :] ** 2) - 1.0) < 1e-8
-        assert np.max(np.abs(fig_matrix.tail_deficit)) < 1e-8
+        assert np.max(np.abs(1.0 - np.sum(fig_matrix.t**2, axis=1))) < 1e-8
 
     def test_rows_orthonormal_n500(self):
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=500)

@@ -12,7 +12,6 @@ from dressedcavity import (
     solve_eigenfrequencies,
 )
 from dressedcavity import spectrum
-from dressedcavity.spectrum import newton_correction
 from oracles import dlasd4_inner_roots
 
 # frozen first-order values at delta=0.1, g=0.5, omega_bar=1 (direct evaluation)
@@ -51,7 +50,6 @@ class TestParams:
         assert p.delta_omega * p.radius / p.c == pytest.approx(np.pi, rel=1e-15)
         assert p.eta**2 == pytest.approx(4 * p.g * p.delta_omega / np.pi, rel=1e-15)
         assert p.delta == pytest.approx(p.g * p.radius / (np.pi * p.c), rel=1e-15)
-        assert p.kappa_sq == pytest.approx(0.75)
 
     def test_from_delta_round_trip(self):
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=3)
@@ -112,16 +110,24 @@ class TestSolve:
         assert np.all(resid / (slope * lam) < 1e-10)
 
     def test_newton_slope_is_the_secular_derivative(self, fig_params, fig_spectrum):
-        # newton_correction = |F| / (|F'| lam); a little above root 5, where F
-        # is far from rounding, it yields the slope to compare with a central
-        # difference of F in lam
+        # _slope = |F'| = 1 + eta^2 (S + lam S2), the slope of newton_rel and the
+        # atom weights; a little above root 5, where F is far from rounding,
+        # compare it with a central difference of F in lam
         lam = (fig_spectrum.bigomegas[5] * (1.0 + 1e-3)) ** 2
         h = 1e-7 * lam
         central = (secular_residual(np.sqrt(lam + h), fig_params)
                    - secular_residual(np.sqrt(lam - h), fig_params)) / (2.0 * h)
-        slope = abs(secular_residual(np.sqrt(lam), fig_params)) / (
-            newton_correction(np.sqrt(lam), fig_params) * lam)
+        slope = spectrum._slope(*spectrum._offsets(np.sqrt(lam), fig_params), fig_params)
         assert slope == pytest.approx(-central, rel=1e-6)
+
+    def test_newton_rel_is_the_relative_newton_correction(self, fig_spectrum):
+        # |F| w_r / Omega_r^2 at the carried offsets, within the solver's bound
+        p, m, s = fig_spectrum.params, fig_spectrum.asymptotes, fig_spectrum.offsets
+        expected = (np.abs(spectrum._secular(m, s, p)) / spectrum._slope(m, s, p)
+                    / fig_spectrum.bigomegas**2)
+        np.testing.assert_allclose(fig_spectrum.newton_rel, expected, rtol=1e-15, atol=0.0)
+        assert fig_spectrum.newton_rel.max() <= 1e-10
+        assert not fig_spectrum.newton_rel.flags.writeable
 
     def test_cotangent_residual_shrinks_with_mode_count(self):
         # the truncated secular roots approach the infinite-cavity condition
@@ -181,14 +187,26 @@ class TestSolve:
         spec = solve_eigenfrequencies(p)
         assert spec.bigomegas.size == 10_001
 
+    def test_one_bisection_pass_per_solve(self, fig_params, monkeypatch):
+        # all N+1 roots, inner and outer, go through one call
+        bisect, sizes = spectrum._bisect, []
+
+        def counted(params, m, a, b):
+            sizes.append(m.size)
+            return bisect(params, m, a, b)
+
+        monkeypatch.setattr(spectrum, "_bisect", counted)
+        solve_eigenfrequencies(fig_params)
+        assert sizes == [fig_params.n_modes + 1]
+
     def test_convergence_failure_reports_interval(self, fig_params, monkeypatch):
         # the bisection hands back root 7 off by 1e-6 dw, still inside its
         # bracket: a relative Newton correction near 3e-7, far above 1e-10
         bisect = spectrum._bisect
 
-        def bisect_missing_root_7(params, roots, m, a, b):
-            s = bisect(params, roots, m, a, b)
-            s[roots == 7] += 1e-6
+        def bisect_missing_root_7(params, m, a, b):
+            s = bisect(params, m, a, b)
+            s[7] += 1e-6
             return s
 
         monkeypatch.setattr(spectrum, "_bisect", bisect_missing_root_7)
@@ -197,13 +215,12 @@ class TestSolve:
         assert err.value.interval_index == 7
 
     def test_bisection_step_budget_reports_root(self, monkeypatch):
-        # roots 5..9 sit in the lower halves of their gaps, offsets (0, 1/2)
+        # one step converges no root; the failure names the first left over
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=3000)
-        roots = np.arange(5, 10)
         monkeypatch.setattr(spectrum, "_BISECT_STEPS", 1)
-        with pytest.raises(ConvergenceFailure) as err:
-            spectrum._bisect(p, roots, roots.astype(float), np.zeros(5), np.full(5, 0.5))
-        assert err.value.interval_index == 5
+        with pytest.raises(ConvergenceFailure, match="root 0 ") as err:
+            solve_eigenfrequencies(p)
+        assert err.value.interval_index == 0
 
 
 class TestSmallCavityApprox:
