@@ -60,7 +60,6 @@ from .oracle import (
 from .spectrum import (
     DressedAtomParams,
     ModeSpectrum,
-    approx_small_cavity_spectrum,
     cotangent_curves,
     cotangent_residual,
     field_frequencies,

@@ -55,7 +55,7 @@ _EIG_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class SuperpositionSpec:
-    """Superposition weight xi in (0,1) and relative phase phi in [0, 2pi)."""
+    """Superposition weight xi in (0,1) and a finite relative phase phi, kept in [0, 2pi)."""
 
     xi: float
     phi: float = 0.0
@@ -63,6 +63,8 @@ class SuperpositionSpec:
     def __post_init__(self):
         if not 0.0 < self.xi < 1.0:
             raise ValueError(f"xi must lie strictly inside (0, 1), got {self.xi}")
+        if not np.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * np.pi))
 
 

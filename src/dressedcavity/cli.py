@@ -4,11 +4,13 @@ Subcommands: spectrum, amplitude, impurity, entropy, matrix-dump,
 oracle-check.  Exit codes: 0 success, 1 usage, 2 numerical failure,
 3 invariant violation.
 
-Configuration is a flat key=value file ('#' comments) overridden by
-command-line flags; defaults reproduce the reference impurity figure
-(omega_bar=1, g=0.5, delta=0.1, t in [0, 25]).  All CSV output uses a
-header row and 17 significant digits, so identical configs give
-byte-identical files.
+Every run follows one pair of atoms with the same (omega_bar, g, delta).
+The keys of a run are the fields of :class:`RunConfig`, exactly the
+command-line flags: a flat key=value file ('#' comments) sets them, each
+value typed like its field's default, and the flags override the file.
+Defaults reproduce the reference impurity figure (omega_bar=1, g=0.5,
+delta=0.1, t in [0, 25]).  All CSV output uses a header row and 17
+significant digits, so identical configs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -52,14 +54,10 @@ class RunConfig:
     nu: str = "atom"
     out: str = "."
     svg: bool = False
-    identical: bool = True
-    omega_bar_b: float | None = None
-    g_b: float | None = None
-    delta_b: float | None = None
 
     def validate(self):
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0.0 < self.t_max < np.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.regime not in _REGIMES:
@@ -70,16 +68,12 @@ class RunConfig:
             print("warning: both delta and radius given; delta takes precedence",
                   file=sys.stderr)
 
-    def atom_params(self, *, which: str = "a") -> DressedAtomParams:
-        ob, g, d = self.omega_bar, self.g, self.delta
-        if which == "b" and not self.identical:
-            ob = self.omega_bar_b if self.omega_bar_b is not None else ob
-            g = self.g_b if self.g_b is not None else g
-            d = self.delta_b if self.delta_b is not None else d
-        if d is not None:
-            return DressedAtomParams.from_delta(ob, g, d, c=self.c, n_modes=self.n_modes)
-        return DressedAtomParams(omega_bar=ob, g=g, radius=self.radius, c=self.c,
-                                 n_modes=self.n_modes)
+    def atom_params(self) -> DressedAtomParams:
+        if self.delta is not None:
+            return DressedAtomParams.from_delta(self.omega_bar, self.g, self.delta,
+                                                c=self.c, n_modes=self.n_modes)
+        return DressedAtomParams(omega_bar=self.omega_bar, g=self.g, radius=self.radius,
+                                 c=self.c, n_modes=self.n_modes)
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.steps)
@@ -88,14 +82,14 @@ class RunConfig:
         return bipartite.SuperpositionSpec(xi=self.xi, phi=self.phi)
 
 
-_BOOL_KEYS = {"svg", "identical"}
-_INT_KEYS = {"n_modes", "steps", "k_max"}
-_STR_KEYS = {"regime", "mu", "nu", "out"}
+# How a config value is read, by the type of its field's default (None: a float).
+_READ = {bool: lambda v: v.lower() in ("1", "true", "yes", "on"), type(None): float}
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key=value file; unknown keys are usage errors."""
-    known = {f.name for f in fields(RunConfig)}
+    """Flat key=value file; each value takes the type of its :class:`RunConfig`
+    default, and unknown keys are usage errors."""
+    kinds = {f.name: type(f.default) for f in fields(RunConfig)}
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -104,16 +98,9 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in known:
+        if key not in kinds:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in _BOOL_KEYS:
-            out[key] = value.lower() in ("1", "true", "yes", "on")
-        elif key in _INT_KEYS:
-            out[key] = int(value)
-        elif key in _STR_KEYS:
-            out[key] = value
-        else:
-            out[key] = float(value)
+        out[key] = _READ.get(kinds[key], kinds[key])(value)
     return out
 
 
@@ -141,22 +128,44 @@ def write_csv(path: Path, header: list[str], table) -> None:
 # Shared pieces
 # ---------------------------------------------------------------------------
 
-def _survival_closed_form(cfg: RunConfig, params) -> np.ndarray:
-    p = dynamics.FreeSpaceParams(omega_bar=params.omega_bar, g=params.g)
-    return dynamics.free_space_trace(p, cfg.time_grid()).values
-
-
-def _continuum_row_norm(params) -> float:
-    """Unitarity weight of the continuum spectrum, (4g/pi) integral of h."""
+def _entropy_constant_free_space(cfg: RunConfig, params) -> float:
+    """Single-atom entropy in free space, from the continuum's unitarity weight
+    s = (4g/pi) integral of h, which must be 1."""
     val, _ = _quad(lambda x: dynamics.spectral_weight(x, params.omega_bar, params.g),
                    0.0, np.inf, limit=400)
-    return 4.0 * params.g / np.pi * val
+    s = 4.0 * params.g / np.pi * val
+    if abs(s - 1.0) > 1e-6:
+        raise InvariantViolation(f"continuum unitarity weight {s:.9f} deviates from 1")
+    alphas = (1.0 - cfg.xi, cfg.xi * s)
+    return float(-sum(a * np.log(a) for a in alphas if a > 1e-12))
 
 
-def _write_pair(cfg: RunConfig, path: Path, f_aa, f_bb, entropies) -> np.ndarray:
-    """Write the bipartite CSV, re-asserting invariants at every time; returns its D column."""
+def _atom(cfg: RunConfig, params, regime: str) -> tuple[np.ndarray, np.ndarray]:
+    """Survival amplitude f_aa and single-atom entropy at every time of the grid.
+
+    "free-space": the closed-form amplitude and the continuum's constant
+    entropy.  Any other regime: one amplitude row of the exact route's dense
+    transform, since the entropy needs the whole row, which the small-cavity
+    series does not give.
+    """
     times = cfg.time_grid()
-    m = bipartite.reduced_pair_matrix(f_aa, f_bb, cfg.superposition(), times)
+    if regime == "free-space":
+        p = dynamics.FreeSpaceParams(omega_bar=params.omega_bar, g=params.g)
+        return (dynamics.free_space_trace(p, times).values,
+                np.full(times.shape, _entropy_constant_free_space(cfg, params)))
+    rows = dynamics.amplitude_row(coupling.build_matrix(solve_eigenfrequencies(params)),
+                                  "atom", times)
+    f_aa = dynamics.AmplitudeTrace(times=times, values=rows[:, 0], mu="atom", nu="atom",
+                                   method="discrete-sum").values
+    reduced = bipartite.single_atom_reduced(rows, cfg.superposition(), times)
+    return f_aa, bipartite.von_neumann_entropy(reduced)
+
+
+def _write_pair(cfg: RunConfig, path: Path, f_aa, entropies) -> np.ndarray:
+    """Write the bipartite CSV of two atoms that share the survival amplitude
+    ``f_aa``, re-asserting invariants at every time; returns its D column."""
+    times = cfg.time_grid()
+    m = bipartite.reduced_pair_matrix(f_aa, f_aa, cfg.superposition(), times)
     d = bipartite.impurity(m)
     tr = m.p_ground + m.p_b_excited + m.p_a_excited + m.p_both
     bad = np.flatnonzero(abs(tr - 1.0) > 1e-9)
@@ -248,21 +257,13 @@ def cmd_amplitude(cfg: RunConfig) -> int:
 
 
 def cmd_impurity(cfg: RunConfig) -> int:
-    times = cfg.time_grid()
+    params, times = cfg.atom_params(), cfg.time_grid()
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    params = cfg.atom_params(which="a")
-    params_b = cfg.atom_params(which="b")
     # reference figure: small cavity via the exact discrete route, plus free space
     small_path, free_path = out / "impurity_small_cavity.csv", out / "impurity_free_space.csv"
-    f_aa, entropies = _exact_atom(cfg, params)
-    f_bb = f_aa if cfg.identical else dynamics.amplitude_trace(
-        coupling.build_matrix(solve_eigenfrequencies(params_b)), "atom", "atom", times).values
-    d_small = _write_pair(cfg, small_path, f_aa, f_bb, entropies)
-    f_aa = _survival_closed_form(cfg, params)
-    f_bb = f_aa if cfg.identical else _survival_closed_form(cfg, params_b)
-    d_free = _write_pair(cfg, free_path, f_aa, f_bb,
-                         np.full(times.shape, _entropy_constant_free_space(cfg, params)))
+    d_small = _write_pair(cfg, small_path, *_atom(cfg, params, "exact"))
+    d_free = _write_pair(cfg, free_path, *_atom(cfg, params, "free-space"))
     if cfg.svg:
         svg = svgplot.line_plot(
             [("small cavity", times, d_small, True), ("free space", times, d_free, False)],
@@ -272,41 +273,13 @@ def cmd_impurity(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _exact_atom(cfg: RunConfig, params) -> tuple[np.ndarray, np.ndarray]:
-    """Survival amplitude f_aa and single-atom entropy at every time, from one amplitude
-    row of the exact route's dense transform."""
-    times = cfg.time_grid()
-    rows = dynamics.amplitude_row(coupling.build_matrix(solve_eigenfrequencies(params)),
-                                  "atom", times)
-    f_aa = dynamics.AmplitudeTrace(times=times, values=rows[:, 0], mu="atom", nu="atom",
-                                   method="discrete-sum").values
-    reduced = bipartite.single_atom_reduced(rows, cfg.superposition(), times)
-    return f_aa, bipartite.von_neumann_entropy(reduced)
-
-
-def _entropy_constant_free_space(cfg: RunConfig, params) -> float:
-    s = _continuum_row_norm(params)
-    if abs(s - 1.0) > 1e-6:
-        raise InvariantViolation(f"continuum unitarity weight {s:.9f} deviates from 1")
-    xi = cfg.xi
-    alphas = (1.0 - xi, xi * s)
-    return float(-sum(a * np.log(a) for a in alphas if a > 1e-12))
-
-
 def cmd_entropy(cfg: RunConfig) -> int:
-    params = cfg.atom_params()
     times = cfg.time_grid()
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.regime == "free-space":
-        f_aa = _survival_closed_form(cfg, params)
-        entropies = np.full(times.shape, _entropy_constant_free_space(cfg, params))
-    else:
-        # "small" and "exact" both use the exact discrete pipeline here: the
-        # entropy needs the full amplitude row, not the series approximation
-        f_aa, entropies = _exact_atom(cfg, params)
+    f_aa, entropies = _atom(cfg, cfg.atom_params(), cfg.regime)
     path = out / "entropy.csv"
-    _write_pair(cfg, path, f_aa, f_aa, entropies)
+    _write_pair(cfg, path, f_aa, entropies)
     analytic = bipartite.entanglement_entropy(cfg.xi)
     deviation = float(np.max(np.abs(entropies - analytic)))
     print(f"wrote {path}")
@@ -393,19 +366,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        file_vals = parse_config_file(args.config)
-        # a layer that fixes the radius without delta replaces the default delta
-        if "radius" in file_vals and "delta" not in file_vals:
-            cfg = replace(cfg, delta=None)
-        cfg = replace(cfg, **file_vals)
+    """The defaults, then the config file, then the flags, each layer over the last."""
     # every flag the parser defines but --config is a RunConfig field; unset ones are None
-    overrides = {name: value for name, value in vars(args).items()
-                 if name not in ("command", "config") and value is not None}
-    if "radius" in overrides and "delta" not in overrides:
-        cfg = replace(cfg, delta=None)
-    cfg = replace(cfg, **overrides)
+    flags = {name: value for name, value in vars(args).items()
+             if name not in ("command", "config") and value is not None}
+    cfg = RunConfig()
+    for layer in (parse_config_file(args.config) if args.config else {}, flags):
+        # a layer that fixes the radius without delta replaces the default delta
+        if "radius" in layer and "delta" not in layer:
+            cfg = replace(cfg, delta=None)
+        cfg = replace(cfg, **layer)
     cfg.validate()
     return cfg
 

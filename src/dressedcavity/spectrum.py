@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import digamma, polygamma
 
-from .errors import ConvergenceFailure, InvariantViolation, RegimeViolation
+from .errors import ConvergenceFailure, InvariantViolation
 
 __all__ = [
     "DressedAtomParams",
@@ -44,7 +44,6 @@ __all__ = [
     "cotangent_residual",
     "solve_eigenfrequencies",
     "first_order_frequencies",
-    "approx_small_cavity_spectrum",
 ]
 
 # Step budget of the offset solve (:func:`_bisect`).  Steps are offset
@@ -90,9 +89,9 @@ class DressedAtomParams:
     delta: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.omega_bar > 0 and self.g > 0 and self.radius > 0 and self.c > 0):
+        if not all(0 < v < np.inf for v in (self.omega_bar, self.g, self.radius, self.c)):
             raise ValueError(
-                "omega_bar, g, radius and c must all be positive, got "
+                "omega_bar, g, radius and c must all be positive and finite, got "
                 f"omega_bar={self.omega_bar}, g={self.g}, radius={self.radius}, c={self.c}"
             )
         if int(self.n_modes) != self.n_modes or self.n_modes < 1:
@@ -128,15 +127,13 @@ class ModeSpectrum:
     (S + lam S2)) through :func:`_slope`, and ``newton_rel`` = |F| w_r /
     Omega_r^2, each root's relative Newton correction with F at the carried
     offsets, which unlike F stays meaningful where the root hugs its asymptote.
-
-    ``method`` records provenance: "exact-roots" (secular-equation solve)
-    or "small-cavity-approx" (first order in delta).
+    :func:`solve_eigenfrequencies` is the one producer; the first-order
+    small-cavity frequencies are :func:`first_order_frequencies`.
     """
 
     params: DressedAtomParams
     asymptotes: np.ndarray
     offsets: np.ndarray
-    method: str
     omegas: np.ndarray = field(init=False)
     bigomegas: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
@@ -372,8 +369,7 @@ def solve_eigenfrequencies(params: DressedAtomParams) -> ModeSpectrum:
     m = np.append(np.where(below, lower, lower + 1), n)
     a = np.append(np.where(below, 0.0, -0.5), 0.0)
     b = np.append(np.where(below, 0.5, 0.0), np.sqrt(_upper_bound(params)) / dw - n)
-    spec = ModeSpectrum(params=params, asymptotes=m, offsets=_bisect(params, m, a, b),
-                        method="exact-roots")
+    spec = ModeSpectrum(params=params, asymptotes=m, offsets=_bisect(params, m, a, b))
     bad = int(np.argmax(spec.newton_rel))
     if spec.newton_rel[bad] > _RESIDUAL_TOL:
         raise ConvergenceFailure(
@@ -393,18 +389,3 @@ def first_order_frequencies(params: DressedAtomParams, k_max: int) -> np.ndarray
     k = np.arange(1, k_max + 1)
     return np.concatenate(([params.omega_bar * (1.0 - np.pi * d / 3.0)],
                            (params.g / d) * (k + 2.0 * d / (np.pi * k))))
-
-
-def approx_small_cavity_spectrum(params: DressedAtomParams) -> ModeSpectrum:
-    """:func:`first_order_frequencies` for all N+1 modes, for delta < DELTA_THRESHOLD:
-    root k >= 1 sits 2 delta / (pi k) dw above omega_k."""
-    if params.delta >= DELTA_THRESHOLD:
-        raise RegimeViolation(
-            f"small-cavity expansion needs delta < {DELTA_THRESHOLD}, "
-            f"got delta = {params.delta:.4g}"
-        )
-    n, d = params.n_modes, params.delta
-    root0 = first_order_frequencies(params, 0)[0] / params.delta_omega
-    return ModeSpectrum(params=params, asymptotes=np.arange(n + 1),
-                        offsets=np.append(root0, 2.0 * d / (np.pi * np.arange(1, n + 1))),
-                        method="small-cavity-approx")

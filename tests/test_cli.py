@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dressedcavity.cli import (
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
+    build_parser,
     main,
     parse_config_file,
     write_csv,
@@ -31,16 +33,29 @@ class TestConfigFile:
             "n_modes = 64   # truncation\n"
             "svg = true\n"
             "regime = exact\n"
+            "radius = 3\n"
+            "steps = 11\n"
+            "k_max = 500\n"
+            "mu = 2\n"
         )
         vals = parse_config_file(str(cfg))
         assert vals == {"omega_bar": 1.0, "g": 0.5, "n_modes": 64,
-                        "svg": True, "regime": "exact"}
+                        "svg": True, "regime": "exact", "radius": 3.0,
+                        "steps": 11, "k_max": 500, "mu": "2"}
+        assert [type(vals[k]) for k in ("radius", "steps", "k_max", "mu")] == [
+            float, int, int, str]
 
     def test_rejects_unknown_keys(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("coupling = 0.5\n")
         with pytest.raises(ValueError):
             parse_config_file(str(cfg))
+
+    def test_second_atom_key_is_a_usage_error(self, tmp_path):
+        # both atoms share one (omega_bar, g, delta): there is no second-atom key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("identical = false\n")
+        assert run("spectrum", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_USAGE
 
     def test_radius_in_file_replaces_default_delta(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -76,6 +91,17 @@ class TestExitCodes:
     def test_usage_free_space_needs_atom_labels(self, tmp_path):
         assert run("amplitude", "--regime", "free-space", "--mu", "2",
                    "--out", str(tmp_path)) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ("amplitude", "--regime", "free-space", "--t-max", "nan"),
+        ("amplitude", "--regime", "free-space", "--t-max", "inf"),
+        ("impurity", "--phi", "nan"),
+        ("spectrum", "--omega-bar", "inf"),
+        ("spectrum", "--delta", "inf"),
+        ("spectrum", "--c", "inf"),
+    ], ids=["t-max-nan", "t-max-inf", "phi-nan", "omega-bar-inf", "delta-inf", "c-inf"])
+    def test_usage_non_finite_input(self, tmp_path, argv):
+        assert run(*argv, "--steps", "5", "--n-modes", "8", "--out", str(tmp_path)) == EXIT_USAGE
 
     def test_numerical_failure_outside_small_cavity_regime(self, tmp_path):
         rc = run("amplitude", "--regime", "small", "--delta", "0.5",
@@ -173,6 +199,19 @@ class TestImpurityCommand:
         svg = (tmp_path / "impurity.svg").read_text()
         assert "small cavity" in svg and "free space" in svg
         assert "stroke-dasharray" in svg  # small-cavity curve is dashed
+
+
+@pytest.mark.parametrize("regime, impurity_csv", [
+    ("exact", "impurity_small_cavity.csv"),
+    ("free-space", "impurity_free_space.csv"),
+])
+def test_entropy_file_is_the_impurity_file_of_its_regime(tmp_path, regime, impurity_csv):
+    # impurity and entropy share one per-regime path, so their files agree bit for bit
+    flags = ("--xi", "0.3", "--phi", "0.7", "--steps", "21", "--n-modes", "32")
+    assert run("impurity", *flags, "--out", str(tmp_path / "i")) == EXIT_OK
+    assert run("entropy", *flags, "--regime", regime, "--out", str(tmp_path / "e")) == EXIT_OK
+    assert (tmp_path / "i" / impurity_csv).read_bytes() == (
+        tmp_path / "e" / "entropy.csv").read_bytes()
 
 
 class TestEntropyCommand:
@@ -290,7 +329,7 @@ class TestRunConfig:
         p = cfg.atom_params()
         assert p.delta == pytest.approx(0.1, rel=1e-15)
 
-    def test_atom_b_overrides(self):
-        cfg = RunConfig(identical=False, g_b=0.7)
-        assert cfg.atom_params(which="b").g == 0.7
-        assert cfg.atom_params(which="a").g == 0.5
+    def test_fields_are_the_flags(self):
+        # one table of keys: a config file and the command line name the same settings
+        dests = set(vars(build_parser().parse_args(["spectrum"]))) - {"command", "config"}
+        assert {f.name for f in fields(RunConfig)} == dests

@@ -92,8 +92,7 @@ class TestFieldElement:
         # root 2 within 1e-13 relative above its asymptote omega_2
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=4)
         offsets = np.array([0.5, 0.5, 2e-13, 0.5, 0.2])
-        spec = ModeSpectrum(params=p, asymptotes=[0, 1, 2, 3, 4], offsets=offsets,
-                            method="exact-roots")
+        spec = ModeSpectrum(params=p, asymptotes=[0, 1, 2, 3, 4], offsets=offsets)
         with pytest.raises(DivisionHazard):
             build_matrix(spec)
 

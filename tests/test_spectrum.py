@@ -5,13 +5,14 @@ from dressedcavity import (
     ConvergenceFailure,
     DressedAtomParams,
     RegimeViolation,
-    approx_small_cavity_spectrum,
+    approx_small_cavity_elements,
     cotangent_residual,
     field_frequencies,
     secular_residual,
     solve_eigenfrequencies,
 )
 from dressedcavity import spectrum
+from dressedcavity.spectrum import first_order_frequencies
 from oracles import dlasd4_inner_roots
 
 # frozen first-order values at delta=0.1, g=0.5, omega_bar=1 (direct evaluation)
@@ -89,9 +90,6 @@ class TestSolve:
     def test_field_roots_near_first_order_values(self, fig_spectrum):
         assert fig_spectrum.bigomegas[1] == pytest.approx(OM1_APPROX, rel=0.01)
         assert fig_spectrum.bigomegas[2] == pytest.approx(OM2_APPROX, rel=0.01)
-
-    def test_method_tag(self, fig_spectrum):
-        assert fig_spectrum.method == "exact-roots"
 
     def test_interlacing(self, fig_spectrum):
         om, bo = fig_spectrum.omegas, fig_spectrum.bigomegas
@@ -226,25 +224,24 @@ class TestSolve:
 class TestSmallCavityApprox:
     def test_lowest_frequency(self):
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=4)
-        spec = approx_small_cavity_spectrum(p)
-        assert spec.method == "small-cavity-approx"
-        assert spec.bigomegas[0] == pytest.approx(OM0_APPROX, rel=1e-12)
-        assert spec.bigomegas[2] == pytest.approx(OM2_APPROX, rel=1e-12)
+        freqs = first_order_frequencies(p, 4)
+        assert freqs[0] == pytest.approx(OM0_APPROX, rel=1e-12)
+        assert freqs[2] == pytest.approx(OM2_APPROX, rel=1e-12)
 
     def test_decoupling_limit(self):
         p = DressedAtomParams.from_delta(1.0, 0.5, 1e-9, n_modes=2)
-        spec = approx_small_cavity_spectrum(p)
-        assert spec.bigomegas[0] == pytest.approx(1.0, abs=1e-8)
+        assert first_order_frequencies(p, 2)[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_regime_gate(self):
+        # the series the first-order frequencies feed is gated on delta
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.5, n_modes=4)
         with pytest.raises(RegimeViolation):
-            approx_small_cavity_spectrum(p)
+            approx_small_cavity_elements(p, 4)
 
     def test_matches_exact_roots_at_small_delta(self):
         # leading-order error stays below 5 delta^2 for the first ten gaps
         delta = 0.01
         p = DressedAtomParams.from_delta(1.0, 0.5, delta, n_modes=200)
         exact = solve_eigenfrequencies(p).bigomegas[:11]
-        approx = approx_small_cavity_spectrum(p).bigomegas[:11]
+        approx = first_order_frequencies(p, 10)
         assert np.max(np.abs(exact - approx) / exact) < 5 * delta**2
