@@ -22,7 +22,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad as _quad
 
 from . import bipartite, coupling, dynamics, oracle, svgplot
 from .errors import InvariantViolation, SimulationError
@@ -67,6 +66,7 @@ class RunConfig:
         if self.delta is not None and self.radius is not None:
             print("warning: both delta and radius given; delta takes precedence",
                   file=sys.stderr)
+        self.superposition()  # a bad xi or phi is a usage error before any work
 
     def atom_params(self) -> DressedAtomParams:
         if self.delta is not None:
@@ -129,15 +129,12 @@ def write_csv(path: Path, header: list[str], table) -> None:
 # ---------------------------------------------------------------------------
 
 def _entropy_constant_free_space(cfg: RunConfig, params) -> float:
-    """Single-atom entropy in free space, from the continuum's unitarity weight
-    s = (4g/pi) integral of h, which must be 1."""
-    val, _ = _quad(lambda x: dynamics.spectral_weight(x, params.omega_bar, params.g),
-                   0.0, np.inf, limit=400)
-    s = 4.0 * params.g / np.pi * val
-    if abs(s - 1.0) > 1e-6:
+    """Single-atom entropy in free space, -(1-xi) ln(1-xi) - xi ln xi, once the
+    continuum's unitarity weight s = (4g/pi) integral of h is checked to be 1."""
+    s = dynamics.spectral_weight_norm(params.omega_bar, params.g)
+    if not abs(s - 1.0) <= 1e-6:
         raise InvariantViolation(f"continuum unitarity weight {s:.9f} deviates from 1")
-    alphas = (1.0 - cfg.xi, cfg.xi * s)
-    return float(-sum(a * np.log(a) for a in alphas if a > 1e-12))
+    return bipartite.entanglement_entropy(cfg.xi)
 
 
 def _atom(cfg: RunConfig, params, regime: str) -> tuple[np.ndarray, np.ndarray]:

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import exp1
 
 from .coupling import TransformMatrix, approx_small_cavity_elements
 from .errors import InvariantViolation, RegimeViolation
@@ -53,6 +52,7 @@ __all__ = [
     "amplitude_row",
     "survival_trace",
     "spectral_weight",
+    "spectral_weight_norm",
     "imag_survival_integral",
     "amplitude_free_space",
     "free_space_trace",
@@ -257,27 +257,43 @@ def spectral_weight(x, omega_bar: float, g: float):
     return x * x / ((x * x - omega_bar**2) ** 2 + 4.0 * g * g * x * x)
 
 
-# Below this |z| the product exp(z) E1(z) is formed from its two factors;
-# beyond it they overflow and underflow (from |Re z| ~ 700 on) and the
-# continued fraction takes over, converging to rounding in _CF_TERMS terms.
-_CF_MIN_ABS = 500.0
-_CF_TERMS = 20
+def _poles(omega_bar: float, g: float) -> tuple[np.ndarray, np.ndarray]:
+    """The poles p_j = +-kappa -+ i g of :func:`spectral_weight`, lower half-plane first
+    (kappa imaginary for g > omega_bar), and A_j = p_j^2 / prod_{m != j} (p_j - p_m)."""
+    kappa = np.sqrt(complex(omega_bar**2 - g**2))
+    poles = np.array([kappa - 1j * g, -kappa - 1j * g, kappa + 1j * g, -kappa + 1j * g])
+    return poles, poles**2 / (poles[:, None] - poles[None, :] + np.eye(4)).prod(axis=1)
+
+
+def spectral_weight_norm(omega_bar: float, g: float) -> float:
+    """(4g/pi) integral_0^inf spectral_weight: pi i times the residues at the upper poles
+    of the even weight, Re[4 i g (A_3 + A_4)], which is 1 for every omega_bar != g."""
+    return float((4j * g * _poles(omega_bar, g)[1][2:].sum()).real)
 
 
 def _exp_e1(z: np.ndarray) -> np.ndarray:
     """exp(z) E1(z) on the principal branch, elementwise over a complex array.
 
-    Large |z| uses the even part of the continued fraction DLMF 6.9.1,
-    1/(z+1 - 1/(z+3 - 4/(z+5 - 9/(z+7 - ...)))).
+    The power series DLMF 6.6.2 where w = (|z| + Re z)/2 <= 1/2 and |z| <= 60 (its terms
+    cancel by at most e^(2w)); elsewhere the even part of the continued fraction DLMF 6.9.1,
+    1/(z+1 - 1/(z+3 - 4/(z+5 - ...))), which reaches rounding in ceil(90/w) + 6 terms (w
+    taken as at least 0.09, so at most 1006) and never forms exp(z) or E1(z), which overflow.
     """
     out = np.empty_like(z)
-    near = np.abs(z) < _CF_MIN_ABS
-    out[near] = np.exp(z[near]) * exp1(z[near])
-    far = z[~near]
-    acc = np.zeros_like(far)
-    for k in range(_CF_TERMS, 0, -1):
-        acc = k * k / (far + (2 * k + 1) - acc)
-    out[~near] = 1.0 / (far + 1.0 - acc)
+    size = np.abs(z)
+    w = 0.5 * (size + z.real)
+    near = (w <= 0.5) & (size <= 60.0)
+    n = np.arange(1.0, np.e * size[near].max(initial=0.0) + 30.0)
+    powers = np.cumprod(-z[near][:, None] / n, axis=1)  # (-z)^n / n!
+    out[near] = np.exp(z[near]) * (-np.euler_gamma - np.log(z[near]) - powers @ (1.0 / n))
+    terms = (np.ceil(90.0 / np.maximum(w[~near], 0.09)) + 6).astype(np.int64)
+    order = np.argsort(-terms, kind="stable")  # most terms first: the live points are a prefix
+    zf, terms = z[~near][order], terms[order]
+    top = terms.max(initial=0)
+    acc = np.zeros_like(zf)
+    for k, j in zip(range(top, 0, -1), np.searchsorted(-terms, np.arange(-top, 0), "right")):
+        acc[:j] = k * k / (zf[:j] + (2 * k + 1) - acc[:j])
+    out.flat[np.flatnonzero(~near)[order]] = 1.0 / (zf + 1.0 - acc)
     return out
 
 
@@ -299,8 +315,7 @@ def free_space_trace(p: FreeSpaceParams, times) -> AmplitudeTrace:
     if np.any(times < 0):
         raise ValueError("times must be >= 0")
     g, kappa = p.g, p.kappa
-    poles = np.array([kappa - 1j * g, -kappa - 1j * g, kappa + 1j * g, -kappa + 1j * g])
-    residues = poles**2 / (poles[:, None] - poles[None, :] + np.eye(4)).prod(axis=1)
+    poles, residues = _poles(p.omega_bar, g)
     later = times > 0
     z = -1j * (times[later, None] * poles)
     terms = _exp_e1(z)

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, polygamma
 
 from .errors import ConvergenceFailure, InvariantViolation
 
@@ -186,14 +185,43 @@ def field_frequencies(params: DressedAtomParams) -> np.ndarray:
 # loses.  Outside, the closed form cancels (below omega_1) or has spurious
 # poles (above omega_N), and the N terms, all of one sign, are summed over
 # the factored gaps omega_k^2 - Omega^2 = ((k - m) - s)(k + u) dw^2.
+# psi, psi': asymptotic series DLMF 5.11.2, 5.15.8 through B_14 on the stacked pair (a, b),
+# after ten steps of the recurrence DLMF 5.5.2, 5.15.5 raise arguments below 10 past it;
+# psi(a) - psi(b) takes ln(a/b) as one logarithm.
+
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)  # B_2 .. B_14
+_PSI_SERIES = (tuple(c / k for c, k in zip(_BERNOULLI, range(2, 16, 2))), _BERNOULLI)
+
+
+def _psi_pair(a, b, deriv):
+    """psi(a) - psi(b) (deriv 0) or psi'(a) + psi'(b) (deriv 1), elementwise, for a, b >= 1."""
+    k, x = a.size, np.concatenate((a, b), axis=None)
+    low = x < 10.0
+    if lifted := np.count_nonzero(low):
+        lift = np.add.reduce((x[low][:, None] + np.arange(10.0)) ** -(1.0 + deriv), axis=1)
+        x[low] += 10.0
+    r = 1.0 / x
+    y = r * r
+    v = _PSI_SERIES[deriv][-1] * y
+    for c in _PSI_SERIES[deriv][-2::-1]:
+        v += c
+        v *= y
+    v += 0.5 * r  # psi = ln x - v, psi' = r (1 + v)
+    if deriv:
+        v = r * (1.0 + v)
+    if lifted:
+        v[low] += lift
+    return (v[:k] + v[k:] if deriv else np.log(x[:k] / x[k:]) - (v[:k] - v[k:])).reshape(a.shape)
+
 
 def _closed_sum(m, s, n, power):
     c = np.pi / np.tan(np.pi * s)  # pi cot(pi u) = pi cot(pi s)
     u = m + s
-    p = c + digamma(n + 1 + u) - digamma((n + 1 - m) - s)
+    a, b = n + 1 + u, (n + 1 - m) - s
+    p = c + _psi_pair(a, b, 0)
     if power == 1:
         return (0.5 / u - 0.5 * p) / u
-    dp = c * c + np.pi**2 - polygamma(1, n + 1 + u) - polygamma(1, (n + 1 - m) - s)
+    dp = c * c + np.pi**2 - _psi_pair(a, b, 1)
     return ((0.5 * p - 1.0 / u) / u + 0.5 * dp) / (2.0 * u * u)
 
 

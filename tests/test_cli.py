@@ -1,10 +1,13 @@
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dressedcavity import bipartite, coupling, dynamics
+from dressedcavity import bipartite, cli, coupling, dynamics
 from dressedcavity.spectrum import solve_eigenfrequencies
 from dressedcavity.cli import (
     EXIT_INVARIANT,
@@ -102,6 +105,21 @@ class TestExitCodes:
     ], ids=["t-max-nan", "t-max-inf", "phi-nan", "omega-bar-inf", "delta-inf", "c-inf"])
     def test_usage_non_finite_input(self, tmp_path, argv):
         assert run(*argv, "--steps", "5", "--n-modes", "8", "--out", str(tmp_path)) == EXIT_USAGE
+
+    def test_bad_xi_exits_before_the_solve(self, tmp_path, monkeypatch):
+        def solve(params):
+            raise AssertionError("solved before the superposition was checked")
+
+        monkeypatch.setattr(cli, "solve_eigenfrequencies", solve)
+        assert run("entropy", "--regime", "exact", "--xi", "1.5", "--n-modes", "2000",
+                   "--out", str(tmp_path)) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["spectrum", "matrix-dump", "oracle-check"])
+    @pytest.mark.parametrize("flag, value", [("--xi", "1.5"), ("--phi", "nan")])
+    def test_usage_bad_superposition_for_every_command(self, tmp_path, command, flag, value):
+        # the superposition is checked with the rest of the run's keys, also by
+        # the commands that never read it
+        assert run(command, flag, value, "--n-modes", "8", "--out", str(tmp_path)) == EXIT_USAGE
 
     def test_numerical_failure_outside_small_cavity_regime(self, tmp_path):
         rc = run("amplitude", "--regime", "small", "--delta", "0.5",
@@ -232,6 +250,21 @@ class TestEntropyCommand:
         lines = (tmp_path / "entropy.csv").read_text().splitlines()
         assert float(lines[1].split(",")[-1]) == pytest.approx(np.log(2), abs=1e-8)
 
+    @pytest.mark.parametrize("xi", ["0.5", "0.25", "0.9"])
+    def test_free_space_entropy_is_the_analytic_value(self, tmp_path, xi):
+        # the continuum weight integrates to 1 exactly, so E is the initial entropy to the bit
+        assert run("impurity", "--xi", xi, "--steps", "7", "--n-modes", "16",
+                   "--out", str(tmp_path)) == EXIT_OK
+        lines = (tmp_path / "impurity_free_space.csv").read_text().splitlines()
+        expected = "%.17g" % bipartite.entanglement_entropy(float(xi))
+        assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {expected}
+
+    @pytest.mark.parametrize("norm", [1.0 + 2e-6, float("nan")])
+    def test_free_space_checks_the_continuum_weight(self, tmp_path, monkeypatch, norm):
+        monkeypatch.setattr(dynamics, "spectral_weight_norm", lambda omega_bar, g: norm)
+        assert run("entropy", "--regime", "free-space", "--steps", "5",
+                   "--out", str(tmp_path)) == EXIT_INVARIANT
+
 
 @pytest.mark.parametrize("argv", [
     ("impurity",),
@@ -333,3 +366,13 @@ class TestRunConfig:
         # one table of keys: a config file and the command line name the same settings
         dests = set(vars(build_parser().parse_args(["spectrum"]))) - {"command", "config"}
         assert {f.name for f in fields(RunConfig)} == dests
+
+
+def test_package_imports_without_scipy():
+    # scipy is a test oracle only: importing the package and its CLI loads none of it
+    src = Path(bipartite.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dressedcavity, dressedcavity.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

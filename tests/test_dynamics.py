@@ -25,7 +25,7 @@ from dressedcavity import (
 )
 from dressedcavity import dynamics, solve_eigenfrequencies
 from dressedcavity.dynamics import series_tail_bound, small_cavity_trace
-from oracles import brute_force_imag_integral, free_space_survival_brute
+from oracles import brute_force_grid, brute_force_imag_integral, free_space_survival_brute
 
 OMEGA_BAR, G = 1.0, 0.5
 
@@ -414,3 +414,43 @@ class TestLowerBound:
     def test_regime_gate(self):
         with pytest.raises(RegimeViolation):
             survival_sq_lower_bound(0.3)
+
+
+class TestExpE1:
+    # exp(z) E1(z) at the four poles' arguments z = -i p t of free_space_trace,
+    # t up to 2000; against 30-digit mpmath it must be at least as close as
+    # scipy's exp(z) * exp1(z), taken where that product is finite (it
+    # overflows once g t passes ~700, which the continued fraction reaches)
+    @pytest.mark.parametrize("g", [0.02, 0.1, 0.5, 0.9, 0.99])
+    def test_at_least_as_close_to_mpmath_as_scipy(self, g):
+        mpmath = pytest.importorskip("mpmath")
+        exp1 = pytest.importorskip("scipy.special").exp1
+        poles, _ = dynamics._poles(OMEGA_BAR, g)
+        times = np.concatenate((np.geomspace(1e-3, 2000.0, 120), np.linspace(0.05, 25.0, 24)))
+        z = (-1j * (times[:, None] * poles)).ravel()
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.exp(mpmath.mpc(v)) * mpmath.e1(mpmath.mpc(v)))
+                            for v in z])
+        with np.errstate(over="ignore", invalid="ignore"):
+            theirs = np.abs(np.exp(z) * exp1(z) - ref) / np.abs(ref)
+        ours = np.abs(dynamics._exp_e1(z) - ref) / np.abs(ref)
+        assert np.isfinite(theirs).all() == (g * times.max() < 700.0)
+        assert np.all(np.isfinite(ours))
+        assert ours.max() <= np.max(theirs[np.isfinite(theirs)])
+        assert ours.max() <= 32 * np.finfo(float).eps
+
+
+class TestContinuumNorm:
+    @pytest.mark.parametrize("omega_bar, g", [(1.0, 0.5), (1.0, 0.02), (1.0, 0.9), (0.3, 0.9)])
+    def test_residue_sum_is_one(self, omega_bar, g):
+        # (4g/pi) integral of the weight = Re[4 i g (A_3 + A_4)], also for omega_bar < g
+        assert abs(dynamics.spectral_weight_norm(omega_bar, g) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("omega_bar, g", [(1.0, 0.5), (1.0, 0.02), (0.3, 0.9)])
+    def test_trapezoid_of_the_weight_is_one(self, omega_bar, g):
+        # the oracle's grid on [0, X] plus the tail integral of 1/x^2 + (2 omega_bar^2
+        # - 4 g^2)/x^4, the weight's expansion beyond X
+        x, wx = brute_force_grid(omega_bar, g, n_points=1_000_001)
+        tail = 1.0 / x[-1] + (2.0 * omega_bar**2 - 4.0 * g * g) / (3.0 * x[-1] ** 3)
+        norm = 4.0 * g / np.pi * (np.trapezoid(wx, x) + tail)
+        assert abs(norm - 1.0) <= 1e-6

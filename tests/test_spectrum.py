@@ -245,3 +245,44 @@ class TestSmallCavityApprox:
         exact = solve_eigenfrequencies(p).bigomegas[:11]
         approx = first_order_frequencies(p, 10)
         assert np.max(np.abs(exact - approx) / exact) < 5 * delta**2
+
+
+def _psi_points():
+    """(a, b) pairs as the closed-form sums produce them, a = N+1+u and
+    b = (N+1-m) - s with u = m + s in [1, N] and s in (-1/2, 1/2], plus pairs
+    spread over arguments from 1 to 3e5."""
+    rng = np.random.default_rng(5)
+    a, b = [], []
+    for n in (8, 200, 100_000):
+        m = np.concatenate((rng.integers(1, n + 1, 60), [1, 1, n - 9, n - 1, n, n]))
+        s = np.concatenate((rng.uniform(-0.5, 0.5, 60), [0.0, 0.5, 0.31, 0.5, -0.5, 0.0]))
+        s[s == -0.5] = 0.5  # keep s in (-1/2, 1/2]
+        m = np.where(m + s > n, m - 1, np.where(m + s < 1, m + 1, m)).astype(float)
+        a.append(n + 1 + (m + s))
+        b.append((n + 1 - m) - s)
+    grid = np.geomspace(1.0, 3e5, 40)
+    a.append(grid)
+    b.append(grid[::-1])
+    return np.concatenate(a), np.concatenate(b)
+
+
+class TestPsiPair:
+    # the closed-form sums' psi(a) - psi(b) and psi'(a) + psi'(b) against
+    # 30-digit mpmath: 4 eps, relative, or absolute where the value is below 1
+    @pytest.mark.parametrize("deriv", [0, 1])
+    def test_within_four_eps_of_mpmath(self, deriv):
+        mpmath = pytest.importorskip("mpmath")
+        a, b = _psi_points()
+        got = spectrum._psi_pair(a, b, deriv)
+        with mpmath.workdps(30):
+            sign = 1 if deriv else -1
+            ref = np.array([float(mpmath.psi(deriv, mpmath.mpf(x))
+                                  + sign * mpmath.psi(deriv, mpmath.mpf(y)))
+                            for x, y in zip(a, b)])
+        err = np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)
+        assert err.max() <= 4 * np.finfo(float).eps
+
+    def test_scalar_arguments_give_scalars(self):
+        got = spectrum._psi_pair(np.float64(12.5), np.float64(3.25), 0)
+        assert np.shape(got) == ()
+        assert got == spectrum._psi_pair(np.array([12.5]), np.array([3.25]), 0)[0]
