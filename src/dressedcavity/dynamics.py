@@ -7,15 +7,17 @@ t = 0 is found on oscillator nu at time t is
 
 an exact finite sum over normal modes ("discrete-sum" route).  It and the
 small-cavity series share one kernel, ``_phase_sum``, for sum_r w_r
-exp(-i Omega_r t).  On a uniform grid of T times it writes t_j =
-coarse[j // b] + fine[j % b] with b = floor(sqrt(T)), so each mode needs
-about 2 sqrt(T) complex exponentials; a grid the split does not rebuild to
-a few ulps (non-uniform, a scalar, T < 4) takes b = 1, the plain sum.
-Vector weights contract the coarse and fine exponentials as one matrix
-product per block of modes; matrix weights multiply the table of all T
-phases.  No block holds more than 2^22 phases (64 MB), so memory does not
-grow with the mode count.  Two analytic companions cover the limiting
-cavity sizes:
+exp(-i Omega_r t).  On a uniform grid of T >= 4 times, each within a few
+ulps of t_0 + j h, it writes t_{ib+r} = t_0 + (ib + r) h with b =
+floor(sqrt(T)) and builds the coarse phases exp(-i Omega (t_0 + ibh)) and
+the fine phases exp(-i Omega rh) by running products, so each mode needs 2
+complex exponentials (3 when t_0 != 0) and about 2 sqrt(T) complex
+products; any other grid (non-uniform, a scalar, T < 4) takes b = 1, the
+plain sum with one exponential per phase.  Vector weights contract the
+coarse and fine tables as one matrix product per block of modes; matrix
+weights multiply the table of all T phases.  No block holds more than 2^22
+phases (64 MB), so memory does not grow with the mode count.  Two analytic
+companions cover the limiting cavity sizes:
 
 * free space (R -> infinity, weak coupling kappa^2 = omega_bar^2 - g^2 > 0):
 
@@ -69,8 +71,8 @@ _T0_TOL = 1e-9
 # Phases (times x modes) in one block of _phase_sum's table: 64 MB of complex.
 _BLOCK_ELEMENTS = 2**22
 
-# A coarse x fine split of the time grid must rebuild each time to this many
-# multiples of eps max|t|, the size of the rounding already in Omega t.
+# A time grid is uniform when each time lies within this many multiples of
+# eps max|t| of t_0 + i h, the size of the rounding already in Omega t.
 _SPLIT_ULPS = 4
 
 
@@ -144,47 +146,71 @@ def _row_index(label, n_modes: int) -> int:
 # Discrete-sum route
 # ---------------------------------------------------------------------------
 
-def _grid_split(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(coarse, fine) with times[j] = coarse[j // b] + fine[j % b], where b = fine.size.
+def _grid_step(times: np.ndarray) -> tuple[float, int]:
+    """(h, b) for a uniform grid times[i] = times[0] + i h of T >= 4 times, with
+    b = floor(sqrt(T)); (0.0, 1), the plain sum, for any other grid (non-uniform,
+    a scalar, T < 4).
 
-    On a uniform grid of T >= 4 times, b = floor(sqrt(T)), coarse = times[::b]
-    and fine = times[:b] - times[0].  The split is kept only if it rebuilds
-    every time to a few ulps of max|t|; otherwise (a non-uniform grid, a
-    scalar, T < 4) b = 1, coarse = times and fine = [0].
+    The grid counts as uniform when every time lies within _SPLIT_ULPS eps
+    max|t| of times[0] + i h, with h = (times[-1] - times[0]) / (T - 1).
     """
     b = math.isqrt(times.size)
     if b >= 2:
-        coarse, fine = times[::b], times[:b] - times[0]
-        rebuilt = (coarse[:, None] + fine).ravel()[:times.size]
+        h = (times[-1] - times[0]) / (times.size - 1)
         tol = _SPLIT_ULPS * np.finfo(float).eps * np.max(np.abs(times))
-        if np.max(np.abs(rebuilt - times)) <= tol:
-            return coarse, fine
-    return times, np.zeros(1)
+        if np.max(np.abs(times[0] + np.arange(times.size) * h - times)) <= tol:
+            return h, b
+    return 0.0, 1
+
+
+def _powers(angle: np.ndarray, first, count: int) -> np.ndarray:
+    """Rows first * exp(-i angle)**k, k = 0 .. count-1, of a (count, B) table.
+
+    Each running product is taken as x + x e, with e = exp(-i angle) - 1 =
+    -2i sin(angle/2) exp(-i angle/2) correct to a few ulps of e.  At small
+    angles |1 + e| then misses 1 by about angle^2 eps, where a product by
+    the rounded exp(-i angle), whose modulus misses 1 by up to eps/4, would
+    drift by that much per row.
+    """
+    half = np.exp(-0.5j * angle)
+    e = 2j * half.imag * half
+    table = np.empty((count, angle.size), dtype=complex)
+    table[0] = first
+    for k in range(1, count):
+        np.multiply(table[k - 1], e, out=table[k])
+        table[k] += table[k - 1]
+    return table
 
 
 def _phase_sum(times, omegas: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_r weights[r] exp(-i omegas[r] t) at every t; shape (T,) + weights.shape[1:].
 
-    With times split by :func:`_grid_split`, exp(-i Omega t_j) is the product
-    of C[j // b] = exp(-i Omega coarse[j // b]) and F[j % b] = exp(-i Omega
-    fine[j % b]), so a block of modes takes T/b + b complex exponentials
-    instead of T: about 2 sqrt(T) on a uniform grid.  Vector weights fold
-    into the fine factor, f(t_{ib+r}) = sum_m C[i, m] (w_m F[r, m]), one
-    (T/b x B) . (B x b) complex product per block of B modes; matrix weights
-    (one row of amplitudes per time) form the T x B table of phases and
-    multiply it by the block of weights.  When b = 1 the fine factor is
-    exactly 1 and either route is the plain sum.  Blocks hold at most
-    _BLOCK_ELEMENTS phases of that table (the vector route holds T/b + b
-    per mode of them), so memory stays bounded however many modes there
-    are.
+    On a uniform grid (:func:`_grid_step`), time t_{jb+r} = t_0 + (jb + r) h
+    has the phase C[j] F[r], with the coarse table C[j] = exp(-i Omega t_0)
+    exp(-i Omega b h)^j and the fine table F[r] = exp(-i Omega h)^r, both
+    built by running products: 2 complex exponentials per mode (3 when t_0 !=
+    0) instead of T, and about sqrt(T) products per table.  Any other grid
+    takes b = 1: C is exp(-i Omega t) from one exponential per phase and F is
+    1, the plain sum.  Vector weights fold into the fine factor, f(t_{jb+r}) =
+    sum_m C[j, m] (w_m F[r, m]), one (T/b x B) . (B x b) complex product per
+    block of B modes; matrix weights (one row of amplitudes per time) form
+    the T x B table of phases and multiply it by the block of weights.
+    Blocks hold at most _BLOCK_ELEMENTS phases of that table (the vector
+    route holds T/b + b per mode of them), so memory stays bounded however
+    many modes there are.
     """
     times = np.ravel(times)
-    coarse, fine = _grid_split(times)
-    rows = coarse.size * fine.size
+    h, b = _grid_step(times)
+    rows = -(-times.size // b) * b
     step = max(1, _BLOCK_ELEMENTS // max(rows, 1))
 
     def part(om: np.ndarray, w: np.ndarray) -> np.ndarray:
-        c, f = np.exp(-1j * np.outer(coarse, om)), np.exp(-1j * np.outer(fine, om))
+        if b == 1:
+            c, f = np.exp(-1j * np.outer(times, om)), np.ones((1, om.size), dtype=complex)
+        else:
+            start = np.exp(-1j * (om * times[0])) if times[0] else 1.0
+            c = _powers(om * (b * h), start, rows // b)
+            f = _powers(om * h, 1.0, b)
         if w.ndim == 1:
             f *= w
             return (c @ f.T).ravel()[:times.size]

@@ -121,11 +121,12 @@ class ModeSpectrum:
     (``asymptotes``; omega_0 = 0 for root 0, omega_N for the top root) and
     its signed offset s_r from it in units of dw (``offsets``), which keeps
     every digit of a gap omega_m - Omega_r that the float Omega_r loses.
-    Derived from them once: ``omegas``, ``bigomegas`` = (m_r + s_r) dw, the
-    atom weights ``weights`` = (t_atom^r)^2 = 1 / |F'| = 1 / (1 + eta^2
-    (S + lam S2)) through :func:`_slope`, and ``newton_rel`` = |F| w_r /
-    Omega_r^2, each root's relative Newton correction with F at the carried
-    offsets, which unlike F stays meaningful where the root hugs its asymptote.
+    Derived from them once: ``omegas``, ``bigomegas`` = (m_r + s_r) dw, and
+    from one evaluation of S and S2 per root (:func:`_secular` with
+    ``slope``), the atom weights ``weights`` = (t_atom^r)^2 = 1 / |F'| =
+    1 / (1 + eta^2 (S + lam S2)) and ``newton_rel`` = |F| w_r / Omega_r^2,
+    each root's relative Newton correction with F at the carried offsets,
+    which unlike F stays meaningful where the root hugs its asymptote.
     :func:`solve_eigenfrequencies` is the one producer; the first-order
     small-cavity frequencies are :func:`first_order_frequencies`.
     """
@@ -156,8 +157,9 @@ class ModeSpectrum:
             raise InvariantViolation("lowest normal frequency must lie below omega_1")
         if np.any(bo[1:] <= om) or np.any(bo[1:-1] >= om[1:]):
             raise InvariantViolation("normal frequencies must interlace the bare modes")
-        w = 1.0 / _slope(m, s, self.params)
-        newton_rel = np.abs(_secular(m, s, self.params)) * w / bo**2
+        f, slope = _secular(m, s, self.params, slope=True)
+        w = 1.0 / slope
+        newton_rel = np.abs(f) * w / bo**2
         for name, value in (("asymptotes", m), ("offsets", s), ("omegas", om),
                             ("bigomegas", bo), ("weights", w), ("newton_rel", newton_rel)):
             value.setflags(write=False)
@@ -193,41 +195,48 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)  # B_
 _PSI_SERIES = (tuple(c / k for c, k in zip(_BERNOULLI, range(2, 16, 2))), _BERNOULLI)
 
 
-def _psi_pair(a, b, deriv):
-    """psi(a) - psi(b) (deriv 0) or psi'(a) + psi'(b) (deriv 1), elementwise, for a, b >= 1."""
+def _psi_pair(a, b, powers):
+    """[psi(a) - psi(b)], with powers 2 also psi'(a) + psi'(b), elementwise, for a, b >= 1."""
     k, x = a.size, np.concatenate((a, b), axis=None)
     low = x < 10.0
     if lifted := np.count_nonzero(low):
-        lift = np.add.reduce((x[low][:, None] + np.arange(10.0)) ** -(1.0 + deriv), axis=1)
+        shifted = x[low][:, None] + np.arange(10.0)
+        lifts = [np.add.reduce(shifted ** -(1.0 + d), axis=1) for d in range(powers)]
         x[low] += 10.0
     r = 1.0 / x
     y = r * r
-    v = _PSI_SERIES[deriv][-1] * y
-    for c in _PSI_SERIES[deriv][-2::-1]:
-        v += c
-        v *= y
-    v += 0.5 * r  # psi = ln x - v, psi' = r (1 + v)
-    if deriv:
-        v = r * (1.0 + v)
-    if lifted:
-        v[low] += lift
-    return (v[:k] + v[k:] if deriv else np.log(x[:k] / x[k:]) - (v[:k] - v[k:])).reshape(a.shape)
+    out = []
+    for d in range(powers):
+        v = _PSI_SERIES[d][-1] * y
+        for c in _PSI_SERIES[d][-2::-1]:
+            v += c
+            v *= y
+        v += 0.5 * r  # psi = ln x - v, psi' = r (1 + v)
+        if d:
+            v = r * (1.0 + v)
+        if lifted:
+            v[low] += lifts[d]
+        v = v[:k] + v[k:] if d else np.log(x[:k] / x[k:]) - (v[:k] - v[k:])
+        out.append(v.reshape(a.shape))
+    return out
 
 
-def _closed_sum(m, s, n, power):
+def _closed_sum(m, s, n, powers):
     c = np.pi / np.tan(np.pi * s)  # pi cot(pi u) = pi cot(pi s)
     u = m + s
     a, b = n + 1 + u, (n + 1 - m) - s
-    p = c + _psi_pair(a, b, 0)
-    if power == 1:
-        return (0.5 / u - 0.5 * p) / u
-    dp = c * c + np.pi**2 - _psi_pair(a, b, 1)
-    return ((0.5 * p - 1.0 / u) / u + 0.5 * dp) / (2.0 * u * u)
+    psi = _psi_pair(a, b, powers)
+    p = c + psi[0]
+    sums = [(0.5 / u - 0.5 * p) / u]
+    if powers == 2:
+        dp = c * c + np.pi**2 - psi[1]
+        sums.append(((0.5 * p - 1.0 / u) / u + 0.5 * dp) / (2.0 * u * u))
+    return sums
 
 
-def _direct_sum(m, s, n, power):
+def _direct_sum(m, s, n, powers):
     k = np.arange(1.0, n + 1)
-    out = np.empty(m.shape)
+    out = np.empty((powers,) + m.shape)
     block = max(1, 2**15 // n)  # points at a time: keeps the work array in cache
     for i in range(0, m.size, block):
         mi, si = m[i:i + block, None], s[i:i + block, None]
@@ -235,23 +244,25 @@ def _direct_sum(m, s, n, power):
         gap -= si
         gap *= k + (mi + si)
         inv = np.reciprocal(gap, out=gap)
-        out[i:i + block] = (inv if power == 1 else inv * inv).sum(axis=-1)
+        out[0, i:i + block] = inv.sum(axis=-1)
+        if powers == 2:
+            out[1, i:i + block] = (inv * inv).sum(axis=-1)
     return out
 
 
-def _mode_sum(m, s, params: DressedAtomParams, power: int):
-    """S (power 1) or S2 (power 2) at Omega = (m + s) dw."""
+def _mode_sum(m, s, params: DressedAtomParams, powers: int = 1):
+    """[S] (powers 1) or [S, S2] (powers 2) at Omega = (m + s) dw, from one evaluation."""
     n = params.n_modes
     u = m + s
     inside = (u >= 1.0) & (u <= n)
     if inside.all():
-        out = _closed_sum(m, s, n, power)
+        sums = _closed_sum(m, s, n, powers)
     else:
-        out = np.empty(u.shape)
-        out[~inside] = _direct_sum(m[~inside], s[~inside], n, power)
+        sums = np.empty((powers,) + u.shape)
+        sums[:, ~inside] = _direct_sum(m[~inside], s[~inside], n, powers)
         if inside.any():
-            out[inside] = _closed_sum(m[inside], s[inside], n, power)
-    return out[()] / params.delta_omega ** (2 * power)
+            sums[:, inside] = _closed_sum(m[inside], s[inside], n, powers)
+    return [x[()] / params.delta_omega ** (2 * k) for k, x in enumerate(sums, 1)]
 
 
 def _offsets(omega, params: DressedAtomParams):
@@ -272,17 +283,17 @@ def _omega(m, s, params: DressedAtomParams):
     return m * head + rest, (params.omega_bar - m * head) - rest
 
 
-def _secular(m, s, params: DressedAtomParams):
-    """F(lam) = omega_bar^2 - lam - eta^2 lam S(lam) at Omega = (m + s) dw."""
+def _secular(m, s, params: DressedAtomParams, slope: bool = False):
+    """F(lam) = omega_bar^2 - lam - eta^2 lam S(lam) at Omega = (m + s) dw; with
+    ``slope``, (F, |dF/dlam|) from the same S and one S2, where |dF/dlam| = 1 +
+    eta^2 (S + lam S2) = 1 + eta^2 sum_k omega_k^2/(omega_k^2 - lam)^2; at a root
+    the slope is 1/(t_atom^r)^2."""
     om, detuning = _omega(m, s, params)
-    return detuning * (params.omega_bar + om) - params.eta_sq * om * om * _mode_sum(m, s, params, 1)
-
-
-def _slope(m, s, params: DressedAtomParams):
-    """|dF/dlam| = 1 + eta^2 (S + lam S2) = 1 + eta^2 sum_k omega_k^2/(omega_k^2 - lam)^2
-    at Omega = (m + s) dw; at a root it is 1/(t_atom^r)^2."""
-    om = _omega(m, s, params)[0]
-    return 1.0 + params.eta_sq * (_mode_sum(m, s, params, 1) + om * om * _mode_sum(m, s, params, 2))
+    sums = _mode_sum(m, s, params, 1 + slope)
+    f = detuning * (params.omega_bar + om) - params.eta_sq * om * om * sums[0]
+    if not slope:
+        return f
+    return f, 1.0 + params.eta_sq * (sums[0] + om * om * sums[1])
 
 
 def secular_residual(omega, params: DressedAtomParams):

@@ -194,12 +194,13 @@ class TestAtomWeights:
 
     def test_one_slope_evaluation_per_root(self):
         # the solver's Newton check and atom_weights both read the weights the
-        # spectrum derives once; calls are counted by code object, so a call
-        # through any module's binding of spectrum._slope is seen
-        code, sizes = spectrum._slope.__code__, []
+        # spectrum derives once, with newton_rel, from one evaluation of S and
+        # S2; calls are counted by code object, so a call through any module's
+        # binding of spectrum._mode_sum is seen
+        code, sizes = spectrum._mode_sum.__code__, []
 
         def count(frame, event, arg):
-            if event == "call" and frame.f_code is code:
+            if event == "call" and frame.f_code is code and frame.f_locals["powers"] == 2:
                 sizes.append(frame.f_locals["s"].size)
 
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=64)

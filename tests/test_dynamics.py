@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dressedcavity import (
     AmplitudeTrace,
@@ -103,7 +104,7 @@ class TestDiscreteSum:
         # 201 times x 100001 modes would be a 322 MB complex phase array in
         # one piece; the sum over blocks of modes must peak far below that.
         # The 201 times split into 15 coarse x 14 fine, so a block takes
-        # 2^22 // 210 = 19972 modes and holds 29 exponentials per mode.
+        # 2^22 // 210 = 19972 modes and holds 29 phases per mode.
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=100_000)
         spec = solve_eigenfrequencies(p)
         w = atom_weights(spec)
@@ -163,7 +164,7 @@ def _phase_sum_by_mode(times, omegas, weights):
 
 
 class TestPhaseSum:
-    """The coarse x fine split of the time grid against a mode-by-mode sum."""
+    """The coarse x fine running-product tables against a mode-by-mode sum."""
 
     @staticmethod
     def _assert_matches_mode_loop(times, omegas, weights):
@@ -178,23 +179,54 @@ class TestPhaseSum:
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 17, 201, 501])
     def test_uniform_grids(self, fig_spectrum, fig_matrix, steps):
         times = np.linspace(0.0, 25.0, steps)
-        assert dynamics._grid_split(times)[1].size == math.isqrt(steps)
+        assert dynamics._grid_step(times)[1] == math.isqrt(steps)
         for weights in (atom_weights(fig_spectrum), fig_matrix.t[3][:, None] * fig_matrix.t.T):
             self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, weights)
 
     def test_grid_starting_after_zero(self, fig_spectrum):
         times = np.linspace(3.7, 41.2, 101)
-        coarse, fine = dynamics._grid_split(times)
-        assert fine.size == 10 and fine[0] == 0.0 and coarse[0] == times[0]
+        h, b = dynamics._grid_step(times)
+        assert b == 10 and h == pytest.approx(0.375, rel=1e-15)
         self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, atom_weights(fig_spectrum))
 
     def test_non_uniform_grid_is_the_plain_sum(self, fig_spectrum):
         times = np.linspace(0.0, 5.0, 101) ** 2
-        coarse, fine = dynamics._grid_split(times)
-        assert fine.tolist() == [0.0] and coarse is times
+        assert dynamics._grid_step(times) == (0.0, 1)
         w = atom_weights(fig_spectrum)
         plain = np.exp(-1j * np.outer(times, fig_spectrum.bigomegas)) @ w
         assert np.array_equal(dynamics._phase_sum(times, fig_spectrum.bigomegas, w), plain)
+
+    @pytest.mark.parametrize("scale, start", [(1.0, 0.0), (0.37, 2.5)])
+    def test_split_without_a_step_is_the_plain_sum(self, fig_spectrum, scale, start):
+        # coarse [0, 10, 20] + fine [0, 1, 3] rebuilds every time, but no one
+        # step h does: powers of exp(-i Omega h) would give the wrong phases
+        times = start + scale * np.array([0.0, 1.0, 3.0, 10.0, 11.0, 13.0, 20.0, 21.0, 23.0])
+        w = atom_weights(fig_spectrum)
+        self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, w)
+        assert dynamics._grid_step(times) == (0.0, 1)
+        plain = np.exp(-1j * np.outer(times, fig_spectrum.bigomegas)) @ w
+        assert np.array_equal(dynamics._phase_sum(times, fig_spectrum.bigomegas, w), plain)
+
+    def test_long_grid_running_products(self, fig_spectrum, fig_matrix):
+        # 10001 times: 100 coarse x 100 fine rows, so each table is about 100
+        # running products deep
+        times = np.linspace(0.0, 25.0, 10_001)
+        assert dynamics._grid_step(times)[1] == 100
+        rows = fig_matrix.t[3][:, None] * fig_matrix.t.T[:, ::25]  # 9 of the 201 columns
+        for weights in (atom_weights(fig_spectrum), rows):
+            self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, weights)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 100.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e),
+           st.integers(4, 2000))
+    @example(0.0, 7.063216182851738e-07, 1489)
+    def test_uniform_grid_property(self, fig_spectrum, start, h, steps):
+        # Omega max|t| from ~3e-8, where the bound is about 16 eps sum|w|, to
+        # ~2e6; at the example a product by the rounded exp(-i Omega h), whose
+        # modulus drifts by up to eps/4 a row, misses the bound by 20%
+        times = start + np.arange(steps) * h
+        assert dynamics._grid_step(times)[1] == math.isqrt(steps)
+        self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, atom_weights(fig_spectrum))
 
     @pytest.mark.parametrize("budget", [dynamics._BLOCK_ELEMENTS, 50])
     @pytest.mark.parametrize("steps", [4, 17, 201])

@@ -108,21 +108,22 @@ class TestSolve:
         assert np.all(resid / (slope * lam) < 1e-10)
 
     def test_newton_slope_is_the_secular_derivative(self, fig_params, fig_spectrum):
-        # _slope = |F'| = 1 + eta^2 (S + lam S2), the slope of newton_rel and the
-        # atom weights; a little above root 5, where F is far from rounding,
+        # the slope |F'| = 1 + eta^2 (S + lam S2) of newton_rel and the atom
+        # weights; a little above root 5, where F is far from rounding,
         # compare it with a central difference of F in lam
         lam = (fig_spectrum.bigomegas[5] * (1.0 + 1e-3)) ** 2
         h = 1e-7 * lam
         central = (secular_residual(np.sqrt(lam + h), fig_params)
                    - secular_residual(np.sqrt(lam - h), fig_params)) / (2.0 * h)
-        slope = spectrum._slope(*spectrum._offsets(np.sqrt(lam), fig_params), fig_params)
+        m, s = spectrum._offsets(np.sqrt(lam), fig_params)
+        slope = spectrum._secular(m, s, fig_params, slope=True)[1]
         assert slope == pytest.approx(-central, rel=1e-6)
 
     def test_newton_rel_is_the_relative_newton_correction(self, fig_spectrum):
         # |F| w_r / Omega_r^2 at the carried offsets, within the solver's bound
         p, m, s = fig_spectrum.params, fig_spectrum.asymptotes, fig_spectrum.offsets
-        expected = (np.abs(spectrum._secular(m, s, p)) / spectrum._slope(m, s, p)
-                    / fig_spectrum.bigomegas**2)
+        f, slope = spectrum._secular(m, s, p, slope=True)
+        expected = np.abs(f) / slope / fig_spectrum.bigomegas**2
         np.testing.assert_allclose(fig_spectrum.newton_rel, expected, rtol=1e-15, atol=0.0)
         assert fig_spectrum.newton_rel.max() <= 1e-10
         assert not fig_spectrum.newton_rel.flags.writeable
@@ -144,10 +145,9 @@ class TestSolve:
         lam = np.array([0.37, 3.1, 26.0, 311.7, 4001.0, 52000.0])
         gaps = field_frequencies(p)[None, :] ** 2 - lam[:, None]
         m, s = spectrum._offsets(np.sqrt(lam), p)
-        assert spectrum._mode_sum(m, s, p, 1) == pytest.approx(
-            np.sum(1.0 / gaps, axis=1), rel=1e-11)
-        assert spectrum._mode_sum(m, s, p, 2) == pytest.approx(
-            np.sum(1.0 / gaps**2, axis=1), rel=1e-11)
+        s1, s2 = spectrum._mode_sum(m, s, p, 2)
+        assert s1 == pytest.approx(np.sum(1.0 / gaps, axis=1), rel=1e-11)
+        assert s2 == pytest.approx(np.sum(1.0 / gaps**2, axis=1), rel=1e-11)
 
     def test_closed_form_solver_matches_direct_solver(self):
         for n in (150, 2048):
@@ -273,7 +273,7 @@ class TestPsiPair:
     def test_within_four_eps_of_mpmath(self, deriv):
         mpmath = pytest.importorskip("mpmath")
         a, b = _psi_points()
-        got = spectrum._psi_pair(a, b, deriv)
+        got = spectrum._psi_pair(a, b, 1 + deriv)[deriv]
         with mpmath.workdps(30):
             sign = 1 if deriv else -1
             ref = np.array([float(mpmath.psi(deriv, mpmath.mpf(x))
@@ -283,6 +283,6 @@ class TestPsiPair:
         assert err.max() <= 4 * np.finfo(float).eps
 
     def test_scalar_arguments_give_scalars(self):
-        got = spectrum._psi_pair(np.float64(12.5), np.float64(3.25), 0)
-        assert np.shape(got) == ()
-        assert got == spectrum._psi_pair(np.array([12.5]), np.array([3.25]), 0)[0]
+        got = spectrum._psi_pair(np.float64(12.5), np.float64(3.25), 2)
+        assert [np.shape(v) for v in got] == [(), ()]
+        assert got == [v[0] for v in spectrum._psi_pair(np.array([12.5]), np.array([3.25]), 2)]
