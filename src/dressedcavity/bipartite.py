@@ -12,6 +12,7 @@ whose entries depend only on the two survival amplitudes f_AA(t), f_BB(t):
     rho_01,01 = (1-xi) |f_BB|^2
     rho_10,10 = xi |f_AA|^2
     rho_10,01 = sqrt(xi(1-xi)) e^{i phi} f_AA^* f_BB        (+ c.c.)
+    rho_11,11 = 0                                           (one excitation)
 
 The impurity D = 1 - Tr rho^2 = 2 w (1 - w) with
 w = xi |f_AA|^2 + (1-xi) |f_BB|^2 measures how far the pair state has
@@ -90,7 +91,7 @@ class ReducedAtomPairMatrix:
 
     Every field is a scalar, for one time, or an array over the times in
     ``time``.  ``coherence`` is the <1_A 0_B| rho |0_A 1_B> entry; its
-    conjugate and the (fixed, zero) |11> population complete the matrix.
+    conjugate and the |11> population, zero for one excitation, complete it.
     """
 
     time: np.ndarray
@@ -98,14 +99,13 @@ class ReducedAtomPairMatrix:
     p_b_excited: np.ndarray
     p_a_excited: np.ndarray
     coherence: np.ndarray
-    p_both: np.ndarray = 0.0
 
     def __post_init__(self):
-        for name in ("p_ground", "p_b_excited", "p_a_excited", "p_both"):
+        for name in ("p_ground", "p_b_excited", "p_a_excited"):
             v = np.asarray(getattr(self, name))
             _require(~((-_TRACE_TOL <= v) & (v <= 1.0 + _TRACE_TOL)), self.time,
                      InvariantViolation, name + " = {:.12g} outside [0, 1]", v)
-        tr = self.p_ground + self.p_b_excited + self.p_a_excited + self.p_both
+        tr = self.p_ground + self.p_b_excited + self.p_a_excited
         _require(abs(tr - 1.0) > _TRACE_TOL, self.time, InvariantViolation,
                  "trace {:.12f} deviates from 1", tr)
         # positive semidefiniteness of the single-excitation coherence block
@@ -116,7 +116,7 @@ class ReducedAtomPairMatrix:
     def as_matrix(self) -> np.ndarray:
         """Dense (..., 4, 4) matrices in the basis (|00>, |01>, |10>, |11>)."""
         m = np.zeros(np.shape(self.coherence) + (4, 4), dtype=complex)
-        for i, p in enumerate((self.p_ground, self.p_b_excited, self.p_a_excited, self.p_both)):
+        for i, p in enumerate((self.p_ground, self.p_b_excited, self.p_a_excited)):
             m[..., i, i] = p
         m[..., 2, 1] = self.coherence
         m[..., 1, 2] = np.conj(self.coherence)

@@ -5,12 +5,13 @@ oracle-check.  Exit codes: 0 success, 1 usage, 2 numerical failure,
 3 invariant violation.
 
 Every run follows one pair of atoms with the same (omega_bar, g, delta).
-The keys of a run are the fields of :class:`RunConfig`, exactly the
-command-line flags: a flat key=value file ('#' comments) sets them, each
-value typed like its field's default, and the flags override the file.
-Defaults reproduce the reference impurity figure (omega_bar=1, g=0.5,
-delta=0.1, t in [0, 25]).  All CSV output uses a header row and 17
-significant digits, so identical configs give byte-identical files.
+The keys of a run are the fields of :class:`RunConfig`: the parser makes a
+flag of each (``n_modes`` is ``--n-modes``) and a flat key=value file ('#'
+comments) sets them, both typed by the field's default, and the flags
+override the file.  Defaults reproduce the reference impurity figure
+(omega_bar=1, g=0.5, delta=0.1, t in [0, 25]).  All CSV output uses a
+header row and 17 significant digits, so identical configs give
+byte-identical files; the frozen result types check their own invariants.
 """
 
 from __future__ import annotations
@@ -84,12 +85,12 @@ class RunConfig:
 
 # How a config value is read, by the type of its field's default (None: a float).
 _READ = {bool: lambda v: v.lower() in ("1", "true", "yes", "on"), type(None): float}
+_READERS = {f.name: _READ.get(type(f.default), type(f.default)) for f in fields(RunConfig)}
 
 
 def parse_config_file(path: str) -> dict:
     """Flat key=value file; each value takes the type of its :class:`RunConfig`
     default, and unknown keys are usage errors."""
-    kinds = {f.name: type(f.default) for f in fields(RunConfig)}
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -98,9 +99,9 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in kinds:
+        if key not in _READERS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _READ.get(kinds[key], kinds[key])(value)
+        out[key] = _READERS[key](value)
     return out
 
 
@@ -112,9 +113,10 @@ def write_csv(path: Path, header: list[str], table) -> None:
     """Write ``header``, then the rows of the 2-D ``table`` through one printf
     row template: ``%s`` for a column of strings, else ``%.17g``, which prints
     exactly what ``format(float(x), '.17g')`` does (ints, -0.0, nan, inf and
-    subnormals included).
+    subnormals included).  The file's directory is created if missing.
     """
     table = np.asarray(table)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in table[:1].ravel()) + "\n"
     step = max(1, _CSV_BLOCK // len(header))
     with open(path, "w", newline="\n") as fh:
@@ -128,48 +130,46 @@ def write_csv(path: Path, header: list[str], table) -> None:
 # Shared pieces
 # ---------------------------------------------------------------------------
 
-def _entropy_constant_free_space(cfg: RunConfig, params) -> float:
-    """Single-atom entropy in free space, -(1-xi) ln(1-xi) - xi ln xi, once the
-    continuum's unitarity weight s = (4g/pi) integral of h is checked to be 1."""
-    s = dynamics.spectral_weight_norm(params.omega_bar, params.g)
-    if not abs(s - 1.0) <= 1e-6:
-        raise InvariantViolation(f"continuum unitarity weight {s:.9f} deviates from 1")
-    return bipartite.entanglement_entropy(cfg.xi)
+def _exact_row(cfg: RunConfig, params, mu, nu) -> tuple[np.ndarray, dynamics.AmplitudeTrace]:
+    """The exact route's amplitude row f_mu_nu'(t) over every nu' at each time
+    of the grid, shape (T, N+1), and its ``nu`` column as a checked trace."""
+    times = cfg.time_grid()
+    row = dynamics.amplitude_row(coupling.build_matrix(solve_eigenfrequencies(params)), mu, times)
+    return row, dynamics.AmplitudeTrace(
+        times=times, values=row[:, dynamics._row_index(nu, params.n_modes)],
+        mu=mu, nu=nu, method="discrete-sum")
 
 
 def _atom(cfg: RunConfig, params, regime: str) -> tuple[np.ndarray, np.ndarray]:
     """Survival amplitude f_aa and single-atom entropy at every time of the grid.
 
     "free-space": the closed-form amplitude and the continuum's constant
-    entropy.  Any other regime: one amplitude row of the exact route's dense
-    transform, since the entropy needs the whole row, which the small-cavity
-    series does not give.
+    entropy -(1-xi) ln(1-xi) - xi ln xi, once the continuum's unitarity
+    weight (4g/pi) integral of h is checked to be 1.  Any other regime: one
+    amplitude row of the exact route's dense transform, since the entropy
+    needs the whole row, which the small-cavity series does not give.
     """
     times = cfg.time_grid()
     if regime == "free-space":
         p = dynamics.FreeSpaceParams(omega_bar=params.omega_bar, g=params.g)
+        s = dynamics.spectral_weight_norm(params.omega_bar, params.g)
+        if not abs(s - 1.0) <= 1e-6:
+            raise InvariantViolation(f"continuum unitarity weight {s:.9f} deviates from 1")
         return (dynamics.free_space_trace(p, times).values,
-                np.full(times.shape, _entropy_constant_free_space(cfg, params)))
-    rows = dynamics.amplitude_row(coupling.build_matrix(solve_eigenfrequencies(params)),
-                                  "atom", times)
-    f_aa = dynamics.AmplitudeTrace(times=times, values=rows[:, 0], mu="atom", nu="atom",
-                                   method="discrete-sum").values
+                np.full(times.shape, bipartite.entanglement_entropy(cfg.xi)))
+    rows, f_aa = _exact_row(cfg, params, "atom", "atom")
     reduced = bipartite.single_atom_reduced(rows, cfg.superposition(), times)
-    return f_aa, bipartite.von_neumann_entropy(reduced)
+    return f_aa.values, bipartite.von_neumann_entropy(reduced)
 
 
 def _write_pair(cfg: RunConfig, path: Path, f_aa, entropies) -> np.ndarray:
     """Write the bipartite CSV of two atoms that share the survival amplitude
-    ``f_aa``, re-asserting invariants at every time; returns its D column."""
-    times = cfg.time_grid()
-    m = bipartite.reduced_pair_matrix(f_aa, f_aa, cfg.superposition(), times)
+    ``f_aa``; returns its D column.  The pair matrix checks its own
+    invariants at every time."""
+    m = bipartite.reduced_pair_matrix(f_aa, f_aa, cfg.superposition(), cfg.time_grid())
     d = bipartite.impurity(m)
-    tr = m.p_ground + m.p_b_excited + m.p_a_excited + m.p_both
-    bad = np.flatnonzero(abs(tr - 1.0) > 1e-9)
-    if bad.size:
-        raise InvariantViolation(f"trace {tr[bad[0]]} at t={times[bad[0]]}")
     write_csv(path, ["t", "rho00", "rho0101", "rho1010", "re_coh", "im_coh", "D", "E"],
-              np.column_stack([times, m.p_ground, m.p_b_excited, m.p_a_excited,
+              np.column_stack([m.time, m.p_ground, m.p_b_excited, m.p_a_excited,
                                m.coherence.real, m.coherence.imag, d, entropies]))
     return d
 
@@ -182,7 +182,6 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     params = cfg.atom_params()
     spec = solve_eigenfrequencies(params)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     # cotangent curve and its straight companion, sampled between asymptotes
     n_plot = min(params.n_modes, 8)
@@ -218,21 +217,14 @@ def cmd_amplitude(cfg: RunConfig) -> int:
     if cfg.regime in ("free-space", "small") and not (cfg.mu == "atom" and cfg.nu == "atom"):
         raise ValueError(f"regime {cfg.regime!r} provides only the atom-atom amplitude")
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.regime == "exact":
-        tm = coupling.build_matrix(solve_eigenfrequencies(params))
         mu = cfg.mu if cfg.mu == "atom" else int(cfg.mu)
         nu = cfg.nu if cfg.nu == "atom" else int(cfg.nu)
-        row = dynamics.amplitude_row(tm, mu, times)
-        trace = dynamics.AmplitudeTrace(
-            times=times, values=row[:, dynamics._row_index(nu, params.n_modes)],
-            mu=mu, nu=nu, method="discrete-sum")
+        row, trace = _exact_row(cfg, params, mu, nu)
         # unitarity re-assertion on the emitted row label
-        norms = np.sum(np.abs(row) ** 2, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-6:
-            raise InvariantViolation(
-                f"unitarity defect {np.max(np.abs(norms - 1.0)):.3e}"
-            )
+        defect = np.max(np.abs(np.sum(np.abs(row) ** 2, axis=1) - 1.0))
+        if defect > 1e-6:
+            raise InvariantViolation(f"unitarity defect {defect:.3e}")
     elif cfg.regime == "free-space":
         p = dynamics.FreeSpaceParams(omega_bar=params.omega_bar, g=params.g)
         trace = dynamics.free_space_trace(p, times)
@@ -256,7 +248,6 @@ def cmd_amplitude(cfg: RunConfig) -> int:
 def cmd_impurity(cfg: RunConfig) -> int:
     params, times = cfg.atom_params(), cfg.time_grid()
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     # reference figure: small cavity via the exact discrete route, plus free space
     small_path, free_path = out / "impurity_small_cavity.csv", out / "impurity_free_space.csv"
     d_small = _write_pair(cfg, small_path, *_atom(cfg, params, "exact"))
@@ -273,7 +264,6 @@ def cmd_impurity(cfg: RunConfig) -> int:
 def cmd_entropy(cfg: RunConfig) -> int:
     times = cfg.time_grid()
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     f_aa, entropies = _atom(cfg, cfg.atom_params(), cfg.regime)
     path = out / "entropy.csv"
     _write_pair(cfg, path, f_aa, entropies)
@@ -296,7 +286,6 @@ def cmd_matrix_dump(cfg: RunConfig) -> int:
     params = cfg.atom_params()
     tm = coupling.build_matrix(solve_eigenfrequencies(params))
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     header = ["r", "Omega_r", "t_atom_r"] + [f"t_{k}_r" for k in range(1, params.n_modes + 1)]
     path = out / "transform_matrix.csv"
     write_csv(path, header,
@@ -338,22 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; all subcommands share one flag set."""
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--config", help="flat key=value config file")
-    flags.add_argument("--omega-bar", type=float, dest="omega_bar")
-    flags.add_argument("--g", type=float)
-    flags.add_argument("--delta", type=float)
-    flags.add_argument("--radius", type=float)
-    flags.add_argument("--c", type=float)
-    flags.add_argument("--n-modes", type=int, dest="n_modes")
-    flags.add_argument("--xi", type=float)
-    flags.add_argument("--phi", type=float)
-    flags.add_argument("--regime", choices=_REGIMES)
-    flags.add_argument("--t-max", type=float, dest="t_max")
-    flags.add_argument("--steps", type=int)
-    flags.add_argument("--k-max", type=int, dest="k_max")
-    flags.add_argument("--mu")
-    flags.add_argument("--nu")
-    flags.add_argument("--out")
-    flags.add_argument("--svg", action="store_true", default=None)
+    for name, read in _READERS.items():
+        flag = "--" + name.replace("_", "-")
+        if read is _READ[bool]:
+            flags.add_argument(flag, action="store_true", default=None)
+        else:
+            flags.add_argument(flag, type=read, choices=_REGIMES if name == "regime" else None)
     parser = _Parser(prog="dressed-cavity",
                      description="Dressed atoms in a reflecting spherical cavity")
     sub = parser.add_subparsers(dest="command", required=True)

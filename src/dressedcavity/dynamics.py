@@ -13,9 +13,10 @@ floor(sqrt(T)) and builds the coarse phases exp(-i Omega (t_0 + ibh)) and
 the fine phases exp(-i Omega rh) by running products, so each mode needs 2
 complex exponentials (3 when t_0 != 0) and about 2 sqrt(T) complex
 products; any other grid (non-uniform, a scalar, T < 4) takes b = 1, the
-plain sum with one exponential per phase.  Vector weights contract the
-coarse and fine tables as one matrix product per block of modes; matrix
-weights multiply the table of all T phases.  No block holds more than 2^22
+plain sum with one exponential per phase.  Vector weights take the fine
+table's pairwise row sums plus one matrix product of the coarse table,
+carried as C - 1, and the fine table per block of modes; matrix weights
+multiply the table of all T phases.  No block holds more than 2^22
 phases (64 MB), so memory does not grow with the mode count.  Two analytic
 companions cover the limiting cavity sizes:
 
@@ -53,7 +54,6 @@ __all__ = [
     "amplitude_trace",
     "amplitude_row",
     "survival_trace",
-    "spectral_weight",
     "spectral_weight_norm",
     "imag_survival_integral",
     "amplitude_free_space",
@@ -163,21 +163,30 @@ def _grid_step(times: np.ndarray) -> tuple[float, int]:
     return 0.0, 1
 
 
-def _powers(angle: np.ndarray, first, count: int) -> np.ndarray:
-    """Rows first * exp(-i angle)**k, k = 0 .. count-1, of a (count, B) table.
-
-    Each running product is taken as x + x e, with e = exp(-i angle) - 1 =
-    -2i sin(angle/2) exp(-i angle/2) correct to a few ulps of e.  At small
-    angles |1 + e| then misses 1 by about angle^2 eps, where a product by
-    the rounded exp(-i angle), whose modulus misses 1 by up to eps/4, would
-    drift by that much per row.
-    """
+def _expm1(angle: np.ndarray) -> np.ndarray:
+    """exp(-i angle) - 1 as -2i sin(angle/2) exp(-i angle/2), correct to a few
+    ulps of itself, also where it is far below 1."""
     half = np.exp(-0.5j * angle)
-    e = 2j * half.imag * half
+    return 2j * half.imag * half
+
+
+def _powers(angle: np.ndarray, first, count: int, minus_one: bool = False) -> np.ndarray:
+    """Rows first * exp(-i angle)**k, k = 0 .. count-1, of a (count, B) table;
+    with ``minus_one``, rows x_k - 1 of that table from first = x_0 - 1.
+
+    Each running product is taken as x + x e, with e = :func:`_expm1`.  At
+    small angles |1 + e| then misses 1 by about angle^2 eps, where a product
+    by the rounded exp(-i angle), whose modulus misses 1 by up to eps/4,
+    would drift by that much per row.  Rows d = x - 1 follow d + d e + e, so
+    each keeps the ulps of its own size, not of 1.
+    """
+    e = _expm1(angle)
     table = np.empty((count, angle.size), dtype=complex)
     table[0] = first
     for k in range(1, count):
         np.multiply(table[k - 1], e, out=table[k])
+        if minus_one:
+            table[k] += e
         table[k] += table[k - 1]
     return table
 
@@ -190,14 +199,17 @@ def _phase_sum(times, omegas: np.ndarray, weights: np.ndarray) -> np.ndarray:
     exp(-i Omega b h)^j and the fine table F[r] = exp(-i Omega h)^r, both
     built by running products: 2 complex exponentials per mode (3 when t_0 !=
     0) instead of T, and about sqrt(T) products per table.  Any other grid
-    takes b = 1: C is exp(-i Omega t) from one exponential per phase and F is
-    1, the plain sum.  Vector weights fold into the fine factor, f(t_{jb+r}) =
-    sum_m C[j, m] (w_m F[r, m]), one (T/b x B) . (B x b) complex product per
-    block of B modes; matrix weights (one row of amplitudes per time) form
-    the T x B table of phases and multiply it by the block of weights.
-    Blocks hold at most _BLOCK_ELEMENTS phases of that table (the vector
-    route holds T/b + b per mode of them), so memory stays bounded however
-    many modes there are.
+    takes b = 1, the plain sum with one exponential per phase.  Vector
+    weights fold into the fine factor, and the coarse table is carried as
+    D = C - 1: f(t_{jb+r}) = sum_m w_m F[r, m] + sum_m D[j, m] w_m F[r, m],
+    the first a pairwise sum and the second one (T/b x B) . (B x b) complex
+    product per block of B modes.  So the product, which adds its terms in
+    no stated order, never adds B terms all close to w_m, as C F w would at
+    small Omega t.  Matrix weights (one row of amplitudes per time) form the
+    T x B table of phases C F and multiply it by the block of weights.  Blocks
+    hold at most _BLOCK_ELEMENTS phases of that table (the vector route holds
+    T/b + b per mode of them), so memory stays bounded however many modes
+    there are.
     """
     times = np.ravel(times)
     h, b = _grid_step(times)
@@ -206,14 +218,15 @@ def _phase_sum(times, omegas: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     def part(om: np.ndarray, w: np.ndarray) -> np.ndarray:
         if b == 1:
-            c, f = np.exp(-1j * np.outer(times, om)), np.ones((1, om.size), dtype=complex)
-        else:
-            start = np.exp(-1j * (om * times[0])) if times[0] else 1.0
-            c = _powers(om * (b * h), start, rows // b)
-            f = _powers(om * h, 1.0, b)
+            return np.exp(-1j * np.outer(times, om)) @ w
+        f = _powers(om * h, 1.0, b)
         if w.ndim == 1:
             f *= w
-            return (c @ f.T).ravel()[:times.size]
+            start = _expm1(om * times[0]) if times[0] else 0.0
+            d = _powers(om * (b * h), start, rows // b, minus_one=True)
+            return (d @ f.T + f.sum(axis=1)).ravel()[:times.size]
+        start = np.exp(-1j * (om * times[0])) if times[0] else 1.0
+        c = _powers(om * (b * h), start, rows // b)
         return (c[:, None, :] * f).reshape(rows, om.size)[:times.size] @ w
 
     blocks = (part(omegas[s:s + step], weights[s:s + step])
@@ -273,27 +286,19 @@ def survival_trace(spectrum: ModeSpectrum, times,
 # Free-space closed form
 # ---------------------------------------------------------------------------
 
-def spectral_weight(x, omega_bar: float, g: float):
-    """Continuum weight x^2 / [(x^2 - omega_bar^2)^2 + 4 g^2 x^2].
-
-    Normalized so that (4g/pi) * integral over [0, inf) equals one; it is
-    the R -> infinity limit of the discrete weights (t_atom^r)^2 / dw.
-    """
-    x = np.asarray(x, dtype=float)
-    return x * x / ((x * x - omega_bar**2) ** 2 + 4.0 * g * g * x * x)
-
-
 def _poles(omega_bar: float, g: float) -> tuple[np.ndarray, np.ndarray]:
-    """The poles p_j = +-kappa -+ i g of :func:`spectral_weight`, lower half-plane first
-    (kappa imaginary for g > omega_bar), and A_j = p_j^2 / prod_{m != j} (p_j - p_m)."""
+    """The poles p_j = +-kappa -+ i g of the continuum weight
+    h(x) = x^2 / [(x^2 - omega_bar^2)^2 + 4 g^2 x^2], the R -> infinity limit of
+    the discrete weights (t_atom^r)^2 / dw, lower half-plane first (kappa
+    imaginary for g > omega_bar), and A_j = p_j^2 / prod_{m != j} (p_j - p_m)."""
     kappa = np.sqrt(complex(omega_bar**2 - g**2))
     poles = np.array([kappa - 1j * g, -kappa - 1j * g, kappa + 1j * g, -kappa + 1j * g])
     return poles, poles**2 / (poles[:, None] - poles[None, :] + np.eye(4)).prod(axis=1)
 
 
 def spectral_weight_norm(omega_bar: float, g: float) -> float:
-    """(4g/pi) integral_0^inf spectral_weight: pi i times the residues at the upper poles
-    of the even weight, Re[4 i g (A_3 + A_4)], which is 1 for every omega_bar != g."""
+    """(4g/pi) integral_0^inf h: pi i times the residues at the upper poles of the
+    even weight h of :func:`_poles`, Re[4 i g (A_3 + A_4)], 1 for every omega_bar != g."""
     return float((4j * g * _poles(omega_bar, g)[1][2:].sum()).real)
 
 
@@ -327,9 +332,9 @@ def free_space_trace(p: FreeSpaceParams, times) -> AmplitudeTrace:
     """Survival amplitude in the infinite-cavity limit (weak coupling), in closed form.
 
     The real part is exp(-g t) [cos(kappa t) - (g/kappa) sin(kappa t)].  The
-    imaginary part, -(4g/pi) integral_0^inf spectral_weight(x) sin(x t) dx,
-    follows from partial fractions of the weight over its four poles
-    p_j = +-kappa +- i g:
+    imaginary part, -(4g/pi) integral_0^inf h(x) sin(x t) dx, follows from
+    partial fractions of the continuum weight h(x) = x^2 / [(x^2 - omega_bar^2)^2
+    + 4 g^2 x^2] over its four poles p_j = +-kappa +- i g:
 
         f(t) = (4g/pi) sum_j A_j exp(-i p_j t) [E1(-i p_j t) - 2 pi i [p_j = kappa - i g]],
         A_j  = p_j^2 / prod_{m != j} (p_j - p_m),
@@ -359,7 +364,7 @@ def amplitude_free_space(p: FreeSpaceParams, t: float) -> complex:
 
 
 def imag_survival_integral(t: float, omega_bar: float, g: float) -> float:
-    """-(4g/pi) * integral_0^inf spectral_weight(x) sin(x t) dx, for omega_bar > g."""
+    """-(4g/pi) * integral_0^inf h(x) sin(x t) dx (h of :func:`_poles`), for omega_bar > g."""
     return amplitude_free_space(FreeSpaceParams(omega_bar, g), t).imag
 
 

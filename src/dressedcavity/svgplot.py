@@ -7,6 +7,9 @@ import math
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 _W, _H = 720, 460
 _ML, _MR, _MT, _MB = 70, 20, 34, 52
+# A y span at most this fraction of max|y| is rounding noise, drawn as a flat
+# line; autoscaled, it would fill the axis under %g tick labels that all read alike.
+_FLAT = 1e-9
 
 
 def _ticks(lo, hi, n=5):
@@ -41,7 +44,7 @@ def line_plot(series, title="", xlabel="", ylabel="", y_clip=None, markers=()) -
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
-    if y_hi == y_lo:
+    if y_hi - y_lo <= _FLAT * max(abs(y_lo), abs(y_hi)):  # constant up to rounding
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad

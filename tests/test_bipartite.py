@@ -41,7 +41,7 @@ class TestReducedPairMatrix:
         assert m.p_ground == pytest.approx(0.0, abs=1e-12)
         assert m.p_b_excited == pytest.approx(0.5)
         assert m.p_a_excited == pytest.approx(0.5)
-        assert m.p_both == 0.0
+        assert m.as_matrix()[3, 3] == 0.0
         assert m.coherence == pytest.approx(0.5 + 0j)
 
     def test_full_decay(self):
@@ -253,12 +253,12 @@ class TestTimeGridInvariants:
     def test_trace_defect(self):
         m = reduced_pair_matrix(_unit_amplitudes(8), _unit_amplitudes(9),
                                 SuperpositionSpec(0.4, 1.0), GRID)
-        p_both = np.zeros(GRID.size)
-        p_both[K] = 1e-7
-        with pytest.raises(InvariantViolation, match=_names(K)):
-            ReducedAtomPairMatrix(time=m.time, p_ground=m.p_ground,
+        p_ground = m.p_ground.copy()
+        p_ground[K] += 1e-7
+        with pytest.raises(InvariantViolation, match="trace .* " + _names(K)):
+            ReducedAtomPairMatrix(time=m.time, p_ground=p_ground,
                                   p_b_excited=m.p_b_excited, p_a_excited=m.p_a_excited,
-                                  coherence=m.coherence, p_both=p_both)
+                                  coherence=m.coherence)
 
     def test_row_norm_defect(self):
         rows = _unit_rows(10)

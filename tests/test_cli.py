@@ -259,6 +259,15 @@ class TestEntropyCommand:
         expected = "%.17g" % bipartite.entanglement_entropy(float(xi))
         assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {expected}
 
+    def test_svg_of_a_constant_entropy_is_flat(self, tmp_path):
+        # at the defaults E is constant to a few ulps: the plot draws one
+        # horizontal line, not the rounding noise
+        assert run("entropy", "--svg", "--out", str(tmp_path)) == EXIT_OK
+        svg = (tmp_path / "entropy.svg").read_text()
+        points = re.search(r'<polyline [^>]*points="([^"]*)"', svg).group(1).split()
+        assert len(points) == RunConfig().steps
+        assert len({xy.split(",")[1] for xy in points}) == 1
+
     @pytest.mark.parametrize("norm", [1.0 + 2e-6, float("nan")])
     def test_free_space_checks_the_continuum_weight(self, tmp_path, monkeypatch, norm):
         monkeypatch.setattr(dynamics, "spectral_weight_norm", lambda omega_bar, g: norm)
@@ -282,25 +291,6 @@ def test_one_phase_sum_per_atom(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(dynamics, "_phase_sum", counted)
     assert run(*argv, "--steps", "9", "--n-modes", "16", "--out", str(tmp_path)) == EXIT_OK
     assert len(calls) == 1
-
-
-def test_pair_writer_names_the_time_of_a_trace_defect(tmp_path, monkeypatch, capsys):
-    # a trace defect that slips past the matrix's own check, at one time of
-    # the grid, still stops the writer, which names that time
-    times, k = RunConfig(steps=11).time_grid(), 7
-    build = bipartite.reduced_pair_matrix
-
-    def defective(*args):
-        m = build(*args)
-        p_both = np.zeros(times.size)
-        p_both[k] = 1e-7
-        object.__setattr__(m, "p_both", p_both)
-        return m
-
-    monkeypatch.setattr(bipartite, "reduced_pair_matrix", defective)
-    rc = run("impurity", "--steps", "11", "--n-modes", "16", "--out", str(tmp_path))
-    assert rc == EXIT_INVARIANT
-    assert re.search(r"trace \S+ " + re.escape(f"at t={times[k]}"), capsys.readouterr().err)
 
 
 class TestWriteCsv:
@@ -366,6 +356,27 @@ class TestRunConfig:
         # one table of keys: a config file and the command line name the same settings
         dests = set(vars(build_parser().parse_args(["spectrum"]))) - {"command", "config"}
         assert {f.name for f in fields(RunConfig)} == dests
+
+    # a value for every key, none of them its default
+    SAMPLE = {"omega_bar": "1.5", "g": "0.25", "delta": "0.05", "radius": "2.5", "c": "2",
+              "n_modes": "16", "xi": "0.25", "phi": "0.7", "regime": "exact", "t_max": "3",
+              "steps": "7", "k_max": "100", "mu": "2", "nu": "3", "out": "runs", "svg": "true"}
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
+    def test_flag_and_file_read_a_value_alike(self, tmp_path, key):
+        value = self.SAMPLE[key]
+        flag = ["--" + key.replace("_", "-")]
+        if not isinstance(getattr(RunConfig(), key), bool):
+            flag.append(value)
+        (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+        parser = build_parser()
+        by_flag = cli.config_from_args(parser.parse_args(["spectrum", *flag]))
+        by_file = cli.config_from_args(
+            parser.parse_args(["spectrum", "--config", str(tmp_path / "run.cfg")]))
+        got, want = getattr(by_flag, key), getattr(by_file, key)
+        assert got == want and type(got) is type(want)
+        assert got != getattr(RunConfig(), key)
+        assert by_flag == by_file
 
 
 def test_package_imports_without_scipy():

@@ -220,10 +220,15 @@ class TestPhaseSum:
     @given(st.floats(0.0, 100.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e),
            st.integers(4, 2000))
     @example(0.0, 7.063216182851738e-07, 1489)
+    @example(0.0, 1e-08, 4)
+    @example(0.0, 1.3e-08, 11)
     def test_uniform_grid_property(self, fig_spectrum, start, h, steps):
         # Omega max|t| from ~3e-8, where the bound is about 16 eps sum|w|, to
-        # ~2e6; at the example a product by the rounded exp(-i Omega h), whose
-        # modulus drifts by up to eps/4 a row, misses the bound by 20%
+        # ~2e6; at the first example a product by the rounded exp(-i Omega h),
+        # whose modulus drifts by up to eps/4 a row, misses the bound by 20%.
+        # At the other two every phase is close to 1: a matrix product over
+        # the terms C F w, all close to w_m, reads 16.5 and 25.5 eps sum|w|
+        # there, so the kernel multiplies C - 1 instead
         times = start + np.arange(steps) * h
         assert dynamics._grid_step(times)[1] == math.isqrt(steps)
         self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, atom_weights(fig_spectrum))
@@ -406,6 +411,21 @@ class TestSmallCavitySeries:
             series = np.abs(small_cavity_amplitude(fig_params, times, 5_000)) ** 2
             disc = np.abs(amplitude_trace(fig_matrix, "atom", "atom", times).values) ** 2
             assert np.max(np.abs(series - disc)) < tol
+
+    def test_converges_to_the_exact_route_at_second_order(self):
+        # the first-order series misses the exact survival by O(delta^2):
+        # max_t ||f_exact|^2 - |f_series|^2| over t in [0, 25] read 3.6e-2,
+        # 9.5e-3, 2.5e-3 and 6.3e-4 at these deltas, a fitted order of 1.94
+        deltas, n = np.array([0.04, 0.02, 0.01, 0.005]), 4000
+        times = np.linspace(0.0, 25.0, 501)
+        errors = []
+        for delta in deltas:
+            p = DressedAtomParams.from_delta(OMEGA_BAR, G, delta, n_modes=n)
+            exact = np.abs(survival_trace(solve_eigenfrequencies(p), times).values) ** 2
+            series = np.abs(small_cavity_amplitude(p, times, n)) ** 2
+            errors.append(np.max(np.abs(exact - series)))
+        order = np.polyfit(np.log(deltas), np.log(errors), 1)[0]
+        assert order == pytest.approx(2.0, abs=0.3)
 
     def test_matches_term_by_term_sum(self, fig_params):
         # the series summed one mode at a time; 2001 times split the kernel's

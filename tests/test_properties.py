@@ -88,7 +88,7 @@ def test_transform_columns_unit_and_rows_unitary(omega_bar, g, delta, n, t):
 def test_pair_matrix_trace_and_impurity_range(f_aa, f_bb, xi, phi, t):
     spec = SuperpositionSpec(xi, phi)
     m = reduced_pair_matrix(f_aa, f_bb, spec, t)
-    total = m.p_ground + m.p_b_excited + m.p_a_excited + m.p_both
+    total = m.p_ground + m.p_b_excited + m.p_a_excited
     assert total == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.eigvalsh(m.as_matrix()).min() >= -1e-9
     d = impurity(m)
