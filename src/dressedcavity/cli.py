@@ -231,14 +231,14 @@ def cmd_amplitude(cfg: RunConfig) -> int:
     else:
         trace = dynamics.small_cavity_trace(params, times, cfg.k_max)
     v = trace.values
-    abs_v = np.hypot(v.real, v.imag)  # scalar abs: numpy's array abs may differ by an ulp
+    abs2 = np.hypot(v.real, v.imag) ** 2  # scalar abs: numpy's array abs may differ by an ulp
     method = np.full(v.size, trace.method, dtype=object)
     path = out / "amplitude.csv"
     write_csv(path, ["t", "re_f", "im_f", "abs2_f", "method"],
-              np.column_stack([trace.times, v.real, v.imag, abs_v * abs_v, method]))
+              np.column_stack([trace.times, v.real, v.imag, abs2, method]))
     if cfg.svg:
         svg = svgplot.line_plot(
-            [("|f|^2", trace.times, np.abs(trace.values) ** 2, False)],
+            [("|f|^2", trace.times, abs2, False)],
             title=f"Amplitude ({trace.method})", xlabel="t", ylabel="|f|^2")
         (out / "amplitude.svg").write_text(svg)
     print(f"wrote {path}")

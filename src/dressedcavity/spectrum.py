@@ -45,12 +45,17 @@ __all__ = [
     "first_order_frequencies",
 ]
 
-# Step budget of the offset solve (:func:`_bisect`).  Steps are offset
-# halvings: a bisected root takes up to about 80 of them to bring the
-# domain's smallest offsets (s ~ 6e-9 at delta = 1e-3, N = 1e5) to 2 ulps
-# of s, and at most twice that where inverted splits alternate with
-# midpoints; an inner root whose inverted splits contract needs 4-15.
+# Step budget of the offset solve (:func:`_bisect`).  A root takes 4-15
+# rational splits (up to about 35 for the lowest inner roots, where the
+# cotangent split contracts by only about 1/3 per step), or about 80 offset
+# halvings where every split is refused (halvings bring the domain's smallest
+# offsets, s ~ 6e-9 at delta = 1e-3, N = 1e5, to 2 ulps of s), and at most
+# twice that where splits alternate with midpoints.
 _BISECT_STEPS = 200
+
+# Inner roots are solved and derived in blocks of at most this many, each
+# run to the end of its own steps, so a step's temporaries stay in cache.
+_BLOCK_ELEMENTS = 16384
 
 # Regime gate for the small-cavity expansion (delta << 1).
 DELTA_THRESHOLD = 0.2
@@ -157,7 +162,7 @@ class ModeSpectrum:
             raise InvariantViolation("lowest normal frequency must lie below omega_1")
         if np.any(bo[1:] <= om) or np.any(bo[1:-1] >= om[1:]):
             raise InvariantViolation("normal frequencies must interlace the bare modes")
-        f, slope = _secular(m, s, self.params, slope=True)
+        f, slope = _secular_sets(m, s, self.params, slope=True)
         w = 1.0 / slope
         newton_rel = np.abs(f) * w / bo**2
         for name, value in (("asymptotes", m), ("offsets", s), ("omegas", om),
@@ -236,7 +241,8 @@ def _closed_sum(m, s, n, powers):
 
 def _direct_sum(m, s, n, powers):
     k = np.arange(1.0, n + 1)
-    out = np.empty((powers,) + m.shape)
+    shape, m, s = np.shape(m), np.ravel(m), np.ravel(s)
+    out = np.empty((powers, m.size))
     block = max(1, 2**15 // n)  # points at a time: keeps the work array in cache
     for i in range(0, m.size, block):
         mi, si = m[i:i + block, None], s[i:i + block, None]
@@ -246,8 +252,8 @@ def _direct_sum(m, s, n, powers):
         inv = np.reciprocal(gap, out=gap)
         out[0, i:i + block] = inv.sum(axis=-1)
         if powers == 2:
-            out[1, i:i + block] = (inv * inv).sum(axis=-1)
-    return out
+            out[1, i:i + block] = np.square(inv, out=inv).sum(axis=-1)
+    return out.reshape((powers,) + shape)
 
 
 def _mode_sum(m, s, params: DressedAtomParams, powers: int = 1):
@@ -257,11 +263,12 @@ def _mode_sum(m, s, params: DressedAtomParams, powers: int = 1):
     inside = (u >= 1.0) & (u <= n)
     if inside.all():
         sums = _closed_sum(m, s, n, powers)
+    elif not inside.any():
+        sums = _direct_sum(m, s, n, powers)
     else:
         sums = np.empty((powers,) + u.shape)
         sums[:, ~inside] = _direct_sum(m[~inside], s[~inside], n, powers)
-        if inside.any():
-            sums[:, inside] = _closed_sum(m[inside], s[inside], n, powers)
+        sums[:, inside] = _closed_sum(m[inside], s[inside], n, powers)
     return [x[()] / params.delta_omega ** (2 * k) for k, x in enumerate(sums, 1)]
 
 
@@ -279,8 +286,8 @@ def _omega(m, s, params: DressedAtomParams):
     dw = params.delta_omega
     head = 131073.0 * dw
     head -= head - dw
-    rest = m * (dw - head) + s * dw
-    return m * head + rest, (params.omega_bar - m * head) - rest
+    whole, rest = m * head, m * (dw - head) + s * dw
+    return whole + rest, (params.omega_bar - whole) - rest
 
 
 def _secular(m, s, params: DressedAtomParams, slope: bool = False):
@@ -294,6 +301,15 @@ def _secular(m, s, params: DressedAtomParams, slope: bool = False):
     if not slope:
         return f
     return f, 1.0 + params.eta_sq * (sums[0] + om * om * sums[1])
+
+
+def _secular_sets(m, s, params: DressedAtomParams, slope: bool = False):
+    """:func:`_secular` at the offsets (m, s) of N+1 roots, set by set
+    (:func:`_root_sets`), so no evaluation mixes direct and closed sums."""
+    out = np.empty((1 + slope, m.size))
+    for roots, _ in _root_sets(params.n_modes):
+        out[:, roots] = _secular(m[roots], s[roots], params, slope)
+    return out if slope else out[0]
 
 
 def secular_residual(omega, params: DressedAtomParams):
@@ -342,72 +358,115 @@ def _upper_bound(params: DressedAtomParams) -> float:
     return max(atom_row, mode_rows) + 1.0
 
 
-def _bisect(params: DressedAtomParams, m, a, b) -> np.ndarray:
-    """Offsets of all N+1 roots from asymptotes ``m``, found in one pass in
-    brackets (a, b) with F(a) > 0 > F(b); a failure names a root left over.
+def _inner_split(params: DressedAtomParams, m, x):
+    """F at inner-root offsets x, and the next split of each.
 
-    Each step evaluates F at one split per live root and keeps the part of
-    the bracket with the sign change.  Where the bracket lies in
-    [omega_1, omega_N] (every inner root), the closed form holds,
-    F = (eta^2 u / 2)(pi cot(pi s) - H(u)) with H smooth, and the split is
-    the offset where pi cot(pi s) meets H as it stood at the last split,
-    while that lies in the bracket and moves at most half as far as the
-    step before; otherwise, and for the two outer roots, it is the midpoint.
-    There dH/du > -3.1 (the digamma tail rises by less than psi'(1) +
-    psi'(3) < 2.1 per unit of u, the rest falls by at most 1), so that map
-    has slope below 1/3 and the root lies within one step of any split: a
-    root is done once its split moves by at most 2 ulps of the offset.
+    In [omega_1, omega_N] the closed form holds, F = (eta^2 u / 2)(pi cot(pi s)
+    - H(u)) with H smooth, and the split is the offset where pi cot(pi s)
+    meets H as it stood at x.  There dH/du > -3.1 (the digamma tail rises by
+    less than psi'(1) + psi'(3) < 2.1 per unit of u, the rest falls by at
+    most 1), so that map has slope below 1/3 and the root lies within one
+    step of any split.
+    """
+    f = _secular(m, x, params)
+    h = np.pi / np.tan(np.pi * x) - 2.0 * f / (params.eta_sq * (m + x))
+    return f, np.arctan(np.pi / h) / np.pi
+
+
+def _outer_split(params: DressedAtomParams, m, x):
+    """F at outer-root offsets x (root 0, the top root), and the next split of each.
+
+    Each outer root has one nearer pole k (omega_1 or omega_N).  With u = m +
+    x, L = u^2, D = k^2 - L and F^ = F/dw^2, the split is the root of the
+    one-pole model F^ ~ c + alpha/D fitted to F^ and F' at x: the fixed-weight
+    ("middle way") step of R.-C. Li, LAPACK Working Note 89, dL = F^ D / (F^
+    + |F'| D) in units of dw^2.  D is formed factored, and the new offset as
+    a correction to x, so the digits of a small u or gap survive.
+    """
+    f, slope = _secular(m, x, params, slope=True)
+    k = np.clip(m, 1, params.n_modes)
+    u = m + x
+    d = ((k - m) - x) * (k + u)
+    f_hat = f / params.delta_omega**2
+    dl = f_hat * d / (f_hat + slope * d)
+    # a model root below zero frequency leaves the bracket, and the midpoint is taken
+    return f, x + dl / (u + np.sqrt(np.maximum(u * u + dl, 0.0)))
+
+
+def _root_sets(n: int):
+    """(roots, split) for each set of an N-mode spectrum's roots: the outer pair
+    {0, N}, whose sums are direct, then the inner roots 1..N-1 in blocks of at
+    most _BLOCK_ELEMENTS, whose sums take the closed form."""
+    yield np.array([0, n]), _outer_split
+    for i in range(1, n, _BLOCK_ELEMENTS):
+        yield slice(i, min(i + _BLOCK_ELEMENTS, n)), _inner_split
+
+
+def _bisect(params: DressedAtomParams, m, a, b) -> np.ndarray:
+    """Offsets of all N+1 roots from asymptotes ``m``, found in one call in
+    brackets (a, b) with F(a) > 0 > F(b); a failure names a root left over
+    by its index in the spectrum.
+
+    The sets of :func:`_root_sets` are solved one after another, each to the
+    end of its own steps.  Each step evaluates F at one split per live root
+    and keeps the part of the bracket with the sign change.  The next split
+    is the set's rational split (:func:`_inner_split`, :func:`_outer_split`)
+    while that lies in the bracket and moves at most half as far as the step
+    before; otherwise it is the midpoint.  A root is done once its split
+    moves by at most 2 ulps of the offset.
     """
     tol = 2.0 * np.finfo(float).eps
-    # the inverted split needs the closed form: a bracket in [omega_1, omega_N]
-    guided = (m + a >= 1.0) & (m + b <= params.n_modes)
-    s = np.empty(a.shape)
-    live = np.arange(a.size)
-    x = 0.5 * (a + b)
-    step = np.full(a.shape, np.inf)
-    for _ in range(_BISECT_STEPS):
-        f = _secular(m, x, params)
-        np.copyto(a, x, where=f > 0.0)
-        np.copyto(b, x, where=f < 0.0)
-        split = 0.5 * (a + b)
-        if guided.any():
-            h = np.pi / np.tan(np.pi * x) - 2.0 * f / (params.eta_sq * (m + x))
-            g = np.arctan(np.pi / h) / np.pi
-            np.copyto(split, g, where=guided & (a <= g) & (g <= b)
-                      & (np.abs(g - x) <= 0.5 * step))
-        step = np.abs(split - x)
-        done = step <= tol * np.abs(split)
-        if done.any():
-            s[live[done]] = split[done]
-            live, m, a, b, split, step, guided = (
-                v[~done] for v in (live, m, a, b, split, step, guided))
-        if not live.size:
-            return s
-        x = split
-    r = int(live[0])
-    raise ConvergenceFailure(f"root {r} not converged after {_BISECT_STEPS} steps",
-                             interval_index=r)
+    s, index = np.empty(a.shape), np.arange(a.size)
+    for roots, split_at in _root_sets(params.n_modes):
+        live, mr, ar, br = index[roots], m[roots], a[roots], b[roots]
+        x = 0.5 * (ar + br)
+        step = np.full(x.shape, np.inf)
+        for _ in range(_BISECT_STEPS):
+            f, g = split_at(params, mr, x)
+            np.copyto(ar, x, where=f > 0.0)
+            np.copyto(br, x, where=f < 0.0)
+            split = 0.5 * (ar + br)
+            np.copyto(split, g, where=(ar <= g) & (g <= br) & (np.abs(g - x) <= 0.5 * step))
+            step = np.abs(split - x)
+            done = step <= tol * np.abs(split)
+            if done.any():
+                s[live[done]] = split[done]
+                keep = ~done
+                live, mr, ar, br, split, step = (
+                    v[keep] for v in (live, mr, ar, br, split, step))
+            if not live.size:
+                break
+            x = split
+        else:
+            r = int(live[0])
+            raise ConvergenceFailure(f"root {r} not converged after {_BISECT_STEPS} steps",
+                                     interval_index=r)
+    return s
 
 
 def solve_eigenfrequencies(params: DressedAtomParams) -> ModeSpectrum:
     """Solve the secular equation for all N+1 normal frequencies.
 
-    Root r lies between omega_r and omega_r+1 (omega_0 = 0; the top root
-    between omega_N and a Gershgorin bound) and is solved for as its offset
-    from the nearer end: F < 0 at the bracket midpoint puts it in (0, 1/2]
-    dw above omega_r, otherwise in [-1/2, 0) dw below omega_r+1.  All N+1
-    roots are found in one pass of :func:`_bisect`: the N-1 inner roots on
-    the cotangent/digamma closed form, the two outer roots bisected on the
-    direct sum.  Every root must then pass the 1e-10 check on the
-    spectrum's :attr:`ModeSpectrum.newton_rel`; a failure raises
+    Root r lies between omega_r and omega_r+1 (omega_0 = 0) and is solved
+    for as its offset from the nearer end: F < 0 at the bracket midpoint
+    puts it in (0, 1/2] dw above omega_r, otherwise in [-1/2, 0) dw below
+    omega_r+1.  The top root is carried from omega_N: F < 0 half a spacing
+    above omega_N puts it in (0, 1/2] dw, otherwise in [1/2, b] dw, b from a
+    Gershgorin bound.  All N+1 roots are found in one call of
+    :func:`_bisect`: the N-1 inner roots by the cotangent split on the
+    closed form, in blocks, the two outer roots by the one-pole split on the
+    direct sum.  Every root must then pass the 1e-10 check on the spectrum's
+    :attr:`ModeSpectrum.newton_rel`; a failure raises
     :class:`ConvergenceFailure` naming the root.
     """
     n, dw = params.n_modes, params.delta_omega
-    lower = np.arange(float(n))
-    below = _secular(lower, np.full(n, 0.5), params) < 0.0
-    m = np.append(np.where(below, lower, lower + 1), n)
-    a = np.append(np.where(below, 0.0, -0.5), 0.0)
-    b = np.append(np.where(below, 0.5, 0.0), np.sqrt(_upper_bound(params)) / dw - n)
+    lower = np.arange(n + 1.0)
+    below = _secular_sets(lower, np.full(n + 1, 0.5), params) < 0.0
+    m = np.where(below, lower, lower + 1)
+    a = np.where(below, 0.0, -0.5)
+    b = np.where(below, 0.5, 0.0)
+    if not below[-1]:  # the top root lies above omega_N + dw/2
+        m[-1], a[-1], b[-1] = n, 0.5, np.sqrt(_upper_bound(params)) / dw - n
     spec = ModeSpectrum(params=params, asymptotes=m, offsets=_bisect(params, m, a, b))
     bad = int(np.argmax(spec.newton_rel))
     if spec.newton_rel[bad] > _RESIDUAL_TOL:

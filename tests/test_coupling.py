@@ -195,13 +195,23 @@ class TestAtomWeights:
     def test_one_slope_evaluation_per_root(self):
         # the solver's Newton check and atom_weights both read the weights the
         # spectrum derives once, with newton_rel, from one evaluation of S and
-        # S2; calls are counted by code object, so a call through any module's
-        # binding of spectrum._mode_sum is seen
-        code, sizes = spectrum._mode_sum.__code__, []
+        # S2 per root: one call per root set (the outer pair, then the 63 inner
+        # roots as one block).  Inside the solve, the outer pair's one-pole
+        # splits also take S2, each over at most the two outer roots; those
+        # are counted apart.  Calls are counted by code object and attributed
+        # to the nearest of the two callers on the stack, so a call through
+        # any module's binding of spectrum._mode_sum is seen
+        code = spectrum._mode_sum.__code__
+        stages = {spectrum._bisect.__code__: "solve", ModeSpectrum.__post_init__.__code__: "derive"}
+        sizes = {"solve": [], "derive": [], "other": []}
 
         def count(frame, event, arg):
             if event == "call" and frame.f_code is code and frame.f_locals["powers"] == 2:
-                sizes.append(frame.f_locals["s"].size)
+                caller = frame.f_back
+                while caller is not None and caller.f_code not in stages:
+                    caller = caller.f_back
+                stage = "other" if caller is None else stages[caller.f_code]
+                sizes[stage].append(frame.f_locals["s"].size)
 
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=64)
         sys.setprofile(count)
@@ -210,7 +220,9 @@ class TestAtomWeights:
             survival_trace(spec, np.linspace(0.0, 5.0, 9), atom_weights(spec))
         finally:
             sys.setprofile(None)
-        assert sizes == [65]
+        assert sizes["derive"] == [2, 63]
+        assert sizes["other"] == []
+        assert all(size <= 2 for size in sizes["solve"])
 
 
 class TestSmallCavityElements:

@@ -25,6 +25,27 @@ OM2_APPROX = 10.159154943091895
 # above omega_N = 0.2048
 OUTER_ROOTS_FROZEN = (9.999993633802215751631611e-05, 1.001321588626786555067333)
 
+# outer-root offsets s_0, s_N from the asymptotes m_0, m_N in units of dw
+# (40-digit mpmath roots of the secular equation with the float64 dw, eta^2
+# and omega_bar), keyed by (omega_bar, g, delta, N): ((m_0, s_0), (m_N, s_N))
+OUTER_OFFSETS_FROZEN = {
+    # the figure
+    (1.0, 0.5, 0.1, 200): ((0, 0.1815563589646804334129061),
+                           (200, 0.000318976202085701218125878)),
+    # root 0 near zero frequency (m = 0)
+    (1.0, 0.5, 1e-3, 4096): ((0, 0.00199790919338857987481683),
+                             (4096, 1.554249807222537256757384e-7)),
+    # root 0 just under omega_1 (m = 1); the top root of OUTER_ROOTS_FROZEN
+    (1.0, 0.01, 100.0, 2048): ((1, -6.366197783372333474672293e-7),
+                               (2048, 7965.21588626786642762419)),
+    # the top root hugging omega_N
+    (1.0, 0.5, 1e-3, 200): ((0, 0.001997915213991623570918232),
+                            (200, 3.183165329474189778884192e-6)),
+    # the top root far above omega_N at small N
+    (1.0, 0.5, 1e3, 8): ((1, -0.0001591489909783043972436394),
+                         (8, 1994.544876183516449282756)),
+}
+
 # inner roots at omega_bar=5.566964054792819, g=0.10780328649942257,
 # delta=3.4813356203742436, N=589 (40-digit mpmath roots of the secular
 # equation with the float64 dw, eta^2 and omega_bar^2 and omega_k = k dw),
@@ -178,6 +199,65 @@ class TestSolve:
         roots = solve_eigenfrequencies(p).bigomegas[[0, -1]]
         ref = np.array(OUTER_ROOTS_FROZEN)
         assert np.all(np.abs(roots - ref) <= 4 * np.spacing(ref))
+
+    @pytest.mark.parametrize("key", list(OUTER_OFFSETS_FROZEN), ids=str)
+    def test_outer_offsets_match_high_precision_reference(self, key):
+        p = DressedAtomParams.from_delta(*key[:3], n_modes=key[3])
+        spec = solve_eigenfrequencies(p)
+        (m0, s0), (mn, sn) = OUTER_OFFSETS_FROZEN[key]
+        assert list(spec.asymptotes[[0, -1]]) == [m0, mn]
+        ref = np.array([s0, sn])
+        assert np.all(np.abs(spec.offsets[[0, -1]] - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
+
+    @pytest.mark.parametrize("key", list(OUTER_OFFSETS_FROZEN), ids=str)
+    def test_outer_roots_take_few_direct_sums(self, key, monkeypatch):
+        # each step of the outer pair is one direct-sum evaluation of F and F';
+        # the one-pole split needs at most 16 of them, halving took about 60
+        outer_split, steps = spectrum._outer_split, []
+
+        def counted(params, m, x):
+            steps.append(m.size)
+            return outer_split(params, m, x)
+
+        monkeypatch.setattr(spectrum, "_outer_split", counted)
+        solve_eigenfrequencies(DressedAtomParams.from_delta(*key[:3], n_modes=key[3]))
+        assert 0 < len(steps) <= 16
+
+    def test_root_blocks_do_not_change_the_spectrum(self, fig_params, fig_spectrum, monkeypatch):
+        # each inner block runs to the end of its own steps: blocks of 7 roots
+        # give the same bits as one block of all 199
+        inner_split, sizes = spectrum._inner_split, []
+
+        def counted(params, m, x):
+            sizes.append(m.size)
+            return inner_split(params, m, x)
+
+        monkeypatch.setattr(spectrum, "_BLOCK_ELEMENTS", 7)
+        monkeypatch.setattr(spectrum, "_inner_split", counted)
+        spec = solve_eigenfrequencies(fig_params)
+        assert max(sizes) == 7
+        for name in ("asymptotes", "offsets", "weights", "newton_rel"):
+            assert np.array_equal(getattr(spec, name), getattr(fig_spectrum, name)), name
+
+    def test_failure_in_a_later_block_names_the_root(self, fig_params, fig_spectrum, monkeypatch):
+        # root 150 sits in the 22nd block of 7, at local index 2; refusing its
+        # splits leaves it to halving, which needs about 50 steps, and the
+        # failure names its index in the spectrum
+        inner_split, target = spectrum._inner_split, 150
+        asymptote = fig_spectrum.asymptotes[target]
+        assert np.count_nonzero(fig_spectrum.asymptotes == asymptote) == 1
+
+        def refuse_root_150(params, m, x):
+            f, g = inner_split(params, m, x)
+            g[m == asymptote] = np.nan
+            return f, g
+
+        monkeypatch.setattr(spectrum, "_BLOCK_ELEMENTS", 7)
+        monkeypatch.setattr(spectrum, "_BISECT_STEPS", 40)
+        monkeypatch.setattr(spectrum, "_inner_split", refuse_root_150)
+        with pytest.raises(ConvergenceFailure, match="root 150 ") as err:
+            solve_eigenfrequencies(fig_params)
+        assert err.value.interval_index == target
 
     def test_interlacing_at_ten_thousand_modes(self):
         # ModeSpectrum construction enforces the full bracket structure
