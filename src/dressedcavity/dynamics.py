@@ -121,7 +121,9 @@ class AmplitudeTrace:
             raise InvariantViolation("times and values must have matching shapes")
         if np.any(np.diff(t) < 0):
             raise InvariantViolation("times must be non-decreasing")
-        mags = np.abs(v)
+        # |f| by hypot, as the pair matrix checks it: numpy's array abs of a
+        # complex may differ in the last ulp, and the two checks must agree
+        mags = np.hypot(v.real, v.imag)
         if np.any(mags > _ABS_BOUND):
             raise InvariantViolation(
                 f"|amplitude| reached {mags.max():.12f} > 1 (unphysical)"

@@ -212,7 +212,7 @@ def run_cross_checks(params: DressedAtomParams) -> list[CheckRow]:
     offsets (relative to 1 + |ratio|), and the quadratic-form reconstruction.
     """
     from .coupling import build_matrix
-    from .dynamics import amplitude_discrete
+    from .dynamics import amplitude_trace
     from .spectrum import solve_eigenfrequencies
 
     spec = solve_eigenfrequencies(params)
@@ -226,11 +226,9 @@ def run_cross_checks(params: DressedAtomParams) -> list[CheckRow]:
     elem = np.max(np.abs(np.abs(tm.t) - np.abs(decomp.vectors)))
     rows.append(CheckRow("elements_absolute", float(elem), 1e-8))
 
-    amp = max(
-        abs(amplitude_discrete(tm, "atom", "atom", t)
-            - oracle_amplitude(decomp, "atom", "atom", t))
-        for t in _CHECK_TIMES
-    )
+    survival = amplitude_trace(tm, "atom", "atom", _CHECK_TIMES).values
+    amp = max(abs(f - oracle_amplitude(decomp, "atom", "atom", t))
+              for f, t in zip(survival, _CHECK_TIMES))
     rows.append(CheckRow("survival_amplitude_absolute", float(amp), 1e-8))
 
     expected = tm.t[1:] / tm.t[0]

@@ -127,11 +127,12 @@ class ModeSpectrum:
     its signed offset s_r from it in units of dw (``offsets``), which keeps
     every digit of a gap omega_m - Omega_r that the float Omega_r loses.
     Derived from them once: ``omegas``, ``bigomegas`` = (m_r + s_r) dw, and
-    from one evaluation of S and S2 per root (:func:`_secular` with
-    ``slope``), the atom weights ``weights`` = (t_atom^r)^2 = 1 / |F'| =
-    1 / (1 + eta^2 (S + lam S2)) and ``newton_rel`` = |F| w_r / Omega_r^2,
-    each root's relative Newton correction with F at the carried offsets,
-    which unlike F stays meaningful where the root hugs its asymptote.
+    from one evaluation of S and S2 per root (:func:`_secular_sets` with
+    ``slope``, each root set on its own kernel), the atom weights ``weights``
+    = (t_atom^r)^2 = 1 / |F'| = 1 / (1 + eta^2 (S + lam S2)) and
+    ``newton_rel`` = |F| w_r / Omega_r^2, each root's relative Newton
+    correction with F at the carried offsets, which unlike F stays
+    meaningful where the root hugs its asymptote.
     :func:`solve_eigenfrequencies` is the one producer; the first-order
     small-cavity frequencies are :func:`first_order_frequencies`.
     """
@@ -191,7 +192,10 @@ def field_frequencies(params: DressedAtomParams) -> np.ndarray:
 # where cot(pi u) = cot(pi s) keeps the digits of a small offset that u
 # loses.  Outside, the closed form cancels (below omega_1) or has spurious
 # poles (above omega_N), and the N terms, all of one sign, are summed over
-# the factored gaps omega_k^2 - Omega^2 = ((k - m) - s)(k + u) dw^2.
+# the factored gaps omega_k^2 - Omega^2 = ((k - m) - s)(k + u) dw^2.  Both
+# kernels return the sums in units of dw^-2 and dw^-4.  The solver never
+# chooses between them point by point: each root set of :func:`_root_sets`
+# names its kernel, and :func:`secular_residual` takes the direct sum.
 # psi, psi': asymptotic series DLMF 5.11.2, 5.15.8 through B_14 on the stacked pair (a, b),
 # after ten steps of the recurrence DLMF 5.5.2, 5.15.5 raise arguments below 10 past it;
 # psi(a) - psi(b) takes ln(a/b) as one logarithm.
@@ -256,29 +260,6 @@ def _direct_sum(m, s, n, powers):
     return out.reshape((powers,) + shape)
 
 
-def _mode_sum(m, s, params: DressedAtomParams, powers: int = 1):
-    """[S] (powers 1) or [S, S2] (powers 2) at Omega = (m + s) dw, from one evaluation."""
-    n = params.n_modes
-    u = m + s
-    inside = (u >= 1.0) & (u <= n)
-    if inside.all():
-        sums = _closed_sum(m, s, n, powers)
-    elif not inside.any():
-        sums = _direct_sum(m, s, n, powers)
-    else:
-        sums = np.empty((powers,) + u.shape)
-        sums[:, ~inside] = _direct_sum(m[~inside], s[~inside], n, powers)
-        sums[:, inside] = _closed_sum(m[inside], s[inside], n, powers)
-    return [x[()] / params.delta_omega ** (2 * k) for k, x in enumerate(sums, 1)]
-
-
-def _offsets(omega, params: DressedAtomParams):
-    """(m, s) of frequencies given as floats: the nearest bare-frequency index and the offset."""
-    u = np.asarray(omega, dtype=float) / params.delta_omega
-    m = np.rint(u)
-    return m, u - m
-
-
 def _omega(m, s, params: DressedAtomParams):
     """(Omega, omega_bar - Omega) at Omega = (m + s) dw, each rounded once:
     dw is split into a 36-bit head and its tail (Veltkamp), so m * head is
@@ -290,25 +271,27 @@ def _omega(m, s, params: DressedAtomParams):
     return whole + rest, (params.omega_bar - whole) - rest
 
 
-def _secular(m, s, params: DressedAtomParams, slope: bool = False):
-    """F(lam) = omega_bar^2 - lam - eta^2 lam S(lam) at Omega = (m + s) dw; with
+def _secular(m, s, params: DressedAtomParams, kernel, slope: bool = False):
+    """F(lam) = omega_bar^2 - lam - eta^2 lam S(lam) at Omega = (m + s) dw, with
+    S from ``kernel`` (:func:`_closed_sum` or :func:`_direct_sum`); with
     ``slope``, (F, |dF/dlam|) from the same S and one S2, where |dF/dlam| = 1 +
     eta^2 (S + lam S2) = 1 + eta^2 sum_k omega_k^2/(omega_k^2 - lam)^2; at a root
     the slope is 1/(t_atom^r)^2."""
     om, detuning = _omega(m, s, params)
-    sums = _mode_sum(m, s, params, 1 + slope)
-    f = detuning * (params.omega_bar + om) - params.eta_sq * om * om * sums[0]
+    sums = kernel(m, s, params.n_modes, 1 + slope)
+    s1 = sums[0] / params.delta_omega**2
+    f = detuning * (params.omega_bar + om) - params.eta_sq * om * om * s1
     if not slope:
         return f
-    return f, 1.0 + params.eta_sq * (sums[0] + om * om * sums[1])
+    return f, 1.0 + params.eta_sq * (s1 + om * om * (sums[1] / params.delta_omega**4))
 
 
 def _secular_sets(m, s, params: DressedAtomParams, slope: bool = False):
-    """:func:`_secular` at the offsets (m, s) of N+1 roots, set by set
-    (:func:`_root_sets`), so no evaluation mixes direct and closed sums."""
+    """:func:`_secular` at the offsets (m, s) of N+1 roots, each set of
+    :func:`_root_sets` on its own kernel."""
     out = np.empty((1 + slope, m.size))
-    for roots, _ in _root_sets(params.n_modes):
-        out[:, roots] = _secular(m[roots], s[roots], params, slope)
+    for roots, _, kernel in _root_sets(params.n_modes):
+        out[:, roots] = _secular(m[roots], s[roots], params, kernel, slope)
     return out if slope else out[0]
 
 
@@ -317,8 +300,13 @@ def secular_residual(omega, params: DressedAtomParams):
 
     F(lam) = omega_bar^2 - lam - eta^2 lam S(lam); F is strictly decreasing
     in lam between consecutive asymptotes, so each bracket holds one root.
+    S is the definition, summed term by term (:func:`_direct_sum`) over the
+    gaps factored at the nearest bare frequency: valid at every omega > 0,
+    independent of the solver's closed form, and O(N) per point.
     """
-    return _secular(*_offsets(omega, params), params)
+    u = np.asarray(omega, dtype=float) / params.delta_omega
+    m = np.rint(u)
+    return _secular(m, u - m, params, _direct_sum)
 
 
 def cotangent_curves(omega, params: DressedAtomParams):
@@ -358,7 +346,7 @@ def _upper_bound(params: DressedAtomParams) -> float:
     return max(atom_row, mode_rows) + 1.0
 
 
-def _inner_split(params: DressedAtomParams, m, x):
+def _inner_split(params: DressedAtomParams, m, x, kernel):
     """F at inner-root offsets x, and the next split of each.
 
     In [omega_1, omega_N] the closed form holds, F = (eta^2 u / 2)(pi cot(pi s)
@@ -368,12 +356,12 @@ def _inner_split(params: DressedAtomParams, m, x):
     most 1), so that map has slope below 1/3 and the root lies within one
     step of any split.
     """
-    f = _secular(m, x, params)
+    f = _secular(m, x, params, kernel)
     h = np.pi / np.tan(np.pi * x) - 2.0 * f / (params.eta_sq * (m + x))
     return f, np.arctan(np.pi / h) / np.pi
 
 
-def _outer_split(params: DressedAtomParams, m, x):
+def _outer_split(params: DressedAtomParams, m, x, kernel):
     """F at outer-root offsets x (root 0, the top root), and the next split of each.
 
     Each outer root has one nearer pole k (omega_1 or omega_N).  With u = m +
@@ -383,7 +371,7 @@ def _outer_split(params: DressedAtomParams, m, x):
     + |F'| D) in units of dw^2.  D is formed factored, and the new offset as
     a correction to x, so the digits of a small u or gap survive.
     """
-    f, slope = _secular(m, x, params, slope=True)
+    f, slope = _secular(m, x, params, kernel, slope=True)
     k = np.clip(m, 1, params.n_modes)
     u = m + x
     d = ((k - m) - x) * (k + u)
@@ -394,12 +382,15 @@ def _outer_split(params: DressedAtomParams, m, x):
 
 
 def _root_sets(n: int):
-    """(roots, split) for each set of an N-mode spectrum's roots: the outer pair
-    {0, N}, whose sums are direct, then the inner roots 1..N-1 in blocks of at
-    most _BLOCK_ELEMENTS, whose sums take the closed form."""
-    yield np.array([0, n]), _outer_split
+    """(roots, split, kernel) for each set of an N-mode spectrum's roots: the
+    outer pair {0, N} on the one-pole split and the direct sum, then the inner
+    roots 1..N-1, in blocks of at most _BLOCK_ELEMENTS, on the cotangent split
+    and the closed form.  Each set stays on its kernel's side of the band:
+    the outer brackets lie outside (omega_1, omega_N), the inner ones inside
+    [omega_1, omega_N]."""
+    yield np.array([0, n]), _outer_split, _direct_sum
     for i in range(1, n, _BLOCK_ELEMENTS):
-        yield slice(i, min(i + _BLOCK_ELEMENTS, n)), _inner_split
+        yield slice(i, min(i + _BLOCK_ELEMENTS, n)), _inner_split, _closed_sum
 
 
 def _bisect(params: DressedAtomParams, m, a, b) -> np.ndarray:
@@ -408,21 +399,21 @@ def _bisect(params: DressedAtomParams, m, a, b) -> np.ndarray:
     by its index in the spectrum.
 
     The sets of :func:`_root_sets` are solved one after another, each to the
-    end of its own steps.  Each step evaluates F at one split per live root
-    and keeps the part of the bracket with the sign change.  The next split
-    is the set's rational split (:func:`_inner_split`, :func:`_outer_split`)
-    while that lies in the bracket and moves at most half as far as the step
-    before; otherwise it is the midpoint.  A root is done once its split
-    moves by at most 2 ulps of the offset.
+    end of its own steps.  Each step evaluates F at one split per live root,
+    on the set's kernel, and keeps the part of the bracket with the sign
+    change.  The next split is the set's rational split (:func:`_inner_split`,
+    :func:`_outer_split`) while that lies in the bracket and moves at most
+    half as far as the step before; otherwise it is the midpoint.  A root is
+    done once its split moves by at most 2 ulps of the offset.
     """
     tol = 2.0 * np.finfo(float).eps
     s, index = np.empty(a.shape), np.arange(a.size)
-    for roots, split_at in _root_sets(params.n_modes):
+    for roots, split_at, kernel in _root_sets(params.n_modes):
         live, mr, ar, br = index[roots], m[roots], a[roots], b[roots]
         x = 0.5 * (ar + br)
         step = np.full(x.shape, np.inf)
         for _ in range(_BISECT_STEPS):
-            f, g = split_at(params, mr, x)
+            f, g = split_at(params, mr, x, kernel)
             np.copyto(ar, x, where=f > 0.0)
             np.copyto(br, x, where=f < 0.0)
             split = 0.5 * (ar + br)

@@ -198,15 +198,15 @@ class TestAtomWeights:
         # S2 per root: one call per root set (the outer pair, then the 63 inner
         # roots as one block).  Inside the solve, the outer pair's one-pole
         # splits also take S2, each over at most the two outer roots; those
-        # are counted apart.  Calls are counted by code object and attributed
-        # to the nearest of the two callers on the stack, so a call through
-        # any module's binding of spectrum._mode_sum is seen
-        code = spectrum._mode_sum.__code__
+        # are counted apart.  Calls of either sum kernel are counted by code
+        # object and attributed to the nearest of the two callers on the
+        # stack, so a call through any module's binding of a kernel is seen
+        codes = {spectrum._closed_sum.__code__, spectrum._direct_sum.__code__}
         stages = {spectrum._bisect.__code__: "solve", ModeSpectrum.__post_init__.__code__: "derive"}
         sizes = {"solve": [], "derive": [], "other": []}
 
         def count(frame, event, arg):
-            if event == "call" and frame.f_code is code and frame.f_locals["powers"] == 2:
+            if event == "call" and frame.f_code in codes and frame.f_locals["powers"] == 2:
                 caller = frame.f_back
                 while caller is not None and caller.f_code not in stages:
                     caller = caller.f_back

@@ -7,10 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from dressedcavity import (
     AmplitudeTrace,
+    DomainError,
     DressedAtomParams,
     FreeSpaceParams,
     InvariantViolation,
     RegimeViolation,
+    SuperpositionSpec,
     amplitude_discrete,
     amplitude_free_space,
     amplitude_row,
@@ -18,6 +20,7 @@ from dressedcavity import (
     atom_weights,
     free_space_trace,
     imag_survival_integral,
+    reduced_pair_matrix,
     small_cavity_amplitude,
     survival_sq_large_time,
     survival_sq_lower_bound,
@@ -153,6 +156,19 @@ class TestDiscreteSum:
         with pytest.raises(InvariantViolation):
             AmplitudeTrace(times=np.array([0.0]), values=np.array([0.5 + 0j]),
                            mu="atom", nu="atom", method="discrete-sum")
+
+    def test_trace_and_pair_matrix_reject_the_same_magnitude(self):
+        # |z| by hypot is 1 ulp over the 1 + 1e-9 bound, where numpy's array
+        # abs reads exactly the bound; both checks must reject z
+        z = -0.5274882213257759 - 0.849562345188727j
+        times = np.linspace(0.0, 10.0, 501)
+        values = np.full(times.size, z)
+        values[0] = 1.0
+        with pytest.raises(InvariantViolation, match="unphysical"):
+            AmplitudeTrace(times=times, values=values, mu="atom", nu="atom",
+                           method="discrete-sum")
+        with pytest.raises(DomainError, match=r"\|f\| <= 1"):
+            reduced_pair_matrix(values, values, SuperpositionSpec(0.5), times)
 
 
 def _phase_sum_by_mode(times, omegas, weights):

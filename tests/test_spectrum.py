@@ -118,14 +118,19 @@ class TestSolve:
         assert np.all(bo[1:] > om)
         assert np.all(bo[1:-1] < om[1:])
 
-    @pytest.mark.parametrize("n_modes", [1, 2, 7, 40])
-    def test_residuals_small_at_all_roots(self, n_modes):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=n_modes)
+    @pytest.mark.parametrize("delta, g, n_modes", [
+        (0.1, 0.5, 1), (0.1, 0.5, 2), (0.1, 0.5, 7), (0.1, 0.5, 40),
+        # the domain's corners, where roots hug their asymptotes (delta = 1e-3)
+        # or the top root lies far above omega_N (delta = 1e3)
+        (1e-3, 0.9, 4096), (1e3, 0.02, 4096),
+    ], ids=["1", "2", "7", "40", "1e-3-0.9-4096", "1e3-0.02-4096"])
+    def test_residuals_small_at_all_roots(self, delta, g, n_modes):
+        p = DressedAtomParams.from_delta(1.0, g, delta, n_modes=n_modes)
         spec = solve_eigenfrequencies(p)
         lam = spec.bigomegas**2
         resid = np.abs(secular_residual(spec.bigomegas, p))
-        gaps = field_frequencies(p)[None, :] ** 2 - lam[:, None]
-        slope = 1.0 + p.eta_sq * lam * np.sum(1.0 / gaps**2, axis=1)
+        wk2 = field_frequencies(p) ** 2
+        slope = 1.0 + p.eta_sq * lam * np.array([np.sum(1.0 / (wk2 - x) ** 2) for x in lam])
         assert np.all(resid / (slope * lam) < 1e-10)
 
     def test_newton_slope_is_the_secular_derivative(self, fig_params, fig_spectrum):
@@ -136,14 +141,15 @@ class TestSolve:
         h = 1e-7 * lam
         central = (secular_residual(np.sqrt(lam + h), fig_params)
                    - secular_residual(np.sqrt(lam - h), fig_params)) / (2.0 * h)
-        m, s = spectrum._offsets(np.sqrt(lam), fig_params)
-        slope = spectrum._secular(m, s, fig_params, slope=True)[1]
+        u = np.sqrt(lam) / fig_params.delta_omega
+        m = np.rint(u)
+        slope = spectrum._secular(m, u - m, fig_params, spectrum._closed_sum, slope=True)[1]
         assert slope == pytest.approx(-central, rel=1e-6)
 
     def test_newton_rel_is_the_relative_newton_correction(self, fig_spectrum):
         # |F| w_r / Omega_r^2 at the carried offsets, within the solver's bound
         p, m, s = fig_spectrum.params, fig_spectrum.asymptotes, fig_spectrum.offsets
-        f, slope = spectrum._secular(m, s, p, slope=True)
+        f, slope = spectrum._secular_sets(m, s, p, slope=True)
         expected = np.abs(f) / slope / fig_spectrum.bigomegas**2
         np.testing.assert_allclose(fig_spectrum.newton_rel, expected, rtol=1e-15, atol=0.0)
         assert fig_spectrum.newton_rel.max() <= 1e-10
@@ -161,14 +167,21 @@ class TestSolve:
         assert res[1600] < 1e-4
 
     def test_closed_form_evaluator_matches_direct(self):
-        # lam below omega_1, inside (omega_1, omega_N) and above omega_N
+        # lam below omega_1, inside (omega_1, omega_N) and above omega_N: the
+        # closed form inside, the direct sum outside, each in units of dw^-2
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.3, n_modes=120)
         lam = np.array([0.37, 3.1, 26.0, 311.7, 4001.0, 52000.0])
         gaps = field_frequencies(p)[None, :] ** 2 - lam[:, None]
-        m, s = spectrum._offsets(np.sqrt(lam), p)
-        s1, s2 = spectrum._mode_sum(m, s, p, 2)
-        assert s1 == pytest.approx(np.sum(1.0 / gaps, axis=1), rel=1e-11)
-        assert s2 == pytest.approx(np.sum(1.0 / gaps**2, axis=1), rel=1e-11)
+        u = np.sqrt(lam) / p.delta_omega
+        m = np.rint(u)
+        inside = (u >= 1.0) & (u <= p.n_modes)
+        assert inside.any() and not inside.all()
+        for kernel, at in ((spectrum._closed_sum, inside), (spectrum._direct_sum, ~inside)):
+            s1, s2 = kernel(m[at], (u - m)[at], p.n_modes, 2)
+            assert s1 / p.delta_omega**2 == pytest.approx(
+                np.sum(1.0 / gaps[at], axis=1), rel=1e-11)
+            assert s2 / p.delta_omega**4 == pytest.approx(
+                np.sum(1.0 / gaps[at] ** 2, axis=1), rel=1e-11)
 
     def test_closed_form_solver_matches_direct_solver(self):
         for n in (150, 2048):
@@ -215,9 +228,9 @@ class TestSolve:
         # the one-pole split needs at most 16 of them, halving took about 60
         outer_split, steps = spectrum._outer_split, []
 
-        def counted(params, m, x):
+        def counted(params, m, x, kernel):
             steps.append(m.size)
-            return outer_split(params, m, x)
+            return outer_split(params, m, x, kernel)
 
         monkeypatch.setattr(spectrum, "_outer_split", counted)
         solve_eigenfrequencies(DressedAtomParams.from_delta(*key[:3], n_modes=key[3]))
@@ -228,9 +241,9 @@ class TestSolve:
         # give the same bits as one block of all 199
         inner_split, sizes = spectrum._inner_split, []
 
-        def counted(params, m, x):
+        def counted(params, m, x, kernel):
             sizes.append(m.size)
-            return inner_split(params, m, x)
+            return inner_split(params, m, x, kernel)
 
         monkeypatch.setattr(spectrum, "_BLOCK_ELEMENTS", 7)
         monkeypatch.setattr(spectrum, "_inner_split", counted)
@@ -247,8 +260,8 @@ class TestSolve:
         asymptote = fig_spectrum.asymptotes[target]
         assert np.count_nonzero(fig_spectrum.asymptotes == asymptote) == 1
 
-        def refuse_root_150(params, m, x):
-            f, g = inner_split(params, m, x)
+        def refuse_root_150(params, m, x, kernel):
+            f, g = inner_split(params, m, x, kernel)
             g[m == asymptote] = np.nan
             return f, g
 
@@ -276,6 +289,30 @@ class TestSolve:
         monkeypatch.setattr(spectrum, "_bisect", counted)
         solve_eigenfrequencies(fig_params)
         assert sizes == [fig_params.n_modes + 1]
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 8, 200, 4096])
+    def test_each_kernel_sees_only_its_side_of_the_band(self, n_modes, monkeypatch):
+        # the root sets name their kernels, and no solve needs the other one
+        # at any point: at the domain's corners the closed form only ever sees
+        # 1 < u < N, and the direct sum only roots 0 and N, at u < 1 or u > N
+        seen = {"closed": [np.empty(0)], "direct": [np.empty(0)]}
+
+        def recorded(name, kernel):
+            def sums(m, s, n, powers):
+                seen[name].append(np.ravel(m + s))
+                return kernel(m, s, n, powers)
+            return sums
+
+        monkeypatch.setattr(spectrum, "_closed_sum", recorded("closed", spectrum._closed_sum))
+        monkeypatch.setattr(spectrum, "_direct_sum", recorded("direct", spectrum._direct_sum))
+        for delta in (1e-3, 1.0, 1e3):
+            for g in (0.02, 0.9):
+                solve_eigenfrequencies(DressedAtomParams.from_delta(1.0, g, delta, n_modes=n_modes))
+        closed, direct = (np.concatenate(seen[name]) for name in ("closed", "direct"))
+        assert len(seen["direct"]) > 1 and (len(seen["closed"]) > 1) == (n_modes > 1)
+        assert np.all((1.0 < closed) & (closed < n_modes))
+        assert all(u.size <= 2 for u in seen["direct"])
+        assert np.all((direct < 1.0) | (direct > n_modes))
 
     def test_convergence_failure_reports_interval(self, fig_params, monkeypatch):
         # the bisection hands back root 7 off by 1e-6 dw, still inside its
