@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, require
 
 __all__ = [
     "SuperpositionSpec",
@@ -76,15 +76,6 @@ def entanglement_entropy(xi: float) -> float:
     return float(-(1.0 - xi) * np.log(1.0 - xi) - xi * np.log(xi))
 
 
-def _require(bad, t, error, template: str, *values) -> None:
-    """Raise ``error``, ``template`` filled with ``values``, at the first bad time."""
-    hits = np.flatnonzero(bad)
-    if hits.size:
-        k = hits[0]
-        at = [np.broadcast_to(v, np.shape(bad)).flat[k] for v in (t, *values)]
-        raise error(template.format(*at[1:]) + f" at t={at[0]}")
-
-
 @dataclass(frozen=True)
 class ReducedAtomPairMatrix:
     """Field-traced pair state at each time of a grid.
@@ -103,15 +94,15 @@ class ReducedAtomPairMatrix:
     def __post_init__(self):
         for name in ("p_ground", "p_b_excited", "p_a_excited"):
             v = np.asarray(getattr(self, name))
-            _require(~((-_TRACE_TOL <= v) & (v <= 1.0 + _TRACE_TOL)), self.time,
-                     InvariantViolation, name + " = {:.12g} outside [0, 1]", v)
+            require((-_TRACE_TOL <= v) & (v <= 1.0 + _TRACE_TOL), InvariantViolation,
+                    name + " = {:.12g} outside [0, 1]", v, t=self.time)
         tr = self.p_ground + self.p_b_excited + self.p_a_excited
-        _require(abs(tr - 1.0) > _TRACE_TOL, self.time, InvariantViolation,
-                 "trace {:.12f} deviates from 1", tr)
+        require(abs(tr - 1.0) <= _TRACE_TOL, InvariantViolation,
+                "trace {:.12f} deviates from 1", tr, t=self.time)
         # positive semidefiniteness of the single-excitation coherence block
         det = self.p_a_excited * self.p_b_excited - np.abs(self.coherence) ** 2
-        _require(det < -_PSD_TOL, self.time, InvariantViolation,
-                 "coherence block determinant {:.3e} < 0", det)
+        require(det >= -_PSD_TOL, InvariantViolation,
+                "coherence block determinant {:.3e} < 0", det, t=self.time)
 
     def as_matrix(self) -> np.ndarray:
         """Dense (..., 4, 4) matrices in the basis (|00>, |01>, |10>, |11>)."""
@@ -138,15 +129,15 @@ def reduced_pair_matrix(f_aa, f_bb, spec: SuperpositionSpec, t) -> ReducedAtomPa
     # same bits (numpy's array abs of a complex may differ in the last ulp)
     abs_a = np.hypot(f_aa.real, f_aa.imag)
     abs_b = np.hypot(f_bb.real, f_bb.imag)
-    _require((abs_a > 1.0 + _TRACE_TOL) | (abs_b > 1.0 + _TRACE_TOL), t, DomainError,
-             "survival amplitudes must satisfy |f| <= 1, got "
-             "|f_aa|={:.12f}, |f_bb|={:.12f}", abs_a, abs_b)
+    require((abs_a <= 1.0 + _TRACE_TOL) & (abs_b <= 1.0 + _TRACE_TOL), DomainError,
+            "survival amplitudes must satisfy |f| <= 1, got "
+            "|f_aa|={:.12f}, |f_bb|={:.12f}", abs_a, abs_b, t=t)
     xi = spec.xi
     pa = xi * (abs_a * abs_a)
     pb = (1.0 - xi) * (abs_b * abs_b)
     pg = 1.0 - pa - pb
-    _require(pg < -_TRACE_TOL, t, DomainError,
-             "ground population {:.3e} < 0: non-physical amplitudes", pg)
+    require(pg >= -_TRACE_TOL, DomainError,
+            "ground population {:.3e} < 0: non-physical amplitudes", pg, t=t)
     # c conj(f_aa) f_bb as two scalar-order complex products in real
     # arithmetic; numpy's array complex multiply may fuse and round otherwise
     c = np.sqrt(xi * (1.0 - xi)) * np.exp(1j * spec.phi)
@@ -168,16 +159,16 @@ def impurity(m: ReducedAtomPairMatrix):
     w = m.p_a_excited + m.p_b_excited
     d_closed = 2.0 * w * (1.0 - w)
     d_matrix = 1.0 - m.purity()
-    _require(abs(d_closed - d_matrix) > 1e-9, m.time, InvariantViolation,
-             "impurity mismatch: closed form {:.15f} vs matrix {:.15f}", d_closed, d_matrix)
+    require(abs(d_closed - d_matrix) <= 1e-9, InvariantViolation,
+            "impurity mismatch: closed form {:.15f} vs matrix {:.15f}", d_closed, d_matrix,
+            t=m.time)
     return d_closed
 
 
 def impurity_identical(f00: complex, spec: SuperpositionSpec) -> float:
     """Identical atoms: D = 2 |f00|^2 (1 - |f00|^2), xi and phi drop out."""
     u = abs(f00) ** 2
-    if u > 1.0 + _TRACE_TOL:
-        raise DomainError(f"|f00|^2 = {u:.12f} exceeds 1")
+    require(u <= 1.0 + _TRACE_TOL, DomainError, "|f00|^2 = {:.12f} exceeds 1", u)
     return 2.0 * u * (1.0 - u)
 
 
@@ -205,8 +196,9 @@ class SingleAtomReducedMatrix:
         object.__setattr__(self, "row_norm_sq", s)
         if not 0.0 < self.xi < 1.0:
             raise ValueError(f"xi must lie strictly inside (0, 1), got {self.xi}")
-        _require(abs(s - 1.0) > _ROW_NORM_TOL, self.time, InvariantViolation,
-                 "amplitude row norm {:.9f} deviates from 1 beyond " + str(_ROW_NORM_TOL), s)
+        require(abs(s - 1.0) <= _ROW_NORM_TOL, InvariantViolation,
+                "amplitude row norm {:.9f} deviates from 1 beyond {}", s, _ROW_NORM_TOL,
+                t=self.time)
 
     def nonzero_eigenvalues(self) -> tuple:
         return 1.0 - self.xi, self.xi * self.row_norm_sq

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bipartite, coupling, dynamics, oracle, svgplot
-from .errors import InvariantViolation, SimulationError
+from .errors import InvariantViolation, SimulationError, require
 from .spectrum import DressedAtomParams, solve_eigenfrequencies, cotangent_curves
 
 EXIT_OK = 0
@@ -153,8 +153,8 @@ def _atom(cfg: RunConfig, params, regime: str) -> tuple[np.ndarray, np.ndarray]:
     if regime == "free-space":
         p = dynamics.FreeSpaceParams(omega_bar=params.omega_bar, g=params.g)
         s = dynamics.spectral_weight_norm(params.omega_bar, params.g)
-        if not abs(s - 1.0) <= 1e-6:
-            raise InvariantViolation(f"continuum unitarity weight {s:.9f} deviates from 1")
+        require(abs(s - 1.0) <= 1e-6, InvariantViolation,
+                "continuum unitarity weight {:.9f} deviates from 1", s)
         return (dynamics.free_space_trace(p, times).values,
                 np.full(times.shape, bipartite.entanglement_entropy(cfg.xi)))
     rows, f_aa = _exact_row(cfg, params, "atom", "atom")
@@ -222,9 +222,8 @@ def cmd_amplitude(cfg: RunConfig) -> int:
         nu = cfg.nu if cfg.nu == "atom" else int(cfg.nu)
         row, trace = _exact_row(cfg, params, mu, nu)
         # unitarity re-assertion on the emitted row label
-        defect = np.max(np.abs(np.sum(np.abs(row) ** 2, axis=1) - 1.0))
-        if defect > 1e-6:
-            raise InvariantViolation(f"unitarity defect {defect:.3e}")
+        defect = np.abs(np.sum(np.abs(row) ** 2, axis=1) - 1.0)
+        require(defect <= 1e-6, InvariantViolation, "unitarity defect {:.3e}", defect, t=times)
     elif cfg.regime == "free-space":
         p = dynamics.FreeSpaceParams(omega_bar=params.omega_bar, g=params.g)
         trace = dynamics.free_space_trace(p, times)
@@ -268,7 +267,8 @@ def cmd_entropy(cfg: RunConfig) -> int:
     path = out / "entropy.csv"
     _write_pair(cfg, path, f_aa, entropies)
     analytic = bipartite.entanglement_entropy(cfg.xi)
-    deviation = float(np.max(np.abs(entropies - analytic)))
+    drift = np.abs(entropies - analytic)
+    deviation = float(np.max(drift))
     print(f"wrote {path}")
     print(f"entropy_analytic={analytic:.17g} max_deviation={deviation:.3e}")
     if cfg.svg:
@@ -276,9 +276,8 @@ def cmd_entropy(cfg: RunConfig) -> int:
                                 title=f"Entanglement entropy, xi={cfg.xi:g}",
                                 xlabel="t", ylabel="E")
         (out / "entropy.svg").write_text(svg)
-    if deviation > 1e-8:
-        print(f"entropy deviation {deviation:.3e} exceeds 1e-8", file=sys.stderr)
-        return EXIT_INVARIANT
+    require(drift <= 1e-8, InvariantViolation, "entropy deviation {:.3e} exceeds 1e-8", drift,
+            t=times)
     return EXIT_OK
 
 

@@ -7,17 +7,20 @@ by the normalization condition sum_mu (t_mu^r)^2 = 1 and the ratio
 
     t_k^r = eta omega_k / (omega_k^2 - Omega_r^2) * t_atom^r,
 
-with the sign convention t_atom^r > 0.  The closed-form atom element
+with the sign convention t_atom^r > 0.  The normalization fixes
+(t_atom^r)^2 = 1 / (1 + eta^2 sum_k omega_k^2/(omega_k^2 - Omega_r^2)^2), the
+spectrum's ``weights``.  The closed-form atom element
 
     t_atom^r = eta Omega_r / sqrt((Omega_r^2 - omega_bar^2)^2
                + (eta^2/2)(3 Omega_r^2 - omega_bar^2) + 4 g^2 Omega_r^2)
 
 is the infinite-mode limit of that normalization; at finite truncation it
-deviates from the explicitly normalized element by O(1/N).
+deviates from the normalized element by O(1/N).
 
 A :class:`TransformMatrix` checks unit columns, t_atom^r > 0 and t t^T = 1
-to 1e-6 on construction; the Gram check bounds each row's deficit
-1 - sum_r t[mu, r]^2.
+to 1e-6 on construction.  The column check sets each column's direct sum
+against the spectrum's closed-form weight; the Gram check bounds each row's
+deficit 1 - sum_r t[mu, r]^2.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionHazard, DomainError, NormalizationFailure, RegimeViolation
+from .errors import DivisionHazard, DomainError, NormalizationFailure, RegimeViolation, require
 from .spectrum import DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum
 
 __all__ = [
@@ -59,17 +62,12 @@ class TransformMatrix:
         if t.shape != (n1, n1):
             raise NormalizationFailure(f"matrix must be {n1}x{n1}, got {t.shape}")
         col_dev = np.abs(np.sum(t * t, axis=0) - 1.0)
-        if np.any(col_dev > _COLUMN_NORM_TOL):
-            raise NormalizationFailure(
-                f"column norm deviates by {col_dev.max():.3e} (bad roots?)"
-            )
-        if np.any(t[0, :] <= 0.0):
-            raise NormalizationFailure("sign convention t_atom^r > 0 violated")
-        gram_dev = np.abs(t @ t.T - np.eye(n1)).max()
-        if gram_dev > _ROW_ORTHO_TOL:
-            raise NormalizationFailure(
-                f"row orthonormality off by {gram_dev:.3e} (bad roots?)"
-            )
+        require(col_dev <= _COLUMN_NORM_TOL, NormalizationFailure,
+                "column {i} norm deviates by {:.3e} (bad roots?)", col_dev)
+        require(t[0, :] > 0.0, NormalizationFailure, "sign convention t_atom^r > 0 violated")
+        gram_dev = np.abs(t @ t.T - np.eye(n1)).max(axis=1)
+        require(gram_dev <= _ROW_ORTHO_TOL, NormalizationFailure,
+                "row {i} orthonormality off by {:.3e} (bad roots?)", gram_dev)
 
     @property
     def bigomegas(self) -> np.ndarray:
@@ -78,26 +76,24 @@ class TransformMatrix:
 
 def atom_element(omega_r: float, params: DressedAtomParams) -> float:
     """Closed-form atom component of the normal mode at frequency omega_r."""
-    if omega_r <= 0:
-        raise DomainError(f"normal frequency must be positive, got {omega_r}")
+    require(omega_r > 0, DomainError, "normal frequency must be positive, got {}", omega_r)
     w2, o2 = params.omega_bar**2, omega_r**2
     radicand = (o2 - w2) ** 2 + 0.5 * params.eta_sq * (3.0 * o2 - w2) + 4.0 * params.g**2 * o2
-    if radicand <= 0.0:
-        raise DomainError(
-            f"non-positive radicand {radicand:.3e} at Omega={omega_r:.6g}; "
-            "inputs are inconsistent with a genuine normal mode"
-        )
+    require(radicand > 0.0, DomainError,
+            "non-positive radicand {:.3e} at Omega={:.6g}; "
+            "inputs are inconsistent with a genuine normal mode", radicand, omega_r)
     return params.eta * omega_r / np.sqrt(radicand)
 
 
 def build_matrix(spectrum: ModeSpectrum) -> TransformMatrix:
-    """Assemble and normalize the full (N+1) x (N+1) transformation.
+    """Assemble the full (N+1) x (N+1) transformation.
 
-    Columns are built from the eigenvector ratio and normalized explicitly,
-    which keeps every column unit length and the rows orthonormal to the
-    accuracy of the supplied roots.  Each gap omega_k^2 - Omega_r^2 is
-    formed from the root's offsets as ((k - m_r) - s_r)(k + m_r + s_r) dw^2,
-    so it keeps its digits where the root hugs omega_k.
+    Column r is t_atom^r = sqrt(w_r), w_r the spectrum's ``weights``, over
+    the field elements t_k^r = (eta/dw) k / gap * t_atom^r from the
+    eigenvector ratio, gap = (omega_k^2 - Omega_r^2) / dw^2.  Each gap is
+    formed from the root's offsets as ((k - m_r) - s_r)(k + m_r + s_r), so
+    it keeps its digits where the root hugs omega_k.  The column norms, a
+    direct sum, then check the weights' closed form.
     """
     params = spectrum.params
     n = params.n_modes
@@ -108,18 +104,16 @@ def build_matrix(spectrum: ModeSpectrum) -> TransformMatrix:
         )
     k = np.arange(1.0, n + 1)[:, None]
     m, s = spectrum.asymptotes, spectrum.offsets
-    gap = k - m  # (omega_k^2 - Omega_r^2) / dw^2, in place
+    t = np.empty((n + 1, n + 1))
+    t[0] = np.sqrt(spectrum.weights)
+    gap = np.subtract(k, m, out=t[1:])  # (omega_k^2 - Omega_r^2) / dw^2, in place
     gap -= s
     gap *= k + (m + s)
-    if np.any(np.abs(gap) < 1e-12 * k**2):
-        raise DivisionHazard("a normal frequency collided with a bare-mode asymptote")
-    raw = np.empty((n + 1, n + 1))
-    raw[0, :] = 1.0
-    raw[1:, :] = (params.eta / params.delta_omega) * k / gap
-    norms = np.sqrt(np.sum(raw * raw, axis=0))
-    if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
-        raise NormalizationFailure("non-finite column encountered during assembly")
-    return TransformMatrix(spectrum=spectrum, t=raw / norms)
+    require(np.abs(gap) >= 1e-12 * k**2, DivisionHazard,
+            "a normal frequency collided with a bare-mode asymptote")
+    np.divide((params.eta / params.delta_omega) * k, gap, out=gap)
+    gap *= t[0]
+    return TransformMatrix(spectrum=spectrum, t=t)
 
 
 def atom_weights(spectrum: ModeSpectrum) -> np.ndarray:
@@ -140,11 +134,9 @@ def approx_small_cavity_elements(params: DressedAtomParams, k_max: int) -> np.nd
     (t_0^0)^2 = (1 + 2 pi delta / 3)^-1 and
     (t_k^0)^2 = (4/k^2)(delta/pi) (t_0^0)^2.
     """
-    if params.delta >= DELTA_THRESHOLD:
-        raise RegimeViolation(
-            f"small-cavity elements need delta < {DELTA_THRESHOLD}, "
-            f"got delta = {params.delta:.4g}"
-        )
+    require(params.delta < DELTA_THRESHOLD, RegimeViolation,
+            "small-cavity elements need delta < {}, got delta = {:.4g}",
+            DELTA_THRESHOLD, params.delta)
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     atom_sq = 1.0 / (1.0 + 2.0 * np.pi * params.delta / 3.0)

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import TransformMatrix, approx_small_cavity_elements
-from .errors import InvariantViolation, RegimeViolation
+from .errors import InvariantViolation, RegimeViolation, require
 from .spectrum import DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum, first_order_frequencies
 
 __all__ = [
@@ -88,11 +88,8 @@ class FreeSpaceParams:
         if self.omega_bar <= 0 or self.g <= 0:
             raise ValueError("omega_bar and g must be positive")
         k2 = self.omega_bar**2 - self.g**2
-        if k2 <= 0:
-            raise RegimeViolation(
-                f"free-space closed form needs omega_bar > g (kappa^2 > 0); "
-                f"got omega_bar={self.omega_bar}, g={self.g}"
-            )
+        require(k2 > 0, RegimeViolation, "free-space closed form needs omega_bar > g "
+                "(kappa^2 > 0); got omega_bar={}, g={}", self.omega_bar, self.g)
         object.__setattr__(self, "kappa_sq", k2)
 
     @property
@@ -119,21 +116,16 @@ class AmplitudeTrace:
         object.__setattr__(self, "values", v)
         if t.shape != v.shape:
             raise InvariantViolation("times and values must have matching shapes")
-        if np.any(np.diff(t) < 0):
-            raise InvariantViolation("times must be non-decreasing")
+        require(np.diff(t) >= 0, InvariantViolation, "times must be non-decreasing")
         # |f| by hypot, as the pair matrix checks it: numpy's array abs of a
         # complex may differ in the last ulp, and the two checks must agree
         mags = np.hypot(v.real, v.imag)
-        if np.any(mags > _ABS_BOUND):
-            raise InvariantViolation(
-                f"|amplitude| reached {mags.max():.12f} > 1 (unphysical)"
-            )
+        require(mags <= _ABS_BOUND, InvariantViolation,
+                "|amplitude| reached {:.12f} > 1 (unphysical)", mags, t=t)
         if self.method == "discrete-sum" and t.size and t[0] == 0.0:
             expected = 1.0 if self.mu == self.nu else 0.0
-            if abs(v[0] - expected) > _T0_TOL:
-                raise InvariantViolation(
-                    f"amplitude at t=0 is {v[0]:.3e}, expected {expected}"
-                )
+            require(abs(v[0] - expected) <= _T0_TOL, InvariantViolation,
+                    "amplitude at t=0 is {:.3e}, expected {}", v[0], expected)
 
 
 def _row_index(label, n_modes: int) -> int:
@@ -432,10 +424,8 @@ def survival_sq_lower_bound(delta: float) -> float:
     for small delta, which is why a small enough cavity never lets the
     excitation fully decay.
     """
-    if delta < 0 or delta >= DELTA_THRESHOLD:
-        raise RegimeViolation(
-            f"lower bound needs 0 <= delta < {DELTA_THRESHOLD}, got {delta}"
-        )
+    require(0 <= delta < DELTA_THRESHOLD, RegimeViolation,
+            "lower bound needs 0 <= delta < {}, got {}", DELTA_THRESHOLD, delta)
     x = 2.0 * np.pi * delta / 3.0
     return float((1.0 - 2.0 * x - x * x) / (1.0 + x) ** 2)
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvariantViolation
+from .dynamics import _row_index
+from .errors import ConvergenceFailure, InvariantViolation, require
 from .spectrum import DressedAtomParams, field_frequencies
 
 __all__ = [
@@ -52,10 +53,8 @@ class QuadraticForm:
         n1 = self.params.n_modes + 1
         if b.shape != (n1, n1):
             raise InvariantViolation(f"form must be {n1}x{n1}, got {b.shape}")
-        if not np.array_equal(b, b.T):
-            raise InvariantViolation("form must be symmetric")
-        if np.any(np.diag(b) <= 0):
-            raise InvariantViolation("diagonal entries must be positive")
+        require(np.array_equal(b, b.T), InvariantViolation, "form must be symmetric")
+        require(np.diag(b) > 0, InvariantViolation, "diagonal entries must be positive")
 
 
 def build_form(params: DressedAtomParams) -> QuadraticForm:
@@ -153,10 +152,7 @@ class OracleDecomposition:
 def diagonalize(form: QuadraticForm) -> OracleDecomposition:
     """Full symmetric eigensolve with residual and sign-convention fixes."""
     lam, v = jacobi_eigh(form.matrix)
-    if np.any(lam <= 0):
-        raise InvariantViolation(
-            "non-positive eigenvalue: inputs left the harmonic branch"
-        )
+    require(lam > 0, InvariantViolation, "non-positive eigenvalue: inputs left the harmonic branch")
     # t_atom^r > 0; fall back to the largest component for decoupled columns
     for r in range(v.shape[1]):
         pivot = v[0, r]
@@ -165,11 +161,9 @@ def diagonalize(form: QuadraticForm) -> OracleDecomposition:
         if pivot < 0.0:
             v[:, r] = -v[:, r]
     scale = np.max(np.abs(lam))
-    resid = np.max(np.abs(form.matrix @ v - v * lam))
-    if resid > _RESIDUAL_TOL * scale:
-        raise ConvergenceFailure(
-            f"eigenpair residual {resid:.3e} exceeds {_RESIDUAL_TOL:.1e} * |B|"
-        )
+    resid = np.max(np.abs(form.matrix @ v - v * lam), axis=0)
+    require(resid <= _RESIDUAL_TOL * scale, ConvergenceFailure,
+            "eigenpair {i} residual {:.3e} exceeds {:.1e} * |B|", resid, _RESIDUAL_TOL)
     return OracleDecomposition(form=form, eigenvalues=lam, vectors=v)
 
 
@@ -178,11 +172,7 @@ def oracle_amplitude(decomp: OracleDecomposition, mu, nu, t: float) -> complex:
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     n = decomp.form.params.n_modes
-    idx = {"atom": 0}
-    i = idx.get(mu, mu if isinstance(mu, (int, np.integer)) else None)
-    j = idx.get(nu, nu if isinstance(nu, (int, np.integer)) else None)
-    if i is None or j is None or not (0 <= i <= n and 0 <= j <= n):
-        raise ValueError(f"bad row labels {mu!r}, {nu!r}")
+    i, j = _row_index(mu, n), _row_index(nu, n)
     phases = np.exp(-1j * decomp.omegas * t)
     return complex(np.sum(decomp.vectors[i, :] * decomp.vectors[j, :] * phases))
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvariantViolation
+from .errors import ConvergenceFailure, InvariantViolation, require
 
 __all__ = [
     "DressedAtomParams",
@@ -101,7 +101,15 @@ class DressedAtomParams:
         if int(self.n_modes) != self.n_modes or self.n_modes < 1:
             raise ValueError(f"n_modes must be an integer >= 1, got {self.n_modes}")
         object.__setattr__(self, "n_modes", int(self.n_modes))
-        object.__setattr__(self, "delta_omega", np.pi * self.c / self.radius)
+        dw = np.pi * self.c / self.radius
+        with np.errstate(over="ignore"):
+            scales = (np.float64(self.omega_bar) ** 2, np.float64(self.g) ** 2,
+                      self.n_modes * (4.0 * self.g * dw / np.pi),
+                      np.float64(self.n_modes * dw) ** 2, np.float64(dw) ** 4)
+        if not np.all(np.isfinite(scales)):
+            raise ValueError("omega_bar^2, g^2, N eta^2, (N dw)^2 and dw^4 must be finite, got "
+                             + ", ".join(f"{v:.3e}" for v in scales))
+        object.__setattr__(self, "delta_omega", dw)
         object.__setattr__(self, "eta", np.sqrt(4.0 * self.g * self.delta_omega / np.pi))
         object.__setattr__(self, "delta", self.g * self.radius / (np.pi * self.c))
 
@@ -153,16 +161,14 @@ class ModeSpectrum:
             raise InvariantViolation(
                 f"expected {n + 1} asymptotes and offsets, got {m.shape} and {s.shape}")
         om, bo = field_frequencies(self.params), _omega(m, s, self.params)[0]
-        if not np.all(bo > 0):
-            raise InvariantViolation("normal frequencies must all be positive")
-        if np.any(np.diff(bo) <= 0):
-            raise InvariantViolation("normal frequencies must be strictly increasing")
+        require(bo > 0, InvariantViolation, "normal frequencies must all be positive")
+        require(np.diff(bo) > 0, InvariantViolation,
+                "normal frequencies must be strictly increasing")
         # Interlacing with the bare-mode asymptotes: one root below omega_1,
         # then exactly one root inside each (omega_k, omega_k+1) gap.
-        if not bo[0] < om[0]:
-            raise InvariantViolation("lowest normal frequency must lie below omega_1")
-        if np.any(bo[1:] <= om) or np.any(bo[1:-1] >= om[1:]):
-            raise InvariantViolation("normal frequencies must interlace the bare modes")
+        require(bo[0] < om[0], InvariantViolation, "lowest normal frequency must lie below omega_1")
+        require(np.all(bo[1:] > om) & np.all(bo[1:-1] < om[1:]), InvariantViolation,
+                "normal frequencies must interlace the bare modes")
         f, slope = _secular_sets(m, s, self.params, slope=True)
         w = 1.0 / slope
         newton_rel = np.abs(f) * w / bo**2
@@ -447,8 +453,8 @@ def solve_eigenfrequencies(params: DressedAtomParams) -> ModeSpectrum:
     :func:`_bisect`: the N-1 inner roots by the cotangent split on the
     closed form, in blocks, the two outer roots by the one-pole split on the
     direct sum.  Every root must then pass the 1e-10 check on the spectrum's
-    :attr:`ModeSpectrum.newton_rel`; a failure raises
-    :class:`ConvergenceFailure` naming the root.
+    :attr:`ModeSpectrum.newton_rel`; a failure, NaN included, raises
+    :class:`ConvergenceFailure` naming the first root that fails.
     """
     n, dw = params.n_modes, params.delta_omega
     lower = np.arange(n + 1.0)
@@ -459,12 +465,8 @@ def solve_eigenfrequencies(params: DressedAtomParams) -> ModeSpectrum:
     if not below[-1]:  # the top root lies above omega_N + dw/2
         m[-1], a[-1], b[-1] = n, 0.5, np.sqrt(_upper_bound(params)) / dw - n
     spec = ModeSpectrum(params=params, asymptotes=m, offsets=_bisect(params, m, a, b))
-    bad = int(np.argmax(spec.newton_rel))
-    if spec.newton_rel[bad] > _RESIDUAL_TOL:
-        raise ConvergenceFailure(
-            f"root {bad} residual {spec.newton_rel[bad]:.3e} exceeds {_RESIDUAL_TOL:.1e}",
-            interval_index=bad,
-        )
+    require(spec.newton_rel <= _RESIDUAL_TOL, ConvergenceFailure,
+            "root {i} residual {:.3e} exceeds {:.1e}", spec.newton_rel, _RESIDUAL_TOL)
     return spec
 
 

@@ -266,6 +266,12 @@ class TestTimeGridInvariants:
         with pytest.raises(InvariantViolation, match=_names(K)):
             single_atom_reduced(rows, SuperpositionSpec(0.5), GRID)
 
+    def test_nan_row(self):
+        rows = _unit_rows(11)
+        rows[K, 3] = np.nan
+        with pytest.raises(InvariantViolation, match="norm nan .*" + _names(K)):
+            single_atom_reduced(rows, SuperpositionSpec(0.5), GRID)
+
     def test_scalar_inputs_still_raise(self):
         with pytest.raises(DomainError, match="at t=2.0"):
             reduced_pair_matrix(0.5, 1.2j, SuperpositionSpec(0.5), 2.0)

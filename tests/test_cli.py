@@ -102,7 +102,11 @@ class TestExitCodes:
         ("spectrum", "--omega-bar", "inf"),
         ("spectrum", "--delta", "inf"),
         ("spectrum", "--c", "inf"),
-    ], ids=["t-max-nan", "t-max-inf", "phi-nan", "omega-bar-inf", "delta-inf", "c-inf"])
+        # finite, but omega_bar^2 or dw^4 = (g / delta)^4 overflows
+        ("spectrum", "--omega-bar", "1e200"),
+        ("spectrum", "--delta", "1e-3", "--g", "1e150"),
+    ], ids=["t-max-nan", "t-max-inf", "phi-nan", "omega-bar-inf", "delta-inf", "c-inf",
+            "omega-bar-sq-overflow", "dw-fourth-overflow"])
     def test_usage_non_finite_input(self, tmp_path, argv):
         assert run(*argv, "--steps", "5", "--n-modes", "8", "--out", str(tmp_path)) == EXIT_USAGE
 
@@ -120,6 +124,14 @@ class TestExitCodes:
         # the superposition is checked with the rest of the run's keys, also by
         # the commands that never read it
         assert run(command, flag, value, "--n-modes", "8", "--out", str(tmp_path)) == EXIT_USAGE
+
+    def test_numerical_failure_on_nan_residuals(self, tmp_path, capsys):
+        # at R = 1e300 every newton_rel is NaN, which fails the solver's check
+        with np.errstate(all="ignore"):
+            rc = run("spectrum", "--radius", "1e300", "--n-modes", "8", "--out", str(tmp_path))
+        assert rc == EXIT_NUMERICAL
+        assert "root 0 residual nan" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum_roots.csv").exists()
 
     def test_numerical_failure_outside_small_cavity_regime(self, tmp_path):
         rc = run("amplitude", "--regime", "small", "--delta", "0.5",

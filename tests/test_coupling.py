@@ -7,6 +7,7 @@ from dressedcavity import (
     DivisionHazard,
     DomainError,
     DressedAtomParams,
+    NormalizationFailure,
     RegimeViolation,
     approx_small_cavity_elements,
     atom_element,
@@ -17,6 +18,7 @@ from dressedcavity import (
     survival_trace,
 )
 from dressedcavity import coupling, spectrum
+from dressedcavity.coupling import TransformMatrix
 from dressedcavity.spectrum import ModeSpectrum, field_frequencies
 from oracles import eig_sym_2x2
 
@@ -141,6 +143,15 @@ class TestBuildMatrix:
 
     def test_sign_convention(self, fig_matrix):
         assert np.all(fig_matrix.t[0, :] > 0)
+
+    def test_atom_row_is_the_root_of_the_weights(self, fig_spectrum, fig_matrix):
+        assert np.array_equal(fig_matrix.t[0], np.sqrt(fig_spectrum.weights))
+
+    def test_rejects_a_nan_entry(self, fig_spectrum, fig_matrix):
+        t = fig_matrix.t.copy()
+        t[5, 7] = np.nan
+        with pytest.raises(NormalizationFailure, match="column 7 norm deviates by nan"):
+            TransformMatrix(spectrum=fig_spectrum, t=t)
 
     def test_reconstructs_quadratic_form(self, fig_spectrum, fig_matrix):
         b = build_form(fig_spectrum.params).matrix

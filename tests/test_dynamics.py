@@ -157,6 +157,14 @@ class TestDiscreteSum:
             AmplitudeTrace(times=np.array([0.0]), values=np.array([0.5 + 0j]),
                            mu="atom", nu="atom", method="discrete-sum")
 
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_trace_rejects_nan(self, j):
+        values = np.array([1.0, 0.5, 0.5, 0.5], dtype=complex)
+        values[j] = np.nan
+        with pytest.raises(InvariantViolation, match=f"nan > 1 .* at t={0.5 * j}$"):
+            AmplitudeTrace(times=np.linspace(0.0, 1.5, 4), values=values,
+                           mu="atom", nu="atom", method="discrete-sum")
+
     def test_trace_and_pair_matrix_reject_the_same_magnitude(self):
         # |z| by hypot is 1 ulp over the 1 + 1e-9 bound, where numpy's array
         # abs reads exactly the bound; both checks must reject z

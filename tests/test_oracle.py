@@ -109,6 +109,11 @@ class TestOracleAmplitude:
                         for nu in ["atom", *range(1, n + 1)])
             assert total == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("label", ["field", -1, 201, 2.0])
+    def test_rejects_the_labels_the_pipeline_rejects(self, fig_decomp, label):
+        with pytest.raises(ValueError, match="row label must be"):
+            oracle_amplitude(fig_decomp, "atom", label, 0.0)
+
     def test_matches_pipeline_amplitude(self):
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=50)
         d = diagonalize(build_form(p))

@@ -83,6 +83,12 @@ class TestParams:
         dict(omega_bar=1.0, g=0.0, radius=1.0),
         dict(omega_bar=1.0, g=0.5, radius=-2.0),
         dict(omega_bar=1.0, g=0.5, radius=1.0, n_modes=0),
+        # finite, but omega_bar^2, g^2, N eta^2, (N dw)^2 or dw^4 overflows
+        dict(omega_bar=1e200, g=1.0, radius=1.0),
+        dict(omega_bar=1.0, g=1e200, radius=1.0),
+        dict(omega_bar=1.0, g=1e300, radius=1e-10, n_modes=10),
+        dict(omega_bar=1.0, g=1.0, radius=1e-300, n_modes=10**6),
+        dict(omega_bar=1.0, g=1.0, radius=1e-80, n_modes=1),
     ])
     def test_rejects_bad_inputs(self, bad):
         with pytest.raises(ValueError):
@@ -328,6 +334,15 @@ class TestSolve:
         with pytest.raises(ConvergenceFailure) as err:
             solve_eigenfrequencies(fig_params)
         assert err.value.interval_index == 7
+
+    def test_nan_newton_check_names_root_0(self):
+        # at R = 1e300, dw^2 underflows to 0 and every newton_rel is NaN;
+        # the check states what passes, so NaN fails it
+        p = DressedAtomParams(1.0, 1.0, 1e300, n_modes=8)
+        with np.errstate(all="ignore"), \
+                pytest.raises(ConvergenceFailure, match="root 0 residual nan") as err:
+            solve_eigenfrequencies(p)
+        assert err.value.interval_index == 0
 
     def test_bisection_step_budget_reports_root(self, monkeypatch):
         # one step converges no root; the failure names the first left over
