@@ -5,11 +5,13 @@ oracle-check.  Exit codes: 0 success, 1 usage, 2 numerical failure,
 3 invariant violation.
 
 Every run follows one pair of atoms with the same (omega_bar, g, delta).
-The keys of a run are the fields of :class:`RunConfig`: the parser makes a
-flag of each (``n_modes`` is ``--n-modes``) and a flat key=value file ('#'
-comments) sets them, both typed by the field's default, and the flags
-override the file.  Defaults reproduce the reference impurity figure
-(omega_bar=1, g=0.5, delta=0.1, t in [0, 25]).  All CSV output uses a
+The cavity enters only through delta = g R / pi (wave speed c = 1), which
+spans both regimes: the small cavity is delta << 1, free space delta ->
+infinity.  The keys of a run are the fields of :class:`RunConfig`: the
+parser makes a flag of each (``n_modes`` is ``--n-modes``) and a flat
+key=value file ('#' comments) sets them, both typed by the field's
+default, and the flags override the file.  Defaults reproduce the
+reference impurity figure (omega_bar=1, g=0.5, delta=0.1, t in [0, 25]).  All CSV output uses a
 header row and 17 significant digits, so identical configs give
 byte-identical files; the frozen result types check their own invariants.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +42,7 @@ _REGIMES = ("small", "free-space", "exact")
 class RunConfig:
     omega_bar: float = 1.0
     g: float = 0.5
-    delta: float | None = 0.1
-    radius: float | None = None
-    c: float = 1.0
+    delta: float = 0.1
     n_modes: int = 200
     xi: float = 0.5
     phi: float = 0.0
@@ -62,19 +62,11 @@ class RunConfig:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.regime not in _REGIMES:
             raise ValueError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
-        if self.delta is None and self.radius is None:
-            raise ValueError("one of delta or radius is required")
-        if self.delta is not None and self.radius is not None:
-            print("warning: both delta and radius given; delta takes precedence",
-                  file=sys.stderr)
         self.superposition()  # a bad xi or phi is a usage error before any work
 
     def atom_params(self) -> DressedAtomParams:
-        if self.delta is not None:
-            return DressedAtomParams.from_delta(self.omega_bar, self.g, self.delta,
-                                                c=self.c, n_modes=self.n_modes)
-        return DressedAtomParams(omega_bar=self.omega_bar, g=self.g, radius=self.radius,
-                                 c=self.c, n_modes=self.n_modes)
+        return DressedAtomParams.from_delta(self.omega_bar, self.g, self.delta,
+                                            n_modes=self.n_modes)
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.steps)
@@ -83,8 +75,8 @@ class RunConfig:
         return bipartite.SuperpositionSpec(xi=self.xi, phi=self.phi)
 
 
-# How a config value is read, by the type of its field's default (None: a float).
-_READ = {bool: lambda v: v.lower() in ("1", "true", "yes", "on"), type(None): float}
+# How a config value is read, by the type of its field's default.
+_READ = {bool: lambda v: v.lower() in ("1", "true", "yes", "on")}
 _READERS = {f.name: _READ.get(type(f.default), type(f.default)) for f in fields(RunConfig)}
 
 
@@ -130,43 +122,43 @@ def write_csv(path: Path, header: list[str], table) -> None:
 # Shared pieces
 # ---------------------------------------------------------------------------
 
-def _exact_row(cfg: RunConfig, params, mu, nu) -> tuple[np.ndarray, dynamics.AmplitudeTrace]:
-    """The exact route's amplitude row f_mu_nu'(t) over every nu' at each time
-    of the grid, shape (T, N+1), and its ``nu`` column as a checked trace."""
-    times = cfg.time_grid()
-    row = dynamics.amplitude_row(coupling.build_matrix(solve_eigenfrequencies(params)), mu, times)
-    return row, dynamics.AmplitudeTrace(
-        times=times, values=row[:, dynamics._row_index(nu, params.n_modes)],
-        mu=mu, nu=nu, method="discrete-sum")
+def _route(cfg: RunConfig, params, regime: str,
+           mu, nu) -> tuple[dynamics.AmplitudeTrace, np.ndarray | None]:
+    """The checked trace of f_mu_nu over the run's times by ``regime``'s route,
+    and the single-atom entropy at each time (None for "small": no whole row).
 
-
-def _atom(cfg: RunConfig, params, regime: str) -> tuple[np.ndarray, np.ndarray]:
-    """Survival amplitude f_aa and single-atom entropy at every time of the grid.
-
-    "free-space": the closed-form amplitude and the continuum's constant
-    entropy -(1-xi) ln(1-xi) - xi ln xi, once the continuum's unitarity
-    weight (4g/pi) integral of h is checked to be 1.  Any other regime: one
-    amplitude row of the exact route's dense transform, since the entropy
-    needs the whole row, which the small-cavity series does not give.
+    "exact": row mu of the dense transform's amplitudes, whose norm (unitarity)
+    the single-atom reduced state checks.  "free-space": the closed form, once
+    omega_bar > g (before the residues divide by kappa) and the continuum
+    weight (4g/pi) integral of h is 1; constant entropy.  "small": the series.
     """
     times = cfg.time_grid()
-    if regime == "free-space":
-        p = dynamics.FreeSpaceParams(omega_bar=params.omega_bar, g=params.g)
-        s = dynamics.spectral_weight_norm(params.omega_bar, params.g)
-        require(abs(s - 1.0) <= 1e-6, InvariantViolation,
-                "continuum unitarity weight {:.9f} deviates from 1", s)
-        return (dynamics.free_space_trace(p, times).values,
-                np.full(times.shape, bipartite.entanglement_entropy(cfg.xi)))
-    rows, f_aa = _exact_row(cfg, params, "atom", "atom")
-    reduced = bipartite.single_atom_reduced(rows, cfg.superposition(), times)
-    return f_aa.values, bipartite.von_neumann_entropy(reduced)
+    if regime == "exact":
+        row = dynamics.amplitude_row(coupling.build_matrix(solve_eigenfrequencies(params)),
+                                     mu, times)
+        trace = dynamics.AmplitudeTrace(
+            times=times, values=row[:, dynamics._row_index(nu, params.n_modes)],
+            mu=mu, nu=nu, method="discrete-sum")
+        reduced = bipartite.single_atom_reduced(row, cfg.superposition(), times)
+        return trace, bipartite.von_neumann_entropy(reduced)
+    if dynamics._row_index(mu, params.n_modes) or dynamics._row_index(nu, params.n_modes):
+        raise ValueError(f"regime {regime!r} provides only the atom-atom amplitude")
+    if regime == "small":
+        return dynamics.small_cavity_trace(params, times, cfg.k_max), None
+    p = dynamics.FreeSpaceParams(omega_bar=params.omega_bar, g=params.g)
+    s = dynamics.spectral_weight_norm(params.omega_bar, params.g)
+    require(abs(s - 1.0) <= 1e-6, InvariantViolation,
+            "continuum unitarity weight {:.9f} deviates from 1", s)
+    return (dynamics.free_space_trace(p, times),
+            np.full(times.shape, bipartite.entanglement_entropy(cfg.xi)))
 
 
-def _write_pair(cfg: RunConfig, path: Path, f_aa, entropies) -> np.ndarray:
+def _write_pair(cfg: RunConfig, path: Path, trace, entropies) -> np.ndarray:
     """Write the bipartite CSV of two atoms that share the survival amplitude
-    ``f_aa``; returns its D column.  The pair matrix checks its own
+    ``trace``; returns its D column.  The pair matrix checks its own
     invariants at every time."""
-    m = bipartite.reduced_pair_matrix(f_aa, f_aa, cfg.superposition(), cfg.time_grid())
+    m = bipartite.reduced_pair_matrix(trace.values, trace.values, cfg.superposition(),
+                                      trace.times)
     d = bipartite.impurity(m)
     write_csv(path, ["t", "rho00", "rho0101", "rho1010", "re_coh", "im_coh", "D", "E"],
               np.column_stack([m.time, m.p_ground, m.p_b_excited, m.p_a_excited,
@@ -190,11 +182,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     oms = np.linspace(k * dw + 0.02 * dw, (k + 1) * dw - 0.02 * dw, 80, axis=-1).ravel()
     lhs, rhs = cotangent_curves(oms, params)
     write_csv(out / "spectrum_curves.csv", ["Omega", "x", "cot_lhs", "rhs_line"],
-              np.column_stack([oms, params.radius * oms / params.c, lhs, rhs]))
+              np.column_stack([oms, params.radius * oms, lhs, rhs]))
 
     roots = spec.bigomegas
     write_csv(out / "spectrum_roots.csv", ["r", "Omega_r", "x_r", "newton_rel"],
-              np.column_stack([np.arange(roots.size), roots, params.radius * roots / params.c,
+              np.column_stack([np.arange(roots.size), roots, params.radius * roots,
                                spec.newton_rel]))
 
     if cfg.svg:
@@ -212,23 +204,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_amplitude(cfg: RunConfig) -> int:
-    params = cfg.atom_params()
-    times = cfg.time_grid()
-    if cfg.regime in ("free-space", "small") and not (cfg.mu == "atom" and cfg.nu == "atom"):
-        raise ValueError(f"regime {cfg.regime!r} provides only the atom-atom amplitude")
+    mu, nu = (label if label == "atom" else int(label) for label in (cfg.mu, cfg.nu))
+    trace, _ = _route(cfg, cfg.atom_params(), cfg.regime, mu, nu)
     out = Path(cfg.out)
-    if cfg.regime == "exact":
-        mu = cfg.mu if cfg.mu == "atom" else int(cfg.mu)
-        nu = cfg.nu if cfg.nu == "atom" else int(cfg.nu)
-        row, trace = _exact_row(cfg, params, mu, nu)
-        # unitarity re-assertion on the emitted row label
-        defect = np.abs(np.sum(np.abs(row) ** 2, axis=1) - 1.0)
-        require(defect <= 1e-6, InvariantViolation, "unitarity defect {:.3e}", defect, t=times)
-    elif cfg.regime == "free-space":
-        p = dynamics.FreeSpaceParams(omega_bar=params.omega_bar, g=params.g)
-        trace = dynamics.free_space_trace(p, times)
-    else:
-        trace = dynamics.small_cavity_trace(params, times, cfg.k_max)
     v = trace.values
     abs2 = np.hypot(v.real, v.imag) ** 2  # scalar abs: numpy's array abs may differ by an ulp
     method = np.full(v.size, trace.method, dtype=object)
@@ -249,8 +227,8 @@ def cmd_impurity(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     # reference figure: small cavity via the exact discrete route, plus free space
     small_path, free_path = out / "impurity_small_cavity.csv", out / "impurity_free_space.csv"
-    d_small = _write_pair(cfg, small_path, *_atom(cfg, params, "exact"))
-    d_free = _write_pair(cfg, free_path, *_atom(cfg, params, "free-space"))
+    d_small = _write_pair(cfg, small_path, *_route(cfg, params, "exact", "atom", "atom"))
+    d_free = _write_pair(cfg, free_path, *_route(cfg, params, "free-space", "atom", "atom"))
     if cfg.svg:
         svg = svgplot.line_plot(
             [("small cavity", times, d_small, True), ("free space", times, d_free, False)],
@@ -261,23 +239,24 @@ def cmd_impurity(cfg: RunConfig) -> int:
 
 
 def cmd_entropy(cfg: RunConfig) -> int:
-    times = cfg.time_grid()
     out = Path(cfg.out)
-    f_aa, entropies = _atom(cfg, cfg.atom_params(), cfg.regime)
+    # the entropy needs the whole amplitude row: a small cavity takes the exact route
+    regime = "free-space" if cfg.regime == "free-space" else "exact"
+    trace, entropies = _route(cfg, cfg.atom_params(), regime, "atom", "atom")
     path = out / "entropy.csv"
-    _write_pair(cfg, path, f_aa, entropies)
+    _write_pair(cfg, path, trace, entropies)
     analytic = bipartite.entanglement_entropy(cfg.xi)
     drift = np.abs(entropies - analytic)
     deviation = float(np.max(drift))
     print(f"wrote {path}")
     print(f"entropy_analytic={analytic:.17g} max_deviation={deviation:.3e}")
     if cfg.svg:
-        svg = svgplot.line_plot([("E(t)", times, entropies, False)],
+        svg = svgplot.line_plot([("E(t)", trace.times, entropies, False)],
                                 title=f"Entanglement entropy, xi={cfg.xi:g}",
                                 xlabel="t", ylabel="E")
         (out / "entropy.svg").write_text(svg)
     require(drift <= 1e-8, InvariantViolation, "entropy deviation {:.3e} exceeds 1e-8", drift,
-            t=times)
+            t=trace.times)
     return EXIT_OK
 
 
@@ -345,12 +324,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     # every flag the parser defines but --config is a RunConfig field; unset ones are None
     flags = {name: value for name, value in vars(args).items()
              if name not in ("command", "config") and value is not None}
-    cfg = RunConfig()
-    for layer in (parse_config_file(args.config) if args.config else {}, flags):
-        # a layer that fixes the radius without delta replaces the default delta
-        if "radius" in layer and "delta" not in layer:
-            cfg = replace(cfg, delta=None)
-        cfg = replace(cfg, **layer)
+    cfg = RunConfig(**{**(parse_config_file(args.config) if args.config else {}), **flags})
     cfg.validate()
     return cfg
 

@@ -123,15 +123,18 @@ class AmplitudeTrace:
         require(mags <= _ABS_BOUND, InvariantViolation,
                 "|amplitude| reached {:.12f} > 1 (unphysical)", mags, t=t)
         if self.method == "discrete-sum" and t.size and t[0] == 0.0:
-            expected = 1.0 if self.mu == self.nu else 0.0
+            # f(0) is 1 where mu and nu name one row ("atom" and 0 alike), else 0
+            expected = float(_row_index(self.mu, np.inf) == _row_index(self.nu, np.inf))
             require(abs(v[0] - expected) <= _T0_TOL, InvariantViolation,
                     "amplitude at t=0 is {:.3e}, expected {}", v[0], expected)
 
 
 def _row_index(label, n_modes: int) -> int:
-    if label == "atom" or label == 0:
+    """Row of the transform a label names: 0 for "atom" (or 0), k for field mode k."""
+    if label == "atom":
         return 0
-    if isinstance(label, (int, np.integer)) and 1 <= label <= n_modes:
+    if (isinstance(label, (int, np.integer)) and not isinstance(label, bool)
+            and 0 <= label <= n_modes):
         return int(label)
     raise ValueError(f"row label must be 'atom' or a mode index 1..{n_modes}, got {label!r}")
 

@@ -2,8 +2,9 @@
 
 The model: one atom in the harmonic approximation, renormalized frequency
 ``omega_bar``, coupled linearly with strength ``eta = sqrt(4 g dw / pi)``
-to the ``N`` field modes ``omega_k = k pi c / R`` of a perfectly
-reflecting sphere of radius ``R`` (mode spacing ``dw = pi c / R``).
+to the ``N`` field modes ``omega_k = k pi / R`` of a perfectly
+reflecting sphere of radius ``R`` (mode spacing ``dw = pi / R``).  Units
+take the wave speed c = 1, so a length is a time.
 
 The collective oscillation frequencies ``Omega_r`` are the N+1 roots of
 the secular equation
@@ -16,11 +17,12 @@ solved for, and carried as, its signed offset from the nearer bare
 frequency, so a root that hugs its asymptote keeps every digit of its gap.
 In the infinite-mode limit the sum telescopes into a cotangent:
 
-    cot(R Omega / c) = Omega/(2 g) + (c/(R Omega)) (1 - R omega_bar^2/(2 g c)),
+    cot(R Omega) = Omega/(2 g) + (1/(R Omega)) (1 - R omega_bar^2/(2 g)),
 
 which is what :func:`cotangent_curves` samples and what the small-cavity
-approximation expands.  All quantities are in consistent arbitrary units
-(``c = 1`` is the conventional choice).
+approximation expands.  One number, delta = g R / pi, the coupling over
+the mode spacing, places a system between the small cavity (delta << 1)
+and free space (delta -> infinity).
 
 Everything here is a pure function of its inputs; the returned spectra
 are immutable and safe to share across threads.
@@ -72,36 +74,34 @@ class DressedAtomParams:
     ----------
     omega_bar : renormalized atom frequency [1/time]
     g         : coupling constant [1/time]
-    radius    : cavity radius R [length]
-    c         : wave speed [length/time]
+    radius    : cavity radius R [time, with c = 1]
     n_modes   : number of retained field modes N (truncation knob)
 
     Derived on construction:
 
-    delta_omega : mode spacing pi c / R [1/time]
+    delta_omega : mode spacing pi / R [1/time]
     eta         : coupling amplitude sqrt(4 g delta_omega / pi) [1/time]
-    delta       : g R / (pi c), coupling-to-spacing ratio [dimensionless]
+    delta       : g R / pi, coupling-to-spacing ratio [dimensionless]
     """
 
     omega_bar: float
     g: float
     radius: float
-    c: float = 1.0
     n_modes: int = 200
     delta_omega: float = field(init=False)
     eta: float = field(init=False)
     delta: float = field(init=False)
 
     def __post_init__(self):
-        if not all(0 < v < np.inf for v in (self.omega_bar, self.g, self.radius, self.c)):
+        if not all(0 < v < np.inf for v in (self.omega_bar, self.g, self.radius)):
             raise ValueError(
-                "omega_bar, g, radius and c must all be positive and finite, got "
-                f"omega_bar={self.omega_bar}, g={self.g}, radius={self.radius}, c={self.c}"
+                "omega_bar, g and radius must all be positive and finite, got "
+                f"omega_bar={self.omega_bar}, g={self.g}, radius={self.radius}"
             )
         if int(self.n_modes) != self.n_modes or self.n_modes < 1:
             raise ValueError(f"n_modes must be an integer >= 1, got {self.n_modes}")
         object.__setattr__(self, "n_modes", int(self.n_modes))
-        dw = np.pi * self.c / self.radius
+        dw = np.pi / self.radius
         with np.errstate(over="ignore"):
             scales = (np.float64(self.omega_bar) ** 2, np.float64(self.g) ** 2,
                       self.n_modes * (4.0 * self.g * dw / np.pi),
@@ -109,17 +109,20 @@ class DressedAtomParams:
         if not np.all(np.isfinite(scales)):
             raise ValueError("omega_bar^2, g^2, N eta^2, (N dw)^2 and dw^4 must be finite, got "
                              + ", ".join(f"{v:.3e}" for v in scales))
+        delta = self.g * self.radius / np.pi
+        if not delta > 0:  # g R underflows; the small-cavity route divides by delta
+            raise ValueError(f"delta = g R / pi must be positive, got {delta} "
+                             f"at g={self.g}, radius={self.radius}")
         object.__setattr__(self, "delta_omega", dw)
         object.__setattr__(self, "eta", np.sqrt(4.0 * self.g * self.delta_omega / np.pi))
-        object.__setattr__(self, "delta", self.g * self.radius / (np.pi * self.c))
+        object.__setattr__(self, "delta", delta)
 
     @classmethod
-    def from_delta(cls, omega_bar, g, delta, c=1.0, n_modes=200):
+    def from_delta(cls, omega_bar, g, delta, n_modes=200):
         """Build params from the dimensionless cavity-size parameter delta."""
         if delta <= 0:
             raise ValueError(f"delta must be positive, got {delta}")
-        return cls(omega_bar=omega_bar, g=g, radius=np.pi * c * delta / g,
-                   c=c, n_modes=n_modes)
+        return cls(omega_bar=omega_bar, g=g, radius=np.pi * delta / g, n_modes=n_modes)
 
     @property
     def eta_sq(self) -> float:
@@ -179,7 +182,7 @@ class ModeSpectrum:
 
 
 def field_frequencies(params: DressedAtomParams) -> np.ndarray:
-    """Bare field frequencies omega_k = k pi c / R, k = 1..N, ascending."""
+    """Bare field frequencies omega_k = k pi / R, k = 1..N, ascending."""
     return params.delta_omega * np.arange(1, params.n_modes + 1)
 
 
@@ -318,17 +321,17 @@ def secular_residual(omega, params: DressedAtomParams):
 def cotangent_curves(omega, params: DressedAtomParams):
     """Both sides of the infinite-cavity eigenfrequency condition.
 
-    Returns ``(lhs, rhs)`` with ``lhs = cot(R Omega / c)`` and
-    ``rhs = Omega/(2g) + (c/(R Omega))(1 - R omega_bar^2/(2 g c))``.
+    Returns ``(lhs, rhs)`` with ``lhs = cot(R Omega)`` and
+    ``rhs = Omega/(2g) + (1/(R Omega))(1 - R omega_bar^2/(2 g))``.
     Their intersections are the normal frequencies of the untruncated
     system; the finite-N roots approach them as N grows.
     """
     omega = np.asarray(omega, dtype=float)
-    r_over_c = params.radius / params.c
+    r = params.radius
     with np.errstate(divide="ignore", invalid="ignore"):
-        lhs = 1.0 / np.tan(r_over_c * omega)
-        rhs = omega / (2.0 * params.g) + (1.0 / (r_over_c * omega)) * (
-            1.0 - r_over_c * params.omega_bar**2 / (2.0 * params.g)
+        lhs = 1.0 / np.tan(r * omega)
+        rhs = omega / (2.0 * params.g) + (1.0 / (r * omega)) * (
+            1.0 - r * params.omega_bar**2 / (2.0 * params.g)
         )
     return lhs, rhs
 

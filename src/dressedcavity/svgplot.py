@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
@@ -37,9 +38,11 @@ def line_plot(series, title="", xlabel="", ylabel="", y_clip=None, markers=()) -
     non-finite y (or outside ``y_clip``) break the polyline.  ``markers``
     are (x, y) data points drawn as filled circles.
     """
+    def shown(y):
+        return math.isfinite(y) and (y_clip is None or y_clip[0] <= y <= y_clip[1])
+
     xs_all = [x for _, xs, _, _ in series for x in xs]
-    ys_all = [y for _, _, ys, _ in series for y in ys
-              if math.isfinite(y) and (y_clip is None or y_clip[0] <= y <= y_clip[1])]
+    ys_all = [y for _, _, ys, _ in series for y in ys if shown(y)]
     if not xs_all or not ys_all:
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs_all), max(xs_all)
@@ -85,26 +88,18 @@ def line_plot(series, title="", xlabel="", ylabel="", y_clip=None, markers=()) -
     for i, (label, xs, ys, dashed) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
         dash = ' stroke-dasharray="6 4"' if dashed else ""
-        chunks, cur = [], []
-        for x, y in zip(xs, ys):
-            ok = math.isfinite(y) and (y_clip is None or y_clip[0] <= y <= y_clip[1])
+        for ok, run in itertools.groupby(zip(xs, ys), key=lambda xy: shown(xy[1])):
             if ok:
-                cur.append(f"{px(x):.2f},{py(y):.2f}")
-            elif cur:
-                chunks.append(cur)
-                cur = []
-        if cur:
-            chunks.append(cur)
-        for ch in chunks:
-            parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
-                         f'{dash} points="{" ".join(ch)}"/>')
+                points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in run)
+                parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
+                             f'{dash} points="{points}"/>')
         ly = _MT + 16 + 16 * i
         parts.append(f'<line x1="{_W - _MR - 150}" y1="{ly}" x2="{_W - _MR - 120}" '
                      f'y2="{ly}" stroke="{color}" stroke-width="1.5"{dash}/>')
         parts.append(f'<text x="{_W - _MR - 114}" y="{ly + 4}" font-family="sans-serif" '
                      f'font-size="11">{label}</text>')
     for x, y in markers:
-        if math.isfinite(y) and (y_clip is None or y_clip[0] <= y <= y_clip[1]):
+        if shown(y):
             parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="#000"/>')
     parts.append("</svg>")
     return "\n".join(parts)

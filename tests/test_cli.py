@@ -36,16 +36,16 @@ class TestConfigFile:
             "n_modes = 64   # truncation\n"
             "svg = true\n"
             "regime = exact\n"
-            "radius = 3\n"
+            "delta = 3\n"
             "steps = 11\n"
             "k_max = 500\n"
             "mu = 2\n"
         )
         vals = parse_config_file(str(cfg))
         assert vals == {"omega_bar": 1.0, "g": 0.5, "n_modes": 64,
-                        "svg": True, "regime": "exact", "radius": 3.0,
+                        "svg": True, "regime": "exact", "delta": 3.0,
                         "steps": 11, "k_max": 500, "mu": "2"}
-        assert [type(vals[k]) for k in ("radius", "steps", "k_max", "mu")] == [
+        assert [type(vals[k]) for k in ("delta", "steps", "k_max", "mu")] == [
             float, int, int, str]
 
     def test_rejects_unknown_keys(self, tmp_path):
@@ -60,18 +60,15 @@ class TestConfigFile:
         cfg.write_text("identical = false\n")
         assert run("spectrum", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_USAGE
 
-    def test_radius_in_file_replaces_default_delta(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["radius", "c"])
+    def test_delta_is_the_only_cavity_input(self, tmp_path, key):
+        # delta = g R / pi with c = 1 states the cavity: no radius or wave-speed key
+        assert run("spectrum", f"--{key}", "2.0", "--n-modes", "4",
+                   "--out", str(tmp_path)) == EXIT_USAGE
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("radius = 2.0\nn_modes = 4\nsteps = 5\n")
-        rc = run("spectrum", "--config", str(cfg), "--out", str(tmp_path))
-        assert rc == EXIT_OK
-        assert "delta takes precedence" not in capsys.readouterr().err
-
-    def test_delta_beats_radius_with_warning(self, tmp_path, capsys):
-        rc = run("spectrum", "--delta", "0.1", "--radius", "3.0",
-                 "--n-modes", "4", "--out", str(tmp_path))
-        assert rc == EXIT_OK
-        assert "delta takes precedence" in capsys.readouterr().err
+        cfg.write_text(f"{key} = 2.0\nn_modes = 4\n")
+        assert run("spectrum", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_USAGE
+        assert not (tmp_path / "spectrum_roots.csv").exists()
 
 
 class TestExitCodes:
@@ -126,9 +123,10 @@ class TestExitCodes:
         assert run(command, flag, value, "--n-modes", "8", "--out", str(tmp_path)) == EXIT_USAGE
 
     def test_numerical_failure_on_nan_residuals(self, tmp_path, capsys):
-        # at R = 1e300 every newton_rel is NaN, which fails the solver's check
+        # at R = pi delta / g = 1e300 every newton_rel is NaN, which fails the solver's check
         with np.errstate(all="ignore"):
-            rc = run("spectrum", "--radius", "1e300", "--n-modes", "8", "--out", str(tmp_path))
+            rc = run("spectrum", "--delta", "1.5915494309189535e299", "--n-modes", "8",
+                     "--out", str(tmp_path))
         assert rc == EXIT_NUMERICAL
         assert "root 0 residual nan" in capsys.readouterr().err
         assert not (tmp_path / "spectrum_roots.csv").exists()
@@ -191,6 +189,14 @@ class TestAmplitudeCommand:
         rc = run("amplitude", "--regime", "exact", "--mu", "2", "--nu", "atom",
                  "--steps", "5", "--n-modes", "24", "--out", str(tmp_path))
         assert rc == EXIT_OK
+
+    def test_atom_and_zero_name_one_row(self, tmp_path):
+        # both labels are row 0, so f(0) = 1, not the 0 of two different rows
+        rc = run("amplitude", "--regime", "exact", "--mu", "atom", "--nu", "0",
+                 "--steps", "5", "--n-modes", "16", "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        first = (tmp_path / "amplitude.csv").read_text().splitlines()[1].split(",")
+        assert float(first[1]) == pytest.approx(1.0, abs=1e-6)
 
     def test_exact_regime_emits_the_nu_column(self, tmp_path):
         rc = run("amplitude", "--regime", "exact", "--mu", "2", "--nu", "3",
@@ -370,9 +376,9 @@ class TestRunConfig:
         assert {f.name for f in fields(RunConfig)} == dests
 
     # a value for every key, none of them its default
-    SAMPLE = {"omega_bar": "1.5", "g": "0.25", "delta": "0.05", "radius": "2.5", "c": "2",
-              "n_modes": "16", "xi": "0.25", "phi": "0.7", "regime": "exact", "t_max": "3",
-              "steps": "7", "k_max": "100", "mu": "2", "nu": "3", "out": "runs", "svg": "true"}
+    SAMPLE = {"omega_bar": "1.5", "g": "0.25", "delta": "0.05", "n_modes": "16", "xi": "0.25",
+              "phi": "0.7", "regime": "exact", "t_max": "3", "steps": "7", "k_max": "100",
+              "mu": "2", "nu": "3", "out": "runs", "svg": "true"}
 
     @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
     def test_flag_and_file_read_a_value_alike(self, tmp_path, key):

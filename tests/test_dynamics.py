@@ -90,6 +90,13 @@ class TestDiscreteSum:
             totals = np.sum(np.abs(rows) ** 2, axis=1)
             assert np.max(np.abs(totals - 1.0)) < 1e-6
 
+    def test_atom_and_zero_name_one_row(self, fig_matrix):
+        # the t = 0 check compares rows, not labels: f_atom,0(0) = 1
+        times = np.array([0.0, 1.3])
+        tr = amplitude_trace(fig_matrix, "atom", 0, times)
+        assert tr.values[0] == pytest.approx(1.0, abs=1e-6)
+        assert np.array_equal(tr.values, amplitude_trace(fig_matrix, 0, "atom", times).values)
+
     def test_trace_matches_scalar_calls(self, fig_matrix):
         times = np.array([0.0, 0.9, 4.2])
         tr = amplitude_trace(fig_matrix, "atom", 3, times)

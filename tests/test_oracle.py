@@ -109,7 +109,7 @@ class TestOracleAmplitude:
                         for nu in ["atom", *range(1, n + 1)])
             assert total == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("label", ["field", -1, 201, 2.0])
+    @pytest.mark.parametrize("label", ["field", -1, 201, 2.0, 0.0, True])
     def test_rejects_the_labels_the_pipeline_rejects(self, fig_decomp, label):
         with pytest.raises(ValueError, match="row label must be"):
             oracle_amplitude(fig_decomp, "atom", label, 0.0)

@@ -68,10 +68,10 @@ INNER_ROOTS_FROZEN = {
 
 class TestParams:
     def test_derived_quantities(self):
-        p = DressedAtomParams(omega_bar=1.0, g=0.5, radius=2.0, c=1.0, n_modes=5)
-        assert p.delta_omega * p.radius / p.c == pytest.approx(np.pi, rel=1e-15)
+        p = DressedAtomParams(omega_bar=1.0, g=0.5, radius=2.0, n_modes=5)
+        assert p.delta_omega * p.radius == pytest.approx(np.pi, rel=1e-15)
         assert p.eta**2 == pytest.approx(4 * p.g * p.delta_omega / np.pi, rel=1e-15)
-        assert p.delta == pytest.approx(p.g * p.radius / (np.pi * p.c), rel=1e-15)
+        assert p.delta == pytest.approx(p.g * p.radius / np.pi, rel=1e-15)
 
     def test_from_delta_round_trip(self):
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=3)
@@ -89,6 +89,8 @@ class TestParams:
         dict(omega_bar=1.0, g=1e300, radius=1e-10, n_modes=10),
         dict(omega_bar=1.0, g=1.0, radius=1e-300, n_modes=10**6),
         dict(omega_bar=1.0, g=1.0, radius=1e-80, n_modes=1),
+        # g R underflows, so delta = g R / pi would read 0
+        dict(omega_bar=1.0, g=1e-300, radius=3.14e-70, n_modes=8),
     ])
     def test_rejects_bad_inputs(self, bad):
         with pytest.raises(ValueError):
@@ -97,11 +99,11 @@ class TestParams:
 
 class TestFieldFrequencies:
     def test_unit_spacing(self):
-        p = DressedAtomParams(omega_bar=1.0, g=0.1, radius=np.pi, c=1.0, n_modes=3)
+        p = DressedAtomParams(omega_bar=1.0, g=0.1, radius=np.pi, n_modes=3)
         assert field_frequencies(p) == pytest.approx([1.0, 2.0, 3.0], rel=1e-15)
 
     def test_pi_spacing(self):
-        p = DressedAtomParams(omega_bar=1.0, g=0.1, radius=1.0, c=1.0, n_modes=2)
+        p = DressedAtomParams(omega_bar=1.0, g=0.1, radius=1.0, n_modes=2)
         assert field_frequencies(p) == pytest.approx([np.pi, 2 * np.pi], rel=1e-15)
 
     def test_delta_parameterization(self):
