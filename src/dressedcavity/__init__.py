@@ -42,7 +42,6 @@ from .dynamics import (
 )
 from .errors import (
     ConvergenceFailure,
-    DivisionHazard,
     DomainError,
     InvariantViolation,
     NormalizationFailure,

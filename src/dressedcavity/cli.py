@@ -194,7 +194,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         marked = roots[: n_plot + 1]
         marks = list(zip(marked, cotangent_curves(marked, params)[0]))
         svg = svgplot.line_plot(
-            [("cot(R Omega / c)", oms, lhs, False),
+            [("cot(R Omega)", oms, lhs, False),
              ("frequency condition", oms, rhs, True)],
             title="Eigenfrequency condition",
             xlabel="Omega", ylabel="both sides", y_clip=(-clip, clip), markers=marks)
@@ -297,7 +297,7 @@ class _Parser(argparse.ArgumentParser):
     # usage failures must exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Dressed atoms in a reflecting spherical cavity")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        sub.add_parser(name, parents=[flags])
+        sub.add_parser(name, parents=[flags], allow_abbrev=False)  # one spelling per flag
     return parser
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionHazard, DomainError, NormalizationFailure, RegimeViolation, require
+from .errors import DomainError, NormalizationFailure, RegimeViolation, require
 from .spectrum import DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum
 
 __all__ = [
@@ -92,8 +92,10 @@ def build_matrix(spectrum: ModeSpectrum) -> TransformMatrix:
     the field elements t_k^r = (eta/dw) k / gap * t_atom^r from the
     eigenvector ratio, gap = (omega_k^2 - Omega_r^2) / dw^2.  Each gap is
     formed from the root's offsets as ((k - m_r) - s_r)(k + m_r + s_r), so
-    it keeps its digits where the root hugs omega_k.  The column norms, a
-    direct sum, then check the weights' closed form.
+    it keeps its digits where the root hugs omega_k, and is nonzero: the
+    spectrum admits 0 < |s_r| < 1 below the top root and s_N > 0 above
+    omega_N.  The column norms, a direct sum, then check the weights'
+    closed form.
     """
     params = spectrum.params
     n = params.n_modes
@@ -109,8 +111,6 @@ def build_matrix(spectrum: ModeSpectrum) -> TransformMatrix:
     gap = np.subtract(k, m, out=t[1:])  # (omega_k^2 - Omega_r^2) / dw^2, in place
     gap -= s
     gap *= k + (m + s)
-    require(np.abs(gap) >= 1e-12 * k**2, DivisionHazard,
-            "a normal frequency collided with a bare-mode asymptote")
     np.divide((params.eta / params.delta_omega) * k, gap, out=gap)
     gap *= t[0]
     return TransformMatrix(spectrum=spectrum, t=t)

@@ -28,7 +28,7 @@ companions cover the limiting cavity sizes:
   has a closed form in the complex exponential integral E1 at the weight's
   four poles (see :func:`free_space_trace`);
 
-* small cavity (delta = g R / pi c << 1): the spectral sum over the
+* small cavity (delta = g R / pi << 1): the spectral sum over the
   first-order frequencies, with inverse-square weights, plus its
   closed-form lower bound.
 

@@ -35,10 +35,6 @@ class DomainError(SimulationError):
     """Inconsistent physical inputs (e.g. a non-positive radicand)."""
 
 
-class DivisionHazard(SimulationError):
-    """A normal mode collided with a bare-mode asymptote upstream."""
-
-
 class NormalizationFailure(SimulationError):
     """A transformation column failed its unit-norm check."""
 

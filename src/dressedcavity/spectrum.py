@@ -163,15 +163,15 @@ class ModeSpectrum:
         if m.shape != (n + 1,) or s.shape != (n + 1,):
             raise InvariantViolation(
                 f"expected {n + 1} asymptotes and offsets, got {m.shape} and {s.shape}")
+        # Interlacing, on the carried pairs, so exact: root r < N lies in
+        # (omega_r, omega_r+1) (omega_0 = 0), above omega_r (m = r, 0 < s < 1) or
+        # below omega_r+1 (m = r + 1, -1 < s < 0); the top root lies above omega_N.
+        r = np.arange(n + 1)
+        ok = np.where(m == r, (0.0 < s) & (s < 1.0), (m == r + 1) & (-1.0 < s) & (s < 0.0))
+        ok[-1] = (m[-1] == n) & (s[-1] > 0.0)
+        require(ok, InvariantViolation,
+                "root {i} at offset {} from omega_{} does not interlace the bare modes", s, m)
         om, bo = field_frequencies(self.params), _omega(m, s, self.params)[0]
-        require(bo > 0, InvariantViolation, "normal frequencies must all be positive")
-        require(np.diff(bo) > 0, InvariantViolation,
-                "normal frequencies must be strictly increasing")
-        # Interlacing with the bare-mode asymptotes: one root below omega_1,
-        # then exactly one root inside each (omega_k, omega_k+1) gap.
-        require(bo[0] < om[0], InvariantViolation, "lowest normal frequency must lie below omega_1")
-        require(np.all(bo[1:] > om) & np.all(bo[1:-1] < om[1:]), InvariantViolation,
-                "normal frequencies must interlace the bare modes")
         f, slope = _secular_sets(m, s, self.params, slope=True)
         w = 1.0 / slope
         newton_rel = np.abs(f) * w / bo**2
@@ -411,9 +411,10 @@ def _bisect(params: DressedAtomParams, m, a, b) -> np.ndarray:
     end of its own steps.  Each step evaluates F at one split per live root,
     on the set's kernel, and keeps the part of the bracket with the sign
     change.  The next split is the set's rational split (:func:`_inner_split`,
-    :func:`_outer_split`) while that lies in the bracket and moves at most
-    half as far as the step before; otherwise it is the midpoint.  A root is
-    done once its split moves by at most 2 ulps of the offset.
+    :func:`_outer_split`) while that lies in the bracket, is not the
+    asymptote itself (offset 0, where F has its pole) and moves at most half
+    as far as the step before; otherwise it is the midpoint.  A root is done
+    once its split moves by at most 2 ulps of the offset.
     """
     tol = 2.0 * np.finfo(float).eps
     s, index = np.empty(a.shape), np.arange(a.size)
@@ -426,7 +427,8 @@ def _bisect(params: DressedAtomParams, m, a, b) -> np.ndarray:
             np.copyto(ar, x, where=f > 0.0)
             np.copyto(br, x, where=f < 0.0)
             split = 0.5 * (ar + br)
-            np.copyto(split, g, where=(ar <= g) & (g <= br) & (np.abs(g - x) <= 0.5 * step))
+            np.copyto(split, g, where=(ar <= g) & (g <= br) & (g != 0.0)
+                      & (np.abs(g - x) <= 0.5 * step))
             step = np.abs(split - x)
             done = step <= tol * np.abs(split)
             if done.any():

@@ -85,6 +85,37 @@ def dlasd4_inner_roots(omega_bar, eta_sq, wk):
     return roots
 
 
+def mpmath_secular_offset(params, m, s, dps=80):
+    """The root of the secular equation next to offset ``s`` from asymptote
+    ``m``, by bisection of F at ``dps`` digits, as an mpf offset.
+
+    F = omega_bar^2 - Omega^2 - eta^2 Omega^2 sum_k 1/(omega_k^2 - Omega^2)
+    at Omega = (m + x) dw, with the float64 omega_bar, dw and eta^2 and each
+    gap factored, ((k - m) - x)(k + m + x) dw^2.  F falls through the root, so
+    the bracket s (1 -+ 1e-12) must hold a sign change.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        wb, dw, eta_sq = (mpmath.mpf(float(v))
+                          for v in (params.omega_bar, params.delta_omega, params.eta_sq))
+
+        def f(x):
+            u = m + x
+            om2 = (u * dw) ** 2
+            return wb**2 - om2 - eta_sq * om2 * mpmath.fsum(
+                1 / (((k - m) - x) * (k + u) * dw**2) for k in range(1, params.n_modes + 1))
+
+        x = mpmath.mpf(float(s))
+        lo, hi = x - abs(x) * mpmath.mpf("1e-12"), x + abs(x) * mpmath.mpf("1e-12")
+        if not f(lo) > 0 > f(hi):
+            raise RuntimeError(f"no sign change within 1e-12 of offset {s} from omega_{m}")
+        for _ in range(80):  # the bracket to 1e-36 of the offset
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+        return (lo + hi) / 2
+
+
 def single_atom_dense_matrix(row, xi):
     """(N+2) x (N+2) reduced matrix of atom A from its amplitude row:
     ground population 1 - xi plus the xi f f^dagger block."""

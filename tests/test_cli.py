@@ -75,6 +75,13 @@ class TestExitCodes:
     def test_usage_unknown_flag(self, capsys):
         assert run("impurity", "--no-such-flag") == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, value", [("--c", "2.0"), ("--omega", "2"), ("--n-mode", "8")])
+    def test_each_flag_has_one_spelling(self, tmp_path, capsys, flag, value):
+        # a prefix of a flag is not that flag: --c is not --config, --omega not --omega-bar
+        assert run("spectrum", flag, value, "--out", str(tmp_path)) == EXIT_USAGE
+        assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_usage_bad_regime(self, tmp_path):
         assert run("amplitude", "--regime", "medium", "--out", str(tmp_path)) == EXIT_USAGE
 
@@ -148,6 +155,16 @@ class TestSpectrumCommand:
         assert len(roots) == 8  # header + 7 roots
         svg = (tmp_path / "spectrum.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+        assert "cot(R Omega)" in svg  # c = 1: the legend names no wave speed
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--g", "1e-9", "--n-modes", "8"),
+        ("matrix-dump", "--g", "1e-7", "--delta", "1", "--n-modes", "8"),
+    ], ids=["spectrum", "matrix-dump"])
+    def test_weak_coupling_solves(self, tmp_path, capsys, argv):
+        # every root within a few ulps of its asymptote in the float Omega_r
+        assert run(*argv, "--out", str(tmp_path)) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_residual_column_matches_scalar_residual(self, tmp_path):
         # the newton_rel column is the spectrum's own newton_rel, bit for bit,

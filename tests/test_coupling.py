@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from dressedcavity import (
-    DivisionHazard,
     DomainError,
     DressedAtomParams,
+    InvariantViolation,
     NormalizationFailure,
     RegimeViolation,
     approx_small_cavity_elements,
@@ -91,12 +91,12 @@ class TestFieldElement:
         assert np.all(fig_matrix.t[1:, :][~below] < 0)
 
     def test_division_hazard(self):
-        # root 2 within 1e-13 relative above its asymptote omega_2
+        # a root on its asymptote would divide its column by a zero gap; the
+        # spectrum refuses it, on the carried offset, before any division
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=4)
-        offsets = np.array([0.5, 0.5, 2e-13, 0.5, 0.2])
-        spec = ModeSpectrum(params=p, asymptotes=[0, 1, 2, 3, 4], offsets=offsets)
-        with pytest.raises(DivisionHazard):
-            build_matrix(spec)
+        offsets = np.array([0.5, 0.5, 0.0, 0.5, 0.2])
+        with pytest.raises(InvariantViolation, match=r"^root 2 at offset 0\.0 from omega_2 "):
+            ModeSpectrum(params=p, asymptotes=[0, 1, 2, 3, 4], offsets=offsets)
 
     def test_top_column_matches_high_precision_ratio(self):
         # the top root sits 8.1e-6 dw above omega_N; each element of its

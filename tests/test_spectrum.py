@@ -1,19 +1,29 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from dressedcavity import (
     ConvergenceFailure,
     DressedAtomParams,
+    InvariantViolation,
+    ModeSpectrum,
     RegimeViolation,
+    amplitude_row,
     approx_small_cavity_elements,
+    build_form,
+    build_matrix,
     cotangent_residual,
+    diagonalize,
     field_frequencies,
+    oracle_amplitude,
     secular_residual,
     solve_eigenfrequencies,
+    survival_trace,
 )
 from dressedcavity import spectrum
 from dressedcavity.spectrum import first_order_frequencies
-from oracles import dlasd4_inner_roots
+from oracles import dlasd4_inner_roots, mpmath_secular_offset
 
 # frozen first-order values at delta=0.1, g=0.5, omega_bar=1 (direct evaluation)
 OM0_APPROX = 0.8952802448803402
@@ -353,6 +363,104 @@ class TestSolve:
         with pytest.raises(ConvergenceFailure, match="root 0 ") as err:
             solve_eigenfrequencies(p)
         assert err.value.interval_index == 0
+
+
+class TestInterlacingCheck:
+    """ModeSpectrum admits root r < N only at m_r = r, 0 < s_r < 1 or at
+    m_r = r + 1, -1 < s_r < 0, and the top root only at m_N = N, s_N > 0."""
+
+    PARAMS = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=4)
+    ASYMPTOTES = [0, 1, 3, 3, 4]
+    OFFSETS = [0.5, 0.5, -0.5, 0.5, 0.2]
+
+    def _spectrum(self, root=None, m=None, s=None):
+        asymptotes, offsets = list(self.ASYMPTOTES), list(self.OFFSETS)
+        if root is not None:
+            asymptotes[root], offsets[root] = m, s
+        return ModeSpectrum(params=self.PARAMS, asymptotes=asymptotes, offsets=offsets)
+
+    def test_admits_both_sides_of_each_gap(self):
+        spec = self._spectrum()
+        om, bo = spec.omegas, spec.bigomegas
+        assert bo[0] < om[0] and np.all(bo[1:] > om) and np.all(bo[1:-1] < om[1:])
+
+    @pytest.mark.parametrize("root, m, s", [
+        (2, 3, -0.0),                    # on its asymptote, from above
+        (1, 1, -0.25), (2, 3, 0.25),     # the wrong side of its asymptote
+        (1, 1, 1.0), (2, 3, -1.0),       # a whole spacing or more away
+        (1, 3, -0.5), (2, 1, 0.5),       # carried from an asymptote not its own
+        (4, 5, -0.5),                    # the top root from omega_N+1
+        (4, 4, 0.0), (4, 4, -0.25),      # the top root on or below omega_N
+        (3, 3, np.nan),
+    ], ids=["zero", "below-m", "above-m", "one", "minus-one", "far-above", "far-below",
+            "top-from-n+1", "top-zero", "top-below", "nan"])
+    def test_refuses_what_does_not_interlace(self, root, m, s):
+        with pytest.raises(InvariantViolation,
+                           match=rf"^root {root} at offset {s} from omega_{m} "):
+            self._spectrum(root, m, s)
+
+
+class TestWeakCoupling:
+    """At weak coupling each root lies within a few ulps of its asymptote in
+    the float Omega_r; its carried offset keeps the gap, and the spectrum,
+    the matrix and the amplitudes follow from it."""
+
+    @pytest.mark.parametrize("delta", [1e-3, 1.0, 1e3], ids=str)
+    @pytest.mark.parametrize("g", [1e-30, 1e-20, 1e-15, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3], ids=str)
+    def test_solves_without_warnings(self, g, delta):
+        # the dense route up to N = 200; at N = 2048 the solve and a survival
+        # trace from the atom weights, which never form the matrix
+        times = np.linspace(0.0, 25.0, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, 8, 200, 2048):
+                spec = solve_eigenfrequencies(DressedAtomParams.from_delta(1.0, g, delta, n))
+                if n <= 200:
+                    row = amplitude_row(build_matrix(spec), "atom", times)
+                    assert np.abs(np.sum(np.abs(row) ** 2, axis=1) - 1.0).max() <= 1e-12
+                else:
+                    assert np.all(np.abs(survival_trace(spec, times).values) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("g, delta", [
+        (1e-30, 1.0), (1e-20, 1e3), (1e-12, 1e-3), (1e-9, 0.1), (1e-5, 1e3)], ids=str)
+    def test_offsets_within_four_eps_of_mpmath(self, g, delta):
+        pytest.importorskip("mpmath")
+        spec = solve_eigenfrequencies(DressedAtomParams.from_delta(1.0, g, delta, n_modes=8))
+        ref = np.array([float(mpmath_secular_offset(spec.params, int(m), s))
+                        for m, s in zip(spec.asymptotes, spec.offsets)])
+        assert np.all(np.abs(spec.offsets - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
+
+    @pytest.mark.parametrize("g, delta, n_modes", [(1e-9, 0.1, 8), (1e-7, 1.0, 40)], ids=str)
+    def test_matches_the_jacobi_oracle(self, g, delta, n_modes):
+        p = DressedAtomParams.from_delta(1.0, g, delta, n_modes=n_modes)
+        spec = solve_eigenfrequencies(p)
+        tm = build_matrix(spec)
+        d = diagonalize(build_form(p))
+        assert np.all(np.abs(spec.bigomegas / d.omegas - 1.0) <= 1e-12)
+        assert np.abs(tm.t - d.vectors).max() <= 1e-12
+        ratio = tm.t[1:] / tm.t[0]
+        assert np.all(np.abs(d.vectors[1:] / d.vectors[0] - ratio) <= 1e-12 * (1.0 + np.abs(ratio)))
+        times = np.linspace(0.0, 20.0, 9)
+        survival = amplitude_row(tm, "atom", times)[:, 0]
+        oracle = [oracle_amplitude(d, "atom", "atom", t) for t in times]
+        assert np.abs(survival - oracle).max() <= 1e-12
+
+    def test_no_split_lands_on_the_asymptote(self, monkeypatch):
+        # root 0 is carried from omega_1 at 6.4e-18 of a spacing below it, and
+        # its one-pole split rounds to offset 0, where F has its pole
+        seen = []
+
+        def recorded(split_at):
+            def split(params, m, x, kernel):
+                seen.append(x.copy())
+                return split_at(params, m, x, kernel)
+            return split
+
+        for name in ("_inner_split", "_outer_split"):
+            monkeypatch.setattr(spectrum, name, recorded(getattr(spectrum, name)))
+        spec = solve_eigenfrequencies(DressedAtomParams.from_delta(1.0, 1e-9, 0.1, n_modes=8))
+        assert spec.asymptotes[0] == 1 and -1e-17 < spec.offsets[0] < 0.0
+        assert np.all(np.concatenate(seen) != 0.0)
 
 
 class TestSmallCavityApprox:
