@@ -40,7 +40,10 @@ __all__ = [
     "approx_small_cavity_elements",
 ]
 
-# Dense (N+1)^2 storage: keep desk-scale by default.
+# Dense (N+1)^2 storage: keep desk-scale by default.  The dense route holds
+# t and, while it is checked, its Gram t t^T: two (N+1)^2 float arrays, 400 MB
+# at the cap; an amplitude row adds the T x (N+1) complex phase table and
+# amplitudes (T = 501 at the cap: 40 MB each).
 MATRIX_MODE_CAP = 5000
 
 _COLUMN_NORM_TOL = 1e-6
@@ -61,11 +64,13 @@ class TransformMatrix:
         n1 = self.spectrum.params.n_modes + 1
         if t.shape != (n1, n1):
             raise NormalizationFailure(f"matrix must be {n1}x{n1}, got {t.shape}")
-        col_dev = np.abs(np.sum(t * t, axis=0) - 1.0)
+        col_dev = np.abs(np.einsum("ij,ij->j", t, t) - 1.0)
         require(col_dev <= _COLUMN_NORM_TOL, NormalizationFailure,
                 "column {i} norm deviates by {:.3e} (bad roots?)", col_dev)
         require(t[0, :] > 0.0, NormalizationFailure, "sign convention t_atom^r > 0 violated")
-        gram_dev = np.abs(t @ t.T - np.eye(n1)).max(axis=1)
+        gram = t @ t.T  # t t^T - 1, formed in place: one (N+1)^2 array beside t
+        gram.flat[::n1 + 1] -= 1.0
+        gram_dev = np.abs(gram, out=gram).max(axis=1)
         require(gram_dev <= _ROW_ORTHO_TOL, NormalizationFailure,
                 "row {i} orthonormality off by {:.3e} (bad roots?)", gram_dev)
 

@@ -13,12 +13,14 @@ floor(sqrt(T)) and builds the coarse phases exp(-i Omega (t_0 + ibh)) and
 the fine phases exp(-i Omega rh) by running products, so each mode needs 2
 complex exponentials (3 when t_0 != 0) and about 2 sqrt(T) complex
 products; any other grid (non-uniform, a scalar, T < 4) takes b = 1, the
-plain sum with one exponential per phase.  Vector weights take the fine
+plain sum with one exponential per phase.  The weights fold into the fine
+table.  One weight per mode (a survival trace, the series) then takes that
 table's pairwise row sums plus one matrix product of the coarse table,
-carried as C - 1, and the fine table per block of modes; matrix weights
-multiply the table of all T phases.  No block holds more than 2^22
-phases (64 MB), so memory does not grow with the mode count.  Two analytic
-companions cover the limiting cavity sizes:
+carried as C - 1, per block of modes; a whole row of amplitudes
+(``amplitude_row``) passes the real transform as a basis, which meets the
+table of all T weighted phases in one real matrix product.  No block holds
+more than 2^22 phases (64 MB), so memory does not grow with the mode
+count.  Two analytic companions cover the limiting cavity sizes:
 
 * free space (R -> infinity, weak coupling kappa^2 = omega_bar^2 - g^2 > 0):
 
@@ -188,50 +190,64 @@ def _powers(angle: np.ndarray, first, count: int, minus_one: bool = False) -> np
     return table
 
 
-def _phase_sum(times, omegas: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_r weights[r] exp(-i omegas[r] t) at every t; shape (T,) + weights.shape[1:].
+def _phase_sum(times, omegas: np.ndarray, weights: np.ndarray,
+               basis: np.ndarray | None = None) -> np.ndarray:
+    """sum_r weights[r] exp(-i omegas[r] t) at every t, shape (T,); with a real
+    ``basis`` of one row per mode, sum_r weights[r] exp(-i omegas[r] t) basis[r, :],
+    shape (T, K) for K basis columns.
 
     On a uniform grid (:func:`_grid_step`), time t_{jb+r} = t_0 + (jb + r) h
     has the phase C[j] F[r], with the coarse table C[j] = exp(-i Omega t_0)
     exp(-i Omega b h)^j and the fine table F[r] = exp(-i Omega h)^r, both
     built by running products: 2 complex exponentials per mode (3 when t_0 !=
     0) instead of T, and about sqrt(T) products per table.  Any other grid
-    takes b = 1, the plain sum with one exponential per phase.  Vector
-    weights fold into the fine factor, and the coarse table is carried as
-    D = C - 1: f(t_{jb+r}) = sum_m w_m F[r, m] + sum_m D[j, m] w_m F[r, m],
+    takes b = 1, the plain sum with one exponential per phase.  The weights
+    fold into the fine factor.  Without a basis the coarse table is carried
+    as D = C - 1: f(t_{jb+r}) = sum_m w_m F[r, m] + sum_m D[j, m] w_m F[r, m],
     the first a pairwise sum and the second one (T/b x B) . (B x b) complex
     product per block of B modes.  So the product, which adds its terms in
     no stated order, never adds B terms all close to w_m, as C F w would at
-    small Omega t.  Matrix weights (one row of amplitudes per time) form the
-    T x B table of phases C F and multiply it by the block of weights.  Blocks
-    hold at most _BLOCK_ELEMENTS phases of that table (the vector route holds
-    T/b + b per mode of them), so memory stays bounded however many modes
-    there are.
+    small Omega t.  With a basis, each block forms the B x T table of phases
+    C F w, reads it as B x 2T reals (Re and Im of each time side by side) and
+    meets the basis in one real product, basis^T (K x B) . (B x 2T), whose
+    K x 2T result is the K x T complex amplitudes; the basis is never copied
+    to complex.  Blocks hold at most _BLOCK_ELEMENTS phases of that table
+    (the vector route holds T/b + b per mode of them), so memory stays
+    bounded however many modes there are.
     """
     times = np.ravel(times)
     h, b = _grid_step(times)
     rows = -(-times.size // b) * b
     step = max(1, _BLOCK_ELEMENTS // max(rows, 1))
 
-    def part(om: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def part(om: np.ndarray, w: np.ndarray, base: np.ndarray | None) -> np.ndarray:
         if b == 1:
-            return np.exp(-1j * np.outer(times, om)) @ w
-        f = _powers(om * h, 1.0, b)
-        if w.ndim == 1:
+            if base is None:
+                return np.exp(-1j * np.outer(times, om)) @ w
+            table = np.exp(-1j * np.outer(om, times))
+            table *= w[:, None]
+        else:
+            f = _powers(om * h, 1.0, b)
             f *= w
-            start = _expm1(om * times[0]) if times[0] else 0.0
-            d = _powers(om * (b * h), start, rows // b, minus_one=True)
-            return (d @ f.T + f.sum(axis=1)).ravel()[:times.size]
-        start = np.exp(-1j * (om * times[0])) if times[0] else 1.0
-        c = _powers(om * (b * h), start, rows // b)
-        return (c[:, None, :] * f).reshape(rows, om.size)[:times.size] @ w
+            if base is None:
+                start = _expm1(om * times[0]) if times[0] else 0.0
+                d = _powers(om * (b * h), start, rows // b, minus_one=True)
+                return (d @ f.T + f.sum(axis=1)).ravel()[:times.size]
+            start = np.exp(-1j * (om * times[0])) if times[0] else 1.0
+            c = _powers(om * (b * h), start, rows // b)
+            table = np.empty((om.size, rows), dtype=complex)
+            np.multiply(c.T[:, :, None], f.T[:, None, :],
+                        out=table.reshape(om.size, rows // b, b))
+            table = table[:, :times.size]
+        return base.T @ table.view(float)  # (K x B) . (B x 2T) reals
 
-    blocks = (part(omegas[s:s + step], weights[s:s + step])
+    blocks = (part(omegas[s:s + step], weights[s:s + step],
+                   None if basis is None else basis[s:s + step])
               for s in range(0, omegas.size, step))
     total = next(blocks)
     for block in blocks:
         total += block
-    return total
+    return total if basis is None else total.view(complex).T
 
 
 def amplitude_discrete(tm: TransformMatrix, mu, nu, t: float) -> complex:
@@ -259,10 +275,11 @@ def amplitude_row(tm: TransformMatrix, mu, times) -> np.ndarray:
     """All amplitudes f_mu_nu(t) at once; shape (len(times), N+1).
 
     Column 0 is nu = atom, column k is field mode k.  Row norms are the
-    unitarity sums sum_nu |f_mu_nu|^2.
+    unitarity sums sum_nu |f_mu_nu|^2.  The weights t_mu^r meet the basis
+    t^T, so each column (one nu at every time) is contiguous in memory.
     """
     i = _row_index(mu, tm.spectrum.params.n_modes)
-    return _phase_sum(times, tm.bigomegas, tm.t[i][:, None] * tm.t.T)
+    return _phase_sum(times, tm.bigomegas, tm.t[i], tm.t.T)
 
 
 def survival_trace(spectrum: ModeSpectrum, times,

@@ -227,11 +227,11 @@ def run_cross_checks(params: DressedAtomParams) -> list[CheckRow]:
     rows.append(CheckRow("eigenvector_ratio", float(ratio_err), 1e-8))
 
     b = decomp.form.matrix
-    recon = tm.t @ np.diag(spec.bigomegas**2) @ tm.t.T
+    recon = (tm.t * spec.bigomegas**2) @ tm.t.T
     recon_err = np.max(np.abs(recon - b)) / spec.omegas[-1] ** 2
     rows.append(CheckRow("reconstruction", float(recon_err), 1e-6))
 
-    recon_o = decomp.vectors @ np.diag(decomp.eigenvalues) @ decomp.vectors.T
+    recon_o = (decomp.vectors * decomp.eigenvalues) @ decomp.vectors.T
     scale = np.max(np.abs(decomp.eigenvalues))
     rows.append(CheckRow("oracle_self_reconstruction",
                          float(np.max(np.abs(recon_o - b)) / scale), 1e-8))

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,20 @@ class TestBuildMatrix:
         tm = build_matrix(solve_eigenfrequencies(p))
         gram = tm.t @ tm.t.T
         assert np.max(np.abs(gram - np.eye(501))) < 1e-6
+
+    def test_build_peaks_below_two_and_a_half_dense_matrices(self):
+        # t and its Gram t t^T are the two (N+1)^2 arrays the checks need: the
+        # column norms take no t * t, and t t^T - 1 and its magnitude are
+        # formed in place
+        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=1500)
+        spec = solve_eigenfrequencies(p)
+        tracemalloc.start()
+        try:
+            build_matrix(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 1501**2 * 8
 
     def test_columns_orthogonal(self, fig_matrix):
         gram = fig_matrix.t.T @ fig_matrix.t

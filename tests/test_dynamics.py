@@ -18,6 +18,7 @@ from dressedcavity import (
     amplitude_row,
     amplitude_trace,
     atom_weights,
+    build_matrix,
     free_space_trace,
     imag_survival_integral,
     reduced_pair_matrix,
@@ -129,6 +130,20 @@ class TestDiscreteSum:
         # f(0) = sum of the weights, summed here across six mode blocks
         assert abs(tr.values[0] - np.sum(w)) <= 1e-12
 
+    def test_amplitude_row_peaks_below_one_dense_matrix(self):
+        # the phases meet the real transform in one real product: no (N+1)^2
+        # weight matrix t_mu^r t_nu^r and no complex copy of it
+        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=1500)
+        tm = build_matrix(solve_eigenfrequencies(p))
+        times = np.linspace(0.0, 20.0, 101)
+        tracemalloc.start()
+        try:
+            amplitude_row(tm, "atom", times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1501**2 * 8
+
     def test_mode_blocks_do_not_change_sums(self, fig_spectrum, fig_matrix, monkeypatch):
         times = np.linspace(0.0, 12.0, 7)
         whole = [amplitude_row(fig_matrix, 3, times), survival_trace(fig_spectrum, times).values]
@@ -186,11 +201,13 @@ class TestDiscreteSum:
             reduced_pair_matrix(values, values, SuperpositionSpec(0.5), times)
 
 
-def _phase_sum_by_mode(times, omegas, weights):
+def _phase_sum_by_mode(times, omegas, weights, basis=None):
     # one mode at a time, each phase from its exact time
-    out = np.zeros((times.size,) + weights.shape[1:], dtype=complex)
-    for om, w in zip(omegas, weights):
-        out += np.multiply.outer(np.exp(-1j * om * times), w)
+    shape = times.shape if basis is None else (times.size, basis.shape[1])
+    out = np.zeros(shape, dtype=complex)
+    for r, om in enumerate(omegas):
+        term = weights[r] * np.exp(-1j * om * times)
+        out += term if basis is None else np.multiply.outer(term, basis[r])
     return out
 
 
@@ -198,12 +215,14 @@ class TestPhaseSum:
     """The coarse x fine running-product tables against a mode-by-mode sum."""
 
     @staticmethod
-    def _assert_matches_mode_loop(times, omegas, weights):
+    def _assert_matches_mode_loop(times, omegas, weights, basis=None):
         # each phase may move by a few ulps of Omega max|t| (the rounding of
-        # Omega t itself), so the bound is set by sum_r |w_r| (1 + Omega_r max|t|)
-        got = dynamics._phase_sum(times, omegas, weights)
-        ref = _phase_sum_by_mode(times, omegas, weights)
-        scale = (1.0 + omegas * np.max(np.abs(times))) @ np.abs(weights)
+        # Omega t itself), so the bound is set by sum_r |w_r| (1 + Omega_r max|t|),
+        # times |basis[r, k]| in column k of a basis sum
+        got = dynamics._phase_sum(times, omegas, weights, basis)
+        ref = _phase_sum_by_mode(times, omegas, weights, basis)
+        scale = (1.0 + omegas * np.max(np.abs(times))) * np.abs(weights)
+        scale = scale.sum() if basis is None else scale @ np.abs(basis)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps * scale)
 
@@ -211,21 +230,26 @@ class TestPhaseSum:
     def test_uniform_grids(self, fig_spectrum, fig_matrix, steps):
         times = np.linspace(0.0, 25.0, steps)
         assert dynamics._grid_step(times)[1] == math.isqrt(steps)
-        for weights in (atom_weights(fig_spectrum), fig_matrix.t[3][:, None] * fig_matrix.t.T):
-            self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, weights)
+        self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, atom_weights(fig_spectrum))
+        self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, fig_matrix.t[3],
+                                       fig_matrix.t.T)
 
-    def test_grid_starting_after_zero(self, fig_spectrum):
+    def test_grid_starting_after_zero(self, fig_spectrum, fig_matrix):
         times = np.linspace(3.7, 41.2, 101)
         h, b = dynamics._grid_step(times)
         assert b == 10 and h == pytest.approx(0.375, rel=1e-15)
         self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, atom_weights(fig_spectrum))
+        self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, fig_matrix.t[3],
+                                       fig_matrix.t.T)
 
-    def test_non_uniform_grid_is_the_plain_sum(self, fig_spectrum):
+    def test_non_uniform_grid_is_the_plain_sum(self, fig_spectrum, fig_matrix):
         times = np.linspace(0.0, 5.0, 101) ** 2
         assert dynamics._grid_step(times) == (0.0, 1)
         w = atom_weights(fig_spectrum)
         plain = np.exp(-1j * np.outer(times, fig_spectrum.bigomegas)) @ w
         assert np.array_equal(dynamics._phase_sum(times, fig_spectrum.bigomegas, w), plain)
+        self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, fig_matrix.t[3],
+                                       fig_matrix.t.T)
 
     @pytest.mark.parametrize("scale, start", [(1.0, 0.0), (0.37, 2.5)])
     def test_split_without_a_step_is_the_plain_sum(self, fig_spectrum, scale, start):
@@ -243,9 +267,9 @@ class TestPhaseSum:
         # running products deep
         times = np.linspace(0.0, 25.0, 10_001)
         assert dynamics._grid_step(times)[1] == 100
-        rows = fig_matrix.t[3][:, None] * fig_matrix.t.T[:, ::25]  # 9 of the 201 columns
-        for weights in (atom_weights(fig_spectrum), rows):
-            self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, weights)
+        self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, atom_weights(fig_spectrum))
+        self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, fig_matrix.t[3],
+                                       fig_matrix.t.T[:, ::25])  # 9 of the 201 columns
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.0, 100.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e),
@@ -267,23 +291,26 @@ class TestPhaseSum:
     @pytest.mark.parametrize("budget", [dynamics._BLOCK_ELEMENTS, 50])
     @pytest.mark.parametrize("steps", [4, 17, 201])
     def test_vector_route_matches_table_route(self, fig_spectrum, monkeypatch, steps, budget):
-        # 1-D weights contract coarse and fine exponentials as a matrix
-        # product; the same weights as one column take the table of phases.
+        # Without a basis the weights contract coarse and fine exponentials
+        # as a complex matrix product; over a basis of one column of ones
+        # they take the table of phases and the real product.
         # A budget of 50 puts 12, 2 and 1 modes in a block.
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
         times = np.linspace(0.0, 25.0, steps)
         om, w = fig_spectrum.bigomegas, atom_weights(fig_spectrum)
         got = dynamics._phase_sum(times, om, w)
-        ref = dynamics._phase_sum(times, om, w[:, None])[:, 0]
+        ref = dynamics._phase_sum(times, om, w, np.ones((om.size, 1)))[:, 0]
         scale = (1.0 + om * np.max(np.abs(times))) @ np.abs(w)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps * scale)
 
-    def test_small_block_budget(self, fig_spectrum, monkeypatch):
+    def test_small_block_budget(self, fig_spectrum, fig_matrix, monkeypatch):
         # 17 times split into 5 coarse x 4 fine = 20 rows: 2 modes a block, 101 blocks
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 50)
         times = np.linspace(0.0, 25.0, 17)
         self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, atom_weights(fig_spectrum))
+        self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, fig_matrix.t[3],
+                                       fig_matrix.t.T)
 
 
 class TestImagSurvivalIntegral:
