@@ -34,6 +34,7 @@ from .dynamics import (
     amplitude_trace,
     free_space_trace,
     imag_survival_integral,
+    row_index,
     small_cavity_amplitude,
     survival_sq_large_time,
     survival_sq_lower_bound,

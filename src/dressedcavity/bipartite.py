@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvariantViolation, require
+from .errors import DomainError, InvariantViolation, freeze, require
 
 __all__ = [
     "SuperpositionSpec",
@@ -66,7 +66,7 @@ class SuperpositionSpec:
             raise ValueError(f"xi must lie strictly inside (0, 1), got {self.xi}")
         if not np.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi}")
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * np.pi))
+        freeze(self, phi=float(self.phi) % (2.0 * np.pi))
 
 
 def entanglement_entropy(xi: float) -> float:
@@ -92,6 +92,7 @@ class ReducedAtomPairMatrix:
     coherence: np.ndarray
 
     def __post_init__(self):
+        freeze(self, **vars(self))
         for name in ("p_ground", "p_b_excited", "p_a_excited"):
             v = np.asarray(getattr(self, name))
             require((-_TRACE_TOL <= v) & (v <= 1.0 + _TRACE_TOL), InvariantViolation,
@@ -188,20 +189,30 @@ class SingleAtomReducedMatrix:
     row_norm_sq: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # a read-only view: the caller's array keeps its own flags
-        row = np.asarray(self.amplitude_row, dtype=complex).view()
-        row.setflags(write=False)
-        object.__setattr__(self, "amplitude_row", row)
-        s = np.sum(np.abs(row) ** 2, axis=-1)
-        object.__setattr__(self, "row_norm_sq", s)
+        row = np.asarray(self.amplitude_row, dtype=complex)
+        freeze(self, time=self.time, amplitude_row=row, row_norm_sq=_norm_sq(row))
         if not 0.0 < self.xi < 1.0:
             raise ValueError(f"xi must lie strictly inside (0, 1), got {self.xi}")
+        s = self.row_norm_sq
         require(abs(s - 1.0) <= _ROW_NORM_TOL, InvariantViolation,
                 "amplitude row norm {:.9f} deviates from 1 beyond {}", s, _ROW_NORM_TOL,
                 t=self.time)
 
     def nonzero_eigenvalues(self) -> tuple:
         return 1.0 - self.xi, self.xi * self.row_norm_sq
+
+
+def _norm_sq(row: np.ndarray):
+    """sum_nu |row[..., nu]|^2, summed pairwise over nu in one order whatever the
+    layout: rows are taken in blocks of at most 2^16 elements (1 MB), each made
+    C-contiguous (a view where it already is)."""
+    rows = np.atleast_2d(row)
+    out = np.empty(len(rows))
+    step = max(1, 2**16 // max(rows.shape[1], 1))
+    for i in range(0, len(rows), step):
+        sq = np.abs(np.ascontiguousarray(rows[i:i + step]))
+        np.add.reduce(np.square(sq, out=sq), axis=1, out=out[i:i + step])
+    return out.reshape(row.shape[:-1])[()]
 
 
 def single_atom_reduced(f_row, spec: SuperpositionSpec, t) -> SingleAtomReducedMatrix:

@@ -63,10 +63,11 @@ class RunConfig:
         if self.regime not in _REGIMES:
             raise ValueError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
         self.superposition()  # a bad xi or phi is a usage error before any work
+        # so is a bad row label: each label becomes its row index here, once
+        self.mu, self.nu = (dynamics.row_index(v, self.n_modes) for v in (self.mu, self.nu))
 
     def atom_params(self) -> DressedAtomParams:
-        return DressedAtomParams.from_delta(self.omega_bar, self.g, self.delta,
-                                            n_modes=self.n_modes)
+        return DressedAtomParams(self.omega_bar, self.g, self.delta, self.n_modes)
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.steps)
@@ -123,7 +124,7 @@ def write_csv(path: Path, header: list[str], table) -> None:
 # ---------------------------------------------------------------------------
 
 def _route(cfg: RunConfig, params, regime: str,
-           mu, nu) -> tuple[dynamics.AmplitudeTrace, np.ndarray | None]:
+           mu: int, nu: int) -> tuple[dynamics.AmplitudeTrace, np.ndarray | None]:
     """The checked trace of f_mu_nu over the run's times by ``regime``'s route,
     and the single-atom entropy at each time (None for "small": no whole row).
 
@@ -136,12 +137,11 @@ def _route(cfg: RunConfig, params, regime: str,
     if regime == "exact":
         row = dynamics.amplitude_row(coupling.build_matrix(solve_eigenfrequencies(params)),
                                      mu, times)
-        trace = dynamics.AmplitudeTrace(
-            times=times, values=row[:, dynamics._row_index(nu, params.n_modes)],
-            mu=mu, nu=nu, method="discrete-sum")
+        trace = dynamics.AmplitudeTrace(times=times, values=row[:, nu], mu=mu, nu=nu,
+                                        method="discrete-sum")
         reduced = bipartite.single_atom_reduced(row, cfg.superposition(), times)
         return trace, bipartite.von_neumann_entropy(reduced)
-    if dynamics._row_index(mu, params.n_modes) or dynamics._row_index(nu, params.n_modes):
+    if mu or nu:
         raise ValueError(f"regime {regime!r} provides only the atom-atom amplitude")
     if regime == "small":
         return dynamics.small_cavity_trace(params, times, cfg.k_max), None
@@ -204,8 +204,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_amplitude(cfg: RunConfig) -> int:
-    mu, nu = (label if label == "atom" else int(label) for label in (cfg.mu, cfg.nu))
-    trace, _ = _route(cfg, cfg.atom_params(), cfg.regime, mu, nu)
+    trace, _ = _route(cfg, cfg.atom_params(), cfg.regime, cfg.mu, cfg.nu)
     out = Path(cfg.out)
     v = trace.values
     abs2 = np.hypot(v.real, v.imag) ** 2  # scalar abs: numpy's array abs may differ by an ulp
@@ -227,8 +226,8 @@ def cmd_impurity(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     # reference figure: small cavity via the exact discrete route, plus free space
     small_path, free_path = out / "impurity_small_cavity.csv", out / "impurity_free_space.csv"
-    d_small = _write_pair(cfg, small_path, *_route(cfg, params, "exact", "atom", "atom"))
-    d_free = _write_pair(cfg, free_path, *_route(cfg, params, "free-space", "atom", "atom"))
+    d_small = _write_pair(cfg, small_path, *_route(cfg, params, "exact", 0, 0))
+    d_free = _write_pair(cfg, free_path, *_route(cfg, params, "free-space", 0, 0))
     if cfg.svg:
         svg = svgplot.line_plot(
             [("small cavity", times, d_small, True), ("free space", times, d_free, False)],
@@ -242,7 +241,7 @@ def cmd_entropy(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     # the entropy needs the whole amplitude row: a small cavity takes the exact route
     regime = "free-space" if cfg.regime == "free-space" else "exact"
-    trace, entropies = _route(cfg, cfg.atom_params(), regime, "atom", "atom")
+    trace, entropies = _route(cfg, cfg.atom_params(), regime, 0, 0)
     path = out / "entropy.csv"
     _write_pair(cfg, path, trace, entropies)
     analytic = bipartite.entanglement_entropy(cfg.xi)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NormalizationFailure, RegimeViolation, require
+from .errors import DomainError, NormalizationFailure, RegimeViolation, freeze, require
 from .spectrum import DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum
 
 __all__ = [
@@ -58,9 +58,8 @@ class TransformMatrix:
     t: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        t.setflags(write=False)
-        object.__setattr__(self, "t", t)
+        freeze(self, t=np.asarray(self.t, dtype=float))
+        t = self.t
         n1 = self.spectrum.params.n_modes + 1
         if t.shape != (n1, n1):
             raise NormalizationFailure(f"matrix must be {n1}x{n1}, got {t.shape}")

@@ -46,12 +46,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import TransformMatrix, approx_small_cavity_elements
-from .errors import InvariantViolation, RegimeViolation, require
+from .errors import InvariantViolation, RegimeViolation, freeze, require
 from .spectrum import DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum, first_order_frequencies
 
 __all__ = [
     "FreeSpaceParams",
     "AmplitudeTrace",
+    "row_index",
     "amplitude_discrete",
     "amplitude_trace",
     "amplitude_row",
@@ -92,7 +93,7 @@ class FreeSpaceParams:
         k2 = self.omega_bar**2 - self.g**2
         require(k2 > 0, RegimeViolation, "free-space closed form needs omega_bar > g "
                 "(kappa^2 > 0); got omega_bar={}, g={}", self.omega_bar, self.g)
-        object.__setattr__(self, "kappa_sq", k2)
+        freeze(self, kappa_sq=k2)
 
     @property
     def kappa(self) -> float:
@@ -101,7 +102,7 @@ class FreeSpaceParams:
 
 @dataclass(frozen=True)
 class AmplitudeTrace:
-    """Time series of one amplitude, tagged with its evaluation route."""
+    """Time series of one amplitude at times t >= 0, tagged with its evaluation route."""
 
     times: np.ndarray
     values: np.ndarray
@@ -110,14 +111,12 @@ class AmplitudeTrace:
     method: str
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
-        t.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
+        freeze(self, times=np.asarray(self.times, dtype=float),
+               values=np.asarray(self.values, dtype=complex))
+        t, v = self.times, self.values
         if t.shape != v.shape:
             raise InvariantViolation("times and values must have matching shapes")
+        require(t >= 0, ValueError, "times must be >= 0")
         require(np.diff(t) >= 0, InvariantViolation, "times must be non-decreasing")
         # |f| by hypot, as the pair matrix checks it: numpy's array abs of a
         # complex may differ in the last ulp, and the two checks must agree
@@ -126,15 +125,17 @@ class AmplitudeTrace:
                 "|amplitude| reached {:.12f} > 1 (unphysical)", mags, t=t)
         if self.method == "discrete-sum" and t.size and t[0] == 0.0:
             # f(0) is 1 where mu and nu name one row ("atom" and 0 alike), else 0
-            expected = float(_row_index(self.mu, np.inf) == _row_index(self.nu, np.inf))
+            expected = float(row_index(self.mu, np.inf) == row_index(self.nu, np.inf))
             require(abs(v[0] - expected) <= _T0_TOL, InvariantViolation,
                     "amplitude at t=0 is {:.3e}, expected {}", v[0], expected)
 
 
-def _row_index(label, n_modes: int) -> int:
-    """Row of the transform a label names: 0 for "atom" (or 0), k for field mode k."""
+def row_index(label, n_modes: int) -> int:
+    """Row of the transform a label names: 0 for "atom" (or 0), k for field mode k,
+    given as an integer or as its decimal string (the command line's form)."""
     if label == "atom":
         return 0
+    label = int(label) if isinstance(label, str) and label.isdecimal() else label
     if (isinstance(label, (int, np.integer)) and not isinstance(label, bool)
             and 0 <= label <= n_modes):
         return int(label)
@@ -252,20 +253,14 @@ def _phase_sum(times, omegas: np.ndarray, weights: np.ndarray,
 
 def amplitude_discrete(tm: TransformMatrix, mu, nu, t: float) -> complex:
     """Exact amplitude f_mu_nu(t) summed over the N+1 normal modes."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    n = tm.spectrum.params.n_modes
-    i, j = _row_index(mu, n), _row_index(nu, n)
-    return complex(_phase_sum(t, tm.bigomegas, tm.t[i, :] * tm.t[j, :])[0])
+    return complex(amplitude_trace(tm, mu, nu, [t]).values[0])
 
 
 def amplitude_trace(tm: TransformMatrix, mu, nu, times) -> AmplitudeTrace:
     """Vectorized discrete-sum amplitude over a time grid."""
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be >= 0")
     n = tm.spectrum.params.n_modes
-    i, j = _row_index(mu, n), _row_index(nu, n)
+    i, j = row_index(mu, n), row_index(nu, n)
     values = _phase_sum(times, tm.bigomegas, tm.t[i, :] * tm.t[j, :])
     return AmplitudeTrace(times=times, values=values, mu=mu, nu=nu,
                           method="discrete-sum")
@@ -278,7 +273,7 @@ def amplitude_row(tm: TransformMatrix, mu, times) -> np.ndarray:
     unitarity sums sum_nu |f_mu_nu|^2.  The weights t_mu^r meet the basis
     t^T, so each column (one nu at every time) is contiguous in memory.
     """
-    i = _row_index(mu, tm.spectrum.params.n_modes)
+    i = row_index(mu, tm.spectrum.params.n_modes)
     return _phase_sum(times, tm.bigomegas, tm.t[i], tm.t.T)
 
 
@@ -357,8 +352,6 @@ def free_space_trace(p: FreeSpaceParams, times) -> AmplitudeTrace:
     pole (DLMF 6.2, https://dlmf.nist.gov/6.2).  f(0) = 1 exactly.
     """
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be >= 0")
     g, kappa = p.g, p.kappa
     poles, residues = _poles(p.omega_bar, g)
     later = times > 0
@@ -423,10 +416,7 @@ def small_cavity_amplitude(params: DressedAtomParams, times, k_max: int = 10_000
 def survival_sq_small_cavity(t: float, params: DressedAtomParams,
                              k_max: int = 10_000) -> float:
     """|survival amplitude|^2 from the truncated small-cavity series."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    amp = small_cavity_amplitude(params, np.array([t]), k_max)
-    return float(np.abs(amp[0]) ** 2)
+    return float(np.abs(small_cavity_trace(params, [t], k_max).values[0]) ** 2)
 
 
 def small_cavity_trace(params: DressedAtomParams, times,

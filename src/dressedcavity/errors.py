@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all solver and model modules, and the one
-bound check, :func:`require`, that every numeric invariant goes through.
+"""Exception hierarchy shared by all solver and model modules, the one
+bound check, :func:`require`, that every numeric invariant goes through,
+and the one field setter, :func:`freeze`, of every frozen record.
 
 A check states what passes (``dev <= tol``, not ``dev > tol``), so a NaN,
 which compares false with everything, fails it instead of slipping by.
@@ -63,3 +64,13 @@ def require(ok, error, template: str, *values, t=None) -> None:
     if issubclass(error, ConvergenceFailure):
         raise error(message, interval_index=i)
     raise error(message)
+
+
+def freeze(record, **fields) -> None:
+    """Set each of ``fields`` on the frozen dataclass ``record``, an ndarray as a
+    read-only view, never a copy, so the caller's array keeps its own flags."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value = value.view()
+            value.setflags(write=False)
+        object.__setattr__(record, name, value)

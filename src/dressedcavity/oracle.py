@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _row_index
-from .errors import ConvergenceFailure, InvariantViolation, require
+from .dynamics import row_index
+from .errors import ConvergenceFailure, InvariantViolation, freeze, require
 from .spectrum import DressedAtomParams, field_frequencies
 
 __all__ = [
@@ -47,9 +47,8 @@ class QuadraticForm:
     matrix: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.matrix, dtype=float)
-        b.setflags(write=False)
-        object.__setattr__(self, "matrix", b)
+        freeze(self, matrix=np.asarray(self.matrix, dtype=float))
+        b = self.matrix
         n1 = self.params.n_modes + 1
         if b.shape != (n1, n1):
             raise InvariantViolation(f"form must be {n1}x{n1}, got {b.shape}")
@@ -137,12 +136,8 @@ class OracleDecomposition:
     vectors: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        vec = np.asarray(self.vectors, dtype=float)
-        lam.setflags(write=False)
-        vec.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "vectors", vec)
+        freeze(self, eigenvalues=np.asarray(self.eigenvalues, dtype=float),
+               vectors=np.asarray(self.vectors, dtype=float))
 
     @property
     def omegas(self) -> np.ndarray:
@@ -172,7 +167,7 @@ def oracle_amplitude(decomp: OracleDecomposition, mu, nu, t: float) -> complex:
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     n = decomp.form.params.n_modes
-    i, j = _row_index(mu, n), _row_index(nu, n)
+    i, j = row_index(mu, n), row_index(nu, n)
     phases = np.exp(-1j * decomp.omegas * t)
     return complex(np.sum(decomp.vectors[i, :] * decomp.vectors[j, :] * phases))
 

@@ -22,7 +22,8 @@ In the infinite-mode limit the sum telescopes into a cotangent:
 which is what :func:`cotangent_curves` samples and what the small-cavity
 approximation expands.  One number, delta = g R / pi, the coupling over
 the mode spacing, places a system between the small cavity (delta << 1)
-and free space (delta -> infinity).
+and free space (delta -> infinity).  It is the input:
+:class:`DressedAtomParams` keeps delta as given and derives R = pi delta / g.
 
 Everything here is a pure function of its inputs; the returned spectra
 are immutable and safe to share across threads.
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvariantViolation, require
+from .errors import ConvergenceFailure, InvariantViolation, freeze, require
 
 __all__ = [
     "DressedAtomParams",
@@ -74,55 +75,48 @@ class DressedAtomParams:
     ----------
     omega_bar : renormalized atom frequency [1/time]
     g         : coupling constant [1/time]
-    radius    : cavity radius R [time, with c = 1]
+    delta     : g R / pi, coupling-to-spacing ratio [dimensionless], kept as given
     n_modes   : number of retained field modes N (truncation knob)
 
     Derived on construction:
 
+    radius      : cavity radius R = pi delta / g [time, with c = 1]
     delta_omega : mode spacing pi / R [1/time]
     eta         : coupling amplitude sqrt(4 g delta_omega / pi) [1/time]
-    delta       : g R / pi, coupling-to-spacing ratio [dimensionless]
     """
 
     omega_bar: float
     g: float
-    radius: float
+    delta: float
     n_modes: int = 200
+    radius: float = field(init=False)
     delta_omega: float = field(init=False)
     eta: float = field(init=False)
-    delta: float = field(init=False)
 
     def __post_init__(self):
-        if not all(0 < v < np.inf for v in (self.omega_bar, self.g, self.radius)):
+        if not all(0 < v < np.inf for v in (self.omega_bar, self.g, self.delta)):
             raise ValueError(
-                "omega_bar, g and radius must all be positive and finite, got "
-                f"omega_bar={self.omega_bar}, g={self.g}, radius={self.radius}"
+                "omega_bar, g and delta must all be positive and finite, got "
+                f"omega_bar={self.omega_bar}, g={self.g}, delta={self.delta}"
             )
         if int(self.n_modes) != self.n_modes or self.n_modes < 1:
             raise ValueError(f"n_modes must be an integer >= 1, got {self.n_modes}")
-        object.__setattr__(self, "n_modes", int(self.n_modes))
-        dw = np.pi / self.radius
-        with np.errstate(over="ignore"):
-            scales = (np.float64(self.omega_bar) ** 2, np.float64(self.g) ** 2,
-                      self.n_modes * (4.0 * self.g * dw / np.pi),
-                      np.float64(self.n_modes * dw) ** 2, np.float64(dw) ** 4)
+        n = int(self.n_modes)
+        with np.errstate(over="ignore", divide="ignore"):
+            radius = np.pi * np.float64(self.delta) / self.g
+            dw = np.pi / radius
+            scales = (radius, np.float64(self.omega_bar) ** 2, np.float64(self.g) ** 2,
+                      n * (4.0 * self.g * dw / np.pi), (n * dw) ** 2, dw ** 4)
         if not np.all(np.isfinite(scales)):
-            raise ValueError("omega_bar^2, g^2, N eta^2, (N dw)^2 and dw^4 must be finite, got "
-                             + ", ".join(f"{v:.3e}" for v in scales))
-        delta = self.g * self.radius / np.pi
-        if not delta > 0:  # g R underflows; the small-cavity route divides by delta
-            raise ValueError(f"delta = g R / pi must be positive, got {delta} "
-                             f"at g={self.g}, radius={self.radius}")
-        object.__setattr__(self, "delta_omega", dw)
-        object.__setattr__(self, "eta", np.sqrt(4.0 * self.g * self.delta_omega / np.pi))
-        object.__setattr__(self, "delta", delta)
+            raise ValueError("R, omega_bar^2, g^2, N eta^2, (N dw)^2 and dw^4 must be finite, "
+                             "got " + ", ".join(f"{v:.3e}" for v in scales))
+        freeze(self, n_modes=n, radius=float(radius), delta_omega=float(dw),
+               eta=np.sqrt(4.0 * self.g * dw / np.pi))
 
     @classmethod
     def from_delta(cls, omega_bar, g, delta, n_modes=200):
-        """Build params from the dimensionless cavity-size parameter delta."""
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        return cls(omega_bar=omega_bar, g=g, radius=np.pi * delta / g, n_modes=n_modes)
+        """The constructor, under the name its earlier callers use."""
+        return cls(omega_bar, g, delta, n_modes)
 
     @property
     def eta_sq(self) -> float:
@@ -175,10 +169,8 @@ class ModeSpectrum:
         f, slope = _secular_sets(m, s, self.params, slope=True)
         w = 1.0 / slope
         newton_rel = np.abs(f) * w / bo**2
-        for name, value in (("asymptotes", m), ("offsets", s), ("omegas", om),
-                            ("bigomegas", bo), ("weights", w), ("newton_rel", newton_rel)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        freeze(self, asymptotes=m, offsets=s, omegas=om, bigomegas=bo, weights=w,
+               newton_rel=newton_rel)
 
 
 def field_frequencies(params: DressedAtomParams) -> np.ndarray:

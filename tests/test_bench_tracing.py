@@ -3,11 +3,14 @@
 ``bench/tracing.py`` looks up each ``ENTRY_POINTS`` name on the package, so
 renaming or deleting one of those functions breaks ``bench/run.py --trace 1``.
 Its ``WORK`` table reads arguments by name (``path``, ``tm``, ``times``,
-``spectrum``), so renaming one of those breaks it too.
+``spectrum``, ``params``, ``k_max``), so renaming one of those breaks it
+too; each ``WORK`` entry is reached here once.
 """
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 import dressedcavity
 import dressedcavity.cli  # noqa: F401  (the tracer patches cli and svgplot too)
@@ -59,3 +62,46 @@ def test_traced_cli_jobs_record_work_counts(tmp_path):
         assert len(written) == files and all(w["bytes"] > 0 for w in written)
     assert [w["bytes"] for w in work(1, "build_matrix")] == [9 ** 2 * 8]
     assert {s.layer for s in tracer.spans if s.job == 0} >= {"bipartite", "svgplot"}
+
+
+def test_every_work_entry_records_its_count(tmp_path):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    dc = dressedcavity
+    cli_jobs = [["oracle-check", "--n-modes", "8"],
+                ["amplitude", "--steps", "9", "--k-max", "50"],
+                ["entropy", "--regime", "free-space", "--steps", "9"],
+                ["spectrum", "--n-modes", "8"]]
+    params = dc.DressedAtomParams(1.0, 0.5, 0.1, 8)
+    tracer.patch(dc)
+    try:
+        for job, argv in enumerate(cli_jobs):
+            with tracer.job(job):
+                assert dc.cli.main(argv + ["--out", str(tmp_path / str(job))]) == 0
+        with tracer.job("library"):
+            spec = dc.solve_eigenfrequencies(params)
+            dc.survival_trace(spec, np.linspace(0.0, 4.0, 5), dc.atom_weights(spec))
+            dc.amplitude_discrete(dc.build_matrix(spec), "atom", 2, 1.0)
+            dc.amplitude_free_space(dc.FreeSpaceParams(1.0, 0.5), 1.0)
+            dc.imag_survival_integral(1.0, 1.0, 0.5)
+            dc.survival_sq_small_cavity(1.0, params, k_max=50)
+    finally:
+        tracer.unpatch()
+
+    def work(job, fn):
+        return [{k: v for k, v in s.work.items() if k != "key"}
+                for s in tracer.spans if s.job == job and s.fn == fn]
+
+    assert work(0, "run_cross_checks") == [{"failed": 0}]
+    assert work(0, "amplitude_trace") == [{"terms": 9 * 9}]
+    assert work(1, "small_cavity_trace") == [{"terms": 9 * 51}]
+    assert work(2, "free_space_trace") == [{"points": 9}]
+    assert work(3, "solve_eigenfrequencies") == [{"roots": 9}]
+    assert work("library", "solve_eigenfrequencies") == [{"roots": 9}]
+    [weights] = work("library", "atom_weights")
+    assert weights["weight_sum_defect"] <= 1e-12
+    assert work("library", "survival_trace") == [{"terms": 5 * 9}]
+    assert work("library", "amplitude_discrete") == [{"terms": 9}]
+    assert work("library", "amplitude_free_space") == [{"points": 1}]
+    assert work("library", "imag_survival_integral") == [{"points": 1}]
+    assert work("library", "survival_sq_small_cavity") == [{"terms": 51}]

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,23 @@ class TestTimeGrid:
         assert np.array_equal(block.row_norm_sq, [s.row_norm_sq for s in single])
         assert np.array_equal(von_neumann_entropy(block),
                               [von_neumann_entropy(s) for s in single])
+
+    def test_row_norms_do_not_depend_on_layout(self):
+        # amplitude_row returns a column-major block: its row norms must be the
+        # bits of a C-ordered copy, formed without a (T, N+1) float temporary
+        rows = _unit_rows(12, n=2000, width=600)
+        c_order, f_order = np.ascontiguousarray(rows), np.asfortranarray(rows)
+        spec = SuperpositionSpec(0.5)
+        times = np.linspace(0.0, 25.0, 2000)
+        tracemalloc.start()
+        try:
+            by_f = single_atom_reduced(f_order, spec, times).row_norm_sq
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        by_c = single_atom_reduced(c_order, spec, times).row_norm_sq
+        assert np.array_equal(by_f, by_c)
+        assert peak < rows.size * 8 / 4
 
     def test_row_block_leaves_the_caller_array_writable(self):
         rows = _unit_rows(5, n=3)

@@ -122,6 +122,22 @@ class TestExitCodes:
         assert run("entropy", "--regime", "exact", "--xi", "1.5", "--n-modes", "2000",
                    "--out", str(tmp_path)) == EXIT_USAGE
 
+    def test_bad_row_label_exits_before_the_solve(self, tmp_path, monkeypatch):
+        # the labels are parsed with the rest of the run's keys, not by the route
+        calls = []
+        monkeypatch.setattr(cli, "solve_eigenfrequencies",
+                            lambda params: calls.append(params) or solve_eigenfrequencies(params))
+        assert run("amplitude", "--regime", "exact", "--mu", "500", "--steps", "5",
+                   "--out", str(tmp_path)) == EXIT_USAGE
+        assert run("amplitude", "--regime", "exact", "--mu", "200", "--steps", "5",
+                   "--out", str(tmp_path)) == EXIT_OK
+        assert len(calls) == 1
+
+    def test_delta_just_below_the_small_cavity_gate(self, tmp_path):
+        # delta is kept as given: g R / pi would round it up to the gate, 0.2
+        assert run("amplitude", "--delta", "0.19999999999999998", "--steps", "5",
+                   "--k-max", "100", "--out", str(tmp_path)) == EXIT_OK
+
     @pytest.mark.parametrize("command", ["spectrum", "matrix-dump", "oracle-check"])
     @pytest.mark.parametrize("flag, value", [("--xi", "1.5"), ("--phi", "nan")])
     def test_usage_bad_superposition_for_every_command(self, tmp_path, command, flag, value):

@@ -74,6 +74,26 @@ SURVIVAL_FROZEN = {
 }
 
 
+@pytest.mark.parametrize("trace", [
+    lambda tm, t: amplitude_trace(tm, "atom", 2, t),
+    lambda tm, t: survival_trace(tm.spectrum, t),
+    lambda tm, t: free_space_trace(FreeSpaceParams(1.0, 0.5), t),
+    lambda tm, t: small_cavity_trace(tm.spectrum.params, t, 50),
+], ids=["amplitude_trace", "survival_trace", "free_space_trace", "small_cavity_trace"])
+def test_every_trace_rejects_negative_times(fig_matrix, trace):
+    # one rule, in AmplitudeTrace, for every route
+    with pytest.raises(ValueError, match="times must be >= 0"):
+        trace(fig_matrix, np.array([-1.0, 0.0, 1.0]))
+
+
+def test_row_labels_parse_as_integers_or_their_decimal_strings():
+    assert [dynamics.row_index(v, 8) for v in ("atom", 0, "0", 3, "3", np.int64(8))] \
+        == [0, 0, 0, 3, 3, 8]
+    for bad in ("9", 9, -1, "-1", "3.0", " 3", True, 2.0, "field"):
+        with pytest.raises(ValueError, match="row label"):
+            dynamics.row_index(bad, 8)
+
+
 class TestDiscreteSum:
     def test_identity_at_t0(self, fig_matrix):
         assert amplitude_discrete(fig_matrix, "atom", "atom", 0.0) == pytest.approx(1.0, abs=1e-6)

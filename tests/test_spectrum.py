@@ -78,10 +78,34 @@ INNER_ROOTS_FROZEN = {
 
 class TestParams:
     def test_derived_quantities(self):
-        p = DressedAtomParams(omega_bar=1.0, g=0.5, radius=2.0, n_modes=5)
+        p = DressedAtomParams(omega_bar=1.0, g=0.5, delta=0.3, n_modes=5)
+        assert p.delta == 0.3
+        assert p.radius == np.pi * 0.3 / 0.5
         assert p.delta_omega * p.radius == pytest.approx(np.pi, rel=1e-15)
         assert p.eta**2 == pytest.approx(4 * p.g * p.delta_omega / np.pi, rel=1e-15)
         assert p.delta == pytest.approx(p.g * p.radius / np.pi, rel=1e-15)
+
+    @staticmethod
+    def _sweep_domain(k):
+        # delta log-uniform in [1e-3, 1e3], g uniform in [0.02, 0.9]
+        rng = np.random.default_rng(20261019)
+        return 10.0 ** rng.uniform(-3.0, 3.0, k), rng.uniform(0.02, 0.9, k)
+
+    def test_delta_is_kept_as_given(self):
+        # R = pi delta / g, and g R / pi does not return every delta: at g = 0.5 it
+        # gives 0.18999999999999997 for 0.19 and 0.2 for 0.19999999999999998
+        deltas, gs = self._sweep_domain(2000)
+        for delta, g in [*zip(deltas, gs), (0.011, 0.5), (0.19, 0.5),
+                         (0.19999999999999998, 0.5)]:
+            assert DressedAtomParams(1.0, g, delta, 8).delta == delta
+
+    def test_derived_constants_follow_radius_from_delta(self):
+        # R, dw and eta by the expressions the radius-form constructor used
+        for delta, g in zip(*self._sweep_domain(200)):
+            p = DressedAtomParams(1.0, g, delta, 8)
+            radius = np.pi * delta / g
+            dw = np.pi / radius
+            assert (p.radius, p.delta_omega, p.eta) == (radius, dw, np.sqrt(4.0 * g * dw / np.pi))
 
     def test_from_delta_round_trip(self):
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=3)
@@ -89,18 +113,18 @@ class TestParams:
         assert p.delta_omega == pytest.approx(5.0, rel=1e-15)
 
     @pytest.mark.parametrize("bad", [
-        dict(omega_bar=-1.0, g=0.5, radius=1.0),
-        dict(omega_bar=1.0, g=0.0, radius=1.0),
-        dict(omega_bar=1.0, g=0.5, radius=-2.0),
-        dict(omega_bar=1.0, g=0.5, radius=1.0, n_modes=0),
-        # finite, but omega_bar^2, g^2, N eta^2, (N dw)^2 or dw^4 overflows
-        dict(omega_bar=1e200, g=1.0, radius=1.0),
-        dict(omega_bar=1.0, g=1e200, radius=1.0),
-        dict(omega_bar=1.0, g=1e300, radius=1e-10, n_modes=10),
-        dict(omega_bar=1.0, g=1.0, radius=1e-300, n_modes=10**6),
-        dict(omega_bar=1.0, g=1.0, radius=1e-80, n_modes=1),
-        # g R underflows, so delta = g R / pi would read 0
-        dict(omega_bar=1.0, g=1e-300, radius=3.14e-70, n_modes=8),
+        dict(omega_bar=-1.0, g=0.5, delta=0.1),
+        dict(omega_bar=1.0, g=0.0, delta=0.1),
+        dict(omega_bar=1.0, g=0.5, delta=-0.3),
+        dict(omega_bar=1.0, g=0.5, delta=0.1, n_modes=0),
+        # finite, but omega_bar^2, g^2, N eta^2, (N dw)^2 or dw^4 overflows (R = pi delta / g)
+        dict(omega_bar=1e200, g=1.0, delta=0.3),
+        dict(omega_bar=1.0, g=1e200, delta=3e199),
+        dict(omega_bar=1.0, g=1e300, delta=3e289, n_modes=10),
+        dict(omega_bar=1.0, g=1.0, delta=3e-301, n_modes=10**6),
+        dict(omega_bar=1.0, g=1.0, delta=3e-81, n_modes=1),
+        # finite, but R = pi delta / g overflows
+        dict(omega_bar=1.0, g=1e-300, delta=1e10, n_modes=8),
     ])
     def test_rejects_bad_inputs(self, bad):
         with pytest.raises(ValueError):
@@ -109,11 +133,11 @@ class TestParams:
 
 class TestFieldFrequencies:
     def test_unit_spacing(self):
-        p = DressedAtomParams(omega_bar=1.0, g=0.1, radius=np.pi, n_modes=3)
+        p = DressedAtomParams(omega_bar=1.0, g=0.1, delta=0.1, n_modes=3)  # R = pi
         assert field_frequencies(p) == pytest.approx([1.0, 2.0, 3.0], rel=1e-15)
 
     def test_pi_spacing(self):
-        p = DressedAtomParams(omega_bar=1.0, g=0.1, radius=1.0, n_modes=2)
+        p = DressedAtomParams(omega_bar=1.0, g=0.1, delta=0.1 / np.pi, n_modes=2)  # R = 1
         assert field_frequencies(p) == pytest.approx([np.pi, 2 * np.pi], rel=1e-15)
 
     def test_delta_parameterization(self):
@@ -348,8 +372,8 @@ class TestSolve:
         assert err.value.interval_index == 7
 
     def test_nan_newton_check_names_root_0(self):
-        # at R = 1e300, dw^2 underflows to 0 and every newton_rel is NaN;
-        # the check states what passes, so NaN fails it
+        # at R = pi delta / g = pi 1e300, dw^2 underflows to 0 and every
+        # newton_rel is NaN; the check states what passes, so NaN fails it
         p = DressedAtomParams(1.0, 1.0, 1e300, n_modes=8)
         with np.errstate(all="ignore"), \
                 pytest.raises(ConvergenceFailure, match="root 0 residual nan") as err:
