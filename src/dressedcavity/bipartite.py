@@ -203,15 +203,25 @@ class SingleAtomReducedMatrix:
 
 
 def _norm_sq(row: np.ndarray):
-    """sum_nu |row[..., nu]|^2, summed pairwise over nu in one order whatever the
-    layout: rows are taken in blocks of at most 2^16 elements (1 MB), each made
-    C-contiguous (a view where it already is)."""
+    """sum_nu |row[..., nu]|^2, each term re^2 + im^2, in one order whatever the
+    layout: nu runs in chunks of at most 2^16 terms (1 MB) over all times, each
+    chunk is summed by a halving tree (each level adds its top half onto its
+    bottom half, elementwise over the times), and the chunk sums are added in
+    turn.  A chunk of amplitude_row's column-major block is contiguous, so it
+    is read where it lies."""
     rows = np.atleast_2d(row)
-    out = np.empty(len(rows))
-    step = max(1, 2**16 // max(rows.shape[1], 1))
-    for i in range(0, len(rows), step):
-        sq = np.abs(np.ascontiguousarray(rows[i:i + step]))
-        np.add.reduce(np.square(sq, out=sq), axis=1, out=out[i:i + step])
+    out = np.zeros(len(rows))
+    step = max(1, 2**16 // max(len(rows), 1))
+    for j in range(0, rows.shape[1], step):
+        block = rows[:, j:j + step].T
+        sq = np.square(block.real)
+        sq += np.square(block.imag)
+        n = len(sq)
+        while n > 1:
+            half = n // 2
+            sq[:half] += sq[n - half:n]  # an odd middle row waits for the next level
+            n -= half
+        out += sq[0]
     return out.reshape(row.shape[:-1])[()]
 
 

@@ -130,6 +130,15 @@ class AmplitudeTrace:
                     "amplitude at t=0 is {:.3e}, expected {}", v[0], expected)
 
 
+def _time_grid(times) -> np.ndarray:
+    """The times of a trace as a 1-D float grid; anything else (a scalar, a 2-D
+    array) raises ValueError naming its shape, before any work is done."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-D grid, got shape {times.shape}")
+    return times
+
+
 def row_index(label, n_modes: int) -> int:
     """Row of the transform a label names: 0 for "atom" (or 0), k for field mode k,
     given as an integer or as its decimal string (the command line's form)."""
@@ -258,7 +267,7 @@ def amplitude_discrete(tm: TransformMatrix, mu, nu, t: float) -> complex:
 
 def amplitude_trace(tm: TransformMatrix, mu, nu, times) -> AmplitudeTrace:
     """Vectorized discrete-sum amplitude over a time grid."""
-    times = np.asarray(times, dtype=float)
+    times = _time_grid(times)
     n = tm.spectrum.params.n_modes
     i, j = row_index(mu, n), row_index(nu, n)
     values = _phase_sum(times, tm.bigomegas, tm.t[i, :] * tm.t[j, :])
@@ -273,6 +282,7 @@ def amplitude_row(tm: TransformMatrix, mu, times) -> np.ndarray:
     unitarity sums sum_nu |f_mu_nu|^2.  The weights t_mu^r meet the basis
     t^T, so each column (one nu at every time) is contiguous in memory.
     """
+    times = _time_grid(times)
     i = row_index(mu, tm.spectrum.params.n_modes)
     return _phase_sum(times, tm.bigomegas, tm.t[i], tm.t.T)
 
@@ -284,9 +294,9 @@ def survival_trace(spectrum: ModeSpectrum, times,
     Avoids the dense transformation matrix, so it stays usable at very
     large mode counts (the weights default to ``spectrum.weights``).
     """
+    times = _time_grid(times)
     if weights is None:
         weights = spectrum.weights
-    times = np.asarray(times, dtype=float)
     return AmplitudeTrace(times=times, values=_phase_sum(times, spectrum.bigomegas, weights),
                           mu="atom", nu="atom", method="discrete-sum")
 
@@ -351,7 +361,7 @@ def free_space_trace(p: FreeSpaceParams, times) -> AmplitudeTrace:
     where the 2 pi i term continues E1 across its cut for the fourth-quadrant
     pole (DLMF 6.2, https://dlmf.nist.gov/6.2).  f(0) = 1 exactly.
     """
-    times = np.asarray(times, dtype=float)
+    times = _time_grid(times)
     g, kappa = p.g, p.kappa
     poles, residues = _poles(p.omega_bar, g)
     later = times > 0
@@ -421,7 +431,7 @@ def survival_sq_small_cavity(t: float, params: DressedAtomParams,
 
 def small_cavity_trace(params: DressedAtomParams, times,
                        k_max: int = 10_000) -> AmplitudeTrace:
-    times = np.asarray(times, dtype=float)
+    times = _time_grid(times)
     values = small_cavity_amplitude(params, times, k_max)
     return AmplitudeTrace(times=times, values=values, mu="atom", nu="atom",
                           method="small-cavity-series")

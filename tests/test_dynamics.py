@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,21 @@ def test_every_trace_rejects_negative_times(fig_matrix, trace):
     # one rule, in AmplitudeTrace, for every route
     with pytest.raises(ValueError, match="times must be >= 0"):
         trace(fig_matrix, np.array([-1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("trace", [
+    lambda tm, t: amplitude_trace(tm, "atom", 2, t),
+    lambda tm, t: survival_trace(tm.spectrum, t),
+    lambda tm, t: free_space_trace(FreeSpaceParams(1.0, 0.5), t),
+    lambda tm, t: small_cavity_trace(tm.spectrum.params, t, 50),
+    lambda tm, t: amplitude_row(tm, "atom", t),
+], ids=["amplitude_trace", "survival_trace", "free_space_trace", "small_cavity_trace",
+        "amplitude_row"])
+@pytest.mark.parametrize("times", [1.0, [[0.0, 1.0]]], ids=["scalar", "2-D"])
+def test_every_trace_takes_a_1d_grid(fig_matrix, trace, times):
+    shape = np.shape(times)
+    with pytest.raises(ValueError, match=re.escape(f"times must be a 1-D grid, got shape {shape}")):
+        trace(fig_matrix, times)
 
 
 def test_row_labels_parse_as_integers_or_their_decimal_strings():
