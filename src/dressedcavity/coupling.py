@@ -17,20 +17,30 @@ spectrum's ``weights``.  The closed-form atom element
 is the infinite-mode limit of that normalization; at finite truncation it
 deviates from the normalized element by O(1/N).
 
-A :class:`TransformMatrix` checks unit columns, t_atom^r > 0 and t t^T = 1
-to 1e-6 on construction.  The column check sets each column's direct sum
-against the spectrum's closed-form weight; the Gram check bounds each row's
-deficit 1 - sum_r t[mu, r]^2.
+A :class:`TransformMatrix` forms t, or only the rows a caller names, from
+its spectrum and checks unit columns, t_atom^r > 0 and orthogonality to
+1e-6 on construction.  The column check sets each column's direct sum
+against the spectrum's closed-form weight.  Orthogonality takes no product
+t t^T: for columns r != s, partial fractions of the eigenvector ratio give
+
+    (t^T t)_rs = -t_atom^r t_atom^s (F(lam_r) - F(lam_s)) / (lam_r - lam_s),
+
+lam = Omega^2 and F the secular function, whose values at the roots the
+solve already evaluates (the Loewner-type identity of Gu & Eisenstat,
+SIAM J. Matrix Anal. Appl. 16 (1995) 172-191).  Row sums of its magnitudes
+bound ||t^T t - 1||_2, and with it every entry of t t^T - 1, in O(N^2) time
+and O(N) memory; the record keeps that bound and the worst column deviation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, NormalizationFailure, RegimeViolation, freeze, require
-from .spectrum import DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum
+from .spectrum import (DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum, _direct_sum, _omega,
+                       _secular, _secular_sets)
 
 __all__ = [
     "TransformMatrix",
@@ -40,42 +50,204 @@ __all__ = [
     "approx_small_cavity_elements",
 ]
 
-# Dense (N+1)^2 storage: keep desk-scale by default.  The dense route holds
-# t and, while it is checked, its Gram t t^T: two (N+1)^2 float arrays, 400 MB
-# at the cap; an amplitude row adds the T x (N+1) complex phase table and
-# amplitudes (T = 501 at the cap: 40 MB each).
+# Dense (N+1)^2 storage: keep desk-scale by default.  The dense transform is
+# one (N+1)^2 float array, 200 MB at the cap, and its checks add O(N); an
+# amplitude row adds the T x (N+1) complex phase table and amplitudes (T =
+# 501 at the cap: 40 MB each).  A record of a few rows is O(N) and uncapped.
 MATRIX_MODE_CAP = 5000
 
 _COLUMN_NORM_TOL = 1e-6
-_ROW_ORTHO_TOL = 1e-6
+_ORTHO_TOL = 1e-6
+
+# Elements in each row block's temporaries (512 kB of floats), so the dense
+# build and the orthogonality bound hold one (N+1)^2 array and a few blocks.
+_BLOCK_ELEMENTS = 2**16
+
+_EPS = np.finfo(float).eps
+# Relative rounding of a stored element t_k^r: 8 roundings of eps/2 (eta/dw,
+# times k, three in the gap, the product, the division, the atom factor).
+_ENTRY_ROUNDING = 4.0 * _EPS
 
 
 @dataclass(frozen=True)
 class TransformMatrix:
-    """Dense orthogonal matrix t[mu, r], checked for closure on construction."""
+    """Rows of the orthogonal matrix t[mu, r], formed from ``spectrum`` and checked.
+
+    ``rows`` names the bare rows held, in order (0 the atom; None: all N+1,
+    the dense matrix, at most MATRIX_MODE_CAP modes); ``t`` holds one row
+    each (:func:`_rows`).  ``column_deviation`` is the worst |sum_mu
+    (t_mu^r)^2 - 1|: the direct sum over the dense matrix's columns, or, for
+    a record of some rows, w_r times the direct-sum slope |F'(lam_r)|, the
+    same sum without t.  ``orthogonality_bound`` bounds ||t^T t - 1||_2 and
+    max |t t^T - 1| (:func:`_orthogonality_bound`).  Both must be at most 1e-6.
+    """
 
     spectrum: ModeSpectrum
-    t: np.ndarray
+    rows: tuple | None = None
+    t: np.ndarray = field(init=False)
+    column_deviation: float = field(init=False)
+    orthogonality_bound: float = field(init=False)
 
     def __post_init__(self):
-        freeze(self, t=np.asarray(self.t, dtype=float))
-        t = self.t
-        n1 = self.spectrum.params.n_modes + 1
-        if t.shape != (n1, n1):
-            raise NormalizationFailure(f"matrix must be {n1}x{n1}, got {t.shape}")
-        col_dev = np.abs(np.einsum("ij,ij->j", t, t) - 1.0)
+        spec = self.spectrum
+        n = spec.params.n_modes
+        if self.rows is None:
+            if n > MATRIX_MODE_CAP:
+                raise ValueError(f"n_modes={n} exceeds the dense-matrix cap {MATRIX_MODE_CAP}; "
+                                 "use atom_weights() or named rows for large truncations")
+            rows = None
+            t = _rows(spec, np.arange(n + 1))
+            col = np.einsum("ij,ij->j", t, t)
+        else:
+            rows = tuple(int(i) for i in self.rows)
+            if not all(0 <= i <= n for i in rows):
+                raise ValueError(f"rows must lie in 0..{n}, got {rows}")
+            t = _rows(spec, np.array(rows, dtype=np.int64))
+            slope = _secular(spec.asymptotes, spec.offsets, spec.params, _direct_sum, slope=True)[1]
+            col = spec.weights * slope
+        col_dev = np.abs(col - 1.0)
         require(col_dev <= _COLUMN_NORM_TOL, NormalizationFailure,
                 "column {i} norm deviates by {:.3e} (bad roots?)", col_dev)
-        require(t[0, :] > 0.0, NormalizationFailure, "sign convention t_atom^r > 0 violated")
-        gram = t @ t.T  # t t^T - 1, formed in place: one (N+1)^2 array beside t
-        gram.flat[::n1 + 1] -= 1.0
-        gram_dev = np.abs(gram, out=gram).max(axis=1)
-        require(gram_dev <= _ROW_ORTHO_TOL, NormalizationFailure,
-                "row {i} orthonormality off by {:.3e} (bad roots?)", gram_dev)
+        require(spec.weights > 0.0, NormalizationFailure, "sign convention t_atom^r > 0 violated")
+        bound = _orthogonality_bound(spec, col_dev)
+        require(bound <= _ORTHO_TOL, NormalizationFailure,
+                "column {i} orthogonality bound {:.3e} exceeds {} (bad roots?)", bound, _ORTHO_TOL)
+        freeze(self, rows=rows, t=t, column_deviation=float(col_dev.max()),
+               orthogonality_bound=float(bound.max()))
 
     @property
     def bigomegas(self) -> np.ndarray:
         return self.spectrum.bigomegas
+
+    def row(self, mu: int) -> np.ndarray:
+        """Row mu of t (0 the atom), which a record of some rows must hold."""
+        if self.rows is None:
+            return self.t[mu]
+        if mu not in self.rows:
+            raise ValueError(f"row {mu} is not among the held rows {self.rows}")
+        return self.t[self.rows.index(mu)]
+
+    def unitarity_margin(self, mu: int) -> float:
+        """A bound on |sum_nu |f_mu_nu(t)|^2 - 1| at every t, from row mu alone.
+
+        The amplitudes of row mu are t D t_mu, D = diag(exp(-i Omega_r t))
+        unitary, so their squared norm misses 1 by at most |(t t^T)_mu_mu - 1|
+        + ||t^T t - 1||_2 (t t^T)_mu_mu.
+        """
+        r = self.row(mu)
+        norm = float(r @ r)
+        return abs(norm - 1.0) + self.orthogonality_bound * norm
+
+
+def _rows(spectrum: ModeSpectrum, k: np.ndarray) -> np.ndarray:
+    """Rows k of t (0 the atom, 1..N the field modes), one per index: (K, N+1).
+
+    Row 0 is t_atom^r = sqrt(w_r), w_r the spectrum's ``weights``; row k is
+    t_k^r = (eta/dw) k / gap * t_atom^r from the eigenvector ratio, with gap
+    = (omega_k^2 - Omega_r^2) / dw^2 formed from the root's offsets as ((k -
+    m_r) - s_r)(k + m_r + s_r), so it keeps its digits where the root hugs
+    omega_k, and is nonzero: the spectrum admits 0 < |s_r| < 1 below the top
+    root and s_N > 0 above omega_N.  Formed in place, a block of rows at a
+    time, so the only (K, N+1) array is the result; an atom row is formed as
+    row 1 and then overwritten.
+    """
+    params = spectrum.params
+    m, s = spectrum.asymptotes.astype(float), spectrum.offsets
+    atom = np.sqrt(spectrum.weights)
+    u = m + s
+    out = np.empty((k.size, m.size))
+    step = max(1, _BLOCK_ELEMENTS // m.size)
+    for i in range(0, k.size, step):
+        kb = np.maximum(k[i:i + step, None], 1).astype(float)
+        gap = np.subtract(kb, m, out=out[i:i + step])
+        gap -= s
+        gap *= kb + u
+        np.divide((params.eta / params.delta_omega) * kb, gap, out=gap)
+        gap *= atom
+    out[k == 0] = atom
+    return out
+
+
+def _raised_residuals(spectrum: ModeSpectrum) -> np.ndarray:
+    """|F(lam_r)| at each root's carried offset, as the spectrum evaluates it
+    (O(N)), raised by its rounding bound: (8 + log2(N+1)) eps times the size
+    of what F is formed from.  That is |F|, the first term (omega_bar +
+    Omega) |omega_bar - Omega| with the rounding of its detuning, dw (|s| + m
+    2^-35) (``spectrum._omega``: m * head is exact below m = 2^17, dw's tail is
+    below 2^-36 dw), and, on the inner roots, the closed form's terms in
+    eta^2 lam S, at most eta^2 (1 + u (1/d + ln(2N+1) + 1)) / 2, d the
+    offset's distance to an integer (pi |cot(pi s)| <= 1/d, its digamma pair
+    below ln(2N+1) + 1).  The direct sum of the outer roots adds terms of one
+    sign, so there eta^2 lam |S| <= (omega_bar + Omega) |omega_bar - Omega| + |F|.
+    """
+    p = spectrum.params
+    n, m, s = p.n_modes, spectrum.asymptotes, spectrum.offsets
+    om, detuning = _omega(m, s, p)
+    f = np.abs(_secular_sets(m, s, p))
+    d = np.minimum(np.abs(s), 1.0 - np.abs(s))
+    terms = 0.5 * p.eta_sq * (1.0 + (m + s) * (1.0 / d + np.log(2.0 * n + 1.0) + 1.0))
+    terms[[0, -1]] = 0.0
+    tail = np.where(m < 2**17, m * 2.0**-35, m)
+    scale = f + (p.omega_bar + om) * (np.abs(detuning) + p.delta_omega * (np.abs(s) + tail)) + terms
+    return f + (8.0 + np.log2(n + 1.0)) * _EPS * scale
+
+
+def _orthogonality_bound(spectrum: ModeSpectrum, col_dev: np.ndarray) -> np.ndarray:
+    """For each column r of t, a bound on row r's absolute sum in t^T t - 1,
+    raised for the rounding of t's entries.  Its maximum bounds ||t^T t - 1||_2
+    and so every entry of t t^T - 1, whose eigenvalues are the same.
+
+    Off the diagonal |(t^T t)_rs| = a_r a_s |F_r - F_s| / |lam_r - lam_s|, a =
+    t_atom = sqrt(w), so row r sums to at most |col_r - 1| + a_r sum_{s != r}
+    a_s (|F_r| + |F_s|) / |lam_r - lam_s|, each |F| raised by its rounding
+    bound (:func:`_raised_residuals`).  With each offset taken from its
+    nearest asymptote (|s| <= 1/2 but for the top root), two roots share one
+    only as neighbours r, r+1, and their gap is formed from the offsets,
+    ((s_r+1 - s_r)(u_r+1 + u_r)), so it keeps its digits.  Any other two, u_r
+    < u_j, lie more than 1/2 apart, and u_r < N, so lam_j - lam_r = (u_j^2 -
+    u_r^2) dw^2 in floats is within 1.5 eps (u_j + u_r) / (u_j - u_r) + eps/2
+    < (6N + 2) eps of itself, relative.  Each pair j > r is formed once: a
+    block of B rows' 1/(lam_j - lam_r) meets (a, a |F|) in one product for the
+    rows and one for the columns, with 1/inf = 0 on and below the diagonal,
+    which is never divided.  With the rest of the bound's arithmetic, on
+    positive terms only, (7N + 16) eps relative covers it.  A stored entry is
+    within gamma = 4 eps of the element these formulas hold for, which moves
+    the column norms and each entry of t t^T by at most 2 gamma + gamma^2
+    (Cauchy-Schwarz).
+    """
+    p = spectrum.params
+    n1 = p.n_modes + 1
+    m = spectrum.asymptotes.astype(float)
+    s = spectrum.offsets.copy()
+    shift = np.where(np.abs(s) > 0.5, np.sign(s), 0.0)  # s -+ 1 is exact there
+    shift[-1] = 0.0  # the top root stays above omega_N
+    m += shift
+    s -= shift
+    u = m + s
+    lam = u * u  # lam / dw^2
+    pairs = np.flatnonzero(m[1:] == m[:-1])  # roots r, r+1 on one asymptote
+    close = np.zeros(n1)
+    close[pairs] = (s[pairs + 1] - s[pairs]) * (u[pairs + 1] + u[pairs])
+    phi = _raised_residuals(spectrum) / p.delta_omega**2  # in the gaps' units
+    a = np.sqrt(spectrum.weights)
+    x = np.stack([a, a * phi])
+    sums = np.zeros(n1)
+    step = max(1, _BLOCK_ELEMENTS // n1)
+    buffer = np.empty(min(step, n1) * n1)  # one block, reused
+    for i in range(0, n1, step):
+        b = min(step, n1 - i)
+        gap = np.subtract(lam[i:], lam[i:i + b, None], out=buffer[:b * (n1 - i)].reshape(b, -1))
+        r = pairs[(i <= pairs) & (pairs < i + b)]
+        gap[r - i, r - i + 1] = close[r]
+        gap[:, :b][np.tri(b, dtype=bool)] = np.inf  # j <= r
+        inv = np.reciprocal(gap, out=gap)
+        by_row = inv @ x[:, i:].T
+        by_col = x[:, i:i + b] @ inv
+        sums[i:i + b] += phi[i:i + b] * by_row[:, 0] + by_row[:, 1]
+        sums[i:] += phi[i:] * by_col[0] + by_col[1]
+    bound = (col_dev + a * sums) * (1.0 + (7.0 * n1 + 9.0) * _EPS)
+    entry = 2.0 * _ENTRY_ROUNDING + _ENTRY_ROUNDING**2
+    return bound + 2.0 * entry * (1.0 + bound)
 
 
 def atom_element(omega_r: float, params: DressedAtomParams) -> float:
@@ -89,35 +261,11 @@ def atom_element(omega_r: float, params: DressedAtomParams) -> float:
     return params.eta * omega_r / np.sqrt(radicand)
 
 
-def build_matrix(spectrum: ModeSpectrum) -> TransformMatrix:
-    """Assemble the full (N+1) x (N+1) transformation.
-
-    Column r is t_atom^r = sqrt(w_r), w_r the spectrum's ``weights``, over
-    the field elements t_k^r = (eta/dw) k / gap * t_atom^r from the
-    eigenvector ratio, gap = (omega_k^2 - Omega_r^2) / dw^2.  Each gap is
-    formed from the root's offsets as ((k - m_r) - s_r)(k + m_r + s_r), so
-    it keeps its digits where the root hugs omega_k, and is nonzero: the
-    spectrum admits 0 < |s_r| < 1 below the top root and s_N > 0 above
-    omega_N.  The column norms, a direct sum, then check the weights'
-    closed form.
-    """
-    params = spectrum.params
-    n = params.n_modes
-    if n > MATRIX_MODE_CAP:
-        raise ValueError(
-            f"n_modes={n} exceeds the dense-matrix cap {MATRIX_MODE_CAP}; "
-            "use atom_weights() for large truncations"
-        )
-    k = np.arange(1.0, n + 1)[:, None]
-    m, s = spectrum.asymptotes, spectrum.offsets
-    t = np.empty((n + 1, n + 1))
-    t[0] = np.sqrt(spectrum.weights)
-    gap = np.subtract(k, m, out=t[1:])  # (omega_k^2 - Omega_r^2) / dw^2, in place
-    gap -= s
-    gap *= k + (m + s)
-    np.divide((params.eta / params.delta_omega) * k, gap, out=gap)
-    gap *= t[0]
-    return TransformMatrix(spectrum=spectrum, t=t)
+def build_matrix(spectrum: ModeSpectrum, rows=None) -> TransformMatrix:
+    """The checked transform of ``spectrum``: all N+1 rows, the dense matrix
+    (at most MATRIX_MODE_CAP modes), or only the bare rows ``rows``, in O(N)
+    memory and for any N; see :class:`TransformMatrix`."""
+    return TransformMatrix(spectrum=spectrum, rows=rows)
 
 
 def atom_weights(spectrum: ModeSpectrum) -> np.ndarray:

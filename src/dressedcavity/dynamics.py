@@ -14,9 +14,9 @@ the fine phases exp(-i Omega rh) by running products, so each mode needs 2
 complex exponentials (3 when t_0 != 0) and about 2 sqrt(T) complex
 products; any other grid (non-uniform, a scalar, T < 4) takes b = 1, the
 plain sum with one exponential per phase.  The weights fold into the fine
-table.  One weight per mode (a survival trace, the series) then takes that
-table's pairwise row sums plus one matrix product of the coarse table,
-carried as C - 1, per block of modes; a whole row of amplitudes
+table.  One weight per mode (a survival trace, one f_mu_nu, the series) then
+takes that table's pairwise row sums plus one matrix product of the coarse
+table, carried as C - 1, per block of modes; a whole row of amplitudes
 (``amplitude_row``) passes the real transform as a basis, which meets the
 table of all T weighted phases in one real matrix product.  No block holds
 more than 2^22 phases (64 MB), so memory does not grow with the mode
@@ -266,11 +266,20 @@ def amplitude_discrete(tm: TransformMatrix, mu, nu, t: float) -> complex:
 
 
 def amplitude_trace(tm: TransformMatrix, mu, nu, times) -> AmplitudeTrace:
-    """Vectorized discrete-sum amplitude over a time grid."""
+    """f_mu_nu over a time grid: one vector phase sum with the weights
+    t_mu^r t_nu^r of rows mu and nu of ``tm``, O(NT).
+
+    A record of some rows (``tm.rows``) needs only those two, from any N.  Its
+    survival amplitude (mu = nu = atom) weighs by the spectrum's w_r, of which
+    its atom row is the root, so it is :func:`survival_trace` bit for bit; the
+    dense matrix weighs by the products of its stored rows.
+    """
     times = _time_grid(times)
     n = tm.spectrum.params.n_modes
     i, j = row_index(mu, n), row_index(nu, n)
-    values = _phase_sum(times, tm.bigomegas, tm.t[i, :] * tm.t[j, :])
+    pair = (tm.spectrum.weights if i == j == 0 and tm.rows is not None
+            else tm.row(i) * tm.row(j))
+    values = _phase_sum(times, tm.bigomegas, pair)
     return AmplitudeTrace(times=times, values=values, mu=mu, nu=nu,
                           method="discrete-sum")
 
@@ -280,9 +289,12 @@ def amplitude_row(tm: TransformMatrix, mu, times) -> np.ndarray:
 
     Column 0 is nu = atom, column k is field mode k.  Row norms are the
     unitarity sums sum_nu |f_mu_nu|^2.  The weights t_mu^r meet the basis
-    t^T, so each column (one nu at every time) is contiguous in memory.
+    t^T of the dense matrix, so each column (one nu at every time) is
+    contiguous in memory.
     """
     times = _time_grid(times)
+    if tm.rows is not None:
+        raise ValueError("a whole amplitude row needs the dense transform (rows=None)")
     i = row_index(mu, tm.spectrum.params.n_modes)
     return _phase_sum(times, tm.bigomegas, tm.t[i], tm.t.T)
 

@@ -31,6 +31,7 @@ are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,8 +232,8 @@ def _psi_pair(a, b, powers):
     return out
 
 
-def _closed_sum(m, s, n, powers):
-    c = np.pi / np.tan(np.pi * s)  # pi cot(pi u) = pi cot(pi s)
+def _closed_sum(m, s, n, powers, cot=None):
+    c = np.pi / np.tan(np.pi * s) if cot is None else cot  # pi cot(pi u) = pi cot(pi s)
     u = m + s
     a, b = n + 1 + u, (n + 1 - m) - s
     psi = _psi_pair(a, b, powers)
@@ -357,8 +358,9 @@ def _inner_split(params: DressedAtomParams, m, x, kernel):
     most 1), so that map has slope below 1/3 and the root lies within one
     step of any split.
     """
-    f = _secular(m, x, params, kernel)
-    h = np.pi / np.tan(np.pi * x) - 2.0 * f / (params.eta_sq * (m + x))
+    c = np.pi / np.tan(np.pi * x)  # one cotangent per step, shared with the kernel
+    f = _secular(m, x, params, functools.partial(kernel, cot=c))
+    h = c - 2.0 * f / (params.eta_sq * (m + x))
     return f, np.arctan(np.pi / h) / np.pi
 
 

@@ -116,6 +116,14 @@ def mpmath_secular_offset(params, m, s, dps=80):
         return (lo + hi) / 2
 
 
+def gram_deviation(t):
+    """max |t t^T - 1| of a square transform, by one GEMM: the O(N^3) route to
+    its row orthonormality, independent of the bound the package computes."""
+    gram = t @ t.T
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return float(np.max(np.abs(gram)))
+
+
 def single_atom_dense_matrix(row, xi):
     """(N+2) x (N+2) reduced matrix of atom A from its amplitude row:
     ground population 1 - xi plus the xi f f^dagger block."""

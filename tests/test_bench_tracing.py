@@ -50,6 +50,9 @@ def test_traced_cli_jobs_record_work_counts(tmp_path):
         with tracer.job(1):
             assert dressedcavity.cli.main(["matrix-dump", "--n-modes", "8",
                                            "--out", str(tmp_path / "b")]) == 0
+        with tracer.job(2):
+            assert dressedcavity.cli.main(["amplitude", "--regime", "exact", "--steps", "9",
+                                           "--n-modes", "16", "--out", str(tmp_path / "c")]) == 0
     finally:
         tracer.unpatch()
 
@@ -62,6 +65,12 @@ def test_traced_cli_jobs_record_work_counts(tmp_path):
         assert len(written) == files and all(w["bytes"] > 0 for w in written)
     assert [w["bytes"] for w in work(1, "build_matrix")] == [9 ** 2 * 8]
     assert {s.layer for s in tracer.spans if s.job == 0} >= {"bipartite", "svgplot"}
+    # the exact amplitude: one pair trace from the rows it names, inside the
+    # layers the sweep deck declares (its survival sum is never reached)
+    assert work(2, "amplitude_trace") == [{"terms": 9 * 17}]
+    assert len(work(2, "build_matrix")) == 1
+    assert {s.fn for s in tracer.spans if s.job == 2}.isdisjoint(
+        {"survival_trace", "amplitude_row"})
 
 
 def test_every_work_entry_records_its_count(tmp_path):

@@ -241,6 +241,30 @@ class TestAmplitudeCommand:
         ref = dynamics.amplitude_trace(tm, 2, 3, t).values
         assert np.max(np.abs(re_f + 1j * im_f - ref)) <= 1e-14
 
+    def test_exact_survival_column_is_the_survival_trace(self, tmp_path):
+        # atom-atom weighs by the spectrum's own weights: survival_trace bit for bit
+        rc = run("amplitude", "--regime", "exact", "--steps", "9", "--n-modes", "16",
+                 "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        t, re_f, im_f = np.loadtxt(tmp_path / "amplitude.csv", delimiter=",", skiprows=1,
+                                   usecols=(0, 1, 2)).T
+        spec = solve_eigenfrequencies(RunConfig(n_modes=16).atom_params())
+        assert np.array_equal(re_f + 1j * im_f, dynamics.survival_trace(spec, t).values)
+
+    def test_only_the_dense_routes_are_capped(self, tmp_path, monkeypatch):
+        # the exact amplitude takes rows mu and nu alone; the entropy needs the whole row
+        monkeypatch.setattr(coupling, "MATRIX_MODE_CAP", 8)
+        argv = ("--regime", "exact", "--steps", "5", "--n-modes", "16", "--out", str(tmp_path))
+        assert run("amplitude", "--mu", "2", "--nu", "3", *argv) == EXIT_OK
+        assert run("entropy", *argv) == EXIT_USAGE
+
+    def test_exact_unitarity_margin_is_checked(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(coupling.TransformMatrix, "unitarity_margin", lambda self, mu: 2e-6)
+        rc = run("amplitude", "--regime", "exact", "--steps", "5", "--n-modes", "16",
+                 "--out", str(tmp_path))
+        assert rc == EXIT_INVARIANT
+        assert "unitarity margin 2.000e-06 of row 0 exceeds 1e-06" in capsys.readouterr().err
+
 
 class TestImpurityCommand:
     def test_reference_figure_defaults(self, tmp_path):

@@ -10,6 +10,7 @@ from dressedcavity import (
     InvariantViolation,
     NormalizationFailure,
     RegimeViolation,
+    amplitude_row,
     approx_small_cavity_elements,
     atom_element,
     atom_weights,
@@ -21,7 +22,7 @@ from dressedcavity import (
 from dressedcavity import coupling, spectrum
 from dressedcavity.coupling import TransformMatrix
 from dressedcavity.spectrum import ModeSpectrum, field_frequencies
-from oracles import eig_sym_2x2
+from oracles import eig_sym_2x2, gram_deviation
 
 # frozen first-order element values at delta=0.1 (direct evaluation)
 T00_SQ_APPROX = 0.8268292804508458
@@ -138,10 +139,10 @@ class TestBuildMatrix:
         gram = tm.t @ tm.t.T
         assert np.max(np.abs(gram - np.eye(501))) < 1e-6
 
-    def test_build_peaks_below_two_and_a_half_dense_matrices(self):
-        # t and its Gram t t^T are the two (N+1)^2 arrays the checks need: the
-        # column norms take no t * t, and t t^T - 1 and its magnitude are
-        # formed in place
+    def test_build_peaks_below_one_and_a_quarter_dense_matrices(self):
+        # t is the one (N+1)^2 array: it is formed in place a block of rows at
+        # a time, the column norms take no t * t, and the orthogonality bound
+        # holds a few row blocks, never a Gram t t^T
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=1500)
         spec = solve_eigenfrequencies(p)
         tracemalloc.start()
@@ -150,7 +151,20 @@ class TestBuildMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 1501**2 * 8
+        assert peak < 1.25 * 1501**2 * 8
+
+    def test_rows_record_above_the_cap_peaks_far_below_one_dense_matrix(self):
+        # rows mu and nu, the direct-sum column norms and the bound hold O(N)
+        # arrays and blocks of bounded size, so no cap applies
+        n = coupling.MATRIX_MODE_CAP + 1
+        spec = solve_eigenfrequencies(DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=n))
+        tracemalloc.start()
+        try:
+            build_matrix(spec, rows=(2, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.02 * (n + 1)**2 * 8
 
     def test_columns_orthogonal(self, fig_matrix):
         gram = fig_matrix.t.T @ fig_matrix.t
@@ -162,11 +176,19 @@ class TestBuildMatrix:
     def test_atom_row_is_the_root_of_the_weights(self, fig_spectrum, fig_matrix):
         assert np.array_equal(fig_matrix.t[0], np.sqrt(fig_spectrum.weights))
 
-    def test_rejects_a_nan_entry(self, fig_spectrum, fig_matrix):
-        t = fig_matrix.t.copy()
-        t[5, 7] = np.nan
+    def test_rejects_a_nan_entry(self, fig_spectrum, monkeypatch):
+        # the record forms t from its spectrum; a NaN element, as a broken
+        # formula would leave, fails the column check, which states what passes
+        rows = coupling._rows
+
+        def poisoned(spectrum, k):
+            t = rows(spectrum, k)
+            t[5, 7] = np.nan
+            return t
+
+        monkeypatch.setattr(coupling, "_rows", poisoned)
         with pytest.raises(NormalizationFailure, match="column 7 norm deviates by nan"):
-            TransformMatrix(spectrum=fig_spectrum, t=t)
+            TransformMatrix(spectrum=fig_spectrum)
 
     def test_reconstructs_quadratic_form(self, fig_spectrum, fig_matrix):
         b = build_form(fig_spectrum.params).matrix
@@ -180,6 +202,75 @@ class TestBuildMatrix:
         monkeypatch.setattr(coupling, "MATRIX_MODE_CAP", 5)
         with pytest.raises(ValueError):
             build_matrix(spec)
+        # named rows are not capped
+        assert build_matrix(spec, rows=(0, 6)).t.shape == (2, 7)
+
+
+class TestOrthogonalityBound:
+    """The O(N^2) bound from the secular residuals against the O(N^3) GEMM Gram."""
+
+    @pytest.mark.parametrize("n", [100, 600])  # one row block, and many
+    @pytest.mark.parametrize("delta", [1e-3, 1e3])
+    @pytest.mark.parametrize("g", [1e-9, 0.9])
+    def test_never_below_the_gemm_gram(self, g, delta, n):
+        tm = build_matrix(solve_eigenfrequencies(DressedAtomParams(1.0, g, delta, n)))
+        blocks = -(-(n + 1) // (coupling._BLOCK_ELEMENTS // (n + 1)))
+        assert (blocks == 1) == (n == 100)
+        gemm = gram_deviation(tm.t)
+        assert gemm <= tm.orthogonality_bound <= 1e-13
+        # the column check keeps the worst column deviation of the stored array
+        col = np.abs(np.einsum("ij,ij->j", tm.t, tm.t) - 1.0).max()
+        assert tm.column_deviation == col
+
+    def test_weak_coupling_on_resonance(self):
+        # omega_bar = omega_10 and g = 1e-30: roots 9 and 10 hug omega_10 from
+        # both sides, 4e-15 dw apart, so their gap must come from the offsets,
+        # and F's rounding from the detuning it is formed from
+        spec = solve_eigenfrequencies(DressedAtomParams(1.0, 1e-30, 1e-29, 16))
+        assert spec.asymptotes[9] == spec.asymptotes[10] == 10
+        tm = build_matrix(spec)
+        assert gram_deviation(tm.t) <= tm.orthogonality_bound <= 1e-6
+
+    def test_rows_record_matches_the_dense_matrix(self, fig_spectrum, fig_matrix):
+        tm = build_matrix(fig_spectrum, rows=(3, 0, 200))
+        assert np.array_equal(tm.t, fig_matrix.t[[3, 0, 200]])
+        assert np.array_equal(tm.row(200), fig_matrix.row(200))
+        # w_r times the direct-sum slope is the column norm without t
+        assert abs(tm.column_deviation - fig_matrix.column_deviation) <= 4e-15
+        assert tm.orthogonality_bound == pytest.approx(fig_matrix.orthogonality_bound,
+                                                       abs=8e-15)
+        with pytest.raises(ValueError, match="not among the held rows"):
+            tm.row(1)
+        with pytest.raises(ValueError, match="rows must lie in 0..200"):
+            build_matrix(fig_spectrum, rows=(201,))
+
+    def test_unitarity_margin_bounds_the_row_norm_at_every_time(self, fig_spectrum,
+                                                                fig_matrix):
+        times = np.linspace(0.0, 25.0, 101)
+        for mu in (0, 3, 200):
+            row = amplitude_row(fig_matrix, mu, times)
+            deviation = np.max(np.abs(np.sum(np.abs(row) ** 2, axis=1) - 1.0))
+            margin = build_matrix(fig_spectrum, rows=(mu,)).unitarity_margin(mu)
+            assert deviation <= margin <= 3e-14
+            assert fig_matrix.unitarity_margin(mu) == pytest.approx(margin, abs=1e-14)
+
+    @pytest.mark.parametrize("omega_bar, g, delta, n", [
+        (1.0, 1e-9, 0.1, 8), (1.0, 0.02, 1e3, 40), (1.0, 0.9, 1e-3, 40), (0.1, 10.0, 1e-3, 30),
+        (1.0, 1e-30, 1e-29, 16)])
+    def test_raised_residuals_cover_the_exact_secular_function(self, omega_bar, g, delta, n):
+        # |F| at each root's carried offset, raised by its rounding bound, is at
+        # least the 40-digit F there (float64 omega_bar, dw and eta)
+        mpmath = pytest.importorskip("mpmath")
+        spec = solve_eigenfrequencies(DressedAtomParams(omega_bar, g, delta, n))
+        p, raised = spec.params, coupling._raised_residuals(spec)
+        with mpmath.workdps(40):
+            wb, dw, eta = (mpmath.mpf(float(v)) for v in (p.omega_bar, p.delta_omega, p.eta))
+            for r in range(n + 1):
+                m, s = int(spec.asymptotes[r]), mpmath.mpf(float(spec.offsets[r]))
+                lam = ((m + s) * dw) ** 2
+                total = mpmath.fsum(1 / (((k - m) - s) * (k + m + s) * dw**2)
+                                    for k in range(1, n + 1))
+                assert abs(wb**2 - lam - eta**2 * lam * total) <= raised[r]
 
 
 class TestAtomWeights:

@@ -64,8 +64,12 @@ def mode_spectrum_by_solve_eigenfrequencies():
 
 @build
 def transform_matrix():
-    t = TM.t.copy()
-    return TransformMatrix(SPEC, t), [t]
+    return TransformMatrix(SPEC), []
+
+
+@build
+def transform_matrix_of_rows():
+    return TransformMatrix(SPEC, rows=(2, 3)), []
 
 
 @build

@@ -340,9 +340,9 @@ class TestSolve:
         seen = {"closed": [np.empty(0)], "direct": [np.empty(0)]}
 
         def recorded(name, kernel):
-            def sums(m, s, n, powers):
+            def sums(m, s, n, powers, **shared):  # the inner split shares its cotangent
                 seen[name].append(np.ravel(m + s))
-                return kernel(m, s, n, powers)
+                return kernel(m, s, n, powers, **shared)
             return sums
 
         monkeypatch.setattr(spectrum, "_closed_sum", recorded("closed", spectrum._closed_sum))
