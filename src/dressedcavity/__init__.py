@@ -24,6 +24,7 @@ from .coupling import (
     atom_weights,
     approx_small_cavity_elements,
     build_matrix,
+    row_index,
 )
 from .dynamics import (
     AmplitudeTrace,
@@ -34,7 +35,6 @@ from .dynamics import (
     amplitude_trace,
     free_space_trace,
     imag_survival_integral,
-    row_index,
     small_cavity_amplitude,
     survival_sq_large_time,
     survival_sq_lower_bound,

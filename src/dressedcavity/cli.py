@@ -68,7 +68,7 @@ class RunConfig:
             raise ValueError(f"regime must be one of {_REGIMES}, got {self.regime!r}")
         self.superposition()  # a bad xi or phi is a usage error before any work
         # so is a bad row label: each label becomes its row index here, once
-        self.mu, self.nu = (dynamics.row_index(v, self.n_modes) for v in (self.mu, self.nu))
+        self.mu, self.nu = (coupling.row_index(v, self.n_modes) for v in (self.mu, self.nu))
 
     def atom_params(self) -> DressedAtomParams:
         return DressedAtomParams(self.omega_bar, self.g, self.delta, self.n_modes)
@@ -133,10 +133,11 @@ def _route(cfg: RunConfig, params, regime: str, mu: int, nu: int,
     and the single-atom entropy at each time (None where no entropy is formed).
 
     "exact": with ``entropy``, row mu of the dense transform's amplitudes,
-    whose norm (unitarity) the single-atom reduced state checks at every time;
-    without, rows mu and nu of t alone (O(N) memory, no mode cap), f_mu_nu from
-    one vector phase sum, and unitarity from the transform's static margin,
-    which bounds the row norm's deviation at every time.  "free-space": the
+    whose norm (unitarity) the single-atom reduced state checks at every time,
+    and whose entropy must stay within 1e-8 of its constant; without, rows mu
+    and nu of t alone (O(N) memory, no mode cap), f_mu_nu from one vector
+    phase sum, and unitarity from the transform's static margin, which bounds
+    the row norm's deviation at every time.  "free-space": the
     closed form, once omega_bar > g (before the residues divide by kappa) and
     the continuum weight (4g/pi) integral of h is 1; constant entropy.
     "small": the series.
@@ -154,7 +155,11 @@ def _route(cfg: RunConfig, params, regime: str, mu: int, nu: int,
         trace = dynamics.AmplitudeTrace(times=times, values=row[:, nu], mu=mu, nu=nu,
                                         method="discrete-sum")
         reduced = bipartite.single_atom_reduced(row, cfg.superposition(), times)
-        return trace, bipartite.von_neumann_entropy(reduced)
+        entropies = bipartite.von_neumann_entropy(reduced)
+        drift = np.abs(entropies - bipartite.entanglement_entropy(cfg.xi))
+        require(drift <= 1e-8, InvariantViolation, "entropy deviation {:.3e} exceeds 1e-8", drift,
+                t=times)
+        return trace, entropies
     if mu or nu:
         raise ValueError(f"regime {regime!r} provides only the atom-atom amplitude")
     if regime == "small":
@@ -259,8 +264,7 @@ def cmd_entropy(cfg: RunConfig) -> int:
     path = out / "entropy.csv"
     _write_pair(cfg, path, trace, entropies)
     analytic = bipartite.entanglement_entropy(cfg.xi)
-    drift = np.abs(entropies - analytic)
-    deviation = float(np.max(drift))
+    deviation = float(np.max(np.abs(entropies - analytic)))
     print(f"wrote {path}")
     print(f"entropy_analytic={analytic:.17g} max_deviation={deviation:.3e}")
     if cfg.svg:
@@ -268,8 +272,6 @@ def cmd_entropy(cfg: RunConfig) -> int:
                                 title=f"Entanglement entropy, xi={cfg.xi:g}",
                                 xlabel="t", ylabel="E")
         (out / "entropy.svg").write_text(svg)
-    require(drift <= 1e-8, InvariantViolation, "entropy deviation {:.3e} exceeds 1e-8", drift,
-            t=trace.times)
     return EXIT_OK
 
 

@@ -7,9 +7,9 @@ by the normalization condition sum_mu (t_mu^r)^2 = 1 and the ratio
 
     t_k^r = eta omega_k / (omega_k^2 - Omega_r^2) * t_atom^r,
 
-with the sign convention t_atom^r > 0.  The normalization fixes
-(t_atom^r)^2 = 1 / (1 + eta^2 sum_k omega_k^2/(omega_k^2 - Omega_r^2)^2), the
-spectrum's ``weights``.  The closed-form atom element
+with the sign convention t_atom^r > 0: t_atom^r is the root of the
+normalization's (t_atom^r)^2 = 1 / (1 + eta^2 sum_k omega_k^2/(omega_k^2 -
+Omega_r^2)^2), the spectrum's ``weights``.  The closed-form atom element
 
     t_atom^r = eta Omega_r / sqrt((Omega_r^2 - omega_bar^2)^2
                + (eta^2/2)(3 Omega_r^2 - omega_bar^2) + 4 g^2 Omega_r^2)
@@ -17,19 +17,20 @@ spectrum's ``weights``.  The closed-form atom element
 is the infinite-mode limit of that normalization; at finite truncation it
 deviates from the normalized element by O(1/N).
 
-A :class:`TransformMatrix` forms t, or only the rows a caller names, from
-its spectrum and checks unit columns, t_atom^r > 0 and orthogonality to
-1e-6 on construction.  The column check sets each column's direct sum
-against the spectrum's closed-form weight.  Orthogonality takes no product
-t t^T: for columns r != s, partial fractions of the eigenvector ratio give
+A :class:`TransformMatrix` forms t, or only the rows a caller names by label
+(:func:`row_index`), from its spectrum and checks unit columns and
+orthogonality to 1e-6 on construction.  The column check sets each column's
+direct sum against the spectrum's closed-form weight, so w_r <= 0 fails it.
+Orthogonality takes no product t t^T: for columns r != s, partial fractions
+of the eigenvector ratio give
 
     (t^T t)_rs = -t_atom^r t_atom^s (F(lam_r) - F(lam_s)) / (lam_r - lam_s),
 
 lam = Omega^2 and F the secular function, whose values at the roots the
-solve already evaluates (the Loewner-type identity of Gu & Eisenstat,
-SIAM J. Matrix Anal. Appl. 16 (1995) 172-191).  Row sums of its magnitudes
-bound ||t^T t - 1||_2, and with it every entry of t t^T - 1, in O(N^2) time
-and O(N) memory; the record keeps that bound and the worst column deviation.
+spectrum bounds (the Loewner-type identity of Gu & Eisenstat, SIAM J.
+Matrix Anal. Appl. 16 (1995) 172-191).  Row sums of its magnitudes bound
+||t^T t - 1||_2, and with it every entry of t t^T - 1, in O(N^2) time and
+O(N) memory; the record keeps that bound and the worst column deviation.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NormalizationFailure, RegimeViolation, freeze, require
-from .spectrum import (DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum, _direct_sum, _omega,
-                       _secular, _secular_sets)
+from .spectrum import DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum
 
 __all__ = [
     "TransformMatrix",
+    "row_index",
     "atom_element",
     "build_matrix",
     "atom_weights",
@@ -73,13 +74,14 @@ _ENTRY_ROUNDING = 4.0 * _EPS
 class TransformMatrix:
     """Rows of the orthogonal matrix t[mu, r], formed from ``spectrum`` and checked.
 
-    ``rows`` names the bare rows held, in order (0 the atom; None: all N+1,
-    the dense matrix, at most MATRIX_MODE_CAP modes); ``t`` holds one row
-    each (:func:`_rows`).  ``column_deviation`` is the worst |sum_mu
-    (t_mu^r)^2 - 1|: the direct sum over the dense matrix's columns, or, for
-    a record of some rows, w_r times the direct-sum slope |F'(lam_r)|, the
-    same sum without t.  ``orthogonality_bound`` bounds ||t^T t - 1||_2 and
-    max |t t^T - 1| (:func:`_orthogonality_bound`).  Both must be at most 1e-6.
+    ``rows`` names the bare rows held, in order, by label, kept as indices
+    (None: all N+1, the dense matrix, at most MATRIX_MODE_CAP modes); ``t``
+    holds one row each (:func:`_rows`).  ``column_deviation`` is the worst
+    |sum_mu (t_mu^r)^2 - 1|: the direct sum over the dense matrix's columns,
+    or, for a record of some rows, w_r times the spectrum's ``direct_slope``
+    |F'(lam_r)|, the same sum without t.  ``orthogonality_bound`` bounds
+    ||t^T t - 1||_2 and max |t t^T - 1| (:func:`_orthogonality_bound`).  Both
+    must be at most 1e-6.
     """
 
     spectrum: ModeSpectrum
@@ -99,16 +101,12 @@ class TransformMatrix:
             t = _rows(spec, np.arange(n + 1))
             col = np.einsum("ij,ij->j", t, t)
         else:
-            rows = tuple(int(i) for i in self.rows)
-            if not all(0 <= i <= n for i in rows):
-                raise ValueError(f"rows must lie in 0..{n}, got {rows}")
+            rows = tuple(row_index(label, n) for label in self.rows)
             t = _rows(spec, np.array(rows, dtype=np.int64))
-            slope = _secular(spec.asymptotes, spec.offsets, spec.params, _direct_sum, slope=True)[1]
-            col = spec.weights * slope
+            col = spec.weights * spec.direct_slope()
         col_dev = np.abs(col - 1.0)
         require(col_dev <= _COLUMN_NORM_TOL, NormalizationFailure,
                 "column {i} norm deviates by {:.3e} (bad roots?)", col_dev)
-        require(spec.weights > 0.0, NormalizationFailure, "sign convention t_atom^r > 0 violated")
         bound = _orthogonality_bound(spec, col_dev)
         require(bound <= _ORTHO_TOL, NormalizationFailure,
                 "column {i} orthogonality bound {:.3e} exceeds {} (bad roots?)", bound, _ORTHO_TOL)
@@ -119,15 +117,16 @@ class TransformMatrix:
     def bigomegas(self) -> np.ndarray:
         return self.spectrum.bigomegas
 
-    def row(self, mu: int) -> np.ndarray:
-        """Row mu of t (0 the atom), which a record of some rows must hold."""
+    def row(self, mu) -> np.ndarray:
+        """Row mu of t by label (:func:`row_index`); a record of some rows must hold it."""
+        i = row_index(mu, self.spectrum.params.n_modes)
         if self.rows is None:
-            return self.t[mu]
-        if mu not in self.rows:
-            raise ValueError(f"row {mu} is not among the held rows {self.rows}")
-        return self.t[self.rows.index(mu)]
+            return self.t[i]
+        if i not in self.rows:
+            raise ValueError(f"row {i} is not among the held rows {self.rows}")
+        return self.t[self.rows.index(i)]
 
-    def unitarity_margin(self, mu: int) -> float:
+    def unitarity_margin(self, mu) -> float:
         """A bound on |sum_nu |f_mu_nu(t)|^2 - 1| at every t, from row mu alone.
 
         The amplitudes of row mu are t D t_mu, D = diag(exp(-i Omega_r t))
@@ -139,6 +138,18 @@ class TransformMatrix:
         return abs(norm - 1.0) + self.orthogonality_bound * norm
 
 
+def row_index(label, n_modes: int) -> int:
+    """Row of the transform a label names: 0 for "atom" (or 0), k for field mode k,
+    given as an integer or as its decimal string (the command line's form)."""
+    if label == "atom":
+        return 0
+    label = int(label) if isinstance(label, str) and label.isdecimal() else label
+    if (isinstance(label, (int, np.integer)) and not isinstance(label, bool)
+            and 0 <= label <= n_modes):
+        return int(label)
+    raise ValueError(f"row label must be 'atom' or a mode index 1..{n_modes}, got {label!r}")
+
+
 def _rows(spectrum: ModeSpectrum, k: np.ndarray) -> np.ndarray:
     """Rows k of t (0 the atom, 1..N the field modes), one per index: (K, N+1).
 
@@ -146,8 +157,8 @@ def _rows(spectrum: ModeSpectrum, k: np.ndarray) -> np.ndarray:
     t_k^r = (eta/dw) k / gap * t_atom^r from the eigenvector ratio, with gap
     = (omega_k^2 - Omega_r^2) / dw^2 formed from the root's offsets as ((k -
     m_r) - s_r)(k + m_r + s_r), so it keeps its digits where the root hugs
-    omega_k, and is nonzero: the spectrum admits 0 < |s_r| < 1 below the top
-    root and s_N > 0 above omega_N.  Formed in place, a block of rows at a
+    omega_k, and is nonzero: the spectrum admits 0 < |s_r| <= 1/2 below the
+    top root and s_N > 0 above omega_N.  Formed in place, a block of rows at a
     time, so the only (K, N+1) array is the result; an atom row is formed as
     row 1 and then overwritten.
     """
@@ -168,30 +179,6 @@ def _rows(spectrum: ModeSpectrum, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _raised_residuals(spectrum: ModeSpectrum) -> np.ndarray:
-    """|F(lam_r)| at each root's carried offset, as the spectrum evaluates it
-    (O(N)), raised by its rounding bound: (8 + log2(N+1)) eps times the size
-    of what F is formed from.  That is |F|, the first term (omega_bar +
-    Omega) |omega_bar - Omega| with the rounding of its detuning, dw (|s| + m
-    2^-35) (``spectrum._omega``: m * head is exact below m = 2^17, dw's tail is
-    below 2^-36 dw), and, on the inner roots, the closed form's terms in
-    eta^2 lam S, at most eta^2 (1 + u (1/d + ln(2N+1) + 1)) / 2, d the
-    offset's distance to an integer (pi |cot(pi s)| <= 1/d, its digamma pair
-    below ln(2N+1) + 1).  The direct sum of the outer roots adds terms of one
-    sign, so there eta^2 lam |S| <= (omega_bar + Omega) |omega_bar - Omega| + |F|.
-    """
-    p = spectrum.params
-    n, m, s = p.n_modes, spectrum.asymptotes, spectrum.offsets
-    om, detuning = _omega(m, s, p)
-    f = np.abs(_secular_sets(m, s, p))
-    d = np.minimum(np.abs(s), 1.0 - np.abs(s))
-    terms = 0.5 * p.eta_sq * (1.0 + (m + s) * (1.0 / d + np.log(2.0 * n + 1.0) + 1.0))
-    terms[[0, -1]] = 0.0
-    tail = np.where(m < 2**17, m * 2.0**-35, m)
-    scale = f + (p.omega_bar + om) * (np.abs(detuning) + p.delta_omega * (np.abs(s) + tail)) + terms
-    return f + (8.0 + np.log2(n + 1.0)) * _EPS * scale
-
-
 def _orthogonality_bound(spectrum: ModeSpectrum, col_dev: np.ndarray) -> np.ndarray:
     """For each column r of t, a bound on row r's absolute sum in t^T t - 1,
     raised for the rounding of t's entries.  Its maximum bounds ||t^T t - 1||_2
@@ -200,12 +187,12 @@ def _orthogonality_bound(spectrum: ModeSpectrum, col_dev: np.ndarray) -> np.ndar
     Off the diagonal |(t^T t)_rs| = a_r a_s |F_r - F_s| / |lam_r - lam_s|, a =
     t_atom = sqrt(w), so row r sums to at most |col_r - 1| + a_r sum_{s != r}
     a_s (|F_r| + |F_s|) / |lam_r - lam_s|, each |F| raised by its rounding
-    bound (:func:`_raised_residuals`).  With each offset taken from its
-    nearest asymptote (|s| <= 1/2 but for the top root), two roots share one
-    only as neighbours r, r+1, and their gap is formed from the offsets,
-    ((s_r+1 - s_r)(u_r+1 + u_r)), so it keeps its digits.  Any other two, u_r
-    < u_j, lie more than 1/2 apart, and u_r < N, so lam_j - lam_r = (u_j^2 -
-    u_r^2) dw^2 in floats is within 1.5 eps (u_j + u_r) / (u_j - u_r) + eps/2
+    bound (:meth:`ModeSpectrum.raised_residuals`).  With each offset carried
+    from its nearer asymptote (|s| <= 1/2 but for the top root), two roots
+    share one only as neighbours r, r+1, and their gap is formed from the
+    offsets, ((s_r+1 - s_r)(u_r+1 + u_r)), so it keeps its digits.  Any other
+    two, u_r < u_j, lie more than 1/2 apart, and u_r < N, so lam_j - lam_r =
+    (u_j^2 - u_r^2) dw^2 in floats is within 1.5 eps (u_j + u_r) / (u_j - u_r) + eps/2
     < (6N + 2) eps of itself, relative.  Each pair j > r is formed once: a
     block of B rows' 1/(lam_j - lam_r) meets (a, a |F|) in one product for the
     rows and one for the columns, with 1/inf = 0 on and below the diagonal,
@@ -217,18 +204,13 @@ def _orthogonality_bound(spectrum: ModeSpectrum, col_dev: np.ndarray) -> np.ndar
     """
     p = spectrum.params
     n1 = p.n_modes + 1
-    m = spectrum.asymptotes.astype(float)
-    s = spectrum.offsets.copy()
-    shift = np.where(np.abs(s) > 0.5, np.sign(s), 0.0)  # s -+ 1 is exact there
-    shift[-1] = 0.0  # the top root stays above omega_N
-    m += shift
-    s -= shift
+    m, s = spectrum.asymptotes.astype(float), spectrum.offsets
     u = m + s
     lam = u * u  # lam / dw^2
     pairs = np.flatnonzero(m[1:] == m[:-1])  # roots r, r+1 on one asymptote
     close = np.zeros(n1)
     close[pairs] = (s[pairs + 1] - s[pairs]) * (u[pairs + 1] + u[pairs])
-    phi = _raised_residuals(spectrum) / p.delta_omega**2  # in the gaps' units
+    phi = spectrum.raised_residuals() / p.delta_omega**2  # in the gaps' units
     a = np.sqrt(spectrum.weights)
     x = np.stack([a, a * phi])
     sums = np.zeros(n1)

@@ -45,14 +45,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import TransformMatrix, approx_small_cavity_elements
+from .coupling import TransformMatrix, approx_small_cavity_elements, row_index
 from .errors import InvariantViolation, RegimeViolation, freeze, require
 from .spectrum import DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum, first_order_frequencies
 
 __all__ = [
     "FreeSpaceParams",
     "AmplitudeTrace",
-    "row_index",
     "amplitude_discrete",
     "amplitude_trace",
     "amplitude_row",
@@ -137,18 +136,6 @@ def _time_grid(times) -> np.ndarray:
     if times.ndim != 1:
         raise ValueError(f"times must be a 1-D grid, got shape {times.shape}")
     return times
-
-
-def row_index(label, n_modes: int) -> int:
-    """Row of the transform a label names: 0 for "atom" (or 0), k for field mode k,
-    given as an integer or as its decimal string (the command line's form)."""
-    if label == "atom":
-        return 0
-    label = int(label) if isinstance(label, str) and label.isdecimal() else label
-    if (isinstance(label, (int, np.integer)) and not isinstance(label, bool)
-            and 0 <= label <= n_modes):
-        return int(label)
-    raise ValueError(f"row label must be 'atom' or a mode index 1..{n_modes}, got {label!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +256,14 @@ def amplitude_trace(tm: TransformMatrix, mu, nu, times) -> AmplitudeTrace:
     """f_mu_nu over a time grid: one vector phase sum with the weights
     t_mu^r t_nu^r of rows mu and nu of ``tm``, O(NT).
 
-    A record of some rows (``tm.rows``) needs only those two, from any N.  Its
+    A record of some rows (``tm.rows``) needs only those two, from any N.  The
     survival amplitude (mu = nu = atom) weighs by the spectrum's w_r, of which
-    its atom row is the root, so it is :func:`survival_trace` bit for bit; the
-    dense matrix weighs by the products of its stored rows.
+    the atom row is the root, on every record, so it is :func:`survival_trace`
+    bit for bit.
     """
     times = _time_grid(times)
-    n = tm.spectrum.params.n_modes
-    i, j = row_index(mu, n), row_index(nu, n)
-    pair = (tm.spectrum.weights if i == j == 0 and tm.rows is not None
-            else tm.row(i) * tm.row(j))
+    survival = row_index(mu, np.inf) == row_index(nu, np.inf) == 0
+    pair = tm.spectrum.weights if survival else tm.row(mu) * tm.row(nu)
     values = _phase_sum(times, tm.bigomegas, pair)
     return AmplitudeTrace(times=times, values=values, mu=mu, nu=nu,
                           method="discrete-sum")
@@ -295,8 +280,7 @@ def amplitude_row(tm: TransformMatrix, mu, times) -> np.ndarray:
     times = _time_grid(times)
     if tm.rows is not None:
         raise ValueError("a whole amplitude row needs the dense transform (rows=None)")
-    i = row_index(mu, tm.spectrum.params.n_modes)
-    return _phase_sum(times, tm.bigomegas, tm.t[i], tm.t.T)
+    return _phase_sum(times, tm.bigomegas, tm.row(mu), tm.t.T)
 
 
 def survival_trace(spectrum: ModeSpectrum, times,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import row_index
+from .coupling import row_index
 from .errors import ConvergenceFailure, InvariantViolation, freeze, require
 from .spectrum import DressedAtomParams, field_frequencies
 
@@ -39,6 +39,8 @@ __all__ = [
 _RESIDUAL_TOL = 1e-10  # on max |B v - v lam|, relative to max |lam|
 
 _CHECK_TIMES = np.linspace(0.0, 20.0, 9)  # survival amplitudes compared here
+
+_MAX_SWEEPS = 100  # Jacobi sweeps before jacobi_eigh gives up
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ def _rotate(m: np.ndarray, pairs: np.ndarray, g: np.ndarray) -> None:
     m[rows] = (g @ m[rows].reshape(-1, 2, m.shape[1])).reshape(-1, m.shape[1])
 
 
-def jacobi_eigh(matrix: np.ndarray, *, max_sweeps: int = 100):
+def jacobi_eigh(matrix: np.ndarray):
     """Jacobi diagonalization of a symmetric matrix in round-robin order.
 
     Each sweep takes the pairs of :func:`_round_robin` round by round (the
@@ -111,7 +113,7 @@ def jacobi_eigh(matrix: np.ndarray, *, max_sweeps: int = 100):
 
     Returns (eigenvalues ascending, eigenvector columns).  Raises
     :class:`ConvergenceFailure` if the off-diagonal mass has not annihilated
-    within ``max_sweeps`` full sweeps.
+    within _MAX_SWEEPS full sweeps.
     """
     a = np.array(matrix, dtype=float, copy=True)
     n = a.shape[0]
@@ -119,7 +121,7 @@ def jacobi_eigh(matrix: np.ndarray, *, max_sweeps: int = 100):
     if n <= 1:
         return np.diag(a).copy(), vt
     schedule = _round_robin(n)
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         strict = np.abs(a)
         np.fill_diagonal(strict, 0.0)
         off = float(np.sum(strict))
@@ -155,9 +157,7 @@ def jacobi_eigh(matrix: np.ndarray, *, max_sweeps: int = 100):
             a[p, q] = a[q, p] = 0.0
             _rotate(vt, pairs, g)
     else:
-        raise ConvergenceFailure(
-            f"Jacobi sweeps did not converge within {max_sweeps} sweeps"
-        )
+        raise ConvergenceFailure(f"Jacobi sweeps did not converge within {_MAX_SWEEPS} sweeps")
     lam = np.diag(a)
     order = np.argsort(lam)
     return lam[order], vt[order].T

@@ -132,6 +132,9 @@ class ModeSpectrum:
     (``asymptotes``; omega_0 = 0 for root 0, omega_N for the top root) and
     its signed offset s_r from it in units of dw (``offsets``), which keeps
     every digit of a gap omega_m - Omega_r that the float Omega_r loses.
+    The record checks interlacing from the nearer end: root r < N lies in
+    (omega_r, omega_r+1) (omega_0 = 0), 0 < s_r <= 1/2 from omega_r or -1/2 <=
+    s_r < 0 from omega_r+1, and the top root above omega_N, s_N > 0.
     Derived from them once: ``omegas``, ``bigomegas`` = (m_r + s_r) dw, and
     from one evaluation of S and S2 per root (:func:`_secular_sets` with
     ``slope``, each root set on its own kernel), the atom weights ``weights``
@@ -158,11 +161,9 @@ class ModeSpectrum:
         if m.shape != (n + 1,) or s.shape != (n + 1,):
             raise InvariantViolation(
                 f"expected {n + 1} asymptotes and offsets, got {m.shape} and {s.shape}")
-        # Interlacing, on the carried pairs, so exact: root r < N lies in
-        # (omega_r, omega_r+1) (omega_0 = 0), above omega_r (m = r, 0 < s < 1) or
-        # below omega_r+1 (m = r + 1, -1 < s < 0); the top root lies above omega_N.
+        # interlacing from the nearer asymptote, on the carried pairs, so exact
         r = np.arange(n + 1)
-        ok = np.where(m == r, (0.0 < s) & (s < 1.0), (m == r + 1) & (-1.0 < s) & (s < 0.0))
+        ok = np.where(m == r, (0.0 < s) & (s <= 0.5), (m == r + 1) & (-0.5 <= s) & (s < 0.0))
         ok[-1] = (m[-1] == n) & (s[-1] > 0.0)
         require(ok, InvariantViolation,
                 "root {i} at offset {} from omega_{} does not interlace the bare modes", s, m)
@@ -172,6 +173,33 @@ class ModeSpectrum:
         newton_rel = np.abs(f) * w / bo**2
         freeze(self, asymptotes=m, offsets=s, omegas=om, bigomegas=bo, weights=w,
                newton_rel=newton_rel)
+
+    def direct_slope(self) -> np.ndarray:
+        """|dF/dlam| at each root from the direct sum (:func:`_direct_sum`), term
+        by term, O(N^2): 1/w_r without the closed form that ``weights`` takes."""
+        return _secular(self.asymptotes, self.offsets, self.params, _direct_sum, slope=True)[1]
+
+    def raised_residuals(self) -> np.ndarray:
+        """|F(lam_r)| at each root's carried offset, as :func:`_secular_sets`
+        evaluates it (O(N)), raised by its rounding bound: (8 + log2(N+1)) eps
+        times the size of what F is formed from.  That is |F|, the first term
+        (omega_bar + Omega) |omega_bar - Omega| with the rounding of its
+        detuning, dw (|s| + m 2^-35) (:func:`_omega`: m * head is exact below
+        m = 2^17, dw's tail is below 2^-36 dw), and, on the inner roots, the
+        closed form's terms in eta^2 lam S, at most eta^2 (1 + u (1/|s| +
+        ln(2N+1) + 1)) / 2 (pi |cot(pi s)| <= 1/|s| at |s| <= 1/2, its digamma
+        pair below ln(2N+1) + 1).  The direct sum of the outer roots adds terms
+        of one sign, so there eta^2 lam |S| <= (omega_bar + Omega) |omega_bar -
+        Omega| + |F|."""
+        p, m, s = self.params, self.asymptotes, self.offsets
+        n, a = p.n_modes, np.abs(s)
+        om, detuning = _omega(m, s, p)
+        f = np.abs(_secular_sets(m, s, p))
+        terms = 0.5 * p.eta_sq * (1.0 + (m + s) * (1.0 / a + np.log(2.0 * n + 1.0) + 1.0))
+        terms[[0, -1]] = 0.0
+        tail = np.where(m < 2**17, m * 2.0**-35, m)
+        scale = f + (p.omega_bar + om) * (np.abs(detuning) + p.delta_omega * (a + tail)) + terms
+        return f + (8.0 + np.log2(n + 1.0)) * np.finfo(float).eps * scale
 
 
 def field_frequencies(params: DressedAtomParams) -> np.ndarray:

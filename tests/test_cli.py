@@ -343,6 +343,18 @@ class TestEntropyCommand:
         assert len(points) == RunConfig().steps
         assert len({xy.split(",")[1] for xy in points}) == 1
 
+    @pytest.mark.parametrize("argv", [("entropy", "--regime", "exact"), ("impurity",)],
+                             ids=["entropy", "impurity"])
+    def test_exact_entropy_drift_fails_before_any_file(self, tmp_path, monkeypatch, capsys,
+                                                       argv):
+        # both commands write the exact route's entropy column, so both hold it to 1e-8
+        entropy = bipartite.von_neumann_entropy
+        monkeypatch.setattr(bipartite, "von_neumann_entropy", lambda rho: entropy(rho) + 2e-8)
+        assert run(*argv, "--steps", "5", "--n-modes", "16", "--out", str(tmp_path)) \
+            == EXIT_INVARIANT
+        assert "entropy deviation 2.000e-08 exceeds 1e-8 at t=0.0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("norm", [1.0 + 2e-6, float("nan")])
     def test_free_space_checks_the_continuum_weight(self, tmp_path, monkeypatch, norm):
         monkeypatch.setattr(dynamics, "spectral_weight_norm", lambda omega_bar, g: norm)

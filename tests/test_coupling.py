@@ -206,6 +206,51 @@ class TestBuildMatrix:
         assert build_matrix(spec, rows=(0, 6)).t.shape == (2, 7)
 
 
+class TestRowLabels:
+    """One parser names every row: the records' rows, row() and unitarity_margin()."""
+
+    @pytest.fixture(params=[None, (0, 3)], ids=["dense", "rows"])
+    def record(self, request, fig_spectrum, fig_matrix):
+        return fig_matrix if request.param is None else build_matrix(fig_spectrum, request.param)
+
+    def test_labels_name_one_row(self, record, fig_matrix):
+        for labels, k in ((("atom", 0), 0), ((3, "3", np.int64(3)), 3)):
+            for label in labels:
+                assert np.array_equal(record.row(label), fig_matrix.t[k])
+                assert record.unitarity_margin(label) == record.unitarity_margin(k)
+
+    @pytest.mark.parametrize("label", [0.7, True, -1, 201, "x"])
+    def test_refuses_what_names_no_row(self, record, fig_spectrum, label):
+        with pytest.raises(ValueError, match="row label"):
+            build_matrix(fig_spectrum, rows=(0, label))
+        with pytest.raises(ValueError, match="row label"):
+            record.row(label)
+        with pytest.raises(ValueError, match="row label"):
+            record.unitarity_margin(label)
+
+    @pytest.mark.parametrize("weight", ["zero", "negative"])
+    def test_a_weight_at_or_below_zero_fails_the_column_check(self, record, weight,
+                                                               monkeypatch):
+        # t_atom = sqrt(w): w = 0 leaves a zero column, w < 0 a NaN one on the
+        # dense record; a rows record's column w |F'| is then <= 0
+        derive = spectrum._secular_sets
+
+        def broken(m, s, params, slope=False):
+            out = derive(m, s, params, slope)
+            if slope:
+                out[1, 7] = np.inf if weight == "zero" else -out[1, 7]
+            return out
+
+        monkeypatch.setattr(spectrum, "_secular_sets", broken)
+        spec = ModeSpectrum(record.spectrum.params, record.spectrum.asymptotes,
+                            record.spectrum.offsets)
+        monkeypatch.undo()
+        assert (spec.weights[7] == 0.0) if weight == "zero" else (spec.weights[7] < 0.0)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NormalizationFailure, match="column 7 norm deviates"):
+            build_matrix(spec, record.rows)
+
+
 class TestOrthogonalityBound:
     """The O(N^2) bound from the secular residuals against the O(N^3) GEMM Gram."""
 
@@ -241,7 +286,7 @@ class TestOrthogonalityBound:
                                                        abs=8e-15)
         with pytest.raises(ValueError, match="not among the held rows"):
             tm.row(1)
-        with pytest.raises(ValueError, match="rows must lie in 0..200"):
+        with pytest.raises(ValueError, match="row label must be 'atom' or a mode index 1..200"):
             build_matrix(fig_spectrum, rows=(201,))
 
     def test_unitarity_margin_bounds_the_row_norm_at_every_time(self, fig_spectrum,
@@ -262,7 +307,7 @@ class TestOrthogonalityBound:
         # least the 40-digit F there (float64 omega_bar, dw and eta)
         mpmath = pytest.importorskip("mpmath")
         spec = solve_eigenfrequencies(DressedAtomParams(omega_bar, g, delta, n))
-        p, raised = spec.params, coupling._raised_residuals(spec)
+        p, raised = spec.params, spec.raised_residuals()
         with mpmath.workdps(40):
             wb, dw, eta = (mpmath.mpf(float(v)) for v in (p.omega_bar, p.delta_omega, p.eta))
             for r in range(n + 1):

@@ -14,6 +14,7 @@ from dressedcavity import (
     run_cross_checks,
     solve_eigenfrequencies,
 )
+from dressedcavity import oracle
 from dressedcavity.oracle import _round_robin, jacobi_eigh
 
 
@@ -72,10 +73,11 @@ class TestJacobi:
         assert fig_decomp.eigenvalues == pytest.approx(lam_ref, rel=1e-10)
         assert np.abs(fig_decomp.vectors) == pytest.approx(np.abs(v_ref), abs=1e-9)
 
-    def test_sweep_cap(self, fig_params):
+    def test_sweep_cap(self, fig_params, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_SWEEPS", 1)
         b = build_form(fig_params).matrix
-        with pytest.raises(ConvergenceFailure):
-            jacobi_eigh(b, max_sweeps=1)
+        with pytest.raises(ConvergenceFailure, match="within 1 sweeps"):
+            jacobi_eigh(b)
 
 
 class TestDiagonalize:

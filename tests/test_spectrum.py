@@ -412,11 +412,13 @@ class TestInterlacingCheck:
         (2, 3, -0.0),                    # on its asymptote, from above
         (1, 1, -0.25), (2, 3, 0.25),     # the wrong side of its asymptote
         (1, 1, 1.0), (2, 3, -1.0),       # a whole spacing or more away
+        (1, 1, 0.7), (2, 3, -0.7),       # nearer the other end of the gap
         (1, 3, -0.5), (2, 1, 0.5),       # carried from an asymptote not its own
         (4, 5, -0.5),                    # the top root from omega_N+1
         (4, 4, 0.0), (4, 4, -0.25),      # the top root on or below omega_N
         (3, 3, np.nan),
-    ], ids=["zero", "below-m", "above-m", "one", "minus-one", "far-above", "far-below",
+    ], ids=["zero", "below-m", "above-m", "one", "minus-one", "from-far-end-above",
+            "from-far-end-below", "far-above", "far-below",
             "top-from-n+1", "top-zero", "top-below", "nan"])
     def test_refuses_what_does_not_interlace(self, root, m, s):
         with pytest.raises(InvariantViolation,
