@@ -12,6 +12,7 @@ from .bipartite import (
     SingleAtomReducedMatrix,
     SuperpositionSpec,
     entanglement_entropy,
+    entropy_drift_bound,
     impurity,
     impurity_identical,
     reduced_pair_matrix,
@@ -35,6 +36,7 @@ from .dynamics import (
     amplitude_trace,
     free_space_trace,
     imag_survival_integral,
+    row_norm_rounding,
     small_cavity_amplitude,
     survival_sq_large_time,
     survival_sq_lower_bound,

@@ -46,6 +46,7 @@ __all__ = [
     "single_atom_reduced",
     "von_neumann_entropy",
     "entanglement_entropy",
+    "entropy_drift_bound",
 ]
 
 _TRACE_TOL = 1e-9
@@ -238,3 +239,43 @@ def von_neumann_entropy(m: SingleAtomReducedMatrix):
     for a in m.nonzero_eigenvalues():
         total = total - np.where(a > _EIG_CUTOFF, a * np.log(a), 0.0)
     return total
+
+
+def entropy_drift_bound(xi: float, deviation: float) -> float:
+    """A bound on |E - H| for every row norm n with |n - 1| <= ``deviation``,
+    E = H(1 - xi, xi n) as :func:`von_neumann_entropy` evaluates it and H =
+    :func:`entanglement_entropy`, both in floats.
+
+    Only the eigenvalue b = xi n moves with n: E(n) = -(1-xi) ln(1-xi) - b ln b,
+    so dE/dn = -xi (ln(xi n) + 1), and by the mean value theorem |E(n) - E(1)|
+    <= xi L |n - 1|, L the largest |ln(xi n) + 1| over [1 - d, 1 + d], d =
+    ``deviation``: at an end, since the logarithm is monotone.  Both
+    evaluations form the same a = 1 - xi and a ln a, so in floats they differ
+    only in b ln b and in one final subtraction each (u = eps/2; a log is
+    within 1 ulp, 2u relative):
+      * E rounds xi n, ln b and their product: xi (1 + d)(4u lam + u), lam
+        the largest |ln b| over the interval;
+      * H rounds ln xi and xi ln xi: 3u xi |ln xi|;
+      * the subtractions: u (|E| + |H|) <= 2u, since x |ln x| <= 1/e.
+    The constants below are rounded up, which covers the second-order terms
+    and the bound's own evaluation.  Where xi (1 - d) or 1 - xi reaches the
+    eigenvalue cutoff c = 1e-12, E drops a term of at most c |ln c|.
+
+    With d the transform's unitarity margin raised by the rounding of the
+    row norms (:func:`~dressedcavity.dynamics.row_norm_rounding`) this
+    bounds E(t) at every t, exact or as the time-domain route evaluates it
+    (:func:`single_atom_reduced`, :func:`von_neumann_entropy`), without
+    forming a row.
+    """
+    if not 0.0 < xi < 1.0:
+        raise ValueError(f"xi must lie strictly inside (0, 1), got {xi}")
+    if not 0.0 <= deviation < 1.0:
+        raise ValueError(f"deviation must lie in [0, 1), got {deviation}")
+    u = 0.5 * np.finfo(float).eps
+    ends = np.log(xi * np.array([1.0 - deviation, 1.0 + deviation]))
+    drift = xi * np.max(np.abs(ends + 1.0)) * deviation
+    rounding = (xi * (1.0 + deviation) * (5.0 * u * np.max(np.abs(ends)) + 2.0 * u)
+                + 4.0 * u * xi * abs(np.log(xi)) + 2.0 * u)
+    if min(xi * (1.0 - deviation), 1.0 - xi) <= _EIG_CUTOFF:
+        rounding += _EIG_CUTOFF * abs(np.log(_EIG_CUTOFF))
+    return float(drift + rounding)

@@ -52,9 +52,11 @@ __all__ = [
 ]
 
 # Dense (N+1)^2 storage: keep desk-scale by default.  The dense transform is
-# one (N+1)^2 float array, 200 MB at the cap, and its checks add O(N); an
-# amplitude row adds the T x (N+1) complex phase table and amplitudes (T =
-# 501 at the cap: 40 MB each).  A record of a few rows is O(N) and uncapped.
+# one (N+1)^2 float array, 200 MB at the cap, and its checks add O(N); a
+# direct amplitude_row adds the T x (N+1) complex phase table and amplitudes
+# (T = 501 at the cap: 40 MB each).  Only matrix-dump, the oracle and such a
+# row need it: a record of a few rows, which every exact command takes, is
+# O(N) and uncapped.
 MATRIX_MODE_CAP = 5000
 
 _COLUMN_NORM_TOL = 1e-6

@@ -55,6 +55,7 @@ __all__ = [
     "amplitude_discrete",
     "amplitude_trace",
     "amplitude_row",
+    "row_norm_rounding",
     "survival_trace",
     "spectral_weight_norm",
     "imag_survival_integral",
@@ -281,6 +282,46 @@ def amplitude_row(tm: TransformMatrix, mu, times) -> np.ndarray:
     if tm.rows is not None:
         raise ValueError("a whole amplitude row needs the dense transform (rows=None)")
     return _phase_sum(times, tm.bigomegas, tm.row(mu), tm.t.T)
+
+
+def row_norm_rounding(tm: TransformMatrix, mu, times) -> float:
+    """A bound on how far the row norms sum_nu |f_mu_nu(t)|^2 of
+    :func:`amplitude_row` on ``times``, summed in floats in any order, lie
+    from those of the exact amplitudes: with row mu's unitarity margin m,
+    each lies within m plus this of 1.  O(N), from any record holding row mu.
+
+    The row is t (w o phi), w = t_mu, with the phases phi_r built as
+    :func:`_phase_sum` builds them (u = eps/2, gamma_k = k u / (1 - k u)):
+      * An error in a phase's angle is another unitary D, which the margin
+        covers, so only moduli count.  A running product x + x e (e = exp(-i
+        angle) - 1, formed within 5u |e|, |e| <= 2) moves |x| by at most
+        5u |e| + sqrt(5) u |e| + u <= 16u; the first phase's exp (2u), the
+        weight (u) and the coarse-by-fine product (sqrt(5) u) add 6u.  So
+        |w_r phi_r| = |w_r| (1 + k), |k| <= kappa = 16u S + 6u, S the running
+        products behind one phase (none off a uniform grid).
+      * The moduli move the amplitudes by at most kappa ||t|| ||w||_2, and
+        the N+1-term sums by sqrt(2) gamma_{N+1} ||t|| (1 + kappa) ||w||_1
+        (each column of t is at most ||t||, and ||t||^2 <= 1 + the
+        orthogonality bound): a distance dist from exact amplitudes of norm
+        a <= sqrt(1 + m).
+      * Squaring moves the norm by 2 a dist + dist^2, and the 2(N+1) rounded
+        squares, summed, add gamma_{2N+3} (a + dist)^2.
+    """
+    times = _time_grid(times)
+    b = _grid_step(times)[1]
+    u = 0.5 * np.finfo(float).eps
+    w = tm.row(mu)
+
+    def gamma(k):
+        return k * u / (1.0 - k * u)
+
+    steps = (b - 1) + (-(-times.size // b) - 1) if b > 1 else 0
+    kappa = 16.0 * u * steps + 6.0 * u
+    a = math.sqrt(1.0 + tm.unitarity_margin(mu))
+    dist = math.sqrt(1.0 + tm.orthogonality_bound) * (
+        kappa * math.sqrt(float(w @ w))
+        + math.sqrt(2.0) * gamma(w.size) * (1.0 + kappa) * float(np.abs(w).sum()))
+    return 2.0 * a * dist + dist**2 + gamma(2 * w.size + 1) * (a + dist) ** 2
 
 
 def survival_trace(spectrum: ModeSpectrum, times,

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 import math
+
+import numpy as np
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 _W, _H = 720, 460
@@ -39,14 +40,19 @@ def line_plot(series, title="", xlabel="", ylabel="", y_clip=None, markers=()) -
     are (x, y) data points drawn as filled circles.
     """
     def shown(y):
-        return math.isfinite(y) and (y_clip is None or y_clip[0] <= y <= y_clip[1])
+        ok = np.isfinite(y)
+        if y_clip is not None:
+            ok &= (y_clip[0] <= y) & (y <= y_clip[1])
+        return ok
 
-    xs_all = [x for _, xs, _, _ in series for x in xs]
-    ys_all = [y for _, _, ys, _ in series for y in ys if shown(y)]
-    if not xs_all or not ys_all:
+    series = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), dashed)
+              for label, xs, ys, dashed in series]
+    xs_all = np.concatenate([xs for _, xs, _, _ in series] or [[]])
+    ys_all = np.concatenate([ys[shown(ys)] for _, _, ys, _ in series] or [[]])
+    if not xs_all.size or not ys_all.size:
         raise ValueError("nothing to plot")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if y_hi - y_lo <= _FLAT * max(abs(y_lo), abs(y_hi)):  # constant up to rounding
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     pad = 0.04 * (y_hi - y_lo)
@@ -88,11 +94,13 @@ def line_plot(series, title="", xlabel="", ylabel="", y_clip=None, markers=()) -
     for i, (label, xs, ys, dashed) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
         dash = ' stroke-dasharray="6 4"' if dashed else ""
-        for ok, run in itertools.groupby(zip(xs, ys), key=lambda xy: shown(xy[1])):
-            if ok:
-                points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in run)
-                parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
-                             f'{dash} points="{points}"/>')
+        # each run of shown points is one polyline, its points one printf template
+        edges = np.diff(shown(ys).astype(np.int8), prepend=0, append=0)
+        for a, b in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
+            xy = np.column_stack([px(xs[a:b]), py(ys[a:b])]).ravel().tolist()
+            points = " ".join(["%.2f,%.2f"] * (b - a)) % tuple(xy)
+            parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
+                         f'{dash} points="{points}"/>')
         ly = _MT + 16 + 16 * i
         parts.append(f'<line x1="{_W - _MR - 150}" y1="{ly}" x2="{_W - _MR - 120}" '
                      f'y2="{ly}" stroke="{color}" stroke-width="1.5"{dash}/>')

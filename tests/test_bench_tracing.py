@@ -59,7 +59,10 @@ def test_traced_cli_jobs_record_work_counts(tmp_path):
     def work(job, fn):
         return [s.work for s in tracer.spans if s.job == job and s.fn == fn]
 
-    assert work(0, "amplitude_row") == [{"terms": 9 * 17 ** 2}]
+    # the impurity figure's exact survival: one pair trace from the rows record,
+    # its entropy certified by the static margin without the dense amplitude row
+    assert work(0, "amplitude_trace") == [{"terms": 9 * 17}]
+    assert work(0, "amplitude_row") == []
     for job, files in ((0, 2), (1, 1)):
         written = work(job, "write_csv")
         assert len(written) == files and all(w["bytes"] > 0 for w in written)

@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 
@@ -6,15 +7,20 @@ import pytest
 
 from dressedcavity import (
     DomainError,
+    DressedAtomParams,
     InvariantViolation,
     ReducedAtomPairMatrix,
     SuperpositionSpec,
     amplitude_row,
+    build_matrix,
     entanglement_entropy,
+    entropy_drift_bound,
     impurity,
     impurity_identical,
     reduced_pair_matrix,
+    row_norm_rounding,
     single_atom_reduced,
+    solve_eigenfrequencies,
     von_neumann_entropy,
 )
 from oracles import single_atom_dense_matrix
@@ -178,6 +184,52 @@ class TestEntropy:
                 for phi in (0.0, np.pi / 2, np.pi, 5.0)}
         assert len(vals) == 1
 
+
+
+class TestEntropyDriftBound:
+    # the command line's default grid, over which its bound is formed
+    TIMES = np.linspace(0.0, 25.0, 501)
+
+    @pytest.mark.parametrize("g, delta, n", list(itertools.product(
+        [1e-9, 0.02, 0.9, 5.0], [1e-3, 1.0, 1e3], [1, 8, 200, 2048])))
+    def test_bounds_the_time_domain_route(self, g, delta, n):
+        # the bound from the rows record's static margin against criterion 7's
+        # second route: the whole dense amplitude row, its norms and entropies
+        spec = solve_eigenfrequencies(DressedAtomParams(1.0, g, delta, n))
+        tm = build_matrix(spec, rows=(0, 0))
+        margin = tm.unitarity_margin(0)
+        deviation = margin + row_norm_rounding(tm, 0, self.TIMES)
+        row = amplitude_row(build_matrix(spec), 0, self.TIMES)
+        for xi in (0.05, 0.5, 0.95):
+            reduced = single_atom_reduced(row, SuperpositionSpec(xi), self.TIMES)
+            assert np.max(np.abs(reduced.row_norm_sq - 1.0)) <= deviation
+            drift = np.abs(von_neumann_entropy(reduced) - entanglement_entropy(xi))
+            assert np.max(drift) <= entropy_drift_bound(xi, deviation) <= 1e-8
+
+    def test_off_a_uniform_grid(self, fig_matrix):
+        times = np.sort(np.random.default_rng(5).uniform(0.0, 40.0, 64))
+        norms = np.sum(np.abs(amplitude_row(fig_matrix, "atom", times)) ** 2, axis=1)
+        deviation = fig_matrix.unitarity_margin(0) + row_norm_rounding(fig_matrix, 0, times)
+        assert np.max(np.abs(norms - 1.0)) <= deviation
+
+    def test_bare_mean_value_term(self):
+        # xi L d, L = |ln(xi n) + 1| at the interval's far end, plus a few ulps
+        xi, d = 0.95, 1e-9
+        bare = xi * abs(np.log(xi * (1.0 + d)) + 1.0) * d
+        assert bare < entropy_drift_bound(xi, d) < bare + 1e-15
+        assert 0.0 < entropy_drift_bound(xi, 0.0) < 1e-15
+
+    def test_covers_the_eigenvalue_cutoff(self):
+        # xi n below 1e-12 is dropped from E but not from H
+        xi, row = 1e-13, np.array([1.0, 0.0], dtype=complex)
+        e = von_neumann_entropy(single_atom_reduced(row, SuperpositionSpec(xi), 0.0))
+        assert abs(e - entanglement_entropy(xi)) <= entropy_drift_bound(xi, 0.0)
+
+    @pytest.mark.parametrize("xi, deviation", [(0.0, 1e-9), (1.0, 1e-9), (0.5, -1e-9),
+                                               (0.5, 1.0), (0.5, float("nan"))])
+    def test_rejects_bad_input(self, xi, deviation):
+        with pytest.raises(ValueError):
+            entropy_drift_bound(xi, deviation)
 
 # A seeded grid of 501 times, and the one time at which a defect is injected.
 GRID = np.linspace(0.0, 25.0, 501)

@@ -252,11 +252,14 @@ class TestAmplitudeCommand:
         assert np.array_equal(re_f + 1j * im_f, dynamics.survival_trace(spec, t).values)
 
     def test_only_the_dense_routes_are_capped(self, tmp_path, monkeypatch):
-        # the exact amplitude takes rows mu and nu alone; the entropy needs the whole row
+        # every exact command takes the rows it names; only the dense dump is capped
         monkeypatch.setattr(coupling, "MATRIX_MODE_CAP", 8)
-        argv = ("--regime", "exact", "--steps", "5", "--n-modes", "16", "--out", str(tmp_path))
-        assert run("amplitude", "--mu", "2", "--nu", "3", *argv) == EXIT_OK
-        assert run("entropy", *argv) == EXIT_USAGE
+        argv = ("--steps", "5", "--n-modes", "16")
+        assert run("amplitude", "--regime", "exact", "--mu", "2", "--nu", "3", *argv,
+                   "--out", str(tmp_path / "a")) == EXIT_OK
+        assert run("entropy", "--regime", "exact", *argv, "--out", str(tmp_path / "e")) == EXIT_OK
+        assert run("impurity", *argv, "--out", str(tmp_path / "i")) == EXIT_OK
+        assert run("matrix-dump", *argv, "--out", str(tmp_path / "m")) == EXIT_USAGE
 
     def test_exact_unitarity_margin_is_checked(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(coupling.TransformMatrix, "unitarity_margin", lambda self, mu: 2e-6)
@@ -318,6 +321,19 @@ class TestEntropyCommand:
         e_col = [float(l.split(",")[-1]) for l in lines[1:]]
         assert np.ptp(e_col) < 1e-10
 
+    def test_prints_the_drift_bound_and_writes_the_constant(self, tmp_path, capsys):
+        # the exact route certifies E over every t from the rows record alone
+        argv = ("--xi", "0.25", "--steps", "33", "--n-modes", "48")
+        assert run("entropy", "--regime", "exact", *argv, "--out", str(tmp_path)) == EXIT_OK
+        cfg = RunConfig(xi=0.25, steps=33, n_modes=48)
+        tm = coupling.build_matrix(solve_eigenfrequencies(cfg.atom_params()), rows=(0, 0))
+        deviation = tm.unitarity_margin(0) + dynamics.row_norm_rounding(tm, 0, cfg.time_grid())
+        bound = bipartite.entropy_drift_bound(0.25, deviation)
+        assert f"max_deviation={bound:.3e}" in capsys.readouterr().out
+        lines = (tmp_path / "entropy.csv").read_text().splitlines()[1:]
+        expected = "%.17g" % bipartite.entanglement_entropy(0.25)
+        assert {line.rsplit(",", 1)[1] for line in lines} == {expected}
+
     def test_free_space_regime(self, tmp_path):
         rc = run("entropy", "--xi", "0.5", "--steps", "7", "--t-max", "3",
                  "--regime", "free-space", "--out", str(tmp_path))
@@ -347,12 +363,13 @@ class TestEntropyCommand:
                              ids=["entropy", "impurity"])
     def test_exact_entropy_drift_fails_before_any_file(self, tmp_path, monkeypatch, capsys,
                                                        argv):
-        # both commands write the exact route's entropy column, so both hold it to 1e-8
-        entropy = bipartite.von_neumann_entropy
-        monkeypatch.setattr(bipartite, "von_neumann_entropy", lambda rho: entropy(rho) + 2e-8)
+        # both commands write the exact route's entropy column, so both hold its
+        # drift bound to 1e-8: a margin under the 1e-6 unitarity tolerance can
+        # still bound E only to about 7.7e-8 at xi = 0.5
+        monkeypatch.setattr(coupling.TransformMatrix, "unitarity_margin", lambda self, mu: 5e-7)
         assert run(*argv, "--steps", "5", "--n-modes", "16", "--out", str(tmp_path)) \
             == EXIT_INVARIANT
-        assert "entropy deviation 2.000e-08 exceeds 1e-8 at t=0.0" in capsys.readouterr().err
+        assert "entropy drift bound 7.671e-08 exceeds 1e-8" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("norm", [1.0 + 2e-6, float("nan")])
