@@ -38,6 +38,7 @@ from .dynamics import (
     imag_survival_integral,
     row_norm_rounding,
     small_cavity_amplitude,
+    small_cavity_trace,
     survival_sq_large_time,
     survival_sq_lower_bound,
     survival_sq_small_cavity,

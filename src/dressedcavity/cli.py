@@ -44,6 +44,8 @@ _UNITARITY_TOL = 1e-6
 
 @dataclass
 class RunConfig:
+    """The keys of one run, each with its default: the reference impurity figure."""
+
     omega_bar: float = 1.0
     g: float = 0.5
     delta: float = 0.1
@@ -188,6 +190,7 @@ def _write_pair(cfg: RunConfig, path: Path, trace) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(cfg: RunConfig) -> int:
+    """Write the eigenfrequency condition's two sides and its roots (CSV, optional SVG)."""
     params = cfg.atom_params()
     spec = solve_eigenfrequencies(params)
     out = Path(cfg.out)
@@ -221,6 +224,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_amplitude(cfg: RunConfig) -> int:
+    """Write f_mu_nu(t) by the run's regime (CSV, optional SVG)."""
     trace, _ = _route(cfg, cfg.atom_params(), cfg.regime, cfg.mu, cfg.nu)
     out = Path(cfg.out)
     v = trace.values
@@ -239,6 +243,7 @@ def cmd_amplitude(cfg: RunConfig) -> int:
 
 
 def cmd_impurity(cfg: RunConfig) -> int:
+    """Write the pair state and impurity D(t), small cavity (exact) and free space."""
     params, times = cfg.atom_params(), cfg.time_grid()
     out = Path(cfg.out)
     # reference figure: small cavity via the exact discrete route, plus free space
@@ -255,6 +260,7 @@ def cmd_impurity(cfg: RunConfig) -> int:
 
 
 def cmd_entropy(cfg: RunConfig) -> int:
+    """Write the pair state with its constant entropy and print the drift bound."""
     out = Path(cfg.out)
     # a small cavity takes the exact route, which bounds the entropy's drift
     regime = "free-space" if cfg.regime == "free-space" else "exact"
@@ -274,6 +280,7 @@ def cmd_entropy(cfg: RunConfig) -> int:
 
 
 def cmd_matrix_dump(cfg: RunConfig) -> int:
+    """Write the dense transform t, one normal mode per line."""
     params = cfg.atom_params()
     tm = coupling.build_matrix(solve_eigenfrequencies(params))
     out = Path(cfg.out)
@@ -286,6 +293,7 @@ def cmd_matrix_dump(cfg: RunConfig) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig) -> int:
+    """Print the cross-checks against the oracle; exit 2 if any fails."""
     params = cfg.atom_params()
     checks = oracle.run_cross_checks(params)
     print("check,max_err,tol,status")
@@ -343,6 +351,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand from ``argv`` and return its exit code (EXIT_*)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,12 +17,11 @@ Omega_r^2)^2), the spectrum's ``weights``.  The closed-form atom element
 is the infinite-mode limit of that normalization; at finite truncation it
 deviates from the normalized element by O(1/N).
 
-A :class:`TransformMatrix` forms t, or only the rows a caller names by label
-(:func:`row_index`), from its spectrum and checks unit columns and
-orthogonality to 1e-6 on construction.  The column check sets each column's
-direct sum against the spectrum's closed-form weight, so w_r <= 0 fails it.
-Orthogonality takes no product t t^T: for columns r != s, partial fractions
-of the eigenvector ratio give
+A :class:`TransformMatrix` forms every entry of t from its spectrum, keeps the
+rows a caller names by label (:func:`row_index`) or all of them, and checks
+unit columns, from the squares of the entries it formed, and orthogonality to
+1e-6.  Orthogonality takes no product t t^T: for columns r != s, partial
+fractions of the eigenvector ratio give
 
     (t^T t)_rs = -t_atom^r t_atom^s (F(lam_r) - F(lam_s)) / (lam_r - lam_s),
 
@@ -51,12 +50,11 @@ __all__ = [
     "approx_small_cavity_elements",
 ]
 
-# Dense (N+1)^2 storage: keep desk-scale by default.  The dense transform is
-# one (N+1)^2 float array, 200 MB at the cap, and its checks add O(N); a
-# direct amplitude_row adds the T x (N+1) complex phase table and amplitudes
-# (T = 501 at the cap: 40 MB each).  Only matrix-dump, the oracle and such a
-# row need it: a record of a few rows, which every exact command takes, is
-# O(N) and uncapped.
+# Dense (N+1)^2 storage: keep desk-scale by default.  Only a record of every
+# row (rows=None) is capped: its t is one (N+1)^2 float array, 200 MB at the
+# cap, and a direct amplitude_row adds the T x (N+1) complex phase table and
+# amplitudes (T = 501 at the cap: 40 MB each).  Only matrix-dump, the oracle
+# and such a row take it; a record of a few rows is O(N) and uncapped.
 MATRIX_MODE_CAP = 5000
 
 _COLUMN_NORM_TOL = 1e-6
@@ -77,17 +75,15 @@ class TransformMatrix:
     """Rows of the orthogonal matrix t[mu, r], formed from ``spectrum`` and checked.
 
     ``rows`` names the bare rows held, in order, by label, kept as indices
-    (None: all N+1, the dense matrix, at most MATRIX_MODE_CAP modes); ``t``
-    holds one row each (:func:`_rows`).  ``column_deviation`` is the worst
-    |sum_mu (t_mu^r)^2 - 1|: the direct sum over the dense matrix's columns,
-    or, for a record of some rows, w_r times the spectrum's ``direct_slope``
-    |F'(lam_r)|, the same sum without t.  ``orthogonality_bound`` bounds
-    ||t^T t - 1||_2 and max |t t^T - 1| (:func:`_orthogonality_bound`).  Both
-    must be at most 1e-6.
+    (None: every row, ``range(N+1)``, at most MATRIX_MODE_CAP modes); ``t``
+    holds one row each.  Every record forms all of t (:func:`_rows`):
+    ``column_deviation`` is the worst |sum_mu (t_mu^r)^2 - 1| over the
+    formed entries, and ``orthogonality_bound`` bounds ||t^T t - 1||_2 and
+    max |t t^T - 1| (:func:`_orthogonality_bound`).  Both must be at most 1e-6.
     """
 
     spectrum: ModeSpectrum
-    rows: tuple | None = None
+    rows: tuple | range | None = None
     t: np.ndarray = field(init=False)
     column_deviation: float = field(init=False)
     orthogonality_bound: float = field(init=False)
@@ -95,17 +91,11 @@ class TransformMatrix:
     def __post_init__(self):
         spec = self.spectrum
         n = spec.params.n_modes
-        if self.rows is None:
-            if n > MATRIX_MODE_CAP:
-                raise ValueError(f"n_modes={n} exceeds the dense-matrix cap {MATRIX_MODE_CAP}; "
-                                 "use atom_weights() or named rows for large truncations")
-            rows = None
-            t = _rows(spec, np.arange(n + 1))
-            col = np.einsum("ij,ij->j", t, t)
-        else:
-            rows = tuple(row_index(label, n) for label in self.rows)
-            t = _rows(spec, np.array(rows, dtype=np.int64))
-            col = spec.weights * spec.direct_slope()
+        if self.rows is None and n > MATRIX_MODE_CAP:
+            raise ValueError(f"n_modes={n} exceeds the dense-matrix cap {MATRIX_MODE_CAP}; "
+                             "use atom_weights() or named rows for large truncations")
+        rows = range(n + 1) if self.rows is None else tuple(row_index(r, n) for r in self.rows)
+        t, col = _rows(spec, rows)
         col_dev = np.abs(col - 1.0)
         require(col_dev <= _COLUMN_NORM_TOL, NormalizationFailure,
                 "column {i} norm deviates by {:.3e} (bad roots?)", col_dev)
@@ -120,10 +110,8 @@ class TransformMatrix:
         return self.spectrum.bigomegas
 
     def row(self, mu) -> np.ndarray:
-        """Row mu of t by label (:func:`row_index`); a record of some rows must hold it."""
+        """Row mu of t by label (:func:`row_index`), which the record must hold."""
         i = row_index(mu, self.spectrum.params.n_modes)
-        if self.rows is None:
-            return self.t[i]
         if i not in self.rows:
             raise ValueError(f"row {i} is not among the held rows {self.rows}")
         return self.t[self.rows.index(i)]
@@ -152,33 +140,40 @@ def row_index(label, n_modes: int) -> int:
     raise ValueError(f"row label must be 'atom' or a mode index 1..{n_modes}, got {label!r}")
 
 
-def _rows(spectrum: ModeSpectrum, k: np.ndarray) -> np.ndarray:
-    """Rows k of t (0 the atom, 1..N the field modes), one per index: (K, N+1).
+def _rows(spectrum: ModeSpectrum, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of t (0 the atom, 1..N the field modes), and t's column norms.
 
     Row 0 is t_atom^r = sqrt(w_r), w_r the spectrum's ``weights``; row k is
     t_k^r = (eta/dw) k / gap * t_atom^r from the eigenvector ratio, with gap
     = (omega_k^2 - Omega_r^2) / dw^2 formed from the root's offsets as ((k -
     m_r) - s_r)(k + m_r + s_r), so it keeps its digits where the root hugs
     omega_k, and is nonzero: the spectrum admits 0 < |s_r| <= 1/2 below the
-    top root and s_N > 0 above omega_N.  Formed in place, a block of rows at a
-    time, so the only (K, N+1) array is the result; an atom row is formed as
-    row 1 and then overwritten.
+    top root and s_N > 0 above omega_N.  Rows 1..N are formed a block at a
+    time, whichever are held; each block's squares join the running column
+    norms in row order, numpy's order for a stored t's columns.
     """
     params = spectrum.params
     m, s = spectrum.asymptotes.astype(float), spectrum.offsets
     atom = np.sqrt(spectrum.weights)
     u = m + s
-    out = np.empty((k.size, m.size))
+    k = np.fromiter(rows, dtype=np.int64)
+    held = np.empty((k.size, m.size))
+    held[k == 0] = atom
     step = max(1, _BLOCK_ELEMENTS // m.size)
-    for i in range(0, k.size, step):
-        kb = np.maximum(k[i:i + step, None], 1).astype(float)
-        gap = np.subtract(kb, m, out=out[i:i + step])
+    work = np.empty((min(step, m.size - 1) + 1, m.size))  # the running norms, then a block
+    work[0] = atom * atom
+    for i in range(1, m.size, step):
+        kb = np.arange(i, min(i + step, m.size), dtype=float)[:, None]
+        gap = np.subtract(kb, m, out=work[1:kb.size + 1])
         gap -= s
         gap *= kb + u
         np.divide((params.eta / params.delta_omega) * kb, gap, out=gap)
         gap *= atom
-    out[k == 0] = atom
-    return out
+        at = (i <= k) & (k < i + kb.size)
+        held[at] = gap[k[at] - i]
+        np.square(gap, out=gap)
+        work[0] = np.sum(work[:kb.size + 1], axis=0)
+    return held, work[0]
 
 
 def _orthogonality_bound(spectrum: ModeSpectrum, col_dev: np.ndarray) -> np.ndarray:
@@ -248,7 +243,7 @@ def atom_element(omega_r: float, params: DressedAtomParams) -> float:
 def build_matrix(spectrum: ModeSpectrum, rows=None) -> TransformMatrix:
     """The checked transform of ``spectrum``: all N+1 rows, the dense matrix
     (at most MATRIX_MODE_CAP modes), or only the bare rows ``rows``, in O(N)
-    memory and for any N; see :class:`TransformMatrix`."""
+    memory and for any N, with the same checks; see :class:`TransformMatrix`."""
     return TransformMatrix(spectrum=spectrum, rows=rows)
 
 

@@ -57,15 +57,14 @@ __all__ = [
     "amplitude_row",
     "row_norm_rounding",
     "survival_trace",
-    "spectral_weight_norm",
     "imag_survival_integral",
     "amplitude_free_space",
     "free_space_trace",
     "survival_sq_large_time",
     "small_cavity_amplitude",
+    "small_cavity_trace",
     "survival_sq_small_cavity",
     "survival_sq_lower_bound",
-    "series_tail_bound",
 ]
 
 _ABS_BOUND = 1.0 + 1e-9
@@ -279,8 +278,8 @@ def amplitude_row(tm: TransformMatrix, mu, times) -> np.ndarray:
     contiguous in memory.
     """
     times = _time_grid(times)
-    if tm.rows is not None:
-        raise ValueError("a whole amplitude row needs the dense transform (rows=None)")
+    if tuple(tm.rows) != tuple(range(tm.t.shape[1])):
+        raise ValueError("a whole amplitude row needs a record of every row 0..N, in order")
     return _phase_sum(times, tm.bigomegas, tm.row(mu), tm.t.T)
 
 
@@ -468,6 +467,7 @@ def survival_sq_small_cavity(t: float, params: DressedAtomParams,
 
 def small_cavity_trace(params: DressedAtomParams, times,
                        k_max: int = 10_000) -> AmplitudeTrace:
+    """The atom's survival amplitude by the first-order series (:func:`small_cavity_amplitude`)."""
     times = _time_grid(times)
     values = small_cavity_amplitude(params, times, k_max)
     return AmplitudeTrace(times=times, values=values, mu="atom", nu="atom",

@@ -8,6 +8,9 @@ which compares false with everything, fails it instead of slipping by.
 
 import numpy as np
 
+__all__ = ["SimulationError", "ConvergenceFailure", "RegimeViolation", "DomainError",
+           "NormalizationFailure", "InvariantViolation"]
+
 
 class SimulationError(Exception):
     """Base class for everything this package raises on purpose."""

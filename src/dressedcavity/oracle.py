@@ -21,19 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import row_index
+from .coupling import build_matrix, row_index
+from .dynamics import amplitude_trace
 from .errors import ConvergenceFailure, InvariantViolation, freeze, require
-from .spectrum import DressedAtomParams, field_frequencies
+from .spectrum import DressedAtomParams, field_frequencies, solve_eigenfrequencies
 
 __all__ = [
     "QuadraticForm",
     "OracleDecomposition",
     "build_form",
-    "jacobi_eigh",
     "diagonalize",
     "oracle_amplitude",
     "run_cross_checks",
-    "CheckRow",
 ]
 
 _RESIDUAL_TOL = 1e-10  # on max |B v - v lam|, relative to max |lam|
@@ -206,6 +205,8 @@ def oracle_amplitude(decomp: OracleDecomposition, mu, nu, t: float) -> complex:
 
 @dataclass(frozen=True)
 class CheckRow:
+    """One cross-check of :func:`run_cross_checks`: its largest error and tolerance."""
+
     name: str
     max_err: float
     tol: float
@@ -228,10 +229,6 @@ def run_cross_checks(params: DressedAtomParams) -> list[CheckRow]:
     vectors against the pipeline's columns, which form it from the roots'
     offsets (relative to 1 + |ratio|), and the quadratic-form reconstruction.
     """
-    from .coupling import build_matrix
-    from .dynamics import amplitude_trace
-    from .spectrum import solve_eigenfrequencies
-
     spec = solve_eigenfrequencies(params)
     tm = build_matrix(spec)
     decomp = diagonalize(build_form(params))

@@ -46,7 +46,6 @@ __all__ = [
     "cotangent_curves",
     "cotangent_residual",
     "solve_eigenfrequencies",
-    "first_order_frequencies",
 ]
 
 # Step budget of the offset solve (:func:`_bisect`).  A root takes 4-15
@@ -173,11 +172,6 @@ class ModeSpectrum:
         newton_rel = np.abs(f) * w / bo**2
         freeze(self, asymptotes=m, offsets=s, omegas=om, bigomegas=bo, weights=w,
                newton_rel=newton_rel)
-
-    def direct_slope(self) -> np.ndarray:
-        """|dF/dlam| at each root from the direct sum (:func:`_direct_sum`), term
-        by term, O(N^2): 1/w_r without the closed form that ``weights`` takes."""
-        return _secular(self.asymptotes, self.offsets, self.params, _direct_sum, slope=True)[1]
 
     def raised_residuals(self) -> np.ndarray:
         """|F(lam_r)| at each root's carried offset, as :func:`_secular_sets`

@@ -154,8 +154,8 @@ class TestBuildMatrix:
         assert peak < 1.25 * 1501**2 * 8
 
     def test_rows_record_above_the_cap_peaks_far_below_one_dense_matrix(self):
-        # rows mu and nu, the direct-sum column norms and the bound hold O(N)
-        # arrays and blocks of bounded size, so no cap applies
+        # rows mu and nu, the column norms and the bound hold O(N) arrays and
+        # blocks of bounded size, so no cap applies
         n = coupling.MATRIX_MODE_CAP + 1
         spec = solve_eigenfrequencies(DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=n))
         tracemalloc.start()
@@ -176,19 +176,21 @@ class TestBuildMatrix:
     def test_atom_row_is_the_root_of_the_weights(self, fig_spectrum, fig_matrix):
         assert np.array_equal(fig_matrix.t[0], np.sqrt(fig_spectrum.weights))
 
-    def test_rejects_a_nan_entry(self, fig_spectrum, monkeypatch):
-        # the record forms t from its spectrum; a NaN element, as a broken
-        # formula would leave, fails the column check, which states what passes
-        rows = coupling._rows
+    @pytest.mark.parametrize("rows", [None, (0, 3)], ids=["dense", "rows"])
+    def test_rejects_a_nan_entry(self, fig_spectrum, rows, monkeypatch):
+        # every record forms all of t and checks the norms of what it formed,
+        # held or not: a NaN t_5^7, as a broken formula would leave, fails the
+        # column check, which states what passes
+        divide = np.divide
 
-        def poisoned(spectrum, k):
-            t = rows(spectrum, k)
-            t[5, 7] = np.nan
-            return t
+        def poisoned(x, y, out):
+            divide(x, y, out=out)
+            out[4, 7] = np.nan  # row 5 of the one block of rows 1..200
+            return out
 
-        monkeypatch.setattr(coupling, "_rows", poisoned)
+        monkeypatch.setattr(coupling.np, "divide", poisoned)
         with pytest.raises(NormalizationFailure, match="column 7 norm deviates by nan"):
-            TransformMatrix(spectrum=fig_spectrum)
+            TransformMatrix(spectrum=fig_spectrum, rows=rows)
 
     def test_reconstructs_quadratic_form(self, fig_spectrum, fig_matrix):
         b = build_form(fig_spectrum.params).matrix
@@ -231,8 +233,8 @@ class TestRowLabels:
     @pytest.mark.parametrize("weight", ["zero", "negative"])
     def test_a_weight_at_or_below_zero_fails_the_column_check(self, record, weight,
                                                                monkeypatch):
-        # t_atom = sqrt(w): w = 0 leaves a zero column, w < 0 a NaN one on the
-        # dense record; a rows record's column w |F'| is then <= 0
+        # t_atom = sqrt(w), a factor of every entry of column 7: w = 0 leaves
+        # it zero, w < 0 NaN, on every record
         derive = spectrum._secular_sets
 
         def broken(m, s, params, slope=False):
@@ -266,6 +268,10 @@ class TestOrthogonalityBound:
         # the column check keeps the worst column deviation of the stored array
         col = np.abs(np.einsum("ij,ij->j", tm.t, tm.t) - 1.0).max()
         assert tm.column_deviation == col
+        # a record of two rows forms and checks the same entries
+        rows = build_matrix(tm.spectrum, rows=(0, n))
+        assert ((rows.column_deviation, rows.orthogonality_bound, rows.unitarity_margin(n))
+                == (tm.column_deviation, tm.orthogonality_bound, tm.unitarity_margin(n)))
 
     def test_weak_coupling_on_resonance(self):
         # omega_bar = omega_10 and g = 1e-30: roots 9 and 10 hug omega_10 from
@@ -280,10 +286,9 @@ class TestOrthogonalityBound:
         tm = build_matrix(fig_spectrum, rows=(3, 0, 200))
         assert np.array_equal(tm.t, fig_matrix.t[[3, 0, 200]])
         assert np.array_equal(tm.row(200), fig_matrix.row(200))
-        # w_r times the direct-sum slope is the column norm without t
-        assert abs(tm.column_deviation - fig_matrix.column_deviation) <= 4e-15
-        assert tm.orthogonality_bound == pytest.approx(fig_matrix.orthogonality_bound,
-                                                       abs=8e-15)
+        # both sum the squares of the same formed entries, in the same order
+        assert tm.column_deviation == fig_matrix.column_deviation
+        assert tm.orthogonality_bound == fig_matrix.orthogonality_bound
         with pytest.raises(ValueError, match="not among the held rows"):
             tm.row(1)
         with pytest.raises(ValueError, match="row label must be 'atom' or a mode index 1..200"):
@@ -297,7 +302,7 @@ class TestOrthogonalityBound:
             deviation = np.max(np.abs(np.sum(np.abs(row) ** 2, axis=1) - 1.0))
             margin = build_matrix(fig_spectrum, rows=(mu,)).unitarity_margin(mu)
             assert deviation <= margin <= 3e-14
-            assert fig_matrix.unitarity_margin(mu) == pytest.approx(margin, abs=1e-14)
+            assert fig_matrix.unitarity_margin(mu) == margin
 
     @pytest.mark.parametrize("omega_bar, g, delta, n", [
         (1.0, 1e-9, 0.1, 8), (1.0, 0.02, 1e3, 40), (1.0, 0.9, 1e-3, 40), (0.1, 10.0, 1e-3, 30),

@@ -182,6 +182,15 @@ class TestDiscreteSum:
             tracemalloc.stop()
         assert peak < 1501**2 * 8
 
+    def test_amplitude_row_takes_a_record_of_every_row_in_order(self, fig_spectrum,
+                                                                fig_matrix):
+        times = np.array([0.0, 2.5])
+        every = build_matrix(fig_spectrum, rows=tuple(range(201)))
+        assert np.array_equal(amplitude_row(every, 3, times), amplitude_row(fig_matrix, 3, times))
+        for rows in ((0, 3), tuple(range(200, -1, -1))):
+            with pytest.raises(ValueError, match=r"a record of every row 0\.\.N, in order"):
+                amplitude_row(build_matrix(fig_spectrum, rows), 0, times)
+
     def test_mode_blocks_do_not_change_sums(self, fig_spectrum, fig_matrix, monkeypatch):
         times = np.linspace(0.0, 12.0, 7)
         whole = [amplitude_row(fig_matrix, 3, times), survival_trace(fig_spectrum, times).values]
