@@ -155,7 +155,7 @@ def _route(cfg: RunConfig, params, regime: str, mu: int, nu: int,
         drift = None
         if entropy:
             drift = bipartite.entropy_drift_bound(
-                cfg.xi, margin + dynamics.row_norm_rounding(tm, mu, times))
+                cfg.xi, margin + dynamics.row_norm_rounding(tm, mu))
             require(drift <= 1e-8, InvariantViolation,
                     "entropy drift bound {:.3e} exceeds 1e-8", drift)
         return dynamics.amplitude_trace(tm, mu, nu, times), drift

@@ -12,15 +12,14 @@ ulps of t_0 + j h, it writes t_{ib+r} = t_0 + (ib + r) h with b =
 floor(sqrt(T)) and builds the coarse phases exp(-i Omega (t_0 + ibh)) and
 the fine phases exp(-i Omega rh) by running products, so each mode needs 2
 complex exponentials (3 when t_0 != 0) and about 2 sqrt(T) complex
-products; any other grid (non-uniform, a scalar, T < 4) takes b = 1, the
-plain sum with one exponential per phase.  The weights fold into the fine
-table.  One weight per mode (a survival trace, one f_mu_nu, the series) then
-takes that table's pairwise row sums plus one matrix product of the coarse
-table, carried as C - 1, per block of modes; a whole row of amplitudes
-(``amplitude_row``) passes the real transform as a basis, which meets the
-table of all T weighted phases in one real matrix product.  No block holds
-more than 2^22 phases (64 MB), so memory does not grow with the mode
-count.  Two analytic companions cover the limiting cavity sizes:
+products; any other grid (non-uniform, T < 4) takes b = 1, the plain sum
+with one exponential per phase.  The weights fold into the fine table,
+which meets the coarse table, carried as C - 1, in one matrix product per
+block of modes.  No block holds more than 2^22 phases (64 MB), so memory
+does not grow with the mode count.  A whole row of amplitudes
+(``amplitude_row``), the second route to unitarity and to the entropy, is
+the plain definition and shares no code with that kernel.  Two analytic
+companions cover the limiting cavity sizes:
 
 * free space (R -> infinity, weak coupling kappa^2 = omega_bar^2 - g^2 > 0):
 
@@ -130,11 +129,14 @@ class AmplitudeTrace:
 
 
 def _time_grid(times) -> np.ndarray:
-    """The times of a trace as a 1-D float grid; anything else (a scalar, a 2-D
-    array) raises ValueError naming its shape, before any work is done."""
+    """The times of a trace as a 1-D float grid of finite t >= 0; anything else
+    (a scalar, a 2-D array, a negative, NaN or infinite time) raises
+    ValueError, before any work is done."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"times must be a 1-D grid, got shape {times.shape}")
+    require((times >= 0) & (times < np.inf), ValueError,
+            "times must be >= 0 and finite, got {}", times)
     return times
 
 
@@ -145,7 +147,7 @@ def _time_grid(times) -> np.ndarray:
 def _grid_step(times: np.ndarray) -> tuple[float, int]:
     """(h, b) for a uniform grid times[i] = times[0] + i h of T >= 4 times, with
     b = floor(sqrt(T)); (0.0, 1), the plain sum, for any other grid (non-uniform,
-    a scalar, T < 4).
+    T < 4).
 
     The grid counts as uniform when every time lies within _SPLIT_ULPS eps
     max|t| of times[0] + i h, with h = (times[-1] - times[0]) / (T - 1).
@@ -172,8 +174,8 @@ def _powers(angle: np.ndarray, first, count: int, minus_one: bool = False) -> np
 
     Each running product is taken as x + x e, with e = :func:`_expm1`.  At
     small angles |1 + e| then misses 1 by about angle^2 eps, where a product
-    by the rounded exp(-i angle), whose modulus misses 1 by up to eps/4,
-    would drift by that much per row.  Rows d = x - 1 follow d + d e + e, so
+    by the rounded exp(-i angle), whose modulus misses 1 by up to eps (about
+    eps/3 seen), would drift by that much per row.  Rows d = x - 1 follow d + d e + e, so
     each keeps the ulps of its own size, not of 1.
     """
     e = _expm1(angle)
@@ -187,11 +189,8 @@ def _powers(angle: np.ndarray, first, count: int, minus_one: bool = False) -> np
     return table
 
 
-def _phase_sum(times, omegas: np.ndarray, weights: np.ndarray,
-               basis: np.ndarray | None = None) -> np.ndarray:
-    """sum_r weights[r] exp(-i omegas[r] t) at every t, shape (T,); with a real
-    ``basis`` of one row per mode, sum_r weights[r] exp(-i omegas[r] t) basis[r, :],
-    shape (T, K) for K basis columns.
+def _phase_sum(times: np.ndarray, omegas: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_r weights[r] exp(-i omegas[r] t) at every t of a 1-D grid, shape (T,).
 
     On a uniform grid (:func:`_grid_step`), time t_{jb+r} = t_0 + (jb + r) h
     has the phase C[j] F[r], with the coarse table C[j] = exp(-i Omega t_0)
@@ -199,52 +198,33 @@ def _phase_sum(times, omegas: np.ndarray, weights: np.ndarray,
     built by running products: 2 complex exponentials per mode (3 when t_0 !=
     0) instead of T, and about sqrt(T) products per table.  Any other grid
     takes b = 1, the plain sum with one exponential per phase.  The weights
-    fold into the fine factor.  Without a basis the coarse table is carried
-    as D = C - 1: f(t_{jb+r}) = sum_m w_m F[r, m] + sum_m D[j, m] w_m F[r, m],
-    the first a pairwise sum and the second one (T/b x B) . (B x b) complex
-    product per block of B modes.  So the product, which adds its terms in
-    no stated order, never adds B terms all close to w_m, as C F w would at
-    small Omega t.  With a basis, each block forms the B x T table of phases
-    C F w, reads it as B x 2T reals (Re and Im of each time side by side) and
-    meets the basis in one real product, basis^T (K x B) . (B x 2T), whose
-    K x 2T result is the K x T complex amplitudes; the basis is never copied
-    to complex.  Blocks hold at most _BLOCK_ELEMENTS phases of that table
-    (the vector route holds T/b + b per mode of them), so memory stays
-    bounded however many modes there are.
+    fold into the fine factor, and the coarse table is carried as D = C - 1:
+    f(t_{jb+r}) = sum_m w_m F[r, m] + sum_m D[j, m] w_m F[r, m], the first a
+    pairwise sum and the second one (T/b x B) . (B x b) complex product per
+    block of B modes.  So the product, which adds its terms in no stated
+    order, never adds B terms all close to w_m, as C F w would at small
+    Omega t.  A block holds at most _BLOCK_ELEMENTS phases (T/b + b per mode),
+    so memory stays bounded however many modes there are.
     """
-    times = np.ravel(times)
     h, b = _grid_step(times)
     rows = -(-times.size // b) * b
     step = max(1, _BLOCK_ELEMENTS // max(rows, 1))
 
-    def part(om: np.ndarray, w: np.ndarray, base: np.ndarray | None) -> np.ndarray:
+    def part(om: np.ndarray, w: np.ndarray) -> np.ndarray:
         if b == 1:
-            if base is None:
-                return np.exp(-1j * np.outer(times, om)) @ w
-            table = np.exp(-1j * np.outer(om, times))
-            table *= w[:, None]
-        else:
-            f = _powers(om * h, 1.0, b)
-            f *= w
-            if base is None:
-                start = _expm1(om * times[0]) if times[0] else 0.0
-                d = _powers(om * (b * h), start, rows // b, minus_one=True)
-                return (d @ f.T + f.sum(axis=1)).ravel()[:times.size]
-            start = np.exp(-1j * (om * times[0])) if times[0] else 1.0
-            c = _powers(om * (b * h), start, rows // b)
-            table = np.empty((om.size, rows), dtype=complex)
-            np.multiply(c.T[:, :, None], f.T[:, None, :],
-                        out=table.reshape(om.size, rows // b, b))
-            table = table[:, :times.size]
-        return base.T @ table.view(float)  # (K x B) . (B x 2T) reals
+            return np.exp(-1j * np.outer(times, om)) @ w
+        f = _powers(om * h, 1.0, b)
+        f *= w
+        start = _expm1(om * times[0]) if times[0] else 0.0
+        d = _powers(om * (b * h), start, rows // b, minus_one=True)
+        return (d @ f.T + f.sum(axis=1)).ravel()[:times.size]
 
-    blocks = (part(omegas[s:s + step], weights[s:s + step],
-                   None if basis is None else basis[s:s + step])
+    blocks = (part(omegas[s:s + step], weights[s:s + step])
               for s in range(0, omegas.size, step))
     total = next(blocks)
     for block in blocks:
         total += block
-    return total if basis is None else total.view(complex).T
+    return total
 
 
 def amplitude_discrete(tm: TransformMatrix, mu, nu, t: float) -> complex:
@@ -273,31 +253,36 @@ def amplitude_row(tm: TransformMatrix, mu, times) -> np.ndarray:
     """All amplitudes f_mu_nu(t) at once; shape (len(times), N+1).
 
     Column 0 is nu = atom, column k is field mode k.  Row norms are the
-    unitarity sums sum_nu |f_mu_nu|^2.  The weights t_mu^r meet the basis
-    t^T of the dense matrix, so each column (one nu at every time) is
-    contiguous in memory.
+    unitarity sums sum_nu |f_mu_nu|^2.  The plain definition, sharing no
+    code with the phase-sum kernel it checks: one exponential per phase,
+    scaled by row mu of t, the (N+1) x T table read as (N+1) x 2T reals
+    (Re and Im of each time side by side) and met by t in one real product,
+    whose (N+1) x 2T result is the amplitudes; t is never copied to complex,
+    and each column (one nu at every time) is contiguous in memory.
     """
     times = _time_grid(times)
     if tuple(tm.rows) != tuple(range(tm.t.shape[1])):
         raise ValueError("a whole amplitude row needs a record of every row 0..N, in order")
-    return _phase_sum(times, tm.bigomegas, tm.row(mu), tm.t.T)
+    table = np.exp(-1j * np.outer(tm.bigomegas, times))
+    table *= tm.row(mu)[:, None]
+    return (tm.t @ table.view(float)).view(complex).T
 
 
-def row_norm_rounding(tm: TransformMatrix, mu, times) -> float:
+def row_norm_rounding(tm: TransformMatrix, mu) -> float:
     """A bound on how far the row norms sum_nu |f_mu_nu(t)|^2 of
-    :func:`amplitude_row` on ``times``, summed in floats in any order, lie
-    from those of the exact amplitudes: with row mu's unitarity margin m,
-    each lies within m plus this of 1.  O(N), from any record holding row mu.
+    :func:`amplitude_row`, summed in floats in any order, lie from those of
+    the exact amplitudes, at every t: with row mu's unitarity margin m, each
+    lies within m plus this of 1.  O(N), from any record holding row mu.
 
-    The row is t (w o phi), w = t_mu, with the phases phi_r built as
-    :func:`_phase_sum` builds them (u = eps/2, gamma_k = k u / (1 - k u)):
+    The row is t (w o phi), w = t_mu, with each phase phi_r = exp(-i x) of
+    the rounded angle x = Omega_r t (u = eps/2, gamma_k = k u / (1 - k u)):
       * An error in a phase's angle is another unitary D, which the margin
-        covers, so only moduli count.  A running product x + x e (e = exp(-i
-        angle) - 1, formed within 5u |e|, |e| <= 2) moves |x| by at most
-        5u |e| + sqrt(5) u |e| + u <= 16u; the first phase's exp (2u), the
-        weight (u) and the coarse-by-fine product (sqrt(5) u) add 6u.  So
-        |w_r phi_r| = |w_r| (1 + k), |k| <= kappa = 16u S + 6u, S the running
-        products behind one phase (none off a uniform grid).
+        covers, so only moduli count.  The imaginary unit times a real x is
+        0 - i x exactly, and exp(0) = 1, so libm's complex exp returns cos x
+        and -sin x; assuming each within 1 ulp (2u relative), |phi_r| lies
+        within 2u of 1.  The weight's product rounds each part once (u).
+        So |w_r phi_r| = |w_r| (1 + k), |k| <= (1 + 2u)(1 + u) - 1 <= kappa =
+        gamma_3, on every grid.
       * The moduli move the amplitudes by at most kappa ||t|| ||w||_2, and
         the N+1-term sums by sqrt(2) gamma_{N+1} ||t|| (1 + kappa) ||w||_1
         (each column of t is at most ||t||, and ||t||^2 <= 1 + the
@@ -306,16 +291,13 @@ def row_norm_rounding(tm: TransformMatrix, mu, times) -> float:
       * Squaring moves the norm by 2 a dist + dist^2, and the 2(N+1) rounded
         squares, summed, add gamma_{2N+3} (a + dist)^2.
     """
-    times = _time_grid(times)
-    b = _grid_step(times)[1]
     u = 0.5 * np.finfo(float).eps
     w = tm.row(mu)
 
     def gamma(k):
         return k * u / (1.0 - k * u)
 
-    steps = (b - 1) + (-(-times.size // b) - 1) if b > 1 else 0
-    kappa = 16.0 * u * steps + 6.0 * u
+    kappa = gamma(3)
     a = math.sqrt(1.0 + tm.unitarity_margin(mu))
     dist = math.sqrt(1.0 + tm.orthogonality_bound) * (
         kappa * math.sqrt(float(w @ w))
@@ -455,6 +437,7 @@ def small_cavity_amplitude(params: DressedAtomParams, times, k_max: int = 10_000
     squaring reproduces the cosine double series with 1/k^2 l^2 weights
     term by term.
     """
+    times = _time_grid(times)
     weights = approx_small_cavity_elements(params, k_max)
     return _phase_sum(times, first_order_frequencies(params, k_max), weights)
 
@@ -468,7 +451,6 @@ def survival_sq_small_cavity(t: float, params: DressedAtomParams,
 def small_cavity_trace(params: DressedAtomParams, times,
                        k_max: int = 10_000) -> AmplitudeTrace:
     """The atom's survival amplitude by the first-order series (:func:`small_cavity_amplitude`)."""
-    times = _time_grid(times)
     values = small_cavity_amplitude(params, times, k_max)
     return AmplitudeTrace(times=times, values=values, mu="atom", nu="atom",
                           method="small-cavity-series")

@@ -97,6 +97,8 @@ def test_every_work_entry_records_its_count(tmp_path):
             dc.amplitude_free_space(dc.FreeSpaceParams(1.0, 0.5), 1.0)
             dc.imag_survival_integral(1.0, 1.0, 0.5)
             dc.survival_sq_small_cavity(1.0, params, k_max=50)
+            dc.amplitude_row(dc.build_matrix(spec), "atom", np.linspace(0.0, 4.0, 5))
+            dc.small_cavity_amplitude(params, np.linspace(0.0, 4.0, 5), k_max=50)
     finally:
         tracer.unpatch()
 
@@ -117,3 +119,5 @@ def test_every_work_entry_records_its_count(tmp_path):
     assert work("library", "amplitude_free_space") == [{"points": 1}]
     assert work("library", "imag_survival_integral") == [{"points": 1}]
     assert work("library", "survival_sq_small_cavity") == [{"terms": 51}]
+    assert work("library", "amplitude_row") == [{"terms": 5 * 9**2}]
+    assert work("library", "small_cavity_amplitude") == [{"terms": 5 * 51}]

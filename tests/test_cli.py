@@ -327,7 +327,7 @@ class TestEntropyCommand:
         assert run("entropy", "--regime", "exact", *argv, "--out", str(tmp_path)) == EXIT_OK
         cfg = RunConfig(xi=0.25, steps=33, n_modes=48)
         tm = coupling.build_matrix(solve_eigenfrequencies(cfg.atom_params()), rows=(0, 0))
-        deviation = tm.unitarity_margin(0) + dynamics.row_norm_rounding(tm, 0, cfg.time_grid())
+        deviation = tm.unitarity_margin(0) + dynamics.row_norm_rounding(tm, 0)
         bound = bipartite.entropy_drift_bound(0.25, deviation)
         assert f"max_deviation={bound:.3e}" in capsys.readouterr().out
         lines = (tmp_path / "entropy.csv").read_text().splitlines()[1:]

@@ -76,26 +76,25 @@ SURVIVAL_FROZEN = {
 }
 
 
-@pytest.mark.parametrize("trace", [
-    lambda tm, t: amplitude_trace(tm, "atom", 2, t),
-    lambda tm, t: survival_trace(tm.spectrum, t),
-    lambda tm, t: free_space_trace(FreeSpaceParams(1.0, 0.5), t),
-    lambda tm, t: small_cavity_trace(tm.spectrum.params, t, 50),
-], ids=["amplitude_trace", "survival_trace", "free_space_trace", "small_cavity_trace"])
+TRACES = {
+    "amplitude_trace": lambda tm, t: amplitude_trace(tm, "atom", 2, t),
+    "survival_trace": lambda tm, t: survival_trace(tm.spectrum, t),
+    "free_space_trace": lambda tm, t: free_space_trace(FreeSpaceParams(1.0, 0.5), t),
+    "small_cavity_trace": lambda tm, t: small_cavity_trace(tm.spectrum.params, t, 50),
+    "amplitude_row": lambda tm, t: amplitude_row(tm, "atom", t),
+    "small_cavity_amplitude": lambda tm, t: small_cavity_amplitude(tm.spectrum.params, t, 50),
+}
+
+
+@pytest.mark.parametrize("trace", TRACES.values(), ids=TRACES.keys())
 def test_every_trace_rejects_negative_times(fig_matrix, trace):
-    # one rule, in AmplitudeTrace, for every route
-    with pytest.raises(ValueError, match="times must be >= 0"):
-        trace(fig_matrix, np.array([-1.0, 0.0, 1.0]))
+    # one rule, in _time_grid, for every route, before any work
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="times must be >= 0"):
+            trace(fig_matrix, np.array([0.0, 1.0, bad]))
 
 
-@pytest.mark.parametrize("trace", [
-    lambda tm, t: amplitude_trace(tm, "atom", 2, t),
-    lambda tm, t: survival_trace(tm.spectrum, t),
-    lambda tm, t: free_space_trace(FreeSpaceParams(1.0, 0.5), t),
-    lambda tm, t: small_cavity_trace(tm.spectrum.params, t, 50),
-    lambda tm, t: amplitude_row(tm, "atom", t),
-], ids=["amplitude_trace", "survival_trace", "free_space_trace", "small_cavity_trace",
-        "amplitude_row"])
+@pytest.mark.parametrize("trace", TRACES.values(), ids=TRACES.keys())
 @pytest.mark.parametrize("times", [1.0, [[0.0, 1.0]]], ids=["scalar", "2-D"])
 def test_every_trace_takes_a_1d_grid(fig_matrix, trace, times):
     shape = np.shape(times)
@@ -191,14 +190,13 @@ class TestDiscreteSum:
             with pytest.raises(ValueError, match=r"a record of every row 0\.\.N, in order"):
                 amplitude_row(build_matrix(fig_spectrum, rows), 0, times)
 
-    def test_mode_blocks_do_not_change_sums(self, fig_spectrum, fig_matrix, monkeypatch):
+    def test_mode_blocks_do_not_change_sums(self, fig_spectrum, monkeypatch):
         times = np.linspace(0.0, 12.0, 7)
-        whole = [amplitude_row(fig_matrix, 3, times), survival_trace(fig_spectrum, times).values]
+        whole = survival_trace(fig_spectrum, times).values
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 50)  # 4 x 2 split: 6 modes a block
-        blocked = [amplitude_row(fig_matrix, 3, times), survival_trace(fig_spectrum, times).values]
-        for a, b in zip(whole, blocked):
-            assert a.shape == b.shape
-            assert np.max(np.abs(a - b)) <= 201 * np.finfo(float).eps
+        blocked = survival_trace(fig_spectrum, times).values
+        assert whole.shape == blocked.shape
+        assert np.max(np.abs(whole - blocked)) <= 201 * np.finfo(float).eps
 
     @pytest.mark.parametrize("delta, n_modes", [
         (0.1, 200),
@@ -259,35 +257,41 @@ def _phase_sum_by_mode(times, omegas, weights, basis=None):
 
 
 class TestPhaseSum:
-    """The coarse x fine running-product tables against a mode-by-mode sum."""
+    """The kernel's coarse x fine running-product tables, and amplitude_row's
+    plain definition, against a mode-by-mode sum."""
 
     @staticmethod
-    def _assert_matches_mode_loop(times, omegas, weights, basis=None):
+    def _assert_matches_mode_loop(times, omegas, weights, basis=None, got=None):
         # each phase may move by a few ulps of Omega max|t| (the rounding of
         # Omega t itself), so the bound is set by sum_r |w_r| (1 + Omega_r max|t|),
-        # times |basis[r, k]| in column k of a basis sum
-        got = dynamics._phase_sum(times, omegas, weights, basis)
+        # times |basis[r, k]| in column k of a basis sum; ``got`` defaults to
+        # the kernel's vector sum
+        if got is None:
+            got = dynamics._phase_sum(times, omegas, weights)
         ref = _phase_sum_by_mode(times, omegas, weights, basis)
         scale = (1.0 + omegas * np.max(np.abs(times))) * np.abs(weights)
         scale = scale.sum() if basis is None else scale @ np.abs(basis)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps * scale)
 
+    def _assert_row_matches_mode_loop(self, times, tm, columns=slice(None)):
+        # amplitude_row of row 3, the plain definition, over the basis t^T
+        got = amplitude_row(tm, 3, times)[:, columns]
+        self._assert_matches_mode_loop(times, tm.bigomegas, tm.row(3), tm.t.T[:, columns], got)
+
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 17, 201, 501])
     def test_uniform_grids(self, fig_spectrum, fig_matrix, steps):
         times = np.linspace(0.0, 25.0, steps)
         assert dynamics._grid_step(times)[1] == math.isqrt(steps)
         self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, atom_weights(fig_spectrum))
-        self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, fig_matrix.t[3],
-                                       fig_matrix.t.T)
+        self._assert_row_matches_mode_loop(times, fig_matrix)
 
     def test_grid_starting_after_zero(self, fig_spectrum, fig_matrix):
         times = np.linspace(3.7, 41.2, 101)
         h, b = dynamics._grid_step(times)
         assert b == 10 and h == pytest.approx(0.375, rel=1e-15)
         self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, atom_weights(fig_spectrum))
-        self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, fig_matrix.t[3],
-                                       fig_matrix.t.T)
+        self._assert_row_matches_mode_loop(times, fig_matrix)
 
     def test_non_uniform_grid_is_the_plain_sum(self, fig_spectrum, fig_matrix):
         times = np.linspace(0.0, 5.0, 101) ** 2
@@ -295,8 +299,7 @@ class TestPhaseSum:
         w = atom_weights(fig_spectrum)
         plain = np.exp(-1j * np.outer(times, fig_spectrum.bigomegas)) @ w
         assert np.array_equal(dynamics._phase_sum(times, fig_spectrum.bigomegas, w), plain)
-        self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, fig_matrix.t[3],
-                                       fig_matrix.t.T)
+        self._assert_row_matches_mode_loop(times, fig_matrix)
 
     @pytest.mark.parametrize("scale, start", [(1.0, 0.0), (0.37, 2.5)])
     def test_split_without_a_step_is_the_plain_sum(self, fig_spectrum, scale, start):
@@ -315,8 +318,7 @@ class TestPhaseSum:
         times = np.linspace(0.0, 25.0, 10_001)
         assert dynamics._grid_step(times)[1] == 100
         self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, atom_weights(fig_spectrum))
-        self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, fig_matrix.t[3],
-                                       fig_matrix.t.T[:, ::25])  # 9 of the 201 columns
+        self._assert_row_matches_mode_loop(times, fig_matrix, np.s_[::25])  # 9 of 201 columns
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0.0, 100.0), st.floats(-8.0, 0.0).map(lambda e: 10.0**e),
@@ -337,27 +339,24 @@ class TestPhaseSum:
 
     @pytest.mark.parametrize("budget", [dynamics._BLOCK_ELEMENTS, 50])
     @pytest.mark.parametrize("steps", [4, 17, 201])
-    def test_vector_route_matches_table_route(self, fig_spectrum, monkeypatch, steps, budget):
-        # Without a basis the weights contract coarse and fine exponentials
-        # as a complex matrix product; over a basis of one column of ones
-        # they take the table of phases and the real product.
-        # A budget of 50 puts 12, 2 and 1 modes in a block.
+    def test_small_block_budget(self, fig_spectrum, monkeypatch, steps, budget):
+        # A budget of 50 puts 12, 2 and 1 modes in a block for 4, 17 and 201
+        # times (17 times split into 5 coarse x 4 fine = 20 rows: 101 blocks)
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
         times = np.linspace(0.0, 25.0, steps)
-        om, w = fig_spectrum.bigomegas, atom_weights(fig_spectrum)
-        got = dynamics._phase_sum(times, om, w)
-        ref = dynamics._phase_sum(times, om, w, np.ones((om.size, 1)))[:, 0]
-        scale = (1.0 + om * np.max(np.abs(times))) @ np.abs(w)
-        assert got.shape == ref.shape
-        assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps * scale)
-
-    def test_small_block_budget(self, fig_spectrum, fig_matrix, monkeypatch):
-        # 17 times split into 5 coarse x 4 fine = 20 rows: 2 modes a block, 101 blocks
-        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 50)
-        times = np.linspace(0.0, 25.0, 17)
         self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, atom_weights(fig_spectrum))
-        self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, fig_matrix.t[3],
-                                       fig_matrix.t.T)
+
+    def test_amplitude_row_needs_no_kernel(self, fig_matrix, monkeypatch):
+        # the second route to unitarity and the entropy shares nothing with
+        # the phase-sum kernel it checks, and its rounding bound needs no grid
+        def refuse(*args, **kwargs):
+            raise AssertionError("the second route reached the phase-sum kernel")
+
+        for name in ("_phase_sum", "_powers", "_expm1", "_grid_step"):
+            monkeypatch.setattr(dynamics, name, refuse)
+        times = np.linspace(0.0, 25.0, 201)
+        self._assert_row_matches_mode_loop(times, fig_matrix)
+        assert 0.0 < dynamics.row_norm_rounding(fig_matrix, 3) < 1e-12
 
 
 class TestImagSurvivalIntegral:
