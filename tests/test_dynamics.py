@@ -339,12 +339,26 @@ class TestPhaseSum:
 
     @pytest.mark.parametrize("budget", [dynamics._BLOCK_ELEMENTS, 50])
     @pytest.mark.parametrize("steps", [4, 17, 201])
-    def test_small_block_budget(self, fig_spectrum, monkeypatch, steps, budget):
-        # A budget of 50 puts 12, 2 and 1 modes in a block for 4, 17 and 201
-        # times (17 times split into 5 coarse x 4 fine = 20 rows: 101 blocks)
+    def test_vector_route_matches_table_route(self, fig_spectrum, monkeypatch, steps, budget):
+        # The kernel contracts the weights with coarse and fine exponentials
+        # as a complex matrix product; the table route forms the whole
+        # T x N table of phases and meets the weights in one product.
+        # A budget of 50 puts 12, 2 and 1 modes in a block.
         monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", budget)
         times = np.linspace(0.0, 25.0, steps)
+        om, w = fig_spectrum.bigomegas, atom_weights(fig_spectrum)
+        got = dynamics._phase_sum(times, om, w)
+        ref = np.exp(-1j * np.outer(times, om)) @ w
+        scale = (1.0 + om * np.max(np.abs(times))) @ np.abs(w)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps * scale)
+
+    def test_small_block_budget(self, fig_spectrum, fig_matrix, monkeypatch):
+        # 17 times split into 5 coarse x 4 fine = 20 rows: 2 modes a block, 101 blocks
+        monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", 50)
+        times = np.linspace(0.0, 25.0, 17)
         self._assert_matches_mode_loop(times, fig_spectrum.bigomegas, atom_weights(fig_spectrum))
+        self._assert_row_matches_mode_loop(times, fig_matrix)
 
     def test_amplitude_row_needs_no_kernel(self, fig_matrix, monkeypatch):
         # the second route to unitarity and the entropy shares nothing with
