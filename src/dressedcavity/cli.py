@@ -135,7 +135,7 @@ def _route(cfg: RunConfig, params, regime: str, mu: int, nu: int,
     and, with ``entropy``, a bound on the single-atom entropy's drift
     |E(t) - H(1 - xi, xi)| over every t (None without).
 
-    "exact": rows mu and nu of t alone (O(N) memory, no mode cap), f_mu_nu
+    "exact": rows mu and nu of t, formed on demand (O(N) memory, no cap), f_mu_nu
     from one vector phase sum, and unitarity from the transform's static
     margin, which bounds the row norm's deviation at every time.  The drift
     bound (:func:`bipartite.entropy_drift_bound`) takes that margin raised by
@@ -148,7 +148,7 @@ def _route(cfg: RunConfig, params, regime: str, mu: int, nu: int,
     """
     times = cfg.time_grid()
     if regime == "exact":
-        tm = coupling.build_matrix(solve_eigenfrequencies(params), rows=(mu, nu))
+        tm = coupling.build_matrix(solve_eigenfrequencies(params))
         margin = tm.unitarity_margin(mu)
         require(margin <= _UNITARITY_TOL, InvariantViolation,
                 "unitarity margin {:.3e} of row {} exceeds {}", margin, mu, _UNITARITY_TOL)

@@ -17,11 +17,11 @@ Omega_r^2)^2), the spectrum's ``weights``.  The closed-form atom element
 is the infinite-mode limit of that normalization; at finite truncation it
 deviates from the normalized element by O(1/N).
 
-A :class:`TransformMatrix` forms every entry of t from its spectrum, keeps the
-rows a caller names by label (:func:`row_index`) or all of them, and checks
-unit columns, from the squares of the entries it formed, and orthogonality to
-1e-6.  Orthogonality takes no product t t^T: for columns r != s, partial
-fractions of the eigenvector ratio give
+A :class:`TransformMatrix` forms every entry of t from its spectrum once, to
+check unit columns, from the squares of those entries, and orthogonality to
+1e-6; it holds none of them, and forms any row again on demand, in O(N), or
+the whole matrix when asked.  Orthogonality takes no product t t^T: for
+columns r != s, partial fractions of the eigenvector ratio give
 
     (t^T t)_rs = -t_atom^r t_atom^s (F(lam_r) - F(lam_s)) / (lam_r - lam_s),
 
@@ -35,6 +35,7 @@ O(N) memory; the record keeps that bound and the worst column deviation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,11 +51,9 @@ __all__ = [
     "approx_small_cavity_elements",
 ]
 
-# Dense (N+1)^2 storage: keep desk-scale by default.  Only a record of every
-# row (rows=None) is capped: its t is one (N+1)^2 float array, 200 MB at the
-# cap, and a direct amplitude_row adds the T x (N+1) complex phase table and
-# amplitudes (T = 501 at the cap: 40 MB each).  Only matrix-dump, the oracle
-# and such a row take it; a record of a few rows is O(N) and uncapped.
+# Dense (N+1)^2 storage: keep desk-scale by default.  Only the whole matrix t is
+# capped, 200 MB at the cap; amplitude_row adds the T x (N+1) complex phase table
+# and amplitudes (T = 501: 40 MB each).  A record and its rows take O(N) memory.
 MATRIX_MODE_CAP = 5000
 
 _COLUMN_NORM_TOL = 1e-6
@@ -72,49 +71,54 @@ _ENTRY_ROUNDING = 4.0 * _EPS
 
 @dataclass(frozen=True)
 class TransformMatrix:
-    """Rows of the orthogonal matrix t[mu, r], formed from ``spectrum`` and checked.
+    """The orthogonal matrix t[mu, r] of ``spectrum``, checked, holding no entry.
 
-    ``rows`` names the bare rows held, in order, by label, kept as indices
-    (None: every row, ``range(N+1)``, at most MATRIX_MODE_CAP modes); ``t``
-    holds one row each.  Every record forms all of t (:func:`_rows`):
-    ``column_deviation`` is the worst |sum_mu (t_mu^r)^2 - 1| over the
-    formed entries, and ``orthogonality_bound`` bounds ||t^T t - 1||_2 and
-    max |t t^T - 1| (:func:`_orthogonality_bound`).  Both must be at most 1e-6.
+    :func:`_column_norms` forms every entry once: ``column_deviation`` is the
+    worst |sum_mu (t_mu^r)^2 - 1| over them, and ``orthogonality_bound`` bounds
+    ||t^T t - 1||_2 and max |t t^T - 1| (:func:`_orthogonality_bound`).  Both
+    must be at most 1e-6.  :meth:`row` and :attr:`t` form the same entries
+    again through :func:`_field_rows`, so they return the bits checked.
     """
 
     spectrum: ModeSpectrum
-    rows: tuple | range | None = None
-    t: np.ndarray = field(init=False)
     column_deviation: float = field(init=False)
     orthogonality_bound: float = field(init=False)
 
     def __post_init__(self):
-        spec = self.spectrum
-        n = spec.params.n_modes
-        if self.rows is None and n > MATRIX_MODE_CAP:
-            raise ValueError(f"n_modes={n} exceeds the dense-matrix cap {MATRIX_MODE_CAP}; "
-                             "use atom_weights() or named rows for large truncations")
-        rows = range(n + 1) if self.rows is None else tuple(row_index(r, n) for r in self.rows)
-        t, col = _rows(spec, rows)
-        col_dev = np.abs(col - 1.0)
+        col_dev = np.abs(_column_norms(self.spectrum) - 1.0)
         require(col_dev <= _COLUMN_NORM_TOL, NormalizationFailure,
                 "column {i} norm deviates by {:.3e} (bad roots?)", col_dev)
-        bound = _orthogonality_bound(spec, col_dev)
+        bound = _orthogonality_bound(self.spectrum, col_dev)
         require(bound <= _ORTHO_TOL, NormalizationFailure,
                 "column {i} orthogonality bound {:.3e} exceeds {} (bad roots?)", bound, _ORTHO_TOL)
-        freeze(self, rows=rows, t=t, column_deviation=float(col_dev.max()),
-               orthogonality_bound=float(bound.max()))
+        freeze(self, column_deviation=float(col_dev.max()), orthogonality_bound=float(bound.max()))
 
     @property
     def bigomegas(self) -> np.ndarray:
         return self.spectrum.bigomegas
 
+    @cached_property
+    def t(self) -> np.ndarray:
+        """The whole matrix, formed into itself in row blocks on first use, kept read-only."""
+        n = self.spectrum.params.n_modes
+        if n > MATRIX_MODE_CAP:
+            raise ValueError(f"n_modes={n} exceeds the dense-matrix cap {MATRIX_MODE_CAP}; "
+                             "use atom_weights() or row() for large truncations")
+        t = np.empty((n + 1, n + 1))
+        t[0] = np.sqrt(self.spectrum.weights)
+        step = max(1, _BLOCK_ELEMENTS // (n + 1))
+        for i in range(1, n + 1, step):
+            k = np.arange(i, min(i + step, n + 1), dtype=float)[:, None]
+            _field_rows(self.spectrum, k, out=t[i:i + k.size])
+        t.setflags(write=False)
+        return t
+
     def row(self, mu) -> np.ndarray:
-        """Row mu of t by label (:func:`row_index`), which the record must hold."""
-        i = row_index(mu, self.spectrum.params.n_modes)
-        if i not in self.rows:
-            raise ValueError(f"row {i} is not among the held rows {self.rows}")
-        return self.t[self.rows.index(i)]
+        """Row mu of t by label (:func:`row_index`), formed in O(N)."""
+        k = row_index(mu, self.spectrum.params.n_modes)
+        if k == 0:
+            return np.sqrt(self.spectrum.weights)
+        return _field_rows(self.spectrum, np.array([[float(k)]]))[0]
 
     def unitarity_margin(self, mu) -> float:
         """A bound on |sum_nu |f_mu_nu(t)|^2 - 1| at every t, from row mu alone.
@@ -140,40 +144,37 @@ def row_index(label, n_modes: int) -> int:
     raise ValueError(f"row label must be 'atom' or a mode index 1..{n_modes}, got {label!r}")
 
 
-def _rows(spectrum: ModeSpectrum, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``rows`` of t (0 the atom, 1..N the field modes), and t's column norms.
+def _field_rows(spectrum: ModeSpectrum, k: np.ndarray, out=None) -> np.ndarray:
+    """Field rows k >= 1 of t (k a column of row numbers as floats) into ``out``:
+    t_k^r = (eta/dw) k / gap * t_atom^r from the eigenvector ratio, t_atom^r =
+    sqrt(w_r) the atom row, with gap = (omega_k^2 - Omega_r^2) / dw^2 formed
+    from the root's offsets as ((k - m_r) - s_r)(k + m_r + s_r), so it keeps
+    its digits where the root hugs omega_k, and is nonzero: the spectrum
+    admits 0 < |s_r| <= 1/2 below the top root and s_N > 0 above omega_N."""
+    p = spectrum.params
+    m, s = spectrum.asymptotes, spectrum.offsets
+    gap = np.subtract(k, m, out=out)
+    gap -= s
+    gap *= k + (m + s)
+    np.divide((p.eta / p.delta_omega) * k, gap, out=gap)
+    gap *= np.sqrt(spectrum.weights)
+    return gap
 
-    Row 0 is t_atom^r = sqrt(w_r), w_r the spectrum's ``weights``; row k is
-    t_k^r = (eta/dw) k / gap * t_atom^r from the eigenvector ratio, with gap
-    = (omega_k^2 - Omega_r^2) / dw^2 formed from the root's offsets as ((k -
-    m_r) - s_r)(k + m_r + s_r), so it keeps its digits where the root hugs
-    omega_k, and is nonzero: the spectrum admits 0 < |s_r| <= 1/2 below the
-    top root and s_N > 0 above omega_N.  Rows 1..N are formed a block at a
-    time, whichever are held; each block's squares join the running column
-    norms in row order, numpy's order for a stored t's columns.
-    """
-    params = spectrum.params
-    m, s = spectrum.asymptotes.astype(float), spectrum.offsets
+
+def _column_norms(spectrum: ModeSpectrum) -> np.ndarray:
+    """t's column norms sum_mu (t_mu^r)^2: rows 1..N formed a block at a time
+    (:func:`_field_rows`) into one buffer, each block's squares added to the
+    running norms in row order, numpy's order for a stored t's columns."""
     atom = np.sqrt(spectrum.weights)
-    u = m + s
-    k = np.fromiter(rows, dtype=np.int64)
-    held = np.empty((k.size, m.size))
-    held[k == 0] = atom
-    step = max(1, _BLOCK_ELEMENTS // m.size)
-    work = np.empty((min(step, m.size - 1) + 1, m.size))  # the running norms, then a block
+    step = max(1, _BLOCK_ELEMENTS // atom.size)
+    work = np.empty((min(step, atom.size - 1) + 1, atom.size))  # the running norms, then a block
     work[0] = atom * atom
-    for i in range(1, m.size, step):
-        kb = np.arange(i, min(i + step, m.size), dtype=float)[:, None]
-        gap = np.subtract(kb, m, out=work[1:kb.size + 1])
-        gap -= s
-        gap *= kb + u
-        np.divide((params.eta / params.delta_omega) * kb, gap, out=gap)
-        gap *= atom
-        at = (i <= k) & (k < i + kb.size)
-        held[at] = gap[k[at] - i]
-        np.square(gap, out=gap)
-        work[0] = np.sum(work[:kb.size + 1], axis=0)
-    return held, work[0]
+    for i in range(1, atom.size, step):
+        k = np.arange(i, min(i + step, atom.size), dtype=float)[:, None]
+        block = _field_rows(spectrum, k, out=work[1:k.size + 1])
+        np.square(block, out=block)
+        work[0] = np.sum(work[:k.size + 1], axis=0)
+    return work[0]
 
 
 def _orthogonality_bound(spectrum: ModeSpectrum, col_dev: np.ndarray) -> np.ndarray:
@@ -231,7 +232,8 @@ def _orthogonality_bound(spectrum: ModeSpectrum, col_dev: np.ndarray) -> np.ndar
 
 def atom_element(omega_r: float, params: DressedAtomParams) -> float:
     """Closed-form atom component of the normal mode at frequency omega_r."""
-    require(omega_r > 0, DomainError, "normal frequency must be positive, got {}", omega_r)
+    require(0 < omega_r < np.inf, DomainError,
+            "normal frequency must be positive and finite, got {}", omega_r)
     w2, o2 = params.omega_bar**2, omega_r**2
     radicand = (o2 - w2) ** 2 + 0.5 * params.eta_sq * (3.0 * o2 - w2) + 4.0 * params.g**2 * o2
     require(radicand > 0.0, DomainError,
@@ -240,11 +242,10 @@ def atom_element(omega_r: float, params: DressedAtomParams) -> float:
     return params.eta * omega_r / np.sqrt(radicand)
 
 
-def build_matrix(spectrum: ModeSpectrum, rows=None) -> TransformMatrix:
-    """The checked transform of ``spectrum``: all N+1 rows, the dense matrix
-    (at most MATRIX_MODE_CAP modes), or only the bare rows ``rows``, in O(N)
-    memory and for any N, with the same checks; see :class:`TransformMatrix`."""
-    return TransformMatrix(spectrum=spectrum, rows=rows)
+def build_matrix(spectrum: ModeSpectrum) -> TransformMatrix:
+    """The checked transform of ``spectrum``, for any N in O(N) memory; its
+    rows on demand, its dense matrix when asked (:class:`TransformMatrix`)."""
+    return TransformMatrix(spectrum)
 
 
 def atom_weights(spectrum: ModeSpectrum) -> np.ndarray:
@@ -268,8 +269,8 @@ def approx_small_cavity_elements(params: DressedAtomParams, k_max: int) -> np.nd
     require(params.delta < DELTA_THRESHOLD, RegimeViolation,
             "small-cavity elements need delta < {}, got delta = {:.4g}",
             DELTA_THRESHOLD, params.delta)
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if not (isinstance(k_max, (int, np.integer)) and not isinstance(k_max, bool) and k_max >= 1):
+        raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
     atom_sq = 1.0 / (1.0 + 2.0 * np.pi * params.delta / 3.0)
     k = np.arange(1, k_max + 1)
     return np.concatenate(([atom_sq], (4.0 / k**2) * (params.delta / np.pi) * atom_sq))

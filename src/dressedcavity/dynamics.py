@@ -86,8 +86,8 @@ class FreeSpaceParams:
     kappa_sq: float = field(init=False)
 
     def __post_init__(self):
-        if self.omega_bar <= 0 or self.g <= 0:
-            raise ValueError("omega_bar and g must be positive")
+        if not all(0 < v < np.inf for v in (self.omega_bar, self.g)):
+            raise ValueError("omega_bar and g must be positive and finite")
         k2 = self.omega_bar**2 - self.g**2
         require(k2 > 0, RegimeViolation, "free-space closed form needs omega_bar > g "
                 "(kappa^2 > 0); got omega_bar={}, g={}", self.omega_bar, self.g)
@@ -236,10 +236,9 @@ def amplitude_trace(tm: TransformMatrix, mu, nu, times) -> AmplitudeTrace:
     """f_mu_nu over a time grid: one vector phase sum with the weights
     t_mu^r t_nu^r of rows mu and nu of ``tm``, O(NT).
 
-    A record of some rows (``tm.rows``) needs only those two, from any N.  The
+    Only those two rows are formed (:meth:`TransformMatrix.row`), at any N.  The
     survival amplitude (mu = nu = atom) weighs by the spectrum's w_r, of which
-    the atom row is the root, on every record, so it is :func:`survival_trace`
-    bit for bit.
+    the atom row is the root, so it is :func:`survival_trace` bit for bit.
     """
     times = _time_grid(times)
     survival = row_index(mu, np.inf) == row_index(nu, np.inf) == 0
@@ -261,8 +260,6 @@ def amplitude_row(tm: TransformMatrix, mu, times) -> np.ndarray:
     and each column (one nu at every time) is contiguous in memory.
     """
     times = _time_grid(times)
-    if tuple(tm.rows) != tuple(range(tm.t.shape[1])):
-        raise ValueError("a whole amplitude row needs a record of every row 0..N, in order")
     table = np.exp(-1j * np.outer(tm.bigomegas, times))
     table *= tm.row(mu)[:, None]
     return (tm.t @ table.view(float)).view(complex).T
@@ -272,7 +269,7 @@ def row_norm_rounding(tm: TransformMatrix, mu) -> float:
     """A bound on how far the row norms sum_nu |f_mu_nu(t)|^2 of
     :func:`amplitude_row`, summed in floats in any order, lie from those of
     the exact amplitudes, at every t: with row mu's unitarity margin m, each
-    lies within m plus this of 1.  O(N), from any record holding row mu.
+    lies within m plus this of 1.  O(N), from row mu alone, at any N.
 
     The row is t (w o phi), w = t_mu, with each phase phi_r = exp(-i x) of
     the rounded angle x = Omega_r t (u = eps/2, gamma_k = k u / (1 - k u)):
@@ -418,8 +415,8 @@ def survival_sq_large_time(t: float, omega_bar: float, g: float) -> float:
     and the 2/z^3 order leaves 8g/(pi omega_bar^4 t^3).  |f_00|^2 therefore
     decays as 64 g^2 / (pi^2 omega_bar^8 t^6).
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0 < t < np.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     trig = np.cos(omega_bar * t) - (g / omega_bar) * np.sin(omega_bar * t)
     return float(np.exp(-2.0 * g * t) * trig**2 + 64.0 * g**2 / (omega_bar**8 * t**6))
 

@@ -99,9 +99,9 @@ class DressedAtomParams:
                 "omega_bar, g and delta must all be positive and finite, got "
                 f"omega_bar={self.omega_bar}, g={self.g}, delta={self.delta}"
             )
-        if int(self.n_modes) != self.n_modes or self.n_modes < 1:
-            raise ValueError(f"n_modes must be an integer >= 1, got {self.n_modes}")
-        n = int(self.n_modes)
+        n = self.n_modes
+        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
+            raise ValueError(f"n_modes must be an integer >= 1, got {n!r}")
         with np.errstate(over="ignore", divide="ignore"):
             radius = np.pi * np.float64(self.delta) / self.g
             dw = np.pi / radius
@@ -110,7 +110,7 @@ class DressedAtomParams:
         if not np.all(np.isfinite(scales)):
             raise ValueError("R, omega_bar^2, g^2, N eta^2, (N dw)^2 and dw^4 must be finite, "
                              "got " + ", ".join(f"{v:.3e}" for v in scales))
-        freeze(self, n_modes=n, radius=float(radius), delta_omega=float(dw),
+        freeze(self, n_modes=int(n), radius=float(radius), delta_omega=float(dw),
                eta=np.sqrt(4.0 * self.g * dw / np.pi))
 
     @classmethod

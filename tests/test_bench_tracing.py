@@ -59,7 +59,7 @@ def test_traced_cli_jobs_record_work_counts(tmp_path):
     def work(job, fn):
         return [s.work for s in tracer.spans if s.job == job and s.fn == fn]
 
-    # the impurity figure's exact survival: one pair trace from the rows record,
+    # the impurity figure's exact survival: one pair trace from the record's rows,
     # its entropy certified by the static margin without the dense amplitude row
     assert work(0, "amplitude_trace") == [{"terms": 9 * 17}]
     assert work(0, "amplitude_row") == []

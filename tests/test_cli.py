@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dressedcavity import bipartite, cli, coupling, dynamics
+from dressedcavity import bipartite, cli, coupling, dynamics, oracle
 from dressedcavity.spectrum import solve_eigenfrequencies
 from dressedcavity.cli import (
     EXIT_INVARIANT,
@@ -252,14 +252,19 @@ class TestAmplitudeCommand:
         assert np.array_equal(re_f + 1j * im_f, dynamics.survival_trace(spec, t).values)
 
     def test_only_the_dense_routes_are_capped(self, tmp_path, monkeypatch):
-        # every exact command takes the rows it names; only the dense dump is capped
+        # every exact command takes the rows it names; only the dense dump and
+        # the oracle are capped, and the oracle refuses before its Jacobi
         monkeypatch.setattr(coupling, "MATRIX_MODE_CAP", 8)
+        monkeypatch.setattr(oracle, "jacobi_eigh",
+                            lambda *a, **k: pytest.fail("the Jacobi ran above the cap"))
         argv = ("--steps", "5", "--n-modes", "16")
         assert run("amplitude", "--regime", "exact", "--mu", "2", "--nu", "3", *argv,
                    "--out", str(tmp_path / "a")) == EXIT_OK
         assert run("entropy", "--regime", "exact", *argv, "--out", str(tmp_path / "e")) == EXIT_OK
         assert run("impurity", *argv, "--out", str(tmp_path / "i")) == EXIT_OK
         assert run("matrix-dump", *argv, "--out", str(tmp_path / "m")) == EXIT_USAGE
+        assert not (tmp_path / "m" / "transform_matrix.csv").exists()
+        assert run("oracle-check", *argv, "--out", str(tmp_path / "o")) == EXIT_USAGE
 
     def test_exact_unitarity_margin_is_checked(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(coupling.TransformMatrix, "unitarity_margin", lambda self, mu: 2e-6)
@@ -322,11 +327,11 @@ class TestEntropyCommand:
         assert np.ptp(e_col) < 1e-10
 
     def test_prints_the_drift_bound_and_writes_the_constant(self, tmp_path, capsys):
-        # the exact route certifies E over every t from the rows record alone
+        # the exact route certifies E over every t from row 0 of the record alone
         argv = ("--xi", "0.25", "--steps", "33", "--n-modes", "48")
         assert run("entropy", "--regime", "exact", *argv, "--out", str(tmp_path)) == EXIT_OK
         cfg = RunConfig(xi=0.25, steps=33, n_modes=48)
-        tm = coupling.build_matrix(solve_eigenfrequencies(cfg.atom_params()), rows=(0, 0))
+        tm = coupling.build_matrix(solve_eigenfrequencies(cfg.atom_params()))
         deviation = tm.unitarity_margin(0) + dynamics.row_norm_rounding(tm, 0)
         bound = bipartite.entropy_drift_bound(0.25, deviation)
         assert f"max_deviation={bound:.3e}" in capsys.readouterr().out

@@ -11,6 +11,7 @@ from dressedcavity import (
     NormalizationFailure,
     RegimeViolation,
     amplitude_row,
+    amplitude_trace,
     approx_small_cavity_elements,
     atom_element,
     atom_weights,
@@ -140,27 +141,28 @@ class TestBuildMatrix:
         assert np.max(np.abs(gram - np.eye(501))) < 1e-6
 
     def test_build_peaks_below_one_and_a_quarter_dense_matrices(self):
-        # t is the one (N+1)^2 array: it is formed in place a block of rows at
-        # a time, the column norms take no t * t, and the orthogonality bound
-        # holds a few row blocks, never a Gram t t^T
+        # t is the one (N+1)^2 array: it is formed into itself a block of rows
+        # at a time, the column norms take one block buffer and no t * t, and
+        # the orthogonality bound holds a few row blocks, never a Gram t t^T
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=1500)
         spec = solve_eigenfrequencies(p)
         tracemalloc.start()
         try:
-            build_matrix(spec)
+            build_matrix(spec).t
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * 1501**2 * 8
 
     def test_rows_record_above_the_cap_peaks_far_below_one_dense_matrix(self):
-        # rows mu and nu, the column norms and the bound hold O(N) arrays and
-        # blocks of bounded size, so no cap applies
+        # the record, rows mu and nu, the column norms and the bound hold O(N)
+        # arrays and blocks of bounded size, so no cap applies
         n = coupling.MATRIX_MODE_CAP + 1
         spec = solve_eigenfrequencies(DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=n))
         tracemalloc.start()
         try:
-            build_matrix(spec, rows=(2, 3))
+            tm = build_matrix(spec)
+            tm.row(2), tm.row(3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -176,11 +178,13 @@ class TestBuildMatrix:
     def test_atom_row_is_the_root_of_the_weights(self, fig_spectrum, fig_matrix):
         assert np.array_equal(fig_matrix.t[0], np.sqrt(fig_spectrum.weights))
 
-    @pytest.mark.parametrize("rows", [None, (0, 3)], ids=["dense", "rows"])
-    def test_rejects_a_nan_entry(self, fig_spectrum, rows, monkeypatch):
-        # every record forms all of t and checks the norms of what it formed,
-        # held or not: a NaN t_5^7, as a broken formula would leave, fails the
-        # column check, which states what passes
+    @pytest.mark.parametrize("ask", [lambda tm: tm.t, lambda tm: tm.row(5)],
+                             ids=["dense", "rows"])
+    def test_rejects_a_nan_entry(self, fig_spectrum, ask, monkeypatch):
+        # the record forms all of t and checks the norms of what it formed
+        # before it serves the whole matrix or any row: a NaN t_5^7, as a
+        # broken formula would leave, fails the column check, which states
+        # what passes
         divide = np.divide
 
         def poisoned(x, y, out):
@@ -190,7 +194,7 @@ class TestBuildMatrix:
 
         monkeypatch.setattr(coupling.np, "divide", poisoned)
         with pytest.raises(NormalizationFailure, match="column 7 norm deviates by nan"):
-            TransformMatrix(spectrum=fig_spectrum, rows=rows)
+            ask(TransformMatrix(spectrum=fig_spectrum))
 
     def test_reconstructs_quadratic_form(self, fig_spectrum, fig_matrix):
         b = build_form(fig_spectrum.params).matrix
@@ -202,29 +206,55 @@ class TestBuildMatrix:
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=6)
         spec = solve_eigenfrequencies(p)
         monkeypatch.setattr(coupling, "MATRIX_MODE_CAP", 5)
-        with pytest.raises(ValueError):
-            build_matrix(spec)
-        # named rows are not capped
-        assert build_matrix(spec, rows=(0, 6)).t.shape == (2, 7)
+        tm = build_matrix(spec)
+        with pytest.raises(ValueError, match=r"exceeds the dense-matrix cap 5; .* row\(\)"):
+            tm.t
+        # rows are not capped
+        assert tm.row(6).shape == (7,)
+        assert tm.unitarity_margin(6) <= 1e-12
+
+    def test_a_record_above_the_cap_serves_its_rows(self, monkeypatch):
+        # only the whole matrix is capped: rows, margins and pair traces of a
+        # record above the cap come from its rows alone
+        spec = solve_eigenfrequencies(DressedAtomParams(1.0, 0.5, 0.1, 12))
+        dense = build_matrix(spec).t
+        monkeypatch.setattr(coupling, "MATRIX_MODE_CAP", 8)
+        tm = build_matrix(spec)
+        times = np.linspace(0.0, 5.0, 11)
+        phases = np.exp(-1j * np.outer(times, spec.bigomegas))
+        for k in (0, 1, 6, 12):
+            assert np.array_equal(tm.row(k), dense[k])
+            assert tm.unitarity_margin(k) <= 1e-12
+            for j in (0, 1, 6, 12):
+                f = amplitude_trace(tm, k, j, times).values
+                assert np.max(np.abs(f - phases @ (dense[k] * dense[j]))) <= 1e-13
+        for whole in (lambda: tm.t, lambda: amplitude_row(tm, 0, times)):
+            with pytest.raises(ValueError, match="exceeds the dense-matrix cap 8"):
+                whole()
 
 
 class TestRowLabels:
-    """One parser names every row: the records' rows, row() and unitarity_margin()."""
+    """One parser names every row of row() and unitarity_margin(), on a record
+    that has formed its whole matrix and on one that forms only rows."""
 
-    @pytest.fixture(params=[None, (0, 3)], ids=["dense", "rows"])
+    @pytest.fixture(params=["dense", "rows"])
     def record(self, request, fig_spectrum, fig_matrix):
-        return fig_matrix if request.param is None else build_matrix(fig_spectrum, request.param)
+        if request.param == "dense":
+            fig_matrix.t  # formed and kept
+            return fig_matrix
+        return build_matrix(fig_spectrum)
 
     def test_labels_name_one_row(self, record, fig_matrix):
+        formed = "t" in vars(record)
         for labels, k in ((("atom", 0), 0), ((3, "3", np.int64(3)), 3)):
             for label in labels:
                 assert np.array_equal(record.row(label), fig_matrix.t[k])
                 assert record.unitarity_margin(label) == record.unitarity_margin(k)
+        # a row never forms, nor reads, the whole matrix
+        assert ("t" in vars(record)) == formed
 
     @pytest.mark.parametrize("label", [0.7, True, -1, 201, "x"])
-    def test_refuses_what_names_no_row(self, record, fig_spectrum, label):
-        with pytest.raises(ValueError, match="row label"):
-            build_matrix(fig_spectrum, rows=(0, label))
+    def test_refuses_what_names_no_row(self, record, label):
         with pytest.raises(ValueError, match="row label"):
             record.row(label)
         with pytest.raises(ValueError, match="row label"):
@@ -250,7 +280,7 @@ class TestRowLabels:
         assert (spec.weights[7] == 0.0) if weight == "zero" else (spec.weights[7] < 0.0)
         with np.errstate(invalid="ignore"), \
                 pytest.raises(NormalizationFailure, match="column 7 norm deviates"):
-            build_matrix(spec, record.rows)
+            build_matrix(spec)
 
 
 class TestOrthogonalityBound:
@@ -268,10 +298,6 @@ class TestOrthogonalityBound:
         # the column check keeps the worst column deviation of the stored array
         col = np.abs(np.einsum("ij,ij->j", tm.t, tm.t) - 1.0).max()
         assert tm.column_deviation == col
-        # a record of two rows forms and checks the same entries
-        rows = build_matrix(tm.spectrum, rows=(0, n))
-        assert ((rows.column_deviation, rows.orthogonality_bound, rows.unitarity_margin(n))
-                == (tm.column_deviation, tm.orthogonality_bound, tm.unitarity_margin(n)))
 
     def test_weak_coupling_on_resonance(self):
         # omega_bar = omega_10 and g = 1e-30: roots 9 and 10 hug omega_10 from
@@ -282,17 +308,18 @@ class TestOrthogonalityBound:
         tm = build_matrix(spec)
         assert gram_deviation(tm.t) <= tm.orthogonality_bound <= 1e-6
 
-    def test_rows_record_matches_the_dense_matrix(self, fig_spectrum, fig_matrix):
-        tm = build_matrix(fig_spectrum, rows=(3, 0, 200))
-        assert np.array_equal(tm.t, fig_matrix.t[[3, 0, 200]])
-        assert np.array_equal(tm.row(200), fig_matrix.row(200))
-        # both sum the squares of the same formed entries, in the same order
-        assert tm.column_deviation == fig_matrix.column_deviation
-        assert tm.orthogonality_bound == fig_matrix.orthogonality_bound
-        with pytest.raises(ValueError, match="not among the held rows"):
-            tm.row(1)
-        with pytest.raises(ValueError, match="row label must be 'atom' or a mode index 1..200"):
-            build_matrix(fig_spectrum, rows=(201,))
+    def test_rows_record_matches_the_dense_matrix(self):
+        # row(k) and t form the entries whose squares the column check summed,
+        # bit for bit, and the check sums them in row order; one row block at
+        # N = 50 and 200, several at N = 600
+        for g, delta, n in ((1e-9, 1e3, 50), (0.5, 0.1, 200), (0.9, 1e-3, 600)):
+            tm = build_matrix(solve_eigenfrequencies(DressedAtomParams(1.0, g, delta, n)))
+            rows = [tm.row(k) for k in range(n + 1)]
+            assert all(np.array_equal(r, tm.t[k]) for k, r in enumerate(rows))
+            norms = rows[0] ** 2
+            for r in rows[1:]:
+                norms = norms + r**2
+            assert tm.column_deviation == np.max(np.abs(norms - 1.0))
 
     def test_unitarity_margin_bounds_the_row_norm_at_every_time(self, fig_spectrum,
                                                                 fig_matrix):
@@ -300,7 +327,7 @@ class TestOrthogonalityBound:
         for mu in (0, 3, 200):
             row = amplitude_row(fig_matrix, mu, times)
             deviation = np.max(np.abs(np.sum(np.abs(row) ** 2, axis=1) - 1.0))
-            margin = build_matrix(fig_spectrum, rows=(mu,)).unitarity_margin(mu)
+            margin = build_matrix(fig_spectrum).unitarity_margin(mu)
             assert deviation <= margin <= 3e-14
             assert fig_matrix.unitarity_margin(mu) == margin
 

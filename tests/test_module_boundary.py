@@ -78,9 +78,9 @@ def test_the_check_sees_both_forms():
     source = ("from __future__ import annotations\n"
               "from . import spectrum as sp\n"
               "from .spectrum import ModeSpectrum, _omega\n"
-              "from dressedcavity.coupling import _rows\n"
+              "from dressedcavity.coupling import _field_rows\n"
               "x = sp._secular(ModeSpectrum, sp.field_frequencies, __name__)\n")
-    assert private_uses(source) == ["spectrum._omega", "coupling._rows", "spectrum._secular"]
+    assert private_uses(source) == ["spectrum._omega", "coupling._field_rows", "spectrum._secular"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])

@@ -1,5 +1,6 @@
 """Every frozen record holds its arrays as read-only views and leaves the
-caller's arrays as they were: built directly and through its producer."""
+caller's arrays as they were: built directly and through its producer.  A
+transform's whole matrix, formed on first use and kept, is read-only too."""
 
 from dataclasses import dataclass, fields
 
@@ -65,11 +66,6 @@ def mode_spectrum_by_solve_eigenfrequencies():
 @build
 def transform_matrix():
     return TransformMatrix(SPEC), []
-
-
-@build
-def transform_matrix_of_rows():
-    return TransformMatrix(SPEC, rows=(2, 3)), []
 
 
 @build
@@ -158,6 +154,9 @@ def test_record_arrays_are_read_only_and_caller_arrays_stay_writable(name):
     record, caller = BUILDS[name]()
     held = [getattr(record, f.name) for f in fields(record)
             if isinstance(getattr(record, f.name), np.ndarray)]
+    if isinstance(record, TransformMatrix):
+        held.append(record.t)  # formed on first use and kept
+        assert record.t is held[-1]
     assert held
     assert not [a for a in held if a.flags.writeable]
     assert all(a.flags.writeable for a in caller)
