@@ -7,10 +7,11 @@ oracle-check.  Exit codes: 0 success, 1 usage, 2 numerical failure,
 Every run follows one pair of atoms with the same (omega_bar, g, delta).
 The cavity enters only through delta = g R / pi (wave speed c = 1), which
 spans both regimes: the small cavity is delta << 1, free space delta ->
-infinity.  The keys of a run are the fields of :class:`RunConfig`: the
-parser makes a flag of each (``n_modes`` is ``--n-modes``) and a flat
-key=value file ('#' comments) sets them, both typed by the field's
-default, and the flags override the file.  Defaults reproduce the
+infinity.  The keys of a run are the fields of :class:`RunConfig`; each
+subcommand takes only the keys it reads (``_COMMANDS``), as flags
+(``n_modes`` is ``--n-modes``) and from a flat key=value file ('#'
+comments), both typed by the field's default, and the flags override the
+file.  Any other key is a usage error.  Defaults reproduce the
 reference impurity figure (omega_bar=1, g=0.5, delta=0.1, t in [0, 25]).  All CSV output uses a
 header row and 17 significant digits, so identical configs give
 byte-identical files; the frozen result types check their own invariants.
@@ -87,9 +88,9 @@ _READ = {bool: lambda v: v.lower() in ("1", "true", "yes", "on")}
 _READERS = {f.name: _READ.get(type(f.default), type(f.default)) for f in fields(RunConfig)}
 
 
-def parse_config_file(path: str) -> dict:
+def parse_config_file(path: str, keys) -> dict:
     """Flat key=value file; each value takes the type of its :class:`RunConfig`
-    default, and unknown keys are usage errors."""
+    default, and a key outside ``keys`` is a usage error."""
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -98,7 +99,7 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _READERS:
+        if key not in keys:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = _READERS[key](value)
     return out
@@ -304,13 +305,16 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# Each subcommand and the keys it reads; all take the system and --out (oracle-check writes none).
+_COMMON = ("omega_bar", "g", "delta", "n_modes", "out")
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "amplitude": cmd_amplitude,
-    "impurity": cmd_impurity,
-    "entropy": cmd_entropy,
-    "matrix-dump": cmd_matrix_dump,
-    "oracle-check": cmd_oracle_check,
+    "spectrum": (cmd_spectrum, _COMMON + ("svg",)),
+    "amplitude": (cmd_amplitude, _COMMON + ("regime", "t_max", "steps", "k_max", "mu", "nu",
+                                            "svg")),
+    "impurity": (cmd_impurity, _COMMON + ("xi", "phi", "t_max", "steps", "svg")),
+    "entropy": (cmd_entropy, _COMMON + ("xi", "phi", "regime", "t_max", "steps", "svg")),
+    "matrix-dump": (cmd_matrix_dump, _COMMON),
+    "oracle-check": (cmd_oracle_check, _COMMON),
 }
 
 
@@ -323,20 +327,19 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; all subcommands share one flag set."""
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--config", help="flat key=value config file")
-    for name, read in _READERS.items():
-        flag = "--" + name.replace("_", "-")
-        if read is _READ[bool]:
-            flags.add_argument(flag, action="store_true", default=None)
-        else:
-            flags.add_argument(flag, type=read, choices=_REGIMES if name == "regime" else None)
+    """The command-line parser, built once per process; a subcommand's flags are its keys."""
     parser = _Parser(prog="dressed-cavity",
                      description="Dressed atoms in a reflecting spherical cavity")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[flags], allow_abbrev=False)  # one spelling per flag
+    for name, (_, keys) in _COMMANDS.items():
+        command = sub.add_parser(name, allow_abbrev=False)  # one spelling per flag
+        command.add_argument("--config", help="flat key=value config file")
+        for key in keys:
+            flag = "--" + key.replace("_", "-")
+            if _READERS[key] is _READ[bool]:
+                command.add_argument(flag, action="store_true", default=None)
+            else:
+                command.add_argument(flag, type=_READERS[key])
     return parser
 
 
@@ -345,7 +348,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     # every flag the parser defines but --config is a RunConfig field; unset ones are None
     flags = {name: value for name, value in vars(args).items()
              if name not in ("command", "config") and value is not None}
-    cfg = RunConfig(**{**(parse_config_file(args.config) if args.config else {}), **flags})
+    keys = _COMMANDS[args.command][1]
+    cfg = RunConfig(**{**(parse_config_file(args.config, keys) if args.config else {}), **flags})
     cfg.validate()
     return cfg
 
@@ -359,7 +363,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = config_from_args(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

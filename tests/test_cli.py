@@ -22,8 +22,26 @@ from dressedcavity.cli import (
 )
 
 
+FIELDS = [f.name for f in fields(RunConfig)]
+
+# a value for every key, none of them its default
+SAMPLE = {"omega_bar": "1.5", "g": "0.25", "delta": "0.05", "n_modes": "16", "xi": "0.25",
+          "phi": "0.7", "regime": "exact", "t_max": "3", "steps": "7", "k_max": "100",
+          "mu": "2", "nu": "3", "out": "runs", "svg": "true"}
+
+
 def run(*argv):
     return main(list(argv))
+
+
+def keys_of(command):
+    return cli._COMMANDS[command][1]
+
+
+def flag_of(key):
+    """The command-line words that set ``key`` to its SAMPLE value."""
+    flag = "--" + key.replace("_", "-")
+    return [flag] if isinstance(getattr(RunConfig(), key), bool) else [flag, SAMPLE[key]]
 
 
 class TestConfigFile:
@@ -41,7 +59,7 @@ class TestConfigFile:
             "k_max = 500\n"
             "mu = 2\n"
         )
-        vals = parse_config_file(str(cfg))
+        vals = parse_config_file(str(cfg), keys_of("amplitude"))
         assert vals == {"omega_bar": 1.0, "g": 0.5, "n_modes": 64,
                         "svg": True, "regime": "exact", "delta": 3.0,
                         "steps": 11, "k_max": 500, "mu": "2"}
@@ -51,8 +69,8 @@ class TestConfigFile:
     def test_rejects_unknown_keys(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("coupling = 0.5\n")
-        with pytest.raises(ValueError):
-            parse_config_file(str(cfg))
+        with pytest.raises(ValueError, match="unknown key 'coupling'"):
+            parse_config_file(str(cfg), FIELDS)
 
     def test_second_atom_key_is_a_usage_error(self, tmp_path):
         # both atoms share one (omega_bar, g, delta): there is no second-atom key
@@ -82,8 +100,14 @@ class TestExitCodes:
         assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    def test_usage_bad_regime(self, tmp_path):
-        assert run("amplitude", "--regime", "medium", "--out", str(tmp_path)) == EXIT_USAGE
+    def test_usage_bad_regime(self, tmp_path, capsys):
+        # one check, RunConfig.validate, refuses a bad regime from a flag or a file alike
+        (tmp_path / "run.cfg").write_text("regime = medium\n")
+        message = "error: regime must be one of ('small', 'free-space', 'exact'), got 'medium'"
+        for source in (["--regime", "medium"], ["--config", str(tmp_path / "run.cfg")]):
+            assert run("amplitude", *source, "--out", str(tmp_path / "out")) == EXIT_USAGE
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_usage_bad_steps(self, tmp_path):
         assert run("impurity", "--steps", "1", "--out", str(tmp_path)) == EXIT_USAGE
@@ -99,20 +123,24 @@ class TestExitCodes:
         assert run("amplitude", "--regime", "free-space", "--mu", "2",
                    "--out", str(tmp_path)) == EXIT_USAGE
 
-    @pytest.mark.parametrize("argv", [
-        ("amplitude", "--regime", "free-space", "--t-max", "nan"),
-        ("amplitude", "--regime", "free-space", "--t-max", "inf"),
-        ("impurity", "--phi", "nan"),
-        ("spectrum", "--omega-bar", "inf"),
-        ("spectrum", "--delta", "inf"),
-        ("spectrum", "--c", "inf"),
+    @pytest.mark.parametrize("argv, message", [
+        (("amplitude", "--regime", "free-space", "--t-max", "nan", "--steps", "5"),
+         "t_max must be positive and finite, got nan"),
+        (("amplitude", "--regime", "free-space", "--t-max", "inf", "--steps", "5"),
+         "t_max must be positive and finite, got inf"),
+        (("impurity", "--phi", "nan", "--steps", "5"), "phi must be finite, got nan"),
+        (("spectrum", "--omega-bar", "inf"), "must all be positive and finite, got omega_bar=inf"),
+        (("spectrum", "--delta", "inf"), "must all be positive and finite, got omega_bar=1.0, "
+                                         "g=0.5, delta=inf"),
+        (("spectrum", "--c", "inf"), "unrecognized arguments: --c inf"),
         # finite, but omega_bar^2 or dw^4 = (g / delta)^4 overflows
-        ("spectrum", "--omega-bar", "1e200"),
-        ("spectrum", "--delta", "1e-3", "--g", "1e150"),
+        (("spectrum", "--omega-bar", "1e200"), "and dw^4 must be finite, got 6.283e-01, inf,"),
+        (("spectrum", "--delta", "1e-3", "--g", "1e150"), "6.400e+307, inf"),
     ], ids=["t-max-nan", "t-max-inf", "phi-nan", "omega-bar-inf", "delta-inf", "c-inf",
             "omega-bar-sq-overflow", "dw-fourth-overflow"])
-    def test_usage_non_finite_input(self, tmp_path, argv):
-        assert run(*argv, "--steps", "5", "--n-modes", "8", "--out", str(tmp_path)) == EXIT_USAGE
+    def test_usage_non_finite_input(self, tmp_path, capsys, argv, message):
+        assert run(*argv, "--n-modes", "8", "--out", str(tmp_path)) == EXIT_USAGE
+        assert message in capsys.readouterr().err
 
     def test_bad_xi_exits_before_the_solve(self, tmp_path, monkeypatch):
         def solve(params):
@@ -138,12 +166,32 @@ class TestExitCodes:
         assert run("amplitude", "--delta", "0.19999999999999998", "--steps", "5",
                    "--k-max", "100", "--out", str(tmp_path)) == EXIT_OK
 
-    @pytest.mark.parametrize("command", ["spectrum", "matrix-dump", "oracle-check"])
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
     @pytest.mark.parametrize("flag, value", [("--xi", "1.5"), ("--phi", "nan")])
-    def test_usage_bad_superposition_for_every_command(self, tmp_path, command, flag, value):
-        # the superposition is checked with the rest of the run's keys, also by
-        # the commands that never read it
+    def test_usage_bad_superposition_for_every_command(self, tmp_path, capsys, command, flag,
+                                                       value):
+        # a command that reads xi and phi refuses a bad value before any work;
+        # every other command refuses the flag itself
         assert run(command, flag, value, "--n-modes", "8", "--out", str(tmp_path)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        if flag[2:] in keys_of(command):
+            assert f"error: {flag[2:]} must" in err and err.endswith(f"got {value}\n")
+        else:
+            assert f"error: unrecognized arguments: {flag} {value}" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, key", [(c, k) for c in cli._COMMANDS for k in FIELDS
+                                              if k not in keys_of(c)])
+    def test_usage_key_outside_the_command(self, tmp_path, capsys, command, key):
+        # a key the command never reads is refused, from a flag and from a file alike
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(f"{key} = {SAMPLE[key]}\n")
+        assert run(command, *flag_of(key), "--n-modes", "8", "--out", str(out)) == EXIT_USAGE
+        assert f"error: unrecognized arguments: {' '.join(flag_of(key))}" in capsys.readouterr().err
+        assert run(command, "--config", str(tmp_path / "run.cfg"), "--n-modes", "8",
+                   "--out", str(out)) == EXIT_USAGE
+        assert f"run.cfg:1: unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_failure_on_nan_residuals(self, tmp_path, capsys):
         # at R = pi delta / g = 1e300 every newton_rel is NaN, which fails the solver's check
@@ -251,7 +299,7 @@ class TestAmplitudeCommand:
         spec = solve_eigenfrequencies(RunConfig(n_modes=16).atom_params())
         assert np.array_equal(re_f + 1j * im_f, dynamics.survival_trace(spec, t).values)
 
-    def test_only_the_dense_routes_are_capped(self, tmp_path, monkeypatch):
+    def test_only_the_dense_routes_are_capped(self, tmp_path, monkeypatch, capsys):
         # every exact command takes the rows it names; only the dense dump and
         # the oracle are capped, and the oracle refuses before its Jacobi
         monkeypatch.setattr(coupling, "MATRIX_MODE_CAP", 8)
@@ -262,9 +310,13 @@ class TestAmplitudeCommand:
                    "--out", str(tmp_path / "a")) == EXIT_OK
         assert run("entropy", "--regime", "exact", *argv, "--out", str(tmp_path / "e")) == EXIT_OK
         assert run("impurity", *argv, "--out", str(tmp_path / "i")) == EXIT_OK
-        assert run("matrix-dump", *argv, "--out", str(tmp_path / "m")) == EXIT_USAGE
+        capsys.readouterr()
+        cap = "error: n_modes=16 exceeds the dense-matrix cap 8"
+        assert run("matrix-dump", "--n-modes", "16", "--out", str(tmp_path / "m")) == EXIT_USAGE
+        assert cap in capsys.readouterr().err
         assert not (tmp_path / "m" / "transform_matrix.csv").exists()
-        assert run("oracle-check", *argv, "--out", str(tmp_path / "o")) == EXIT_USAGE
+        assert run("oracle-check", "--n-modes", "16", "--out", str(tmp_path / "o")) == EXIT_USAGE
+        assert cap in capsys.readouterr().err
 
     def test_exact_unitarity_margin_is_checked(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(coupling.TransformMatrix, "unitarity_margin", lambda self, mu: 2e-6)
@@ -462,26 +514,45 @@ class TestRunConfig:
         assert p.delta == pytest.approx(0.1, rel=1e-15)
 
     def test_fields_are_the_flags(self):
-        # one table of keys: a config file and the command line name the same settings
-        dests = set(vars(build_parser().parse_args(["spectrum"]))) - {"command", "config"}
-        assert {f.name for f in fields(RunConfig)} == dests
-
-    # a value for every key, none of them its default
-    SAMPLE = {"omega_bar": "1.5", "g": "0.25", "delta": "0.05", "n_modes": "16", "xi": "0.25",
-              "phi": "0.7", "regime": "exact", "t_max": "3", "steps": "7", "k_max": "100",
-              "mu": "2", "nu": "3", "out": "runs", "svg": "true"}
-
-    @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
-    def test_flag_and_file_read_a_value_alike(self, tmp_path, key):
-        value = self.SAMPLE[key]
-        flag = ["--" + key.replace("_", "-")]
-        if not isinstance(getattr(RunConfig(), key), bool):
-            flag.append(value)
-        (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+        # one table of keys: a command's flags are the keys it reads, and every
+        # key is read by some command
         parser = build_parser()
-        by_flag = cli.config_from_args(parser.parse_args(["spectrum", *flag]))
+        for command, (_, keys) in cli._COMMANDS.items():
+            dests = set(vars(parser.parse_args([command]))) - {"command", "config"}
+            assert dests == set(keys)
+        assert set().union(*(keys for _, keys in cli._COMMANDS.values())) == set(FIELDS)
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_each_command_reads_exactly_its_keys(self, tmp_path, command):
+        # the fields a command function reads, over every regime it takes, are its
+        # keys; oracle-check takes --out with the others but writes nothing
+        read = set()
+
+        class Recording(RunConfig):
+            def __getattribute__(self, name):
+                if name in FIELDS:
+                    read.add(name)
+                return super().__getattribute__(name)
+
+        keys = keys_of(command)
+        tiny = [word for key, value in (("n_modes", "8"), ("steps", "5"), ("k_max", "100"))
+                if key in keys for word in ("--" + key.replace("_", "-"), value)]
+        runs = [["--regime", regime] for regime in cli._REGIMES] if "regime" in keys else [[]]
+        for i, regime in enumerate(runs):
+            argv = [command, *tiny, *regime, "--out", str(tmp_path / str(i))]
+            cfg = cli.config_from_args(build_parser().parse_args(argv))
+            recording = Recording(**{name: getattr(cfg, name) for name in FIELDS})
+            assert cli._COMMANDS[command][0](recording) == EXIT_OK
+        assert read == set(keys) - ({"out"} if command == "oracle-check" else set())
+
+    @pytest.mark.parametrize("key", FIELDS)
+    def test_flag_and_file_read_a_value_alike(self, tmp_path, key):
+        command = next(c for c in cli._COMMANDS if key in keys_of(c))
+        (tmp_path / "run.cfg").write_text(f"{key} = {SAMPLE[key]}\n")
+        parser = build_parser()
+        by_flag = cli.config_from_args(parser.parse_args([command, *flag_of(key)]))
         by_file = cli.config_from_args(
-            parser.parse_args(["spectrum", "--config", str(tmp_path / "run.cfg")]))
+            parser.parse_args([command, "--config", str(tmp_path / "run.cfg")]))
         got, want = getattr(by_flag, key), getattr(by_file, key)
         assert got == want and type(got) is type(want)
         assert got != getattr(RunConfig(), key)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dressedcavity.cli import EXIT_OK, RunConfig, main
+from dressedcavity.cli import _COMMANDS, EXIT_OK, RunConfig, main
 
 LINES = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
 
@@ -17,9 +17,13 @@ EXAMPLES = [line.split(maxsplit=1)[1] for line in LINES
 
 
 def test_config_keys_are_the_run_config_fields():
-    text = " ".join(" ".join(LINES).split())
-    keys = re.search(r"keys are exactly the flags: `([^`]*)`", text).group(1)
-    assert keys.split(", ") == [f.name for f in fields(RunConfig)]
+    # the README's table of each subcommand's keys is the CLI's, and every key is in it
+    common = re.search(r"keys besides `([^`]*)`", "\n".join(LINES)).group(1).split(", ")
+    rows = [re.fullmatch(r"\| `([a-z-]+)` \| (?:none|`([^`]*)`) \|", line).groups()
+            for line in LINES if line.startswith("| `")]
+    table = {name: tuple(common + (keys.split(", ") if keys else [])) for name, keys in rows}
+    assert table == {name: keys for name, (_, keys) in _COMMANDS.items()}
+    assert set().union(*table.values()) == {f.name for f in fields(RunConfig)}
 
 
 def test_examples_are_found():
