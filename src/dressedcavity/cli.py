@@ -10,8 +10,8 @@ spans both regimes: the small cavity is delta << 1, free space delta ->
 infinity.  The keys of a run are the fields of :class:`RunConfig`; each
 subcommand takes only the keys it reads (``_COMMANDS``), as flags
 (``n_modes`` is ``--n-modes``) and from a flat key=value file ('#'
-comments), both typed by the field's default, and the flags override the
-file.  Any other key is a usage error.  Defaults reproduce the
+comments), each read by :func:`_read`, and the flags override the file.
+Any other key is refused by :func:`_outside`.  Defaults reproduce the
 reference impurity figure (omega_bar=1, g=0.5, delta=0.1, t in [0, 25]).  All CSV output uses a
 header row and 17 significant digits, so identical configs give
 byte-identical files; the frozen result types check their own invariants.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -83,14 +83,27 @@ class RunConfig:
         return bipartite.SuperpositionSpec(xi=self.xi, phi=self.phi)
 
 
-# How a config value is read, by the type of its field's default.
-_READ = {bool: lambda v: v.lower() in ("1", "true", "yes", "on")}
-_READERS = {f.name: _READ.get(type(f.default), type(f.default)) for f in fields(RunConfig)}
+_BOOLS = dict(zip("1 true yes on 0 false no off".split(), [True] * 4 + [False] * 4))
+_KINDS = {int: "an integer", float: "a number", bool: "one of 1/true/yes/on or 0/false/no/off"}
 
 
-def parse_config_file(path: str, keys) -> dict:
-    """Flat key=value file; each value takes the type of its :class:`RunConfig`
-    default, and a key outside ``keys`` is a usage error."""
+def _read(key: str, text: str, where: str):
+    """``text`` as the type of ``key``'s default, else refused naming ``key`` and ``where``."""
+    kind = type(getattr(RunConfig, key))
+    try:
+        return _BOOLS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"{where}: {key} must be {_KINDS[kind]}, got {text!r}") from None
+
+
+def _outside(command: str, key: str) -> str:
+    """The refusal of a key ``command`` does not read, from a flag or a file."""
+    return f"{command} reads no key {key!r}; its keys are {', '.join(_COMMANDS[command][1])}"
+
+
+def parse_config_file(path: str, command: str) -> dict:
+    """Flat key=value file of ``command``'s keys, each read by :func:`_read`;
+    any other key is refused by :func:`_outside`."""
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -99,9 +112,9 @@ def parse_config_file(path: str, keys) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in keys:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _READERS[key](value)
+        if key not in _COMMANDS[command][1]:
+            raise ValueError(f"{path}:{lineno}: {_outside(command, key)}")
+        out[key] = _read(key, value, f"{path}:{lineno}")
     return out
 
 
@@ -130,7 +143,7 @@ def write_csv(path: Path, header: list[str], table) -> None:
 # Shared pieces
 # ---------------------------------------------------------------------------
 
-def _route(cfg: RunConfig, params, regime: str, mu: int, nu: int,
+def _route(cfg: RunConfig, regime: str, mu: int, nu: int,
            entropy: bool = False) -> tuple[dynamics.AmplitudeTrace, float | None]:
     """The checked trace of f_mu_nu over the run's times by ``regime``'s route
     and, with ``entropy``, a bound on the single-atom entropy's drift
@@ -147,7 +160,7 @@ def _route(cfg: RunConfig, params, regime: str, mu: int, nu: int,
     kappa) and the continuum weight (4g/pi) integral of h is 1; drift 0.
     "small": the series.
     """
-    times = cfg.time_grid()
+    params, times = cfg.atom_params(), cfg.time_grid()
     if regime == "exact":
         tm = coupling.build_matrix(solve_eigenfrequencies(params))
         margin = tm.unitarity_margin(mu)
@@ -226,7 +239,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_amplitude(cfg: RunConfig) -> int:
     """Write f_mu_nu(t) by the run's regime (CSV, optional SVG)."""
-    trace, _ = _route(cfg, cfg.atom_params(), cfg.regime, cfg.mu, cfg.nu)
+    trace, _ = _route(cfg, cfg.regime, cfg.mu, cfg.nu)
     out = Path(cfg.out)
     v = trace.values
     abs2 = np.hypot(v.real, v.imag) ** 2  # scalar abs: numpy's array abs may differ by an ulp
@@ -245,12 +258,12 @@ def cmd_amplitude(cfg: RunConfig) -> int:
 
 def cmd_impurity(cfg: RunConfig) -> int:
     """Write the pair state and impurity D(t), small cavity (exact) and free space."""
-    params, times = cfg.atom_params(), cfg.time_grid()
+    times = cfg.time_grid()
     out = Path(cfg.out)
     # reference figure: small cavity via the exact discrete route, plus free space
     small_path, free_path = out / "impurity_small_cavity.csv", out / "impurity_free_space.csv"
-    d_small = _write_pair(cfg, small_path, _route(cfg, params, "exact", 0, 0, entropy=True)[0])
-    d_free = _write_pair(cfg, free_path, _route(cfg, params, "free-space", 0, 0)[0])
+    d_small = _write_pair(cfg, small_path, _route(cfg, "exact", 0, 0, entropy=True)[0])
+    d_free = _write_pair(cfg, free_path, _route(cfg, "free-space", 0, 0)[0])
     if cfg.svg:
         svg = svgplot.line_plot(
             [("small cavity", times, d_small, True), ("free space", times, d_free, False)],
@@ -265,7 +278,7 @@ def cmd_entropy(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     # a small cavity takes the exact route, which bounds the entropy's drift
     regime = "free-space" if cfg.regime == "free-space" else "exact"
-    trace, drift = _route(cfg, cfg.atom_params(), regime, 0, 0, entropy=True)
+    trace, drift = _route(cfg, regime, 0, 0, entropy=True)
     path = out / "entropy.csv"
     _write_pair(cfg, path, trace)
     analytic = bipartite.entanglement_entropy(cfg.xi)
@@ -295,8 +308,7 @@ def cmd_matrix_dump(cfg: RunConfig) -> int:
 
 def cmd_oracle_check(cfg: RunConfig) -> int:
     """Print the cross-checks against the oracle; exit 2 if any fails."""
-    params = cfg.atom_params()
-    checks = oracle.run_cross_checks(params)
+    checks = oracle.run_cross_checks(cfg.atom_params())
     print("check,max_err,tol,status")
     for row in checks:
         print(f"{row.name},{row.max_err:.6e},{row.tol:.1e},{row.status}")
@@ -318,52 +330,46 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage failures must exit 1, not argparse's default 2
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; a subcommand's flags are its keys."""
-    parser = _Parser(prog="dressed-cavity",
-                     description="Dressed atoms in a reflecting spherical cavity")
+    """The command-line parser, built once per process: it splits argv into each key's text."""
+    parser = argparse.ArgumentParser(prog="dressed-cavity",
+                                     description="Dressed atoms in a reflecting spherical cavity")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, keys) in _COMMANDS.items():
         command = sub.add_parser(name, allow_abbrev=False)  # one spelling per flag
         command.add_argument("--config", help="flat key=value config file")
         for key in keys:
             flag = "--" + key.replace("_", "-")
-            if _READERS[key] is _READ[bool]:
-                command.add_argument(flag, action="store_true", default=None)
+            if type(getattr(RunConfig, key)) is bool:
+                command.add_argument(flag, action="store_const", const="yes")
             else:
-                command.add_argument(flag, type=_READERS[key])
+                command.add_argument(flag)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The defaults, then the config file, then the flags, each layer over the last."""
+def config_from_args(args: argparse.Namespace, rest=()) -> RunConfig:
+    """Defaults, then config file, then flags; ``rest``, words the parser left, is refused."""
+    if rest:  # named by its key, as a file line names it: --t-max=2 is t_max
+        raise ValueError(_outside(args.command,
+                                  rest[0].split("=", 1)[0].removeprefix("--").replace("-", "_")))
     # every flag the parser defines but --config is a RunConfig field; unset ones are None
-    flags = {name: value for name, value in vars(args).items()
-             if name not in ("command", "config") and value is not None}
-    keys = _COMMANDS[args.command][1]
-    cfg = RunConfig(**{**(parse_config_file(args.config, keys) if args.config else {}), **flags})
+    flags = {key: _read(key, text, "--" + key.replace("_", "-")) for key, text in vars(args).items()
+             if key not in ("command", "config") and text is not None}
+    file = parse_config_file(args.config, args.command) if args.config else {}
+    cfg = RunConfig(**(file | flags))
     cfg.validate()
     return cfg
 
 
 def main(argv=None) -> int:
     """Run one subcommand from ``argv`` and return its exit code (EXIT_*)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args, rest = build_parser().parse_known_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after -h
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        cfg = config_from_args(args)
-        return _COMMANDS[args.command][0](cfg)
+        return _COMMANDS[args.command][0](config_from_args(args, rest))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

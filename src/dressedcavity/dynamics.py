@@ -129,14 +129,14 @@ class AmplitudeTrace:
 
 
 def _time_grid(times) -> np.ndarray:
-    """The times of a trace as a 1-D float grid of finite t >= 0; anything else
-    (a scalar, a 2-D array, a negative, NaN or infinite time) raises
-    ValueError, before any work is done."""
+    """The times of a trace as a non-decreasing 1-D float grid of finite
+    t >= 0; anything else (a scalar, a 2-D array, a negative, NaN or infinite
+    time, a decrease) raises ValueError, before any work is done."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"times must be a 1-D grid, got shape {times.shape}")
-    require((times >= 0) & (times < np.inf), ValueError,
-            "times must be >= 0 and finite, got {}", times)
+    require((np.diff(times, prepend=0.0) >= 0) & (times < np.inf), ValueError,
+            "times must be >= 0, finite and non-decreasing, got {}", times)
     return times
 
 

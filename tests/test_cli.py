@@ -38,6 +38,11 @@ def keys_of(command):
     return cli._COMMANDS[command][1]
 
 
+def refusal(command, key):
+    """The one refusal of a key outside ``command``, from a flag or a file line."""
+    return f"{command} reads no key {key!r}; its keys are {', '.join(keys_of(command))}"
+
+
 def flag_of(key):
     """The command-line words that set ``key`` to its SAMPLE value."""
     flag = "--" + key.replace("_", "-")
@@ -59,7 +64,7 @@ class TestConfigFile:
             "k_max = 500\n"
             "mu = 2\n"
         )
-        vals = parse_config_file(str(cfg), keys_of("amplitude"))
+        vals = parse_config_file(str(cfg), "amplitude")
         assert vals == {"omega_bar": 1.0, "g": 0.5, "n_modes": 64,
                         "svg": True, "regime": "exact", "delta": 3.0,
                         "steps": 11, "k_max": 500, "mu": "2"}
@@ -69,8 +74,10 @@ class TestConfigFile:
     def test_rejects_unknown_keys(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("coupling = 0.5\n")
-        with pytest.raises(ValueError, match="unknown key 'coupling'"):
-            parse_config_file(str(cfg), FIELDS)
+        with pytest.raises(ValueError) as exc:
+            parse_config_file(str(cfg), "impurity")
+        assert str(exc.value) == (f"{cfg}:1: impurity reads no key 'coupling'; its keys are "
+                                  "omega_bar, g, delta, n_modes, out, xi, phi, t_max, steps, svg")
 
     def test_second_atom_key_is_a_usage_error(self, tmp_path):
         # both atoms share one (omega_bar, g, delta): there is no second-atom key
@@ -97,7 +104,8 @@ class TestExitCodes:
     def test_each_flag_has_one_spelling(self, tmp_path, capsys, flag, value):
         # a prefix of a flag is not that flag: --c is not --config, --omega not --omega-bar
         assert run("spectrum", flag, value, "--out", str(tmp_path)) == EXIT_USAGE
-        assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {refusal('spectrum', key)}\n"
         assert not any(tmp_path.iterdir())
 
     def test_usage_bad_regime(self, tmp_path, capsys):
@@ -132,7 +140,8 @@ class TestExitCodes:
         (("spectrum", "--omega-bar", "inf"), "must all be positive and finite, got omega_bar=inf"),
         (("spectrum", "--delta", "inf"), "must all be positive and finite, got omega_bar=1.0, "
                                          "g=0.5, delta=inf"),
-        (("spectrum", "--c", "inf"), "unrecognized arguments: --c inf"),
+        (("spectrum", "--c", "inf"), "error: spectrum reads no key 'c'; its keys are "
+                                     "omega_bar, g, delta, n_modes, out, svg\n"),
         # finite, but omega_bar^2 or dw^4 = (g / delta)^4 overflows
         (("spectrum", "--omega-bar", "1e200"), "and dw^4 must be finite, got 6.283e-01, inf,"),
         (("spectrum", "--delta", "1e-3", "--g", "1e150"), "6.400e+307, inf"),
@@ -177,7 +186,7 @@ class TestExitCodes:
         if flag[2:] in keys_of(command):
             assert f"error: {flag[2:]} must" in err and err.endswith(f"got {value}\n")
         else:
-            assert f"error: unrecognized arguments: {flag} {value}" in err
+            assert err == f"error: {refusal(command, flag[2:])}\n"
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command, key", [(c, k) for c in cli._COMMANDS for k in FIELDS
@@ -187,11 +196,73 @@ class TestExitCodes:
         out = tmp_path / "out"
         (tmp_path / "run.cfg").write_text(f"{key} = {SAMPLE[key]}\n")
         assert run(command, *flag_of(key), "--n-modes", "8", "--out", str(out)) == EXIT_USAGE
-        assert f"error: unrecognized arguments: {' '.join(flag_of(key))}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {refusal(command, key)}\n"
         assert run(command, "--config", str(tmp_path / "run.cfg"), "--n-modes", "8",
                    "--out", str(out)) == EXIT_USAGE
-        assert f"run.cfg:1: unknown key {key!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'run.cfg'}:1: {refusal(command, key)}\n"
         assert not out.exists()
+
+    def test_flag_and_file_are_refused_alike(self, tmp_path, capsys):
+        # the refusal names the subcommand and the keys it reads, not the top-level usage
+        message = ("impurity reads no key 'regime'; its keys are "
+                   "omega_bar, g, delta, n_modes, out, xi, phi, t_max, steps, svg\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment\nregime = small\n")
+        for argv, where in ((["--regime", "small"], ""), (["--regime=small"], ""),
+                            (["--config", str(cfg)], f"{cfg}:2: ")):
+            assert run("impurity", *argv, "--out", str(tmp_path / "out")) == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: {where}{message}"
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_value_names_its_key_and_source(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("steps = x\n")
+        assert run("impurity", "--steps", "x", "--out", str(tmp_path / "out")) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --steps: steps must be an integer, got 'x'\n"
+        assert run("impurity", "--config", str(tmp_path / "run.cfg"),
+                   "--out", str(tmp_path / "out")) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'run.cfg'}:1: steps must be an integer, got 'x'\n")
+        assert run("spectrum", "--delta", "small", "--out", str(tmp_path / "out")) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --delta: delta must be a number, got 'small'\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["maybe", "", "2", "yess"])
+    def test_a_boolean_takes_only_its_spellings(self, tmp_path, capsys, value):
+        (tmp_path / "run.cfg").write_text(f"n_modes = 8\nsvg = {value}\n")
+        assert run("spectrum", "--config", str(tmp_path / "run.cfg"),
+                   "--out", str(tmp_path / "out")) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'run.cfg'}:2: svg must be one of 1/true/yes/on or "
+            f"0/false/no/off, got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value, svg", [(word, True) for word in ("1", "true", "Yes", "ON")]
+                             + [(word, False) for word in ("0", "FALSE", "no", "Off")])
+    def test_boolean_spellings_in_any_case(self, tmp_path, value, svg):
+        (tmp_path / "run.cfg").write_text(f"n_modes = 8\nsvg = {value}\n")
+        assert run("spectrum", "--config", str(tmp_path / "run.cfg"),
+                   "--out", str(tmp_path)) == EXIT_OK
+        assert (tmp_path / "spectrum.svg").exists() == svg
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_exits_0(self, tmp_path, capsys, command, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(command, "-h") == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"usage: dressed-cavity {command} [-h]")
+        assert run("-h") == EXIT_OK
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["impurity", "--steps"], ["impurity", "--svg", "--out"],
+                                      ["spectra"], []],
+                             ids=["no-value", "no-out", "unknown-command", "no-command"])
+    def test_argparse_usage_errors_exit_1(self, tmp_path, capsys, monkeypatch, argv):
+        # argparse's own usage errors (exit 2) are the tool's usage exit, and write nothing
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dressed-cavity") and "error: " in err
+        assert not any(tmp_path.iterdir())
 
     def test_numerical_failure_on_nan_residuals(self, tmp_path, capsys):
         # at R = pi delta / g = 1e300 every newton_rel is NaN, which fails the solver's check

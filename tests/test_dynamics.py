@@ -121,7 +121,7 @@ class TestDiscreteSum:
                 amplitude_discrete(fig_matrix, 2, "atom", t)
 
     def test_unitarity_random_times(self, fig_matrix, rng):
-        times = rng.uniform(0.0, 50.0, 25)
+        times = np.sort(rng.uniform(0.0, 50.0, 25))
         for mu in ("atom", 1, 7):
             rows = amplitude_row(fig_matrix, mu, times)
             totals = np.sum(np.abs(rows) ** 2, axis=1)

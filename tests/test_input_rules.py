@@ -9,18 +9,27 @@ from dressedcavity import (
     DressedAtomParams,
     FreeSpaceParams,
     RegimeViolation,
+    amplitude_row,
+    amplitude_trace,
     approx_small_cavity_elements,
     atom_element,
     build_form,
+    build_matrix,
     diagonalize,
+    free_space_trace,
     oracle_amplitude,
     small_cavity_amplitude,
+    small_cavity_trace,
+    solve_eigenfrequencies,
     survival_sq_large_time,
+    survival_trace,
 )
 
 P = DressedAtomParams(1.0, 0.5, 0.1, 8)
 DECOMP = diagonalize(build_form(P))
 TIMES = np.linspace(0.0, 1.0, 3)
+TM = build_matrix(solve_eigenfrequencies(P))
+BACKWARDS = [3.0, 1.0]
 
 # name -> (the call, the error it must raise, a pattern of its message)
 REFUSED = {
@@ -47,6 +56,17 @@ REFUSED = {
     "k_max True": (lambda: small_cavity_amplitude(P, TIMES, k_max=True), ValueError, "k_max"),
     "k_max 0": (lambda: approx_small_cavity_elements(P, 0), ValueError, "k_max"),
     "k_max nan": (lambda: approx_small_cavity_elements(P, np.nan), ValueError, "k_max"),
+    # a decreasing time grid, refused by every trace builder before any work
+    "amplitude_trace decreasing": (lambda: amplitude_trace(TM, 0, 1, BACKWARDS), ValueError,
+                                   "non-decreasing, got 1.0"),
+    "survival_trace decreasing": (lambda: survival_trace(TM.spectrum, BACKWARDS), ValueError,
+                                  "non-decreasing, got 1.0"),
+    "free_space_trace decreasing": (lambda: free_space_trace(FreeSpaceParams(1.0, 0.5), BACKWARDS),
+                                    ValueError, "non-decreasing, got 1.0"),
+    "small_cavity_trace decreasing": (lambda: small_cavity_trace(P, BACKWARDS, 50), ValueError,
+                                      "non-decreasing, got 1.0"),
+    "amplitude_row decreasing": (lambda: amplitude_row(TM, 0, BACKWARDS), ValueError,
+                                 "non-decreasing, got 1.0"),
 }
 
 
