@@ -11,9 +11,10 @@ infinity.  The keys of a run are the fields of :class:`RunConfig`; each
 subcommand takes only the keys it reads (``_COMMANDS``), as flags
 (``n_modes`` is ``--n-modes``) and from a flat key=value file ('#'
 comments), each read by :func:`_read`, and the flags override the file.
-Any other key is refused by :func:`_outside`.  Defaults reproduce the
-reference impurity figure (omega_bar=1, g=0.5, delta=0.1, t in [0, 25]).  All CSV output uses a
-header row and 17 significant digits, so identical configs give
+Any other key is refused by :func:`_outside`, a word that is no flag as a
+stray argument.  Defaults reproduce the reference impurity figure
+(omega_bar=1, g=0.5, delta=0.1, t in [0, 25]).  Each CSV cell is exactly
+``format(x, '.17g')`` (:func:`write_csv`), so identical configs give
 byte-identical files; the frozen result types check their own invariants.
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,25 +120,139 @@ def parse_config_file(path: str, command: str) -> dict:
     return out
 
 
-# Values formatted per printf call: bounds the template and tuple of a block.
-_CSV_BLOCK = 1 << 16
+# write_csv's cells per block (temporaries of a few MB), the decimal exponents X
+# of its fast path, the product's tie band and 2**27 + 1 (Dekker's split).
+_BLOCK, _X_LO, _X_HI, _BAND, _SPLIT = 1 << 13, -280, 280, 2.0 ** -40, 134217729.0
+
+
+def _pow10(k: int) -> tuple[float, float]:
+    """10**k = h + l + O(2**-106 h): h and l correctly rounded from Python integers."""
+    n = 10 ** abs(k)
+    if k >= 0:
+        return float(n), float(n - int(float(n)))
+    num, den = (1 / n).as_integer_ratio()  # den = 2**m: dividing by it is exact
+    return num / den, math.ldexp((den - num * n) / n, 1 - den.bit_length())
+
+
+# Per X at X - _X[0] (log10 may miss X by one): 10**(16 - X) = h + l, h's halves, the
+# digits before the point, sign and lead (at 2 (X - _X[0]) + sign) and the exponent.
+_X = np.arange(_X_LO - 1, _X_HI + 2)
+_H, _L = np.array([_pow10(16 - int(x)) for x in _X]).T
+_HH = _H * _SPLIT - (_H * _SPLIT - _H)
+_HT = _H - _HH
+_FIXED = (_X >= -4) & (_X < 17)
+_IP = np.where(_FIXED, np.maximum(_X + 1, 0), 1)
+_LEAD = np.array([(b"-" * sign + b"0.000"[:n + 1 if n else 0]).rjust(8, b"\0")
+                  for n in range(5) for sign in (0, 1)], "S8").view("<u8")
+_PREFIX = _LEAD[np.where(_FIXED & (_X < 0), -_X, 0)[:, None] * 2 + [0, 1]].ravel()
+# each 4-digit group's ASCII digits (in the low half of a '<u8' word) and trailing zeros
+_D = 48 + np.arange(10, dtype=np.uint8)
+_DIGITS = np.stack(np.broadcast_arrays(_D[:, None, None, None], _D[:, None, None], _D[:, None],
+                                       _D), -1).reshape(10_000, 4)
+_GROUP = _DIGITS.view("<u4")[:, 0].astype(np.uint64)
+_Z = (_DIGITS == 48).astype(np.int8).T
+_ZEROS = _Z[3] * (1 + _Z[2] * (1 + _Z[1] * (1 + _Z[0])))
+_EXPONENT = np.zeros((_X.size, 8), np.uint8)  # bytes 2-6: e, sign, 3 digits (2 below 100)
+_EXPONENT[:, 2], _EXPONENT[:, 3] = 101, np.where(_X < 0, 45, 43)
+_EXPONENT[:, 4:7] = _DIGITS[np.abs(_X), 1:] * (np.abs(_X)[:, None] >= [100, 0, 0])
+_EXPONENT = (_EXPONENT * ~_FIXED[:, None]).view("<u8")[:, 0]
+# The digit area is three words, digit j at byte 3 + j.  At column 18 a + b, for
+# digits a <= j < b: their mask, and the point at byte 3 + a when 0 < a < b.
+_J, (_A, _B) = np.arange(24) - 3, np.divmod(np.arange(18 * 18)[:, None], 18)
+_MASK = np.where((_J >= _A) & (_J < _B), 255, 0).astype(np.uint8).view("<u8").T
+_POINT = np.where((_J == _A) & (_A > 0) & (_B > _A), 46, 0).astype(np.uint8).view("<u8").T
+_SLOT = 40  # bytes: sign and lead, the digit area, the exponent and separator
+
+
+def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (x.size, _SLOT) uint8 slots of the float64 cells ``x``, separator
+    bytes zero, and the indices of the cells printf formatted (write_csv)."""
+    a = np.abs(x)
+    x0 = np.floor(np.log10(np.maximum(a, 1e-300)))
+    ok = (x0 >= _X_LO) & (x0 <= _X_HI)
+    a = np.where(ok, a, 1.0)
+    i = np.where(ok, x0, 0).astype(np.int64) - _X[0]
+    p = a * _H[i]  # log10 may miss X by one near a power of ten
+    i += (p >= 1e17).view(np.int8) - (p < 1e16).view(np.int8)
+    p, ah = a * _H[i], a * _SPLIT - (a * _SPLIT - a)
+    at = a - ah
+    e = at * _HT[i] - (((p - ah * _HH[i]) - at * _HH[i]) - ah * _HT[i])  # a h - p, exactly
+    s = e + a * _L[i]
+    fs = np.floor(s)
+    r = s - fs
+    n = p.astype(np.int64) + fs.astype(np.int64)
+    q = n + (r > 0.5)
+    band = np.where(_L[i] == 0, 0.0, _BAND)  # 10**k is a double: the sum is exact
+    ok &= ((np.abs(r - 0.5) > band) & ((n > 10 ** 16) | ((n == 10 ** 16) & (r >= band)))
+           & (q < 10 ** 17))
+    zero = x == 0
+    i = np.where(zero, -_X[0], i)
+    q = np.where(zero, 0, q).view(np.uint64)
+    # the 17 digits: d0, then four 4-digit groups
+    hi = q // 10 ** 8
+    lo = q - hi * 10 ** 8
+    d0 = hi // 10 ** 8
+    hi -= d0 * 10 ** 8
+    g1, g3 = hi // 10 ** 4, lo // 10 ** 4
+    g2, g4 = hi - g1 * 10 ** 4, lo - g3 * 10 ** 4
+    zeros, run = _ZEROS[g4], g4 == 0
+    for g in (g3, g2, g1):
+        zeros += run * _ZEROS[g]
+        run &= g == 0
+    area = np.stack([(d0 + 48) << 24 | _GROUP[g1] << 32, _GROUP[g2] | _GROUP[g3] << 32, _GROUP[g4]])
+    ip = _IP[i]
+    frac = 18 * ip + 17 - zeros  # the digits after the point, up to the last nonzero one
+    body = area & _MASK.take(ip, axis=1) | _POINT.take(frac, axis=1)
+    frac = area & _MASK.take(frac, axis=1)
+    body |= frac << 8  # shifted a byte, past the point
+    body[1:] |= frac[:-1] >> 56
+    slots = np.column_stack([_PREFIX[2 * i + np.signbit(x)], body.T, _EXPONENT[i]])
+    slots = np.ascontiguousarray(slots, "<u8").view(np.uint8)
+    slow = np.flatnonzero(~(ok | zero))
+    for j in slow:
+        slots[j] = np.frombuffer((b"%.17g" % x[j]).ljust(_SLOT, b"\0"), np.uint8)
+    return slots, slow
 
 
 def write_csv(path: Path, header: list[str], table) -> None:
-    """Write ``header``, then the rows of the 2-D ``table`` through one printf
-    row template: ``%s`` for a column of strings, else ``%.17g``, which prints
-    exactly what ``format(float(x), '.17g')`` does (ints, -0.0, nan, inf and
-    subnormals included).  The file's directory is created if missing.
+    """Write ``header``, then the rows of the 2-D ``table``: a column of
+    strings (ASCII, no NUL) as it is, any other cell as exactly the bytes of
+    ``format(float(v), '.17g')``, formed with numpy a block of cells at a
+    time.  The file's directory is created if missing.
+
+    A finite cell x, 1e-280 <= |x| < 1e281, is laid out as %g lays out its
+    exponent X and digits q = round-half-even(|x| 10**k), k = 16 - X,
+    10**16 <= q < 10**17.  With u = 2**-53, 10**k = h + l + d: h and l are
+    correctly rounded from integers, |l| <= u h, |d| <= u |l|.  Dekker's
+    split gives p = fl(|x| h) and e = |x| h - p exactly (nothing under- or
+    overflows in that range) and s = fl(e + fl(|x| l)), so |x| 10**k =
+    p + s + E, |E| <= u |e + |x| l| + u |x l| + |x d| <= 4.01 u**2 |x| 10**k
+    < 5e-15; E = 0 when l = 0 (10**k is a double, 0 <= k <= 22).  p > 2**53
+    is an integer and r = s - floor(s) exact, so q = p + floor(s) + (r > 1/2)
+    when |r - 1/2| > 2**-40 > |E| (> 0 when E = 0).  Printf alone prints a
+    cell within that band of a tie or above 10**16, with q = 10**17 (a carry:
+    at most one double below each power of ten), outside the exponent range
+    or not finite.
     """
     table = np.asarray(table)
+    text = np.array([isinstance(v, str) for v in table[:1].ravel()], bool)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in table[:1].ravel()) + "\n"
-    step = max(1, _CSV_BLOCK // len(header))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    step = max(1, _BLOCK // len(header))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for i in range(0, len(table), step):
             block = table[i:i + step]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            cells = _cells(block[:, ~text].astype(np.float64).ravel())[0].reshape(
+                len(block), -1, _SLOT)
+            if text.any():  # strings left-aligned in slots wide enough for the longest
+                words = block[:, text].astype(bytes)
+                slots = np.zeros(block.shape + (max(_SLOT, words.itemsize + 1),), np.uint8)
+                slots[:, ~text, :_SLOT] = cells
+                slots[:, text, :words.itemsize] = words.view(np.uint8).reshape(*words.shape, -1)
+                cells = slots
+            cells[:, :, -1] = ord(",")
+            cells[:, -1, -1] = ord("\n")
+            fh.write(cells[cells != 0].tobytes())  # each cell's zero bytes dropped
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace, rest=()) -> RunConfig:
     """Defaults, then config file, then flags; ``rest``, words the parser left, is refused."""
+    if rest and not rest[0].startswith("--"):  # a value without its flag, or a bare word
+        raise ValueError(f"{args.command}: stray argument {rest[0]!r}")
     if rest:  # named by its key, as a file line names it: --t-max=2 is t_max
         raise ValueError(_outside(args.command,
                                   rest[0].split("=", 1)[0].removeprefix("--").replace("-", "_")))

@@ -2,12 +2,14 @@
 
 Everything here deliberately avoids the package's own evaluation paths:
 plain trapezoid grids, closed-form 2x2 eigenpairs, LAPACK's secular
-solver, direct formula evaluation.  Expected constants in the test modules
-were produced by these functions and are frozen alongside the tolerances
-they were computed at.
+solver, direct formula evaluation, one printf template per CSV.  Expected
+constants in the test modules were produced by these functions and are
+frozen alongside the tolerances they were computed at.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg.lapack import dlasd4
@@ -144,3 +146,24 @@ def free_space_survival_brute(t, omega_bar, g, x_max=400.0, n_points=8_000_001):
         wx = (4.0 * g / np.pi) * lorentzian_weight(x_max, omega_bar, g)
         val += -wx * (np.sin(x_max * t) + 1j * np.cos(x_max * t)) / t
     return val
+
+
+# Values formatted per printf call: bounds the template and tuple of a block.
+_CSV_BLOCK = 1 << 16
+
+
+def printf_write_csv(path: Path, header: list[str], table) -> None:
+    """Write ``header``, then the rows of the 2-D ``table`` through one printf
+    row template: ``%s`` for a column of strings, else ``%.17g``, which prints
+    exactly what ``format(float(x), '.17g')`` does (ints, -0.0, nan, inf and
+    subnormals included).  The file's directory is created if missing.
+    """
+    table = np.asarray(table)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in table[:1].ravel()) + "\n"
+    step = max(1, _CSV_BLOCK // len(header))
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(table), step):
+            block = table[i:i + step]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))

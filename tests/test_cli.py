@@ -108,6 +108,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {refusal('spectrum', key)}\n"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, word", [(("spectrum", "--svg", "true"), "true"),
+                                            (("impurity", "steps", "5"), "steps")])
+    def test_stray_word_is_refused_as_itself(self, tmp_path, capsys, argv, word):
+        # a leftover word that is not a --flag is named as a stray argument, not as a key
+        assert run(*argv, "--out", str(tmp_path)) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {argv[0]}: stray argument {word!r}\n"
+        assert not any(tmp_path.iterdir())
+
     def test_usage_bad_regime(self, tmp_path, capsys):
         # one check, RunConfig.validate, refuses a bad regime from a flag or a file alike
         (tmp_path / "run.cfg").write_text("regime = medium\n")
@@ -526,7 +534,7 @@ def test_one_phase_sum_per_atom(tmp_path, monkeypatch, argv):
 
 
 class TestWriteCsv:
-    """One printf template per file prints what format(float(v), '.17g') prints."""
+    """Each cell is what format(float(v), '.17g') prints, and a string column as it is."""
 
     @staticmethod
     def _reference(header, rows):
@@ -539,7 +547,7 @@ class TestWriteCsv:
         special = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, -1e-310,
                             0.1, 1.0 / 3.0, 2.0 ** 53 + 2.0, -7.0])
         rng = np.random.default_rng(11)
-        # more rows than one printf block holds
+        # more rows than one block of cells holds
         n = 30_000
         values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
         values[: special.size] = special
