@@ -140,7 +140,7 @@ class ModeSpectrum:
     = (t_atom^r)^2 = 1 / |F'| = 1 / (1 + eta^2 (S + lam S2)) and
     ``newton_rel`` = |F| w_r / Omega_r^2, each root's relative Newton
     correction with F at the carried offsets, which unlike F stays
-    meaningful where the root hugs its asymptote.
+    meaningful where the root hugs its asymptote, and ``residuals`` = |F|.
     :func:`solve_eigenfrequencies` is the one producer; the first-order
     small-cavity frequencies are :func:`first_order_frequencies`.
     """
@@ -152,6 +152,7 @@ class ModeSpectrum:
     bigomegas: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
     newton_rel: np.ndarray = field(init=False)
+    residuals: np.ndarray = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.asymptotes, dtype=np.int64)
@@ -169,26 +170,26 @@ class ModeSpectrum:
         om, bo = field_frequencies(self.params), _omega(m, s, self.params)[0]
         f, slope = _secular_sets(m, s, self.params, slope=True)
         w = 1.0 / slope
-        newton_rel = np.abs(f) * w / bo**2
+        f = np.abs(f)
         freeze(self, asymptotes=m, offsets=s, omegas=om, bigomegas=bo, weights=w,
-               newton_rel=newton_rel)
+               newton_rel=f * w / bo**2, residuals=f)
 
     def raised_residuals(self) -> np.ndarray:
-        """|F(lam_r)| at each root's carried offset, as :func:`_secular_sets`
-        evaluates it (O(N)), raised by its rounding bound: (8 + log2(N+1)) eps
-        times the size of what F is formed from.  That is |F|, the first term
-        (omega_bar + Omega) |omega_bar - Omega| with the rounding of its
-        detuning, dw (|s| + m 2^-35) (:func:`_omega`: m * head is exact below
-        m = 2^17, dw's tail is below 2^-36 dw), and, on the inner roots, the
-        closed form's terms in eta^2 lam S, at most eta^2 (1 + u (1/|s| +
-        ln(2N+1) + 1)) / 2 (pi |cot(pi s)| <= 1/|s| at |s| <= 1/2, its digamma
-        pair below ln(2N+1) + 1).  The direct sum of the outer roots adds terms
-        of one sign, so there eta^2 lam |S| <= (omega_bar + Omega) |omega_bar -
-        Omega| + |F|."""
+        """``residuals``, |F(lam_r)| at each root's carried offset as
+        :func:`_secular_sets` evaluates it, raised in O(N) by its rounding
+        bound: (8 + log2(N+1)) eps times the size of what F is formed from.
+        That is |F|, the first term (omega_bar + Omega) |omega_bar - Omega|
+        with the rounding of its detuning, dw (|s| + m 2^-35) (:func:`_omega`:
+        m * head is exact below m = 2^17, dw's tail is below 2^-36 dw), and,
+        on the inner roots, the closed form's terms in eta^2 lam S, at most
+        eta^2 (1 + u (1/|s| + ln(2N+1) + 1)) / 2 (pi |cot(pi s)| <= 1/|s| at
+        |s| <= 1/2, its digamma pair below ln(2N+1) + 1).  The direct sum of
+        the outer roots adds terms of one sign, so there eta^2 lam |S| <=
+        (omega_bar + Omega) |omega_bar - Omega| + |F|."""
         p, m, s = self.params, self.asymptotes, self.offsets
         n, a = p.n_modes, np.abs(s)
         om, detuning = _omega(m, s, p)
-        f = np.abs(_secular_sets(m, s, p))
+        f = self.residuals
         terms = 0.5 * p.eta_sq * (1.0 + (m + s) * (1.0 / a + np.log(2.0 * n + 1.0) + 1.0))
         terms[[0, -1]] = 0.0
         tail = np.where(m < 2**17, m * 2.0**-35, m)
@@ -429,29 +430,35 @@ def _bisect(params: DressedAtomParams, m, a, b) -> np.ndarray:
     change.  The next split is the set's rational split (:func:`_inner_split`,
     :func:`_outer_split`) while that lies in the bracket, is not the
     asymptote itself (offset 0, where F has its pole) and moves at most half
-    as far as the step before; otherwise it is the midpoint.  A root is done
-    once its split moves by at most 2 ulps of the offset.
+    as far as the split before it, or at most 2 ulps of the offset, which
+    finishes the root; otherwise it is the midpoint.  After a midpoint the
+    next rational split may move as far as the midpoint did, the width of
+    the bracket it lands in.  A root is done once its split moves by at most
+    2 ulps of the offset.
     """
     tol = 2.0 * np.finfo(float).eps
     s, index = np.empty(a.shape), np.arange(a.size)
     for roots, split_at, kernel in _root_sets(params.n_modes):
         live, mr, ar, br = index[roots], m[roots], a[roots], b[roots]
         x = 0.5 * (ar + br)
-        step = np.full(x.shape, np.inf)
+        limit = np.full(x.shape, np.inf)  # the longest move a rational split may take
         for _ in range(_BISECT_STEPS):
             f, g = split_at(params, mr, x, kernel)
             np.copyto(ar, x, where=f > 0.0)
             np.copyto(br, x, where=f < 0.0)
+            guided = (ar <= g) & (g <= br) & (g != 0.0) & (np.abs(g - x) <= limit)
             split = 0.5 * (ar + br)
-            np.copyto(split, g, where=(ar <= g) & (g <= br) & (g != 0.0)
-                      & (np.abs(g - x) <= 0.5 * step))
-            step = np.abs(split - x)
-            done = step <= tol * np.abs(split)
+            np.copyto(split, g, where=guided)
+            move = np.abs(split - x)
+            reach = tol * np.abs(split)
+            done = move <= reach
+            # half a rational split's move, a midpoint's whole move
+            limit = np.maximum(np.where(guided, 0.5 * move, move), reach)
             if done.any():
                 s[live[done]] = split[done]
                 keep = ~done
-                live, mr, ar, br, split, step = (
-                    v[keep] for v in (live, mr, ar, br, split, step))
+                live, mr, ar, br, split, limit = (
+                    v[keep] for v in (live, mr, ar, br, split, limit))
             if not live.size:
                 break
             x = split

@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 
@@ -43,6 +44,26 @@ TOP_COLUMN_RATIO_FROZEN = {
     93: -0.01943942773208443963808683,
     94: -2404.704399609044415709321,
 }
+
+# the largest N whose near fields hold every row of every column
+NEAR_EDGE = 2 * coupling._NEAR + 1
+
+
+def exact_deviations(t, block=256):
+    """|sum_mu (t_mu^r)^2 - 1| for each column r of a stored t, correctly
+    rounded: each square is the sum of two doubles (Dekker's product), and
+    math.fsum adds them, a block of columns at a time."""
+    out = []
+    for i in range(0, t.shape[1], block):
+        x = t[:, i:i + block]
+        c = 134217729.0 * x
+        hi = c - (c - x)
+        lo = x - hi
+        sq = x * x
+        err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
+        out += [abs(math.fsum(np.concatenate((sq[:, r], err[:, r], [-1.0]))))
+                for r in range(x.shape[1])]
+    return np.array(out)
 
 
 class TestAtomElement:
@@ -142,8 +163,8 @@ class TestBuildMatrix:
 
     def test_build_peaks_below_one_and_a_quarter_dense_matrices(self):
         # t is the one (N+1)^2 array: it is formed into itself a block of rows
-        # at a time, the column norms take one block buffer and no t * t, and
-        # the orthogonality bound holds a few row blocks, never a Gram t t^T
+        # at a time, and the checks hold O(N) arrays and blocks of near
+        # fields, never a t * t or a Gram t t^T
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=1500)
         spec = solve_eigenfrequencies(p)
         tracemalloc.start()
@@ -181,20 +202,39 @@ class TestBuildMatrix:
     @pytest.mark.parametrize("ask", [lambda tm: tm.t, lambda tm: tm.row(5)],
                              ids=["dense", "rows"])
     def test_rejects_a_nan_entry(self, fig_spectrum, ask, monkeypatch):
-        # the record forms all of t and checks the norms of what it formed
-        # before it serves the whole matrix or any row: a NaN t_5^7, as a
-        # broken formula would leave, fails the column check, which states
-        # what passes
-        divide = np.divide
+        # the record checks the norms of the entries it formed before it serves
+        # the whole matrix or any row: a NaN t_5^7, wherever _field_rows forms
+        # it, as a broken formula would leave, fails the column check, which
+        # states what passes
+        field_rows = coupling._field_rows
 
-        def poisoned(x, y, out):
-            divide(x, y, out=out)
-            out[4, 7] = np.nan  # row 5 of the one block of rows 1..200
-            return out
+        def poisoned(spectrum, k, roots=slice(None), out=None):
+            block = field_rows(spectrum, k, roots, out)
+            columns = np.arange(spectrum.params.n_modes + 1)[roots]
+            block[np.broadcast_to((k == 5.0) & (columns == 7), block.shape)] = np.nan
+            return block
 
-        monkeypatch.setattr(coupling.np, "divide", poisoned)
+        monkeypatch.setattr(coupling, "_field_rows", poisoned)
         with pytest.raises(NormalizationFailure, match="column 7 norm deviates by nan"):
             ask(TransformMatrix(spectrum=fig_spectrum))
+
+    def test_the_dense_path_forms_each_entry_once(self, monkeypatch):
+        # the record forms only its near fields (every row of the outer pair,
+        # 2K + 1 rows of each inner column); t forms each of its N(N + 1)
+        # field entries once more
+        n = 600
+        spec = solve_eigenfrequencies(DressedAtomParams(1.0, 0.5, 0.1, n))
+        field_rows, formed = coupling._field_rows, []
+
+        def counted(spectrum, k, roots=slice(None), out=None):
+            block = field_rows(spectrum, k, roots, out)
+            formed.append(block.size)
+            return block
+
+        monkeypatch.setattr(coupling, "_field_rows", counted)
+        build_matrix(spec).t
+        near = 2 * n + (n - 1) * NEAR_EDGE
+        assert n * (n + 1) < sum(formed) <= n * (n + 1) + near
 
     def test_reconstructs_quadratic_form(self, fig_spectrum, fig_matrix):
         b = build_form(fig_spectrum.params).matrix
@@ -284,20 +324,33 @@ class TestRowLabels:
 
 
 class TestOrthogonalityBound:
-    """The O(N^2) bound from the secular residuals against the O(N^3) GEMM Gram."""
+    """The near/far bound from the secular residuals against the O(N^3) GEMM
+    Gram, and the column bound against the stored columns' exact norms."""
 
-    @pytest.mark.parametrize("n", [100, 600])  # one row block, and many
+    @pytest.mark.parametrize("n", [100, 600, NEAR_EDGE, NEAR_EDGE + 1])
     @pytest.mark.parametrize("delta", [1e-3, 1e3])
-    @pytest.mark.parametrize("g", [1e-9, 0.9])
+    @pytest.mark.parametrize("g", [1e-9, 0.9, 0.02])
     def test_never_below_the_gemm_gram(self, g, delta, n):
+        # far fields on both checks at N = 100 and 600; at N = 2K + 1 every
+        # column's near field holds every row, at 2K + 2 not
         tm = build_matrix(solve_eigenfrequencies(DressedAtomParams(1.0, g, delta, n)))
-        blocks = -(-(n + 1) // (coupling._BLOCK_ELEMENTS // (n + 1)))
-        assert (blocks == 1) == (n == 100)
         gemm = gram_deviation(tm.t)
         assert gemm <= tm.orthogonality_bound <= 1e-13
-        # the column check keeps the worst column deviation of the stored array
-        col = np.abs(np.einsum("ij,ij->j", tm.t, tm.t) - 1.0).max()
-        assert tm.column_deviation == col
+        # the column bound is a bound on the stored array's columns, and close
+        exact = exact_deviations(tm.t)
+        bound = coupling._column_deviation(tm.spectrum)
+        assert np.all(exact <= bound) and np.all(bound <= exact + 1e-14)
+        assert tm.column_deviation == bound.max()
+
+    @pytest.mark.parametrize("g, delta, n", [(1e-30, 1e-29, 16), (0.01, 1e3, 3000)],
+                             ids=["resonance", "top-root-far-above"])
+    def test_column_bound_at_the_edges_of_the_domain(self, g, delta, n):
+        spec = solve_eigenfrequencies(DressedAtomParams(1.0, g, delta, n))
+        tm = build_matrix(spec)
+        exact = exact_deviations(tm.t)
+        bound = coupling._column_deviation(spec)
+        assert np.all(exact <= bound) and np.all(bound <= exact + 1e-14)
+        assert gram_deviation(tm.t) <= tm.orthogonality_bound
 
     def test_weak_coupling_on_resonance(self):
         # omega_bar = omega_10 and g = 1e-30: roots 9 and 10 hug omega_10 from
@@ -309,17 +362,14 @@ class TestOrthogonalityBound:
         assert gram_deviation(tm.t) <= tm.orthogonality_bound <= 1e-6
 
     def test_rows_record_matches_the_dense_matrix(self):
-        # row(k) and t form the entries whose squares the column check summed,
-        # bit for bit, and the check sums them in row order; one row block at
-        # N = 50 and 200, several at N = 600
+        # row(k) and t form the entries whose column norms the check bounds,
+        # bit for bit; all rows near at N = 50, far fields at 200 and 600
         for g, delta, n in ((1e-9, 1e3, 50), (0.5, 0.1, 200), (0.9, 1e-3, 600)):
             tm = build_matrix(solve_eigenfrequencies(DressedAtomParams(1.0, g, delta, n)))
-            rows = [tm.row(k) for k in range(n + 1)]
-            assert all(np.array_equal(r, tm.t[k]) for k, r in enumerate(rows))
-            norms = rows[0] ** 2
-            for r in rows[1:]:
-                norms = norms + r**2
-            assert tm.column_deviation == np.max(np.abs(norms - 1.0))
+            rows = np.array([tm.row(k) for k in range(n + 1)])
+            assert np.array_equal(rows, tm.t)
+            exact = exact_deviations(rows).max()
+            assert exact <= tm.column_deviation <= exact + 1e-14
 
     def test_unitarity_margin_bounds_the_row_norm_at_every_time(self, fig_spectrum,
                                                                 fig_matrix):

@@ -278,6 +278,29 @@ class TestSolve:
         solve_eigenfrequencies(DressedAtomParams.from_delta(*key[:3], n_modes=key[3]))
         assert 0 < len(steps) <= 16
 
+    @pytest.mark.parametrize("g, delta, n, root", [
+        (0.3623305972383614, 8.815969850478067, 77, 77),
+        (0.6267167152482825, 638.7148822923218, 287, 261)], ids=["top", "inner"])
+    def test_a_split_that_finishes_the_root_is_taken(self, g, delta, n, root, monkeypatch):
+        # each root once stalled at rounding: a split that would have finished
+        # it moved more than half the move before and was refused, the midpoint
+        # left a one-sided bracket, and each later split, measured against the
+        # midpoint's move, was refused again, for 56 steps in all.  A step of
+        # the root is a split evaluated at its asymptote on its side
+        p = DressedAtomParams(1.0, g, delta, n)
+        spec = solve_eigenfrequencies(p)
+        m, side = spec.asymptotes[root], np.sign(spec.offsets[root])
+        name = "_outer_split" if root == n else "_inner_split"
+        split, steps = getattr(spectrum, name), []
+
+        def counted(params, mm, x, kernel):
+            steps.append(np.any((mm == m) & (np.sign(x) == side)))
+            return split(params, mm, x, kernel)
+
+        monkeypatch.setattr(spectrum, name, counted)
+        assert np.array_equal(solve_eigenfrequencies(p).offsets, spec.offsets)
+        assert 0 < sum(steps) <= 10
+
     def test_root_blocks_do_not_change_the_spectrum(self, fig_params, fig_spectrum, monkeypatch):
         # each inner block runs to the end of its own steps: blocks of 7 roots
         # give the same bits as one block of all 199
