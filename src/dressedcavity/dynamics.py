@@ -355,9 +355,11 @@ def _exp_e1(z: np.ndarray) -> np.ndarray:
     order = np.argsort(-terms, kind="stable")  # most terms first: the live points are a prefix
     zf, terms = z[~near][order], terms[order]
     top = terms.max(initial=0)
-    acc = np.zeros_like(zf)
+    acc, den = np.zeros_like(zf), np.empty_like(zf)
     for k, j in zip(range(top, 0, -1), np.searchsorted(-terms, np.arange(-top, 0), "right")):
-        acc[:j] = k * k / (zf[:j] + (2 * k + 1) - acc[:j])
+        np.add(zf[:j], 2 * k + 1, out=den[:j])
+        np.subtract(den[:j], acc[:j], out=den[:j])
+        np.divide(k * k, den[:j], out=acc[:j])
     out.flat[np.flatnonzero(~near)[order]] = 1.0 / (zf + 1.0 - acc)
     return out
 
@@ -375,13 +377,20 @@ def free_space_trace(p: FreeSpaceParams, times) -> AmplitudeTrace:
 
     where the 2 pi i term continues E1 across its cut for the fourth-quadrant
     pole (DLMF 6.2, https://dlmf.nist.gov/6.2).  f(0) = 1 exactly.
+    :class:`FreeSpaceParams` requires omega_bar > g, so kappa is real and the
+    poles come in conjugate pairs, p_2 = -conj(p_1) and p_4 = -conj(p_3): the
+    arguments z_j = -i p_j t pair as z_2 = conj(z_1) and z_4 = conj(z_3), and
+    so do the terms exp(z) E1(z) (E1 is real on the positive axis).  They are
+    evaluated at poles 1 and 3 only.
     """
     times = _time_grid(times)
     g, kappa = p.g, p.kappa
     poles, residues = _poles(p.omega_bar, g)
     later = times > 0
-    z = -1j * (times[later, None] * poles)
-    terms = _exp_e1(z)
+    z = -1j * (times[later, None] * poles[::2])  # poles 1 and 3; 2 and 4 are their conjugates
+    terms = np.empty((z.shape[0], 4), dtype=complex)
+    terms[:, ::2] = _exp_e1(z)
+    terms[:, 1::2] = terms[:, ::2].conj()
     terms[:, 0] -= 2j * np.pi * np.exp(z[:, 0])
     imag = np.zeros(times.shape)
     imag[later] = (4.0 * g / np.pi) * (terms @ residues).imag

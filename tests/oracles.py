@@ -148,6 +148,33 @@ def free_space_survival_brute(t, omega_bar, g, x_max=400.0, n_points=8_000_001):
     return val
 
 
+
+def mpmath_free_space_amplitude(omega_bar, g, t, dps=30):
+    """The four-pole closed form of the free-space survival amplitude at ``dps``
+    digits, each pole's term taken on its own (omega_bar > g, t > 0):
+
+        f(t) = (4g/pi) sum_j A_j exp(z_j) [E1(z_j) - 2 pi i [j = 1]],  z_j = -i p_j t,
+
+    p_j = +-kappa -+ i g (the order of ``dynamics._poles``), A_j = p_j^2 /
+    prod_{m != j} (p_j - p_m).  Returns f and the sum of its terms' moduli,
+    (4g/pi) sum_j |A_j exp(z_j) [...]|, the scale its rounding is measured on."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        wb, g, t = (mpmath.mpf(float(v)) for v in (omega_bar, g, t))
+        kappa = mpmath.sqrt(wb**2 - g**2)
+        poles = [kappa - 1j * g, -kappa - 1j * g, kappa + 1j * g, -kappa + 1j * g]
+        total = scale = 0
+        for j, p in enumerate(poles):
+            a = p**2 / mpmath.fprod(p - q for i, q in enumerate(poles) if i != j)
+            z = -1j * p * t
+            term = a * mpmath.exp(z) * (mpmath.e1(z) - (2j * mpmath.pi if j == 0 else 0))
+            total += term
+            scale += abs(term)
+        c = 4 * g / mpmath.pi
+        return complex(c * total), float(c * scale)
+
+
 # Values formatted per printf call: bounds the template and tuple of a block.
 _CSV_BLOCK = 1 << 16
 

@@ -32,7 +32,8 @@ from dressedcavity import (
 )
 from dressedcavity import dynamics, solve_eigenfrequencies
 from dressedcavity.dynamics import series_tail_bound, small_cavity_trace
-from oracles import brute_force_grid, brute_force_imag_integral, free_space_survival_brute
+from oracles import (brute_force_grid, brute_force_imag_integral, free_space_survival_brute,
+                     mpmath_free_space_amplitude)
 
 OMEGA_BAR, G = 1.0, 0.5
 
@@ -601,6 +602,40 @@ class TestExpE1:
         assert np.all(np.isfinite(ours))
         assert ours.max() <= np.max(theirs[np.isfinite(theirs)])
         assert ours.max() <= 32 * np.finfo(float).eps
+
+
+    def test_pole_arguments_come_in_conjugate_pairs(self):
+        # free_space_trace evaluates exp(z) E1(z) at poles 1 and 3 and takes 2
+        # and 4 as their conjugates; with omega_bar > g kappa is real, and the
+        # float arguments z_j = -i p_j t pair exactly
+        rng = np.random.default_rng(7)
+        for omega_bar, ratio in zip(10.0 ** rng.uniform(-1, 1, 20),
+                                    10.0 ** rng.uniform(-6, np.log10(0.99), 20)):
+            poles, _ = dynamics._poles(omega_bar, ratio * omega_bar)
+            z = -1j * (np.geomspace(1e-3, 2000.0, 50)[:, None] * poles)
+            assert np.array_equal(z[:, 1], z[:, 0].conj())
+            assert np.array_equal(z[:, 3], z[:, 2].conj())
+
+    def test_trace_within_32_eps_of_the_mpmath_four_pole_sum(self):
+        # f(t) on the figure's window omega_bar t <= 25, at 20 seeded points
+        # with omega_bar in [0.1, 10] and g / omega_bar in [1e-6, 0.99], to 32
+        # eps of the sum of its terms' moduli (imaginary part) or of
+        # exp(-g t)(1 + g/kappa) (real part).  The rounding of the arguments
+        # -i p_j t grows with omega_bar t; the worst of eight seeds read 23 eps
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(1)
+        eps = np.finfo(float).eps
+        for _ in range(20):
+            omega_bar = 10.0 ** rng.uniform(-1, 1)
+            g = omega_bar * 10.0 ** rng.uniform(-6, np.log10(0.99))
+            p = FreeSpaceParams(omega_bar, g)
+            times = np.geomspace(1e-3, 25.0, 9) / omega_bar
+            values = free_space_trace(p, times).values
+            for t, v in zip(times, values):
+                ref, scale = mpmath_free_space_amplitude(omega_bar, g, t)
+                assert abs(v.imag - ref.imag) <= 32 * eps * scale, (omega_bar, g, t)
+                real_scale = np.exp(-g * t) * (1.0 + g / p.kappa)
+                assert abs(v.real - ref.real) <= 32 * eps * real_scale, (omega_bar, g, t)
 
 
 class TestContinuumNorm:

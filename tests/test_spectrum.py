@@ -301,6 +301,26 @@ class TestSolve:
         assert np.array_equal(solve_eigenfrequencies(p).offsets, spec.offsets)
         assert 0 < sum(steps) <= 10
 
+    @pytest.mark.parametrize("delta, n", [(0.1, 200), (1.0, 200), (1.0, 100_000)], ids=str)
+    def test_inner_roots_take_few_steps(self, delta, n, monkeypatch):
+        # the cotangent split alone contracts by only about -0.345 a step near
+        # the lowest inner roots: the figure's one block took 14 steps, 34 at
+        # delta = 1, and the first block at N = 1e5 34; the secant on the
+        # split's residual finishes every inner root, so every block, within 8.
+        # A step of a root is a split evaluated at its asymptote on its side
+        inner_split, calls, steps = spectrum._inner_split, [], {}
+
+        def counted(params, m, x, kernel):
+            calls.append(m.size)
+            for key in zip(m.tolist(), (x < 0).tolist()):
+                steps[key] = steps.get(key, 0) + 1
+            return inner_split(params, m, x, kernel)
+
+        monkeypatch.setattr(spectrum, "_inner_split", counted)
+        solve_eigenfrequencies(DressedAtomParams(1.0, 0.5, delta, n))
+        assert len(steps) == n - 1 and max(steps.values()) <= 8
+        assert len(calls) <= 8 * -(-(n - 1) // spectrum._BLOCK_ELEMENTS)
+
     def test_root_blocks_do_not_change_the_spectrum(self, fig_params, fig_spectrum, monkeypatch):
         # each inner block runs to the end of its own steps: blocks of 7 roots
         # give the same bits as one block of all 199
