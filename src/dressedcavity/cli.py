@@ -272,9 +272,8 @@ def _route(cfg: RunConfig, regime: str, mu: int, nu: int,
     the row norms' rounding (:func:`dynamics.row_norm_rounding`), so it holds
     for the exact E(t) and for E(t) as the time-domain route evaluates it
     from the whole amplitude row; it must be at most 1e-8.  "free-space":
-    the closed form, once omega_bar > g (before the residues divide by
-    kappa) and the continuum weight (4g/pi) integral of h is 1; drift 0.
-    "small": the series.
+    the closed form, whose record checks omega_bar > g and the continuum
+    weight (:class:`dynamics.FreeSpaceParams`); drift 0.  "small": the series.
     """
     params, times = cfg.atom_params(), cfg.time_grid()
     if regime == "exact":
@@ -294,9 +293,6 @@ def _route(cfg: RunConfig, regime: str, mu: int, nu: int,
     if regime == "small":
         return dynamics.small_cavity_trace(params, times, cfg.k_max), None
     p = dynamics.FreeSpaceParams(omega_bar=params.omega_bar, g=params.g)
-    s = dynamics.spectral_weight_norm(params.omega_bar, params.g)
-    require(abs(s - 1.0) <= 1e-6, InvariantViolation,
-            "continuum unitarity weight {:.9f} deviates from 1", s)
     return dynamics.free_space_trace(p, times), 0.0
 
 

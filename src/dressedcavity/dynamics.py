@@ -15,11 +15,12 @@ complex exponentials (3 when t_0 != 0) and about 2 sqrt(T) complex
 products; any other grid (non-uniform, T < 4) takes b = 1, the plain sum
 with one exponential per phase.  The weights fold into the fine table,
 which meets the coarse table, carried as C - 1, in one matrix product per
-block of modes.  No block holds more than 2^22 phases (64 MB), so memory
-does not grow with the mode count.  A whole row of amplitudes
-(``amplitude_row``), the second route to unitarity and to the entropy, is
-the plain definition and shares no code with that kernel.  Two analytic
-companions cover the limiting cavity sizes:
+block of modes.  A block of the plain sum's table holds at most 2^22
+phases (64 MB); the factored tables hold T/b + b rows a mode, 9.3 MB a
+block at T = 201.  So memory does not grow with the mode count.  A whole
+row of amplitudes (``amplitude_row``), the second route to unitarity and
+to the entropy, is the plain definition and shares no code with that
+kernel.  Two analytic companions cover the limiting cavity sizes:
 
 * free space (R -> infinity, weak coupling kappa^2 = omega_bar^2 - g^2 > 0):
 
@@ -69,7 +70,8 @@ __all__ = [
 _ABS_BOUND = 1.0 + 1e-9
 _T0_TOL = 1e-9
 
-# Phases (times x modes) in one block of _phase_sum's table: 64 MB of complex.
+# Phases (times x modes) in one block of _phase_sum's plain table: 64 MB of
+# complex.  The factored tables of the same block hold T/b + b rows a mode.
 _BLOCK_ELEMENTS = 2**22
 
 # A time grid is uniform when each time lies within this many multiples of
@@ -79,7 +81,8 @@ _SPLIT_ULPS = 4
 
 @dataclass(frozen=True)
 class FreeSpaceParams:
-    """Atom constants in the infinite-cavity limit (weak-coupling branch)."""
+    """Atom constants in the infinite-cavity limit (weak-coupling branch), with
+    a unit continuum weight (:func:`spectral_weight_norm`)."""
 
     omega_bar: float
     g: float
@@ -91,6 +94,9 @@ class FreeSpaceParams:
         k2 = self.omega_bar**2 - self.g**2
         require(k2 > 0, RegimeViolation, "free-space closed form needs omega_bar > g "
                 "(kappa^2 > 0); got omega_bar={}, g={}", self.omega_bar, self.g)
+        s = spectral_weight_norm(self.omega_bar, self.g)
+        require(abs(s - 1.0) <= 1e-6, InvariantViolation,
+                "continuum unitarity weight {:.9f} deviates from 1", s)
         freeze(self, kappa_sq=k2)
 
     @property

@@ -104,11 +104,10 @@ def jacobi_eigh(matrix: np.ndarray):
     applied at once: rows of A, columns of A, columns of V.  Per pair the
     rules are those of the cyclic sweep: on sweeps 1-3 a pair with |a_pq| <=
     0.2 off / n^2 is skipped (off the sum of the off-diagonal |a|); after
-    sweep 4 an a_pq negligible against both diagonal entries is set to 0;
-    and t = a_pq / h when h = a_qq - a_pp dominates it.  The sweeps end when
-    every off-diagonal entry is exactly 0.  Jacobi keeps the relative
-    accuracy of graded positive-definite matrices (Demmel & Veselic, SIAM J.
-    Matrix Anal. Appl. 13, 1992), which QR-type solvers lack.
+    sweep 4 an a_pq negligible against both diagonal entries is set to 0.
+    The sweeps end when every off-diagonal entry is exactly 0.  Jacobi keeps
+    the relative accuracy of graded positive-definite matrices (Demmel &
+    Veselic, SIAM J. Matrix Anal. Appl. 13, 1992), which QR-type solvers lack.
 
     Returns (eigenvalues ascending, eigenvector columns).  Raises
     :class:`ConvergenceFailure` if the off-diagonal mass has not annihilated
@@ -131,23 +130,20 @@ def jacobi_eigh(matrix: np.ndarray):
         for pairs in schedule:
             p, q = pairs.T
             apq = a[p, q]
-            guard = 100.0 * np.abs(apq)
             live = np.abs(apq) > thresh
             if sweep > 4:
-                app, aqq = np.abs(a[p, p]), np.abs(a[q, q])
+                app, aqq, guard = np.abs(a[p, p]), np.abs(a[q, q]), 100.0 * np.abs(apq)
                 tiny = (app + guard == app) & (aqq + guard == aqq)
                 if tiny.any():
                     a[p[tiny], q[tiny]] = a[q[tiny], p[tiny]] = 0.0
                     live &= ~tiny
             if not live.any():
                 continue
-            pairs, apq, guard = pairs[live], apq[live], guard[live]
+            pairs, apq = pairs[live], apq[live]
             p, q = pairs.T
             h = a[q, q] - a[p, p]
             theta = 0.5 * h / apq
             t = np.where(theta < 0.0, -1.0, 1.0) / (np.abs(theta) + np.hypot(1.0, theta))
-            dominant = np.abs(h) + guard == np.abs(h)
-            t[dominant] = apq[dominant] / h[dominant]
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
             g = np.stack((c, -s, s, c), axis=-1).reshape(-1, 2, 2)

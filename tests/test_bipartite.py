@@ -103,6 +103,15 @@ class TestImpurity:
             assert d == pytest.approx(1.0 - m.purity(), abs=1e-9)
             assert 0.0 - 1e-12 <= d <= 0.5 + 1e-12
 
+    def test_purity_takes_the_entries_not_the_dense_matrix(self, monkeypatch):
+        m = reduced_pair_matrix(_unit_amplitudes(1), _unit_amplitudes(2),
+                                SuperpositionSpec(0.37, 2.4), GRID)
+        dense = m.as_matrix()
+        traced = np.einsum("...ij,...ji->...", dense, dense).real
+        monkeypatch.setattr(ReducedAtomPairMatrix, "as_matrix", None)
+        assert np.max(np.abs(m.purity() - traced)) <= 2 * np.finfo(float).eps
+        impurity(m)  # its 1e-9 check runs on the entries too
+
 
 class TestImpurityIdentical:
     def test_limits(self):
@@ -296,13 +305,17 @@ class TestTimeGrid:
         assert np.all(m.coherence.imag == 0.0)
 
     def test_entropy_of_a_row_block_equals_row_by_row(self):
-        rows = _unit_rows(4)
+        # one summation order per row, whatever the block's height and layout
         spec = SuperpositionSpec(0.3, 0.9)
-        block = single_atom_reduced(rows, spec, GRID)
-        single = [single_atom_reduced(r, spec, t) for r, t in zip(rows, GRID)]
-        assert np.array_equal(block.row_norm_sq, [s.row_norm_sq for s in single])
-        assert np.array_equal(von_neumann_entropy(block),
-                              [von_neumann_entropy(s) for s in single])
+        for n_times, width in itertools.product([1, 64, 501, 2000], [12, 201, 2001]):
+            rows = _unit_rows(4, n=n_times, width=width)
+            times = np.linspace(0.0, 25.0, n_times)
+            single = [single_atom_reduced(r, spec, t) for r, t in zip(rows, times)]
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                block = single_atom_reduced(layout(rows), spec, times)
+                assert np.array_equal(block.row_norm_sq, [s.row_norm_sq for s in single])
+                assert np.array_equal(von_neumann_entropy(block),
+                                      [von_neumann_entropy(s) for s in single])
 
     def test_row_norms_do_not_depend_on_layout(self):
         # amplitude_row returns a column-major block: its row norms must be the

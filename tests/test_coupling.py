@@ -342,6 +342,16 @@ class TestOrthogonalityBound:
         assert np.all(exact <= bound) and np.all(bound <= exact + 1e-14)
         assert tm.column_deviation == bound.max()
 
+    @pytest.mark.parametrize("n", [62, 63, 64, 65, 126, 127, 128])
+    @pytest.mark.parametrize("delta", [1e-3, 0.1, 1.0, 1e3])
+    @pytest.mark.parametrize("g", [1e-6, 0.02, 0.5, 0.99, 5.0])
+    def test_holds_at_the_near_far_crossovers(self, g, delta, n):
+        # N = 2K + 1 = 63 is the largest N whose near fields hold every row:
+        # 62-65 straddle it, and 126-128 twice the near window's width
+        tm = build_matrix(solve_eigenfrequencies(DressedAtomParams(1.0, g, delta, n)))
+        assert exact_deviations(tm.t).max() <= tm.column_deviation
+        assert gram_deviation(tm.t) <= tm.orthogonality_bound
+
     @pytest.mark.parametrize("g, delta, n", [(1e-30, 1e-29, 16), (0.01, 1e3, 3000)],
                              ids=["resonance", "top-root-far-above"])
     def test_column_bound_at_the_edges_of_the_domain(self, g, delta, n):

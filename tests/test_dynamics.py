@@ -644,6 +644,16 @@ class TestContinuumNorm:
         # (4g/pi) integral of the weight = Re[4 i g (A_3 + A_4)], also for omega_bar < g
         assert abs(dynamics.spectral_weight_norm(omega_bar, g) - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize("norm", [1.0 + 2e-6, float("nan")])
+    def test_the_free_space_record_checks_the_weight(self, monkeypatch, norm):
+        # every library route to the closed form builds the record first
+        monkeypatch.setattr(dynamics, "spectral_weight_norm", lambda omega_bar, g: norm)
+        match = "continuum unitarity weight .* deviates from 1"
+        with pytest.raises(InvariantViolation, match=match):
+            FreeSpaceParams(1.0, 0.5)
+        with pytest.raises(InvariantViolation, match=match):
+            imag_survival_integral(1.0, 1.0, 0.5)
+
     @pytest.mark.parametrize("omega_bar, g", [(1.0, 0.5), (1.0, 0.02), (0.3, 0.9)])
     def test_trapezoid_of_the_weight_is_one(self, omega_bar, g):
         # the oracle's grid on [0, X] plus the tail integral of 1/x^2 + (2 omega_bar^2
