@@ -275,7 +275,11 @@ def _column_deviation(spectrum: ModeSpectrum) -> np.ndarray:
     """
     n = spectrum.params.n_modes
     width = min(2 * _NEAR + 1, n)
-    if n == width:  # every window holds every row
+    if n == width:
+        # every window holds every row (N <= 2K + 1), so both far segments
+        # would be empty, and _far_field evaluates empty segments at rows 1
+        # and N, the poles of the roots hugging omega_1 and omega_N: at weak
+        # coupling log1p divides by zero there.  This branch changes no bits
         return _deviation(*_near_norms(spectrum, np.arange(n + 1), np.ones(n + 1), n))
     norms, err = np.empty(n + 1), np.empty(n + 1)
     outer = np.array([0, n])

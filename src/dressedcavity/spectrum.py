@@ -50,10 +50,12 @@ __all__ = [
 
 # Step budget of the offset solve (:func:`_bisect`).  An inner root takes 3-5
 # steps of the cotangent split and its secant (at most 18 over 3.8 million
-# roots of 400 spectra across the domain), an outer root 4-15 one-pole
-# splits, or about 80 offset halvings where every split is refused (halvings
-# bring the domain's smallest offsets, s ~ 6e-9 at delta = 1e-3, N = 1e5, to
-# 2 ulps of s), and at most twice that where splits alternate with midpoints.
+# roots of 400 spectra across the domain), the outer pair 4-16 steps of the
+# one-pole split and its secant over 2000 spectra (save 17 and 20 where a top
+# root starts hundreds of spacings above omega_N), or about 80 halvings where
+# every split leaves the bracket (halvings bring the domain's smallest
+# offsets, s ~ 6e-9 at delta = 1e-3, N = 1e5, to 2 ulps of s), and at most
+# twice that where splits alternate with midpoints.
 _BISECT_STEPS = 200
 
 # Inner roots are solved and derived in blocks of at most this many, each
@@ -315,7 +317,7 @@ def _secular_sets(m, s, params: DressedAtomParams, slope: bool = False):
     """:func:`_secular` at the offsets (m, s) of N+1 roots, each set of
     :func:`_root_sets` on its own kernel."""
     out = np.empty((1 + slope, m.size))
-    for roots, _, kernel, _ in _root_sets(params.n_modes):
+    for roots, _, kernel in _root_sets(params.n_modes):
         out[:, roots] = _secular(m[roots], s[roots], params, kernel, slope)
     return out if slope else out[0]
 
@@ -408,16 +410,15 @@ def _outer_split(params: DressedAtomParams, m, x, kernel):
 
 
 def _root_sets(n: int):
-    """(roots, split, kernel, secant) for each set of an N-mode spectrum's
-    roots: the outer pair {0, N} on the one-pole split and the direct sum,
-    then the inner roots 1..N-1, in blocks of at most _BLOCK_ELEMENTS, on the
-    cotangent split and the closed form, finished by a secant (``secant``
-    true).  Each set stays on its kernel's side of the band: the outer
-    brackets lie outside (omega_1, omega_N), the inner ones inside
+    """(roots, split, kernel) for each set of an N-mode spectrum's roots: the
+    outer pair {0, N} on the one-pole split and the direct sum, then the inner
+    roots 1..N-1, in blocks of at most _BLOCK_ELEMENTS, on the cotangent split
+    and the closed form.  Each set stays on its kernel's side of the band: the
+    outer brackets lie outside (omega_1, omega_N), the inner ones inside
     [omega_1, omega_N]."""
-    yield np.array([0, n]), _outer_split, _direct_sum, False
+    yield np.array([0, n]), _outer_split, _direct_sum
     for i in range(1, n, _BLOCK_ELEMENTS):
-        yield slice(i, min(i + _BLOCK_ELEMENTS, n)), _inner_split, _closed_sum, True
+        yield slice(i, min(i + _BLOCK_ELEMENTS, n)), _inner_split, _closed_sum
 
 
 def _bisect(params: DressedAtomParams, m, a, b) -> np.ndarray:
@@ -431,58 +432,48 @@ def _bisect(params: DressedAtomParams, m, a, b) -> np.ndarray:
     root, on the set's kernel, and keeps the part of the bracket with the
     sign change.  The next point is g while that lies in the bracket and is
     not the asymptote itself (offset 0, where F has its pole), otherwise the
-    midpoint.  On the outer pair g must also move at most half as far as the
-    step before it, or at most 2 ulps of the offset, which finishes the
-    root; after a midpoint it may move as far as the midpoint did.
+    midpoint.
 
     The cotangent split contracts only linearly, by about -0.345 a step near
-    the lowest inner roots, so an inner set steps by the secant of the
-    split's residual r = g - x through this point and the one before.  The
-    secant is taken only inside the bracket and within 3/2 r of x: the split
-    map has slope below 1/3, so the root lies there, and a secant beyond it
-    is rounding.  An inner root is done once its split moves by at most 2
-    ulps of the offset, and keeps that split, held to its bracket.  Any root
-    is done once its next point moves by at most 2 ulps of the offset.
+    the lowest inner roots, so from its second step every root steps by the
+    secant of the split's residual r = g - x through this point and the one
+    before.  The secant is taken only inside the bracket and within 3/2 r of
+    x: the cotangent split's map has slope below 1/3, so the root lies there,
+    and a secant beyond it is rounding.  Near its root the secant is slower
+    than the one-pole split, whose steps are quadratic, and costs the outer
+    pair about one more direct sum a solve.  A root is done once its split
+    moves by at most 2 ulps of the offset, and keeps that split, held to its
+    bracket, or once its next point moves by at most 2 ulps of the offset.
     """
     tol = 2.0 * np.finfo(float).eps
     s, index = np.empty(a.shape), np.arange(a.size)
-    for roots, split_at, kernel, secant in _root_sets(params.n_modes):
+    for roots, split_at, kernel in _root_sets(params.n_modes):
         live, mr, ar, br = index[roots], m[roots], a[roots], b[roots]
         x = 0.5 * (ar + br)
-        limit = np.full(x.shape, np.inf)  # the longest move an outer split may take
-        xp = rp = None  # an inner step's point and residual, for the next secant
+        xp = rp = None  # the step before's point and residual, for the secant
         for _ in range(_BISECT_STEPS):
             f, g = split_at(params, mr, x, kernel)
             np.copyto(ar, x, where=f > 0.0)
             np.copyto(br, x, where=f < 0.0)
             r = g - x
-            guided = (ar <= g) & (g <= br) & (g != 0.0) & (np.abs(r) <= limit)
             split = 0.5 * (ar + br)
-            np.copyto(split, g, where=guided)
+            np.copyto(split, g, where=(ar <= g) & (g <= br) & (g != 0.0))
             if xp is not None:
                 with np.errstate(all="ignore"):  # a flat residual gives no secant
                     sec = x - r * ((x - xp) / (r - rp))
                 np.copyto(split, sec,
                           where=(ar < sec) & (sec < br) & (np.abs(sec - x) <= 1.5 * np.abs(r)))
-            move = np.abs(split - x)
-            reach = tol * np.abs(split)
-            done = move <= reach
-            if secant:
-                finished = np.abs(r) <= tol * np.abs(x)
-                np.copyto(split, g, where=finished)
-                np.clip(split, ar, br, out=split)
-                done |= finished
-                xp, rp = x, r
-            else:
-                # half a rational split's move, a midpoint's whole move
-                limit = np.maximum(np.where(guided, 0.5 * move, move), reach)
+            done = np.abs(split - x) <= tol * np.abs(split)
+            finished = np.abs(r) <= tol * np.abs(x)
+            np.copyto(split, g, where=finished)
+            np.clip(split, ar, br, out=split)
+            done |= finished
+            xp, rp = x, r
             if done.any():
                 s[live[done]] = split[done]
                 keep = ~done
-                live, mr, ar, br, split, limit = (
-                    v[keep] for v in (live, mr, ar, br, split, limit))
-                if secant:
-                    xp, rp = xp[keep], rp[keep]
+                live, mr, ar, br, split, xp, rp = (
+                    v[keep] for v in (live, mr, ar, br, split, xp, rp))
             if not live.size:
                 break
             x = split
@@ -504,7 +495,8 @@ def solve_eigenfrequencies(params: DressedAtomParams) -> ModeSpectrum:
     Gershgorin bound.  All N+1 roots are found in one call of
     :func:`_bisect`: the N-1 inner roots by the cotangent split on the
     closed form, in blocks, the two outer roots by the one-pole split on the
-    direct sum.  Every root must then pass the 1e-10 check on the spectrum's
+    direct sum, every root finished by the secant of its split's residual.
+    Every root must then pass the 1e-10 check on the spectrum's
     :attr:`ModeSpectrum.newton_rel`; a failure, NaN included, raises
     :class:`ConvergenceFailure` naming the first root that fails.
     """

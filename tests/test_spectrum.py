@@ -56,6 +56,16 @@ OUTER_OFFSETS_FROZEN = {
                          (8, 1994.544876183516449282756)),
 }
 
+# spectra (omega_bar, g, delta, N) whose top root stalled under a half-move
+# limit on the outer pair's splits: a split that moved a few ulps in rounding
+# noise was refused, and the root crept back by halvings for 36, 40 and 41
+# direct sums
+OUTER_STALLS = (
+    (1.0, 0.8535570531285954, 31.98258390888533, 84),
+    (8.40439930693937, 31.23894632574411, 216.4947178148499, 637),
+    (0.4459313504051177, 2.1194469834055902, 645.4607310178715, 2254),
+)
+
 # inner roots at omega_bar=5.566964054792819, g=0.10780328649942257,
 # delta=3.4813356203742436, N=589 (40-digit mpmath roots of the secular
 # equation with the float64 dw, eta^2 and omega_bar^2 and omega_k = k dw),
@@ -264,10 +274,11 @@ class TestSolve:
         ref = np.array([s0, sn])
         assert np.all(np.abs(spec.offsets[[0, -1]] - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
 
-    @pytest.mark.parametrize("key", list(OUTER_OFFSETS_FROZEN), ids=str)
+    @pytest.mark.parametrize("key", list(OUTER_OFFSETS_FROZEN) + list(OUTER_STALLS), ids=str)
     def test_outer_roots_take_few_direct_sums(self, key, monkeypatch):
         # each step of the outer pair is one direct-sum evaluation of F and F';
-        # the one-pole split needs at most 16 of them, halving took about 60
+        # the one-pole split and the secant need at most 16 of them, halving
+        # took about 60
         outer_split, steps = spectrum._outer_split, []
 
         def counted(params, m, x, kernel):
@@ -285,7 +296,9 @@ class TestSolve:
         # each root once stalled at rounding: a split that would have finished
         # it moved more than half the move before and was refused, the midpoint
         # left a one-sided bracket, and each later split, measured against the
-        # midpoint's move, was refused again, for 56 steps in all.  A step of
+        # midpoint's move, was refused again, for 56 steps in all.  No split is
+        # refused for its size now: both roots take the secant and finish on
+        # the split's residual (the top root 7 steps, root 261 4).  A step of
         # the root is a split evaluated at its asymptote on its side
         p = DressedAtomParams(1.0, g, delta, n)
         spec = solve_eigenfrequencies(p)
