@@ -1,3 +1,5 @@
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -443,6 +445,46 @@ class TestSolve:
         with pytest.raises(ConvergenceFailure, match="root 0 ") as err:
             solve_eigenfrequencies(p)
         assert err.value.interval_index == 0
+
+
+def _moment_defects(spec):
+    """Relative defects, in eps, of the atom's spectral moment rules j = -1
+    and j = 2, with lam = Omega^2 and each side summed by math.fsum:
+    sum_r w_r / lam_r = 1 / omega_bar^2 and sum_r w_r lam_r^2 = (omega_bar^2 +
+    N eta^2)^2 + eta^2 sum_k omega_k^2, the moments of B^j's atom entry for
+    the arrowhead form B (the oracle's), whose Schur complement gives j = -1."""
+    p, w, lam = spec.params, spec.weights, spec.bigomegas**2
+    n = p.n_modes
+    field = p.delta_omega**2 * (n * (n + 1) * (2 * n + 1) // 6)  # sum_k omega_k^2
+    top = p.omega_bar**2 + n * p.eta_sq
+    low = math.fsum(w / lam) * p.omega_bar**2 - 1.0
+    high = math.fsum(w * lam * lam) / math.fsum((top * top, p.eta_sq * field)) - 1.0
+    return abs(low) / np.finfo(float).eps, abs(high) / np.finfo(float).eps
+
+
+class TestMomentRules:
+    """The negative rule watches root 0 and the positive rule the top root:
+    an independent check on the two outer roots and their weights, which no
+    other route reaches above the oracle's matrix cap."""
+
+    def test_hold_within_eight_eps_across_the_domain(self):
+        worst = [0.0, 0.0]
+        for omega_bar, ratio, delta, n in itertools.product(
+                (0.1, 1.0, 10.0), (1e-6, 0.02, 0.5, 0.99, 5.0), (1e-3, 0.1, 1.0, 1e3),
+                (1, 63, 64, 2048, 16385)):
+            spec = solve_eigenfrequencies(DressedAtomParams(omega_bar, ratio * omega_bar, delta, n))
+            worst = np.maximum(worst, _moment_defects(spec))
+        assert np.all(worst <= 8.0), worst
+
+    @pytest.mark.parametrize("root, rule", [(0, 0), (-1, 1)], ids=["root-0", "top"])
+    def test_a_shifted_outer_root_breaks_a_rule(self, fig_spectrum, root, rule):
+        # one offset scaled by 1 + 1e-12 and the record derived again: root 0
+        # moves j = -1 by thousands of eps, the top root j = 2 by about a hundred
+        assert max(_moment_defects(fig_spectrum)) <= 8.0
+        s = fig_spectrum.offsets.copy()
+        s[root] *= 1.0 + 1e-12
+        shifted = ModeSpectrum(fig_spectrum.params, fig_spectrum.asymptotes, s)
+        assert _moment_defects(shifted)[rule] > 8.0
 
 
 class TestInterlacingCheck:
