@@ -345,15 +345,16 @@ def spectral_weight_norm(omega_bar: float, g: float) -> float:
 def _exp_e1(z: np.ndarray) -> np.ndarray:
     """exp(z) E1(z) on the principal branch, elementwise over a complex array.
 
-    The power series DLMF 6.6.2 where w = (|z| + Re z)/2 <= 1/2 and |z| <= 60 (its terms
-    cancel by at most e^(2w)); elsewhere the even part of the continued fraction DLMF 6.9.1,
-    1/(z+1 - 1/(z+3 - 4/(z+5 - ...))), which reaches rounding in ceil(90/w) + 6 terms (w
-    taken as at least 0.09, so at most 1006) and never forms exp(z) or E1(z), which overflow.
+    The power series DLMF 6.6.2 where w = (|z| + Re z)/2 <= 1 and |z| <= 60 (its terms
+    cancel by at most e^(2w) <= e^2); elsewhere the even part of the continued fraction
+    DLMF 6.9.1, 1/(z+1 - 1/(z+3 - 4/(z+5 - ...))), which reaches rounding in ceil(90/w) + 6
+    terms, at most 96 where |z| <= 60 (w taken as at least 0.09, so at most 1006 beyond),
+    and never forms exp(z) or E1(z), which overflow.
     """
     out = np.empty_like(z)
     size = np.abs(z)
     w = 0.5 * (size + z.real)
-    near = (w <= 0.5) & (size <= 60.0)
+    near = (w <= 1.0) & (size <= 60.0)
     n = np.arange(1.0, np.e * size[near].max(initial=0.0) + 30.0)
     powers = np.cumprod(-z[near][:, None] / n, axis=1)  # (-z)^n / n!
     out[near] = np.exp(z[near]) * (-np.euler_gamma - np.log(z[near]) - powers @ (1.0 / n))

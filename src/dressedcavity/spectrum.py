@@ -32,6 +32,7 @@ are immutable and safe to share across threads.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,9 +51,10 @@ __all__ = [
 
 # Step budget of the offset solve (:func:`_bisect`).  An inner root takes 3-5
 # steps of the cotangent split and its secant (at most 18 over 3.8 million
-# roots of 400 spectra across the domain), the outer pair 4-16 steps of the
-# one-pole split and its secant over 2000 spectra (save 17 and 20 where a top
-# root starts hundreds of spacings above omega_N), or about 80 halvings where
+# roots of 400 spectra across the domain), the outer pair 3-16 steps of the
+# one-pole split and its secant over 2000 spectra, 5.3 on average (save 17 and
+# 19 where a top root lies a few spacings above omega_N and its bracket
+# reaches hundreds of spacings above it), or about 80 halvings where
 # every split leaves the bracket (halvings bring the domain's smallest
 # offsets, s ~ 6e-9 at delta = 1e-3, N = 1e5, to 2 ulps of s), and at most
 # twice that where splits alternate with midpoints.
@@ -185,9 +187,11 @@ class ModeSpectrum:
         m * head is exact below m = 2^17, dw's tail is below 2^-36 dw), and,
         on the inner roots, the closed form's terms in eta^2 lam S, at most
         eta^2 (1 + u (1/|s| + ln(2N+1) + 1)) / 2 (pi |cot(pi s)| <= 1/|s| at
-        |s| <= 1/2, its digamma pair below ln(2N+1) + 1).  The direct sum of
-        the outer roots adds terms of one sign, so there eta^2 lam |S| <=
-        (omega_bar + Omega) |omega_bar - Omega| + |F|."""
+        |s| <= 1/2, its digamma pair below ln(2N+1) + 1).  The outer roots'
+        O(1) forms (:func:`_outer_sum`) add only terms of one sign, S within
+        4 eps of the exact sum at every N, so there the error of eta^2 lam S
+        is at most 4 eps eta^2 lam |S| <= 4 eps ((omega_bar + Omega)
+        |omega_bar - Omega| + |F|), inside the raise."""
         p, m, s = self.params, self.asymptotes, self.offsets
         n, a = p.n_modes, np.abs(s)
         om, detuning = _omega(m, s, p)
@@ -218,11 +222,13 @@ def field_frequencies(params: DressedAtomParams) -> np.ndarray:
 # minus the digamma tail sum_{k>N} 1/(k^2 - u^2) = [psi(N+1+u)-psi(N+1-u)]/(2u),
 # where cot(pi u) = cot(pi s) keeps the digits of a small offset that u
 # loses.  Outside, the closed form cancels (below omega_1) or has spurious
-# poles (above omega_N), and the N terms, all of one sign, are summed over
-# the factored gaps omega_k^2 - Omega^2 = ((k - m) - s)(k + u) dw^2.  Both
-# kernels return the sums in units of dw^-2 and dw^-4.  The solver never
+# poles (above omega_N), and the outer pair has O(1) forms of its own whose
+# terms all have one sign (:func:`_outer_sum`).  The definition, the N terms
+# over the factored gaps omega_k^2 - Omega^2 = ((k - m) - s)(k + u) dw^2, is
+# summed only by :func:`secular_residual` (:func:`_direct_sum`).  Every
+# kernel returns the sums in units of dw^-2 and dw^-4.  The solver never
 # chooses between them point by point: each root set of :func:`_root_sets`
-# names its kernel, and :func:`secular_residual` takes the direct sum.
+# names its kernel.
 # psi, psi': asymptotic series DLMF 5.11.2, 5.15.8 through B_14 on the stacked pair (a, b),
 # after ten steps of the recurrence DLMF 5.5.2, 5.15.5 raise arguments below 10 past it;
 # psi(a) - psi(b) takes ln(a/b) as one logarithm.
@@ -285,6 +291,109 @@ def _direct_sum(m, s, n, powers):
         if powers == 2:
             out[1, i:i + block] = np.square(inv, out=inv).sum(axis=-1)
     return out.reshape((powers,) + shape)
+
+
+# Root 0's series: zeta(2j+2) - sum_{k<=8} k^-(2j+2), j = 0..8, correctly rounded.
+_HEAD = 8
+_ZETA_TAILS = (0.11751201469403143, 0.0005390660076575174, 4.431219440802822e-06,
+               4.317325486885005e-08, 4.5606581162331895e-10, 5.046924952108201e-12,
+               5.752783958727246e-14, 6.690347987910966e-16, 7.892119332432322e-18)
+
+
+@functools.lru_cache(maxsize=32)
+def _low_series(n: int):
+    """(c_j, j c_j), j = 0..8, with c_j = sum_{8<k<=N} k^-(2j+2): the zeta tails less
+    the terms beyond N, by Euler-Maclaurin (DLMF 2.10.1) through B_12 for N > 16,
+    N^(1-p) [1/(p-1) - 1/(2N) + sum_i B_2i/(2i)! p(p+1)..(p+2i-2) N^-2i] at p = 2j+2,
+    at most about 2^(1-p) of the zeta tail it is taken from, so the difference
+    loses at most a bit; the finite sum at N <= 16.  O(1) once per N."""
+    c = []
+    for j, zeta in enumerate(_ZETA_TAILS):
+        p = 2 * j + 2
+        if n <= 2 * _HEAD:
+            c.append(math.fsum(k ** -p for k in range(_HEAD + 1, n + 1)))
+            continue
+        corr, rising, fact = 0.0, p, 2.0
+        for i, b in enumerate(_BERNOULLI[:6], 1):
+            corr += b * rising / fact / n ** (2 * i)
+            rising *= (p + 2 * i - 1) * (p + 2 * i)
+            fact *= (2 * i + 1) * (2 * i + 2)
+        c.append(zeta - n ** (1.0 - p) * (1.0 / (p - 1) - 0.5 / n + corr))
+    return tuple(c), tuple(j * v for j, v in enumerate(c))
+
+
+def _low_sums(n: int, m: float, s: float):
+    """S, S2 below omega_1 (m = 0 or 1, 0 < u = m + s < 1): the terms k <= 8 on
+    the factored gaps, and beyond them sum_j c_j lam^j and sum_j j c_j lam^(j-1)
+    (:func:`_low_series`), which converge as (u/9)^2.  Every term is positive."""
+    u = m + s
+    s1 = s2 = 0.0
+    if n > _HEAD:
+        c, jc = _low_series(n)
+        lam = u * u
+        s1, s2 = c[-1], jc[-1]
+        for cj, jcj in zip(c[-2:0:-1], jc[-2:0:-1]):
+            s1 = s1 * lam + cj
+            s2 = s2 * lam + jcj
+        s1 = s1 * lam + c[0]
+    for k in range(min(n, _HEAD), 0, -1):
+        t = 1.0 / (((k - m) - s) * (k + u))
+        s1 += t
+        s2 += t * t
+    return s1, s2
+
+
+def _psi_gaps(a: float, count: int):
+    """(psi(a + count) - psi(a), psi'(a) - psi'(a + count)) for a > 0, that is the
+    sums over j < count of 1/(a+j) and 1/(a+j)^2: the terms below a + j = 10
+    directly, the rest by :func:`_psi_pair`'s series as differences over the exact
+    count, ln(b/a) = log1p(count/a) and each a^-k - b^-k from 1/a - 1/b =
+    count/(ab), so that nothing cancels when a >> count."""
+    lift = min(count, max(0, math.ceil(10.0 - a)))
+    h1 = h2 = 0.0
+    if lift < count:
+        low, rest = a + lift, count - lift
+        ra, rb = 1.0 / low, 1.0 / (low + rest)
+        d = rest * ra * rb  # ra - rb
+        ya, yb = ra * ra, rb * rb
+        dy = d * (ra + rb)  # ya - yb
+        e, ybk = dy, yb  # ya^k - yb^k and yb^k
+        for k, (c0, c1) in enumerate(zip(*_PSI_SERIES)):
+            if k:
+                e = ya * e + dy * ybk
+                ybk *= yb
+            h1 += c0 * e
+            h2 += c1 * (ra * e + d * ybk)  # ra^(2k+1) - rb^(2k+1)
+        h1 += 0.5 * d + math.log1p(rest * ra)
+        h2 += 0.5 * dy + d
+    for j in range(lift - 1, -1, -1):
+        t = 1.0 / (a + j)
+        h1 += t
+        h2 += t * t
+    return h1, h2
+
+
+def _top_sums(n: int, s: float):
+    """S, S2 above omega_N (u = N + s, s > 0).  DLMF 5.5.4 with psi(u+1) - psi(u)
+    = 1/u leaves no cotangent pole: S = [1/u + psi(s) - psi(2N+1+s)] / (2u) and
+    S2 = [psi'(s) - psi'(2N+1+s) - 1/u^2] / (4u^2) - S / (2u^2).  Each digamma
+    difference sums the 2N+1 positive terms (s+j)^-p, j <= 2N; the one taken off
+    is j = N, (s+N)^-p = u^-p, below the term j = 0, so the difference keeps at
+    least half its size and every part of S and S2 keeps one sign."""
+    u = n + s
+    d1, d2 = _psi_gaps(s, 2 * n + 1)
+    s1 = 0.5 * (1.0 / u - d1) / u
+    return s1, (0.25 * (d2 - 1.0 / (u * u)) - 0.5 * s1) / (u * u)
+
+
+def _outer_sum(m, s, n, powers):
+    """The outer pair's sums in O(1) at 1-d offsets: the top root (m = N, s > 0)
+    by :func:`_top_sums`, root 0 by :func:`_low_sums`, each within 4 eps of
+    the exact sum.  Plain floats: at two points a numpy call costs more than
+    the arithmetic."""
+    sums = [_top_sums(n, si) if mi == n and si > 0.0 else _low_sums(n, mi, si)
+            for mi, si in zip(m.tolist(), s.tolist())]
+    return np.array(sums).T[:powers]
 
 
 def _omega(m, s, params: DressedAtomParams):
@@ -373,6 +482,18 @@ def _upper_bound(params: DressedAtomParams) -> float:
     return max(atom_row, mode_rows) + 1.0
 
 
+def _top_estimate(params: DressedAtomParams) -> float:
+    """The top root's offset from omega_N at the root of F truncated after its
+    moments j = 1, 2.  Above the band S = -sum_j (sum_k omega_k^2j) / lam^(j+1),
+    so F ~ A - lam + eta^2 sum_k omega_k^2 / lam with A = omega_bar^2 + N eta^2,
+    whose root is lam0 = [A + sqrt(A^2 + 4 eta^2 sum_k omega_k^2)] / 2, and
+    sum_k omega_k^2 = dw^2 N (N+1) (2N+1) / 6."""
+    n, dw = params.n_modes, params.delta_omega
+    half = 0.5 * (float(params.omega_bar) ** 2 + n * params.eta_sq)
+    field = float(params.eta) * dw * math.sqrt(n * (n + 1) * (2 * n + 1) / 6)
+    return math.sqrt(half + math.hypot(half, field)) / dw - n
+
+
 def _inner_split(params: DressedAtomParams, m, x, kernel):
     """F at inner-root offsets x, and the next split of each.
 
@@ -396,27 +517,38 @@ def _outer_split(params: DressedAtomParams, m, x, kernel):
     x, L = u^2, D = k^2 - L and F^ = F/dw^2, the split is the root of the
     one-pole model F^ ~ c + alpha/D fitted to F^ and F' at x: the fixed-weight
     ("middle way") step of R.-C. Li, LAPACK Working Note 89, dL = F^ D / (F^
-    + |F'| D) in units of dw^2.  D is formed factored, and the new offset as
-    a correction to x, so the digits of a small u or gap survive.
+    + |F'| D) in units of dw^2.  D is formed factored, and so is the new
+    offset: from zero frequency (m = 0) as a correction to x, and from the pole
+    (m = k) as its new gap D - dL = |F'| D^2 / (F^ + |F'| D) over k + u', so
+    the digits of a small u or gap survive however near the pole x lies.  In
+    plain floats, as :func:`_outer_sum`.
     """
     f, slope = _secular(m, x, params, kernel, slope=True)
-    k = np.clip(m, 1, params.n_modes)
-    u = m + x
-    d = ((k - m) - x) * (k + u)
-    f_hat = f / params.delta_omega**2
-    dl = f_hat * d / (f_hat + slope * d)
-    # a model root below zero frequency leaves the bracket, and the midpoint is taken
-    return f, x + dl / (u + np.sqrt(np.maximum(u * u + dl, 0.0)))
+    splits = []
+    for mi, xi, fi, si in zip(m.tolist(), x.tolist(), (f / params.delta_omega**2).tolist(),
+                              slope.tolist()):
+        k, u = max(mi, 1), mi + xi  # the pole: omega_1 for root 0, omega_N = omega_m on top
+        d = ((k - mi) - xi) * (k + u)
+        try:
+            q = d / (fi + si * d)
+            dl = fi * q
+            # a model root below zero frequency leaves the bracket, and the midpoint is taken
+            root = math.sqrt(max(u * u + dl, 0.0))
+            splits.append(-si * q * d / (k + root) if mi == k else xi + dl / (u + root))
+        except ZeroDivisionError:  # a model without a root: the midpoint is taken
+            splits.append(math.nan)
+    return f, np.array(splits)
 
 
 def _root_sets(n: int):
     """(roots, split, kernel) for each set of an N-mode spectrum's roots: the
-    outer pair {0, N} on the one-pole split and the direct sum, then the inner
-    roots 1..N-1, in blocks of at most _BLOCK_ELEMENTS, on the cotangent split
-    and the closed form.  Each set stays on its kernel's side of the band: the
-    outer brackets lie outside (omega_1, omega_N), the inner ones inside
-    [omega_1, omega_N]."""
-    yield np.array([0, n]), _outer_split, _direct_sum
+    outer pair {0, N} on the one-pole split and its own O(1) forms
+    (:func:`_outer_sum`), then the inner roots 1..N-1, in blocks of at most
+    _BLOCK_ELEMENTS, on the cotangent split and the closed form.  Each set
+    stays on its kernel's side of the band: the outer brackets lie outside
+    (omega_1, omega_N), the inner ones inside [omega_1, omega_N].  No set
+    sums the O(N) definition."""
+    yield np.array([0, n]), _outer_split, _outer_sum
     for i in range(1, n, _BLOCK_ELEMENTS):
         yield slice(i, min(i + _BLOCK_ELEMENTS, n)), _inner_split, _closed_sum
 
@@ -427,8 +559,11 @@ def _bisect(params: DressedAtomParams, m, a, b) -> np.ndarray:
     by its index in the spectrum.
 
     The sets of :func:`_root_sets` are solved one after another, each to the
-    end of its own steps.  Each step evaluates F and the set's rational split
-    g (:func:`_inner_split`, :func:`_outer_split`) at one point x per live
+    end of its own steps.  Each root starts at its bracket's midpoint, except
+    a top root whose bracket lies above omega_N (a > 0), which starts at its
+    two-moment estimate (:func:`_top_estimate`) where that lies inside the
+    bracket.  Each step evaluates F and the set's rational split g
+    (:func:`_inner_split`, :func:`_outer_split`) at one point x per live
     root, on the set's kernel, and keeps the part of the bracket with the
     sign change.  The next point is g while that lies in the bracket and is
     not the asymptote itself (offset 0, where F has its pole), otherwise the
@@ -441,15 +576,18 @@ def _bisect(params: DressedAtomParams, m, a, b) -> np.ndarray:
     x: the cotangent split's map has slope below 1/3, so the root lies there,
     and a secant beyond it is rounding.  Near its root the secant is slower
     than the one-pole split, whose steps are quadratic, and costs the outer
-    pair about one more direct sum a solve.  A root is done once its split
+    pair about one more step a solve.  A root is done once its split
     moves by at most 2 ulps of the offset, and keeps that split, held to its
     bracket, or once its next point moves by at most 2 ulps of the offset.
     """
     tol = 2.0 * np.finfo(float).eps
     s, index = np.empty(a.shape), np.arange(a.size)
+    start = 0.5 * (a + b)
+    if a[-1] > 0.0 and a[-1] < (top := _top_estimate(params)) < b[-1]:
+        start[-1] = top
     for roots, split_at, kernel in _root_sets(params.n_modes):
         live, mr, ar, br = index[roots], m[roots], a[roots], b[roots]
-        x = 0.5 * (ar + br)
+        x = start[roots]
         xp = rp = None  # the step before's point and residual, for the secant
         for _ in range(_BISECT_STEPS):
             f, g = split_at(params, mr, x, kernel)
@@ -494,8 +632,9 @@ def solve_eigenfrequencies(params: DressedAtomParams) -> ModeSpectrum:
     above omega_N puts it in (0, 1/2] dw, otherwise in [1/2, b] dw, b from a
     Gershgorin bound.  All N+1 roots are found in one call of
     :func:`_bisect`: the N-1 inner roots by the cotangent split on the
-    closed form, in blocks, the two outer roots by the one-pole split on the
-    direct sum, every root finished by the secant of its split's residual.
+    closed form, in blocks, the two outer roots by the one-pole split on
+    their O(1) forms, every root finished by the secant of its split's
+    residual; no step costs O(N) per root.
     Every root must then pass the 1e-10 check on the spectrum's
     :attr:`ModeSpectrum.newton_rel`; a failure, NaN included, raises
     :class:`ConvergenceFailure` naming the first root that fails.

@@ -452,10 +452,12 @@ class TestAtomWeights:
         # S2 per root: one call per root set (the outer pair, then the 63 inner
         # roots as one block).  Inside the solve, the outer pair's one-pole
         # splits also take S2, each over at most the two outer roots; those
-        # are counted apart.  Calls of either sum kernel are counted by code
-        # object and attributed to the nearest of the two callers on the
-        # stack, so a call through any module's binding of a kernel is seen
-        codes = {spectrum._closed_sum.__code__, spectrum._direct_sum.__code__}
+        # are counted apart.  Calls of any sum kernel, the O(N) definition
+        # included, are counted by code object and attributed to the nearest
+        # of the two callers on the stack, so a call through any module's
+        # binding of a kernel is seen
+        codes = {spectrum._closed_sum.__code__, spectrum._outer_sum.__code__,
+                 spectrum._direct_sum.__code__}
         stages = {spectrum._bisect.__code__: "solve", ModeSpectrum.__post_init__.__code__: "derive"}
         sizes = {"solve": [], "derive": [], "other": []}
 

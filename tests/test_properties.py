@@ -2,9 +2,9 @@
 
 Parameter ranges span both cavity regimes (delta from 0.02 to 20) and keep
 mode counts small enough that every example solves in milliseconds.  Two
-properties cover the full domain: the solver's (omega_bar 0.1-10, g/omega_bar
-1e-6-5, delta 1e-3-1e3, N at the near/far crossovers or up to 3000) and the
-weight sum's (N up to 8192).
+properties cover the full domain, omega_bar 0.1-10, g/omega_bar 1e-6-5 and
+delta 1e-3-1e3: the solver's (N at the near/far crossovers or up to 3000) and
+the weight sum's (N at the crossovers and the block size, or up to 1e5).
 """
 
 from unittest import mock
@@ -51,13 +51,14 @@ def _solve(omega_bar, g, delta, n):
 
 
 @st.composite
-def _north_star_spectra(draw):
-    """(omega_bar, g, delta, N) over the whole domain, N at the near/far
-    crossovers (62-65, 126-128), a few small counts, or log-uniform up to 3000."""
+def _north_star_spectra(draw, counts=(1, 2, 3, 8, 31, 62, 63, 64, 65, 126, 127, 128),
+                        most=3000.0):
+    """(omega_bar, g, delta, N) over the whole domain, N from ``counts`` (by
+    default the near/far crossovers 62-65, 126-128 and a few small counts) or
+    log-uniform up to ``most``."""
     omega_bar = draw(_log_uniform(0.1, 10.0))
     g = omega_bar * draw(_log_uniform(1e-6, 5.0))
-    n = draw(st.sampled_from((1, 2, 3, 8, 31, 62, 63, 64, 65, 126, 127, 128))
-             | _log_uniform(1.0, 3000.0).map(round))
+    n = draw(st.sampled_from(counts) | _log_uniform(1.0, most).map(round))
     return omega_bar, g, draw(_log_uniform(1e-3, 1e3)), n
 
 
@@ -91,13 +92,17 @@ def test_normal_mode_product_identity(omega_bar, g, delta, n):
     assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
-@settings(max_examples=20, deadline=None)
-@given(_log_uniform(0.1, 10.0), _log_uniform(0.01, 10.0), _log_uniform(1e-3, 1e3),
-       st.integers(1, 8192))
-def test_atom_weights_sum_to_one(omega_bar, g, delta, n):
-    # N runs from one mode to 8192, with the top root on the direct sum and
-    # the inner roots on the closed form
-    _, spec = _solve(omega_bar, g, delta, n)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_north_star_spectra(counts=(1, 2, 8, 63, 64, 16383, 16384, 16385), most=1e5))
+# the top of the range, which the derandomized draws rarely reach: a top root
+# far above omega_N and a weak coupling
+@example((10.0, 50.0, 1e3, 100_000))
+@example((0.1, 1e-7, 1e-3, 100_000))
+def test_atom_weights_sum_to_one(key):
+    # N runs from one mode to 1e5, on both sides of the near/far crossover and
+    # of the inner roots' block size, with the outer weights from the outer
+    # pair's O(1) forms and the inner ones from the closed form
+    _, spec = _solve(*key)
     assert abs(np.sum(atom_weights(spec)) - 1.0) <= 1e-14
 
 

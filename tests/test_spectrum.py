@@ -25,7 +25,7 @@ from dressedcavity import (
 )
 from dressedcavity import spectrum
 from dressedcavity.spectrum import first_order_frequencies
-from oracles import dlasd4_inner_roots, mpmath_secular_offset
+from oracles import dlasd4_inner_roots, mpmath_mode_sums, mpmath_secular_offset
 
 # frozen first-order values at delta=0.1, g=0.5, omega_bar=1 (direct evaluation)
 OM0_APPROX = 0.8952802448803402
@@ -67,6 +67,11 @@ OUTER_STALLS = (
     (8.40439930693937, 31.23894632574411, 216.4947178148499, 637),
     (0.4459313504051177, 2.1194469834055902, 645.4607310178715, 2254),
 )
+
+# (omega_bar, g, delta, N) with root 0 4.5e-24 spacings below omega_1: a
+# one-pole split formed as a correction to x rounded to the pole itself, and
+# root 0 halved for 22 steps (26 outer splits in all)
+ROOT_0_AT_THE_POLE = (2.27609058336141, 3.4387711511672757e-11, 32.227026489130715, 59)
 
 # inner roots at omega_bar=5.566964054792819, g=0.10780328649942257,
 # delta=3.4813356203742436, N=589 (40-digit mpmath roots of the secular
@@ -222,15 +227,16 @@ class TestSolve:
 
     def test_closed_form_evaluator_matches_direct(self):
         # lam below omega_1, inside (omega_1, omega_N) and above omega_N: the
-        # closed form inside, the direct sum outside, each in units of dw^-2
+        # closed form inside, the outer pair's O(1) forms outside (the top root
+        # carried from omega_N), each in units of dw^-2, against the definition
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.3, n_modes=120)
         lam = np.array([0.37, 3.1, 26.0, 311.7, 4001.0, 52000.0])
         gaps = field_frequencies(p)[None, :] ** 2 - lam[:, None]
         u = np.sqrt(lam) / p.delta_omega
-        m = np.rint(u)
+        m = np.minimum(np.rint(u), p.n_modes)
         inside = (u >= 1.0) & (u <= p.n_modes)
         assert inside.any() and not inside.all()
-        for kernel, at in ((spectrum._closed_sum, inside), (spectrum._direct_sum, ~inside)):
+        for kernel, at in ((spectrum._closed_sum, inside), (spectrum._outer_sum, ~inside)):
             s1, s2 = kernel(m[at], (u - m)[at], p.n_modes, 2)
             assert s1 / p.delta_omega**2 == pytest.approx(
                 np.sum(1.0 / gaps[at], axis=1), rel=1e-11)
@@ -276,11 +282,12 @@ class TestSolve:
         ref = np.array([s0, sn])
         assert np.all(np.abs(spec.offsets[[0, -1]] - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
 
-    @pytest.mark.parametrize("key", list(OUTER_OFFSETS_FROZEN) + list(OUTER_STALLS), ids=str)
+    @pytest.mark.parametrize("key", list(OUTER_OFFSETS_FROZEN) + list(OUTER_STALLS)
+                             + [ROOT_0_AT_THE_POLE], ids=str)
     def test_outer_roots_take_few_direct_sums(self, key, monkeypatch):
-        # each step of the outer pair is one direct-sum evaluation of F and F';
-        # the one-pole split and the secant need at most 16 of them, halving
-        # took about 60
+        # each step of the outer pair is one evaluation of F and F' (once an
+        # O(N) direct sum, now the O(1) outer forms); the one-pole split and
+        # the secant need at most 16 of them, halving took about 60
         outer_split, steps = spectrum._outer_split, []
 
         def counted(params, m, x, kernel):
@@ -392,10 +399,11 @@ class TestSolve:
 
     @pytest.mark.parametrize("n_modes", [1, 2, 8, 200, 4096])
     def test_each_kernel_sees_only_its_side_of_the_band(self, n_modes, monkeypatch):
-        # the root sets name their kernels, and no solve needs the other one
-        # at any point: at the domain's corners the closed form only ever sees
-        # 1 < u < N, and the direct sum only roots 0 and N, at u < 1 or u > N
-        seen = {"closed": [np.empty(0)], "direct": [np.empty(0)]}
+        # the root sets name their kernels, and no solve needs another one at
+        # any point: at the domain's corners the closed form only ever sees
+        # 1 < u < N, the outer pair's forms only roots 0 and N, at u < 1 or
+        # u > N, and the O(N) definition is never summed
+        seen = {"closed": [np.empty(0)], "outer": [np.empty(0)], "direct": [np.empty(0)]}
 
         def recorded(name, kernel):
             def sums(m, s, n, powers, **shared):  # the inner split shares its cotangent
@@ -403,16 +411,18 @@ class TestSolve:
                 return kernel(m, s, n, powers, **shared)
             return sums
 
-        monkeypatch.setattr(spectrum, "_closed_sum", recorded("closed", spectrum._closed_sum))
-        monkeypatch.setattr(spectrum, "_direct_sum", recorded("direct", spectrum._direct_sum))
+        for name in seen:
+            kernel = f"_{name}_sum"
+            monkeypatch.setattr(spectrum, kernel, recorded(name, getattr(spectrum, kernel)))
         for delta in (1e-3, 1.0, 1e3):
             for g in (0.02, 0.9):
                 solve_eigenfrequencies(DressedAtomParams.from_delta(1.0, g, delta, n_modes=n_modes))
-        closed, direct = (np.concatenate(seen[name]) for name in ("closed", "direct"))
-        assert len(seen["direct"]) > 1 and (len(seen["closed"]) > 1) == (n_modes > 1)
+        closed, outer = (np.concatenate(seen[name]) for name in ("closed", "outer"))
+        assert len(seen["outer"]) > 1 and (len(seen["closed"]) > 1) == (n_modes > 1)
+        assert len(seen["direct"]) == 1
         assert np.all((1.0 < closed) & (closed < n_modes))
-        assert all(u.size <= 2 for u in seen["direct"])
-        assert np.all((direct < 1.0) | (direct > n_modes))
+        assert all(u.size <= 2 for u in seen["outer"])
+        assert np.all((outer < 1.0) | (outer > n_modes))
 
     def test_convergence_failure_reports_interval(self, fig_params, monkeypatch):
         # the bisection hands back root 7 off by 1e-6 dw, still inside its
@@ -611,6 +621,39 @@ class TestSmallCavityApprox:
         exact = solve_eigenfrequencies(p).bigomegas[:11]
         approx = first_order_frequencies(p, 10)
         assert np.max(np.abs(exact - approx) / exact) < 5 * delta**2
+
+
+class TestOuterSums:
+    """The outer pair's O(1) sums against 40-digit sums of the definition."""
+
+    @staticmethod
+    def _points(n):
+        low = np.geomspace(1e-12, 0.5, 9)
+        return (np.concatenate((np.zeros(9), np.ones(9), np.full(13, n))),
+                np.concatenate((low, -low, np.geomspace(1e-12, 1e4, 13))))
+
+    def test_reference_is_the_definition(self):
+        mpmath = pytest.importorskip("mpmath")
+        for n in (1, 8, 63):
+            for m, s in zip(*self._points(n)):
+                with mpmath.workdps(80):
+                    u = mpmath.mpf(m) + mpmath.mpf(float(s))
+                    terms = [1 / (k * k - u * u) for k in range(1, n + 1)]
+                    direct = mpmath.fsum(terms), mpmath.fsum(t * t for t in terms)
+                    for got, want in zip(mpmath_mode_sums(n, m, s), direct):
+                        assert abs(got / want - 1) < mpmath.mpf(10) ** -40
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 9, 16, 17, 63, 64, 200, 16385, 100_000])
+    def test_within_four_eps_of_the_exact_sums(self, n):
+        # root 0 from omega_0 = 0 and from omega_1 (u < 1), the top root from
+        # omega_N with offsets from 1e-12 to 1e4: S and S2, relative.  Root 0's
+        # series coefficients are finite sums up to N = 16, Euler-Maclaurin
+        # tails from N = 17
+        pytest.importorskip("mpmath")
+        m, s = self._points(n)
+        got = spectrum._outer_sum(m, s, n, 2)
+        ref = np.array([[float(v) for v in mpmath_mode_sums(n, mi, si)] for mi, si in zip(m, s)]).T
+        assert np.all(np.abs(got / ref - 1.0) <= 4 * np.finfo(float).eps)
 
 
 def _psi_points():
