@@ -49,9 +49,10 @@ __all__ = [
     "solve_eigenfrequencies",
 ]
 
-# Step budget of the offset solve (:func:`_bisect`).  An inner root takes 3-5
-# steps of the cotangent split and its secant (at most 18 over 3.8 million
-# roots of 400 spectra across the domain), the outer pair 3-16 steps of the
+# Step budget of the offset solve (:func:`_bisect`).  An inner root takes 2-4
+# steps of the cotangent split and its secant from the split at its midpoint
+# (at most 21 over 2.6 million roots of 400 spectra across the domain, N up
+# to 1e5; 20 from the half-bracket midpoint), the outer pair 3-16 steps of the
 # one-pole split and its secant over 2000 spectra, 5.3 on average (save 17 and
 # 19 where a top root lies a few spacings above omega_N and its bracket
 # reaches hundreds of spacings above it), or about 80 halvings where
@@ -229,6 +230,13 @@ def field_frequencies(params: DressedAtomParams) -> np.ndarray:
 # kernel returns the sums in units of dw^-2 and dw^-4.  The solver never
 # chooses between them point by point: each root set of :func:`_root_sets`
 # names its kernel.
+# At an inner bracket's midpoint u = r + 1/2, m = r, s = 1/2, the cotangent
+# vanishes (pi cot(pi/2) rounds to 1.9e-16) and the digamma tail is the sum
+# of the 2r + 1 positive terms 1/(k + 1/2), k = N-r..N+r (DLMF 5.5.2), so one
+# running sum outward from k = N gives every midpoint (:func:`_midpoint_tails`).
+# numpy's cumsum adds left to right and drifts by up to 190 eps at N = 1e6;
+# with the exact error of each addition summed beside it, every midpoint lies
+# within 0.6 eps of the tail (40-digit mpmath, N = 64, 1e5 and 1e6).
 # psi, psi': asymptotic series DLMF 5.11.2, 5.15.8 through B_14 on the stacked pair (a, b),
 # after ten steps of the recurrence DLMF 5.5.2, 5.15.5 raise arguments below 10 past it;
 # psi(a) - psi(b) takes ln(a/b) as one logarithm.
@@ -263,11 +271,10 @@ def _psi_pair(a, b, powers):
     return out
 
 
-def _closed_sum(m, s, n, powers, cot=None):
+def _closed_sum(m, s, n, powers, cot=None, tail=None):
     c = np.pi / np.tan(np.pi * s) if cot is None else cot  # pi cot(pi u) = pi cot(pi s)
     u = m + s
-    a, b = n + 1 + u, (n + 1 - m) - s
-    psi = _psi_pair(a, b, powers)
+    psi = [tail] if tail is not None else _psi_pair(n + 1 + u, (n + 1 - m) - s, powers)
     p = c + psi[0]
     sums = [(0.5 / u - 0.5 * p) / u]
     if powers == 2:
@@ -396,6 +403,27 @@ def _outer_sum(m, s, n, powers):
     return np.array(sums).T[:powers]
 
 
+def _pair_secular(m, s, params: DressedAtomParams, kernel, slope: bool = False):
+    """:func:`_secular` on the outer pair, in plain floats like :func:`_outer_sum`:
+    the same operations in the same order (:func:`_omega`'s split of dw
+    included), so the same bits, without a dozen numpy calls on two points."""
+    if not params.delta_omega**4:  # a scale that underflows to 0 divides as numpy does
+        return _secular(m, s, params, kernel, slope)
+    dw, omega_bar, eta_sq = params.delta_omega, float(params.omega_bar), float(params.eta_sq)
+    head = 131073.0 * dw
+    head -= head - dw
+    rows = []
+    for mi, si, *sums in zip(m.tolist(), s.tolist(),
+                             *kernel(m, s, params.n_modes, 1 + slope).tolist()):
+        whole, rest = mi * head, mi * (dw - head) + si * dw
+        om = whole + rest
+        s1 = sums[0] / dw**2
+        f = ((omega_bar - whole) - rest) * (omega_bar + om) - eta_sq * om * om * s1
+        rows.append((f, 1.0 + eta_sq * (s1 + om * om * (sums[1] / dw**4))) if slope else (f,))
+    out = np.array(rows).T
+    return out if slope else out[0]
+
+
 def _omega(m, s, params: DressedAtomParams):
     """(Omega, omega_bar - Omega) at Omega = (m + s) dw, each rounded once:
     dw is split into a 36-bit head and its tail (Veltkamp), so m * head is
@@ -424,10 +452,12 @@ def _secular(m, s, params: DressedAtomParams, kernel, slope: bool = False):
 
 def _secular_sets(m, s, params: DressedAtomParams, slope: bool = False):
     """:func:`_secular` at the offsets (m, s) of N+1 roots, each set of
-    :func:`_root_sets` on its own kernel."""
+    :func:`_root_sets` on its own kernel, the outer pair in plain floats
+    (:func:`_pair_secular`)."""
     out = np.empty((1 + slope, m.size))
     for roots, _, kernel in _root_sets(params.n_modes):
-        out[:, roots] = _secular(m[roots], s[roots], params, kernel, slope)
+        secular = _secular if isinstance(roots, slice) else _pair_secular
+        out[:, roots] = secular(m[roots], s[roots], params, kernel, slope)
     return out if slope else out[0]
 
 
@@ -506,8 +536,14 @@ def _inner_split(params: DressedAtomParams, m, x, kernel):
     """
     c = np.pi / np.tan(np.pi * x)  # one cotangent per step, shared with the kernel
     f = _secular(m, x, params, functools.partial(kernel, cot=c))
-    h = c - 2.0 * f / (params.eta_sq * (m + x))
-    return f, np.arctan(np.pi / h) / np.pi
+    return f, _cot_split(params, m + x, f, c)
+
+
+def _cot_split(params: DressedAtomParams, u, f, c):
+    """The offset where pi cot(pi s) meets H = c - 2F / (eta^2 u), from F and
+    c = pi cot(pi s) at one point u: in [-1/2, 1/2], from the nearer asymptote."""
+    h = c - 2.0 * f / (params.eta_sq * u)
+    return np.arctan(np.pi / h) / np.pi
 
 
 def _outer_split(params: DressedAtomParams, m, x, kernel):
@@ -523,7 +559,7 @@ def _outer_split(params: DressedAtomParams, m, x, kernel):
     the digits of a small u or gap survive however near the pole x lies.  In
     plain floats, as :func:`_outer_sum`.
     """
-    f, slope = _secular(m, x, params, kernel, slope=True)
+    f, slope = _pair_secular(m, x, params, kernel, slope=True)
     splits = []
     for mi, xi, fi, si in zip(m.tolist(), x.tolist(), (f / params.delta_omega**2).tolist(),
                               slope.tolist()):
@@ -543,26 +579,82 @@ def _outer_split(params: DressedAtomParams, m, x, kernel):
 def _root_sets(n: int):
     """(roots, split, kernel) for each set of an N-mode spectrum's roots: the
     outer pair {0, N} on the one-pole split and its own O(1) forms
-    (:func:`_outer_sum`), then the inner roots 1..N-1, in blocks of at most
-    _BLOCK_ELEMENTS, on the cotangent split and the closed form.  Each set
-    stays on its kernel's side of the band: the outer brackets lie outside
-    (omega_1, omega_N), the inner ones inside [omega_1, omega_N].  No set
-    sums the O(N) definition."""
+    (:func:`_outer_sum`), as an index array, then the inner roots 1..N-1, in
+    slices of at most _BLOCK_ELEMENTS, on the cotangent split and the closed
+    form.  Each set stays on its kernel's side of the band: the outer
+    brackets lie outside (omega_1, omega_N), the inner ones inside
+    [omega_1, omega_N].  No set sums the O(N) definition."""
     yield np.array([0, n]), _outer_split, _outer_sum
     for i in range(1, n, _BLOCK_ELEMENTS):
         yield slice(i, min(i + _BLOCK_ELEMENTS, n)), _inner_split, _closed_sum
 
 
-def _bisect(params: DressedAtomParams, m, a, b) -> np.ndarray:
+def _two_sum_error(a, b, s):
+    """(a + b) - s exactly, elementwise, where s is a + b rounded (Knuth's TwoSum)."""
+    bb = s - a
+    err = s - bb
+    np.subtract(a, err, out=err)
+    np.subtract(b, bb, out=bb)
+    err += bb
+    return err
+
+
+def _midpoint_tails(n: int):
+    """(r, psi(N+1+u) - psi(N+1-u) at u = r + 1/2) for each block of the inner
+    roots r = 1..N-1, r as floats: the sums of the mode-sum notes' half-integer
+    form, one running sum outward from k = N, compensated by the exact error of
+    each addition (:func:`_two_sum_error`), since ``cumsum`` adds left to right."""
+    total, carry = 1.0 / (n + 0.5), 0.0  # the running sum from its term k = N, and its error
+    for i in range(1, n, _BLOCK_ELEMENTS):
+        r = np.arange(i, min(i + _BLOCK_ELEMENTS, n), dtype=float)
+        low, high = (n + 0.5) - r, (n + 0.5) + r
+        pair = np.reciprocal(low, out=low) + np.reciprocal(high, out=high)  # k = N -+ r
+        err = _two_sum_error(low, high, pair)
+        run = np.empty(r.size + 1)
+        run[0], run[1:] = total, pair
+        np.cumsum(run, out=run)
+        err += _two_sum_error(run[:-1], pair, run[1:])
+        err[0] += carry
+        np.cumsum(err, out=err)
+        total, carry = run[-1], err[-1]
+        tail = run[1:]
+        tail += err
+        yield r, tail
+
+
+def _inner_starts(params: DressedAtomParams, m, a, b, start):
+    """Each inner root's asymptote, bracket and start, from F and the cotangent
+    split at its bracket's midpoint u = r + 1/2, written block by block into
+    ``m``, ``a``, ``b`` and ``start``, which come holding m = r.
+
+    F < 0 at the midpoint puts root r in (0, 1/2] above omega_r, otherwise in
+    [-1/2, 0) below omega_r+1.  F there is the closed form on the digamma
+    tails of :func:`_midpoint_tails`, with c = pi cot(pi/2) as it rounds.  The
+    split at the midpoint (:func:`_cot_split`) is measured from the nearer
+    asymptote, so it lies in the bracket, off the asymptote, wherever it has
+    the sign of the midpoint's offset a + b; it is the root's start there,
+    and the midpoint elsewhere.
+    """
+    c = np.pi / np.tan(np.pi * 0.5)
+    for r, tail in _midpoint_tails(params.n_modes):
+        roots = slice(int(r[0]), int(r[-1]) + 1)
+        f = _secular(r, 0.5, params, functools.partial(_closed_sum, cot=c, tail=tail))
+        split = _cot_split(params, r + 0.5, f, c)
+        below = f < 0.0
+        mid = np.where(below, 0.5, -0.5)
+        m[roots] += ~below
+        np.minimum(mid, 0.0, out=a[roots])
+        np.maximum(mid, 0.0, out=b[roots])
+        start[roots] = np.where(split * mid > 0.0, split, mid)
+
+
+def _bisect(params: DressedAtomParams, m, a, b, start) -> np.ndarray:
     """Offsets of all N+1 roots from asymptotes ``m``, found in one call in
-    brackets (a, b) with F(a) > 0 > F(b); a failure names a root left over
-    by its index in the spectrum.
+    brackets (a, b) with F(a) > 0 > F(b) from the points ``start``; a failure
+    names a root left over by its index in the spectrum.
 
     The sets of :func:`_root_sets` are solved one after another, each to the
-    end of its own steps.  Each root starts at its bracket's midpoint, except
-    a top root whose bracket lies above omega_N (a > 0), which starts at its
-    two-moment estimate (:func:`_top_estimate`) where that lies inside the
-    bracket.  Each step evaluates F and the set's rational split g
+    end of its own steps.  Each step evaluates F and the set's rational split g
     (:func:`_inner_split`, :func:`_outer_split`) at one point x per live
     root, on the set's kernel, and keeps the part of the bracket with the
     sign change.  The next point is g while that lies in the bracket and is
@@ -570,25 +662,27 @@ def _bisect(params: DressedAtomParams, m, a, b) -> np.ndarray:
     midpoint.
 
     The cotangent split contracts only linearly, by about -0.345 a step near
-    the lowest inner roots, so from its second step every root steps by the
-    secant of the split's residual r = g - x through this point and the one
-    before.  The secant is taken only inside the bracket and within 3/2 r of
-    x: the cotangent split's map has slope below 1/3, so the root lies there,
-    and a secant beyond it is rounding.  Near its root the secant is slower
-    than the one-pole split, whose steps are quadratic, and costs the outer
-    pair about one more step a solve.  A root is done once its split
-    moves by at most 2 ulps of the offset, and keeps that split, held to its
-    bracket, or once its next point moves by at most 2 ulps of the offset.
+    the lowest inner roots, so every root steps by the secant of the split's
+    residual r = g - x through this point and the one before, from its second
+    point: an inner root starts at the split of its bracket's midpoint a + b
+    (:func:`_inner_starts`), so it takes the secant from its first step, with
+    the midpoint as the point before.  The secant is taken only inside the
+    bracket and within 3/2 r of x: the cotangent split's map has slope below
+    1/3, so the root lies there, and a secant beyond it is rounding.  Near
+    its root the secant is slower than the one-pole split, whose steps are
+    quadratic, and costs the outer pair about one more step a solve.  A root
+    is done once its split moves by at most 2 ulps of the offset, and keeps
+    that split, held to its bracket, or once its next point moves by at most
+    2 ulps of the offset.
     """
     tol = 2.0 * np.finfo(float).eps
     s, index = np.empty(a.shape), np.arange(a.size)
-    start = 0.5 * (a + b)
-    if a[-1] > 0.0 and a[-1] < (top := _top_estimate(params)) < b[-1]:
-        start[-1] = top
     for roots, split_at, kernel in _root_sets(params.n_modes):
-        live, mr, ar, br = index[roots], m[roots], a[roots], b[roots]
-        x = start[roots]
+        live, mr, ar, br, x = index[roots], m[roots], a[roots], b[roots], start[roots]
         xp = rp = None  # the step before's point and residual, for the secant
+        if isinstance(roots, slice):  # an inner block: x is the split at the midpoint,
+            xp = ar + br  # or the midpoint itself, whose residual 0 gives no secant
+            rp = x - xp
         for _ in range(_BISECT_STEPS):
             f, g = split_at(params, mr, x, kernel)
             np.copyto(ar, x, where=f > 0.0)
@@ -604,7 +698,7 @@ def _bisect(params: DressedAtomParams, m, a, b) -> np.ndarray:
             done = np.abs(split - x) <= tol * np.abs(split)
             finished = np.abs(r) <= tol * np.abs(x)
             np.copyto(split, g, where=finished)
-            np.clip(split, ar, br, out=split)
+            np.minimum(np.maximum(split, ar, out=split), br, out=split)
             done |= finished
             xp, rp = x, r
             if done.any():
@@ -630,7 +724,11 @@ def solve_eigenfrequencies(params: DressedAtomParams) -> ModeSpectrum:
     puts it in (0, 1/2] dw above omega_r, otherwise in [-1/2, 0) dw below
     omega_r+1.  The top root is carried from omega_N: F < 0 half a spacing
     above omega_N puts it in (0, 1/2] dw, otherwise in [1/2, b] dw, b from a
-    Gershgorin bound.  All N+1 roots are found in one call of
+    Gershgorin bound.  The inner roots' midpoints, and the cotangent splits
+    there that start them, come from one running sum (:func:`_inner_starts`);
+    the outer pair starts at the middle of its bracket, or a top root above
+    omega_N + dw/2 at its two-moment estimate (:func:`_top_estimate`) where
+    that lies inside the bracket.  All N+1 roots are found in one call of
     :func:`_bisect`: the N-1 inner roots by the cotangent split on the
     closed form, in blocks, the two outer roots by the one-pole split on
     their O(1) forms, every root finished by the secant of its split's
@@ -640,14 +738,18 @@ def solve_eigenfrequencies(params: DressedAtomParams) -> ModeSpectrum:
     :class:`ConvergenceFailure` naming the first root that fails.
     """
     n, dw = params.n_modes, params.delta_omega
-    lower = np.arange(n + 1.0)
-    below = _secular_sets(lower, np.full(n + 1, 0.5), params) < 0.0
-    m = np.where(below, lower, lower + 1)
-    a = np.where(below, 0.0, -0.5)
-    b = np.where(below, 0.5, 0.0)
-    if not below[-1]:  # the top root lies above omega_N + dw/2
-        m[-1], a[-1], b[-1] = n, 0.5, np.sqrt(_upper_bound(params)) / dw - n
-    spec = ModeSpectrum(params=params, asymptotes=m, offsets=_bisect(params, m, a, b))
+    m = np.arange(n + 1)
+    a, b, start = np.zeros(n + 1), np.full(n + 1, 0.5), np.empty(n + 1)
+    _inner_starts(params, m, a, b, start)
+    f0, fn = _pair_secular(np.array([0, n]), np.full(2, 0.5), params, _outer_sum)
+    if not f0 < 0.0:  # root 0 lies in [-1/2, 0) dw below omega_1
+        m[0], a[0], b[0] = 1, -0.5, 0.0
+    if not fn < 0.0:  # the top root lies above omega_N + dw/2
+        a[-1], b[-1] = 0.5, np.sqrt(_upper_bound(params)) / dw - n
+    start[[0, -1]] = 0.5 * (a[[0, -1]] + b[[0, -1]])
+    if a[-1] > 0.0 and a[-1] < (top := _top_estimate(params)) < b[-1]:
+        start[-1] = top
+    spec = ModeSpectrum(params=params, asymptotes=m, offsets=_bisect(params, m, a, b, start))
     require(spec.newton_rel <= _RESIDUAL_TOL, ConvergenceFailure,
             "root {i} residual {:.3e} exceeds {:.1e}", spec.newton_rel, _RESIDUAL_TOL)
     return spec

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +26,9 @@ from dressedcavity import (
 )
 from dressedcavity import spectrum
 from dressedcavity.spectrum import first_order_frequencies
+from hypothesis import example, given, settings
 from oracles import dlasd4_inner_roots, mpmath_mode_sums, mpmath_secular_offset
+from test_properties import _north_star_spectra
 
 # frozen first-order values at delta=0.1, g=0.5, omega_bar=1 (direct evaluation)
 OM0_APPROX = 0.8952802448803402
@@ -161,6 +164,10 @@ class TestFieldFrequencies:
         # delta=0.1, g=0.5 puts the first mode at g/delta = 5
         p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=1)
         assert field_frequencies(p) == pytest.approx([5.0], rel=1e-14)
+
+
+# the (delta, N) points of the inner roots' step counts, at omega_bar = 1, g = 0.5
+INNER_STEP_POINTS = [(0.1, 200), (1.0, 200), (1.0, 100_000)]
 
 
 class TestSolve:
@@ -323,13 +330,10 @@ class TestSolve:
         assert np.array_equal(solve_eigenfrequencies(p).offsets, spec.offsets)
         assert 0 < sum(steps) <= 10
 
-    @pytest.mark.parametrize("delta, n", [(0.1, 200), (1.0, 200), (1.0, 100_000)], ids=str)
-    def test_inner_roots_take_few_steps(self, delta, n, monkeypatch):
-        # the cotangent split alone contracts by only about -0.345 a step near
-        # the lowest inner roots: the figure's one block took 14 steps, 34 at
-        # delta = 1, and the first block at N = 1e5 34; the secant on the
-        # split's residual finishes every inner root, so every block, within 8.
-        # A step of a root is a split evaluated at its asymptote on its side
+    @staticmethod
+    def _inner_steps(delta, n, monkeypatch):
+        """(calls of the inner split, its evaluations per inner root keyed by
+        (asymptote, side)) in one solve at (1, 0.5, delta, n)."""
         inner_split, calls, steps = spectrum._inner_split, [], {}
 
         def counted(params, m, x, kernel):
@@ -340,8 +344,31 @@ class TestSolve:
 
         monkeypatch.setattr(spectrum, "_inner_split", counted)
         solve_eigenfrequencies(DressedAtomParams(1.0, 0.5, delta, n))
+        monkeypatch.undo()
+        return calls, steps
+
+    @pytest.mark.parametrize("delta, n", INNER_STEP_POINTS, ids=str)
+    def test_inner_roots_take_few_steps(self, delta, n, monkeypatch):
+        # the cotangent split alone contracts by only about -0.345 a step near
+        # the lowest inner roots: the figure's one block took 14 steps, 34 at
+        # delta = 1, and the first block at N = 1e5 34; the secant on the
+        # split's residual finishes every inner root, so every block, within 8.
+        # A step of a root is a split evaluated at its asymptote on its side
+        calls, steps = self._inner_steps(delta, n, monkeypatch)
         assert len(steps) == n - 1 and max(steps.values()) <= 8
         assert len(calls) <= 8 * -(-(n - 1) // spectrum._BLOCK_ELEMENTS)
+
+    def test_inner_roots_average_few_evaluations(self, monkeypatch):
+        # each inner root starts at the cotangent split of its bracket's
+        # midpoint, with the midpoint as the secant's point before, so at the
+        # three points above it takes at most 2.4 evaluations on average (2.07;
+        # 3.06 from the half-bracket midpoint, after a pass that evaluated F
+        # at every midpoint); most finish in two, the start and the secant
+        evaluations = roots = 0
+        for delta, n in INNER_STEP_POINTS:
+            steps = self._inner_steps(delta, n, monkeypatch)[1]
+            evaluations, roots = evaluations + sum(steps.values()), roots + n - 1
+        assert evaluations <= 2.4 * roots
 
     def test_root_blocks_do_not_change_the_spectrum(self, fig_params, fig_spectrum, monkeypatch):
         # each inner block runs to the end of its own steps: blocks of 7 roots
@@ -385,13 +412,28 @@ class TestSolve:
         spec = solve_eigenfrequencies(p)
         assert spec.bigomegas.size == 10_001
 
+    def test_solve_holds_few_arrays(self):
+        # the midpoint pass runs in blocks and writes into the solver's own
+        # arrays; the peak is the spectrum's derivation, about 14 arrays of
+        # N+1 floats (15.3 while the solve held the midpoints' F, a float copy
+        # of the asymptotes and the bracket ends through it)
+        p = DressedAtomParams(1.0, 0.4, 0.5, 100_000)
+        solve_eigenfrequencies(p)  # caches and lazy imports out of the count
+        tracemalloc.start()
+        try:
+            solve_eigenfrequencies(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15 * 8 * (p.n_modes + 1)
+
     def test_one_bisection_pass_per_solve(self, fig_params, monkeypatch):
         # all N+1 roots, inner and outer, go through one call
         bisect, sizes = spectrum._bisect, []
 
-        def counted(params, m, a, b):
+        def counted(params, m, a, b, start):
             sizes.append(m.size)
-            return bisect(params, m, a, b)
+            return bisect(params, m, a, b, start)
 
         monkeypatch.setattr(spectrum, "_bisect", counted)
         solve_eigenfrequencies(fig_params)
@@ -429,8 +471,8 @@ class TestSolve:
         # bracket: a relative Newton correction near 3e-7, far above 1e-10
         bisect = spectrum._bisect
 
-        def bisect_missing_root_7(params, m, a, b):
-            s = bisect(params, m, a, b)
+        def bisect_missing_root_7(params, m, a, b, start):
+            s = bisect(params, m, a, b, start)
             s[7] += 1e-6
             return s
 
@@ -654,6 +696,52 @@ class TestOuterSums:
         got = spectrum._outer_sum(m, s, n, 2)
         ref = np.array([[float(v) for v in mpmath_mode_sums(n, mi, si)] for mi, si in zip(m, s)]).T
         assert np.all(np.abs(got / ref - 1.0) <= 4 * np.finfo(float).eps)
+
+
+class TestMidpoints:
+    """The inner roots' midpoints u = r + 1/2, where the digamma tail is a sum
+    of 2r + 1 terms 1/(k + 1/2) and one running sum gives every midpoint."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 63, 64, 16385, 100_000, 1_000_000])
+    def test_tails_within_four_eps_of_mpmath(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        tails = np.concatenate([tail for _, tail in spectrum._midpoint_tails(n)])
+        assert tails.shape == (n - 1,)
+        for r in sorted({1, 2, n // 2, n - 2, n - 1} & set(range(1, n))):
+            with mpmath.workdps(40):
+                u = r + mpmath.mpf(1) / 2
+                ref = mpmath.psi(0, n + 1 + u) - mpmath.psi(0, n + 1 - u)
+                assert abs(tails[r - 1] - ref) <= 4 * np.finfo(float).eps * ref, r
+
+    def test_plain_running_sum_misses(self):
+        # numpy's cumsum adds left to right, so without the exact errors of its
+        # additions the same terms drift far from the sum at N = 1e6
+        mpmath = pytest.importorskip("mpmath")
+        n = 1_000_000
+        r = np.arange(1, n)
+        plain = np.cumsum(1.0 / ((n + 0.5) - r) + 1.0 / ((n + 0.5) + r)) + 1.0 / (n + 0.5)
+        with mpmath.workdps(40):
+            u = n // 2 + mpmath.mpf(1) / 2
+            ref = mpmath.psi(0, n + 1 + u) - mpmath.psi(0, n + 1 - u)
+            assert abs(plain[n // 2 - 1] - ref) > 4 * np.finfo(float).eps * ref
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_north_star_spectra())
+    # N = 1e5 at the domain's middle and corners
+    @example((1.0, 0.5, 1.0, 100_000))
+    @example((10.0, 50.0, 1e3, 100_000))
+    @example((0.1, 1e-7, 1e-3, 100_000))
+    def test_asymptote_choice_is_the_closed_forms(self, key):
+        # F < 0 at the midpoint from the running sum chooses as F from the
+        # digamma series does, at every inner root
+        p = DressedAtomParams.from_delta(*key[:3], n_modes=key[3])
+        n = p.n_modes
+        m, a, b, start = np.arange(n + 1), np.zeros(n + 1), np.full(n + 1, 0.5), np.empty(n + 1)
+        spectrum._inner_starts(p, m, a, b, start)
+        lower = np.arange(n + 1.0)
+        below = spectrum._secular_sets(lower, np.full(n + 1, 0.5), p) < 0.0
+        assert np.array_equal(m[1:-1], np.where(below, lower, lower + 1)[1:-1])
+        assert np.all((a[1:-1] <= start[1:-1]) & (start[1:-1] <= b[1:-1]) & (start[1:-1] != 0.0))
 
 
 def _psi_points():
