@@ -414,9 +414,8 @@ class TestSolve:
 
     def test_solve_holds_few_arrays(self):
         # the midpoint pass runs in blocks and writes into the solver's own
-        # arrays; the peak is the spectrum's derivation, about 14 arrays of
-        # N+1 floats (15.3 while the solve held the midpoints' F, a float copy
-        # of the asymptotes and the bracket ends through it)
+        # arrays, so the peak is the spectrum's derivation, about 14 arrays of
+        # N+1 floats
         p = DressedAtomParams(1.0, 0.4, 0.5, 100_000)
         solve_eigenfrequencies(p)  # caches and lazy imports out of the count
         tracemalloc.start()
@@ -707,7 +706,7 @@ class TestMidpoints:
         mpmath = pytest.importorskip("mpmath")
         tails = np.concatenate([tail for _, tail in spectrum._midpoint_tails(n)])
         assert tails.shape == (n - 1,)
-        for r in sorted({1, 2, n // 2, n - 2, n - 1} & set(range(1, n))):
+        for r in sorted(r for r in {1, 2, n // 2, n - 2, n - 1} if 1 <= r < n):
             with mpmath.workdps(40):
                 u = r + mpmath.mpf(1) / 2
                 ref = mpmath.psi(0, n + 1 + u) - mpmath.psi(0, n + 1 - u)
