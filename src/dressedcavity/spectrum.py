@@ -141,11 +141,12 @@ class ModeSpectrum:
     s_r < 0 from omega_r+1, and the top root above omega_N, s_N > 0.
     Derived from them once: ``omegas``, ``bigomegas`` = (m_r + s_r) dw, and
     from one evaluation of S and S2 per root (:func:`_secular_sets` with
-    ``slope``, each root set on its own kernel), the atom weights ``weights``
-    = (t_atom^r)^2 = 1 / |F'| = 1 / (1 + eta^2 (S + lam S2)) and
-    ``newton_rel`` = |F| w_r / Omega_r^2, each root's relative Newton
-    correction with F at the carried offsets, which unlike F stays
-    meaningful where the root hugs its asymptote, and ``residuals`` = |F|.
+    ``slope``: :func:`_secular` on each root set's kernel, the outer pair root
+    by root), the atom weights ``weights`` = (t_atom^r)^2 = 1 / |F'| = 1 /
+    (1 + eta^2 (S + lam S2)) and ``newton_rel`` = |F| w_r / Omega_r^2, each
+    root's relative Newton correction with F at the carried offsets, which
+    unlike F stays meaningful where the root hugs its asymptote, and
+    ``residuals`` = |F|.
     :func:`solve_eigenfrequencies` is the one producer; the first-order
     small-cavity frequencies are :func:`first_order_frequencies`.
     """
@@ -181,15 +182,16 @@ class ModeSpectrum:
 
     def raised_residuals(self) -> np.ndarray:
         """``residuals``, |F(lam_r)| at each root's carried offset as
-        :func:`_secular_sets` evaluates it, raised in O(N) by its rounding
-        bound: (8 + log2(N+1)) eps times the size of what F is formed from.
+        :func:`_secular` evaluates it, raised in O(N) by its rounding bound:
+        (8 + log2(N+1)) eps times the size of what F is formed from.
         That is |F|, the first term (omega_bar + Omega) |omega_bar - Omega|
         with the rounding of its detuning, dw (|s| + m 2^-35) (:func:`_omega`:
         m * head is exact below m = 2^17, dw's tail is below 2^-36 dw), and,
         on the inner roots, the closed form's terms in eta^2 lam S, at most
         eta^2 (1 + u (1/|s| + ln(2N+1) + 1)) / 2 (pi |cot(pi s)| <= 1/|s| at
         |s| <= 1/2, its digamma pair below ln(2N+1) + 1).  The outer roots'
-        O(1) forms (:func:`_outer_sum`) add only terms of one sign, S within
+        F is the same expression, evaluated root by root on their O(1) forms
+        (:func:`_outer_sum`), which add only terms of one sign, S within
         4 eps of the exact sum at every N, so there the error of eta^2 lam S
         is at most 4 eps eta^2 lam |S| <= 4 eps ((omega_bar + Omega)
         |omega_bar - Omega| + |F|), inside the raise."""
@@ -224,12 +226,13 @@ def field_frequencies(params: DressedAtomParams) -> np.ndarray:
 # where cot(pi u) = cot(pi s) keeps the digits of a small offset that u
 # loses.  Outside, the closed form cancels (below omega_1) or has spurious
 # poles (above omega_N), and the outer pair has O(1) forms of its own whose
-# terms all have one sign (:func:`_outer_sum`).  The definition, the N terms
-# over the factored gaps omega_k^2 - Omega^2 = ((k - m) - s)(k + u) dw^2, is
-# summed only by :func:`secular_residual` (:func:`_direct_sum`).  Every
-# kernel returns the sums in units of dw^-2 and dw^-4.  The solver never
-# chooses between them point by point: each root set of :func:`_root_sets`
-# names its kernel.
+# terms all have one sign (:func:`_outer_sum`, one root at a time).  Every
+# kernel feeds :func:`_secular`, the one statement of F and its slope.  The
+# definition, the N terms over the factored gaps omega_k^2 - Omega^2 =
+# ((k - m) - s)(k + u) dw^2, is summed only by :func:`secular_residual`
+# (:func:`_direct_sum`).  Every kernel returns the sums in units of dw^-2
+# and dw^-4.  The solver never chooses between them point by point: each
+# root set of :func:`_root_sets` names its kernel.
 # At an inner bracket's midpoint u = r + 1/2, m = r, s = 1/2, the cotangent
 # vanishes (pi cot(pi/2) rounds to 1.9e-16) and the digamma tail is the sum
 # of the 2r + 1 positive terms 1/(k + 1/2), k = N-r..N+r (DLMF 5.5.2), so one
@@ -394,34 +397,14 @@ def _top_sums(n: int, s: float):
 
 
 def _outer_sum(m, s, n, powers):
-    """The outer pair's sums in O(1) at 1-d offsets: the top root (m = N, s > 0)
-    by :func:`_top_sums`, root 0 by :func:`_low_sums`, each within 4 eps of
-    the exact sum.  Plain floats: at two points a numpy call costs more than
-    the arithmetic."""
-    sums = [_top_sums(n, si) if mi == n and si > 0.0 else _low_sums(n, mi, si)
-            for mi, si in zip(m.tolist(), s.tolist())]
-    return np.array(sums).T[:powers]
-
-
-def _pair_secular(m, s, params: DressedAtomParams, kernel, slope: bool = False):
-    """:func:`_secular` on the outer pair, in plain floats like :func:`_outer_sum`:
-    the same operations in the same order (:func:`_omega`'s split of dw
-    included), so the same bits, without a dozen numpy calls on two points."""
-    if not params.delta_omega**4:  # a scale that underflows to 0 divides as numpy does
-        return _secular(m, s, params, kernel, slope)
-    dw, omega_bar, eta_sq = params.delta_omega, float(params.omega_bar), float(params.eta_sq)
-    head = 131073.0 * dw
-    head -= head - dw
-    rows = []
-    for mi, si, *sums in zip(m.tolist(), s.tolist(),
-                             *kernel(m, s, params.n_modes, 1 + slope).tolist()):
-        whole, rest = mi * head, mi * (dw - head) + si * dw
-        om = whole + rest
-        s1 = sums[0] / dw**2
-        f = ((omega_bar - whole) - rest) * (omega_bar + om) - eta_sq * om * om * s1
-        rows.append((f, 1.0 + eta_sq * (s1 + om * om * (sums[1] / dw**4))) if slope else (f,))
-    out = np.array(rows).T
-    return out if slope else out[0]
+    """The outer pair's sums in O(1) at one root's offset (m an int, s a float):
+    the top root (m = N, s > 0) by :func:`_top_sums`, root 0 by :func:`_low_sums`,
+    each within 4 eps of the exact sum.  Summed in plain floats, since on one
+    root a numpy call costs more than the arithmetic, and returned as numpy
+    scalars, so :func:`_secular` divides them by dw^2 and dw^4 as it divides
+    arrays (inf or NaN where those underflow, not ZeroDivisionError)."""
+    sums = _top_sums(n, s) if m == n and s > 0.0 else _low_sums(n, m, s)
+    return np.array(sums[:powers])
 
 
 def _omega(m, s, params: DressedAtomParams):
@@ -432,32 +415,40 @@ def _omega(m, s, params: DressedAtomParams):
     head = 131073.0 * dw
     head -= head - dw
     whole, rest = m * head, m * (dw - head) + s * dw
-    return whole + rest, (params.omega_bar - whole) - rest
+    return whole + rest, (float(params.omega_bar) - whole) - rest
 
 
 def _secular(m, s, params: DressedAtomParams, kernel, slope: bool = False):
     """F(lam) = omega_bar^2 - lam - eta^2 lam S(lam) at Omega = (m + s) dw, with
-    S from ``kernel`` (:func:`_closed_sum` or :func:`_direct_sum`); with
-    ``slope``, (F, |dF/dlam|) from the same S and one S2, where |dF/dlam| = 1 +
-    eta^2 (S + lam S2) = 1 + eta^2 sum_k omega_k^2/(omega_k^2 - lam)^2; at a root
-    the slope is 1/(t_atom^r)^2."""
+    S from ``kernel`` (:func:`_closed_sum`, :func:`_outer_sum` or
+    :func:`_direct_sum`); with ``slope``, (F, |dF/dlam|) from the same S and one
+    S2, where |dF/dlam| = 1 + eta^2 (S + lam S2) = 1 + eta^2 sum_k
+    omega_k^2/(omega_k^2 - lam)^2; at a root the slope is 1/(t_atom^r)^2.  The
+    one statement of F and its slope for every root set: on arrays of offsets,
+    or on one outer root's int and float, in plain floats but for the sums'
+    numpy scalars, with the bits that arrays would give."""
     om, detuning = _omega(m, s, params)
+    # as Python floats, since a numpy float32 parameter would round one root's F to float32
+    omega_bar, eta_sq = float(params.omega_bar), float(params.eta_sq)
     sums = kernel(m, s, params.n_modes, 1 + slope)
     s1 = sums[0] / params.delta_omega**2
-    f = detuning * (params.omega_bar + om) - params.eta_sq * om * om * s1
+    f = detuning * (omega_bar + om) - eta_sq * om * om * s1
     if not slope:
         return f
-    return f, 1.0 + params.eta_sq * (s1 + om * om * (sums[1] / params.delta_omega**4))
+    return f, 1.0 + eta_sq * (s1 + om * om * (sums[1] / params.delta_omega**4))
 
 
 def _secular_sets(m, s, params: DressedAtomParams, slope: bool = False):
     """:func:`_secular` at the offsets (m, s) of N+1 roots, each set of
-    :func:`_root_sets` on its own kernel, the outer pair in plain floats
-    (:func:`_pair_secular`)."""
+    :func:`_root_sets` on its own kernel: an inner block on its arrays, the
+    outer pair root by root in plain floats."""
     out = np.empty((1 + slope, m.size))
     for roots, _, kernel in _root_sets(params.n_modes):
-        secular = _secular if isinstance(roots, slice) else _pair_secular
-        out[:, roots] = secular(m[roots], s[roots], params, kernel, slope)
+        if isinstance(roots, slice):
+            out[:, roots] = _secular(m[roots], s[roots], params, kernel, slope)
+            continue
+        for i, mi, si in zip(roots.tolist(), m[roots].tolist(), s[roots].tolist()):
+            out[:, i] = _secular(mi, si, params, kernel, slope)
     return out if slope else out[0]
 
 
@@ -556,13 +547,14 @@ def _outer_split(params: DressedAtomParams, m, x, kernel):
     + |F'| D) in units of dw^2.  D is formed factored, and so is the new
     offset: from zero frequency (m = 0) as a correction to x, and from the pole
     (m = k) as its new gap D - dL = |F'| D^2 / (F^ + |F'| D) over k + u', so
-    the digits of a small u or gap survive however near the pole x lies.  In
-    plain floats, as :func:`_outer_sum`.
+    the digits of a small u or gap survive however near the pole x lies.  Root
+    by root in plain floats, F and F' from :func:`_secular` on :func:`_outer_sum`.
     """
-    f, slope = _pair_secular(m, x, params, kernel, slope=True)
-    splits = []
-    for mi, xi, fi, si in zip(m.tolist(), x.tolist(), (f / params.delta_omega**2).tolist(),
-                              slope.tolist()):
+    fs, splits, dw2 = [], [], params.delta_omega**2
+    for mi, xi in zip(m.tolist(), x.tolist()):
+        f, slope = _secular(mi, xi, params, kernel, slope=True)
+        fs.append(f)
+        fi, si = float(f / dw2), float(slope)
         k, u = max(mi, 1), mi + xi  # the pole: omega_1 for root 0, omega_N = omega_m on top
         d = ((k - mi) - xi) * (k + u)
         try:
@@ -573,7 +565,7 @@ def _outer_split(params: DressedAtomParams, m, x, kernel):
             splits.append(-si * q * d / (k + root) if mi == k else xi + dl / (u + root))
         except ZeroDivisionError:  # a model without a root: the midpoint is taken
             splits.append(math.nan)
-    return f, np.array(splits)
+    return np.array(fs), np.array(splits)
 
 
 def _root_sets(n: int):
@@ -741,7 +733,7 @@ def solve_eigenfrequencies(params: DressedAtomParams) -> ModeSpectrum:
     m = np.arange(n + 1)
     a, b, start = np.zeros(n + 1), np.full(n + 1, 0.5), np.empty(n + 1)
     _inner_starts(params, m, a, b, start)
-    f0, fn = _pair_secular(np.array([0, n]), np.full(2, 0.5), params, _outer_sum)
+    f0, fn = (_secular(mi, 0.5, params, _outer_sum) for mi in (0, n))
     if not f0 < 0.0:  # root 0 lies in [-1/2, 0) dw below omega_1
         m[0], a[0], b[0] = 1, -0.5, 0.0
     if not fn < 0.0:  # the top root lies above omega_N + dw/2

@@ -243,7 +243,7 @@ class TestSolve:
         m = np.minimum(np.rint(u), p.n_modes)
         inside = (u >= 1.0) & (u <= p.n_modes)
         assert inside.any() and not inside.all()
-        for kernel, at in ((spectrum._closed_sum, inside), (spectrum._outer_sum, ~inside)):
+        for kernel, at in ((spectrum._closed_sum, inside), (_outer_sums, ~inside)):
             s1, s2 = kernel(m[at], (u - m)[at], p.n_modes, 2)
             assert s1 / p.delta_omega**2 == pytest.approx(
                 np.sum(1.0 / gaps[at], axis=1), rel=1e-11)
@@ -692,9 +692,43 @@ class TestOuterSums:
         # tails from N = 17
         pytest.importorskip("mpmath")
         m, s = self._points(n)
-        got = spectrum._outer_sum(m, s, n, 2)
+        got = _outer_sums(m, s, n, 2)
         ref = np.array([[float(v) for v in mpmath_mode_sums(n, mi, si)] for mi, si in zip(m, s)]).T
         assert np.all(np.abs(got / ref - 1.0) <= 4 * np.finfo(float).eps)
+
+    @staticmethod
+    def _spectra():
+        """50 seeded spectra of the north-star domain (omega_bar, g/omega_bar and
+        delta log-uniform, N log-uniform up to 1e5), the spectra of
+        OUTER_STALLS, float32 omega_bar and g, and delta = 1e300, where dw^2
+        and dw^4 underflow to 0."""
+        rng = np.random.default_rng(7)
+        draw = lambda lo, hi: float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+        for _ in range(50):
+            omega_bar = draw(0.1, 10.0)
+            yield (omega_bar, omega_bar * draw(1e-6, 5.0), draw(1e-3, 1e3),
+                   round(draw(1.0, 1e5)))
+        yield from OUTER_STALLS
+        yield np.float32(1.1), np.float32(0.3), 0.1, 200
+        yield 1.0, 1.0, 1e300, 8
+
+    def test_one_root_gives_the_array_bits(self):
+        # _secular on one outer root's int and float, in plain floats but for
+        # the sums' numpy scalars, against _secular on arrays fed the same
+        # sums: root 0 from omega_0 and from omega_1, the top root from omega_N,
+        # and the bracket midpoints; F alone and (F, slope); NaN where dw^4 = 0
+        for key in self._spectra():
+            p = DressedAtomParams(*key)
+            n = p.n_modes
+            m, s = self._points(n)
+            m, s = np.append(m, [0, n]).astype(np.int64), np.append(s, [0.5, 0.5])
+            with np.errstate(all="ignore"):
+                for slope in (False, True):
+                    want = spectrum._secular(m, s, p, _outer_sums, slope)
+                    got = np.array([spectrum._secular(mi, si, p, spectrum._outer_sum, slope)
+                                    for mi, si in zip(m.tolist(), s.tolist())]).T
+                    assert np.array_equal(got, want, equal_nan=True), key
+            assert np.isnan(got).all() == (key[2] == 1e300), key
 
 
 class TestMidpoints:
@@ -741,6 +775,13 @@ class TestMidpoints:
         below = spectrum._secular_sets(lower, np.full(n + 1, 0.5), p) < 0.0
         assert np.array_equal(m[1:-1], np.where(below, lower, lower + 1)[1:-1])
         assert np.all((a[1:-1] <= start[1:-1]) & (start[1:-1] <= b[1:-1]) & (start[1:-1] != 0.0))
+
+
+def _outer_sums(m, s, n, powers):
+    """The outer pair's O(1) sums at arrays of offsets, one root at a time, stacked
+    as the array kernels return them."""
+    return np.array([spectrum._outer_sum(mi, si, n, powers)
+                     for mi, si in zip(m.tolist(), s.tolist())]).T
 
 
 def _psi_points():
