@@ -60,7 +60,7 @@ _CHUNK = 64  # terms of a row summed at once by _norm_sq; T x _CHUNK x 8 B a tem
 
 @dataclass(frozen=True)
 class SuperpositionSpec:
-    """Superposition weight xi in (0,1) and a finite relative phase phi, kept in [0, 2pi)."""
+    """Superposition weight xi in (0,1), as a float64, and a finite phase phi, kept in [0, 2pi)."""
 
     xi: float
     phi: float = 0.0
@@ -70,7 +70,7 @@ class SuperpositionSpec:
             raise ValueError(f"xi must lie strictly inside (0, 1), got {self.xi}")
         if not np.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi}")
-        freeze(self, phi=float(self.phi) % (2.0 * np.pi))
+        freeze(self, xi=float(self.xi), phi=float(self.phi) % (2.0 * np.pi))
 
 
 def entanglement_entropy(xi: float) -> float:
@@ -185,7 +185,7 @@ class SingleAtomReducedMatrix:
     ``amplitude_row`` holds f_A_nu(t) over nu = (atom, field modes): one
     row of length N+1 at one time, or a (T, N+1) block with a row per time
     of ``time``.  Its squared norm is the conserved excitation weight that
-    makes the nonzero eigenvalues {1 - xi, xi} time independent.
+    makes the nonzero eigenvalues {1 - xi, xi} time independent; xi is held as a float64.
     """
 
     time: np.ndarray
@@ -194,10 +194,11 @@ class SingleAtomReducedMatrix:
     row_norm_sq: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        row = np.asarray(self.amplitude_row, dtype=complex)
-        freeze(self, time=self.time, amplitude_row=row, row_norm_sq=_norm_sq(row))
         if not 0.0 < self.xi < 1.0:
             raise ValueError(f"xi must lie strictly inside (0, 1), got {self.xi}")
+        row = np.asarray(self.amplitude_row, dtype=complex)
+        freeze(self, time=self.time, xi=float(self.xi), amplitude_row=row,
+               row_norm_sq=_norm_sq(row))
         s = self.row_norm_sq
         require(abs(s - 1.0) <= _ROW_NORM_TOL, InvariantViolation,
                 "amplitude row norm {:.9f} deviates from 1 beyond {}", s, _ROW_NORM_TOL,

@@ -81,27 +81,28 @@ _SPLIT_ULPS = 4
 
 @dataclass(frozen=True)
 class FreeSpaceParams:
-    """Atom constants in the infinite-cavity limit (weak-coupling branch), with
-    a unit continuum weight (:func:`spectral_weight_norm`)."""
+    """Atom constants in the infinite-cavity limit (weak-coupling branch), as float64
+    values, with a unit continuum weight (:func:`spectral_weight_norm`)."""
 
     omega_bar: float
     g: float
-    kappa_sq: float = field(init=False)
+    kappa: float = field(init=False)
 
     def __post_init__(self):
         if not all(0 < v < np.inf for v in (self.omega_bar, self.g)):
             raise ValueError("omega_bar and g must be positive and finite")
-        k2 = self.omega_bar**2 - self.g**2
+        omega_bar, g = float(self.omega_bar), float(self.g)
+        with np.errstate(over="ignore"):  # numpy, so an overflow reads as inf
+            w2, g2 = np.float64(omega_bar) ** 2, np.float64(g) ** 2
+        if not np.isfinite((w2, g2)).all():
+            raise ValueError(f"omega_bar^2 and g^2 must be finite, got {omega_bar=}, {g=}")
+        k2 = w2 - g2
         require(k2 > 0, RegimeViolation, "free-space closed form needs omega_bar > g "
-                "(kappa^2 > 0); got omega_bar={}, g={}", self.omega_bar, self.g)
-        s = spectral_weight_norm(self.omega_bar, self.g)
+                "(kappa^2 > 0); got omega_bar={}, g={}", omega_bar, g)
+        s = spectral_weight_norm(omega_bar, g)
         require(abs(s - 1.0) <= 1e-6, InvariantViolation,
                 "continuum unitarity weight {:.9f} deviates from 1", s)
-        freeze(self, kappa_sq=k2)
-
-    @property
-    def kappa(self) -> float:
-        return np.sqrt(self.kappa_sq)
+        freeze(self, omega_bar=omega_bar, g=g, kappa=math.sqrt(k2))
 
 
 @dataclass(frozen=True)

@@ -249,7 +249,7 @@ def run_cross_checks(params: DressedAtomParams) -> list[CheckRow]:
 
     b = decomp.form.matrix
     recon = (dense * spec.bigomegas**2) @ dense.T
-    recon_err = np.max(np.abs(recon - b)) / spec.omegas[-1] ** 2
+    recon_err = np.max(np.abs(recon - b)) / field_frequencies(params)[-1] ** 2
     rows.append(CheckRow("reconstruction", float(recon_err), 1e-6))
 
     recon_o = (decomp.vectors * decomp.eigenvalues) @ decomp.vectors.T

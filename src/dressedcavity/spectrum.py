@@ -23,7 +23,7 @@ which is what :func:`cotangent_curves` samples and what the small-cavity
 approximation expands.  One number, delta = g R / pi, the coupling over
 the mode spacing, places a system between the small cavity (delta << 1)
 and free space (delta -> infinity).  It is the input:
-:class:`DressedAtomParams` keeps delta as given and derives R = pi delta / g.
+:class:`DressedAtomParams` holds it as a float64 and derives R = pi delta / g.
 
 Everything here is a pure function of its inputs; the returned spectra
 are immutable and safe to share across threads.
@@ -74,20 +74,21 @@ _RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DressedAtomParams:
-    """Physical constants of one atom-field system.
+    """Physical constants of one atom-field system, held as float64 values.
 
     Attributes
     ----------
     omega_bar : renormalized atom frequency [1/time]
     g         : coupling constant [1/time]
-    delta     : g R / pi, coupling-to-spacing ratio [dimensionless], kept as given
+    delta     : g R / pi, coupling-to-spacing ratio [dimensionless]
     n_modes   : number of retained field modes N (truncation knob)
 
     Derived on construction:
 
     radius      : cavity radius R = pi delta / g [time, with c = 1]
     delta_omega : mode spacing pi / R [1/time]
-    eta         : coupling amplitude sqrt(4 g delta_omega / pi) [1/time]
+    eta_sq      : coupling strength eta^2 = 4 g delta_omega / pi [1/time^2]
+    eta         : coupling amplitude sqrt(eta_sq) [1/time]
     """
 
     omega_bar: float
@@ -96,6 +97,7 @@ class DressedAtomParams:
     n_modes: int = 200
     radius: float = field(init=False)
     delta_omega: float = field(init=False)
+    eta_sq: float = field(init=False)
     eta: float = field(init=False)
 
     def __post_init__(self):
@@ -107,30 +109,29 @@ class DressedAtomParams:
         n = self.n_modes
         if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
             raise ValueError(f"n_modes must be an integer >= 1, got {n!r}")
-        with np.errstate(over="ignore", divide="ignore"):
-            radius = np.pi * np.float64(self.delta) / self.g
+        omega_bar, g, delta = float(self.omega_bar), float(self.g), float(self.delta)
+        with np.errstate(over="ignore", divide="ignore"):  # numpy, so an overflow reads as inf
+            radius = np.pi * np.float64(delta) / g
             dw = np.pi / radius
-            scales = (radius, np.float64(self.omega_bar) ** 2, np.float64(self.g) ** 2,
-                      n * (4.0 * self.g * dw / np.pi), (n * dw) ** 2, dw ** 4)
+            eta_sq = 4.0 * g * dw / np.pi
+            scales = (radius, np.float64(omega_bar) ** 2, np.float64(g) ** 2,
+                      n * eta_sq, (n * dw) ** 2, dw ** 4)
         if not np.all(np.isfinite(scales)):
             raise ValueError("R, omega_bar^2, g^2, N eta^2, (N dw)^2 and dw^4 must be finite, "
                              "got " + ", ".join(f"{v:.3e}" for v in scales))
-        freeze(self, n_modes=int(n), radius=float(radius), delta_omega=float(dw),
-               eta=np.sqrt(4.0 * self.g * dw / np.pi))
+        freeze(self, omega_bar=omega_bar, g=g, delta=delta, n_modes=int(n),
+               radius=float(radius), delta_omega=float(dw), eta_sq=float(eta_sq),
+               eta=math.sqrt(eta_sq))
 
     @classmethod
     def from_delta(cls, omega_bar, g, delta, n_modes=200):
         """The constructor, under the name its earlier callers use."""
         return cls(omega_bar, g, delta, n_modes)
 
-    @property
-    def eta_sq(self) -> float:
-        return 4.0 * self.g * self.delta_omega / np.pi
-
 
 @dataclass(frozen=True)
 class ModeSpectrum:
-    """The N bare field frequencies plus the N+1 normal frequencies.
+    """The N+1 normal frequencies, each carried from its nearer bare frequency.
 
     Root r is carried as the index m_r of its nearer bare frequency
     (``asymptotes``; omega_0 = 0 for root 0, omega_N for the top root) and
@@ -139,7 +140,7 @@ class ModeSpectrum:
     The record checks interlacing from the nearer end: root r < N lies in
     (omega_r, omega_r+1) (omega_0 = 0), 0 < s_r <= 1/2 from omega_r or -1/2 <=
     s_r < 0 from omega_r+1, and the top root above omega_N, s_N > 0.
-    Derived from them once: ``omegas``, ``bigomegas`` = (m_r + s_r) dw, and
+    Derived from them once: ``bigomegas`` = (m_r + s_r) dw, and
     from one evaluation of S and S2 per root (:func:`_secular_sets` with
     ``slope``: :func:`_secular` on each root set's kernel, the outer pair root
     by root), the atom weights ``weights`` = (t_atom^r)^2 = 1 / |F'| = 1 /
@@ -154,7 +155,6 @@ class ModeSpectrum:
     params: DressedAtomParams
     asymptotes: np.ndarray
     offsets: np.ndarray
-    omegas: np.ndarray = field(init=False)
     bigomegas: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
     newton_rel: np.ndarray = field(init=False)
@@ -173,11 +173,11 @@ class ModeSpectrum:
         ok[-1] = (m[-1] == n) & (s[-1] > 0.0)
         require(ok, InvariantViolation,
                 "root {i} at offset {} from omega_{} does not interlace the bare modes", s, m)
-        om, bo = field_frequencies(self.params), _omega(m, s, self.params)[0]
+        bo = _omega(m, s, self.params)[0]
         f, slope = _secular_sets(m, s, self.params, slope=True)
         w = 1.0 / slope
         f = np.abs(f)
-        freeze(self, asymptotes=m, offsets=s, omegas=om, bigomegas=bo, weights=w,
+        freeze(self, asymptotes=m, offsets=s, bigomegas=bo, weights=w,
                newton_rel=f * w / bo**2, residuals=f)
 
     def raised_residuals(self) -> np.ndarray:
@@ -415,7 +415,7 @@ def _omega(m, s, params: DressedAtomParams):
     head = 131073.0 * dw
     head -= head - dw
     whole, rest = m * head, m * (dw - head) + s * dw
-    return whole + rest, (float(params.omega_bar) - whole) - rest
+    return whole + rest, (params.omega_bar - whole) - rest
 
 
 def _secular(m, s, params: DressedAtomParams, kernel, slope: bool = False):
@@ -425,17 +425,15 @@ def _secular(m, s, params: DressedAtomParams, kernel, slope: bool = False):
     S2, where |dF/dlam| = 1 + eta^2 (S + lam S2) = 1 + eta^2 sum_k
     omega_k^2/(omega_k^2 - lam)^2; at a root the slope is 1/(t_atom^r)^2.  The
     one statement of F and its slope for every root set: on arrays of offsets,
-    or on one outer root's int and float, in plain floats but for the sums'
-    numpy scalars, with the bits that arrays would give."""
+    or on one outer root's int and float, in plain floats (the record holds
+    Python floats) but for the sums' numpy scalars, with the arrays' bits."""
     om, detuning = _omega(m, s, params)
-    # as Python floats, since a numpy float32 parameter would round one root's F to float32
-    omega_bar, eta_sq = float(params.omega_bar), float(params.eta_sq)
     sums = kernel(m, s, params.n_modes, 1 + slope)
     s1 = sums[0] / params.delta_omega**2
-    f = detuning * (omega_bar + om) - eta_sq * om * om * s1
+    f = detuning * (params.omega_bar + om) - params.eta_sq * om * om * s1
     if not slope:
         return f
-    return f, 1.0 + eta_sq * (s1 + om * om * (sums[1] / params.delta_omega**4))
+    return f, 1.0 + params.eta_sq * (s1 + om * om * (sums[1] / params.delta_omega**4))
 
 
 def _secular_sets(m, s, params: DressedAtomParams, slope: bool = False):
@@ -496,11 +494,10 @@ def cotangent_residual(omega, params: DressedAtomParams):
 
 def _upper_bound(params: DressedAtomParams) -> float:
     # Gershgorin bound on the largest eigenvalue of the coupled quadratic
-    # form; F is guaranteed negative there.
-    wk = field_frequencies(params)
-    atom_row = params.omega_bar**2 + params.n_modes * params.eta_sq + params.eta * wk.sum()
-    mode_rows = wk[-1] ** 2 + params.eta * wk[-1]
-    return max(atom_row, mode_rows) + 1.0
+    # form; F is guaranteed negative there.  sum_k omega_k = dw N (N+1) / 2.
+    n, dw = params.n_modes, params.delta_omega
+    atom_row = params.omega_bar**2 + n * params.eta_sq + params.eta * (dw * (n * (n + 1) // 2))
+    return max(atom_row, (n * dw) ** 2 + params.eta * (n * dw)) + 1.0
 
 
 def _top_estimate(params: DressedAtomParams) -> float:
@@ -510,8 +507,8 @@ def _top_estimate(params: DressedAtomParams) -> float:
     whose root is lam0 = [A + sqrt(A^2 + 4 eta^2 sum_k omega_k^2)] / 2, and
     sum_k omega_k^2 = dw^2 N (N+1) (2N+1) / 6."""
     n, dw = params.n_modes, params.delta_omega
-    half = 0.5 * (float(params.omega_bar) ** 2 + n * params.eta_sq)
-    field = float(params.eta) * dw * math.sqrt(n * (n + 1) * (2 * n + 1) / 6)
+    half = 0.5 * (params.omega_bar ** 2 + n * params.eta_sq)
+    field = params.eta * dw * math.sqrt(n * (n + 1) * (2 * n + 1) / 6)
     return math.sqrt(half + math.hypot(half, field)) / dw - n
 
 
@@ -671,10 +668,11 @@ def _bisect(params: DressedAtomParams, m, a, b, start) -> np.ndarray:
     s, index = np.empty(a.shape), np.arange(a.size)
     for roots, split_at, kernel in _root_sets(params.n_modes):
         live, mr, ar, br, x = index[roots], m[roots], a[roots], b[roots], start[roots]
-        xp = rp = None  # the step before's point and residual, for the secant
-        if isinstance(roots, slice):  # an inner block: x is the split at the midpoint,
-            xp = ar + br  # or the midpoint itself, whose residual 0 gives no secant
-            rp = x - xp
+        # the step before's point and residual, for the secant: an inner block's
+        # midpoint, whose split is x, or x itself, whose residual 0 gives no secant;
+        # NaN for the outer pair, so its first secant is NaN and refused
+        xp = ar + br if isinstance(roots, slice) else np.full(live.size, np.nan)
+        rp = x - xp
         for _ in range(_BISECT_STEPS):
             f, g = split_at(params, mr, x, kernel)
             np.copyto(ar, x, where=f > 0.0)
@@ -682,11 +680,10 @@ def _bisect(params: DressedAtomParams, m, a, b, start) -> np.ndarray:
             r = g - x
             split = 0.5 * (ar + br)
             np.copyto(split, g, where=(ar <= g) & (g <= br) & (g != 0.0))
-            if xp is not None:
-                with np.errstate(all="ignore"):  # a flat residual gives no secant
-                    sec = x - r * ((x - xp) / (r - rp))
-                np.copyto(split, sec,
-                          where=(ar < sec) & (sec < br) & (np.abs(sec - x) <= 1.5 * np.abs(r)))
+            with np.errstate(all="ignore"):  # a flat residual gives no secant
+                sec = x - r * ((x - xp) / (r - rp))
+            np.copyto(split, sec,
+                      where=(ar < sec) & (sec < br) & (np.abs(sec - x) <= 1.5 * np.abs(r)))
             done = np.abs(split - x) <= tol * np.abs(split)
             finished = np.abs(r) <= tol * np.abs(x)
             np.copyto(split, g, where=finished)

@@ -9,6 +9,8 @@ from dressedcavity import (
     DressedAtomParams,
     FreeSpaceParams,
     RegimeViolation,
+    SingleAtomReducedMatrix,
+    SuperpositionSpec,
     amplitude_row,
     amplitude_trace,
     approx_small_cavity_elements,
@@ -16,13 +18,17 @@ from dressedcavity import (
     build_form,
     build_matrix,
     diagonalize,
+    entanglement_entropy,
     free_space_trace,
     oracle_amplitude,
+    reduced_pair_matrix,
+    run_cross_checks,
     small_cavity_amplitude,
     small_cavity_trace,
     solve_eigenfrequencies,
     survival_sq_large_time,
     survival_trace,
+    von_neumann_entropy,
 )
 
 P = DressedAtomParams(1.0, 0.5, 0.1, 8)
@@ -40,6 +46,13 @@ REFUSED = {
     "free-space g inf": (lambda: FreeSpaceParams(1.0, np.inf), ValueError, "positive and finite"),
     "free-space g zero": (lambda: FreeSpaceParams(1.0, 0.0), ValueError, "positive and finite"),
     "free-space kappa^2 <= 0": (lambda: FreeSpaceParams(1.0, 1.0), RegimeViolation, "kappa"),
+    # finite, but omega_bar^2 or g^2 overflows, as a Python float and as a numpy one
+    "free-space omega_bar^2 inf": (lambda: FreeSpaceParams(1e200, 0.5), ValueError,
+                                   r"omega_bar\^2 and g\^2 must be finite"),
+    "free-space np omega_bar^2 inf": (lambda: FreeSpaceParams(np.float64(1e200), 0.5),
+                                      ValueError, r"omega_bar\^2 and g\^2 must be finite"),
+    "free-space g^2 inf": (lambda: FreeSpaceParams(1.0, 1e200), ValueError,
+                           r"omega_bar\^2 and g\^2 must be finite"),
     "n_modes inf": (lambda: DressedAtomParams(1, .5, .1, np.inf), ValueError, "n_modes"),
     "n_modes True": (lambda: DressedAtomParams(1, .5, .1, True), ValueError, "n_modes"),
     "n_modes 2.5": (lambda: DressedAtomParams(1, .5, .1, 2.5), ValueError, "n_modes"),
@@ -82,3 +95,51 @@ def test_numpy_integers_are_integers():
     assert np.array_equal(approx_small_cavity_elements(P, np.int32(3)),
                           approx_small_cavity_elements(P, 3))
     assert oracle_amplitude(DECOMP, 0, 0, 0.0) == pytest.approx(1.0, abs=1e-12)
+
+
+# (omega_bar, g, delta) in other numeric types; no integer delta meets the
+# small cavity's delta < 0.2, so the integers' small cavity takes delta = 0.1
+TYPED = {np.float32: (np.float32(1.0), np.float32(0.3), np.float32(0.1)),
+         np.int64: (np.int64(3), np.int64(1), np.int64(2)),
+         int: (3, 1, 2)}
+
+
+@pytest.mark.parametrize("kind", TYPED, ids=lambda kind: kind.__name__)
+def test_records_hold_the_float64_values(kind):
+    # a record holds float64 values, so its results are those of the float64
+    # values, whatever numeric type they came in
+    omega_bar, g, delta = TYPED[kind]
+    small = delta if delta < 0.2 else 0.1
+    times = np.linspace(0.0, 20.0, 41)
+    typed = [DressedAtomParams(omega_bar, g, delta, 20), FreeSpaceParams(omega_bar, g),
+             DressedAtomParams(omega_bar, g, small, 20)]
+    plain = [DressedAtomParams(float(omega_bar), float(g), float(delta), 20),
+             FreeSpaceParams(float(omega_bar), float(g)),
+             DressedAtomParams(float(omega_bar), float(g), float(small), 20)]
+    for record in typed:
+        values = vars(record)
+        assert all(type(v) is float for k, v in values.items() if k != "n_modes"), values
+    got, want = solve_eigenfrequencies(typed[0]), solve_eigenfrequencies(plain[0])
+    assert np.array_equal(got.asymptotes, want.asymptotes)
+    assert np.array_equal(got.offsets, want.offsets)
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(free_space_trace(typed[1], times).values,
+                          free_space_trace(plain[1], times).values)
+    assert np.array_equal(small_cavity_trace(typed[2], times, 200).values,
+                          small_cavity_trace(plain[2], times, 200).values)
+
+
+def test_float32_parameters_pass_the_cross_checks():
+    rows = run_cross_checks(DressedAtomParams(np.float32(1.0), np.float32(0.3), 0.1, 20))
+    assert all(row.passed for row in rows), rows
+
+
+def test_float32_xi_is_its_float64_value():
+    xi = np.float32(0.3)
+    spec = SuperpositionSpec(xi)
+    assert type(spec.xi) is float
+    got = reduced_pair_matrix(1.0, 1.0, spec, 0.0)
+    want = reduced_pair_matrix(1.0, 1.0, SuperpositionSpec(float(xi)), 0.0)
+    assert np.array_equal(got.as_matrix(), want.as_matrix())
+    reduced = SingleAtomReducedMatrix(0.0, xi, np.array([1.0, 0.0]))
+    assert von_neumann_entropy(reduced) == entanglement_entropy(0.30000001192092896)
