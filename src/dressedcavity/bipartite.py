@@ -75,8 +75,7 @@ class SuperpositionSpec:
 
 def entanglement_entropy(xi: float) -> float:
     """-(1-xi) ln(1-xi) - xi ln(xi): the entropy the pair state starts with."""
-    if not 0.0 < xi < 1.0:
-        raise ValueError(f"xi must lie strictly inside (0, 1), got {xi}")
+    xi = SuperpositionSpec(xi).xi
     return float(-(1.0 - xi) * np.log(1.0 - xi) - xi * np.log(xi))
 
 
@@ -194,10 +193,9 @@ class SingleAtomReducedMatrix:
     row_norm_sq: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.xi < 1.0:
-            raise ValueError(f"xi must lie strictly inside (0, 1), got {self.xi}")
+        xi = SuperpositionSpec(self.xi).xi
         row = np.asarray(self.amplitude_row, dtype=complex)
-        freeze(self, time=self.time, xi=float(self.xi), amplitude_row=row,
+        freeze(self, time=self.time, xi=xi, amplitude_row=row,
                row_norm_sq=_norm_sq(row))
         s = self.row_norm_sq
         require(abs(s - 1.0) <= _ROW_NORM_TOL, InvariantViolation,
@@ -265,11 +263,10 @@ def entropy_drift_bound(xi: float, deviation: float) -> float:
     (:func:`single_atom_reduced`, :func:`von_neumann_entropy`), without
     forming a row.
     """
-    if not 0.0 < xi < 1.0:
-        raise ValueError(f"xi must lie strictly inside (0, 1), got {xi}")
+    xi = SuperpositionSpec(xi).xi
     if not 0.0 <= deviation < 1.0:
         raise ValueError(f"deviation must lie in [0, 1), got {deviation}")
-    u = 0.5 * np.finfo(float).eps
+    u, deviation = 0.5 * np.finfo(float).eps, float(deviation)
     ends = np.log(xi * np.array([1.0 - deviation, 1.0 + deviation]))
     drift = xi * np.max(np.abs(ends + 1.0)) * deviation
     rounding = (xi * (1.0 + deviation) * (5.0 * u * np.max(np.abs(ends)) + 2.0 * u)

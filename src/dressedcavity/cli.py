@@ -413,7 +413,7 @@ def cmd_matrix_dump(cfg: RunConfig) -> int:
     header = ["r", "Omega_r", "t_atom_r"] + [f"t_{k}_r" for k in range(1, params.n_modes + 1)]
     path = out / "transform_matrix.csv"
     write_csv(path, header,
-              np.column_stack([np.arange(params.n_modes + 1), tm.bigomegas, tm.t.T]))
+              np.column_stack([np.arange(params.n_modes + 1), tm.spectrum.bigomegas, tm.t.T]))
     print(f"wrote {path}")
     return EXIT_OK
 

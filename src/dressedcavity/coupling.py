@@ -114,10 +114,6 @@ class TransformMatrix:
                 "column {i} orthogonality bound {:.3e} exceeds {} (bad roots?)", bound, _ORTHO_TOL)
         freeze(self, column_deviation=float(col_dev.max()), orthogonality_bound=float(bound.max()))
 
-    @property
-    def bigomegas(self) -> np.ndarray:
-        return self.spectrum.bigomegas
-
     @cached_property
     def t(self) -> np.ndarray:
         """The whole matrix, formed into itself in row blocks on first use, kept read-only."""
@@ -426,6 +422,7 @@ def atom_element(omega_r: float, params: DressedAtomParams) -> float:
     """Closed-form atom component of the normal mode at frequency omega_r."""
     require(0 < omega_r < np.inf, DomainError,
             "normal frequency must be positive and finite, got {}", omega_r)
+    omega_r = float(omega_r)
     w2, o2 = params.omega_bar**2, omega_r**2
     radicand = (o2 - w2) ** 2 + 0.5 * params.eta_sq * (3.0 * o2 - w2) + 4.0 * params.g**2 * o2
     require(radicand > 0.0, DomainError,

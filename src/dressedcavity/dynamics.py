@@ -250,7 +250,7 @@ def amplitude_trace(tm: TransformMatrix, mu, nu, times) -> AmplitudeTrace:
     times = _time_grid(times)
     survival = row_index(mu, np.inf) == row_index(nu, np.inf) == 0
     pair = tm.spectrum.weights if survival else tm.row(mu) * tm.row(nu)
-    values = _phase_sum(times, tm.bigomegas, pair)
+    values = _phase_sum(times, tm.spectrum.bigomegas, pair)
     return AmplitudeTrace(times=times, values=values, mu=mu, nu=nu,
                           method="discrete-sum")
 
@@ -267,7 +267,7 @@ def amplitude_row(tm: TransformMatrix, mu, times) -> np.ndarray:
     and each column (one nu at every time) is contiguous in memory.
     """
     times = _time_grid(times)
-    table = np.exp(-1j * np.outer(tm.bigomegas, times))
+    table = np.exp(-1j * np.outer(tm.spectrum.bigomegas, times))
     table *= tm.row(mu)[:, None]
     return (tm.t @ table.view(float)).view(complex).T
 
@@ -434,6 +434,7 @@ def survival_sq_large_time(t: float, omega_bar: float, g: float) -> float:
     """
     if not 0 < t < np.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
+    t, omega_bar, g = float(t), float(omega_bar), float(g)
     trig = np.cos(omega_bar * t) - (g / omega_bar) * np.sin(omega_bar * t)
     return float(np.exp(-2.0 * g * t) * trig**2 + 64.0 * g**2 / (omega_bar**8 * t**6))
 
@@ -479,7 +480,7 @@ def survival_sq_lower_bound(delta: float) -> float:
     """
     require(0 <= delta < DELTA_THRESHOLD, RegimeViolation,
             "lower bound needs 0 <= delta < {}, got {}", DELTA_THRESHOLD, delta)
-    x = 2.0 * np.pi * delta / 3.0
+    x = 2.0 * np.pi * float(delta) / 3.0
     return float((1.0 - 2.0 * x - x * x) / (1.0 + x) ** 2)
 
 

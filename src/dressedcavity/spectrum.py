@@ -52,13 +52,11 @@ __all__ = [
 # Step budget of the offset solve (:func:`_bisect`).  An inner root takes 2-4
 # steps of the cotangent split and its secant from the split at its midpoint
 # (at most 21 over 2.6 million roots of 400 spectra across the domain, N up
-# to 1e5; 20 from the half-bracket midpoint), the outer pair 3-16 steps of the
-# one-pole split and its secant over 2000 spectra, 5.3 on average (save 17 and
-# 19 where a top root lies a few spacings above omega_N and its bracket
-# reaches hundreds of spacings above it), or about 80 halvings where
-# every split leaves the bracket (halvings bring the domain's smallest
-# offsets, s ~ 6e-9 at delta = 1e-3, N = 1e5, to 2 ulps of s), and at most
-# twice that where splits alternate with midpoints.
+# to 1e5; 20 from the half-bracket midpoint), the outer pair 3-11 steps of the
+# one-pole split and its secant over 2000 spectra, 5.2 on average, or about 80
+# halvings where every split leaves the bracket (halvings bring the domain's
+# smallest offsets, s ~ 6e-9 at delta = 1e-3, N = 1e5, to 2 ulps of s), and at
+# most twice that where splits alternate with midpoints.
 _BISECT_STEPS = 200
 
 # Inner roots are solved and derived in blocks of at most this many, each
@@ -492,24 +490,32 @@ def cotangent_residual(omega, params: DressedAtomParams):
 # Root solving
 # ---------------------------------------------------------------------------
 
-def _upper_bound(params: DressedAtomParams) -> float:
-    # Gershgorin bound on the largest eigenvalue of the coupled quadratic
-    # form; F is guaranteed negative there.  sum_k omega_k = dw N (N+1) / 2.
-    n, dw = params.n_modes, params.delta_omega
-    atom_row = params.omega_bar**2 + n * params.eta_sq + params.eta * (dw * (n * (n + 1) // 2))
-    return max(atom_row, (n * dw) ** 2 + params.eta * (n * dw)) + 1.0
+def _top_bracket(params: DressedAtomParams):
+    """The top root's bracket (lo, hi), as offsets from omega_N in units of dw.
 
-
-def _top_estimate(params: DressedAtomParams) -> float:
-    """The top root's offset from omega_N at the root of F truncated after its
-    moments j = 1, 2.  Above the band S = -sum_j (sum_k omega_k^2j) / lam^(j+1),
-    so F ~ A - lam + eta^2 sum_k omega_k^2 / lam with A = omega_bar^2 + N eta^2,
-    whose root is lam0 = [A + sqrt(A^2 + 4 eta^2 sum_k omega_k^2)] / 2, and
-    sum_k omega_k^2 = dw^2 N (N+1) (2N+1) / 6."""
+    Above omega_N, F = A - lam + eta^2 sum_k omega_k^2 / (lam - omega_k^2), A =
+    omega_bar^2 + N eta^2, and each term lies between omega_k^2 / lam and omega_k^2
+    / (lam - W), W = omega_N^2.  With c = eta^2 sum_k omega_k^2 = eta^2 W (N+1)(2N+1)
+    / 6N, F >= 0 at lam0 = [A + sqrt(A^2 + 4c)] / 2, the root of A - lam + c/lam,
+    and F <= 0 at W + x, x the root of B - x + c/x, B = A - W: (B + r) / 2, or
+    2c / (r - B) where B < 0, r = sqrt(B^2 + 4c).  At N = 1 that bound is the root.
+    An end W + y is the offset y / (dw (omega_N + sqrt(W + y))), the lower clipped at 0.
+    Each end moves out by its rounding bound, 24u L = 12 eps L (u = eps/2, L = A + W
+    + 2 sqrt(c) above every term).  A, W and sqrt(c) err relatively by 2u, 3u and 5.5u
+    and hypot by under 1 ulp, so x errs by at most 11u L (where B < 0, x <= sqrt(c)
+    and x / (r - B) <= 1/2) and lam0 - W by 6u L; adding the margin rounds by u L;
+    the offset errs relatively by 6u and changes at least half as fast as y: 12u L.
+    """
     n, dw = params.n_modes, params.delta_omega
-    half = 0.5 * (params.omega_bar ** 2 + n * params.eta_sq)
-    field = params.eta * dw * math.sqrt(n * (n + 1) * (2 * n + 1) / 6)
-    return math.sqrt(half + math.hypot(half, field)) / dw - n
+    top = n * dw
+    w, a = top * top, params.omega_bar ** 2 + n * params.eta_sq
+    b, root_c = a - w, params.eta * top * math.sqrt((n + 1) * (2 * n + 1) / (6 * n))
+    r = math.hypot(b, 2.0 * root_c)
+    x = 0.5 * (b + r) if b >= 0.0 else 2.0 * root_c * (root_c / (r - b))
+    lam0 = 0.5 * (a + math.hypot(a, 2.0 * root_c))
+    margin = 12.0 * np.finfo(float).eps * (a + w + 2.0 * root_c)
+    ends = max(lam0 - w - margin, 0.0), x + margin
+    return tuple(y / dw / (top + math.sqrt(w + y)) for y in ends)
 
 
 def _inner_split(params: DressedAtomParams, m, x, kernel):
@@ -711,13 +717,11 @@ def solve_eigenfrequencies(params: DressedAtomParams) -> ModeSpectrum:
     Root r lies between omega_r and omega_r+1 (omega_0 = 0) and is solved
     for as its offset from the nearer end: F < 0 at the bracket midpoint
     puts it in (0, 1/2] dw above omega_r, otherwise in [-1/2, 0) dw below
-    omega_r+1.  The top root is carried from omega_N: F < 0 half a spacing
-    above omega_N puts it in (0, 1/2] dw, otherwise in [1/2, b] dw, b from a
-    Gershgorin bound.  The inner roots' midpoints, and the cotangent splits
-    there that start them, come from one running sum (:func:`_inner_starts`);
-    the outer pair starts at the middle of its bracket, or a top root above
-    omega_N + dw/2 at its two-moment estimate (:func:`_top_estimate`) where
-    that lies inside the bracket.  All N+1 roots are found in one call of
+    omega_r+1.  The top root is carried from omega_N, in the O(1) bracket of
+    F's two moment bounds (:func:`_top_bracket`).  The inner roots' midpoints,
+    and the cotangent splits there that start them, come from one running sum
+    (:func:`_inner_starts`); the outer pair starts at the middle of its
+    bracket.  All N+1 roots are found in one call of
     :func:`_bisect`: the N-1 inner roots by the cotangent split on the
     closed form, in blocks, the two outer roots by the one-pole split on
     their O(1) forms, every root finished by the secant of its split's
@@ -726,18 +730,15 @@ def solve_eigenfrequencies(params: DressedAtomParams) -> ModeSpectrum:
     :attr:`ModeSpectrum.newton_rel`; a failure, NaN included, raises
     :class:`ConvergenceFailure` naming the first root that fails.
     """
-    n, dw = params.n_modes, params.delta_omega
+    n = params.n_modes
     m = np.arange(n + 1)
     a, b, start = np.zeros(n + 1), np.full(n + 1, 0.5), np.empty(n + 1)
     _inner_starts(params, m, a, b, start)
-    f0, fn = (_secular(mi, 0.5, params, _outer_sum) for mi in (0, n))
+    f0 = _secular(0, 0.5, params, _outer_sum)
     if not f0 < 0.0:  # root 0 lies in [-1/2, 0) dw below omega_1
         m[0], a[0], b[0] = 1, -0.5, 0.0
-    if not fn < 0.0:  # the top root lies above omega_N + dw/2
-        a[-1], b[-1] = 0.5, np.sqrt(_upper_bound(params)) / dw - n
+    a[-1], b[-1] = _top_bracket(params)
     start[[0, -1]] = 0.5 * (a[[0, -1]] + b[[0, -1]])
-    if a[-1] > 0.0 and a[-1] < (top := _top_estimate(params)) < b[-1]:
-        start[-1] = top
     spec = ModeSpectrum(params=params, asymptotes=m, offsets=_bisect(params, m, a, b, start))
     require(spec.newton_rel <= _RESIDUAL_TOL, ConvergenceFailure,
             "root {i} residual {:.3e} exceeds {:.1e}", spec.newton_rel, _RESIDUAL_TOL)

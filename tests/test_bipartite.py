@@ -232,7 +232,7 @@ class TestEntropyDriftBound:
         for times in (self.TIMES, np.sort(np.random.default_rng(5).uniform(0.0, 40.0, 64))):
             norms = single_atom_reduced(amplitude_row(tm, 0, times), SuperpositionSpec(0.5),
                                         times).row_norm_sq
-            phases = np.exp(-1j * np.outer(tm.bigomegas, times).astype(np.longdouble))
+            phases = np.exp(-1j * np.outer(tm.spectrum.bigomegas, times).astype(np.longdouble))
             f = tm.t.astype(np.longdouble) @ (tm.row(0).astype(np.longdouble)[:, None] * phases)
             exact = np.sum(f.real**2 + f.imag**2, axis=0)
             assert 0.0 < np.max(np.abs(norms - exact)) <= row_norm_rounding(tm, 0)

@@ -271,7 +271,8 @@ class TestPhaseSum:
     def _assert_row_matches_mode_loop(self, times, tm, columns=slice(None)):
         # amplitude_row of row 3, the plain definition, over the basis t^T
         got = amplitude_row(tm, 3, times)[:, columns]
-        self._assert_matches_mode_loop(times, tm.bigomegas, tm.row(3), tm.t.T[:, columns], got)
+        self._assert_matches_mode_loop(times, tm.spectrum.bigomegas, tm.row(3),
+                                       tm.t.T[:, columns], got)
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 17, 201, 501])
     def test_uniform_grids(self, fig_spectrum, fig_matrix, steps):

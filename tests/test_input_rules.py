@@ -19,6 +19,7 @@ from dressedcavity import (
     build_matrix,
     diagonalize,
     entanglement_entropy,
+    entropy_drift_bound,
     free_space_trace,
     oracle_amplitude,
     reduced_pair_matrix,
@@ -27,6 +28,7 @@ from dressedcavity import (
     small_cavity_trace,
     solve_eigenfrequencies,
     survival_sq_large_time,
+    survival_sq_lower_bound,
     survival_trace,
     von_neumann_entropy,
 )
@@ -143,3 +145,23 @@ def test_float32_xi_is_its_float64_value():
     assert np.array_equal(got.as_matrix(), want.as_matrix())
     reduced = SingleAtomReducedMatrix(0.0, xi, np.array([1.0, 0.0]))
     assert von_neumann_entropy(reduced) == entanglement_entropy(0.30000001192092896)
+
+
+# the package's plain functions, each called with its scalars made by ``kind``
+PLAIN = {
+    "entanglement_entropy": lambda kind: entanglement_entropy(kind(0.3)),
+    "entropy_drift_bound": lambda kind: entropy_drift_bound(kind(0.3), kind(1e-9)),
+    "survival_sq_large_time": lambda kind: survival_sq_large_time(kind(3.0), kind(1.0),
+                                                                  kind(0.3)),
+    "survival_sq_lower_bound": lambda kind: survival_sq_lower_bound(kind(0.1)),
+    "atom_element": lambda kind: atom_element(kind(0.9), P),
+}
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_plain_functions_read_float64_values(name):
+    # a float32 argument gives exactly the result of its float64 value, in its type
+    call = PLAIN[name]
+    got, want = call(np.float32), call(lambda v: float(np.float32(v)))
+    assert type(got) is type(want)
+    assert got == want

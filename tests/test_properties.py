@@ -68,17 +68,17 @@ def _north_star_spectra(draw, counts=(1, 2, 3, 8, 31, 62, 63, 64, 65, 126, 127, 
 @example((1.0, 0.8535570531285954, 31.98258390888533, 84))
 @example((8.40439930693937, 31.23894632574411, 216.4947178148499, 637))
 @example((0.4459313504051177, 2.1194469834055902, 645.4607310178715, 2254))
-# a top root 3228 dw above omega_N at its bracket's midpoint: the one-pole
-# split closes on it by 0.35-0.7 a step, 20 direct sums in all
-@example((0.10204512704768355, 0.004556337326011368, 32.29772816736855, 822)).xfail(
-    raises=AssertionError, reason="a far top root takes 20 direct sums")
+# a top root 0.567 dw above omega_N that once took 20 direct sums, when its
+# bracket reached a Gershgorin bound 3228 dw above omega_N
+@example((0.10204512704768355, 0.004556337326011368, 32.29772816736855, 822))
 def test_roots_interlace_and_stay_positive(key):
     # ModeSpectrum construction enforces interlacing; reaching here is the pass.
-    # Each outer-pair step is one O(N) direct sum, and the pair needs at most 16
+    # Each outer-pair step is one evaluation of the O(1) outer forms (once an
+    # O(N) direct sum), and the pair needs at most 12
     with mock.patch.object(spectrum, "_outer_split", wraps=spectrum._outer_split) as split:
         _, spec = _solve(*key)
     assert spec.bigomegas[0] > 0
-    assert 0 < split.call_count <= 16
+    assert 0 < split.call_count <= 12
     assert np.all(spec.newton_rel <= 1e-10)
 
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -294,7 +295,7 @@ class TestSolve:
     def test_outer_roots_take_few_direct_sums(self, key, monkeypatch):
         # each step of the outer pair is one evaluation of F and F' (once an
         # O(N) direct sum, now the O(1) outer forms); the one-pole split and
-        # the secant need at most 16 of them, halving took about 60
+        # the secant need at most 12 of them, halving took about 60
         outer_split, steps = spectrum._outer_split, []
 
         def counted(params, m, x, kernel):
@@ -303,7 +304,7 @@ class TestSolve:
 
         monkeypatch.setattr(spectrum, "_outer_split", counted)
         solve_eigenfrequencies(DressedAtomParams.from_delta(*key[:3], n_modes=key[3]))
-        assert 0 < len(steps) <= 16
+        assert 0 < len(steps) <= 12
 
     @pytest.mark.parametrize("g, delta, n, root", [
         (0.3623305972383614, 8.815969850478067, 77, 77),
@@ -511,6 +512,60 @@ def _moment_defects(spec):
     low = math.fsum(w / lam) * p.omega_bar**2 - 1.0
     high = math.fsum(w * lam * lam) / math.fsum((top * top, p.eta_sq * field)) - 1.0
     return abs(low) / np.finfo(float).eps, abs(high) / np.finfo(float).eps
+
+
+def _seeded_spectra(count, counts, seed=3):
+    """(omega_bar, g, delta, N) over the whole domain, N drawn from ``counts``."""
+    rng = np.random.default_rng(seed)
+    keys = []
+    for _ in range(count):
+        omega_bar = 10.0 ** rng.uniform(-1.0, 1.0)
+        g = omega_bar * 10.0 ** rng.uniform(-6.0, np.log10(5.0))
+        keys.append((omega_bar, g, 10.0 ** rng.uniform(-3.0, 3.0), int(rng.choice(counts))))
+    return keys
+
+
+# (omega_bar, g, delta, N) whose top root sits where a bound of its bracket is
+# exact or nearly so: one mode at resonance (omega_bar = omega_1), where the
+# upper bound is F itself; far top roots at delta = 1e3; roots hugging omega_N
+# at weak coupling; an atom far above the band, where the lower bound nears
+# the root
+ONE_MODE_AT_RESONANCE = (1.0, 0.0031622776601683794, 0.0031622776601683794, 1)
+TOP_BRACKET_EDGES = [ONE_MODE_AT_RESONANCE, (1.0, 0.5, 1e3, 1), (1.0, 0.5, 1e3, 2),
+                     (10.0, 50.0, 1e3, 8), (1.0, 1e-3, 1e-3, 2), (1.0, 1e-3, 1e-3, 8),
+                     (10.0, 1e-5, 1e3, 1), (10.0, 1e-5, 1e3, 8)]
+
+
+class TestTopBracket:
+    """The top root's bracket from F's two moment bounds, each widened by its
+    rounding margin (:func:`spectrum._top_bracket`)."""
+
+    @pytest.mark.parametrize("key", TOP_BRACKET_EDGES + _seeded_spectra(12, (1, 2, 8)), ids=str)
+    def test_holds_the_exact_root(self, key):
+        pytest.importorskip("mpmath")
+        p = DressedAtomParams(*key)
+        lo, hi = spectrum._top_bracket(p)
+        ref = mpmath_secular_offset(p, p.n_modes, solve_eigenfrequencies(p).offsets[-1], dps=60)
+        assert 0.0 <= lo < ref < hi
+
+    def test_holds_the_solved_root(self):
+        # a root outside its bracket would end on the bracket's end, where the
+        # solve clips every point; the far and weak-coupling top roots included
+        keys = (TOP_BRACKET_EDGES + [(0.1, 1e-7, 1e-3, 2000), (1.0, 0.5, 1e3, 3000)]
+                + list(OUTER_STALLS) + list(OUTER_OFFSETS_FROZEN)
+                + _seeded_spectra(200, (1, 2, 3, 8, 63, 64, 200, 3000)))
+        for key in keys:
+            p = DressedAtomParams(*key)
+            lo, hi = spectrum._top_bracket(p)
+            assert 0.0 <= lo < solve_eigenfrequencies(p).offsets[-1] < hi, key
+
+    def test_one_mode_at_resonance_takes_few_splits(self, monkeypatch):
+        # the upper bound is the root here, so without its margin the bracket
+        # ends on the root, and the pair took 25 splits; 10 with it
+        split = mock.Mock(wraps=spectrum._outer_split)
+        monkeypatch.setattr(spectrum, "_outer_split", split)
+        solve_eigenfrequencies(DressedAtomParams(*ONE_MODE_AT_RESONANCE))
+        assert 0 < split.call_count <= 10
 
 
 class TestMomentRules:
