@@ -77,22 +77,16 @@ def _round_robin(n: int) -> np.ndarray:
     An odd order gains a phantom index n, and each round drops the pair that
     holds it, so it never rotates: n rounds of (n - 1)/2 pairs.
 
-    Index 0 keeps its seat and the others move one seat per round, so every
-    unordered pair meets exactly once per sweep.
+    With m = n + n % 2 seats, index 0 keeps seat 0 and in round r seat i >= 1
+    holds 1 + (i - 1 - r) mod (m - 1), so every unordered pair meets exactly
+    once per sweep.
     """
     m = n + n % 2
-    seats = np.zeros((m - 1, m), dtype=np.intp)
-    seats[:, 1:] = [np.roll(np.arange(1, m), r) for r in range(m - 1)]
+    r, i = np.ogrid[:m - 1, :m]
+    seats = np.where(i > 0, 1 + (i - 1 - r) % (m - 1), 0)
     facing = seats[:, ::-1][:, :m // 2]  # seat i faces seat m - 1 - i
     pairs = np.sort(np.stack((seats[:, :m // 2], facing), axis=-1), axis=-1)
     return pairs[pairs[..., 1] < n].reshape(m - 1, -1, 2)
-
-
-def _rotate(m: np.ndarray, pairs: np.ndarray, g: np.ndarray) -> None:
-    """Rows (m_p, m_q) <- g (m_p, m_q) for each pair and its 2 x 2 rotation g:
-    one gather, one stack of 2 x 2 products and one scatter."""
-    rows = pairs.ravel()
-    m[rows] = (g @ m[rows].reshape(-1, 2, m.shape[1])).reshape(-1, m.shape[1])
 
 
 def jacobi_eigh(matrix: np.ndarray):
@@ -101,23 +95,25 @@ def jacobi_eigh(matrix: np.ndarray):
     Each sweep takes the pairs of :func:`_round_robin` round by round (the
     parallel ordering of Brent & Luk, SIAM J. Sci. Stat. Comput. 6, 1985).
     The pairs of a round are disjoint, so their rotations commute and are
-    applied at once: rows of A, columns of A, columns of V.  Per pair the
-    rules are those of the cyclic sweep: on sweeps 1-3 a pair with |a_pq| <=
-    0.2 off / n^2 is skipped (off the sum of the off-diagonal |a|); after
-    sweep 4 an a_pq negligible against both diagonal entries is set to 0.
-    The sweeps end when every off-diagonal entry is exactly 0.  Jacobi keeps
-    the relative accuracy of graded positive-definite matrices (Demmel &
-    Veselic, SIAM J. Matrix Anal. Appl. 13, 1992), which QR-type solvers lack.
+    applied at once: the rows of A and V^T together, as one array holds both
+    side by side, then the columns of A.  Per pair the rules are those of the
+    cyclic sweep: on sweeps 1-3 a pair with |a_pq| <= 0.2 off / n^2 is skipped
+    (off the sum of the off-diagonal |a|); after sweep 4 an a_pq negligible
+    against both diagonal entries is set to 0.  The sweeps end when every
+    off-diagonal entry is exactly 0.  Jacobi keeps the relative accuracy of
+    graded positive-definite matrices (Demmel & Veselic, SIAM J. Matrix Anal.
+    Appl. 13, 1992), which QR-type solvers lack.
 
     Returns (eigenvalues ascending, eigenvector columns).  Raises
     :class:`ConvergenceFailure` if the off-diagonal mass has not annihilated
     within _MAX_SWEEPS full sweeps.
     """
-    a = np.array(matrix, dtype=float, copy=True)
+    a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
-    vt = np.eye(n)  # eigenvectors as rows, so V's column rotations are row rotations
     if n <= 1:
-        return np.diag(a).copy(), vt
+        return np.diag(a).copy(), np.eye(n)
+    av = np.hstack((a, np.eye(n)))  # [A V^T]: V's column rotations are row rotations
+    a = av[:, :n]
     schedule = _round_robin(n)
     for sweep in range(1, _MAX_SWEEPS + 1):
         strict = np.abs(a)
@@ -146,16 +142,17 @@ def jacobi_eigh(matrix: np.ndarray):
             t = np.where(theta < 0.0, -1.0, 1.0) / (np.abs(theta) + np.hypot(1.0, theta))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
+            # rows (x_p, x_q) <- g (x_p, x_q) of [A V^T], then of A^T: gather, products, scatter
             g = np.stack((c, -s, s, c), axis=-1).reshape(-1, 2, 2)
-            _rotate(a, pairs, g)
-            _rotate(a.T, pairs, g)
+            rows = pairs.ravel()
+            av[rows] = (g @ av[rows].reshape(-1, 2, 2 * n)).reshape(-1, 2 * n)
+            a.T[rows] = (g @ a.T[rows].reshape(-1, 2, n)).reshape(-1, n)
             a[p, q] = a[q, p] = 0.0
-            _rotate(vt, pairs, g)
     else:
         raise ConvergenceFailure(f"Jacobi sweeps did not converge within {_MAX_SWEEPS} sweeps")
     lam = np.diag(a)
     order = np.argsort(lam)
-    return lam[order], vt[order].T
+    return lam[order], av[order, n:].T
 
 
 @dataclass(frozen=True)

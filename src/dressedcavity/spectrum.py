@@ -117,6 +117,8 @@ class DressedAtomParams:
         if not np.all(np.isfinite(scales)):
             raise ValueError("R, omega_bar^2, g^2, N eta^2, (N dw)^2 and dw^4 must be finite, "
                              "got " + ", ".join(f"{v:.3e}" for v in scales))
+        if not scales[-1] >= np.finfo(float).tiny:  # the secular slope divides by dw^4
+            raise ValueError(f"dw^4 must be a normal double, >= 2.225e-308, got {scales[-1]:.3e}")
         freeze(self, omega_bar=omega_bar, g=g, delta=delta, n_modes=int(n),
                radius=float(radius), delta_omega=float(dw), eta_sq=float(eta_sq),
                eta=math.sqrt(eta_sq))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dressedcavity import bipartite, cli, coupling, dynamics, oracle
+from dressedcavity import bipartite, cli, coupling, dynamics, oracle, spectrum
 from dressedcavity.spectrum import solve_eigenfrequencies
 from dressedcavity.cli import (
     EXIT_INVARIANT,
@@ -153,8 +153,11 @@ class TestExitCodes:
         # finite, but omega_bar^2 or dw^4 = (g / delta)^4 overflows
         (("spectrum", "--omega-bar", "1e200"), "and dw^4 must be finite, got 6.283e-01, inf,"),
         (("spectrum", "--delta", "1e-3", "--g", "1e150"), "6.400e+307, inf"),
+        # R = pi delta / g = 1e300, so dw^4 underflows to 0
+        (("spectrum", "--delta", "1.5915494309189535e299"),
+         "dw^4 must be a normal double, >= 2.225e-308, got 0.000e+00"),
     ], ids=["t-max-nan", "t-max-inf", "phi-nan", "omega-bar-inf", "delta-inf", "c-inf",
-            "omega-bar-sq-overflow", "dw-fourth-overflow"])
+            "omega-bar-sq-overflow", "dw-fourth-overflow", "dw-fourth-underflow"])
     def test_usage_non_finite_input(self, tmp_path, capsys, argv, message):
         assert run(*argv, "--n-modes", "8", "--out", str(tmp_path)) == EXIT_USAGE
         assert message in capsys.readouterr().err
@@ -272,11 +275,12 @@ class TestExitCodes:
         assert err.startswith("usage: dressed-cavity") and "error: " in err
         assert not any(tmp_path.iterdir())
 
-    def test_numerical_failure_on_nan_residuals(self, tmp_path, capsys):
-        # at R = pi delta / g = 1e300 every newton_rel is NaN, which fails the solver's check
-        with np.errstate(all="ignore"):
-            rc = run("spectrum", "--delta", "1.5915494309189535e299", "--n-modes", "8",
-                     "--out", str(tmp_path))
+    def test_numerical_failure_on_nan_residuals(self, tmp_path, capsys, monkeypatch):
+        # every newton_rel NaN fails the solver's check; no input reaches one
+        # now that dw^4 must be a normal double, so F is made NaN
+        nan_f = lambda m, *_, **__: np.full((2, m.size), np.nan)  # (F, slope) at every root
+        monkeypatch.setattr(spectrum, "_secular_sets", nan_f)
+        rc = run("spectrum", "--n-modes", "8", "--out", str(tmp_path))
         assert rc == EXIT_NUMERICAL
         assert "root 0 residual nan" in capsys.readouterr().err
         assert not (tmp_path / "spectrum_roots.csv").exists()

@@ -92,6 +92,16 @@ def test_refuses(name):
         call()
 
 
+def test_spacing_whose_fourth_power_underflows_is_refused():
+    # dw = 1e-87: dw^4 underflows to 0, and the secular slope divides by it, so
+    # the record refuses the spacing before the solve fails late; the same
+    # ratios with dw = 1e-57 solve
+    with pytest.raises(ValueError, match=r"dw\^4 must be a normal double, >= 2\.225e-308"):
+        DressedAtomParams(1e-80, 1e-77, 1e10, 8)
+    spec = solve_eigenfrequencies(DressedAtomParams(1e-50, 1e-47, 1e10, 8))
+    assert spec.newton_rel.max() <= 1e-10
+
+
 def test_numpy_integers_are_integers():
     assert DressedAtomParams(1.0, 0.5, 0.1, np.int64(8)) == P
     assert np.array_equal(approx_small_cavity_elements(P, np.int32(3)),
