@@ -23,7 +23,6 @@ from .coupling import (
     TransformMatrix,
     atom_element,
     atom_weights,
-    approx_small_cavity_elements,
     build_matrix,
     row_index,
 )
@@ -34,6 +33,7 @@ from .dynamics import (
     amplitude_free_space,
     amplitude_row,
     amplitude_trace,
+    first_order_modes,
     free_space_trace,
     imag_survival_integral,
     row_norm_rounding,

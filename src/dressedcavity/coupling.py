@@ -47,8 +47,8 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, NormalizationFailure, RegimeViolation, freeze, require
-from .spectrum import DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum
+from .errors import DomainError, NormalizationFailure, freeze, require
+from .spectrum import DressedAtomParams, ModeSpectrum
 
 __all__ = [
     "TransformMatrix",
@@ -56,7 +56,6 @@ __all__ = [
     "atom_element",
     "build_matrix",
     "atom_weights",
-    "approx_small_cavity_elements",
 ]
 
 # Dense (N+1)^2 storage: keep desk-scale by default.  Only the whole matrix t is
@@ -446,20 +445,3 @@ def atom_weights(spectrum: ModeSpectrum) -> np.ndarray:
     for very large truncations.
     """
     return spectrum.weights.copy()
-
-
-def approx_small_cavity_elements(params: DressedAtomParams, k_max: int) -> np.ndarray:
-    """First-order squared elements of the atom-dominated normal mode.
-
-    Returns ``[ (t_0^0)^2, (t_1^0)^2, ..., (t_k_max^0)^2 ]`` with
-    (t_0^0)^2 = (1 + 2 pi delta / 3)^-1 and
-    (t_k^0)^2 = (4/k^2)(delta/pi) (t_0^0)^2.
-    """
-    require(params.delta < DELTA_THRESHOLD, RegimeViolation,
-            "small-cavity elements need delta < {}, got delta = {:.4g}",
-            DELTA_THRESHOLD, params.delta)
-    if not (isinstance(k_max, (int, np.integer)) and not isinstance(k_max, bool) and k_max >= 1):
-        raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
-    atom_sq = 1.0 / (1.0 + 2.0 * np.pi * params.delta / 3.0)
-    k = np.arange(1, k_max + 1)
-    return np.concatenate(([atom_sq], (4.0 / k**2) * (params.delta / np.pi) * atom_sq))

@@ -31,8 +31,8 @@ kernel.  Two analytic companions cover the limiting cavity sizes:
   four poles (see :func:`free_space_trace`);
 
 * small cavity (delta = g R / pi << 1): the spectral sum over the
-  first-order frequencies, with inverse-square weights, plus its
-  closed-form lower bound.
+  first-order frequencies, with inverse-square weights, of one model
+  (:func:`first_order_modes`), plus its closed-form lower bound.
 
 "Survival" throughout means mu = nu = atom: the initially excited dressed
 atom is still excited at t.
@@ -45,9 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import TransformMatrix, approx_small_cavity_elements, row_index
+from .coupling import TransformMatrix, row_index
 from .errors import InvariantViolation, RegimeViolation, freeze, require
-from .spectrum import DELTA_THRESHOLD, DressedAtomParams, ModeSpectrum, first_order_frequencies
+from .spectrum import DressedAtomParams, ModeSpectrum
 
 __all__ = [
     "FreeSpaceParams",
@@ -61,6 +61,7 @@ __all__ = [
     "amplitude_free_space",
     "free_space_trace",
     "survival_sq_large_time",
+    "first_order_modes",
     "small_cavity_amplitude",
     "small_cavity_trace",
     "survival_sq_small_cavity",
@@ -73,6 +74,9 @@ _T0_TOL = 1e-9
 # Phases (times x modes) in one block of _phase_sum's plain table: 64 MB of
 # complex.  The factored tables of the same block hold T/b + b rows a mode.
 _BLOCK_ELEMENTS = 2**22
+
+# Regime gate of the first-order small-cavity model (delta << 1).
+DELTA_THRESHOLD = 0.2
 
 # A time grid is uniform when each time lies within this many multiples of
 # eps max|t| of t_0 + i h, the size of the rounding already in Omega t.
@@ -430,11 +434,13 @@ def survival_sq_large_time(t: float, omega_bar: float, g: float) -> float:
     the four E1 terms gives the tail of the imaginary part: the 1/z and
     1/z^2 orders cancel because the weight and its slope vanish at x = 0,
     and the 2/z^3 order leaves 8g/(pi omega_bar^4 t^3).  |f_00|^2 therefore
-    decays as 64 g^2 / (pi^2 omega_bar^8 t^6).
+    decays as 64 g^2 / (pi^2 omega_bar^8 t^6).  omega_bar and g are read by
+    :class:`FreeSpaceParams`, the record of the closed form this envelopes.
     """
     if not 0 < t < np.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    t, omega_bar, g = float(t), float(omega_bar), float(g)
+    p, t = FreeSpaceParams(omega_bar, g), float(t)
+    omega_bar, g = p.omega_bar, p.g
     trig = np.cos(omega_bar * t) - (g / omega_bar) * np.sin(omega_bar * t)
     return float(np.exp(-2.0 * g * t) * trig**2 + 64.0 * g**2 / (omega_bar**8 * t**6))
 
@@ -443,18 +449,32 @@ def survival_sq_large_time(t: float, omega_bar: float, g: float) -> float:
 # Small-cavity series
 # ---------------------------------------------------------------------------
 
+def first_order_modes(params: DressedAtomParams, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first-order small-cavity model, for delta < DELTA_THRESHOLD: the
+    frequencies Omega_k and the atom's squared elements (t_0^k)^2, k = 0 .. k_max,
+
+    Omega_0 = omega_bar (1 - pi delta / 3),       (t_0^0)^2 = (1 + 2 pi delta / 3)^-1,
+    Omega_k = (g/delta) (k + 2 delta / (pi k)),   (t_0^k)^2 = (4/k^2)(delta/pi) (t_0^0)^2.
+    """
+    d = params.delta
+    require(d < DELTA_THRESHOLD, RegimeViolation,
+            "small-cavity elements need delta < {}, got delta = {:.4g}", DELTA_THRESHOLD, d)
+    if not (isinstance(k_max, (int, np.integer)) and not isinstance(k_max, bool) and k_max >= 1):
+        raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
+    k = np.arange(1, k_max + 1)
+    atom_sq = 1.0 / (1.0 + 2.0 * np.pi * d / 3.0)
+    return (np.concatenate(([params.omega_bar * (1.0 - np.pi * d / 3.0)],
+                            (params.g / d) * (k + 2.0 * d / (np.pi * k)))),
+            np.concatenate(([atom_sq], (4.0 / k**2) * (d / np.pi) * atom_sq)))
+
+
 def small_cavity_amplitude(params: DressedAtomParams, times, k_max: int = 10_000) -> np.ndarray:
     """First-order survival amplitude for delta << 1.
 
-    The spectral sum over :func:`~.spectrum.first_order_frequencies` with
-    the weights of :func:`~.coupling.approx_small_cavity_elements`,
-    (t_0^0)^2 = (1 + 2 pi delta/3)^-1 and (t_0^k)^2 = (4 delta / pi k^2) (t_0^0)^2;
-    squaring reproduces the cosine double series with 1/k^2 l^2 weights
-    term by term.
+    The spectral sum over the modes of :func:`first_order_modes`; squaring
+    reproduces the cosine double series with 1/k^2 l^2 weights term by term.
     """
-    times = _time_grid(times)
-    weights = approx_small_cavity_elements(params, k_max)
-    return _phase_sum(times, first_order_frequencies(params, k_max), weights)
+    return _phase_sum(_time_grid(times), *first_order_modes(params, k_max))
 
 
 def survival_sq_small_cavity(t: float, params: DressedAtomParams,
@@ -490,5 +510,5 @@ def series_tail_bound(params: DressedAtomParams, k_max: int) -> float:
     The dropped weight sum_{k > k_max} (t_0^k)^2 is below k_max (t_0^k_max)^2,
     because sum_{k > K} 1/k^2 < 1/K.
     """
-    dropped = k_max * approx_small_cavity_elements(params, k_max)[-1]
+    dropped = k_max * first_order_modes(params, k_max)[1][-1]
     return 2.0 * dropped + dropped**2

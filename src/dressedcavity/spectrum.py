@@ -63,9 +63,6 @@ _BISECT_STEPS = 200
 # run to the end of its own steps, so a step's temporaries stay in cache.
 _BLOCK_ELEMENTS = 16384
 
-# Regime gate for the small-cavity expansion (delta << 1).
-DELTA_THRESHOLD = 0.2
-
 # Bound on the relative Newton correction |F/F'| / Omega^2 at every root.
 _RESIDUAL_TOL = 1e-10
 
@@ -149,7 +146,7 @@ class ModeSpectrum:
     unlike F stays meaningful where the root hugs its asymptote, and
     ``residuals`` = |F|.
     :func:`solve_eigenfrequencies` is the one producer; the first-order
-    small-cavity frequencies are :func:`first_order_frequencies`.
+    small-cavity frequencies are :func:`~.dynamics.first_order_modes`.
     """
 
     params: DressedAtomParams
@@ -399,12 +396,12 @@ def _top_sums(n: int, s: float):
 def _outer_sum(m, s, n, powers):
     """The outer pair's sums in O(1) at one root's offset (m an int, s a float):
     the top root (m = N, s > 0) by :func:`_top_sums`, root 0 by :func:`_low_sums`,
-    each within 4 eps of the exact sum.  Summed in plain floats, since on one
-    root a numpy call costs more than the arithmetic, and returned as numpy
-    scalars, so :func:`_secular` divides them by dw^2 and dw^4 as it divides
-    arrays (inf or NaN where those underflow, not ZeroDivisionError)."""
+    each within 4 eps of the exact sum.  Summed and returned in plain floats,
+    since on one root a numpy call costs more than the arithmetic; the record
+    refuses a dw^4 below the smallest normal double, so :func:`_secular`'s
+    divisions by dw^2 and dw^4 never divide by zero."""
     sums = _top_sums(n, s) if m == n and s > 0.0 else _low_sums(n, m, s)
-    return np.array(sums[:powers])
+    return sums[:powers]
 
 
 def _omega(m, s, params: DressedAtomParams):
@@ -425,8 +422,8 @@ def _secular(m, s, params: DressedAtomParams, kernel, slope: bool = False):
     S2, where |dF/dlam| = 1 + eta^2 (S + lam S2) = 1 + eta^2 sum_k
     omega_k^2/(omega_k^2 - lam)^2; at a root the slope is 1/(t_atom^r)^2.  The
     one statement of F and its slope for every root set: on arrays of offsets,
-    or on one outer root's int and float, in plain floats (the record holds
-    Python floats) but for the sums' numpy scalars, with the arrays' bits."""
+    or on one outer root's int and float, all in plain floats (the record holds
+    Python floats), with the arrays' bits."""
     om, detuning = _omega(m, s, params)
     sums = kernel(m, s, params.n_modes, 1 + slope)
     s1 = sums[0] / params.delta_omega**2
@@ -557,9 +554,9 @@ def _outer_split(params: DressedAtomParams, m, x, kernel):
     """
     fs, splits, dw2 = [], [], params.delta_omega**2
     for mi, xi in zip(m.tolist(), x.tolist()):
-        f, slope = _secular(mi, xi, params, kernel, slope=True)
+        f, si = _secular(mi, xi, params, kernel, slope=True)
         fs.append(f)
-        fi, si = float(f / dw2), float(slope)
+        fi = f / dw2
         k, u = max(mi, 1), mi + xi  # the pole: omega_1 for root 0, omega_N = omega_m on top
         d = ((k - mi) - xi) * (k + u)
         try:
@@ -745,15 +742,3 @@ def solve_eigenfrequencies(params: DressedAtomParams) -> ModeSpectrum:
     require(spec.newton_rel <= _RESIDUAL_TOL, ConvergenceFailure,
             "root {i} residual {:.3e} exceeds {:.1e}", spec.newton_rel, _RESIDUAL_TOL)
     return spec
-
-
-def first_order_frequencies(params: DressedAtomParams, k_max: int) -> np.ndarray:
-    """First-order small-cavity normal frequencies Omega_0 .. Omega_k_max.
-
-    Omega_0 = omega_bar (1 - pi delta / 3)
-    Omega_k = (g/delta) (k + 2 delta / (pi k)),  k >= 1
-    """
-    d = params.delta
-    k = np.arange(1, k_max + 1)
-    return np.concatenate(([params.omega_bar * (1.0 - np.pi * d / 3.0)],
-                           (params.g / d) * (k + 2.0 * d / (np.pi * k))))

@@ -10,10 +10,8 @@ from dressedcavity import (
     DressedAtomParams,
     InvariantViolation,
     NormalizationFailure,
-    RegimeViolation,
     amplitude_row,
     amplitude_trace,
-    approx_small_cavity_elements,
     atom_element,
     atom_weights,
     build_form,
@@ -25,11 +23,7 @@ from dressedcavity import coupling, spectrum
 from dressedcavity.coupling import TransformMatrix
 from dressedcavity.spectrum import ModeSpectrum, field_frequencies
 from oracles import eig_sym_2x2, gram_deviation
-
-# frozen first-order element values at delta=0.1 (direct evaluation)
-T00_SQ_APPROX = 0.8268292804508458
-T1_SQ_APPROX = 0.1052751736614937
-T2_SQ_APPROX = 0.026318793415373427
+from test_dynamics import T00_SQ_APPROX, T1_SQ_APPROX
 
 # atom weight of the lowest root at omega_bar=0.1, g=10, delta=1e-3, N=3000
 # (40-digit mpmath at the exact root of the float64 parameters)
@@ -479,38 +473,3 @@ class TestAtomWeights:
         assert sizes["derive"] == [1, 1, 63]
         assert sizes["other"] == []
         assert all(size <= 2 for size in sizes["solve"])
-
-
-class TestSmallCavityElements:
-    def test_frozen_values(self):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=4)
-        els = approx_small_cavity_elements(p, 2)
-        assert els[0] == pytest.approx(T00_SQ_APPROX, rel=1e-12)
-        assert els[1] == pytest.approx(T1_SQ_APPROX, rel=1e-12)
-        assert els[2] == pytest.approx(T2_SQ_APPROX, rel=1e-12)
-
-    def test_decoupling_limit(self):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 1e-10, n_modes=2)
-        assert approx_small_cavity_elements(p, 1)[0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_weights_close_to_unity(self):
-        # with the infinite tail the first-order weights normalize exactly
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=2)
-        els = approx_small_cavity_elements(p, 100_000)
-        assert np.sum(els) == pytest.approx(1.0, abs=2e-6)
-
-    def test_regime_gate(self):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.4, n_modes=2)
-        with pytest.raises(RegimeViolation):
-            approx_small_cavity_elements(p, 5)
-        p_ok = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=2)
-        with pytest.raises(ValueError):
-            approx_small_cavity_elements(p_ok, 0)
-
-    def test_tracks_exact_elements_at_small_delta(self):
-        delta = 0.05
-        p = DressedAtomParams.from_delta(1.0, 0.5, delta, n_modes=400)
-        tm = build_matrix(solve_eigenfrequencies(p))
-        els = approx_small_cavity_elements(p, 20)
-        exact = np.concatenate(([tm.t[0, 0] ** 2], tm.t[1:21, 0] ** 2))
-        assert np.max(np.abs(els - exact) / exact) < 10 * delta

@@ -20,6 +20,7 @@ from dressedcavity import (
     amplitude_trace,
     atom_weights,
     build_matrix,
+    first_order_modes,
     free_space_trace,
     imag_survival_integral,
     reduced_pair_matrix,
@@ -48,6 +49,16 @@ G_INTEGRAL_FROZEN = {
 
 # -exp(-g pi / kappa): closed-form real part at t = pi/kappa
 REAL_PART_AT_PI_OVER_KAPPA = -0.16303353482158048
+
+# frozen first-order values at delta=0.1, g=0.5, omega_bar=1 (direct evaluation)
+OM0_APPROX = 0.8952802448803402
+OM1_APPROX = 5.3183098861837905
+OM2_APPROX = 10.159154943091895
+
+# frozen first-order element values at delta=0.1 (direct evaluation)
+T00_SQ_APPROX = 0.8268292804508458
+T1_SQ_APPROX = 0.1052751736614937
+T2_SQ_APPROX = 0.026318793415373427
 
 # direct evaluation of the worst-case survival formula
 BOUND_01 = 0.36729331802172704
@@ -502,6 +513,67 @@ class TestLargeTimeFormula:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             survival_sq_large_time(0.0, OMEGA_BAR, G)
+
+
+class TestSmallCavityApprox:
+    def test_lowest_frequency(self):
+        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=4)
+        freqs = first_order_modes(p, 4)[0]
+        assert freqs[0] == pytest.approx(OM0_APPROX, rel=1e-12)
+        assert freqs[2] == pytest.approx(OM2_APPROX, rel=1e-12)
+
+    def test_decoupling_limit(self):
+        p = DressedAtomParams.from_delta(1.0, 0.5, 1e-9, n_modes=2)
+        assert first_order_modes(p, 2)[0][0] == pytest.approx(1.0, abs=1e-8)
+
+    def test_regime_gate(self):
+        # the series the first-order frequencies feed is gated on delta
+        p = DressedAtomParams.from_delta(1.0, 0.5, 0.5, n_modes=4)
+        with pytest.raises(RegimeViolation):
+            first_order_modes(p, 4)[1]
+
+    def test_matches_exact_roots_at_small_delta(self):
+        # leading-order error stays below 5 delta^2 for the first ten gaps
+        delta = 0.01
+        p = DressedAtomParams.from_delta(1.0, 0.5, delta, n_modes=200)
+        exact = solve_eigenfrequencies(p).bigomegas[:11]
+        approx = first_order_modes(p, 10)[0]
+        assert np.max(np.abs(exact - approx) / exact) < 5 * delta**2
+
+
+class TestSmallCavityElements:
+    def test_frozen_values(self):
+        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=4)
+        els = first_order_modes(p, 2)[1]
+        assert els[0] == pytest.approx(T00_SQ_APPROX, rel=1e-12)
+        assert els[1] == pytest.approx(T1_SQ_APPROX, rel=1e-12)
+        assert els[2] == pytest.approx(T2_SQ_APPROX, rel=1e-12)
+
+    def test_decoupling_limit(self):
+        p = DressedAtomParams.from_delta(1.0, 0.5, 1e-10, n_modes=2)
+        assert first_order_modes(p, 1)[1][0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_weights_close_to_unity(self):
+        # with the infinite tail the first-order weights normalize exactly
+        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=2)
+        els = first_order_modes(p, 100_000)[1]
+        assert np.sum(els) == pytest.approx(1.0, abs=2e-6)
+
+    def test_regime_gate(self):
+        p = DressedAtomParams.from_delta(1.0, 0.5, 0.4, n_modes=2)
+        with pytest.raises(RegimeViolation):
+            first_order_modes(p, 5)[1]
+        p_ok = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=2)
+        with pytest.raises(ValueError):
+            first_order_modes(p_ok, 0)[1]
+
+    def test_tracks_exact_elements_at_small_delta(self):
+        delta = 0.05
+        p = DressedAtomParams.from_delta(1.0, 0.5, delta, n_modes=400)
+        tm = build_matrix(solve_eigenfrequencies(p))
+        els = first_order_modes(p, 20)[1]
+        exact = np.concatenate(([tm.t[0, 0] ** 2], tm.t[1:21, 0] ** 2))
+        assert np.max(np.abs(els - exact) / exact) < 10 * delta
 
 
 class TestSmallCavitySeries:

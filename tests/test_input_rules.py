@@ -13,13 +13,13 @@ from dressedcavity import (
     SuperpositionSpec,
     amplitude_row,
     amplitude_trace,
-    approx_small_cavity_elements,
     atom_element,
     build_form,
     build_matrix,
     diagonalize,
     entanglement_entropy,
     entropy_drift_bound,
+    first_order_modes,
     free_space_trace,
     oracle_amplitude,
     reduced_pair_matrix,
@@ -65,12 +65,29 @@ REFUSED = {
     "late-time t nan": (lambda: survival_sq_large_time(np.nan, 1, 0.5), ValueError, "t must"),
     "late-time t inf": (lambda: survival_sq_large_time(np.inf, 1, 0.5), ValueError, "t must"),
     "late-time t 0": (lambda: survival_sq_large_time(0.0, 1, 0.5), ValueError, "t must"),
+    # omega_bar and g as the free-space record reads them
+    "late-time omega_bar 0": (lambda: survival_sq_large_time(1.0, 0.0, 0.5), ValueError,
+                              "positive and finite"),
+    "late-time omega_bar -1": (lambda: survival_sq_large_time(1.0, -1.0, 0.5), ValueError,
+                               "positive and finite"),
+    "late-time g nan": (lambda: survival_sq_large_time(1.0, 1.0, np.nan), ValueError,
+                        "positive and finite"),
+    "late-time omega_bar^2 inf": (lambda: survival_sq_large_time(1.0, 1e200, 0.5), ValueError,
+                                  r"omega_bar\^2 and g\^2 must be finite"),
+    "late-time omega_bar < g": (lambda: survival_sq_large_time(1.0, 0.5, 1.0), RegimeViolation,
+                                "kappa"),
     "atom element inf": (lambda: atom_element(np.inf, P), DomainError, "normal frequency"),
     "atom element nan": (lambda: atom_element(np.nan, P), DomainError, "normal frequency"),
     "k_max 2.5": (lambda: small_cavity_amplitude(P, TIMES, k_max=2.5), ValueError, "k_max"),
     "k_max True": (lambda: small_cavity_amplitude(P, TIMES, k_max=True), ValueError, "k_max"),
-    "k_max 0": (lambda: approx_small_cavity_elements(P, 0), ValueError, "k_max"),
-    "k_max nan": (lambda: approx_small_cavity_elements(P, np.nan), ValueError, "k_max"),
+    "k_max 0": (lambda: first_order_modes(P, 0), ValueError, "k_max"),
+    "k_max nan": (lambda: first_order_modes(P, np.nan), ValueError, "k_max"),
+    # the first-order model refuses, frequencies and weights alike, what either refused
+    "first-order k_max -1": (lambda: first_order_modes(P, -1), ValueError, "k_max"),
+    "first-order k_max 2.5": (lambda: first_order_modes(P, 2.5), ValueError, "k_max"),
+    "first-order k_max True": (lambda: first_order_modes(P, True), ValueError, "k_max"),
+    "first-order delta 0.2": (lambda: first_order_modes(DressedAtomParams(1, .5, .2, 8), 4),
+                              RegimeViolation, "delta < 0.2"),
     # a decreasing time grid, refused by every trace builder before any work
     "amplitude_trace decreasing": (lambda: amplitude_trace(TM, 0, 1, BACKWARDS), ValueError,
                                    "non-decreasing, got 1.0"),
@@ -104,8 +121,8 @@ def test_spacing_whose_fourth_power_underflows_is_refused():
 
 def test_numpy_integers_are_integers():
     assert DressedAtomParams(1.0, 0.5, 0.1, np.int64(8)) == P
-    assert np.array_equal(approx_small_cavity_elements(P, np.int32(3)),
-                          approx_small_cavity_elements(P, 3))
+    for got, want in zip(first_order_modes(P, np.int32(3)), first_order_modes(P, 3)):
+        assert np.array_equal(got, want)
     assert oracle_amplitude(DECOMP, 0, 0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 

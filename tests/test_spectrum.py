@@ -12,9 +12,7 @@ from dressedcavity import (
     DressedAtomParams,
     InvariantViolation,
     ModeSpectrum,
-    RegimeViolation,
     amplitude_row,
-    approx_small_cavity_elements,
     build_form,
     build_matrix,
     cotangent_residual,
@@ -26,15 +24,10 @@ from dressedcavity import (
     survival_trace,
 )
 from dressedcavity import spectrum
-from dressedcavity.spectrum import first_order_frequencies
 from hypothesis import example, given, settings
 from oracles import dlasd4_inner_roots, mpmath_mode_sums, mpmath_secular_offset
+from test_dynamics import OM0_APPROX, OM1_APPROX, OM2_APPROX
 from test_properties import _north_star_spectra
-
-# frozen first-order values at delta=0.1, g=0.5, omega_bar=1 (direct evaluation)
-OM0_APPROX = 0.8952802448803402
-OM1_APPROX = 5.3183098861837905
-OM2_APPROX = 10.159154943091895
 
 # outer roots at omega_bar=1, g=0.01, delta=100, N=2048 (40-digit mpmath roots
 # of the secular equation with the float64 parameters); the top root lies far
@@ -693,32 +686,6 @@ class TestWeakCoupling:
         assert np.all(np.concatenate(seen) != 0.0)
 
 
-class TestSmallCavityApprox:
-    def test_lowest_frequency(self):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=4)
-        freqs = first_order_frequencies(p, 4)
-        assert freqs[0] == pytest.approx(OM0_APPROX, rel=1e-12)
-        assert freqs[2] == pytest.approx(OM2_APPROX, rel=1e-12)
-
-    def test_decoupling_limit(self):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 1e-9, n_modes=2)
-        assert first_order_frequencies(p, 2)[0] == pytest.approx(1.0, abs=1e-8)
-
-    def test_regime_gate(self):
-        # the series the first-order frequencies feed is gated on delta
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.5, n_modes=4)
-        with pytest.raises(RegimeViolation):
-            approx_small_cavity_elements(p, 4)
-
-    def test_matches_exact_roots_at_small_delta(self):
-        # leading-order error stays below 5 delta^2 for the first ten gaps
-        delta = 0.01
-        p = DressedAtomParams.from_delta(1.0, 0.5, delta, n_modes=200)
-        exact = solve_eigenfrequencies(p).bigomegas[:11]
-        approx = first_order_frequencies(p, 10)
-        assert np.max(np.abs(exact - approx) / exact) < 5 * delta**2
-
-
 class TestOuterSums:
     """The outer pair's O(1) sums against 40-digit sums of the definition."""
 
@@ -768,10 +735,10 @@ class TestOuterSums:
         yield 1e-50, 1e-47, 1e10, 8
 
     def test_one_root_gives_the_array_bits(self):
-        # _secular on one outer root's int and float, in plain floats but for
-        # the sums' numpy scalars, against _secular on arrays fed the same
-        # sums: root 0 from omega_0 and from omega_1, the top root from omega_N,
-        # and the bracket midpoints; F alone and (F, slope); no NaN
+        # _secular on one outer root's int and float, all in plain floats,
+        # against _secular on arrays fed the same sums: root 0 from omega_0 and
+        # from omega_1, the top root from omega_N, and the bracket midpoints;
+        # F alone and (F, slope); no NaN
         for key in self._spectra():
             p = DressedAtomParams(*key)
             n = p.n_modes
