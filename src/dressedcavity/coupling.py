@@ -18,34 +18,34 @@ is the infinite-mode limit of that normalization; at finite truncation it
 deviates from the normalized element by O(1/N).
 
 A :class:`TransformMatrix` checks unit columns and orthogonality to 1e-6
-from its spectrum in O(N log N) time and O(N) memory; it holds no entry of
-t, and forms any row again on demand, in O(N), or the whole matrix when
-asked.  The column check forms only near fields: every row of the outer
-pair {0, N}, and of each inner column the atom row and the 2K + 1 field rows
-nearest its pole, summed to within eps; the rows beyond are an
-Euler-Maclaurin sum (DLMF 2.10.1) of k^2/(k^2 - u^2)^2 with a bound on its
-remainder and rounding, so each column's recorded deviation is at least that
-of the stored entries.  Orthogonality takes no product t t^T: for columns
-r != s, partial fractions of the eigenvector ratio give
+from its spectrum in O(N) time and memory; it holds no entry of t, and forms
+any row again on demand, in O(N), or the whole matrix when asked.  The
+column check forms only near fields: every row of the outer pair {0, N}, and
+of each inner column the atom row and the 2K + 1 field rows nearest its
+pole, summed to within eps; the rows beyond are an Euler-Maclaurin sum (DLMF
+2.10.1) of k^2/(k^2 - u^2)^2 with a bound on its remainder and rounding, so
+each column's recorded deviation is at least that of the stored entries.
+Orthogonality takes no product t t^T: for columns r != s, partial fractions
+of the eigenvector ratio give
 
     (t^T t)_rs = -t_atom^r t_atom^s (F(lam_r) - F(lam_s)) / (lam_r - lam_s),
 
 lam = Omega^2 and F the secular function, whose values at the roots the
 spectrum bounds (the Loewner-type identity of Gu & Eisenstat, SIAM J.
-Matrix Anal. Appl. 16 (1995) 172-191).  Row sums of its magnitudes bound
-||t^T t - 1||_2, and with it every entry of t t^T - 1: term by term over
-the 2K nearest roots and the outer pair, and beyond by blocks d <= |s - r| <
-1.5 d, each at most its prefix sums over its nearest gap.  The record keeps
-that bound and the worst column bound.
+Matrix Anal. Appl. 16 (1995) 172-191), a Cauchy kernel: Montgomery and
+Vaughan's weighted Hilbert inequality bounds its form at any weights, and
+its 2-norm, by sums over nearest gaps in O(N), the few heaviest roots' pairs
+taken term by term.  The record keeps the 2-norm bound and the worst column
+bound; each row's unitarity margin takes the form at that row's weights.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NormalizationFailure, freeze, require
 from .spectrum import DressedAtomParams, ModeSpectrum
@@ -70,11 +70,10 @@ _ORTHO_TOL = 1e-6
 # one (N+1)^2 array and a few blocks, the checks O(N) arrays and a few blocks.
 _BLOCK_ELEMENTS = 2**16
 
-# Near fields: each inner root's 2K + 1 field rows nearest its pole and 2K inner
-# roots nearest it are summed term by term; the far rows and roots are bounded.
+# Near fields: the 2K + 1 field rows nearest each inner root's pole, summed term by term.
 _NEAR = 31
-# Far roots of the orthogonality bound come in blocks d <= |s - r| < q d.
-_BLOCK_RATIO = 1.5
+# Roots whose pairs the orthogonality bound sums term by term (:func:`_off_diagonal`).
+_HEAVY = 8
 # B_2 .. B_10: four Euler-Maclaurin corrections and the remainder's coefficient,
 # and the remainder over one far segment, 2 |B_10| h^11 + |B_10| h^10 / (5u) with
 # h = 1/(K + 1/2) and u > 1 (:func:`_euler_maclaurin`): 2.1e-17.
@@ -93,25 +92,30 @@ class TransformMatrix:
 
     ``column_deviation`` is the worst of the bounds :func:`_column_deviation`
     puts on |sum_mu (t_mu^r)^2 - 1| over the entries :func:`_field_rows` forms,
-    from their near fields and a bounded far field, and ``orthogonality_bound``
-    bounds ||t^T t - 1||_2 and max |t t^T - 1| (:func:`_orthogonality_bound`).
-    Both must be at most 1e-6.  :meth:`row` and :attr:`t` form their entries
-    through :func:`_field_rows`, so they return the bits the near fields
-    checked and the far field bounds.
+    from their near fields and a bounded far field; ``orthogonality_bound``
+    adds :func:`_off_diagonal`'s B on ||t^T t - diag||_2 and 2 (2 gamma +
+    gamma^2)(1 + B), by which the stored entries (gamma = ``_ENTRY_ROUNDING``)
+    move each entry of t t^T (Cauchy-Schwarz); for the 2-norm that step would
+    take || |t| ||_2 for 1 + B.  Both must be at most 1e-6.  :meth:`row` and
+    :attr:`t` form their entries through :func:`_field_rows`, so they return
+    the bits the near fields checked and the far field bounds.
     """
 
     spectrum: ModeSpectrum
     column_deviation: float = field(init=False)
     orthogonality_bound: float = field(init=False)
+    _deviations: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         col_dev = _column_deviation(self.spectrum)
         require(col_dev <= _COLUMN_NORM_TOL, NormalizationFailure,
                 "column {i} norm deviates by {:.3e} (bad roots?)", col_dev)
-        bound = _orthogonality_bound(self.spectrum, col_dev)
+        bound = float(col_dev.max()) + _off_diagonal(self.spectrum)
+        bound += 2.0 * (2.0 * _ENTRY_ROUNDING + _ENTRY_ROUNDING**2) * (1.0 + bound)
         require(bound <= _ORTHO_TOL, NormalizationFailure,
-                "column {i} orthogonality bound {:.3e} exceeds {} (bad roots?)", bound, _ORTHO_TOL)
-        freeze(self, column_deviation=float(col_dev.max()), orthogonality_bound=float(bound.max()))
+                "orthogonality bound {:.3e} exceeds {} (bad roots?)", bound, _ORTHO_TOL)
+        freeze(self, column_deviation=float(col_dev.max()), orthogonality_bound=bound,
+               _deviations=col_dev)
 
     @cached_property
     def t(self) -> np.ndarray:
@@ -139,13 +143,24 @@ class TransformMatrix:
     def unitarity_margin(self, mu) -> float:
         """A bound on |sum_nu |f_mu_nu(t)|^2 - 1| at every t, from row mu alone.
 
-        The amplitudes of row mu are t D t_mu, D = diag(exp(-i Omega_r t))
-        unitary, so their squared norm misses 1 by at most |(t t^T)_mu_mu - 1|
-        + ||t^T t - 1||_2 (t t^T)_mu_mu.
+        The amplitudes t D w, w = t_mu, D = diag(exp(-i Omega_r t)), have the
+        squared norm z^* G z, z = D w, G = t^T t.  For the formulas' t, whose
+        entries the stored ones are within gamma = ``_ENTRY_ROUNDING`` of, it
+        lies within q = |P - 1| + sum w_r^2 (cd_r + beta (1 + cd_r)) + B of 1,
+        P = ||w||^2, beta = (1 - gamma)^-2 - 1, B :func:`_off_diagonal` at w.
+        The stored entries move t z by e <= gamma ||w||_1 max ||t_r|| <= gamma
+        (1 - gamma)^-1 ||w||_1 (1 + max cd)^1/2, the norm by 2 (1 + q)^1/2 e +
+        e^2.  P, the rounded squares' correctly rounded sum, is within eps P;
+        the sums of N + 1 positive terms take (N + 8) eps.
         """
-        r = self.row(mu)
-        norm = float(r @ r)
-        return abs(norm - 1.0) + self.orthogonality_bound * norm
+        w = self.row(mu)
+        sq, cd = w * w, self._deviations
+        norm, beta = math.fsum(sq), (1.0 - _ENTRY_ROUNDING) ** -2 - 1.0
+        q = (abs(norm - 1.0) + _EPS * norm + float(sq @ (cd + beta * (1.0 + cd)))
+             + _off_diagonal(self.spectrum, w))
+        e = (_ENTRY_ROUNDING / (1.0 - _ENTRY_ROUNDING) * float(np.abs(w).sum())
+             * math.sqrt(1.0 + self.column_deviation))
+        return (q + 2.0 * math.sqrt(1.0 + q) * e + e * e) * (1.0 + (w.size + 7.0) * _EPS)
 
 
 def row_index(label, n_modes: int) -> int:
@@ -314,107 +329,56 @@ def _deviation(norms, err):
     return (np.abs(norms - 1.0) + err + 0.5 * _EPS * norms) * (1.0 + 4.0 * _EPS)
 
 
-def _orthogonality_bound(spectrum: ModeSpectrum, col_dev: np.ndarray) -> np.ndarray:
-    """For each column r of t, a bound on row r's absolute sum in t^T t - 1,
-    raised for the rounding of t's entries.  Its maximum bounds ||t^T t - 1||_2
-    and so every entry of t t^T - 1, whose eigenvalues are the same.
+def _off_diagonal(spectrum: ModeSpectrum, x=None) -> float:
+    """A bound on |z^* G_off z| over complex z with |z| = |x|, G_off the
+    off-diagonal part of G = t^T t; with x None, on ||G_off||_2.  O(N).
 
-    Off the diagonal |(t^T t)_rs| = a_r a_s |F_r - F_s| / |lam_r - lam_s|, a =
-    t_atom = sqrt(w), so row r sums to at most |col_r - 1| + a_r sum_{s != r}
-    a_s (|F_r| + |F_s|) / |lam_r - lam_s|, each |F| raised by its rounding
-    bound (:meth:`ModeSpectrum.raised_residuals`).  The terms are taken
-    exactly for |r - s| <= K (:func:`_near_pair_sums`) and where r or s is one of
-    the outer pair {0, N} (the top root can lie far above omega_N); for inner
-    r, s farther apart they come in blocks d <= |s - r| < qd, each bounded by
-    its sums of a_s and a_s |F_s| over its nearest gap
-    (:func:`_far_pair_sums`).  With each offset carried from its nearer
-    asymptote (|s| <= 1/2 but for the top root), two roots share one only as
-    neighbours r, r+1, and their gap is formed from the offsets, ((s_r+1 -
-    s_r)(u_r+1 + u_r)), so it keeps its digits.  Any other two, u_r < u_j, lie
-    more than 1/2 apart, and u_r < N, so lam_j - lam_r = (u_j^2 - u_r^2) dw^2 in
-    floats is within 1.5 eps (u_j + u_r) / (u_j - u_r) + eps/2 < (6N + 2) eps of
-    itself, relative.  A prefix sum of positive terms is within N eps/2 of
-    itself, so a block sum is at most its upper prefix raised by (N + 2) eps,
-    less its lower prefix.  With the rest of the bound's arithmetic, on
-    positive terms only, (7N + 16) eps relative covers it.  A stored entry is
-    within gamma = 4 eps of the element these formulas hold for, which moves
-    the column norms and each entry of t t^T by at most 2 gamma + gamma^2
-    (Cauchy-Schwarz).
+    G_rs = -a_r a_s (F_r - F_s) / (lam_r - lam_s), a = sqrt(w), |F_r| <= phi_r
+    (:meth:`ModeSpectrum.raised_residuals`): two Cauchy forms in v = a z.  By
+    Montgomery and Vaughan (J. London Math. Soc. (2) 8 (1974) 73-82)
+    |sum_{r != s} conj(v_r) v_s / (lam_r - lam_s)| <= (3 pi / 2) sum |v_r|^2 /
+    delta_r, delta_r the nearest gap; the kernel is i times Hermitian, so with
+    y = |x| a the form is at most 3 pi [sum (y phi)^2 / delta]^1/2 [sum y^2 /
+    delta]^1/2, and the 2-norm (y = a) 3 pi max(y phi / delta^1/2) max(y /
+    delta^1/2).  The pairs that touch the ``_HEAVY`` roots of largest y^2 /
+    delta go term by term instead, y_r y_s (phi_r + phi_s) / |lam_r - lam_s|
+    (for the 2-norm, their largest absolute row sum), those weights zeroed.
+
+    A gap in units of dw^2 is ((m_j - m_i) + (s_j - s_i))(u_j + u_i), u = m +
+    s: roots that share an asymptote (only neighbours do) keep their digits,
+    any other two lie 1/2 or more apart with |s_j - s_i| <= 2 |u_j - u_i|, so a
+    float gap is within 3u + 2u + u <= 4 eps (u = eps/2).  With phi / dw^2
+    within 2 eps, a exact (the stored atom row), y within u and four more
+    roundings, a term is within 12 eps; a sum of N + 1 positive terms adds N
+    u, and 2 ``_HEAVY`` + 4 roundings combine the sums: (N + 32) eps covers it.
     """
-    p = spectrum.params
-    n = p.n_modes
-    m, s = spectrum.asymptotes.astype(float), spectrum.offsets
-    u = m + s
-    lam = u * u  # lam / dw^2
-    close = np.full(n, np.inf)  # the gap of roots r, r+1 on one asymptote
-    pairs = np.flatnonzero(m[1:] == m[:-1])
-    close[pairs] = (s[pairs + 1] - s[pairs]) * (u[pairs + 1] + u[pairs])
-    phi = spectrum.raised_residuals() / p.delta_omega**2  # in the gaps' units
-    a = np.sqrt(spectrum.weights)
-    b = a * phi
-    sums = _near_pair_sums(lam, close, phi, a, b)
-    # the outer pair's terms with the roots beyond their windows, each pair once
-    outer = [0, n]
-    inv = np.abs(lam - lam[outer, None])
-    inv[0, :_NEAR + 1] = inv[1, max(0, n - _NEAR):] = inv[1, 0] = np.inf
-    np.reciprocal(inv, out=inv)
-    sums += phi * (a[outer] @ inv) + b[outer] @ inv
-    sums[outer] += phi[outer] * (inv @ a) + inv @ b
-    _far_pair_sums(lam[1:n], phi[1:n], a[1:n], b[1:n], out=sums[1:n])
-    bound = (col_dev + a * sums) * (1.0 + (7.0 * n + 16.0) * _EPS)
-    entry = 2.0 * _ENTRY_ROUNDING + _ENTRY_ROUNDING**2
-    return bound + 2.0 * entry * (1.0 + bound)
+    m, s, u = spectrum.asymptotes, spectrum.offsets, spectrum.asymptotes + spectrum.offsets
+    phi = spectrum.raised_residuals() / spectrum.params.delta_omega**2  # the gaps' units
+    y = np.sqrt(spectrum.weights) * (1.0 if x is None else np.abs(x))
 
+    def gap(i, j):  # |lam_j - lam_i| / dw^2
+        return np.abs(((m[j] - m[i]) + (s[j] - s[i])) * (u[j] + u[i]))
 
-def _near_pair_sums(lam, close, phi, a, b):
-    """Each root's sum of (phi_r a_s + b_s) / |lam_s - lam_r| (b = a phi) over
-    the roots s with 0 < |s - r| <= K, a block of rows of windows at a time;
-    ``close`` holds the gap of neighbours r, r+1 on one asymptote, inf elsewhere."""
-    n = lam.size
-    k = min(_NEAR, n - 1)
-    pad = np.zeros((3, k))
-    pad[0] = np.inf
-    # row r of a window: (lam, a, b) at r - k .. r + k; out of range, lam = -+inf, a = b = 0
-    windows = sliding_window_view(np.hstack((-pad, np.stack((lam, a, b)), pad)), 2 * k + 1,
-                                  axis=1)
-    neighbours = np.stack((np.concatenate(([np.inf], close)),  # r - 1, r + 1
-                           np.concatenate((close, [np.inf]))), axis=1)
-    sums = np.empty(n)
-    step = max(1, _BLOCK_ELEMENTS // (2 * k + 1))
-    for i in range(0, n, step):
-        j = slice(i, i + step)
-        gap = np.abs(windows[0, j] - lam[j, None])
-        gap[:, k] = np.inf
-        nearest = gap[:, [k - 1, k + 1]]
-        gap[:, [k - 1, k + 1]] = np.where(neighbours[j] < np.inf, neighbours[j], nearest)
-        inv = np.reciprocal(gap, out=gap)
-        sums[j] = (phi[j] * np.einsum("ij,ij->i", inv, windows[1, j])
-                   + np.einsum("ij,ij->i", inv, windows[2, j]))
-    return sums
-
-
-def _far_pair_sums(lam, phi, a, b, out):
-    """Adds to ``out`` a bound on each root's sum of (phi_r a_s + b_s) / |lam_s -
-    lam_r| over the roots with |s - r| > K: the s with d <= |s - r| < qd (q =
-    ``_BLOCK_RATIO``), from prefix sums of a and b, over the gap to the
-    nearest of them (:func:`_orthogonality_bound`)."""
-    n = lam.size
-    if n <= _NEAR + 1:
-        return
-    # P[t] = sum_{i < t} (a_i, b_i) at n + t for -n <= t <= 2n, raised for the upper ends
-    prefix = np.cumsum(np.stack((a, b)), axis=1)
-    prefix = np.hstack((np.zeros((2, n + 1)), prefix, np.repeat(prefix[:, -1:], n, axis=1)))
-    raised = prefix * (1.0 + (n + 3.0) * _EPS)
-    sums = np.zeros((2, n))  # sum over blocks of (sum a, sum b) / gap
-    d = _NEAR + 1
-    while d < n:
-        e = min(n, max(d + 1, int(np.ceil(_BLOCK_RATIO * d))))
-        cnt = n - d
-        inv = 1.0 / (lam[d:] - lam[:cnt])
-        for rows, hi, lo in ((slice(0, cnt), n + e, n + d), (slice(d, n), n + 1, n + d - e + 1)):
-            sums[:, rows] += inv * (raised[:, hi:hi + cnt] - prefix[:, lo:lo + cnt])
-        d = e
-    out += phi * sums[0] + sums[1]
+    near = np.append(gap(slice(None, -1), slice(1, None)), np.inf)  # lam_r+1 - lam_r
+    near = np.minimum(near, np.roll(near, 1))
+    heavy = np.argpartition(y * y / near, -min(_HEAVY, u.size))[-_HEAVY:]
+    top_row, cols, pairs = 0.0, np.zeros(u.size), 0.0
+    for h in heavy:
+        d = gap(h, slice(None))
+        d[h] = np.inf
+        term = (phi + phi[h]) * (y[h] * y) / d
+        top_row = max(top_row, term.sum())
+        cols += term
+        term[heavy] *= 0.5  # a pair inside the heavy set is met from both ends
+        pairs += 2.0 * term.sum()
+    y[heavy] = cols[heavy] = 0.0
+    b = y * y / near  # y^2 / delta
+    c = b * phi * phi  # (y phi)^2 / delta
+    if x is None:
+        bound = max(top_row, cols.max()) + 3.0 * np.pi * np.sqrt(c.max() * b.max())
+    else:
+        bound = pairs + 3.0 * np.pi * np.sqrt(c.sum() * b.sum())
+    return float(bound) * (1.0 + (u.size + 31.0) * _EPS)
 
 
 def atom_element(omega_r: float, params: DressedAtomParams) -> float:

@@ -294,8 +294,8 @@ def row_norm_rounding(tm: TransformMatrix, mu) -> float:
       * The moduli move the amplitudes by at most kappa ||t|| ||w||_2, and
         the N+1-term sums by sqrt(2) gamma_{N+1} ||t|| (1 + kappa) ||w||_1
         (each column of t is at most ||t||, and ||t||^2 <= 1 + the
-        orthogonality bound): a distance dist from exact amplitudes of norm
-        a <= sqrt(1 + m).
+        orthogonality bound): a distance dist from the exact amplitudes
+        t D w, of norm a <= ||t|| ||w||_2.
       * Squaring moves the norm by 2 a dist + dist^2, and the 2(N+1) rounded
         squares, summed, add gamma_{2N+3} (a + dist)^2.
     """
@@ -306,10 +306,10 @@ def row_norm_rounding(tm: TransformMatrix, mu) -> float:
         return k * u / (1.0 - k * u)
 
     kappa = gamma(3)
-    a = math.sqrt(1.0 + tm.unitarity_margin(mu))
-    dist = math.sqrt(1.0 + tm.orthogonality_bound) * (
-        kappa * math.sqrt(float(w @ w))
-        + math.sqrt(2.0) * gamma(w.size) * (1.0 + kappa) * float(np.abs(w).sum()))
+    t_norm, w_norm = math.sqrt(1.0 + tm.orthogonality_bound), math.sqrt(float(w @ w))
+    a = t_norm * w_norm
+    dist = t_norm * (kappa * w_norm
+                     + math.sqrt(2.0) * gamma(w.size) * (1.0 + kappa) * float(np.abs(w).sum()))
     return 2.0 * a * dist + dist**2 + gamma(2 * w.size + 1) * (a + dist) ** 2
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -183,6 +184,21 @@ class TestBuildMatrix:
             tracemalloc.stop()
         assert peak < 0.02 * (n + 1)**2 * 8
 
+    def test_build_holds_few_arrays(self):
+        # the column check and the O(N) orthogonality bound work in blocks and
+        # in place, so the record's build peaks near the residuals' raise, a
+        # few arrays of N+1 floats, as the solve does
+        p = DressedAtomParams(1.0, 0.4, 0.5, 100_000)
+        spec = solve_eigenfrequencies(p)
+        build_matrix(spec)  # caches and lazy imports out of the count
+        tracemalloc.start()
+        try:
+            build_matrix(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * 8 * (p.n_modes + 1)
+
     def test_columns_orthogonal(self, fig_matrix):
         gram = fig_matrix.t.T @ fig_matrix.t
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-8
@@ -317,9 +333,78 @@ class TestRowLabels:
             build_matrix(spec)
 
 
+def long_double_row_deviation(tm, mu, times):
+    """max over ``times`` of |sum_nu |f_mu_nu(t)|^2 - 1| for the stored t,
+    f = t D t_mu, in long double: the O(N^2)-a-time route to the row norms."""
+    t = tm.t.astype(np.longdouble)
+    angle = np.outer(tm.spectrum.bigomegas, times).astype(np.longdouble)
+    re, im = t @ (t[mu, :, None] * np.cos(angle)), t @ (t[mu, :, None] * np.sin(angle))
+    return float(np.max(np.abs(np.sum(re * re + im * im, axis=0) - 1.0)))
+
+
+# the entropy drift scan's spectra (test_bipartite.TestEntropyDriftBound) at N <= 200
+DRIFT_SCAN = list(itertools.product([1e-9, 0.02, 0.9, 5.0], [1e-3, 1.0, 1e3], [1, 8, 200]))
+
+
 class TestOrthogonalityBound:
-    """The near/far bound from the secular residuals against the O(N^3) GEMM
-    Gram, and the column bound against the stored columns' exact norms."""
+    """The O(N) bound from the secular residuals, Montgomery-Vaughan's
+    inequality and the heavy roots' pair sums against the O(N^3) GEMM Gram
+    and long-double row norms, and the column bound against the stored
+    columns' exact norms."""
+
+    @pytest.mark.parametrize("g, delta, n", DRIFT_SCAN + [
+        (g, delta, 2048) for g, delta, _ in DRIFT_SCAN[::3]])
+    def test_row_margins_bound_the_long_double_row_norms(self, g, delta, n):
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("long double is no wider than double here")
+        tm = build_matrix(solve_eigenfrequencies(DressedAtomParams(1.0, g, delta, n)))
+        # at N = 2048 the atom row on a few times: each time is an O(N^2) pass
+        rows = {0, min(3, n), n // 2, n} if n <= 200 else {0}
+        times = np.linspace(0.0, 25.0, 26 if n <= 200 else 4)
+        for mu in rows:
+            assert long_double_row_deviation(tm, mu, times) <= tm.unitarity_margin(mu)
+
+    @pytest.mark.parametrize("g, delta, n", DRIFT_SCAN)
+    def test_global_bound_covers_the_long_double_gram(self, g, delta, n):
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("long double is no wider than double here")
+        tm = build_matrix(solve_eigenfrequencies(DressedAtomParams(1.0, g, delta, n)))
+        t = tm.t.astype(np.longdouble)
+        gram = t.T @ t - np.eye(n + 1, dtype=np.longdouble)
+        assert np.linalg.norm(gram.astype(float), 2) <= tm.orthogonality_bound
+
+    @pytest.mark.parametrize("signs", ["random", "split"])
+    @pytest.mark.parametrize("heavy", [1, coupling._HEAVY])
+    @pytest.mark.parametrize("g, delta, n", [(0.5, 0.1, 200), (0.02, 1e3, 200), (0.9, 30.0, 300),
+                                             (1e-9, 1e-3, 64), (5.0, 1.0, 300)])
+    def test_off_diagonal_bound_holds_at_any_residuals(self, g, delta, n, heavy, signs,
+                                                        monkeypatch):
+        # residuals of 1e-8 dw^2, far above rounding, of random signs or of one
+        # sign on each side of the heaviest root: the bound covers the dense
+        # off-diagonal Gram they give, its 2-norm and its form at a row's
+        # weights with the signs of its top eigenvector; with one heavy root
+        # the inequality takes nearly every pair (at N = 300, delta = 30 the
+        # atom row's form is 4x what the heavy pairs alone would bound)
+        spec = solve_eigenfrequencies(DressedAtomParams(1.0, g, delta, n))
+        tm = build_matrix(spec)
+        rng = np.random.default_rng(n)
+        a = np.sqrt(spec.weights)
+        phi = 1e-8 * spec.params.delta_omega**2 * rng.uniform(0.5, 1.0, n + 1)
+        sign = (rng.choice([-1.0, 1.0], n + 1) if signs == "random"
+                else np.where(np.arange(n + 1) < np.argmax(a), 1.0, -1.0))
+        f = phi * sign / spec.params.delta_omega**2
+        m, s = spec.asymptotes, spec.offsets
+        gap = (np.subtract.outer(m, m) + np.subtract.outer(s, s)) * np.add.outer(m + s, m + s)
+        np.fill_diagonal(gap, 1.0)
+        gram = -np.outer(a, a) * np.subtract.outer(f, f) / gap
+        monkeypatch.setattr(ModeSpectrum, "raised_residuals", lambda self: phi.copy())
+        monkeypatch.setattr(coupling, "_HEAVY", heavy)
+        assert np.abs(np.linalg.eigvalsh(gram)).max() <= coupling._off_diagonal(spec)
+        for mu in (0, n // 2):
+            x = tm.row(mu)
+            values, vectors = np.linalg.eigh(x[:, None] * gram * x)
+            z = x * np.where(vectors[:, np.argmax(np.abs(values))] >= 0.0, 1.0, -1.0)
+            assert abs(z @ gram @ z) <= coupling._off_diagonal(spec, x)
 
     @pytest.mark.parametrize("n", [100, 600, NEAR_EDGE, NEAR_EDGE + 1])
     @pytest.mark.parametrize("delta", [1e-3, 1e3])
