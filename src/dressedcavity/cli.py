@@ -266,12 +266,12 @@ def _route(cfg: RunConfig, regime: str, mu: int, nu: int,
     |E(t) - H(1 - xi, xi)| over every t (None without).
 
     "exact": rows mu and nu of t, formed on demand (O(N) memory, no cap), f_mu_nu
-    from one vector phase sum, and unitarity from the transform's static
-    margin, which bounds the row norm's deviation at every time.  The drift
-    bound (:func:`bipartite.entropy_drift_bound`) takes that margin raised by
-    the row norms' rounding (:func:`dynamics.row_norm_rounding`), so it holds
-    for the exact E(t) and for E(t) as the time-domain route evaluates it
-    from the whole amplitude row; it must be at most 1e-8.  "free-space":
+    from one vector phase sum, and unitarity from row mu's static margin m,
+    which bounds the row norm's deviation at every time.  The drift bound
+    (:func:`bipartite.entropy_drift_bound`) takes m plus the row norms'
+    rounding, which :func:`dynamics.row_norm_rounding` bounds from the row, m
+    and the column bounds, so it holds for the exact E(t) and for E(t) as the
+    time-domain route evaluates it; it must be at most 1e-8.  "free-space":
     the closed form, whose record checks omega_bar > g and the continuum
     weight (:class:`dynamics.FreeSpaceParams`); drift 0.  "small": the series.
     """
@@ -284,7 +284,7 @@ def _route(cfg: RunConfig, regime: str, mu: int, nu: int,
         drift = None
         if entropy:
             drift = bipartite.entropy_drift_bound(
-                cfg.xi, margin + dynamics.row_norm_rounding(tm, mu))
+                cfg.xi, margin + dynamics.row_norm_rounding(tm, mu, margin))
             require(drift <= 1e-8, InvariantViolation,
                     "entropy drift bound {:.3e} exceeds 1e-8", drift)
         return dynamics.amplitude_trace(tm, mu, nu, times), drift

@@ -94,28 +94,32 @@ class TransformMatrix:
     puts on |sum_mu (t_mu^r)^2 - 1| over the entries :func:`_field_rows` forms,
     from their near fields and a bounded far field; ``orthogonality_bound``
     adds :func:`_off_diagonal`'s B on ||t^T t - diag||_2 and 2 (2 gamma +
-    gamma^2)(1 + B), by which the stored entries (gamma = ``_ENTRY_ROUNDING``)
-    move each entry of t t^T (Cauchy-Schwarz); for the 2-norm that step would
-    take || |t| ||_2 for 1 + B.  Both must be at most 1e-6.  :meth:`row` and
-    :attr:`t` form their entries through :func:`_field_rows`, so they return
-    the bits the near fields checked and the far field bounds.
+    gamma^2)(1 + B) for the stored entries (gamma = ``_ENTRY_ROUNDING``,
+    Cauchy-Schwarz): it bounds ||t^T t - 1||_2 for the formulas' t and each
+    entry of the stored t's Gram minus 1, not that Gram's 2-norm, which
+    ``test_global_bound_covers_the_long_double_gram`` checks.  Both must be
+    at most 1e-6.  :meth:`row` and :attr:`t` form their entries through
+    :func:`_field_rows`, so they return the bits the near fields checked and
+    the far field bounds.
     """
 
     spectrum: ModeSpectrum
     column_deviation: float = field(init=False)
     orthogonality_bound: float = field(init=False)
     _deviations: np.ndarray = field(init=False, repr=False)
+    _phi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         col_dev = _column_deviation(self.spectrum)
         require(col_dev <= _COLUMN_NORM_TOL, NormalizationFailure,
                 "column {i} norm deviates by {:.3e} (bad roots?)", col_dev)
-        bound = float(col_dev.max()) + _off_diagonal(self.spectrum)
+        phi = self.spectrum.raised_residuals() / self.spectrum.params.delta_omega**2
+        bound = float(col_dev.max()) + _off_diagonal(self.spectrum, phi)
         bound += 2.0 * (2.0 * _ENTRY_ROUNDING + _ENTRY_ROUNDING**2) * (1.0 + bound)
         require(bound <= _ORTHO_TOL, NormalizationFailure,
                 "orthogonality bound {:.3e} exceeds {} (bad roots?)", bound, _ORTHO_TOL)
         freeze(self, column_deviation=float(col_dev.max()), orthogonality_bound=bound,
-               _deviations=col_dev)
+               _deviations=col_dev, _phi=phi)
 
     @cached_property
     def t(self) -> np.ndarray:
@@ -123,7 +127,7 @@ class TransformMatrix:
         n = self.spectrum.params.n_modes
         if n > MATRIX_MODE_CAP:
             raise ValueError(f"n_modes={n} exceeds the dense-matrix cap {MATRIX_MODE_CAP}; "
-                             "use atom_weights() or row() for large truncations")
+                             "use spectrum.weights or row() for large truncations")
         t = np.empty((n + 1, n + 1))
         t[0] = np.sqrt(self.spectrum.weights)
         step = max(1, _BLOCK_ELEMENTS // (n + 1))
@@ -157,7 +161,7 @@ class TransformMatrix:
         sq, cd = w * w, self._deviations
         norm, beta = math.fsum(sq), (1.0 - _ENTRY_ROUNDING) ** -2 - 1.0
         q = (abs(norm - 1.0) + _EPS * norm + float(sq @ (cd + beta * (1.0 + cd)))
-             + _off_diagonal(self.spectrum, w))
+             + _off_diagonal(self.spectrum, self._phi, w))
         e = (_ENTRY_ROUNDING / (1.0 - _ENTRY_ROUNDING) * float(np.abs(w).sum())
              * math.sqrt(1.0 + self.column_deviation))
         return (q + 2.0 * math.sqrt(1.0 + q) * e + e * e) * (1.0 + (w.size + 7.0) * _EPS)
@@ -329,31 +333,31 @@ def _deviation(norms, err):
     return (np.abs(norms - 1.0) + err + 0.5 * _EPS * norms) * (1.0 + 4.0 * _EPS)
 
 
-def _off_diagonal(spectrum: ModeSpectrum, x=None) -> float:
+def _off_diagonal(spectrum: ModeSpectrum, phi: np.ndarray, x=None) -> float:
     """A bound on |z^* G_off z| over complex z with |z| = |x|, G_off the
     off-diagonal part of G = t^T t; with x None, on ||G_off||_2.  O(N).
 
     G_rs = -a_r a_s (F_r - F_s) / (lam_r - lam_s), a = sqrt(w), |F_r| <= phi_r
-    (:meth:`ModeSpectrum.raised_residuals`): two Cauchy forms in v = a z.  By
-    Montgomery and Vaughan (J. London Math. Soc. (2) 8 (1974) 73-82)
-    |sum_{r != s} conj(v_r) v_s / (lam_r - lam_s)| <= (3 pi / 2) sum |v_r|^2 /
-    delta_r, delta_r the nearest gap; the kernel is i times Hermitian, so with
-    y = |x| a the form is at most 3 pi [sum (y phi)^2 / delta]^1/2 [sum y^2 /
-    delta]^1/2, and the 2-norm (y = a) 3 pi max(y phi / delta^1/2) max(y /
-    delta^1/2).  The pairs that touch the ``_HEAVY`` roots of largest y^2 /
-    delta go term by term instead, y_r y_s (phi_r + phi_s) / |lam_r - lam_s|
-    (for the 2-norm, their largest absolute row sum), those weights zeroed.
+    dw^2 (``phi``, :meth:`ModeSpectrum.raised_residuals` over dw^2): two Cauchy
+    forms in v = a z.  By Montgomery and Vaughan (J. London Math. Soc. (2) 8
+    (1974) 73-82) |sum_{r != s} conj(v_r) v_s / (lam_r - lam_s)| <= (3 pi / 2)
+    sum |v_r|^2 / delta_r, delta_r the nearest gap; the kernel is i times
+    Hermitian, so with y = |x| a the form is at most 3 pi [sum (y phi)^2 /
+    delta]^1/2 [sum y^2 / delta]^1/2, and the 2-norm (y = a) 3 pi max(y phi /
+    delta^1/2) max(y / delta^1/2).  The pairs that touch the ``_HEAVY`` roots of
+    largest y^2 / delta go term by term instead, y_r y_s (phi_r + phi_s) /
+    |lam_r - lam_s| (for the 2-norm, their largest absolute row sum), those
+    weights zeroed.
 
     A gap in units of dw^2 is ((m_j - m_i) + (s_j - s_i))(u_j + u_i), u = m +
     s: roots that share an asymptote (only neighbours do) keep their digits,
     any other two lie 1/2 or more apart with |s_j - s_i| <= 2 |u_j - u_i|, so a
-    float gap is within 3u + 2u + u <= 4 eps (u = eps/2).  With phi / dw^2
-    within 2 eps, a exact (the stored atom row), y within u and four more
-    roundings, a term is within 12 eps; a sum of N + 1 positive terms adds N
-    u, and 2 ``_HEAVY`` + 4 roundings combine the sums: (N + 32) eps covers it.
+    float gap is within 3u + 2u + u <= 4 eps (u = eps/2).  With phi within 2
+    eps, a exact (the stored atom row), y within u and four more roundings, a
+    term is within 12 eps; a sum of N + 1 positive terms adds N u, and 2
+    ``_HEAVY`` + 4 roundings combine the sums: (N + 32) eps covers it.
     """
     m, s, u = spectrum.asymptotes, spectrum.offsets, spectrum.asymptotes + spectrum.offsets
-    phi = spectrum.raised_residuals() / spectrum.params.delta_omega**2  # the gaps' units
     y = np.sqrt(spectrum.weights) * (1.0 if x is None else np.abs(x))
 
     def gap(i, j):  # |lam_j - lam_i| / dw^2

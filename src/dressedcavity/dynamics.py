@@ -276,11 +276,12 @@ def amplitude_row(tm: TransformMatrix, mu, times) -> np.ndarray:
     return (tm.t @ table.view(float)).view(complex).T
 
 
-def row_norm_rounding(tm: TransformMatrix, mu) -> float:
+def row_norm_rounding(tm: TransformMatrix, mu, margin: float) -> float:
     """A bound on how far the row norms sum_nu |f_mu_nu(t)|^2 of
     :func:`amplitude_row`, summed in floats in any order, lie from those of
-    the exact amplitudes, at every t: with row mu's unitarity margin m, each
-    lies within m plus this of 1.  O(N), from row mu alone, at any N.
+    the exact amplitudes, at every t: with row mu's unitarity margin
+    ``margin``, each lies within it plus this of 1.  O(N), from the row, its
+    margin and the column bounds, at any N.
 
     The row is t (w o phi), w = t_mu, with each phase phi_r = exp(-i x) of
     the rounded angle x = Omega_r t (u = eps/2, gamma_k = k u / (1 - k u)):
@@ -291,26 +292,20 @@ def row_norm_rounding(tm: TransformMatrix, mu) -> float:
         within 2u of 1.  The weight's product rounds each part once (u).
         So |w_r phi_r| = |w_r| (1 + k), |k| <= (1 + 2u)(1 + u) - 1 <= kappa =
         gamma_3, on every grid.
-      * The moduli move the amplitudes by at most kappa ||t|| ||w||_2, and
-        the N+1-term sums by sqrt(2) gamma_{N+1} ||t|| (1 + kappa) ||w||_1
-        (each column of t is at most ||t||, and ||t||^2 <= 1 + the
-        orthogonality bound): a distance dist from the exact amplitudes
-        t D w, of norm a <= ||t|| ||w||_2.
+      * Each stored column has norm at most c = (1 + ``column_deviation``)^1/2.
+        So the moduli move the amplitudes by at most kappa c ||w||_1, and the
+        real and imaginary (N+1)-term sums by sqrt(2) gamma_{N+1} (1 + kappa)
+        c ||w||_1: a distance dist from the exact amplitudes t D w, whose
+        norm a is at most (1 + margin)^1/2.
       * Squaring moves the norm by 2 a dist + dist^2, and the 2(N+1) rounded
         squares, summed, add gamma_{2N+3} (a + dist)^2.
     """
-    u = 0.5 * np.finfo(float).eps
-    w = tm.row(mu)
-
-    def gamma(k):
-        return k * u / (1.0 - k * u)
-
-    kappa = gamma(3)
-    t_norm, w_norm = math.sqrt(1.0 + tm.orthogonality_bound), math.sqrt(float(w @ w))
-    a = t_norm * w_norm
-    dist = t_norm * (kappa * w_norm
-                     + math.sqrt(2.0) * gamma(w.size) * (1.0 + kappa) * float(np.abs(w).sum()))
-    return 2.0 * a * dist + dist**2 + gamma(2 * w.size + 1) * (a + dist) ** 2
+    w, u = tm.row(mu), 0.5 * np.finfo(float).eps
+    kappa, g_sum, g_squares = (k * u / (1.0 - k * u) for k in (3, w.size, 2 * w.size + 1))
+    a = math.sqrt(1.0 + margin)
+    dist = (math.sqrt(1.0 + tm.column_deviation) * float(np.abs(w).sum())
+            * (kappa + math.sqrt(2.0) * g_sum * (1.0 + kappa)))
+    return 2.0 * a * dist + dist**2 + g_squares * (a + dist) ** 2
 
 
 def survival_trace(spectrum: ModeSpectrum, times,

@@ -467,7 +467,8 @@ class TestEntropyCommand:
         assert run("entropy", "--regime", "exact", *argv, "--out", str(tmp_path)) == EXIT_OK
         cfg = RunConfig(xi=0.25, steps=33, n_modes=48)
         tm = coupling.build_matrix(solve_eigenfrequencies(cfg.atom_params()))
-        deviation = tm.unitarity_margin(0) + dynamics.row_norm_rounding(tm, 0)
+        margin = tm.unitarity_margin(0)
+        deviation = margin + dynamics.row_norm_rounding(tm, 0, margin)
         bound = bipartite.entropy_drift_bound(0.25, deviation)
         assert f"max_deviation={bound:.3e}" in capsys.readouterr().out
         lines = (tmp_path / "entropy.csv").read_text().splitlines()[1:]
@@ -533,6 +534,24 @@ def test_one_phase_sum_per_atom(tmp_path, monkeypatch, argv):
         return kernel(*args)
 
     monkeypatch.setattr(dynamics, "_phase_sum", counted)
+    assert run(*argv, "--steps", "9", "--n-modes", "16", "--out", str(tmp_path)) == EXIT_OK
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("impurity",),
+    ("entropy", "--regime", "exact"),
+    ("amplitude", "--regime", "exact", "--mu", "3"),
+])
+def test_one_residual_raise_per_exact_job(tmp_path, monkeypatch, argv):
+    # the record forms the raised residuals in its build, and the row's margin reads them
+    raise_residuals, calls = spectrum.ModeSpectrum.raised_residuals, []
+
+    def counted(self):
+        calls.append(self)
+        return raise_residuals(self)
+
+    monkeypatch.setattr(spectrum.ModeSpectrum, "raised_residuals", counted)
     assert run(*argv, "--steps", "9", "--n-modes", "16", "--out", str(tmp_path)) == EXIT_OK
     assert len(calls) == 1
 

@@ -376,7 +376,8 @@ class TestPhaseSum:
             monkeypatch.setattr(dynamics, name, refuse)
         times = np.linspace(0.0, 25.0, 201)
         self._assert_row_matches_mode_loop(times, fig_matrix)
-        assert 0.0 < dynamics.row_norm_rounding(fig_matrix, 3) < 1e-12
+        margin = fig_matrix.unitarity_margin(3)
+        assert 0.0 < dynamics.row_norm_rounding(fig_matrix, 3, margin) < 1e-12
 
 
 class TestImagSurvivalIntegral:
