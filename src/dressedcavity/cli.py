@@ -440,6 +440,9 @@ _COMMANDS = {
     "matrix-dump": (cmd_matrix_dump, _COMMON),
     "oracle-check": (cmd_oracle_check, _COMMON),
 }
+# The flags that take a value: --config and every key's but a boolean's.
+_VALUE_FLAGS = {"--config"} | {"--" + key.replace("_", "-") for key, value in
+                               vars(RunConfig()).items() if type(value) is not bool}
 
 
 @functools.cache
@@ -451,25 +454,22 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, keys) in _COMMANDS.items():
         command = sub.add_parser(name, allow_abbrev=False)  # one spelling per flag
         command.add_argument("--config", help="flat key=value config file")
-        for key in keys:
-            flag = "--" + key.replace("_", "-")
-            if type(getattr(RunConfig, key)) is bool:
-                command.add_argument(flag, action="store_const", const="yes")
-            else:
-                command.add_argument(flag)
+        for flag in ("--" + key.replace("_", "-") for key in keys):
+            store = {} if flag in _VALUE_FLAGS else {"action": "store_const", "const": "yes"}
+            command.add_argument(flag, **store)
     return parser
 
 
 def config_from_args(args: argparse.Namespace, rest=()) -> RunConfig:
     """Defaults, then config file, then flags; ``rest``, words the parser left, is refused."""
+    # every flag the parser defines but --config is a RunConfig field; unset ones are None
+    flags = {key: _read(key, text, "--" + key.replace("_", "-")) for key, text in vars(args).items()
+             if key not in ("command", "config") and text is not None}
     if rest and not rest[0].startswith("--"):  # a value without its flag, or a bare word
         raise ValueError(f"{args.command}: stray argument {rest[0]!r}")
     if rest:  # named by its key, as a file line names it: --t-max=2 is t_max
         raise ValueError(_outside(args.command,
                                   rest[0].split("=", 1)[0].removeprefix("--").replace("-", "_")))
-    # every flag the parser defines but --config is a RunConfig field; unset ones are None
-    flags = {key: _read(key, text, "--" + key.replace("_", "-")) for key, text in vars(args).items()
-             if key not in ("command", "config") and text is not None}
     file = parse_config_file(args.config, args.command) if args.config else {}
     cfg = RunConfig(**(file | flags))
     cfg.validate()
@@ -478,6 +478,10 @@ def config_from_args(args: argparse.Namespace, rest=()) -> RunConfig:
 
 def main(argv=None) -> int:
     """Run one subcommand from ``argv`` and return its exit code (EXIT_*)."""
+    words, argv = iter(sys.argv[1:] if argv is None else argv), []
+    for word in words:  # after the command, a value flag takes the next word: -1e-3 too
+        value = next(words, None) if argv and word in _VALUE_FLAGS else None
+        argv.append(word if value is None else f"{word}={value}")
     try:
         args, rest = build_parser().parse_known_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after -h

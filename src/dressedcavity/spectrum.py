@@ -120,10 +120,8 @@ class DressedAtomParams:
                radius=float(radius), delta_omega=float(dw), eta_sq=float(eta_sq),
                eta=math.sqrt(eta_sq))
 
-    @classmethod
-    def from_delta(cls, omega_bar, g, delta, n_modes=200):
-        """The constructor, under the name its earlier callers use."""
-        return cls(omega_bar, g, delta, n_modes)
+
+DressedAtomParams.from_delta = DressedAtomParams  # the constructor, under its earlier name
 
 
 @dataclass(frozen=True)
@@ -137,14 +135,12 @@ class ModeSpectrum:
     The record checks interlacing from the nearer end: root r < N lies in
     (omega_r, omega_r+1) (omega_0 = 0), 0 < s_r <= 1/2 from omega_r or -1/2 <=
     s_r < 0 from omega_r+1, and the top root above omega_N, s_N > 0.
-    Derived from them once: ``bigomegas`` = (m_r + s_r) dw, and
-    from one evaluation of S and S2 per root (:func:`_secular_sets` with
-    ``slope``: :func:`_secular` on each root set's kernel, the outer pair root
-    by root), the atom weights ``weights`` = (t_atom^r)^2 = 1 / |F'| = 1 /
-    (1 + eta^2 (S + lam S2)) and ``newton_rel`` = |F| w_r / Omega_r^2, each
-    root's relative Newton correction with F at the carried offsets, which
-    unlike F stays meaningful where the root hugs its asymptote, and
-    ``residuals`` = |F|.
+    Derived from them once: ``bigomegas`` = (m_r + s_r) dw, and from one
+    evaluation of S and S2 per root (:func:`_secular_sets`), the atom weights
+    ``weights`` = (t_atom^r)^2 = 1 / |F'| = 1 / (1 + eta^2 (S + lam S2)) and
+    ``newton_rel`` = |F| w_r / Omega_r^2, each root's relative Newton
+    correction with F at the carried offsets, which unlike F stays meaningful
+    where the root hugs its asymptote, and ``residuals`` = |F|.
     :func:`solve_eigenfrequencies` is the one producer; the first-order
     small-cavity frequencies are :func:`~.dynamics.first_order_modes`.
     """
@@ -171,7 +167,7 @@ class ModeSpectrum:
         require(ok, InvariantViolation,
                 "root {i} at offset {} from omega_{} does not interlace the bare modes", s, m)
         bo = _omega(m, s, self.params)[0]
-        f, slope = _secular_sets(m, s, self.params, slope=True)
+        f, slope = _secular_sets(m, s, self.params)
         w = 1.0 / slope
         f = np.abs(f)
         freeze(self, asymptotes=m, offsets=s, bigomegas=bo, weights=w,
@@ -433,18 +429,18 @@ def _secular(m, s, params: DressedAtomParams, kernel, slope: bool = False):
     return f, 1.0 + params.eta_sq * (s1 + om * om * (sums[1] / params.delta_omega**4))
 
 
-def _secular_sets(m, s, params: DressedAtomParams, slope: bool = False):
-    """:func:`_secular` at the offsets (m, s) of N+1 roots, each set of
-    :func:`_root_sets` on its own kernel: an inner block on its arrays, the
+def _secular_sets(m, s, params: DressedAtomParams):
+    """(F, slope) of :func:`_secular` at the offsets (m, s) of N+1 roots, each set
+    of :func:`_root_sets` on its own kernel: an inner block on its arrays, the
     outer pair root by root in plain floats."""
-    out = np.empty((1 + slope, m.size))
+    out = np.empty((2, m.size))
     for roots, _, kernel in _root_sets(params.n_modes):
         if isinstance(roots, slice):
-            out[:, roots] = _secular(m[roots], s[roots], params, kernel, slope)
+            out[:, roots] = _secular(m[roots], s[roots], params, kernel, slope=True)
             continue
         for i, mi, si in zip(roots.tolist(), m[roots].tolist(), s[roots].tolist()):
-            out[:, i] = _secular(mi, si, params, kernel, slope)
-    return out if slope else out[0]
+            out[:, i] = _secular(mi, si, params, kernel, slope=True)
+    return out
 
 
 def secular_residual(omega, params: DressedAtomParams):

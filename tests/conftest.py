@@ -11,7 +11,7 @@ DELTA = 0.1
 
 @pytest.fixture(scope="session")
 def fig_params():
-    return DressedAtomParams.from_delta(OMEGA_BAR, G, DELTA, n_modes=200)
+    return DressedAtomParams(OMEGA_BAR, G, DELTA, n_modes=200)
 
 
 @pytest.fixture(scope="session")

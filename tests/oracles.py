@@ -9,6 +9,7 @@ frozen alongside the tolerances they were computed at.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,23 @@ def mpmath_mode_sums(n, m, s, dps=80):
         plus, plus2 = psi(0, n + 1 + u) - psi(0, 1 + u), psi(1, 1 + u) - psi(1, n + 1 + u)
         total = (minus - plus) / (2 * u)
         return total, (minus2 + plus2) / (4 * u * u) - total / (2 * u * u)
+
+
+def exact_deviations(t, block=256):
+    """|sum_mu (t_mu^r)^2 - 1| for each column r of a stored t, correctly
+    rounded: each square is the sum of two doubles (Dekker's product), and
+    math.fsum adds them, a block of columns at a time."""
+    out = []
+    for i in range(0, t.shape[1], block):
+        x = t[:, i:i + block]
+        c = 134217729.0 * x
+        hi = c - (c - x)
+        lo = x - hi
+        sq = x * x
+        err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
+        out += [abs(math.fsum(np.concatenate((sq[:, r], err[:, r], [-1.0]))))
+                for r in range(x.shape[1])]
+    return np.array(out)
 
 
 def gram_deviation(t):

@@ -15,13 +15,13 @@ from dressedcavity import (
     DressedAtomParams,
     FreeSpaceParams,
     SuperpositionSpec,
-    amplitude_free_space,
     amplitude_row,
+    amplitude_trace,
     build_form,
     build_matrix,
     diagonalize,
     entanglement_entropy,
-    imag_survival_integral,
+    free_space_trace,
     impurity,
     oracle_amplitude,
     reduced_pair_matrix,
@@ -32,7 +32,6 @@ from dressedcavity import (
     von_neumann_entropy,
 )
 from dressedcavity.cli import main as cli_main
-from dressedcavity.dynamics import amplitude_discrete, amplitude_trace
 from oracles import brute_force_grid, brute_force_imag_integral
 
 OMEGA_BAR, G_COUPLING = 1.0, 0.5
@@ -45,7 +44,7 @@ def _report(criterion: str, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def fig200():
-    p = DressedAtomParams.from_delta(OMEGA_BAR, G_COUPLING, 0.1, n_modes=200)
+    p = DressedAtomParams(OMEGA_BAR, G_COUPLING, 0.1, n_modes=200)
     spec = solve_eigenfrequencies(p)
     return p, spec, build_matrix(spec)
 
@@ -55,7 +54,7 @@ def test_criterion_01_unitarity_suite():
     rng = np.random.default_rng(511)
     worst = 0.0
     for delta in (0.05, 0.1, 1.0, 10.0):
-        p = DressedAtomParams.from_delta(OMEGA_BAR, G_COUPLING, delta, n_modes=200)
+        p = DressedAtomParams(OMEGA_BAR, G_COUPLING, delta, n_modes=200)
         tm = build_matrix(solve_eigenfrequencies(p))
         times = np.sort(rng.uniform(0.0, 50.0, 100))
         for mu in ("atom", 1, 7):
@@ -70,7 +69,7 @@ def test_criterion_02_oracle_equivalence():
     start = time.perf_counter()
     worst_spec = worst_elem = worst_amp = 0.0
     for n in (10, 50, 200):
-        p = DressedAtomParams.from_delta(OMEGA_BAR, G_COUPLING, 0.1, n_modes=n)
+        p = DressedAtomParams(OMEGA_BAR, G_COUPLING, 0.1, n_modes=n)
         spec = solve_eigenfrequencies(p)
         tm = build_matrix(spec)
         decomp = diagonalize(build_form(p))
@@ -78,10 +77,9 @@ def test_criterion_02_oracle_equivalence():
             np.abs(spec.bigomegas - decomp.omegas) / decomp.omegas)))
         worst_elem = max(worst_elem, float(np.max(
             np.abs(np.abs(tm.t) - np.abs(decomp.vectors)))))
-        for t in np.linspace(0.0, 40.0, 9):
-            worst_amp = max(worst_amp, abs(
-                amplitude_discrete(tm, "atom", "atom", t)
-                - oracle_amplitude(decomp, "atom", "atom", t)))
+        times = np.linspace(0.0, 40.0, 9)
+        for f, t in zip(amplitude_trace(tm, "atom", "atom", times).values, times):
+            worst_amp = max(worst_amp, abs(f - oracle_amplitude(decomp, "atom", "atom", t)))
     elapsed = time.perf_counter() - start
     ok = worst_spec <= 1e-8 and worst_elem <= 1e-8 and worst_amp <= 1e-8 and elapsed < 30.0
     _report("2", ok, f"spectra {worst_spec:.1e}, elements {worst_elem:.1e}, "
@@ -89,7 +87,7 @@ def test_criterion_02_oracle_equivalence():
 
 
 def test_criterion_03_small_cavity_spectrum():
-    p = DressedAtomParams.from_delta(OMEGA_BAR, G_COUPLING, 0.1, n_modes=400)
+    p = DressedAtomParams(OMEGA_BAR, G_COUPLING, 0.1, n_modes=400)
     roots = solve_eigenfrequencies(p).bigomegas
     low_ref = 0.89528
     low_err = abs(roots[0] - low_ref) / low_ref
@@ -105,7 +103,7 @@ def test_criterion_04_small_cavity_survival_floor():
     times = np.linspace(0.0, 100.0, 8001)
     mins = {}
     for delta in (0.1, 0.05):
-        p = DressedAtomParams.from_delta(OMEGA_BAR, G_COUPLING, delta, n_modes=200)
+        p = DressedAtomParams(OMEGA_BAR, G_COUPLING, delta, n_modes=200)
         spec = solve_eigenfrequencies(p)
         vals = np.abs(survival_trace(spec, times).values) ** 2
         mins[delta] = float(vals.min())
@@ -117,10 +115,9 @@ def test_criterion_04_small_cavity_survival_floor():
 def test_criterion_05a_free_space_decay_and_envelope():
     p = FreeSpaceParams(OMEGA_BAR, G_COUPLING)
     late = np.linspace(8.0 / G_COUPLING, 50.0, 120)
-    vals = np.array([abs(amplitude_free_space(p, t)) ** 2 for t in late])
-    decayed = float(vals.max())
+    decayed = float((np.abs(free_space_trace(p, late).values) ** 2).max())
     dense = np.linspace(0.0, 30.0, 601)
-    mags = np.array([abs(amplitude_free_space(p, t)) ** 2 for t in dense])
+    mags = np.abs(free_space_trace(p, dense).values) ** 2
     window = 2 * np.pi / OMEGA_BAR
     maxima = [mags[(dense >= i * window) & (dense < (i + 1) * window)].max()
               for i in range(int(dense[-1] / window))]
@@ -138,11 +135,10 @@ def test_criterion_05a_free_space_decay_and_envelope():
 )
 def test_criterion_05b_free_space_power_law_floor():
     p = FreeSpaceParams(OMEGA_BAR, G_COUPLING)
-    ratios = []
-    for t in np.linspace(20.0, 50.0, 7):
-        measured = abs(amplitude_free_space(p, t)) ** 2
-        floor = 64.0 * G_COUPLING**2 / (OMEGA_BAR**8 * t**6)
-        ratios.append(measured / floor)
+    times = np.linspace(20.0, 50.0, 7)
+    measured = np.abs(free_space_trace(p, times).values) ** 2
+    floor = 64.0 * G_COUPLING**2 / (OMEGA_BAR**8 * times**6)
+    ratios = list(measured / floor)
     ok = all(0.8 <= r <= 1.2 for r in ratios)
     _report("5b", ok, f"|f00|^2 / floor ratios {np.round(ratios, 3)} (need 0.8..1.2)")
 
@@ -168,8 +164,8 @@ def test_criterion_07_entropy_constancy():
     times = np.linspace(0.0, 50.0, 1000)
     worst = 0.0
     regimes = {
-        "small": DressedAtomParams.from_delta(OMEGA_BAR, G_COUPLING, 0.1, n_modes=200),
-        "large": DressedAtomParams.from_delta(OMEGA_BAR, G_COUPLING, 50.0, n_modes=1500),
+        "small": DressedAtomParams(OMEGA_BAR, G_COUPLING, 0.1, n_modes=200),
+        "large": DressedAtomParams(OMEGA_BAR, G_COUPLING, 50.0, n_modes=1500),
     }
     for params in regimes.values():
         tm = build_matrix(solve_eigenfrequencies(params))
@@ -190,8 +186,7 @@ def test_criterion_08_trace_and_positivity(fig200):
     p, spec, tm = fig200
     times = np.linspace(0.0, 25.0, 201)
     f_small = amplitude_trace(tm, "atom", "atom", times).values
-    fp = FreeSpaceParams(OMEGA_BAR, G_COUPLING)
-    f_free = np.array([amplitude_free_space(fp, t) for t in times])
+    f_free = free_space_trace(FreeSpaceParams(OMEGA_BAR, G_COUPLING), times).values
     worst_trace = worst_eig = 0.0
     for f_vals in (f_small, f_free):
         for xi in (0.25, 0.5, 0.75):
@@ -226,11 +221,12 @@ def test_criterion_09_impurity_ignores_superposition_weight(fig200):
 def test_criterion_10_sine_integral_against_brute_force():
     start = time.perf_counter()
     grid = brute_force_grid(OMEGA_BAR, G_COUPLING)
+    times = np.array([0.5, 1.0, 2.0, 5.0])
+    fast = free_space_trace(FreeSpaceParams(OMEGA_BAR, G_COUPLING), times).values.imag
     worst = 0.0
-    for t in (0.5, 1.0, 2.0, 5.0):
-        fast = imag_survival_integral(t, OMEGA_BAR, G_COUPLING)
+    for f, t in zip(fast, times):
         brute = brute_force_imag_integral(t, OMEGA_BAR, G_COUPLING, grid=grid)
-        worst = max(worst, abs(fast - brute))
+        worst = max(worst, abs(f - brute))
     elapsed = time.perf_counter() - start
     _report("10", worst <= 1e-6 and elapsed < 5.0,
             f"max |fast - brute| = {worst:.2e} (tol 1e-6), {elapsed:.1f}s (< 5s)")

@@ -162,6 +162,31 @@ class TestExitCodes:
         assert run(*argv, "--n-modes", "8", "--out", str(tmp_path)) == EXIT_USAGE
         assert message in capsys.readouterr().err
 
+    def test_a_negative_value_follows_its_flag(self, tmp_path, capsys):
+        # argparse alone takes -1e-3 for a flag; a value flag takes the next word
+        # whatever it starts with, as a file line does: every spelling writes one file
+        (tmp_path / "run.cfg").write_text("phi = -1e-3\n")
+        tiny = ["entropy", "--regime", "exact", "--n-modes", "16", "--steps", "7"]
+        sources = {"flag": ["--phi", "-1e-3"], "joined": ["--phi=-1e-3"],
+                   "plain": ["--phi", "-0.001"], "file": ["--config", str(tmp_path / "run.cfg")],
+                   "default": []}
+        for name, source in sources.items():
+            assert run(*tiny, *source, "--out", str(tmp_path / name)) == EXIT_OK
+        assert "error" not in capsys.readouterr().err
+        files = {name: (tmp_path / name / "entropy.csv").read_bytes() for name in sources}
+        assert files["flag"] == files["joined"] == files["plain"] == files["file"]
+        assert files["file"] != files["default"]  # the coherence columns read phi
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--phi", "-inf"), "error: phi must be finite, got -inf\n"),
+        (("--phi", "--steps", "5"), "error: --phi: phi must be a number, got '--steps'\n"),
+    ], ids=["minus-inf", "flag-as-value"])
+    def test_a_value_flag_reads_the_next_word_by_its_own_check(self, tmp_path, capsys, argv,
+                                                               message):
+        assert run("entropy", "--regime", "exact", *argv, "--out", str(tmp_path)) == EXIT_USAGE
+        assert capsys.readouterr().err == message
+        assert not any(tmp_path.iterdir())
+
     def test_bad_xi_exits_before_the_solve(self, tmp_path, monkeypatch):
         def solve(params):
             raise AssertionError("solved before the superposition was checked")

@@ -1,5 +1,4 @@
 import itertools
-import math
 import sys
 import tracemalloc
 
@@ -23,7 +22,7 @@ from dressedcavity import (
 from dressedcavity import coupling, spectrum
 from dressedcavity.coupling import TransformMatrix
 from dressedcavity.spectrum import ModeSpectrum, field_frequencies
-from oracles import eig_sym_2x2, gram_deviation
+from oracles import eig_sym_2x2, exact_deviations, gram_deviation
 from test_dynamics import T00_SQ_APPROX, T1_SQ_APPROX
 
 # atom weight of the lowest root at omega_bar=0.1, g=10, delta=1e-3, N=3000
@@ -42,23 +41,6 @@ TOP_COLUMN_RATIO_FROZEN = {
 
 # the largest N whose near fields hold every row of every column
 NEAR_EDGE = 2 * coupling._NEAR + 1
-
-
-def exact_deviations(t, block=256):
-    """|sum_mu (t_mu^r)^2 - 1| for each column r of a stored t, correctly
-    rounded: each square is the sum of two doubles (Dekker's product), and
-    math.fsum adds them, a block of columns at a time."""
-    out = []
-    for i in range(0, t.shape[1], block):
-        x = t[:, i:i + block]
-        c = 134217729.0 * x
-        hi = c - (c - x)
-        lo = x - hi
-        sq = x * x
-        err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
-        out += [abs(math.fsum(np.concatenate((sq[:, r], err[:, r], [-1.0]))))
-                for r in range(x.shape[1])]
-    return np.array(out)
 
 
 class TestAtomElement:
@@ -87,7 +69,7 @@ class TestAtomElement:
 
     def test_domain_error_on_impossible_frequency(self):
         # eta^2 > 2 omega_bar^2 makes the radicand negative near Omega -> 0
-        p = DressedAtomParams.from_delta(omega_bar=0.1, g=5.0, delta=1.0, n_modes=3)
+        p = DressedAtomParams(omega_bar=0.1, g=5.0, delta=1.0, n_modes=3)
         with pytest.raises(DomainError):
             atom_element(1e-3, p)
         with pytest.raises(DomainError):
@@ -99,7 +81,7 @@ class TestFieldElement:
 
     def test_low_frequency_limit(self):
         # Omega_0 ~ 1e-3 far below omega_1 = 500: t_k^0 / t_atom^0 -> eta / omega_k
-        p = DressedAtomParams.from_delta(omega_bar=1e-3, g=0.5, delta=1e-3, n_modes=8)
+        p = DressedAtomParams(omega_bar=1e-3, g=0.5, delta=1e-3, n_modes=8)
         tm = build_matrix(solve_eigenfrequencies(p))
         got = tm.t[1:, 0] / tm.t[0, 0]
         assert got == pytest.approx(p.eta / field_frequencies(p), rel=1e-6)
@@ -112,7 +94,7 @@ class TestFieldElement:
     def test_division_hazard(self):
         # a root on its asymptote would divide its column by a zero gap; the
         # spectrum refuses it, on the carried offset, before any division
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=4)
+        p = DressedAtomParams(1.0, 0.5, 0.1, n_modes=4)
         offsets = np.array([0.5, 0.5, 0.0, 0.5, 0.2])
         with pytest.raises(InvariantViolation, match=r"^root 2 at offset 0\.0 from omega_2 "):
             ModeSpectrum(params=p, asymptotes=[0, 1, 2, 3, 4], offsets=offsets)
@@ -120,7 +102,7 @@ class TestFieldElement:
     def test_top_column_matches_high_precision_ratio(self):
         # the top root sits 8.1e-6 dw above omega_N; each element of its
         # column is eta omega_k / (omega_k^2 - Omega_N^2) times the atom element
-        p = DressedAtomParams.from_delta(1.0, 0.5, 1.2e-3, n_modes=94)
+        p = DressedAtomParams(1.0, 0.5, 1.2e-3, n_modes=94)
         tm = build_matrix(solve_eigenfrequencies(p))
         k = np.array(list(TOP_COLUMN_RATIO_FROZEN))
         ratio = tm.t[k, -1] / tm.t[0, -1]
@@ -134,7 +116,7 @@ class TestFieldElement:
 
 class TestBuildMatrix:
     def test_two_by_two_against_closed_form(self):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=1)
+        p = DressedAtomParams(1.0, 0.5, 0.1, n_modes=1)
         spec = solve_eigenfrequencies(p)
         tm = build_matrix(spec)
         b = build_form(p).matrix
@@ -151,7 +133,7 @@ class TestBuildMatrix:
         assert np.max(np.abs(1.0 - np.sum(fig_matrix.t**2, axis=1))) < 1e-8
 
     def test_rows_orthonormal_n500(self):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=500)
+        p = DressedAtomParams(1.0, 0.5, 0.1, n_modes=500)
         tm = build_matrix(solve_eigenfrequencies(p))
         gram = tm.t @ tm.t.T
         assert np.max(np.abs(gram - np.eye(501))) < 1e-6
@@ -160,7 +142,7 @@ class TestBuildMatrix:
         # t is the one (N+1)^2 array: it is formed into itself a block of rows
         # at a time, and the checks hold O(N) arrays and blocks of near
         # fields, never a t * t or a Gram t t^T
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=1500)
+        p = DressedAtomParams(1.0, 0.5, 0.1, n_modes=1500)
         spec = solve_eigenfrequencies(p)
         tracemalloc.start()
         try:
@@ -174,7 +156,7 @@ class TestBuildMatrix:
         # the record, rows mu and nu, the column norms and the bound hold O(N)
         # arrays and blocks of bounded size, so no cap applies
         n = coupling.MATRIX_MODE_CAP + 1
-        spec = solve_eigenfrequencies(DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=n))
+        spec = solve_eigenfrequencies(DressedAtomParams(1.0, 0.5, 0.1, n_modes=n))
         tracemalloc.start()
         try:
             tm = build_matrix(spec)
@@ -253,7 +235,7 @@ class TestBuildMatrix:
         assert np.max(np.abs(recon - b)) < 1e-6 * scale
 
     def test_mode_cap(self, monkeypatch):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=6)
+        p = DressedAtomParams(1.0, 0.5, 0.1, n_modes=6)
         spec = solve_eigenfrequencies(p)
         monkeypatch.setattr(coupling, "MATRIX_MODE_CAP", 5)
         tm = build_matrix(spec)
@@ -317,10 +299,9 @@ class TestRowLabels:
         # it zero, w < 0 NaN, on every record
         derive = spectrum._secular_sets
 
-        def broken(m, s, params, slope=False):
-            out = derive(m, s, params, slope)
-            if slope:
-                out[1, 7] = np.inf if weight == "zero" else -out[1, 7]
+        def broken(m, s, params):
+            out = derive(m, s, params)
+            out[1, 7] = np.inf if weight == "zero" else -out[1, 7]
             return out
 
         monkeypatch.setattr(spectrum, "_secular_sets", broken)
@@ -431,6 +412,18 @@ class TestOrthogonalityBound:
         assert exact_deviations(tm.t).max() <= tm.column_deviation
         assert gram_deviation(tm.t) <= tm.orthogonality_bound
 
+    def test_short_spectra_sum_every_row_near(self, monkeypatch):
+        # N <= 2K + 1: every column's near window holds every row, so the check
+        # takes its fast path, which forms no far field; at N = 2K + 2 it does
+        def far_field(*_):
+            raise RuntimeError("far field formed")
+
+        monkeypatch.setattr(coupling, "_far_field", far_field)
+        for n in (1, 8, NEAR_EDGE):
+            build_matrix(solve_eigenfrequencies(DressedAtomParams(1.0, 0.5, 0.1, n)))
+        with pytest.raises(RuntimeError, match="far field formed"):
+            build_matrix(solve_eigenfrequencies(DressedAtomParams(1.0, 0.5, 0.1, NEAR_EDGE + 1)))
+
     @pytest.mark.parametrize("g, delta, n", [(1e-30, 1e-29, 16), (0.01, 1e3, 3000)],
                              ids=["resonance", "top-root-far-above"])
     def test_column_bound_at_the_edges_of_the_domain(self, g, delta, n):
@@ -495,7 +488,7 @@ class TestAtomWeights:
         assert w == pytest.approx(fig_matrix.t[0, :] ** 2, abs=1e-12)
 
     def test_closed_form_path(self):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=300)
+        p = DressedAtomParams(1.0, 0.5, 0.1, n_modes=300)
         spec = solve_eigenfrequencies(p)
         k = np.arange(1, 301)[:, None]
         m, s = spec.asymptotes, spec.offsets
@@ -509,13 +502,13 @@ class TestAtomWeights:
     def test_weights_sum_to_one_with_top_root_far_above_omega_n(self, n, g, delta):
         # the top root lies above omega_N, where the cotangent/digamma form
         # of the mode sums has spurious poles
-        spec = solve_eigenfrequencies(DressedAtomParams.from_delta(1.0, g, delta, n_modes=n))
+        spec = solve_eigenfrequencies(DressedAtomParams(1.0, g, delta, n_modes=n))
         assert spec.bigomegas[-1] > field_frequencies(spec.params)[-1]
         assert abs(float(np.sum(atom_weights(spec))) - 1.0) <= 1e-12
 
     def test_lowest_root_weight_far_below_omega_1(self):
         # Omega_0 / omega_1 ~ 1e-5: the cotangent/digamma mode sums cancel there
-        spec = solve_eigenfrequencies(DressedAtomParams.from_delta(0.1, 10.0, 1e-3, n_modes=3000))
+        spec = solve_eigenfrequencies(DressedAtomParams(0.1, 10.0, 1e-3, n_modes=3000))
         w = atom_weights(spec)
         assert abs(w[0] - W0_FROZEN) <= 1e-13
         assert abs(float(np.sum(w)) - 1.0) <= 1e-12
@@ -548,7 +541,7 @@ class TestAtomWeights:
                 stage = "other" if caller is None else stages[caller.f_code]
                 sizes[stage].append(np.size(frame.f_locals["s"]))
 
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=64)
+        p = DressedAtomParams(1.0, 0.5, 0.1, n_modes=64)
         sys.setprofile(count)
         try:
             spec = solve_eigenfrequencies(p)

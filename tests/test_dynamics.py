@@ -165,7 +165,7 @@ class TestDiscreteSum:
         # one piece; the sum over blocks of modes must peak far below that.
         # The 201 times split into 15 coarse x 14 fine, so a block takes
         # 2^22 // 210 = 19972 modes and holds 29 phases per mode.
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=100_000)
+        p = DressedAtomParams(1.0, 0.5, 0.1, n_modes=100_000)
         spec = solve_eigenfrequencies(p)
         w = atom_weights(spec)
         times = np.linspace(0.0, 20.0, 201)
@@ -183,7 +183,7 @@ class TestDiscreteSum:
         # the phases meet the real transform in one real product: no (N+1)^2
         # weight matrix t_mu^r t_nu^r and no complex copy of it (t itself is
         # formed once, on first use, and kept, so it is formed here first)
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=1500)
+        p = DressedAtomParams(1.0, 0.5, 0.1, n_modes=1500)
         tm = build_matrix(solve_eigenfrequencies(p))
         tm.t
         times = np.linspace(0.0, 20.0, 101)
@@ -209,7 +209,7 @@ class TestDiscreteSum:
         (1e-3, 4096),
     ])
     def test_survival_matches_high_precision_reference(self, delta, n_modes):
-        p = DressedAtomParams.from_delta(OMEGA_BAR, G, delta, n_modes=n_modes)
+        p = DressedAtomParams(OMEGA_BAR, G, delta, n_modes=n_modes)
         values = survival_trace(solve_eigenfrequencies(p), np.linspace(0.0, 25.0, 501)).values
         for j, (re, im) in SURVIVAL_FROZEN[delta, n_modes].items():
             assert abs(values[j] - complex(re, im)) <= 1e-14
@@ -480,7 +480,7 @@ class TestFreeSpace:
         # delta=50 with coverage up to 40 omega_bar: the truncated-system
         # survival amplitude tracks the continuum result to 1e-3 well before
         # the recurrence time 2R/c ~ 630 (slowest test in the suite)
-        p = DressedAtomParams.from_delta(OMEGA_BAR, G, 50.0, n_modes=80_000)
+        p = DressedAtomParams(OMEGA_BAR, G, 50.0, n_modes=80_000)
         spec_roots = solve_eigenfrequencies(p)
         times = np.linspace(0.0, 5.0 / G, 101)
         disc = np.abs(survival_trace(spec_roots, times).values)
@@ -518,25 +518,25 @@ class TestLargeTimeFormula:
 
 class TestSmallCavityApprox:
     def test_lowest_frequency(self):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=4)
+        p = DressedAtomParams(1.0, 0.5, 0.1, n_modes=4)
         freqs = first_order_modes(p, 4)[0]
         assert freqs[0] == pytest.approx(OM0_APPROX, rel=1e-12)
         assert freqs[2] == pytest.approx(OM2_APPROX, rel=1e-12)
 
     def test_decoupling_limit(self):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 1e-9, n_modes=2)
+        p = DressedAtomParams(1.0, 0.5, 1e-9, n_modes=2)
         assert first_order_modes(p, 2)[0][0] == pytest.approx(1.0, abs=1e-8)
 
     def test_regime_gate(self):
         # the series the first-order frequencies feed is gated on delta
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.5, n_modes=4)
+        p = DressedAtomParams(1.0, 0.5, 0.5, n_modes=4)
         with pytest.raises(RegimeViolation):
             first_order_modes(p, 4)[1]
 
     def test_matches_exact_roots_at_small_delta(self):
         # leading-order error stays below 5 delta^2 for the first ten gaps
         delta = 0.01
-        p = DressedAtomParams.from_delta(1.0, 0.5, delta, n_modes=200)
+        p = DressedAtomParams(1.0, 0.5, delta, n_modes=200)
         exact = solve_eigenfrequencies(p).bigomegas[:11]
         approx = first_order_modes(p, 10)[0]
         assert np.max(np.abs(exact - approx) / exact) < 5 * delta**2
@@ -544,33 +544,33 @@ class TestSmallCavityApprox:
 
 class TestSmallCavityElements:
     def test_frozen_values(self):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=4)
+        p = DressedAtomParams(1.0, 0.5, 0.1, n_modes=4)
         els = first_order_modes(p, 2)[1]
         assert els[0] == pytest.approx(T00_SQ_APPROX, rel=1e-12)
         assert els[1] == pytest.approx(T1_SQ_APPROX, rel=1e-12)
         assert els[2] == pytest.approx(T2_SQ_APPROX, rel=1e-12)
 
     def test_decoupling_limit(self):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 1e-10, n_modes=2)
+        p = DressedAtomParams(1.0, 0.5, 1e-10, n_modes=2)
         assert first_order_modes(p, 1)[1][0] == pytest.approx(1.0, abs=1e-9)
 
     def test_weights_close_to_unity(self):
         # with the infinite tail the first-order weights normalize exactly
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=2)
+        p = DressedAtomParams(1.0, 0.5, 0.1, n_modes=2)
         els = first_order_modes(p, 100_000)[1]
         assert np.sum(els) == pytest.approx(1.0, abs=2e-6)
 
     def test_regime_gate(self):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.4, n_modes=2)
+        p = DressedAtomParams(1.0, 0.5, 0.4, n_modes=2)
         with pytest.raises(RegimeViolation):
             first_order_modes(p, 5)[1]
-        p_ok = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=2)
+        p_ok = DressedAtomParams(1.0, 0.5, 0.1, n_modes=2)
         with pytest.raises(ValueError):
             first_order_modes(p_ok, 0)[1]
 
     def test_tracks_exact_elements_at_small_delta(self):
         delta = 0.05
-        p = DressedAtomParams.from_delta(1.0, 0.5, delta, n_modes=400)
+        p = DressedAtomParams(1.0, 0.5, delta, n_modes=400)
         tm = build_matrix(solve_eigenfrequencies(p))
         els = first_order_modes(p, 20)[1]
         exact = np.concatenate(([tm.t[0, 0] ** 2], tm.t[1:21, 0] ** 2))
@@ -606,7 +606,7 @@ class TestSmallCavitySeries:
         times = np.linspace(0.0, 25.0, 501)
         errors = []
         for delta in deltas:
-            p = DressedAtomParams.from_delta(OMEGA_BAR, G, delta, n_modes=n)
+            p = DressedAtomParams(OMEGA_BAR, G, delta, n_modes=n)
             exact = np.abs(survival_trace(solve_eigenfrequencies(p), times).values) ** 2
             series = np.abs(small_cavity_amplitude(p, times, n)) ** 2
             errors.append(np.max(np.abs(exact - series)))
@@ -632,7 +632,7 @@ class TestSmallCavitySeries:
         assert tr.method == "small-cavity-series"
 
     def test_gates(self, fig_params):
-        big = DressedAtomParams.from_delta(1.0, 0.5, 0.5, n_modes=4)
+        big = DressedAtomParams(1.0, 0.5, 0.5, n_modes=4)
         with pytest.raises(RegimeViolation):
             survival_sq_small_cavity(1.0, big)
         with pytest.raises(ValueError):

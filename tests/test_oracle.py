@@ -26,7 +26,7 @@ def fig_decomp(fig_params):
 class TestBuildForm:
     def test_single_mode_entries(self):
         # delta=0.1, g=0.5 puts the single field mode at 5; eta^2 = 10/pi
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=1)
+        p = DressedAtomParams(1.0, 0.5, 0.1, n_modes=1)
         b = build_form(p).matrix
         eta_sq = 10.0 / np.pi
         assert b[0, 0] == pytest.approx(1.0 + eta_sq, rel=1e-14)
@@ -147,7 +147,7 @@ class TestOracleAmplitude:
             oracle_amplitude(fig_decomp, "atom", label, 0.0)
 
     def test_matches_pipeline_amplitude(self):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=50)
+        p = DressedAtomParams(1.0, 0.5, 0.1, n_modes=50)
         d = diagonalize(build_form(p))
         tm = build_matrix(solve_eigenfrequencies(p))
         for t in (0.0, 1.3, 7.7, 19.2):
@@ -157,7 +157,7 @@ class TestOracleAmplitude:
 
 class TestCrossChecks:
     def test_all_pass_at_n30(self):
-        p = DressedAtomParams.from_delta(1.0, 0.5, 0.1, n_modes=30)
+        p = DressedAtomParams(1.0, 0.5, 0.1, n_modes=30)
         rows = run_cross_checks(p)
         assert {r.name for r in rows} >= {
             "spectrum_relative", "elements_absolute", "survival_amplitude_absolute"}
@@ -173,14 +173,14 @@ class TestCrossChecks:
         (0.9, 1e-3, 100), each against 1e-8.  Jacobi keeps the relative accuracy
         of the graded form's small eigenpairs; a QR-type solver that replaces it
         must pass here."""
-        for row in run_cross_checks(DressedAtomParams.from_delta(1.0, g, delta, n_modes=n)):
+        for row in run_cross_checks(DressedAtomParams(1.0, g, delta, n_modes=n)):
             assert row.passed, f"{row.name}: {row.max_err:.3e} > {row.tol:.1e}"
 
     def test_all_pass_where_the_top_root_hugs_omega_n(self):
         # the top root sits 8e-6 dw above omega_N; a ratio reference
         # eta omega_k / (omega_k^2 - lam) at the oracle's own eigenvalue
         # cancels there (7.6e-8), the pipeline's offset-built columns do not
-        p = DressedAtomParams.from_delta(1.0, 0.5, 1.2e-3, n_modes=94)
+        p = DressedAtomParams(1.0, 0.5, 1.2e-3, n_modes=94)
         rows = {row.name: row for row in run_cross_checks(p)}
         assert rows["eigenvector_ratio"].max_err < 1e-12
         for row in rows.values():

@@ -1,10 +1,11 @@
 """Property-based checks of the structural invariants.
 
 Parameter ranges span both cavity regimes (delta from 0.02 to 20) and keep
-mode counts small enough that every example solves in milliseconds.  Two
+mode counts small enough that every example solves in milliseconds.  Three
 properties cover the full domain, omega_bar 0.1-10, g/omega_bar 1e-6-5 and
-delta 1e-3-1e3: the solver's (N at the near/far crossovers or up to 3000) and
-the weight sum's (N at the crossovers and the block size, or up to 1e5).
+delta 1e-3-1e3: the solver's (N at the near/far crossovers or up to 3000),
+the weight sum's (N at the crossovers and the block size, or up to 1e5) and
+the transform's (N at the crossovers or up to 400).
 """
 
 from unittest import mock
@@ -29,6 +30,7 @@ from dressedcavity import (
 )
 from dressedcavity import spectrum
 from dressedcavity.dynamics import small_cavity_amplitude, survival_sq_lower_bound
+from oracles import exact_deviations, gram_deviation
 
 omega_bars = st.floats(0.1, 5.0)
 couplings = st.floats(0.05, 3.0)
@@ -46,7 +48,7 @@ def _log_uniform(lo, hi):
 
 
 def _solve(omega_bar, g, delta, n):
-    p = DressedAtomParams.from_delta(omega_bar, g, delta, n_modes=n)
+    p = DressedAtomParams(omega_bar, g, delta, n_modes=n)
     return p, solve_eigenfrequencies(p)
 
 
@@ -106,12 +108,16 @@ def test_atom_weights_sum_to_one(key):
     assert abs(np.sum(atom_weights(spec)) - 1.0) <= 1e-14
 
 
-@settings(max_examples=25, deadline=None)
-@given(omega_bars, couplings, deltas, mode_counts, times)
-def test_transform_columns_unit_and_rows_unitary(omega_bar, g, delta, n, t):
-    p, spec = _solve(omega_bar, g, delta, n)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_north_star_spectra(most=400), times)
+def test_transform_columns_unit_and_rows_unitary(key, t):
+    # N at the near/far crossovers 62-65 and 126-128, or up to 400, over the
+    # whole domain: both column bounds hold against the dense, exactly summed t
+    _, spec = _solve(*key)
     tm = build_matrix(spec)
     assert np.max(np.abs(np.sum(tm.t**2, axis=0) - 1.0)) < 1e-8
+    assert np.all(exact_deviations(tm.t) <= tm.column_deviation)
+    assert gram_deviation(tm.t) <= tm.orthogonality_bound
     rows = amplitude_row(tm, "atom", np.array([t]))
     assert np.sum(np.abs(rows[0]) ** 2) == pytest.approx(1.0, abs=1e-6)
 
@@ -160,6 +166,6 @@ def test_entropy_constant_for_any_cavity(omega_bar, g, delta, n, xi, t):
 @settings(max_examples=20, deadline=None)
 @given(st.floats(0.005, 0.15), st.floats(0.1, 2.0), st.floats(0.2, 3.0), times)
 def test_series_respects_its_lower_bound(delta, omega_bar, g, t):
-    p = DressedAtomParams.from_delta(omega_bar, g, delta, n_modes=2)
+    p = DressedAtomParams(omega_bar, g, delta, n_modes=2)
     val = np.abs(small_cavity_amplitude(p, np.array([t]), 2000)[0]) ** 2
     assert val >= survival_sq_lower_bound(delta) - 1e-9
