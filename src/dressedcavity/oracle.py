@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import build_matrix, row_index
+from . import coupling
+from .coupling import row_index
 from .dynamics import amplitude_trace
 from .errors import ConvergenceFailure, InvariantViolation, freeze, require
 from .spectrum import DressedAtomParams, field_frequencies, solve_eigenfrequencies
@@ -40,6 +41,8 @@ _RESIDUAL_TOL = 1e-10  # on max |B v - v lam|, relative to max |lam|
 _CHECK_TIMES = np.linspace(0.0, 20.0, 9)  # survival amplitudes compared here
 
 _MAX_SWEEPS = 100  # Jacobi sweeps before jacobi_eigh gives up
+
+_SAMPLE = 64  # roots that the direct rows sum at, at most
 
 
 @dataclass(frozen=True)
@@ -214,43 +217,97 @@ class CheckRow:
 
 
 def run_cross_checks(params: DressedAtomParams) -> list[CheckRow]:
-    """Compare the analytic pipeline against the diagonalization oracle.
+    """Compare the analytic pipeline against independent routes.
 
-    Checks spectra (relative), transformation elements (absolute, both sign
+    Where N <= ``coupling.MATRIX_MODE_CAP``, against the diagonalization
+    oracle: spectra (relative), transformation elements (absolute, both sign
     conventions aligned), survival amplitudes at nine times in [0, 20]
     (absolute), the eigenvector ratio t_k^r / t_atom^r of the oracle's
     vectors against the pipeline's columns, which form it from the roots'
     offsets (relative to 1 + |ratio|), and the quadratic-form reconstruction.
+    At every N, F and the weights against the definition's sums at a sample
+    of roots (:func:`_direct_rows`).
     """
     spec = solve_eigenfrequencies(params)
-    tm = build_matrix(spec)
-    dense = tm.t  # before the Jacobi, so the dense-matrix cap refuses first
-    decomp = diagonalize(build_form(params))
-
     rows = []
-    rel = np.max(np.abs(spec.bigomegas - decomp.omegas) / decomp.omegas)
-    rows.append(CheckRow("spectrum_relative", float(rel), 1e-8))
+    if params.n_modes <= coupling.MATRIX_MODE_CAP:
+        tm = coupling.build_matrix(spec)
+        dense = tm.t
+        decomp = diagonalize(build_form(params))
+        rel = np.max(np.abs(spec.bigomegas - decomp.omegas) / decomp.omegas)
+        rows.append(CheckRow("spectrum_relative", float(rel), 1e-8))
 
-    elem = np.max(np.abs(np.abs(dense) - np.abs(decomp.vectors)))
-    rows.append(CheckRow("elements_absolute", float(elem), 1e-8))
+        elem = np.max(np.abs(np.abs(dense) - np.abs(decomp.vectors)))
+        rows.append(CheckRow("elements_absolute", float(elem), 1e-8))
 
-    survival = amplitude_trace(tm, "atom", "atom", _CHECK_TIMES).values
-    amp = max(abs(f - oracle_amplitude(decomp, "atom", "atom", t))
-              for f, t in zip(survival, _CHECK_TIMES))
-    rows.append(CheckRow("survival_amplitude_absolute", float(amp), 1e-8))
+        survival = amplitude_trace(tm, "atom", "atom", _CHECK_TIMES).values
+        amp = max(abs(f - oracle_amplitude(decomp, "atom", "atom", t))
+                  for f, t in zip(survival, _CHECK_TIMES))
+        rows.append(CheckRow("survival_amplitude_absolute", float(amp), 1e-8))
 
-    expected = dense[1:] / dense[0]
-    ratio_err = np.max(np.abs(decomp.vectors[1:] / decomp.vectors[0] - expected)
-                       / (1.0 + np.abs(expected)))
-    rows.append(CheckRow("eigenvector_ratio", float(ratio_err), 1e-8))
+        expected = dense[1:] / dense[0]
+        ratio_err = np.max(np.abs(decomp.vectors[1:] / decomp.vectors[0] - expected)
+                           / (1.0 + np.abs(expected)))
+        rows.append(CheckRow("eigenvector_ratio", float(ratio_err), 1e-8))
 
-    b = decomp.form.matrix
-    recon = (dense * spec.bigomegas**2) @ dense.T
-    recon_err = np.max(np.abs(recon - b)) / field_frequencies(params)[-1] ** 2
-    rows.append(CheckRow("reconstruction", float(recon_err), 1e-6))
+        b = decomp.form.matrix
+        recon = (dense * spec.bigomegas**2) @ dense.T
+        recon_err = np.max(np.abs(recon - b)) / field_frequencies(params)[-1] ** 2
+        rows.append(CheckRow("reconstruction", float(recon_err), 1e-6))
 
-    recon_o = (decomp.vectors * decomp.eigenvalues) @ decomp.vectors.T
-    scale = np.max(np.abs(decomp.eigenvalues))
-    rows.append(CheckRow("oracle_self_reconstruction",
-                         float(np.max(np.abs(recon_o - b)) / scale), 1e-8))
-    return rows
+        recon_o = (decomp.vectors * decomp.eigenvalues) @ decomp.vectors.T
+        scale = np.max(np.abs(decomp.eigenvalues))
+        rows.append(CheckRow("oracle_self_reconstruction",
+                             float(np.max(np.abs(recon_o - b)) / scale), 1e-8))
+    return rows + _direct_rows(spec)
+
+
+def _sample_roots(spec) -> np.ndarray:
+    """At most ``_SAMPLE`` roots, every root below that: the outer pair and
+    its inner neighbours 1 and N-1, the two roots about omega_bar, the two
+    about b = N+1-v = 10, where the closed form's digamma starts to lift its
+    argument, and the rest drawn without replacement, seeded by N."""
+    n = spec.params.n_modes
+    if n < _SAMPLE:
+        return np.arange(n + 1)
+    near = np.searchsorted(spec.bigomegas, spec.params.omega_bar)
+    lift = np.searchsorted(spec.asymptotes + spec.offsets, n - 9.0)
+    fixed = np.clip([0, 1, near - 1, near, lift - 1, lift, n - 1, n], 0, n).tolist()
+    drawn = np.random.default_rng(n).choice(n + 1, _SAMPLE, replace=False).tolist()
+    return np.sort(list(dict.fromkeys(fixed + drawn))[:_SAMPLE])
+
+
+def _direct_rows(spec) -> list[CheckRow]:
+    """F and |F'| summed term by term (:meth:`ModeSpectrum.direct_secular`) at
+    :func:`_sample_roots`, each row its largest ratio to its bound (tol 1).
+
+    Each term 1/((k - m - s)(k + m + s)) rounds within 5u and their sum within
+    gamma_(N-1) of their moduli, A = sum |1/(k^2 - v^2)| for S (the outer
+    pair's |S|, one sign, which F gives as |omega_bar^2 - Omega^2 - F| /
+    (eta v)^2; an inner root's at most (1/|s| + 5 + 3 ln(2N+1)) / (2v), from
+    sum 1/|k - v| <= 1/|s| + 4 + 2 ln 2N and sum 1/(k + v) <= 1 + ln(2N+1)),
+    S2 for S2; _secular adds 24 roundings: gamma = gamma_(N+32) bounds the
+    route relative to its terms.  So F lies within gamma ((omega_bar +
+    Omega)(|omega_bar - Omega| + dw (|s| + tail)) + eta^2 v^2 A + |F|) of the
+    exact F, which ``raised_residuals`` bounds, and w |F'| - 1 within u (1 +
+    w |F'|) + gamma w (|F'| - 1 + 2 (eta/dw)^2 A) of the exact one, which
+    ``weight_bounds`` bounds.
+    """
+    p, roots = spec.params, _sample_roots(spec)
+    n, u = p.n_modes, 0.5 * np.finfo(float).eps
+    gamma = (n + 32) * u / (1.0 - (n + 32) * u)
+    m, s, w = spec.asymptotes[roots], spec.offsets[roots], spec.weights[roots]
+    v, om = m + s, spec.bigomegas[roots]
+    f, slope = spec.direct_secular(roots)
+    first = (p.omega_bar - om) * (p.omega_bar + om)
+    terms = np.where((roots == 0) | (roots == n), np.abs(first - f) / (v * v),  # eta^2 A
+                     p.eta_sq * (1.0 / np.abs(s) + 5.0 + 3.0 * np.log(2.0 * n + 1.0)) / (2.0 * v))
+    tail = np.where(m < 2**17, m * 2.0**-35, m)
+    scale = ((p.omega_bar + om) * (np.abs(p.omega_bar - om) + p.delta_omega * (np.abs(s) + tail))
+             + v * v * terms + np.abs(f))
+    residual = np.abs(f) / (spec.raised_residuals()[roots] + gamma * scale)
+    weight_tol = (spec.weight_bounds()[roots] + u * (1.0 + slope * w)
+                  + gamma * w * (slope - 1.0 + 2.0 * terms / p.delta_omega**2))
+    weight = np.abs(w * slope - 1.0) / (weight_tol * (1.0 + gamma))
+    return [CheckRow("direct_residual", float(residual.max()), 1.0),
+            CheckRow("direct_weight", float(weight.max()), 1.0)]

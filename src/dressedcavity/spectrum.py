@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvariantViolation, freeze, require
+from .errors import ConvergenceFailure, InvariantViolation, NormalizationFailure, freeze, require
 
 __all__ = [
     "DressedAtomParams",
@@ -167,8 +167,11 @@ class ModeSpectrum:
         require(ok, InvariantViolation,
                 "root {i} at offset {} from omega_{} does not interlace the bare modes", s, m)
         bo = _omega(m, s, self.params)[0]
-        f, slope = _secular_sets(m, s, self.params)
+        with np.errstate(over="ignore"):  # a slope past the largest double, refused below
+            f, slope = _secular_sets(m, s, self.params)
         w = 1.0 / slope
+        require((0.0 < w) & (w < np.inf), NormalizationFailure,
+                "root {i} atom weight {:.3e} is not finite and positive (slope {:.3e})", w, slope)
         f = np.abs(f)
         freeze(self, asymptotes=m, offsets=s, bigomegas=bo, weights=w,
                newton_rel=f * w / bo**2, residuals=f)
@@ -197,6 +200,72 @@ class ModeSpectrum:
         tail = np.where(m < 2**17, m * 2.0**-35, m)
         scale = f + (p.omega_bar + om) * (np.abs(detuning) + p.delta_omega * (a + tail)) + terms
         return f + (8.0 + np.log2(n + 1.0)) * np.finfo(float).eps * scale
+
+    def direct_secular(self, roots) -> tuple[np.ndarray, np.ndarray]:
+        """(F, |F'|) at the carried offsets of ``roots`` from the definition,
+        the N terms over the factored gaps (:func:`_direct_sum`), which shares
+        no sum with the closed forms behind ``residuals`` and ``weights``: O(N)
+        a root."""
+        return _secular(self.asymptotes[roots], self.offsets[roots], self.params, _direct_sum,
+                        slope=True)
+
+    def weight_bounds(self) -> np.ndarray:
+        """A bound, in O(N), on |w_r |F'(lam_r)| - 1| at each root's carried
+        offset, F' exact in the float dw and eta^2: how far ``weights``, 1/|F'|
+        as :func:`_secular` rounds it, lie from the exact ones.
+
+        First order in u = eps/2, with tan, log and pow within 1 ulp (2u).  T = S
+        + v^2 S2 = sum_k k^2/(k^2 - v^2)^2 > 0 at v = m + s, |F'| = 1 + (eta/dw)^2
+        T; rounding 1 + eta^2 (s1 + t2) and 1/|F'| leaves |w |F'| - 1| <= 2u + w
+        (eta/dw)^2 E u, E u the error of S + v^2 S2 as formed.  s1 = S/dw^2 errs
+        relatively by 5u, t2 = om^2 (S2/dw^4) by (7 + 2 omega) u: om lies within
+        omega u of v dw, omega = 1 + 2 (|s| + tail)/v (:func:`_omega`, the tail of
+        :meth:`raised_residuals`).  The outer pair's S and S2 lie within 8u of
+        the exact sums (:func:`_outer_sum`): E = 13 |S| + (15 + 2 omega) v^2 S2.
+        An inner root's closed form (:func:`_closed_sum`) gives T = (DP - P/v)/4,
+        P = c + Psi0, DP = c^2 + pi^2 - Psi1, c = pi cot(pi s), Psi0 = psi(a) -
+        psi(b), Psi1 = psi'(a) + psi'(b), a = N+1+v, b = N+1-v.  Its steps put
+        27 + 2 omega roundings on the cancelling 1/(2v^2) terms, 31 + 2 omega on
+        |P|/(4v), 12 + 2 omega on |DP|/4, and the formed c, Psi0 and Psi1 add
+        |dP|/(4v) + |dDP|/4, |dP| <= |dc| + |dPsi0| + u |P| and |dDP| <= 2|c dc| +
+        (2 c^2 + 1.58 pi^2 + |DP|) u + |dPsi1| (pi^2 rounds within 0.58u).  The
+        float pi, within 0.36u, enters pi s and pi/tan both: |dc| <= (0.36 ||c| -
+        q| + q + 3|c|) u, q = |s| (pi^2 + c^2).  With t_x = 1/x + 1/x^2 > psi'(x):
+        Psi0 <= 2v t_b, Psi1 <= t_a + t_b, |P| <= |c| + Psi0, |DP| <= c^2 + pi^2.
+        A psi takes its argument within 2u a (a) or u b (b), and within u again
+        when lifted by 10; its series, at most 0.06 at x >= 10, errs by 4u of
+        it, its remainder is below 0.4u (psi' 0.64u: the first omitted term,
+        DLMF 5.11.2, 5.15.8), and log(a/b) errs by u + 2u (Psi0 + 0.12 + L0).  A
+        lift of x < 10, 10 terms (x+j)^-p summing to at most L0 = 1/x + log1p(9/x)
+        (p = 1) or L1 = t_x, errs by 3u (4u) a term and 9u more.  So |dPsi0| <=
+        (10 + 3 Psi0 + 16 L0) u and |dPsi1| <= (2.5 + 3 Psi1 + 14 L1) u.  The last
+        factor, 1 + 64 eps, covers the second order and this arithmetic.
+        """
+        p, m, s, n = self.params, self.asymptotes, self.offsets, self.params.n_modes
+        v = m + s
+        omega = 4.0 * (np.abs(s) + np.where(m < 2**17, m * 2.0**-35, m)) / v + 2.0  # 2 omega
+        err = np.empty(n + 1)
+        for r in (0, n):
+            s1, s2 = _outer_sum(int(m[r]), float(s[r]), n, 2)
+            err[r] = 13.0 * abs(s1) + (15.0 + omega[r]) * v[r] ** 2 * s2
+        vi, si, oi = v[1:n], s[1:n], omega[1:n]
+        c = np.abs(np.pi / np.tan(np.pi * si))
+        big_dp = c * c + np.pi**2
+        dc = np.abs(si) * big_dp  # q
+        dc += 0.36 * np.abs(c - dc) + 3.0 * c
+        t_b = (n + 1 - m[1:n]) - si
+        t_b = (1.0 + 1.0 / t_b) / t_b
+        t_a = (1.0 + 1.0 / (n + 2)) / (n + 2)  # a >= N + 2
+        err[1:n] = (2.5 + 1.58 * np.pi**2 + 3.0 * (t_a + t_b) + 2.0 * c * (c + dc)
+                    + (13.0 + oi) * big_dp) / 4.0
+        psi0 = t_b * 2.0 * vi
+        err[1:n] += (dc + 10.0 + 3.0 * psi0 + (32.0 + oi) * (c + psi0) + 2.0 * (27.0 + oi) / vi) / (4.0 * vi)
+        tail = slice(max(1, n - 9), n)  # the roots whose b, or a, lies below 10
+        for x in ((n + 1 - m[tail]) - s[tail], n + 1 + v[tail]):
+            lifts = 4.0 * (1.0 / x + np.log1p(9.0 / x)) / v[tail] + 3.5 * (1.0 + 1.0 / x) / x
+            err[tail] += np.where(x < 10.0, lifts, 0.0)
+        eps = np.finfo(float).eps
+        return eps * (1.0 + 0.5 * self.weights * (p.eta_sq / p.delta_omega**2) * err) * (1.0 + 64.0 * eps)
 
 
 def field_frequencies(params: DressedAtomParams) -> np.ndarray:

@@ -121,17 +121,21 @@ def mpmath_secular_offset(params, m, s, dps=80):
 
 def mpmath_mode_sums(n, m, s, dps=80):
     """(S, S2) = sum_{k=1..N} 1/(k^2 - u^2) and its squares at u = m + s, as
-    mpf, for u outside [1, N]: each term split as [1/(k-u) - 1/(k+u)] / (2u),
-    and the sums over k of 1/(k+a) and 1/(k+a)^2 taken as digamma and trigamma
-    differences (DLMF 5.7.6, 5.15.1) at ``dps`` digits, enough for the
-    cancellation of a small u; below omega_1 over k - u, above omega_N over
-    u - k, so no argument sits on a pole."""
+    mpf, for any u off the bare frequencies: each term split as [1/(k-u) -
+    1/(k+u)] / (2u), and the sums over k of 1/(k+a) and 1/(k+a)^2 taken as
+    digamma and trigamma differences (DLMF 5.7.6, 5.15.1) at ``dps`` digits,
+    enough for the cancellation of a small u or of a root that hugs omega_m;
+    up to omega_N over k - u (at 1 - u, negative and off the poles, for an
+    inner root), above it over u - k, so no argument sits on a pole."""
     import mpmath
 
     with mpmath.workdps(dps):
         u, psi = mpmath.mpf(m) + mpmath.mpf(float(s)), mpmath.psi
         if u < 1:
             minus, minus2 = psi(0, n + 1 - u) - psi(0, 1 - u), psi(1, 1 - u) - psi(1, n + 1 - u)
+        elif u < n:  # psi'(1 - u) by reflection (DLMF 5.15.6), which mpmath is slow to take
+            minus = psi(0, n + 1 - u) - psi(0, 1 - u)
+            minus2 = (mpmath.pi / mpmath.sin(mpmath.pi * (u - m))) ** 2 - psi(1, u) - psi(1, n + 1 - u)
         else:
             minus, minus2 = psi(0, u - n) - psi(0, u), psi(1, u - n) - psi(1, u)
         plus, plus2 = psi(0, n + 1 + u) - psi(0, 1 + u), psi(1, 1 + u) - psi(1, n + 1 + u)

@@ -302,8 +302,9 @@ class TestExitCodes:
 
     def test_numerical_failure_on_nan_residuals(self, tmp_path, capsys, monkeypatch):
         # every newton_rel NaN fails the solver's check; no input reaches one
-        # now that dw^4 must be a normal double, so F is made NaN
-        nan_f = lambda m, *_, **__: np.full((2, m.size), np.nan)  # (F, slope) at every root
+        # now that dw^4 must be a normal double, so F is made NaN (the slope
+        # kept at 1, since the spectrum refuses a NaN weight first)
+        nan_f = lambda m, *_, **__: np.stack((np.full(m.size, np.nan), np.ones(m.size)))
         monkeypatch.setattr(spectrum, "_secular_sets", nan_f)
         rc = run("spectrum", "--n-modes", "8", "--out", str(tmp_path))
         assert rc == EXIT_NUMERICAL
@@ -408,8 +409,9 @@ class TestAmplitudeCommand:
         assert np.array_equal(re_f + 1j * im_f, dynamics.survival_trace(spec, t).values)
 
     def test_only_the_dense_routes_are_capped(self, tmp_path, monkeypatch, capsys):
-        # every exact command takes the rows it names; only the dense dump and
-        # the oracle are capped, and the oracle refuses before its Jacobi
+        # every exact command takes the rows it names; only the dense dump is
+        # capped, and the oracle skips its Jacobi above the cap and prints its
+        # direct rows
         monkeypatch.setattr(coupling, "MATRIX_MODE_CAP", 8)
         monkeypatch.setattr(oracle, "jacobi_eigh",
                             lambda *a, **k: pytest.fail("the Jacobi ran above the cap"))
@@ -419,12 +421,23 @@ class TestAmplitudeCommand:
         assert run("entropy", "--regime", "exact", *argv, "--out", str(tmp_path / "e")) == EXIT_OK
         assert run("impurity", *argv, "--out", str(tmp_path / "i")) == EXIT_OK
         capsys.readouterr()
-        cap = "error: n_modes=16 exceeds the dense-matrix cap 8"
         assert run("matrix-dump", "--n-modes", "16", "--out", str(tmp_path / "m")) == EXIT_USAGE
-        assert cap in capsys.readouterr().err
+        assert "error: n_modes=16 exceeds the dense-matrix cap 8" in capsys.readouterr().err
         assert not (tmp_path / "m" / "transform_matrix.csv").exists()
-        assert run("oracle-check", "--n-modes", "16", "--out", str(tmp_path / "o")) == EXIT_USAGE
-        assert cap in capsys.readouterr().err
+        assert run("oracle-check", "--n-modes", "16", "--out", str(tmp_path / "o")) == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(name, status) for name, *_, status in rows] == [
+            ("direct_residual", "pass"), ("direct_weight", "pass")]
+
+    @pytest.mark.parametrize("system", [("--g", "1", "--delta", "1e76"),
+                                        ("--omega-bar", "1.25e-70", "--g", "1.25e-67",
+                                         "--delta", "1e10")])
+    @pytest.mark.parametrize("command", ["spectrum", "impurity"])
+    def test_an_overflowing_slope_is_a_named_refusal(self, tmp_path, capsys, command, system):
+        # the weights would read 0 there; the spectrum refuses them
+        assert run(command, *system, "--n-modes", "8", "--out", str(tmp_path)) == EXIT_NUMERICAL
+        assert ("numerical failure: root 0 atom weight 0.000e+00 is not finite and positive"
+                in capsys.readouterr().err)
 
     def test_exact_unitarity_margin_is_checked(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(coupling.TransformMatrix, "unitarity_margin", lambda self, mu: 2e-6)

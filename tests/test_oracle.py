@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from dressedcavity import (
     solve_eigenfrequencies,
 )
 from dressedcavity import oracle
+from dressedcavity.errors import freeze
 from dressedcavity.oracle import _round_robin, jacobi_eigh
 
 
@@ -185,3 +188,31 @@ class TestCrossChecks:
         assert rows["eigenvector_ratio"].max_err < 1e-12
         for row in rows.values():
             assert row.passed, f"{row.name}: {row.max_err:.3e} > {row.tol:.1e}"
+
+    @pytest.mark.parametrize("sampled", [0, 1, 32, -1])
+    @pytest.mark.parametrize("name, field, step", [("direct_weight", "weights", 1e-13),
+                                                   ("direct_residual", "offsets", 1e-12)])
+    def test_a_moved_root_fails_its_direct_row(self, fig_params, monkeypatch, sampled, name,
+                                               field, step):
+        # the figure's spectrum with one sampled root's weight moved by 1e-13,
+        # or its offset by 1e-12, relative, all else as the spectrum derived it:
+        # root 0 (the root nearest omega_bar there), root 1, an inner and the top
+        spec = solve_eigenfrequencies(fig_params)
+        moved, values = copy.copy(spec), getattr(spec, field).copy()
+        values[oracle._sample_roots(spec)[sampled]] *= 1.0 + step
+        freeze(moved, **{field: values})
+        monkeypatch.setattr(oracle, "solve_eigenfrequencies", lambda params: moved)
+        rows = {row.name: row for row in run_cross_checks(fig_params)}
+        assert not rows[name].passed
+
+    def test_direct_rows_alone_above_the_cap(self, monkeypatch):
+        # above the dense cap the Jacobi never runs, and the direct rows sum
+        # the definition at 64 sampled roots
+        monkeypatch.setattr(oracle.coupling, "MATRIX_MODE_CAP", 8)
+        monkeypatch.setattr(oracle, "jacobi_eigh", lambda *a: pytest.fail("the Jacobi ran"))
+        rows = run_cross_checks(DressedAtomParams(1.0, 0.5, 0.1, 100))
+        assert [(row.name, row.passed) for row in rows] == [("direct_residual", True),
+                                                            ("direct_weight", True)]
+        spec = solve_eigenfrequencies(DressedAtomParams(1.0, 0.5, 0.1, 100))
+        roots = oracle._sample_roots(spec)
+        assert roots.size == 64 and {0, 1, 99, 100} <= set(roots.tolist())

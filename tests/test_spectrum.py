@@ -12,6 +12,7 @@ from dressedcavity import (
     DressedAtomParams,
     InvariantViolation,
     ModeSpectrum,
+    NormalizationFailure,
     amplitude_row,
     build_form,
     build_matrix,
@@ -23,7 +24,7 @@ from dressedcavity import (
     solve_eigenfrequencies,
     survival_trace,
 )
-from dressedcavity import spectrum
+from dressedcavity import oracle, spectrum
 from hypothesis import example, given, settings
 from oracles import dlasd4_inner_roots, mpmath_mode_sums, mpmath_secular_offset
 from test_dynamics import OM0_APPROX, OM1_APPROX, OM2_APPROX
@@ -478,7 +479,8 @@ class TestSolve:
     def test_nan_newton_check_names_root_0(self, fig_params, monkeypatch):
         # every newton_rel NaN: the check states what passes, so NaN fails it.
         # No record's spacing underflows dw^4 to 0 any more, so F is made NaN
-        nan_f = lambda m, *_, **__: np.full((2, m.size), np.nan)  # (F, slope) at every root
+        # (the slope kept at 1, since the spectrum refuses a NaN weight first)
+        nan_f = lambda m, *_, **__: np.stack((np.full(m.size, np.nan), np.ones(m.size)))
         monkeypatch.setattr(spectrum, "_secular_sets", nan_f)
         with pytest.raises(ConvergenceFailure, match="root 0 residual nan") as err:
             solve_eigenfrequencies(fig_params)
@@ -697,9 +699,11 @@ class TestOuterSums:
                 np.concatenate((low, -low, np.geomspace(1e-12, 1e4, 13))))
 
     def test_reference_is_the_definition(self):
+        # the outer pair's points, and inner roots that hug omega_m or lie midway
         mpmath = pytest.importorskip("mpmath")
         for n in (1, 8, 63):
-            for m, s in zip(*self._points(n)):
+            inner = [(m, s) for m in {1, n // 2, n - 1} if 0 < m < n for s in (-0.5, -1e-9, 1e-9, 0.5)]
+            for m, s in list(zip(*self._points(n))) + inner:
                 with mpmath.workdps(80):
                     u = mpmath.mpf(m) + mpmath.mpf(float(s))
                     terms = [1 / (k * k - u * u) for k in range(1, n + 1)]
@@ -752,6 +756,46 @@ class TestOuterSums:
                                     for mi, si in zip(m.tolist(), s.tolist())]).T
                     assert np.array_equal(got, want, equal_nan=True), key
             assert not np.isnan(got).any(), key
+
+
+class TestWeightBounds:
+    """Each weight's derived rounding bound (``weight_bounds``) against the
+    slope of 50-digit sums at the root's carried offset."""
+
+    @pytest.mark.parametrize("omega_bar, g, delta, n", [
+        (1.0, 0.5, 0.1, 2**14 - 1), (1.0, 0.5, 0.1, 2**14 + 1), (1.0, 0.5, 0.1, 2**17),
+        (1.0, 0.5, 0.1, 10**6), (1.0, 0.5, 0.1, 2), (1.0, 0.02, 1e3, 8), (1.0, 0.5, 1e3, 8),
+        (1.0, 1e-30, 1e-29, 16), (0.1, 10.0, 1e-3, 3000), (1.0, 5.0, 1e3, 600)])
+    def test_covers_the_slope_error_against_50_digit_sums(self, omega_bar, g, delta, n):
+        # the oracle's sample: the outer pair and their neighbours, the roots
+        # about omega_bar and about the digamma lift, and random roots
+        mpmath = pytest.importorskip("mpmath")
+        spec = solve_eigenfrequencies(DressedAtomParams(omega_bar, g, delta, n))
+        bound, p = spec.weight_bounds(), spec.params
+        with mpmath.workdps(50):
+            scale = mpmath.mpf(p.eta_sq) / mpmath.mpf(p.delta_omega) ** 2
+            for r in oracle._sample_roots(spec):
+                m, s = int(spec.asymptotes[r]), float(spec.offsets[r])
+                total, total2 = mpmath_mode_sums(n, m, s, dps=50)
+                slope = 1 + scale * (total + (m + mpmath.mpf(s)) ** 2 * total2)
+                assert abs(float(spec.weights[r]) * slope - 1) <= bound[r]
+
+    def test_within_thirty_eps_across_the_domain(self):
+        # the bound at the figure's parameters and at the ends of the domain
+        for args in [(1.0, 0.5, 0.1, 200), (1.0, 1e-6, 1e-3, 3000), (10.0, 9.9, 1e3, 1)]:
+            bound = solve_eigenfrequencies(DressedAtomParams(*args)).weight_bounds()
+            assert np.all(bound <= 30 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("args", [(1.0, 1.0, 1e76, 8), (1.25e-70, 1.25e-67, 1e10, 8)])
+    def test_an_overflowing_slope_is_refused(self, args):
+        # near the spacing floor the slope's S2 / dw^4 overflows and root 0's
+        # weight would read 0: the record refuses it, naming the root, and no
+        # RuntimeWarning escapes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormalizationFailure,
+                               match=r"^root 0 atom weight 0\.000e\+00 is not finite and positive"):
+                solve_eigenfrequencies(DressedAtomParams(*args))
 
 
 class TestMidpoints:
