@@ -19,14 +19,10 @@ deviates from the normalized element by O(1/N).
 
 A :class:`TransformMatrix` checks unit columns and orthogonality to 1e-6
 from its spectrum in O(N) time and memory; it holds no entry of t, and forms
-any row again on demand, in O(N), or the whole matrix when asked.  The
-column check forms only near fields: every row of the outer pair {0, N}, and
-of each inner column the atom row and the 2K + 1 field rows nearest its
-pole, summed to within eps; the rows beyond are an Euler-Maclaurin sum (DLMF
-2.10.1) of k^2/(k^2 - u^2)^2 with a bound on its remainder and rounding, so
-each column's recorded deviation is at least that of the stored entries.
-Orthogonality takes no product t t^T: for columns r != s, partial fractions
-of the eigenvector ratio give
+any row again on demand, in O(N), or the whole matrix when asked.  Column r
+has the norm w_r |F'(lam_r)|, so the weights' rounding bounds it
+(:meth:`ModeSpectrum.weight_bounds`).  Orthogonality takes no product t t^T:
+for columns r != s, partial fractions of the eigenvector ratio give
 
     (t^T t)_rs = -t_atom^r t_atom^s (F(lam_r) - F(lam_s)) / (lam_r - lam_s),
 
@@ -67,18 +63,11 @@ _COLUMN_NORM_TOL = 1e-6
 _ORTHO_TOL = 1e-6
 
 # Elements in each block's temporaries (512 kB of floats): the dense build holds
-# one (N+1)^2 array and a few blocks, the checks O(N) arrays and a few blocks.
+# one (N+1)^2 array and a few blocks, the checks O(N) arrays.
 _BLOCK_ELEMENTS = 2**16
 
-# Near fields: the 2K + 1 field rows nearest each inner root's pole, summed term by term.
-_NEAR = 31
 # Roots whose pairs the orthogonality bound sums term by term (:func:`_off_diagonal`).
 _HEAVY = 8
-# B_2 .. B_10: four Euler-Maclaurin corrections and the remainder's coefficient,
-# and the remainder over one far segment, 2 |B_10| h^11 + |B_10| h^10 / (5u) with
-# h = 1/(K + 1/2) and u > 1 (:func:`_euler_maclaurin`): 2.1e-17.
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)
-_EM_REMAINDER = (2.0 / (_NEAR + 0.5) + 0.2) * _BERNOULLI[-1] / (_NEAR + 0.5) ** 10
 
 _EPS = np.finfo(float).eps
 # Relative rounding of a stored element t_k^r: 8 roundings of eps/2 (eta/dw,
@@ -90,17 +79,19 @@ _ENTRY_ROUNDING = 4.0 * _EPS
 class TransformMatrix:
     """The orthogonal matrix t[mu, r] of ``spectrum``, checked, holding no entry.
 
-    ``column_deviation`` is the worst of the bounds :func:`_column_deviation`
-    puts on |sum_mu (t_mu^r)^2 - 1| over the entries :func:`_field_rows` forms,
-    from their near fields and a bounded far field; ``orthogonality_bound``
-    adds :func:`_off_diagonal`'s B on ||t^T t - diag||_2 and 2 (2 gamma +
+    ``column_deviation`` is the worst bound on |sum_mu (t_mu^r)^2 - 1| over the
+    entries :func:`_field_rows` forms: on the stored atom row a, sqrt(w)
+    rounded, the formulas' column has the norm a^2 |F'| within b + eps (1 +
+    b) of 1 (b of ``weight_bounds``) and field part a^2 (|F'| - 1) <= (1 +
+    eps)(1 - w + b), and the stored squares lie within 2 gamma + gamma^2 of
+    theirs: b + eps + 2 gamma (1 - w + b), raised by 8 eps for the second
+    order and this arithmetic.  ``orthogonality_bound`` adds
+    :func:`_off_diagonal`'s B on ||t^T t - diag||_2 and 2 (2 gamma +
     gamma^2)(1 + B) for the stored entries (gamma = ``_ENTRY_ROUNDING``,
     Cauchy-Schwarz): it bounds ||t^T t - 1||_2 for the formulas' t and each
     entry of the stored t's Gram minus 1, not that Gram's 2-norm, which
     ``test_global_bound_covers_the_long_double_gram`` checks.  Both must be
-    at most 1e-6.  :meth:`row` and :attr:`t` form their entries through
-    :func:`_field_rows`, so they return the bits the near fields checked and
-    the far field bounds.
+    at most 1e-6.
     """
 
     spectrum: ModeSpectrum
@@ -110,7 +101,9 @@ class TransformMatrix:
     _phi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        col_dev = _column_deviation(self.spectrum)
+        col_dev = self.spectrum.weight_bounds()  # b, then b + eps + 2 gamma (1 - w + b)
+        col_dev += _EPS + 2.0 * _ENTRY_ROUNDING * (1.0 - self.spectrum.weights + col_dev)
+        col_dev *= 1.0 + 8.0 * _EPS
         require(col_dev <= _COLUMN_NORM_TOL, NormalizationFailure,
                 "column {i} norm deviates by {:.3e} (bad roots?)", col_dev)
         phi = self.spectrum.raised_residuals() / self.spectrum.params.delta_omega**2
@@ -179,158 +172,22 @@ def row_index(label, n_modes: int) -> int:
     raise ValueError(f"row label must be 'atom' or a mode index 1..{n_modes}, got {label!r}")
 
 
-def _field_rows(spectrum: ModeSpectrum, k: np.ndarray, roots=slice(None), out=None) -> np.ndarray:
-    """Field entries t_k^r, k >= 1, of the columns ``roots`` (k an array of row
-    numbers as floats, broadcast against the roots along its last axis) into
-    ``out``: t_k^r = (eta/dw) k / gap * t_atom^r from the eigenvector ratio,
+def _field_rows(spectrum: ModeSpectrum, k: np.ndarray, out=None) -> np.ndarray:
+    """Field entries t_k^r, k >= 1, of every column (k an array of row numbers
+    as floats, broadcast against the roots along its last axis) into ``out``:
+    t_k^r = (eta/dw) k / gap * t_atom^r from the eigenvector ratio,
     t_atom^r = sqrt(w_r) the atom row, with gap = (omega_k^2 - Omega_r^2) / dw^2
     formed from the root's offsets as ((k - m_r) - s_r)(k + m_r + s_r), so it
     keeps its digits where the root hugs omega_k, and is nonzero: the spectrum
     admits 0 < |s_r| <= 1/2 below the top root and s_N > 0 above omega_N.  The
     same elementwise steps in any layout, so the same bits for every (k, r)."""
-    p = spectrum.params
-    m, s = spectrum.asymptotes[roots], spectrum.offsets[roots]
+    p, m, s = spectrum.params, spectrum.asymptotes, spectrum.offsets
     gap = np.subtract(k, m, out=out)
     gap -= s
     gap *= k + (m + s)
     np.divide((p.eta / p.delta_omega) * k, gap, out=gap)
-    gap *= np.sqrt(spectrum.weights[roots])
+    gap *= np.sqrt(spectrum.weights)
     return gap
-
-
-def _near_norms(spectrum: ModeSpectrum, roots, lo, width: int):
-    """(t_atom^r)^2 plus the squares of field rows lo_r .. lo_r + width - 1 of
-    each column r of ``roots``, formed by :func:`_field_rows` a block of columns
-    at a time, and a bound on their distance from the exact sums of the stored
-    entries' squares.
-
-    Each column of n = width + 1 squares p is split at sigma = 2^k > n max p
-    (the ExtractVector of Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31 (2008)
-    189-224): the parts q = (sigma + p) - sigma are multiples of eps sigma below
-    2 sigma in all, so they add exactly, and the rests p - q, exact and each at
-    most u sigma (u = eps/2), add within n^2 u^2 sigma <= n^3 eps^2 max p / 2.
-    With u for each square and u for the last sum, eps |sum| plus that covers it.
-    """
-    n = width + 1
-    sums, err = np.empty(roots.size), np.empty(roots.size)
-    step = max(1, _BLOCK_ELEMENTS // n)
-    for i in range(0, roots.size, step):
-        r = roots[i:i + step]
-        x = np.empty((n, r.size))
-        np.sqrt(spectrum.weights[r], out=x[0])
-        k = lo[i:i + step] + np.arange(width, dtype=float)[:, None]
-        _field_rows(spectrum, k, r, out=x[1:])
-        np.square(x, out=x)
-        top = x.max(axis=0)
-        sigma = np.ldexp(1.0, np.frexp(n * top)[1])
-        q = x + sigma
-        q -= sigma
-        x -= q
-        sums[i:i + step] = q.sum(axis=0) + x.sum(axis=0)
-        err[i:i + step] = _EPS * sums[i:i + step] + n**3 * _EPS**2 * top
-    return sums, err
-
-
-def _euler_maclaurin(m, s, x):
-    """Euler-Maclaurin (DLMF 2.10.1) for sum_k f(k), f(k) = k^2 / (k^2 - u^2)^2,
-    u = m + s > 1, over two row segments, the rows of ``x`` their first and
-    last rows, each at least K + 1/2 from u: each end's terms, and each end's
-    magnitudes, which bound the rounding.
-
-    With y1 = 1/(x - u), y2 = 1/(x + u), f = (y1^2 + y2^2)/4 + (y1 - y2)/(4u), so
-    its antiderivative is -x y1 y2 / 2 + ln|(x - u)/(x + u)|/(4u), and
-    B_2i/(2i)! f^(2i-1) = -(B_2i/4)(y1^(2i+1) + y2^(2i+1)) - (B_2i/(8iu))(y1^2i -
-    y2^2i).  Every f^(2P) is positive away from u, so the remainder after P - 1
-    = 4 corrections is at most 2 |B_10|/10! |f^(9)(b) - f^(9)(a)|, below
-    ``_EM_REMAINDER`` as |y2| <= |y1| <= h = 1/(K + 1/2).  Each piece (the
-    corrections summed by Horner's rule) is formed within 48 u of the
-    magnitude of its terms, the antiderivative's logarithm by log1p where the
-    ratio is above 1/2, and at most 28 pieces are added, so 40 eps times their
-    magnitudes covers the rounding; the corrections' magnitudes are below
-    (|y1| + 1/(2u)) y1^2 / 11.
-    """
-    side = np.array([[-1.0], [1.0], [-1.0], [1.0]])
-    u = m + s
-    d = (x - m) - s
-    y = np.stack((1.0 / d, 1.0 / (x + u)))  # y1, y2
-    z = 2.0 * np.minimum(x, u) * y[1]  # 1 - |x - u|/(x + u)
-    log = np.where(z <= 0.5, np.log1p(-z), np.log(np.abs(d) * y[1]))
-    rational, log = -0.5 * x * y[0] * y[1], log / (4.0 * u)
-    half = 0.5 * (x * y[0] * y[1]) ** 2
-    q = y * y
-    mag = np.abs(rational) + np.abs(log) + half + (np.abs(y[0]) + 0.5 / u) * q[0] / 11.0
-    # the corrections by Horner's rule in y^2: sum_i B_2i (y^(2i+1)/4, y^2i/(8i))
-    odd, even = 0.0, 0.0
-    for i, b in reversed(list(enumerate(_BERNOULLI[:-1], start=1))):
-        odd = q * odd + 0.25 * b
-        even = q * even + b / (8.0 * i)
-    odd *= y * q
-    even *= q
-    total = side * ((rational + log) - (odd[0] + odd[1]) - (even[0] - even[1]) / u) + half
-    return total, mag
-
-
-def _column_deviation(spectrum: ModeSpectrum) -> np.ndarray:
-    """For each column r of t, a bound on |sum_mu (t_mu^r)^2 - 1| over the
-    entries that :func:`_field_rows` forms, so over a stored t's columns.
-
-    The outer pair {0, N} sums every row (:func:`_near_norms`): above omega_N
-    the antiderivative's two terms would cancel.  An inner root
-    sums the atom row and the 2K + 1 field rows nearest its asymptote (K =
-    ``_NEAR``, the window shifted inside 1..N), and takes the rows outside, at
-    least K + 1/2 from its pole, as (eta/dw)^2 w_r sum f(k) by
-    :func:`_euler_maclaurin`.  A stored far entry is within gamma = 4 eps of
-    its formula, so its square within 2 gamma + gamma^2; with 2.5 eps for the
-    float (eta/dw)^2 w_r and its product, 12 eps of the far part covers both.
-    The bound adds to |sum - 1| the near part's error, the far part's
-    remainder, rounding and formula terms, and u for the last sum, and is
-    raised by 4 eps for its own arithmetic.  A NaN entry or weight leaves a
-    NaN bound.
-    """
-    n = spectrum.params.n_modes
-    width = min(2 * _NEAR + 1, n)
-    if n == width:
-        # every window holds every row (N <= 2K + 1), so both far segments
-        # would be empty, and _far_field evaluates empty segments at rows 1
-        # and N, the poles of the roots hugging omega_1 and omega_N: at weak
-        # coupling log1p divides by zero there.  This branch changes no bits
-        return _deviation(*_near_norms(spectrum, np.arange(n + 1), np.ones(n + 1), n))
-    norms, err = np.empty(n + 1), np.empty(n + 1)
-    outer = np.array([0, n])
-    norms[outer], err[outer] = _near_norms(spectrum, outer, np.ones(2), n)
-    step = max(1, _BLOCK_ELEMENTS // (width + 1))
-    for i in range(1, n, step):
-        r = np.arange(i, min(i + step, n))
-        lo = np.clip(spectrum.asymptotes[r] - _NEAR, 1, n + 1 - width).astype(float)
-        near, near_err = _near_norms(spectrum, r, lo, width)
-        far, far_err = _far_field(spectrum, r, lo, width)
-        norms[r], err[r] = near + far, near_err + far_err
-    return _deviation(norms, err)
-
-
-def _far_field(spectrum: ModeSpectrum, roots, lo, width: int):
-    """Sum of (t_k^r)^2 over the field rows outside lo_r .. lo_r + width - 1 of
-    each inner column r of ``roots``, as (eta/dw)^2 w_r sum f(k)
-    (:func:`_euler_maclaurin`), and a bound on its distance from the stored
-    entries' squares (:func:`_column_deviation`)."""
-    p = spectrum.params
-    n = p.n_modes
-    # the segments 1 .. lo - 1 and lo + width .. N; an empty one (masked) is
-    # evaluated at an end of the other, so at rows far from the pole too
-    low, high = lo > 1.0, lo + width <= n
-    ends = np.stack((np.where(low, 1.0, n), np.where(low, lo - 1.0, n),
-                     np.where(high, lo + width, 1.0), np.where(high, n, 1.0)))
-    total, mag = _euler_maclaurin(spectrum.asymptotes[roots], spectrum.offsets[roots], ends)
-    has = np.stack((low, high))
-    c2w = (p.eta / p.delta_omega) ** 2 * spectrum.weights[roots]
-    far = c2w * np.where(has, total[0::2] + total[1::2], 0.0).sum(axis=0)
-    bound = np.where(has, _EM_REMAINDER + 40.0 * _EPS * (mag[0::2] + mag[1::2]), 0.0)
-    return far, c2w * bound.sum(axis=0) + 12.0 * _EPS * np.abs(far)
-
-
-def _deviation(norms, err):
-    """|norms - 1| raised by ``err``, u for the last sum and 4 eps for this arithmetic."""
-    return (np.abs(norms - 1.0) + err + 0.5 * _EPS * norms) * (1.0 + 4.0 * _EPS)
 
 
 def _off_diagonal(spectrum: ModeSpectrum, phi: np.ndarray, x=None) -> float:

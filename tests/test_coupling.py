@@ -39,9 +39,6 @@ TOP_COLUMN_RATIO_FROZEN = {
     94: -2404.704399609044415709321,
 }
 
-# the largest N whose near fields hold every row of every column
-NEAR_EDGE = 2 * coupling._NEAR + 1
-
 
 class TestAtomElement:
     def test_collapses_at_atom_frequency(self, fig_params):
@@ -140,8 +137,8 @@ class TestBuildMatrix:
 
     def test_build_peaks_below_one_and_a_quarter_dense_matrices(self):
         # t is the one (N+1)^2 array: it is formed into itself a block of rows
-        # at a time, and the checks hold O(N) arrays and blocks of near
-        # fields, never a t * t or a Gram t t^T
+        # at a time, and the checks hold O(N) arrays, never a t * t or a Gram
+        # t t^T
         p = DressedAtomParams(1.0, 0.5, 0.1, n_modes=1500)
         spec = solve_eigenfrequencies(p)
         tracemalloc.start()
@@ -153,8 +150,8 @@ class TestBuildMatrix:
         assert peak < 1.25 * 1501**2 * 8
 
     def test_rows_record_above_the_cap_peaks_far_below_one_dense_matrix(self):
-        # the record, rows mu and nu, the column norms and the bound hold O(N)
-        # arrays and blocks of bounded size, so no cap applies
+        # the record, rows mu and nu, the column bounds and the orthogonality
+        # bound hold O(N) arrays, so no cap applies
         n = coupling.MATRIX_MODE_CAP + 1
         spec = solve_eigenfrequencies(DressedAtomParams(1.0, 0.5, 0.1, n_modes=n))
         tracemalloc.start()
@@ -167,9 +164,9 @@ class TestBuildMatrix:
         assert peak < 0.02 * (n + 1)**2 * 8
 
     def test_build_holds_few_arrays(self):
-        # the column check and the O(N) orthogonality bound work in blocks and
-        # in place, so the record's build peaks near the residuals' raise, a
-        # few arrays of N+1 floats, as the solve does
+        # the weights' bounds and the O(N) orthogonality bound work in place,
+        # so the record's build peaks near the residuals' raise, a few arrays
+        # of N+1 floats, as the solve does
         p = DressedAtomParams(1.0, 0.4, 0.5, 100_000)
         spec = solve_eigenfrequencies(p)
         build_matrix(spec)  # caches and lazy imports out of the count
@@ -191,42 +188,23 @@ class TestBuildMatrix:
     def test_atom_row_is_the_root_of_the_weights(self, fig_spectrum, fig_matrix):
         assert np.array_equal(fig_matrix.t[0], np.sqrt(fig_spectrum.weights))
 
-    @pytest.mark.parametrize("ask", [lambda tm: tm.t, lambda tm: tm.row(5)],
-                             ids=["dense", "rows"])
-    def test_rejects_a_nan_entry(self, fig_spectrum, ask, monkeypatch):
-        # the record checks the norms of the entries it formed before it serves
-        # the whole matrix or any row: a NaN t_5^7, wherever _field_rows forms
-        # it, as a broken formula would leave, fails the column check, which
-        # states what passes
-        field_rows = coupling._field_rows
-
-        def poisoned(spectrum, k, roots=slice(None), out=None):
-            block = field_rows(spectrum, k, roots, out)
-            columns = np.arange(spectrum.params.n_modes + 1)[roots]
-            block[np.broadcast_to((k == 5.0) & (columns == 7), block.shape)] = np.nan
-            return block
-
-        monkeypatch.setattr(coupling, "_field_rows", poisoned)
-        with pytest.raises(NormalizationFailure, match="column 7 norm deviates by nan"):
-            ask(TransformMatrix(spectrum=fig_spectrum))
-
     def test_the_dense_path_forms_each_entry_once(self, monkeypatch):
-        # the record forms only its near fields (every row of the outer pair,
-        # 2K + 1 rows of each inner column); t forms each of its N(N + 1)
-        # field entries once more
+        # the record forms no entry: its column bounds come from the weights';
+        # t forms each of its N(N + 1) field entries once
         n = 600
         spec = solve_eigenfrequencies(DressedAtomParams(1.0, 0.5, 0.1, n))
         field_rows, formed = coupling._field_rows, []
 
-        def counted(spectrum, k, roots=slice(None), out=None):
-            block = field_rows(spectrum, k, roots, out)
+        def counted(spectrum, k, out=None):
+            block = field_rows(spectrum, k, out)
             formed.append(block.size)
             return block
 
         monkeypatch.setattr(coupling, "_field_rows", counted)
-        build_matrix(spec).t
-        near = 2 * n + (n - 1) * NEAR_EDGE
-        assert n * (n + 1) < sum(formed) <= n * (n + 1) + near
+        tm = build_matrix(spec)
+        assert formed == []
+        tm.t
+        assert sum(formed) == n * (n + 1)
 
     def test_reconstructs_quadratic_form(self, fig_spectrum, fig_matrix):
         b = build_form(fig_spectrum.params).matrix
@@ -382,42 +360,28 @@ class TestOrthogonalityBound:
             z = x * np.where(vectors[:, np.argmax(np.abs(values))] >= 0.0, 1.0, -1.0)
             assert abs(z @ gram @ z) <= coupling._off_diagonal(spec, raised, x)
 
-    @pytest.mark.parametrize("n", [100, 600, NEAR_EDGE, NEAR_EDGE + 1])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 100, 600])
     @pytest.mark.parametrize("delta", [1e-3, 1e3])
     @pytest.mark.parametrize("g", [1e-9, 0.9, 0.02])
     def test_never_below_the_gemm_gram(self, g, delta, n):
-        # far fields on both checks at N = 100 and 600; at N = 2K + 1 every
-        # column's near field holds every row, at 2K + 2 not
         tm = build_matrix(solve_eigenfrequencies(DressedAtomParams(1.0, g, delta, n)))
         gemm = gram_deviation(tm.t)
         assert gemm <= tm.orthogonality_bound <= 1e-13
-        # the column bound is a bound on the stored array's columns, and close
+        # each column's bound, from the weights' rounding, bounds the stored
+        # array's column, and lies close to it
         exact = exact_deviations(tm.t)
-        bound = coupling._column_deviation(tm.spectrum)
+        bound = tm._deviations
         assert np.all(exact <= bound) and np.all(bound <= exact + 1e-14)
         assert tm.column_deviation == bound.max()
 
     @pytest.mark.parametrize("n", [62, 63, 64, 65, 126, 127, 128])
     @pytest.mark.parametrize("delta", [1e-3, 0.1, 1.0, 1e3])
     @pytest.mark.parametrize("g", [1e-6, 0.02, 0.5, 0.99, 5.0])
-    def test_holds_at_the_near_far_crossovers(self, g, delta, n):
-        # N = 2K + 1 = 63 is the largest N whose near fields hold every row:
-        # 62-65 straddle it, and 126-128 twice the near window's width
+    def test_holds_from_62_to_128_modes(self, g, delta, n):
+        # the truncations where a computed column check once changed route
         tm = build_matrix(solve_eigenfrequencies(DressedAtomParams(1.0, g, delta, n)))
         assert exact_deviations(tm.t).max() <= tm.column_deviation
         assert gram_deviation(tm.t) <= tm.orthogonality_bound
-
-    def test_short_spectra_sum_every_row_near(self, monkeypatch):
-        # N <= 2K + 1: every column's near window holds every row, so the check
-        # takes its fast path, which forms no far field; at N = 2K + 2 it does
-        def far_field(*_):
-            raise RuntimeError("far field formed")
-
-        monkeypatch.setattr(coupling, "_far_field", far_field)
-        for n in (1, 8, NEAR_EDGE):
-            build_matrix(solve_eigenfrequencies(DressedAtomParams(1.0, 0.5, 0.1, n)))
-        with pytest.raises(RuntimeError, match="far field formed"):
-            build_matrix(solve_eigenfrequencies(DressedAtomParams(1.0, 0.5, 0.1, NEAR_EDGE + 1)))
 
     @pytest.mark.parametrize("g, delta, n", [(1e-30, 1e-29, 16), (0.01, 1e3, 3000)],
                              ids=["resonance", "top-root-far-above"])
@@ -425,7 +389,7 @@ class TestOrthogonalityBound:
         spec = solve_eigenfrequencies(DressedAtomParams(1.0, g, delta, n))
         tm = build_matrix(spec)
         exact = exact_deviations(tm.t)
-        bound = coupling._column_deviation(spec)
+        bound = tm._deviations
         assert np.all(exact <= bound) and np.all(bound <= exact + 1e-14)
         assert gram_deviation(tm.t) <= tm.orthogonality_bound
 
@@ -439,8 +403,8 @@ class TestOrthogonalityBound:
         assert gram_deviation(tm.t) <= tm.orthogonality_bound <= 1e-6
 
     def test_rows_record_matches_the_dense_matrix(self):
-        # row(k) and t form the entries whose column norms the check bounds,
-        # bit for bit; all rows near at N = 50, far fields at 200 and 600
+        # row(k) and t form the entries whose column norms the record bounds,
+        # bit for bit
         for g, delta, n in ((1e-9, 1e3, 50), (0.5, 0.1, 200), (0.9, 1e-3, 600)):
             tm = build_matrix(solve_eigenfrequencies(DressedAtomParams(1.0, g, delta, n)))
             rows = np.array([tm.row(k) for k in range(n + 1)])
