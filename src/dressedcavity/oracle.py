@@ -268,12 +268,10 @@ def _sample_roots(spec) -> np.ndarray:
     about b = N+1-v = 10, where the closed form's digamma starts to lift its
     argument, and the rest drawn without replacement, seeded by N."""
     n = spec.params.n_modes
-    if n < _SAMPLE:
-        return np.arange(n + 1)
     near = np.searchsorted(spec.bigomegas, spec.params.omega_bar)
     lift = np.searchsorted(spec.asymptotes + spec.offsets, n - 9.0)
     fixed = np.clip([0, 1, near - 1, near, lift - 1, lift, n - 1, n], 0, n).tolist()
-    drawn = np.random.default_rng(n).choice(n + 1, _SAMPLE, replace=False).tolist()
+    drawn = np.random.default_rng(n).choice(n + 1, min(n + 1, _SAMPLE), replace=False).tolist()
     return np.sort(list(dict.fromkeys(fixed + drawn))[:_SAMPLE])
 
 

@@ -378,7 +378,7 @@ class TestOrthogonalityBound:
     @pytest.mark.parametrize("delta", [1e-3, 0.1, 1.0, 1e3])
     @pytest.mark.parametrize("g", [1e-6, 0.02, 0.5, 0.99, 5.0])
     def test_holds_from_62_to_128_modes(self, g, delta, n):
-        # the truncations where a computed column check once changed route
+        # a grid of couplings and spacings at N = 62-65 and 126-128
         tm = build_matrix(solve_eigenfrequencies(DressedAtomParams(1.0, g, delta, n)))
         assert exact_deviations(tm.t).max() <= tm.column_deviation
         assert gram_deviation(tm.t) <= tm.orthogonality_bound
