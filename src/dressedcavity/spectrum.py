@@ -259,13 +259,15 @@ class ModeSpectrum:
         err[1:n] = (2.5 + 1.58 * np.pi**2 + 3.0 * (t_a + t_b) + 2.0 * c * (c + dc)
                     + (13.0 + oi) * big_dp) / 4.0
         psi0 = t_b * 2.0 * vi
-        err[1:n] += (dc + 10.0 + 3.0 * psi0 + (32.0 + oi) * (c + psi0) + 2.0 * (27.0 + oi) / vi) / (4.0 * vi)
+        err[1:n] += (dc + 10.0 + 3.0 * psi0 + (32.0 + oi) * (c + psi0)
+                     + 2.0 * (27.0 + oi) / vi) / (4.0 * vi)
         tail = slice(max(1, n - 9), n)  # the roots whose b, or a, lies below 10
         for x in ((n + 1 - m[tail]) - s[tail], n + 1 + v[tail]):
             lifts = 4.0 * (1.0 / x + np.log1p(9.0 / x)) / v[tail] + 3.5 * (1.0 + 1.0 / x) / x
             err[tail] += np.where(x < 10.0, lifts, 0.0)
         eps = np.finfo(float).eps
-        return eps * (1.0 + 0.5 * self.weights * (p.eta_sq / p.delta_omega**2) * err) * (1.0 + 64.0 * eps)
+        err *= 0.5 * eps * (1.0 + 64.0 * eps) * p.eta_sq / p.delta_omega**2
+        return eps * (1.0 + 64.0 * eps) + self.weights * err
 
 
 def field_frequencies(params: DressedAtomParams) -> np.ndarray:

@@ -135,7 +135,8 @@ def mpmath_mode_sums(n, m, s, dps=80):
             minus, minus2 = psi(0, n + 1 - u) - psi(0, 1 - u), psi(1, 1 - u) - psi(1, n + 1 - u)
         elif u < n:  # psi'(1 - u) by reflection (DLMF 5.15.6), which mpmath is slow to take
             minus = psi(0, n + 1 - u) - psi(0, 1 - u)
-            minus2 = (mpmath.pi / mpmath.sin(mpmath.pi * (u - m))) ** 2 - psi(1, u) - psi(1, n + 1 - u)
+            minus2 = (mpmath.pi / mpmath.sin(mpmath.pi * (u - m))) ** 2 - psi(1, u)
+            minus2 -= psi(1, n + 1 - u)
         else:
             minus, minus2 = psi(0, u - n) - psi(0, u), psi(1, u - n) - psi(1, u)
         plus, plus2 = psi(0, n + 1 + u) - psi(0, 1 + u), psi(1, 1 + u) - psi(1, n + 1 + u)

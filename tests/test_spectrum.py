@@ -702,7 +702,8 @@ class TestOuterSums:
         # the outer pair's points, and inner roots that hug omega_m or lie midway
         mpmath = pytest.importorskip("mpmath")
         for n in (1, 8, 63):
-            inner = [(m, s) for m in {1, n // 2, n - 1} if 0 < m < n for s in (-0.5, -1e-9, 1e-9, 0.5)]
+            inner = [(m, s) for m in {1, n // 2, n - 1} if 0 < m < n
+                     for s in (-0.5, -1e-9, 1e-9, 0.5)]
             for m, s in list(zip(*self._points(n))) + inner:
                 with mpmath.workdps(80):
                     u = mpmath.mpf(m) + mpmath.mpf(float(s))
