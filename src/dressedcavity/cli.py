@@ -13,8 +13,9 @@ subcommand takes only the keys it reads (``_COMMANDS``), as flags
 comments), each read by :func:`_read`, and the flags override the file.
 Any other key is refused by :func:`_outside`, a word that is no flag as a
 stray argument.  Defaults reproduce the reference impurity figure
-(omega_bar=1, g=0.5, delta=0.1, t in [0, 25]).  Each CSV cell is exactly
-``format(x, '.17g')`` (:func:`write_csv`), so identical configs give
+(omega_bar=1, g=0.5, delta=0.1, t in [0, 25]).  Each command hands
+:func:`write_csv` float columns, which may end in one label for every row;
+each number's cell is exactly ``format(x, '.17g')``, so identical configs give
 byte-identical files; the frozen result types check their own invariants.
 """
 
@@ -214,11 +215,12 @@ def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return slots, slow
 
 
-def write_csv(path: Path, header: list[str], table) -> None:
-    """Write ``header``, then the rows of the 2-D ``table``: a column of
-    strings (ASCII, no NUL) as it is, any other cell as exactly the bytes of
-    ``format(float(v), '.17g')``, formed with numpy a block of cells at a
-    time.  The file's directory is created if missing.
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Write ``header``, then the rows of ``columns``: float arrays, each 1-D
+    (one column) or 2-D (one row per row), then maybe one ``str``, the last
+    cell of every row.  Each number is exactly ``format(float(v), '.17g')``,
+    formed with numpy a block of rows at a time, the only copy of the table
+    made.  The file's directory is created if missing.
 
     A finite cell x, 1e-280 <= |x| < 1e281, is laid out as %g lays out its
     exponent X and digits q = round-half-even(|x| 10**k), k = 16 - X,
@@ -234,25 +236,19 @@ def write_csv(path: Path, header: list[str], table) -> None:
     at most one double below each power of ten), outside the exponent range
     or not finite.
     """
-    table = np.asarray(table)
-    text = np.array([isinstance(v, str) for v in table[:1].ravel()], bool)
+    labelled = isinstance(columns[-1], str)
+    pieces, eol = (columns[:-1], f",{columns[-1]}\n".encode()) if labelled else (columns, b"\n")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     step = max(1, _BLOCK // len(header))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for i in range(0, len(table), step):
-            block = table[i:i + step]
-            cells = _cells(block[:, ~text].astype(np.float64).ravel())[0].reshape(
-                len(block), -1, _SLOT)
-            if text.any():  # strings left-aligned in slots wide enough for the longest
-                words = block[:, text].astype(bytes)
-                slots = np.zeros(block.shape + (max(_SLOT, words.itemsize + 1),), np.uint8)
-                slots[:, ~text, :_SLOT] = cells
-                slots[:, text, :words.itemsize] = words.view(np.uint8).reshape(*words.shape, -1)
-                cells = slots
+        for i in range(0, len(pieces[0]), step):
+            block = np.column_stack([p[i:i + step] for p in pieces]).astype(np.float64, copy=False)
+            cells = _cells(block.ravel())[0].reshape(*block.shape, _SLOT)
             cells[:, :, -1] = ord(",")
             cells[:, -1, -1] = ord("\n")
-            fh.write(cells[cells != 0].tobytes())  # each cell's zero bytes dropped
+            # each cell's zero bytes dropped; no cell holds a newline
+            fh.write(cells[cells != 0].tobytes().replace(b"\n", eol))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +302,8 @@ def _write_pair(cfg: RunConfig, path: Path, trace) -> np.ndarray:
     d = bipartite.impurity(m)
     e = np.full(trace.times.shape, bipartite.entanglement_entropy(cfg.xi))
     write_csv(path, ["t", "rho00", "rho0101", "rho1010", "re_coh", "im_coh", "D", "E"],
-              np.column_stack([m.time, m.p_ground, m.p_b_excited, m.p_a_excited,
-                               m.coherence.real, m.coherence.imag, d, e]))
+              [m.time, m.p_ground, m.p_b_excited, m.p_a_excited, m.coherence.real,
+               m.coherence.imag, d, e])
     return d
 
 
@@ -328,12 +324,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     oms = np.linspace(k * dw + 0.02 * dw, (k + 1) * dw - 0.02 * dw, 80, axis=-1).ravel()
     lhs, rhs = cotangent_curves(oms, params)
     write_csv(out / "spectrum_curves.csv", ["Omega", "x", "cot_lhs", "rhs_line"],
-              np.column_stack([oms, params.radius * oms, lhs, rhs]))
+              [oms, params.radius * oms, lhs, rhs])
 
     roots = spec.bigomegas
     write_csv(out / "spectrum_roots.csv", ["r", "Omega_r", "x_r", "newton_rel"],
-              np.column_stack([np.arange(roots.size), roots, params.radius * roots,
-                               spec.newton_rel]))
+              [np.arange(roots.size), roots, params.radius * roots, spec.newton_rel])
 
     if cfg.svg:
         clip = float(np.percentile(np.abs(rhs), 95)) * 2 + 10
@@ -355,10 +350,9 @@ def cmd_amplitude(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     v = trace.values
     abs2 = np.hypot(v.real, v.imag) ** 2  # scalar abs: numpy's array abs may differ by an ulp
-    method = np.full(v.size, trace.method, dtype=object)
     path = out / "amplitude.csv"
     write_csv(path, ["t", "re_f", "im_f", "abs2_f", "method"],
-              np.column_stack([trace.times, v.real, v.imag, abs2, method]))
+              [trace.times, v.real, v.imag, abs2, trace.method])
     if cfg.svg:
         svg = svgplot.line_plot(
             [("|f|^2", trace.times, abs2, False)],
@@ -412,8 +406,7 @@ def cmd_matrix_dump(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     header = ["r", "Omega_r", "t_atom_r"] + [f"t_{k}_r" for k in range(1, params.n_modes + 1)]
     path = out / "transform_matrix.csv"
-    write_csv(path, header,
-              np.column_stack([np.arange(params.n_modes + 1), tm.spectrum.bigomegas, tm.t.T]))
+    write_csv(path, header, [np.arange(params.n_modes + 1), tm.spectrum.bigomegas, tm.t.T])
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -222,15 +222,25 @@ def mpmath_free_space_amplitude(omega_bar, g, t, dps=30):
 _CSV_BLOCK = 1 << 16
 
 
-def printf_write_csv(path: Path, header: list[str], table) -> None:
-    """Write ``header``, then the rows of the 2-D ``table`` through one printf
-    row template: ``%s`` for a column of strings, else ``%.17g``, which prints
+def table_of(columns) -> tuple[np.ndarray, str | None]:
+    """The whole table of the columns ``cli.write_csv`` takes, as one 2-D
+    array stacked side by side, and the label that may end them (else None)."""
+    labelled = isinstance(columns[-1], str)
+    pieces = columns[:-1] if labelled else columns
+    return np.column_stack(pieces), columns[-1] if labelled else None
+
+
+def printf_write_csv(path: Path, header: list[str], columns) -> None:
+    """Write ``header``, then the table of ``columns`` (:func:`table_of`)
+    through one printf row template: ``%.17g`` for each number, which prints
     exactly what ``format(float(x), '.17g')`` does (ints, -0.0, nan, inf and
-    subnormals included).  The file's directory is created if missing.
+    subnormals included), then the label as it is.  The file's directory is
+    created if missing.
     """
-    table = np.asarray(table)
+    table, label = table_of(columns)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in table[:1].ravel()) + "\n"
+    cells = ["%.17g"] * table.shape[1] + ([] if label is None else [label.replace("%", "%%")])
+    line = ",".join(cells) + "\n"
     step = max(1, _CSV_BLOCK // len(header))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")

@@ -595,13 +595,13 @@ def test_one_residual_raise_per_exact_job(tmp_path, monkeypatch, argv):
 
 
 class TestWriteCsv:
-    """Each cell is what format(float(v), '.17g') prints, and a string column as it is."""
+    """Each number is what format(float(v), '.17g') prints, and a label as it is."""
 
     @staticmethod
-    def _reference(header, rows):
+    def _reference(header, rows, label=None):
+        tail = "" if label is None else "," + label
         lines = [",".join(header)]
-        lines += [",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row)
-                  for row in rows]
+        lines += [",".join(format(float(v), ".17g") for v in row) + tail for row in rows]
         return "\n".join(lines) + "\n"
 
     def test_numeric_table(self, tmp_path):
@@ -612,16 +612,40 @@ class TestWriteCsv:
         n = 30_000
         values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
         values[: special.size] = special
-        table = np.column_stack([np.arange(n), values, values[::-1]])
-        write_csv(tmp_path / "t.csv", ["i", "a", "b"], table)
-        assert (tmp_path / "t.csv").read_text() == self._reference(["i", "a", "b"], table)
+        write_csv(tmp_path / "t.csv", ["i", "a", "b"], [np.arange(n), values, values[::-1]])
+        rows = zip(range(n), values.tolist(), values[::-1].tolist())
+        assert (tmp_path / "t.csv").read_text() == self._reference(["i", "a", "b"], rows)
 
-    def test_integer_and_string_columns(self, tmp_path):
-        rows = [(0, -0.0, "discrete-sum"), (1, float("nan"), "discrete-sum"),
-                (2, 5e-324, "x"), (3, float("-inf"), "x")]
-        table = np.array(rows, dtype=object)
-        write_csv(tmp_path / "t.csv", ["r", "v", "method"], table)
-        assert (tmp_path / "t.csv").read_text() == self._reference(["r", "v", "method"], rows)
+    def test_integer_column_and_label(self, tmp_path):
+        v = [-0.0, float("nan"), 5e-324, float("-inf")]
+        write_csv(tmp_path / "t.csv", ["r", "v", "method"], [np.arange(4), np.array(v),
+                                                              "discrete-sum"])
+        assert (tmp_path / "t.csv").read_text() == self._reference(
+            ["r", "v", "method"], zip(range(4), v), "discrete-sum")
+
+    def test_transposed_view(self, tmp_path):
+        # the rows of the file are the columns of m, read through a strided view
+        m = np.random.default_rng(3).standard_normal((5, 7))
+        header = ["r"] + [f"m{k}" for k in range(5)]
+        write_csv(tmp_path / "t.csv", header, [np.arange(7), m.T])
+        rows = ([r, *m[:, r].tolist()] for r in range(7))
+        assert (tmp_path / "t.csv").read_text() == self._reference(header, rows)
+
+    def test_longer_than_one_block(self, tmp_path):
+        # a block holds _BLOCK // 4 rows: the label ends the rows of every block
+        n = cli._BLOCK + 5
+        values = np.random.default_rng(4).standard_normal(n)
+        write_csv(tmp_path / "t.csv", ["i", "a", "b", "method"], [np.arange(n), values,
+                                                                   -values, "series"])
+        rows = zip(range(n), values.tolist(), (-values).tolist())
+        assert (tmp_path / "t.csv").read_text() == self._reference(["i", "a", "b", "method"],
+                                                                   rows, "series")
+
+    def test_label_after_2d_piece(self, tmp_path):
+        m = np.array([[1.5, -0.0], [np.inf, 1e-300], [0.1, 2.0]])
+        write_csv(tmp_path / "t.csv", ["a", "b", "method"], [m, "closed-form"])
+        assert (tmp_path / "t.csv").read_text() == self._reference(["a", "b", "method"],
+                                                                   m.tolist(), "closed-form")
 
 
 class TestMatrixDumpCommand:

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from dressedcavity import cli
-from oracles import printf_write_csv
+from oracles import printf_write_csv, table_of
 
 
 def written(tmp_path, values) -> bytes:
-    cli.write_csv(tmp_path / "v.csv", ["v"], np.asarray(values, np.float64)[:, None])
+    cli.write_csv(tmp_path / "v.csv", ["v"], [np.asarray(values, np.float64)])
     return (tmp_path / "v.csv").read_bytes()
 
 
@@ -135,12 +135,12 @@ class TestTables:
 
 
 def tables_handed_to_write_csv(monkeypatch, tmp_path, *argv):
-    """Each (path, header, table) a subcommand hands to write_csv."""
+    """Each (path, header, columns) a subcommand hands to write_csv."""
     calls, write = [], cli.write_csv
 
-    def capture(path, header, table):
-        calls.append((path, header, table))
-        write(path, header, table)
+    def capture(path, header, columns):
+        calls.append((path, header, columns))
+        write(path, header, columns)
 
     monkeypatch.setattr(cli, "write_csv", capture)
     assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_OK
@@ -159,14 +159,14 @@ def tables_handed_to_write_csv(monkeypatch, tmp_path, *argv):
     ("spectrum", "--n-modes", "3000", "--g", "0.01", "--delta", "1000"),
 ], ids=" ".join)
 def test_files_equal_the_printf_writer(monkeypatch, tmp_path, argv):
-    for path, header, table in tables_handed_to_write_csv(monkeypatch, tmp_path / "out", *argv):
-        printf_write_csv(tmp_path / "printf.csv", header, table)
+    for path, header, columns in tables_handed_to_write_csv(monkeypatch, tmp_path / "out", *argv):
+        printf_write_csv(tmp_path / "printf.csv", header, columns)
         assert path.read_bytes() == (tmp_path / "printf.csv").read_bytes(), path.name
 
 
 @pytest.mark.parametrize("argv", [("impurity",), ("matrix-dump", "--n-modes", "600")],
                          ids=" ".join)
 def test_few_cells_take_printf(monkeypatch, tmp_path, argv):
-    for _, _, table in tables_handed_to_write_csv(monkeypatch, tmp_path, *argv):
-        values = np.asarray(table, np.float64).ravel()
+    for _, _, columns in tables_handed_to_write_csv(monkeypatch, tmp_path, *argv):
+        values = table_of(columns)[0].astype(np.float64).ravel()
         assert cli._cells(values)[1].size <= 0.01 * values.size
