@@ -66,6 +66,8 @@ _BLOCK_ELEMENTS = 16384
 # Bound on the relative Newton correction |F/F'| / Omega^2 at every root.
 _RESIDUAL_TOL = 1e-10
 
+_SAMPLE = 64  # roots at which ModeSpectrum.direct_secular sums the definition, at most
+
 
 @dataclass(frozen=True)
 class DressedAtomParams:
@@ -181,9 +183,8 @@ class ModeSpectrum:
         :func:`_secular` evaluates it, raised in O(N) by its rounding bound:
         (8 + log2(N+1)) eps times the size of what F is formed from.
         That is |F|, the first term (omega_bar + Omega) |omega_bar - Omega|
-        with the rounding of its detuning, dw (|s| + m 2^-35) (:func:`_omega`:
-        m * head is exact below m = 2^17, dw's tail is below 2^-36 dw), and,
-        on the inner roots, the closed form's terms in eta^2 lam S, at most
+        with the rounding of its detuning, dw (|s| + tail) (:func:`_omega_tail`),
+        and, on the inner roots, the closed form's terms in eta^2 lam S, at most
         eta^2 (1 + u (1/|s| + ln(2N+1) + 1)) / 2 (pi |cot(pi s)| <= 1/|s| at
         |s| <= 1/2, its digamma pair below ln(2N+1) + 1).  The outer roots'
         F is the same expression, evaluated root by root on their O(1) forms
@@ -197,17 +198,52 @@ class ModeSpectrum:
         f = self.residuals
         terms = 0.5 * p.eta_sq * (1.0 + (m + s) * (1.0 / a + np.log(2.0 * n + 1.0) + 1.0))
         terms[[0, -1]] = 0.0
-        tail = np.where(m < 2**17, m * 2.0**-35, m)
+        tail = _omega_tail(m)
         scale = f + (p.omega_bar + om) * (np.abs(detuning) + p.delta_omega * (a + tail)) + terms
         return f + (8.0 + np.log2(n + 1.0)) * np.finfo(float).eps * scale
 
-    def direct_secular(self, roots) -> tuple[np.ndarray, np.ndarray]:
-        """(F, |F'|) at the carried offsets of ``roots`` from the definition,
-        the N terms over the factored gaps (:func:`_direct_sum`), which shares
-        no sum with the closed forms behind ``residuals`` and ``weights``: O(N)
-        a root."""
-        return _secular(self.asymptotes[roots], self.offsets[roots], self.params, _direct_sum,
-                        slope=True)
+    def direct_secular(self) -> tuple[np.ndarray, ...]:
+        """(roots, F, |F'|, bound on |F|, bound on |w |F'| - 1|) at a sample of
+        roots, F and |F'| from the definition, the N terms over the factored gaps
+        (:func:`_direct_sum`), O(N) a root, which share no sum with the closed
+        forms behind ``residuals`` and ``weights``.  The sample is at most
+        ``_SAMPLE`` roots, every root below that: the outer pair, roots 1 and N-1,
+        the two roots about omega_bar and the two about b = N+1-v = 10, where
+        :func:`_psi_pair` starts to lift, and the rest drawn seeded by N.
+
+        Each term 1/((k - m - s)(k + m + s)) rounds within 5u and their sum within
+        gamma_(N-1) of their moduli, A = sum |1/(k^2 - v^2)| for S (the outer pair's
+        |S|, one sign, which F gives as |omega_bar^2 - Omega^2 - F| / (eta v)^2; an
+        inner root's at most (1/|s| + 5 + 3 ln(2N+1)) / (2v), from sum 1/|k - v| <=
+        1/|s| + 4 + 2 ln 2N and sum 1/(k + v) <= 1 + ln(2N+1)), S2 for S2;
+        :func:`_secular` adds 24 roundings: gamma = gamma_(N+32) bounds the route
+        relative to its terms.  So F lies within gamma ((omega_bar + Omega)(|omega_bar
+        - Omega| + dw (|s| + tail)) + eta^2 v^2 A + |F|) of the exact F
+        (:func:`_omega_tail`), which :meth:`raised_residuals` bounds, and w |F'| - 1
+        within u (1 + w |F'|) + gamma w (|F'| - 1 + 2 (eta/dw)^2 A) of the exact one,
+        which :meth:`weight_bounds` bounds; the weights' bound is raised by 1 + gamma
+        for its own arithmetic.
+        """
+        p, n = self.params, self.params.n_modes
+        near = np.searchsorted(self.bigomegas, p.omega_bar)
+        lift = np.searchsorted(self.asymptotes + self.offsets, n - 9.0)
+        fixed = np.clip([0, 1, near - 1, near, lift - 1, lift, n - 1, n], 0, n).tolist()
+        drawn = np.random.default_rng(n).choice(n + 1, min(n + 1, _SAMPLE), replace=False)
+        roots = np.sort(list(dict.fromkeys(fixed + drawn.tolist()))[:_SAMPLE])
+        u = 0.5 * np.finfo(float).eps
+        gamma = (n + 32) * u / (1.0 - (n + 32) * u)
+        m, s, w = self.asymptotes[roots], self.offsets[roots], self.weights[roots]
+        v, om = m + s, self.bigomegas[roots]
+        f, slope = _secular(m, s, p, _direct_sum, slope=True)
+        first = (p.omega_bar - om) * (p.omega_bar + om)
+        inner = p.eta_sq * (1.0 / np.abs(s) + 5.0 + 3.0 * np.log(2.0 * n + 1.0)) / (2.0 * v)
+        terms = np.where((roots == 0) | (roots == n), np.abs(first - f) / (v * v), inner)  # eta^2 A
+        detuning = np.abs(p.omega_bar - om) + p.delta_omega * (np.abs(s) + _omega_tail(m))
+        scale = (p.omega_bar + om) * detuning + v * v * terms + np.abs(f)
+        weight_bound = (self.weight_bounds()[roots] + u * (1.0 + slope * w)
+                        + gamma * w * (slope - 1.0 + 2.0 * terms / p.delta_omega**2))
+        return (roots, f, slope, self.raised_residuals()[roots] + gamma * scale,
+                weight_bound * (1.0 + gamma))
 
     def weight_bounds(self) -> np.ndarray:
         """A bound, in O(N), on |w_r |F'(lam_r)| - 1| at each root's carried
@@ -219,9 +255,9 @@ class ModeSpectrum:
         T; rounding 1 + eta^2 (s1 + t2) and 1/|F'| leaves |w |F'| - 1| <= 2u + w
         (eta/dw)^2 E u, E u the error of S + v^2 S2 as formed.  s1 = S/dw^2 errs
         relatively by 5u, t2 = om^2 (S2/dw^4) by (7 + 2 omega) u: om lies within
-        omega u of v dw, omega = 1 + 2 (|s| + tail)/v (:func:`_omega`, the tail of
-        :meth:`raised_residuals`).  The outer pair's S and S2 lie within 8u of
-        the exact sums (:func:`_outer_sum`): E = 13 |S| + (15 + 2 omega) v^2 S2.
+        omega u of v dw, omega = 1 + 2 (|s| + tail)/v (:func:`_omega_tail`).  The
+        outer pair's S and S2 lie within 8u of the exact sums (:func:`_outer_sum`):
+        E = 13 |S| + (15 + 2 omega) v^2 S2.
         An inner root's closed form (:func:`_closed_sum`) gives T = (DP - P/v)/4,
         P = c + Psi0, DP = c^2 + pi^2 - Psi1, c = pi cot(pi s), Psi0 = psi(a) -
         psi(b), Psi1 = psi'(a) + psi'(b), a = N+1+v, b = N+1-v.  Its steps put
@@ -243,7 +279,7 @@ class ModeSpectrum:
         """
         p, m, s, n = self.params, self.asymptotes, self.offsets, self.params.n_modes
         v = m + s
-        omega = 4.0 * (np.abs(s) + np.where(m < 2**17, m * 2.0**-35, m)) / v + 2.0  # 2 omega
+        omega = 4.0 * (np.abs(s) + _omega_tail(m)) / v + 2.0  # 2 omega
         err = np.empty(n + 1)
         for r in (0, n):
             s1, s2 = _outer_sum(int(m[r]), float(s[r]), n, 2)
@@ -293,10 +329,10 @@ def field_frequencies(params: DressedAtomParams) -> np.ndarray:
 # terms all have one sign (:func:`_outer_sum`, one root at a time).  Every
 # kernel feeds :func:`_secular`, the one statement of F and its slope.  The
 # definition, the N terms over the factored gaps omega_k^2 - Omega^2 =
-# ((k - m) - s)(k + u) dw^2, is summed only by :func:`secular_residual`
-# (:func:`_direct_sum`).  Every kernel returns the sums in units of dw^-2
-# and dw^-4.  The solver never chooses between them point by point: each
-# root set of :func:`_root_sets` names its kernel.
+# ((k - m) - s)(k + u) dw^2, is summed only by :func:`secular_residual` and
+# :meth:`ModeSpectrum.direct_secular` (:func:`_direct_sum`).  Every kernel
+# returns the sums in units of dw^-2 and dw^-4.  The solver never chooses
+# between them point by point: each root set of :func:`_root_sets` names its kernel.
 # At an inner bracket's midpoint u = r + 1/2, m = r, s = 1/2, the cotangent
 # vanishes (pi cot(pi/2) rounds to 1.9e-16) and the digamma tail is the sum
 # of the 2r + 1 positive terms 1/(k + 1/2), k = N-r..N+r (DLMF 5.5.2), so one
@@ -480,6 +516,11 @@ def _omega(m, s, params: DressedAtomParams):
     head -= head - dw
     whole, rest = m * head, m * (dw - head) + s * dw
     return whole + rest, (params.omega_bar - whole) - rest
+
+
+def _omega_tail(m):
+    """:func:`_omega`'s rounding beyond s dw's, in dw: m 2^-35 where m * head is exact, else m."""
+    return np.where(m < 2**17, m * 2.0**-35, m)
 
 
 def _secular(m, s, params: DressedAtomParams, kernel, slope: bool = False):

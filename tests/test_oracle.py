@@ -199,7 +199,7 @@ class TestCrossChecks:
         # root 0 (the root nearest omega_bar there), root 1, an inner and the top
         spec = solve_eigenfrequencies(fig_params)
         moved, values = copy.copy(spec), getattr(spec, field).copy()
-        values[oracle._sample_roots(spec)[sampled]] *= 1.0 + step
+        values[spec.direct_secular()[0][sampled]] *= 1.0 + step
         freeze(moved, **{field: values})
         monkeypatch.setattr(oracle, "solve_eigenfrequencies", lambda params: moved)
         rows = {row.name: row for row in run_cross_checks(fig_params)}
@@ -214,5 +214,17 @@ class TestCrossChecks:
         assert [(row.name, row.passed) for row in rows] == [("direct_residual", True),
                                                             ("direct_weight", True)]
         spec = solve_eigenfrequencies(DressedAtomParams(1.0, 0.5, 0.1, 100))
-        roots = oracle._sample_roots(spec)
+        roots = spec.direct_secular()[0]
         assert roots.size == 64 and {0, 1, 99, 100} <= set(roots.tolist())
+
+    @pytest.mark.parametrize("n, residual, weight", [
+        (8, "1.878456e-02", "8.631442e-02"), (64, "1.749667e-02", "5.598976e-02"),
+        (200, "8.890160e-03", "3.065023e-02"), (6000, "3.560917e-04", "1.484903e-03"),
+        (10**6, "1.753188e-06", "5.999610e-06")])
+    def test_direct_rows_read_as_printed_before(self, monkeypatch, n, residual, weight):
+        # the figure's system: both direct rows as oracle-check prints them, to
+        # the digit, as they read while the oracle picked the sample and bounds
+        monkeypatch.setattr(oracle.coupling, "MATRIX_MODE_CAP", 0)
+        rows = run_cross_checks(DressedAtomParams(1.0, 0.5, 0.1, n))
+        assert [(row.name, f"{row.max_err:.6e}") for row in rows] == [
+            ("direct_residual", residual), ("direct_weight", weight)]

@@ -24,7 +24,7 @@ from dressedcavity import (
     solve_eigenfrequencies,
     survival_trace,
 )
-from dressedcavity import oracle, spectrum
+from dressedcavity import spectrum
 from hypothesis import example, given, settings
 from oracles import dlasd4_inner_roots, mpmath_mode_sums, mpmath_secular_offset
 from test_dynamics import OM0_APPROX, OM1_APPROX, OM2_APPROX
@@ -768,14 +768,14 @@ class TestWeightBounds:
         (1.0, 0.5, 0.1, 10**6), (1.0, 0.5, 0.1, 2), (1.0, 0.02, 1e3, 8), (1.0, 0.5, 1e3, 8),
         (1.0, 1e-30, 1e-29, 16), (0.1, 10.0, 1e-3, 3000), (1.0, 5.0, 1e3, 600)])
     def test_covers_the_slope_error_against_50_digit_sums(self, omega_bar, g, delta, n):
-        # the oracle's sample: the outer pair and their neighbours, the roots
+        # the direct rows' sample: the outer pair and their neighbours, the roots
         # about omega_bar and about the digamma lift, and random roots
         mpmath = pytest.importorskip("mpmath")
         spec = solve_eigenfrequencies(DressedAtomParams(omega_bar, g, delta, n))
         bound, p = spec.weight_bounds(), spec.params
         with mpmath.workdps(50):
             scale = mpmath.mpf(p.eta_sq) / mpmath.mpf(p.delta_omega) ** 2
-            for r in oracle._sample_roots(spec):
+            for r in spec.direct_secular()[0]:
                 m, s = int(spec.asymptotes[r]), float(spec.offsets[r])
                 total, total2 = mpmath_mode_sums(n, m, s, dps=50)
                 slope = 1 + scale * (total + (m + mpmath.mpf(s)) ** 2 * total2)
